@@ -9,6 +9,7 @@
 #include "analysis/interface_selection.hpp"
 #include "analysis/schedulability.hpp"
 #include "analysis/tree_analysis.hpp"
+#include "core/bluescale_ic.hpp"
 #include "core/random_access_buffer.hpp"
 #include "core/scale_element.hpp"
 #include "mem/memory_controller.hpp"
@@ -60,11 +61,10 @@ void bm_event_engine_pop_advance(benchmark::State& state) {
 }
 BENCHMARK(bm_event_engine_pop_advance)->Arg(1)->Arg(16)->Arg(256);
 
-/// The two run_until dispatch flavours over an every-cycle predicate:
-/// the template overload inlines the lambda into the stepping loop; the
-/// std::function overload pays a type-erased call per evaluation. The
-/// gap between these two cases is the satellite the template overload
-/// was added to close.
+/// The two run_until predicate flavours over an every-cycle predicate:
+/// a lambda inlines into the stepping loop; a std::function (what
+/// testbench::run_until forwards) goes through the same template but
+/// pays a type-erased call per evaluation.
 void bm_run_until_template_predicate(benchmark::State& state) {
     constexpr std::uint64_t k_target = 32'768;
     for (auto _ : state) {
@@ -141,6 +141,82 @@ void bm_scale_element_tick(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bm_scale_element_tick);
+
+/// Host cost per stepped cycle of a saturated 1,024-client fabric (a
+/// depth-5 quadtree, 341 SEs): every leaf port is refilled the moment it
+/// drains, so the tree stays backed up to the leaves and most SEs sleep
+/// refused on a full parent port. The perf-smoke gate on this case
+/// catches a return to ticking the whole tree every cycle, which runs it
+/// ~12x slower.
+class saturating_clients : public component {
+public:
+    explicit saturating_clients(core::bluescale_ic& net)
+        : component("saturating_clients"), net_(net),
+          ports_(net.num_clients()) {
+        ready_.reserve(net.num_clients());
+        for (std::uint32_t c = 0; c < net.num_clients(); ++c) {
+            ports_[c] = {this, c};
+            net_.bind_client_drain(c, {[](void* ctx) {
+                                           auto* p = static_cast<port*>(ctx);
+                                           p->owner->drained(p->client);
+                                       },
+                                       &ports_[c]});
+            ready_.push_back(c);
+        }
+    }
+    void tick(cycle_t now) override {
+        for (const std::uint32_t c : ready_) {
+            while (net_.client_can_accept(c)) {
+                mem_request r;
+                r.id = next_id_++;
+                r.client = c;
+                r.addr = (r.id % 4096) * 64;
+                r.level_deadline = r.abs_deadline = now + 10'000;
+                r.hop_arrival = now;
+                net_.client_push(c, r);
+            }
+        }
+        ready_.clear();
+    }
+    /// Sleeps until a drain hook re-arms it.
+    [[nodiscard]] cycle_t next_event(cycle_t) const override {
+        return k_cycle_never;
+    }
+
+private:
+    struct port {
+        saturating_clients* owner;
+        std::uint32_t client;
+    };
+    void drained(std::uint32_t c) {
+        ready_.push_back(c);
+        wake();
+    }
+    core::bluescale_ic& net_;
+    std::vector<port> ports_;
+    std::vector<std::uint32_t> ready_;
+    request_id_t next_id_ = 0;
+};
+
+void bm_saturated_fabric_step(benchmark::State& state) {
+    constexpr cycle_t k_cycles = 1'024;
+    core::bluescale_ic net(1024);
+    memory_controller mem;
+    net.attach_memory(mem);
+    std::uint64_t completed = 0;
+    net.set_response_handler([&completed](mem_request&&) { ++completed; });
+    saturating_clients clients(net);
+    simulator sim(simulator::engine::event);
+    sim.add(clients);
+    sim.add(net);
+    sim.add(mem);
+    sim.run(20'000); // back the tree up to the leaves
+    for (auto _ : state) sim.run(k_cycles);
+    benchmark::DoNotOptimize(completed);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(k_cycles));
+}
+BENCHMARK(bm_saturated_fabric_step);
 
 void bm_memory_controller_tick(benchmark::State& state) {
     memory_controller mc;

@@ -20,7 +20,9 @@
 #
 # --check reruns the benches and fails (exit 1) when an idle-heavy engine
 # case (the event scheduler's pop/advance and predicate-dispatch paths)
-# regresses more than 25% against the committed snapshot, or when a
+# or the saturated-fabric step (a 1,024-client tree whose backpressured
+# SEs sleep; full-tree ticking costs ~12x) regresses more than 25%
+# against the committed snapshot, or when a
 # megascale work counter grows more than 25% over the committed curve
 # (compared at the depths the shallow --check run shares with the
 # snapshot). The full megascale refresh sweeps to depth 8/10 and takes
@@ -59,6 +61,7 @@ BASELINE = "bm_sbf"
 GUARDED_PREFIXES = (
     "bm_event_engine_pop_advance",
     "bm_run_until_template_predicate",
+    "bm_saturated_fabric_step",
 )
 TOLERANCE = 0.25
 

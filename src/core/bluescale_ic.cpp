@@ -1,6 +1,7 @@
 #include "core/bluescale_ic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace bluescale::core {
@@ -22,28 +23,48 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
         }
     }
 
+    static_assert(analysis::k_se_fanin == 4, "response_port: 2 bits/level");
+    resp_shift_.resize(depth + 1);
+    for (std::uint32_t l = 0; l <= depth; ++l) {
+        resp_shift_[l] = 2 * (depth - l);
+    }
     if (cfg_.responses == response_model::demux_network) {
         resp_q_.resize(depth + 1);
+        resp_busy_.resize(depth + 1);
         for (std::uint32_t l = 0; l <= depth; ++l) {
             const std::uint32_t count = shape_.ses_at_level(l);
             resp_q_[l].reserve(count);
             for (std::uint32_t y = 0; y < count; ++y) {
                 resp_q_[l].emplace_back(cfg_.response_buffer_depth);
             }
+            resp_busy_[l].assign((count + 63) / 64, 0);
         }
+        resp_pushed_.reserve(shape_.total_ses());
     }
 
-    // Every SE wake bubbles up to the fabric so the simulator re-arms it
-    // (client pushes reach the SE buffers directly, bypassing tick()).
-    // The flat view + SoA wake schedule keep the per-cycle walks on
-    // sequential memory; SEs start armed (wake_at == 0).
-    se_ticked_.assign(shape_.total_ses(), 0);
-    se_flat_.reserve(shape_.total_ses());
-    se_wake_.assign(shape_.total_ses(), 0);
+    // Every SE wake lists the SE for the next edge and bubbles up to the
+    // fabric so the simulator re-arms it (client pushes reach the SE
+    // buffers directly, bypassing tick()). The flat view + SoA wake
+    // schedule keep the per-cycle walk on sequential memory; SEs start
+    // armed (wake_at == 0).
+    const std::uint32_t n_ses = shape_.total_ses();
+    se_flat_.reserve(n_ses);
+    se_wake_.assign(n_ses, 0);
+    se_wake_ctx_.reserve(n_ses);
+    se_dirty_.assign(n_ses, 0);
+    dirty_.reserve(n_ses);
+    walk_pos_ = n_ses;
     for (auto& level : levels_) {
         for (auto& se : level) {
-            se->set_wake_hook(sim::wake_of(*this));
-            se->bind_wake_cell(&se_wake_[se_flat_.size()]);
+            const auto i = static_cast<std::uint32_t>(se_flat_.size());
+            se_wake_ctx_.push_back({this, i});
+            se->set_wake_hook({[](void* ctx) {
+                                   const auto* w =
+                                       static_cast<se_wake_ctx*>(ctx);
+                                   w->fabric->note_se_wake(w->index);
+                               },
+                               &se_wake_ctx_.back()});
+            se->bind_wake_cell(&se_wake_[i]);
             se_flat_.push_back(se.get());
         }
     }
@@ -68,7 +89,8 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
             const std::uint32_t port =
                 analysis::quadtree_shape::parent_port(y);
             const std::uint32_t link_idx = se_linear_index(l, y);
-            levels_[l][y]->bind_sink(
+            scale_element& child = *levels_[l][y];
+            child.bind_sink(
                 [parent, port] { return parent->port_can_accept(port); },
                 [this, parent, port, link_idx](mem_request r) {
                     if (link_faults_[link_idx].active(now_)) {
@@ -77,8 +99,28 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
                     }
                     parent->port_push(port, std::move(r));
                 });
+            // The parent port's full -> non-full edge is the only way the
+            // child's sink turns ready again: a refused child sleeps on it.
+            parent->set_port_drain_hook(port, sim::wake_of(child));
+            child.enable_backpressure_sleep(&now_);
         }
     }
+}
+
+void bluescale_ic::note_se_wake(std::uint32_t i) {
+    if (se_dirty_[i] == 0) {
+        se_dirty_[i] = 1;
+        // dirty_ is reserved to total_ses() at assembly and se_dirty_
+        // lists each SE at most once per edge.
+        // detlint:allow(hotpath-alloc): push into pre-reserved dirty list
+        dirty_.push_back(i);
+    }
+    if (i < walk_pos_) rearm_ = true;
+    wake();
+}
+
+void bluescale_ic::settle_backlog() {
+    for (scale_element* se : se_flat_) se->settle_backlog();
 }
 
 void bluescale_ic::inject_campaign(const sim::fault_campaign& campaign) {
@@ -112,6 +154,11 @@ void bluescale_ic::bind_observability(obs::registry& reg,
                 reg, prefix, sink.register_component(prefix));
         }
     }
+    // Backpressure-slept cycles are owed, not yet counted: settle them
+    // before every snapshot so exports match the lockstep engine's.
+    reg.add_sync_hook(
+        {[](void* ctx) { static_cast<bluescale_ic*>(ctx)->settle_backlog(); },
+         this});
 }
 
 void bluescale_ic::configure(const analysis::tree_selection& selection) {
@@ -145,33 +192,54 @@ std::uint32_t bluescale_ic::depth_of(client_id_t) const {
     return shape_.leaf_level + 1;
 }
 
+void bluescale_ic::push_response(std::uint32_t l, std::uint32_t y,
+                                 mem_request r) {
+    auto& q = resp_q_[l][y];
+    if (q.total_size() == q.size()) {
+        // resp_pushed_ is reserved to total_ses() at assembly and lists
+        // each queue at most once per edge.
+        // detlint:allow(hotpath-alloc): push into pre-reserved push list
+        resp_pushed_.emplace_back(l, y);
+    }
+    q.push(std::move(r));
+}
+
 void bluescale_ic::tick_response_network(cycle_t now) {
     // Pull finished transactions into the root SE's response port.
     while (resp_q_[0][0].can_push() && memory_has_response()) {
-        resp_q_[0][0].push(pop_memory_response());
+        push_response(0, 0, pop_memory_response());
         ++resp_in_network_;
     }
 
-    // Each SE forwards one response per cycle down its demux.
+    // Each SE forwards one response per cycle down its demux. Only queues
+    // holding a visible response can act, so walk the occupancy bitsets
+    // -- level-major, ascending order, exactly the full sweep's order.
+    // Forwards stage into level l + 1 and cannot be forwarded again until
+    // the edge.
     const std::uint32_t depth = shape_.leaf_level;
     for (std::uint32_t l = 0; l <= depth; ++l) {
-        for (std::uint32_t y = 0; y < resp_q_[l].size(); ++y) {
-            auto& q = resp_q_[l][y];
-            if (q.empty()) continue;
-            const client_id_t c = q.front().client;
-            if (l == depth) {
-                // Leaf demux: hand the response to the client port.
-                mem_request r = q.pop();
-                --resp_in_network_;
-                r.complete_cycle = now;
-                deliver_response_now(std::move(r));
-            } else {
-                const std::uint32_t port = response_port(l, c);
-                const std::uint32_t child =
-                    analysis::quadtree_shape::child_order(y, port);
-                if (resp_q_[l + 1][child].can_push()) {
-                    resp_q_[l + 1][child].push(q.pop());
+        auto& busy = resp_busy_[l];
+        for (std::size_t w = 0; w < busy.size(); ++w) {
+            for (std::uint64_t bits = busy[w]; bits != 0; bits &= bits - 1) {
+                const auto b =
+                    static_cast<std::uint32_t>(std::countr_zero(bits));
+                const auto y = static_cast<std::uint32_t>(w * 64) + b;
+                auto& q = resp_q_[l][y];
+                const client_id_t c = q.front().client;
+                if (l == depth) {
+                    // Leaf demux: hand the response to the client port.
+                    mem_request r = q.pop();
+                    --resp_in_network_;
+                    r.complete_cycle = now;
+                    deliver_response_now(std::move(r));
+                } else {
+                    const std::uint32_t child =
+                        analysis::quadtree_shape::child_order(
+                            y, response_port(l, c));
+                    if (!resp_q_[l + 1][child].can_push()) continue;
+                    push_response(l + 1, child, q.pop());
                 }
+                if (q.empty()) busy[w] &= ~(std::uint64_t{1} << b);
             }
         }
     }
@@ -182,22 +250,30 @@ void bluescale_ic::tick(cycle_t now) {
     // Selective SE walk: the simulator's wake/horizon protocol, one level
     // down. An element whose cached wakeup is still in the future would
     // tick as a pure no-op (its own next_event() said so, and anything
-    // that changed since then fired a wake), so skipping it is exact.
-    // Lockstep ticks everything and skips the horizon bookkeeping.
+    // that changed since then fired a wake), so skipping it is exact. The
+    // walk folds the horizon minimum for next_event(); a wake landing
+    // behind the walk position sets rearm_ instead. Lockstep ticks
+    // everything and skips the horizon bookkeeping.
+    const auto n = static_cast<std::uint32_t>(se_flat_.size());
     if (!selective_) {
         for (scale_element* se : se_flat_) se->tick(now);
+        se_ticks_ += n;
     } else {
-        for (std::size_t i = 0; i < se_flat_.size(); ++i) {
+        rearm_ = false;
+        cycle_t due = k_cycle_never;
+        for (std::uint32_t i = 0; i < n; ++i) {
             if (se_wake_[i] <= now) {
+                walk_pos_ = i;
                 scale_element* se = se_flat_[i];
                 se->tick(now);
+                ++se_ticks_;
                 // detlint:allow(cycle-step): wake-protocol floor clamp
                 se_wake_[i] = std::max(now + 1, se->next_event(now));
-                se_ticked_[i] = 1;
-            } else {
-                se_ticked_[i] = 0;
             }
+            due = std::min(due, se_wake_[i]);
         }
+        walk_pos_ = n;
+        se_due_ = due;
     }
     if (cfg_.responses == response_model::demux_network) {
         // A provable no-op with nothing to pull and nothing en route.
@@ -214,26 +290,26 @@ void bluescale_ic::commit() {
     if (!selective_) {
         for (scale_element* se : se_flat_) se->commit();
     } else {
-        for (std::size_t i = 0; i < se_flat_.size(); ++i) {
-            // An element woken after the walk (e.g. a child staged a push
-            // into its buffers this cycle) must still latch on this edge.
-            if (se_ticked_[i] || se_wake_[i] <= now_) {
-                se_flat_[i]->commit();
-            }
-        }
+        // Every buffer load wakes its SE, so the woken ones are the only
+        // SEs with staged requests to latch.
+        for (const std::uint32_t i : dirty_) se_flat_[i]->commit();
     }
-    for (auto& level : resp_q_) {
-        for (auto& q : level) q.commit();
+    for (const std::uint32_t i : dirty_) se_dirty_[i] = 0;
+    dirty_.clear();
+    for (const auto& [l, y] : resp_pushed_) {
+        resp_q_[l][y].commit();
+        resp_busy_[l][y / 64] |= std::uint64_t{1} << (y % 64);
     }
+    resp_pushed_.clear();
 }
 
 cycle_t bluescale_ic::next_event(cycle_t now) const {
-    // Request path: the earliest cached SE wakeup (the same horizons the
-    // selective walk in tick() trusts). Requests parked at the memory
+    // Request path: the earliest cached SE wakeup, folded into tick()'s
+    // walk (the same horizons the walk trusts), or the next cycle when a
+    // wake landed behind the walk. Requests parked at the memory
     // controller hold no SE awake; their responses re-arm the fabric via
     // the attach_memory() wake.
-    cycle_t due = k_cycle_never;
-    for (const cycle_t at : se_wake_) due = std::min(due, at);
+    cycle_t due = rearm_ ? now + 1 : se_due_;
     // Response path: the demux network forwards one response per SE per
     // cycle while anything is en route; the delay-line model exposes its
     // horizon directly.
@@ -251,7 +327,7 @@ void bluescale_ic::reset() {
     interconnect::reset();
     now_ = 0;
     resp_in_network_ = 0;
-    se_ticked_.assign(shape_.total_ses(), 0);
+    se_ticks_ = 0;
     for (auto& w : link_faults_) w.reset();
     for (auto& level : levels_) {
         for (auto& se : level) se->reset();
@@ -259,6 +335,10 @@ void bluescale_ic::reset() {
     for (auto& level : resp_q_) {
         for (auto& q : level) q.clear();
     }
+    for (auto& level : resp_busy_) {
+        std::fill(level.begin(), level.end(), 0);
+    }
+    resp_pushed_.clear();
 }
 
 } // namespace bluescale::core

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "analysis/quadtree.hpp"
@@ -59,10 +60,12 @@ public:
     void commit() override;
     void reset() override;
 
-    /// Event-engine horizon: per-cycle while transactions are in flight
-    /// (request arbitration, the response network, and the root link all
-    /// move every cycle); otherwise the earliest SE wakeup -- a quiescent
-    /// tree sleeps until a client push or a scheduled SE stall window.
+    /// Event-engine horizon: the earliest SE wakeup (folded into the
+    /// selective walk), per-cycle while responses are en route, and
+    /// per-cycle after any SE wake the walk had already passed. A
+    /// quiescent tree sleeps until a client push or a scheduled SE stall
+    /// window; while any SE sleeps on backpressure the root holds work,
+    /// so the fabric keeps stepping every cycle.
     [[nodiscard]] cycle_t next_event(cycle_t now) const override;
 
     /// The SE walk inside tick() skips elements whose cached wakeup lies
@@ -110,6 +113,11 @@ public:
         return *levels_[level][order];
     }
 
+    /// SE ticks run since construction or reset(): a deterministic work
+    /// counter (the same for any --threads, engine-specific by design),
+    /// kept out of the registry so exports do not change.
+    [[nodiscard]] std::uint64_t se_ticks() const { return se_ticks_; }
+
 private:
     [[nodiscard]] scale_element& leaf_of(client_id_t c) {
         return *levels_.back()[shape_.leaf_se_of_client(c)];
@@ -118,17 +126,31 @@ private:
         return *levels_.back()[shape_.leaf_se_of_client(c)];
     }
 
-    /// Child port of SE(level, ·) on client c's path (the demux select).
+    /// Child port of SE(level, ·) on client c's path (the demux select):
+    /// base-4 digit `leaf_level - level` of the client id.
     [[nodiscard]] std::uint32_t
     response_port(std::uint32_t level, client_id_t c) const {
-        std::uint32_t shift = shape_.leaf_level - level;
-        std::uint32_t divisor = 1;
-        while (shift-- > 0) divisor *= analysis::k_se_fanin;
-        return (c / divisor) % analysis::k_se_fanin;
+        return (c >> resp_shift_[level]) & (analysis::k_se_fanin - 1);
     }
 
     /// Demux-network step: move responses one SE hop toward the clients.
     void tick_response_network(cycle_t now);
+    /// Stages `r` in resp_q_[l][y], listing the queue for this edge's
+    /// commit on its first push of the cycle.
+    void push_response(std::uint32_t l, std::uint32_t y, mem_request r);
+    /// SE wake thunk target: lists SE i for this edge's commit and, when
+    /// the walk already passed it, forces the next cycle.
+    void note_se_wake(std::uint32_t i);
+    /// Brings every SE's backlog counters up to the clock (registry
+    /// snapshot hook).
+    void settle_backlog();
+
+    /// Context of one SE's wake thunk: the fabric and the SE's level-major
+    /// index (se_flat_ / se_wake_ position).
+    struct se_wake_ctx {
+        bluescale_ic* fabric;
+        std::uint32_t index;
+    };
 
     bluescale_config cfg_;
     analysis::quadtree_shape shape_;
@@ -136,10 +158,22 @@ private:
     /// no time argument) can evaluate link-fault windows.
     cycle_t now_ = 0;
     bool selective_ = true;
-    /// Level-major flags: did SE i tick this cycle? commit() re-checks
-    /// the wakeup so an element woken after the walk still latches its
-    /// staged pushes on the same edge.
-    std::vector<std::uint8_t> se_ticked_;
+    /// Dirty list: SEs woken since the last edge, each listed once
+    /// (se_dirty_ flags). Every buffer load wakes its SE, so the list
+    /// covers every staged request; commit() latches exactly these.
+    /// Reserved to total_ses() at assembly.
+    std::vector<std::uint32_t> dirty_;
+    std::vector<std::uint8_t> se_dirty_;
+    std::vector<se_wake_ctx> se_wake_ctx_;
+    /// The selective walk's position (total_ses() outside the walk): a
+    /// wake of an SE below it lands after the walk read its horizon.
+    std::uint32_t walk_pos_ = 0;
+    /// An SE was woken after the walk passed it: tick next cycle.
+    bool rearm_ = false;
+    /// Earliest SE wakeup, folded into the selective walk (0, i.e. the
+    /// next cycle, until one ran).
+    cycle_t se_due_ = 0;
+    std::uint64_t se_ticks_ = 0;
     /// Responses inside resp_q_ (visible + staged): incremented when the
     /// root pulls a completion from the memory, decremented at leaf
     /// delivery. Gates the response-network walk in both engines (a
@@ -151,13 +185,22 @@ private:
     std::vector<std::vector<std::unique_ptr<scale_element>>> levels_;
     /// Level-major flat view of every SE, paired with the SoA wake
     /// schedule se_wake_ (each SE's wake slot is relocated into it via
-    /// component::bind_wake_cell), so the selective walk and the horizon
-    /// scan in next_event() read sequential memory.
+    /// component::bind_wake_cell), so the selective walk -- one compare
+    /// per SE, a tick only for due ones -- reads sequential memory.
     std::vector<scale_element*> se_flat_;
     std::vector<cycle_t> se_wake_;
     /// resp_q_[l][y]: responses waiting at SE(l, y)'s provider-side
     /// response port (demux_network model only).
     std::vector<std::vector<latched_queue<mem_request>>> resp_q_;
+    /// resp_busy_[l]: bitset over level l's queues, set while the queue
+    /// holds a visible response -- the demux walk visits only these, in
+    /// level-major order.
+    std::vector<std::vector<std::uint64_t>> resp_busy_;
+    /// Queues pushed this cycle, as (level, order), each listed once;
+    /// commit() latches exactly these. Reserved to total_ses().
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> resp_pushed_;
+    /// Per-level right shift selecting the demux digit of a client id.
+    std::vector<std::uint32_t> resp_shift_;
 };
 
 } // namespace bluescale::core

@@ -39,9 +39,11 @@ public:
         staged_.reserve(depth);
     }
 
-    /// Producer-side wake notification, fired when a load() lands in a
-    /// fully quiet buffer -- the one transition that can invalidate the
-    /// owning SE's cached horizon (see latched_queue::set_wake_hook).
+    /// Producer-side wake notification, fired on every load(). Unlike
+    /// latched_queue's quiet-transition wake, any load can invalidate the
+    /// owning SE's cached horizon: a backpressured SE sleeps with work
+    /// buffered, and the load both changes what it will charge and must
+    /// latch on this cycle's edge.
     void set_wake_hook(sim::wake_hook hook) { wake_ = hook; }
 
     /// Consumer-side drain notification, fired when fetch_earliest()
@@ -55,7 +57,6 @@ public:
 
     void load(mem_request r) {
         assert(can_load());
-        const bool was_quiet = order_.empty() && staged_.empty();
         const std::uint32_t slot = free_.back();
         free_.pop_back();
         arena_[slot] = std::move(r);
@@ -63,7 +64,7 @@ public:
         // can_load() (asserted above) bounds occupancy.
         // detlint:allow(hotpath-alloc): push into pre-reserved staging
         staged_.push_back(slot);
-        if (was_quiet) wake_.fire();
+        wake_.fire();
     }
 
     // --- arbiter / fetcher side ------------------------------------------

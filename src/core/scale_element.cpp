@@ -1,5 +1,6 @@
 #include "core/scale_element.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bluescale::core {
@@ -70,8 +71,27 @@ std::optional<std::uint32_t> scale_element::pick_fallback() const {
     return best;
 }
 
+void scale_element::settle_backlog(cycle_t through) {
+    for (std::uint32_t p = 0; p < k_se_ports; ++p) {
+        port_backlogged_cycles_[p].inc(owed_backlog(p, through));
+    }
+    if (refused_at_ != k_cycle_never) {
+        refused_at_ = std::max(refused_at_, through);
+    }
+}
+
 void scale_element::tick(cycle_t now) {
     assert(sink_ready_ && sink_push_);
+
+    // Backpressure sleep: every cycle slept since the refused tick held
+    // the same visible buffers (a load or a parent drain would have woken
+    // the element), so charge them from the mask recorded then -- not
+    // from the buffers now, which may hold the load that woke us.
+    if (refused_at_ != k_cycle_never) {
+        // detlint:allow(cycle-step): the slept span ends before this tick
+        settle_backlog(now - 1);
+        refused_at_ = k_cycle_never;
+    }
 
     if (pending_resync_) {
         // configure_port() restarted the counters mid-run: drop any
@@ -122,8 +142,12 @@ void scale_element::tick(cycle_t now) {
     // Per-port demand accounting for the supply-conformance watchdog: a
     // port is backlogged while its buffer holds work, stalled or not --
     // supply lost to a fault is still owed to the backlogged port.
+    std::uint8_t backlogged = 0;
     for (std::uint32_t p = 0; p < k_se_ports; ++p) {
-        if (!buffers_[p].empty()) port_backlogged_cycles_[p].inc();
+        if (!buffers_[p].empty()) {
+            port_backlogged_cycles_[p].inc();
+            backlogged |= static_cast<std::uint8_t>(1U << p);
+        }
         port_queue_depth_[p].set(
             static_cast<std::int64_t>(buffers_[p].size()));
     }
@@ -142,7 +166,13 @@ void scale_element::tick(cycle_t now) {
         return;
     }
 
-    if (!sink_ready_()) return;
+    if (!sink_ready_()) {
+        if (clock_ != nullptr) {
+            refused_at_ = now;
+            refused_mask_ = backlogged;
+        }
+        return;
+    }
 
     // Degraded mode suspends the budgeted servers entirely: pure
     // work-conserving nested EDF until the health monitor recovers us.
@@ -195,13 +225,37 @@ void scale_element::commit() {
     for (auto& buf : buffers_) buf.commit();
 }
 
+cycle_t scale_element::next_replenish() const {
+    cycle_t due = k_cycle_never;
+    for (std::uint32_t p = 0; p < k_se_ports; ++p) {
+        const server_task& s = sched_.server(p);
+        if (s.period() == 0) continue;
+        // The P-counter reloads at the units_to_deadline()-th boundary
+        // from next_unit_mark_ (a zero value reloads at the first).
+        const cycle_t units = std::max<cycle_t>(s.units_to_deadline(), 1);
+        due = std::min(due,
+                       next_unit_mark_ + (units - 1) * params_.unit_cycles);
+    }
+    return due;
+}
+
 cycle_t scale_element::next_event(cycle_t now) const {
-    // Per-cycle work pending: buffered/staged requests (arbitration,
-    // backlog accounting), degraded-cycle counting, or an open stall
+    // Per-cycle work pending: degraded-cycle counting or an open stall
     // window (fault_stall_cycles_ counts per cycle).
     if (degraded_ || stalled_now_) return now + 1;
+    bool quiet = true;
     for (const auto& buf : buffers_) {
-        if (!buf.quiet()) return now + 1;
+        if (buf.quiet()) continue;
+        // Staged loads change the backlog mask on this edge.
+        if (buf.total_size() != buf.size()) return now + 1;
+        quiet = false;
+    }
+    if (!quiet) {
+        // Buffered work: arbitrate again next cycle unless this very
+        // tick's sink refused (backpressure sleep). A refused tick wrote
+        // the depth gauges and granted nothing, so they are current.
+        if (refused_at_ != now) return now + 1;
+        return std::min(stall_faults_.wake_horizon(now), next_replenish());
     }
     // Cool-down tick: the depth gauges are written at tick start, so the
     // tick whose grant drained the last buffer left them one value
@@ -233,6 +287,8 @@ void scale_element::reset() {
     wait_stats_.reset();
     next_unit_mark_ = 0;
     pending_resync_ = false;
+    refused_at_ = k_cycle_never;
+    refused_mask_ = 0;
     wake();
 }
 

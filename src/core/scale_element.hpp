@@ -47,6 +47,16 @@ public:
     /// Wires the local provider port (parent SE port or the memory).
     void bind_sink(sink_ready_fn ready, sink_push_fn push);
 
+    /// Lets the element sleep through cycles its sink refuses (backpressure
+    /// sleep, event engine). The caller promises to wake() the element
+    /// whenever the sink's ready() can flip back to true -- the fabric
+    /// binds the parent port's drain hook -- and `tick_clock` reads the cycle
+    /// of the caller's latest tick, so backlog reads stay exact mid-sleep.
+    /// The root's memory sink has no drain signal, so it never opts in.
+    void enable_backpressure_sleep(const cycle_t* tick_clock) {
+        clock_ = tick_clock;
+    }
+
     /// Re-homes this element's counters into `reg` under
     /// "<prefix>/..." / "<prefix>/port<p>/..." (e.g. "se.2.1") and
     /// attaches the trace stream; call before the trial starts.
@@ -84,13 +94,19 @@ public:
     void tick(cycle_t now) override;
     void commit() override;
 
-    /// Event-engine horizon. The element must stay on the per-cycle
-    /// cadence while it has work or per-cycle accounting (buffered or
-    /// staged requests, degraded-mode or stall counters); otherwise the
-    /// only thing that can touch it unprompted is the stall-fault
-    /// schedule. Server counters are caught up in closed form on the
-    /// next tick (see next_unit_mark_), so sleeping over unit boundaries
-    /// is exact.
+    /// Event-engine horizon. The element stays on the per-cycle cadence
+    /// while it has per-cycle work (degraded-mode or stall counters,
+    /// staged loads, requests it could forward). Two states sleep:
+    ///  - quiet: only the stall-fault schedule can touch it unprompted;
+    ///  - refused (backpressure sleep, see enable_backpressure_sleep):
+    ///    work is buffered but the sink refused this tick. Nothing changes
+    ///    until the parent port drains or a load arrives (both wake it),
+    ///    a stall window opens, or -- configured elements only -- an
+    ///    enabled server replenishes (its server_replenish trace event
+    ///    must keep its cycle). The backlog of the slept cycles is charged
+    ///    in closed form from the mask of the refused tick.
+    /// Server counters are caught up in closed form on the next tick (see
+    /// next_unit_mark_), so sleeping over unit boundaries is exact.
     [[nodiscard]] cycle_t next_event(cycle_t now) const override;
 
     /// Drops buffered requests and restarts counters (between trials).
@@ -152,9 +168,17 @@ public:
     /// demanding supply). A window counts toward supply conformance only
     /// when the port was backlogged throughout -- sbf guarantees service
     /// to pending work, not to an idle client.
+    /// Exact at any time, including mid-sleep: cycles slept since a
+    /// refused tick are added from that tick's mask up to the clock.
     [[nodiscard]] std::uint64_t port_backlogged_cycles(std::uint32_t port)
         const {
-        return port_backlogged_cycles_[port].value();
+        return port_backlogged_cycles_[port].value() +
+               (clock_ == nullptr ? 0 : owed_backlog(port, *clock_));
+    }
+    /// Moves the backlog owed for slept cycles into the registry counters
+    /// (registry snapshots read the counters, not the accessor above).
+    void settle_backlog() {
+        if (clock_ != nullptr) settle_backlog(*clock_);
     }
     [[nodiscard]] const se_params& params() const { return params_; }
 
@@ -172,6 +196,23 @@ private:
     /// Work-conserving fallback: port whose buffer holds the earliest
     /// deadline request; nullopt if all buffers are empty.
     [[nodiscard]] std::optional<std::uint32_t> pick_fallback() const;
+    /// Backlog cycles port `p` is owed for the cycles slept in
+    /// (refused_at_, through].
+    [[nodiscard]] std::uint64_t owed_backlog(std::uint32_t p,
+                                             cycle_t through) const {
+        if (refused_at_ == k_cycle_never || through <= refused_at_ ||
+            ((refused_mask_ >> p) & 1U) == 0) {
+            return 0;
+        }
+        return through - refused_at_;
+    }
+    /// Charges the owed backlog up to `through` into the counters and
+    /// moves refused_at_ up to it.
+    void settle_backlog(cycle_t through);
+    /// Earliest unit boundary at which a server with a period reloads
+    /// (tick_unit() returns true); k_cycle_never on an unconfigured
+    /// element.
+    [[nodiscard]] cycle_t next_replenish() const;
 
     se_params params_;
     std::array<random_access_buffer, k_se_ports> buffers_;
@@ -191,6 +232,13 @@ private:
     sim::fault_window stall_faults_;
     bool degraded_ = false;
     bool stalled_now_ = false;
+    /// Backpressure sleep: the owner's clock (nullptr = never sleeps on a
+    /// refusal), the cycle of the last tick whose sink refused
+    /// (k_cycle_never once a later tick ran), and the ports that were
+    /// backlogged then. Cycles slept since are charged from this mask.
+    const cycle_t* clock_ = nullptr;
+    cycle_t refused_at_ = k_cycle_never;
+    std::uint8_t refused_mask_ = 0;
     std::uint32_t tree_level_ = 0;
     /// Fallback registry for unbound instances (bind_observability
     /// re-homes the handles).

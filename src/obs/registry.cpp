@@ -59,6 +59,7 @@ sample registry::make_sample(std::string name, std::uint32_t flags) {
 }
 
 snapshot registry::take_snapshot(bool include_profile) const {
+    for (const sync_hook& h : sync_) h.fn(h.ctx);
     snapshot out;
     out.entries_.reserve(index_.size());
     for (const auto& [name, slot] : index_) {

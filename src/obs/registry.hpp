@@ -231,9 +231,21 @@ public:
 
     [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
-    /// Copies current values, sorted by name. Profile-flagged metrics are
-    /// skipped unless `include_profile` (they carry wall-clock noise and
-    /// would break byte-identical exports).
+    /// Callback run at the start of every take_snapshot(), so owners of
+    /// lazily accrued values (a sleeping Scale Element's backlog) can
+    /// bring their slots up to date. Plain function pointer + context,
+    /// like sim::wake_hook.
+    struct sync_hook {
+        void (*fn)(void*) = nullptr;
+        void* ctx = nullptr;
+    };
+    /// Registers `hook` (assembly time); its context must outlive every
+    /// snapshot taken of this registry.
+    void add_sync_hook(sync_hook hook) { sync_.push_back(hook); }
+
+    /// Runs the sync hooks, then copies current values, sorted by name.
+    /// Profile-flagged metrics are skipped unless `include_profile` (they
+    /// carry wall-clock noise and would break byte-identical exports).
     [[nodiscard]] snapshot take_snapshot(bool include_profile = false) const;
 
     /// Zeroes every metric (between trials); handles stay bound.
@@ -247,6 +259,7 @@ private:
     /// Sorted name -> slot index; gives snapshots their deterministic
     /// order without sorting at snapshot time.
     std::map<std::string, detail::slot*, std::less<>> index_;
+    std::vector<sync_hook> sync_;
 };
 
 } // namespace bluescale::obs

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -109,12 +108,6 @@ public:
         // The predicate was already evaluated for every reachable state in
         // the budget; exhausting it means it never fired.
         return false;
-    }
-
-    /// Type-erased overload kept for ABI-stable callers (testbench); the
-    /// template above avoids std::function dispatch on the hot loop.
-    bool run_until(const std::function<bool()>& done, cycle_t max_cycles) {
-        return run_until<const std::function<bool()>&>(done, max_cycles);
     }
 
     /// Advances exactly one cycle (ticking only due components in event
