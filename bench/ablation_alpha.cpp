@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Ablation A1: BlueTree blocking factor alpha");
 
     std::printf("Ablation A1: BlueTree blocking factor alpha "
@@ -29,26 +29,24 @@ int main(int argc, char** argv) {
                     "miss ratio"});
     for (std::uint32_t alpha : {1u, 2u, 4u, 8u}) {
         fig6_config cfg;
-        cfg.trials = opts.trials;
+        cfg.sweep = sweep_from(opts);
         cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
         cfg.bluetree_alpha = alpha;
         const auto r = run_fig6(ic_kind::bluetree, cfg);
         t.add_row({"BlueTree alpha=" + std::to_string(alpha),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
+                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
+                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
     }
     {
         fig6_config cfg;
-        cfg.trials = opts.trials;
+        cfg.sweep = sweep_from(opts);
         cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
         const auto r = run_fig6(ic_kind::bluescale, cfg);
         t.add_row({"BlueScale (reference)",
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
+                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
+                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
     }
     t.print();
     return 0;

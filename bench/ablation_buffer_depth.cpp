@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Ablation A2: BlueScale random-access-buffer depth");
 
     std::printf("Ablation A2: BlueScale random-access-buffer depth "
@@ -28,17 +28,16 @@ int main(int argc, char** argv) {
                     "miss ratio"});
     for (std::size_t depth : {2u, 4u, 8u, 16u, 32u}) {
         fig6_config cfg;
-        cfg.trials = opts.trials;
+        cfg.sweep = sweep_from(opts);
         cfg.measure_cycles = opts.measure_cycles;
-        cfg.threads = opts.threads;
         core::se_params se;
         se.buffer_depth = depth;
         cfg.bluescale_se = se;
         const auto r = run_fig6(ic_kind::bluescale, cfg);
         t.add_row({std::to_string(depth),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
+                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
+                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
     }
     t.print();
     return 0;

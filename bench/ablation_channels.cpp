@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.measure_cycles = 40'000;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, {harness::bench_arg::cycles},
+        argc, argv, defaults,
         "Ablation A7: Meshed BlueScale channel count");
     const cycle_t cycles = opts.measure_cycles;
     constexpr std::uint32_t n_clients = 16;

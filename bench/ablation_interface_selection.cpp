@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     harness::bench_options defaults;
     defaults.trials = 10;
     const auto opts = harness::parse_bench_cli(
-        argc, argv, defaults, {harness::bench_arg::trials},
+        argc, argv, defaults,
         "Ablation A3: interface selection cost/quality");
     const sim::trial_runner runner(opts.threads);
 

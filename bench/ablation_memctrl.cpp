@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
     defaults.trials = 6;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Ablation A4: memory controller policy x interconnect");
 
     std::printf("Ablation A4: memory controller policy x interconnect "
@@ -30,15 +30,14 @@ int main(int argc, char** argv) {
         for (memctrl_policy policy :
              {memctrl_policy::fr_fcfs, memctrl_policy::fcfs}) {
             fig6_config cfg;
-            cfg.trials = opts.trials;
+            cfg.sweep = sweep_from(opts);
             cfg.measure_cycles = opts.measure_cycles;
-            cfg.threads = opts.threads;
             cfg.memctrl.policy = policy;
             const auto r = run_fig6(kind, cfg);
             t.add_row({kind_name(kind),
                        policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS",
-                       stats::table::num(r.blocking_us.mean(), 3),
-                       stats::table::pct(r.miss_ratio.mean(), 2)});
+                       stats::table::num(fig6_mean(r, "blocking_us"), 3),
+                       stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
         }
     }
     t.print();
@@ -53,17 +52,16 @@ int main(int argc, char** argv) {
                          ic_kind::bluetree}) {
         for (bool refresh : {false, true}) {
             fig6_config cfg;
-            cfg.trials = opts.trials;
+            cfg.sweep = sweep_from(opts);
             cfg.measure_cycles = opts.measure_cycles;
-            cfg.threads = opts.threads;
             if (refresh) {
                 cfg.memctrl.timing.t_refi = 1560;
                 cfg.memctrl.timing.t_rfc = 44;
             }
             const auto r = run_fig6(kind, cfg);
             rt.add_row({kind_name(kind), refresh ? "on" : "off",
-                        stats::table::num(r.worst_blocking_us.mean(), 2),
-                        stats::table::pct(r.miss_ratio.mean(), 2)});
+                        stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
+                        stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
         }
     }
     rt.print();

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     defaults.trials = 8;
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
-        argc, argv, defaults, {bench_arg::trials, bench_arg::cycles},
+        argc, argv, defaults,
         "Extended baselines: the paper's six plus AXI-HyperConnect");
 
     std::printf("Extended baselines: the paper's six plus "
@@ -26,18 +26,17 @@ int main(int argc, char** argv) {
                 "70-90%%)\n\n");
 
     fig6_config cfg;
-    cfg.trials = opts.trials;
+    cfg.sweep = sweep_from(opts);
     cfg.measure_cycles = opts.measure_cycles;
-    cfg.threads = opts.threads;
 
     stats::table t({"design", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
     for (ic_kind kind : k_extended_kinds) {
         const auto r = run_fig6(kind, cfg);
-        t.add_row({kind_name(r.kind),
-                   stats::table::num(r.blocking_us.mean(), 3),
-                   stats::table::num(r.worst_blocking_us.mean(), 2),
-                   stats::table::pct(r.miss_ratio.mean(), 2)});
+        t.add_row({kind_name(kind),
+                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
+                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
+                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
     }
     t.print();
     return 0;

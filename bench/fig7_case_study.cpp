@@ -6,8 +6,6 @@
 //
 //   $ ./bench/fig7_case_study [--trials N] [--cycles N] [--threads N]
 //                             [--seed N] [--csv out.csv]
-//
-// (legacy positional form: fig7_case_study [trials] [cycles] [out.csv])
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -67,7 +65,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Fig. 7 reproduction: case-study success ratio");
 
     const auto csv = open_bench_csv(

@@ -66,10 +66,8 @@ void run_mode(bool aware, const bench_options& opts,
         for (const auto& sc : k_scrub) {
             for (const auto& hm : k_hammer) {
                 maintenance_exp_config cfg;
-                cfg.trials = opts.trials;
+                cfg.sweep = sweep_from(opts);
                 cfg.measure_cycles = opts.measure_cycles;
-                cfg.seed = opts.seed;
-                cfg.threads = opts.threads;
                 cfg.maintenance_aware = aware;
                 cfg.memctrl.timing.t_refi = rf.t_refi;
                 cfg.memctrl.timing.t_rfc = rf.t_rfc;
@@ -83,20 +81,27 @@ void run_mode(bool aware, const bench_options& opts,
                 // watchdog columns stay meaningful in aware mode too.
                 cfg.storm_intensity = 0.02;
 
-                const maintenance_exp_result r =
-                    run_maintenance_experiment(cfg);
+                const sweep_result r = run_maintenance_experiment(cfg);
+                const auto mean = [&r](const char* name) {
+                    return r.totals.get(std::string("maintenance/") + name)
+                        .samples.mean();
+                };
+                const auto total = [&r](const char* name) {
+                    return std::to_string(
+                        r.totals.get(std::string("maintenance/") + name)
+                            .count);
+                };
 
                 t.add_row(
                     {rf.name, sc.name, hm.name,
-                     stats::table::pct(r.hard_miss_ratio.mean(), 2),
-                     stats::table::pct(r.best_effort_miss_ratio.mean(), 2),
-                     stats::table::num(r.p99_latency_cycles.mean(), 1),
-                     std::to_string(r.maintenance_stolen_cycles),
-                     std::to_string(r.supply_shortfall_alarms),
-                     std::to_string(r.deadline_alarms),
-                     std::to_string(r.shed_events) + "/" +
-                         std::to_string(r.restore_events),
-                     std::to_string(r.feasible_trials)});
+                     stats::table::pct(mean("hard_miss_ratio"), 2),
+                     stats::table::pct(mean("best_effort_miss_ratio"), 2),
+                     stats::table::num(mean("p99_latency_cycles"), 1),
+                     total("maintenance_stolen_cycles"),
+                     total("supply_shortfall_alarms"),
+                     total("deadline_alarms"),
+                     total("shed_events") + "/" + total("restore_events"),
+                     total("feasible_trials")});
                 if (csv != nullptr) {
                     // Raw aggregate cells come off the experiment's
                     // metric snapshot through the one exporter path; only
@@ -145,7 +150,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 40'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Maintenance: deadline misses and watchdog alarms under DRAM "
         "refresh/scrub/RowHammer interference");
 

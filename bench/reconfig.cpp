@@ -50,36 +50,35 @@ void run_design(ic_kind kind, const bench_options& opts,
                     "miss ratio", "hard miss", "BE miss", "shed/rest"});
     for (double rate : k_rates) {
         reconfig_exp_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
-        cfg.events_per_kcycle = rate;
         // Obs exports cover the BlueScale design at the highest request
         // rate (the most eventful run on a timeline).
-        const bool export_obs =
-            kind == ic_kind::bluescale && rate == k_rates[2];
-        cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-        cfg.collect_trace = export_obs && !opts.trace_path.empty();
+        cfg.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
+                                         rate == k_rates[2]);
+        cfg.measure_cycles = opts.measure_cycles;
+        cfg.events_per_kcycle = rate;
 
-        const reconfig_result r = run_reconfig(kind, cfg);
-        if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r = run_reconfig(kind, cfg);
+        if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
+        if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+        const auto get = [&r](const char* name) -> const obs::metric_value& {
+            return r.totals.get(std::string("reconfig_exp/") + name);
+        };
+        const auto total = [&get](const char* name) {
+            return std::to_string(get(name).count);
+        };
         t.add_row({stats::table::num(rate, 2),
-                   std::to_string(r.submitted + r.applied_unchecked),
-                   stats::table::pct(r.admission_ratio(), 1),
-                   std::to_string(r.committed),
-                   std::to_string(r.rolled_back),
-                   std::to_string(r.rejected_infeasible) + "/" +
-                       std::to_string(r.rejected_overutilized) + "/" +
-                       std::to_string(r.rejected_path_hazard),
-                   stats::table::num(r.reconfig_latency_cycles.mean(), 0),
-                   std::to_string(r.transition_misses),
-                   stats::table::pct(r.miss_ratio.mean(), 2),
-                   std::to_string(r.hard_misses),
-                   std::to_string(r.best_effort_misses),
-                   std::to_string(r.shed_events) + "/" +
-                       std::to_string(r.restore_events)});
+                   std::to_string(get("submitted").count +
+                                  get("applied_unchecked").count),
+                   stats::table::pct(get("admission_ratio").value, 1),
+                   total("committed"), total("rolled_back"),
+                   total("rejected_infeasible") + "/" +
+                       total("rejected_overutilized") + "/" +
+                       total("rejected_path_hazard"),
+                   stats::table::num(get("latency_cycles").samples.mean(), 0),
+                   total("transition_misses"),
+                   stats::table::pct(get("miss_ratio").samples.mean(), 2),
+                   total("hard_misses"), total("best_effort_misses"),
+                   total("shed_events") + "/" + total("restore_events")});
         if (csv != nullptr) {
             // Raw aggregate cells come off the experiment's metric
             // snapshot through the one exporter path; only the design
@@ -128,7 +127,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 100'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Reconfig: online admission control, transactional (Pi, Theta) "
         "reconfiguration and overload shedding");
 

@@ -49,44 +49,44 @@ void run_design(ic_kind kind, const bench_options& opts,
     double healthy_worst = 0.0;
     for (double intensity : k_intensities) {
         resilience_config cfg;
-        cfg.trials = opts.trials;
-        cfg.measure_cycles = opts.measure_cycles;
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
-        cfg.fault_intensity = intensity;
         // Obs exports cover the BlueScale design at the highest intensity
         // (the most eventful run on a timeline).
-        const bool export_obs = kind == ic_kind::bluescale &&
-                                intensity == k_intensities[3];
-        cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-        cfg.collect_trace = export_obs && !opts.trace_path.empty();
+        cfg.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
+                                         intensity == k_intensities[3]);
+        cfg.measure_cycles = opts.measure_cycles;
+        cfg.fault_intensity = intensity;
 
-        const resilience_result r = run_resilience(kind, cfg);
-        if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.collect_trace) write_bench_trace(opts, r.trace);
+        const sweep_result r = run_resilience(kind, cfg);
+        if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
+        if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+        const auto mean = [&r](const char* name) {
+            return r.totals.get(std::string("resilience/") + name)
+                .samples.mean();
+        };
+        const auto total = [&r](const char* name) {
+            return std::to_string(
+                r.totals.get(std::string("resilience/") + name).count);
+        };
         if (intensity == 0.0) {
-            healthy_p99 = r.p99_latency_cycles.mean();
-            healthy_worst = r.worst_latency_cycles.mean();
+            healthy_p99 = mean("p99_latency_cycles");
+            healthy_worst = mean("worst_latency_cycles");
         }
         const double p99_inflation =
-            healthy_p99 == 0.0 ? 0.0
-                               : r.p99_latency_cycles.mean() / healthy_p99;
+            healthy_p99 == 0.0 ? 0.0 : mean("p99_latency_cycles") / healthy_p99;
         const double worst_inflation =
             healthy_worst == 0.0
                 ? 0.0
-                : r.worst_latency_cycles.mean() / healthy_worst;
+                : mean("worst_latency_cycles") / healthy_worst;
 
         t.add_row({stats::table::num(intensity, 1),
-                   stats::table::pct(r.miss_ratio.mean(), 2),
-                   stats::table::num(r.p99_latency_cycles.mean(), 1),
+                   stats::table::pct(mean("miss_ratio"), 2),
+                   stats::table::num(mean("p99_latency_cycles"), 1),
                    stats::table::num(p99_inflation, 2),
-                   stats::table::num(r.worst_latency_cycles.mean(), 1),
-                   std::to_string(r.retries), std::to_string(r.timeouts),
-                   std::to_string(r.ecc_retries),
-                   std::to_string(r.link_drops),
-                   std::to_string(r.degrade_events) + "/" +
-                       std::to_string(r.recovery_events),
-                   stats::table::num(r.time_to_recover_cycles.mean(), 0)});
+                   stats::table::num(mean("worst_latency_cycles"), 1),
+                   total("retries"), total("timeouts"), total("ecc_retries"),
+                   total("link_drops"),
+                   total("degrade_events") + "/" + total("recovery_events"),
+                   stats::table::num(mean("time_to_recover_cycles"), 0)});
         if (csv != nullptr) {
             // Raw aggregate cells come off the experiment's metric
             // snapshot through the one exporter path; only the design
@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 100'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Resilience: deadline misses and latency inflation under "
         "fault-injection campaigns");
 

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 60'000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        {bench_arg::trials, bench_arg::cycles, bench_arg::csv},
         "Svc storm: bounded-queue multi-worker admission service under "
         "overload, worker faults and path hazards");
 
@@ -73,34 +72,32 @@ int main(int argc, char** argv) {
                     "breaker", "lat (cyc)", "hard miss", "conserved"});
     for (double rate : k_rates) {
         svc_storm_config cfg;
-        cfg.trials = opts.trials;
+        cfg.sweep = sweep_from(opts, rate == k_rates[2]);
         cfg.measure_cycles = opts.measure_cycles;
-        cfg.seed = opts.seed;
-        cfg.threads = opts.threads;
         cfg.requests_per_kcycle = rate;
         cfg.service.default_deadline = 20'000;
         cfg.worker_fault_intensity = 0.05;
         cfg.path_fault_intensity = 0.05;
-        const bool export_obs = rate == k_rates[2];
-        cfg.collect_metrics = export_obs && !opts.metrics_path.empty();
-        cfg.collect_trace = export_obs && !opts.trace_path.empty();
 
-        const svc_storm_result r = run_svc_storm(cfg);
-        if (cfg.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.collect_trace) write_bench_trace(opts, r.trace);
-        t.add_row({stats::table::num(rate, 1),
-                   std::to_string(r.submitted), std::to_string(r.shed),
-                   std::to_string(r.expired), std::to_string(r.committed),
-                   std::to_string(r.rejected),
-                   std::to_string(r.retries) + "/" +
-                       std::to_string(r.requeues),
-                   stats::table::pct(r.cache_hit_ratio(), 1),
-                   std::to_string(r.degraded_requests),
-                   std::to_string(r.breaker_trips),
-                   stats::table::num(r.latency_cycles.mean(), 0),
-                   std::to_string(r.hard_misses),
-                   std::to_string(r.conserved_trials) + "/" +
-                       std::to_string(r.trials)});
+        const sweep_result r = run_svc_storm(cfg);
+        if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
+        if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+        const auto get = [&r](const char* name) -> const obs::metric_value& {
+            return r.totals.get(std::string("svc_exp/") + name);
+        };
+        const auto total = [&get](const char* name) {
+            return std::to_string(get(name).count);
+        };
+        t.add_row({stats::table::num(rate, 1), total("submitted"),
+                   total("shed"), total("expired"), total("committed"),
+                   total("rejected"),
+                   total("retries") + "/" + total("requeues"),
+                   stats::table::pct(get("cache_hit_ratio").value, 1),
+                   total("degraded_requests"), total("breaker_trips"),
+                   stats::table::num(get("latency_cycles").samples.mean(), 0),
+                   total("hard_misses"),
+                   total("conserved_trials") + "/" +
+                       std::to_string(cfg.sweep.trials)});
         if (csv != nullptr) {
             std::vector<std::string> row{std::to_string(rate)};
             for (auto& cell : obs::metric_cells(

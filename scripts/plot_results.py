@@ -2,8 +2,8 @@
 """Plot the CSV exports of the figure benches.
 
 Usage:
-    ./build/bench/fig6_synthetic 10 100000 fig6.csv
-    ./build/bench/fig7_case_study 8 60000 fig7.csv
+    ./build/bench/fig6_synthetic --trials 10 --cycles 100000 --csv fig6.csv
+    ./build/bench/fig7_case_study --trials 8 --cycles 60000 --csv fig7.csv
     python3 scripts/plot_results.py fig6.csv fig6.png
     python3 scripts/plot_results.py fig7.csv fig7.png
 

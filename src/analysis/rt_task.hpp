@@ -1,6 +1,7 @@
 // Sporadic/periodic task abstraction used by the schedulability analysis.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -23,7 +24,7 @@ struct rt_task {
                                  static_cast<double>(period);
     }
 
-    friend bool operator==(const rt_task&, const rt_task&) = default;
+    friend auto operator<=>(const rt_task&, const rt_task&) = default;
 };
 
 using task_set = std::vector<rt_task>;

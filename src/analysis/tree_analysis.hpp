@@ -131,28 +131,4 @@ evaluate_client_update(const tree_selection& selection,
 void apply_client_update(client_update&& update, tree_selection& selection,
                          std::vector<task_set>& client_tasks);
 
-/// Deprecated mutating form: evaluates and applies in one step on the
-/// committed state. Not re-entrant (mutates in place); new code should
-/// call evaluate_client_update + apply_client_update.
-[[deprecated("use evaluate_client_update + apply_client_update")]]
-std::uint32_t update_client_tasks(tree_selection& selection,
-                                  std::vector<task_set>& client_tasks,
-                                  std::uint32_t client,
-                                  task_set new_tasks,
-                                  const analysis_context& ctx = {});
-
-/// FNV-1a signature of everything an incremental reselection for `client`
-/// reads from the committed state: the tree shape, the client id, the
-/// total client utilization (every selector's level-utilization context),
-/// each level's total server bandwidth, and the (Pi, Theta) interfaces of
-/// every port of every SE on the client's request path (sibling ports
-/// included -- they feed the parent's server task set). Two committed
-/// states with equal signatures resolve the same request to the same
-/// selection, so the signature is a sound result-cache key; any committed
-/// reconfiguration perturbs it.
-[[nodiscard]] std::uint64_t
-subtree_signature(const tree_selection& selection,
-                  const std::vector<task_set>& client_tasks,
-                  std::uint32_t client);
-
 } // namespace bluescale::analysis

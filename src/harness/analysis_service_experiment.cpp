@@ -1,358 +1,189 @@
 #include "harness/analysis_service_experiment.hpp"
 
+#include <algorithm>
 #include <map>
-#include <memory>
-#include <string>
 #include <utility>
 
-#include "analysis/quadtree.hpp"
-#include "harness/testbench.hpp"
-#include "sim/fault.hpp"
-#include "sim/reconfig_schedule.hpp"
-#include "sim/trial_runner.hpp"
-#include "workload/traffic_generator.hpp"
+#include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
 
-namespace {
+sweep_result run_svc_storm(const svc_storm_config& cfg) {
+    auto out = run_sweep(cfg.sweep, "svc_exp/", [&](trial_record& rec) {
+        rng workload_rng(rec.seed());
+        auto tasksets = workload::make_client_tasksets(
+            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
+            cfg.taskset);
 
-struct trial_metrics {
-    bool selection_feasible = false;
-    bool drained = false;
-    bool conserved = false;
-    double miss_ratio = 0.0;
+        // Fabric faults (path hazards -> retries), a separate substream
+        // from the worker faults so intensities can be tuned
+        // independently.
+        const sim::fault_campaign path_faults(
+            fabric_campaign(rec.seed(), cfg.n_clients, cfg.measure_cycles,
+                            cfg.path_fault_intensity));
 
-    svc::service_stats svc = {};
-    std::uint64_t rejected_infeasible = 0;
-    std::uint64_t rejected_overutilized = 0;
-    std::uint64_t rejected_path_hazard = 0;
-    std::uint64_t rolled_back = 0;
-    std::uint64_t degraded_requests = 0;
-    std::uint64_t stale_reevals = 0;
-    std::vector<double> latencies;
-    std::vector<double> eval_cycles;
+        testbench_options opts;
+        opts.memctrl = cfg.memctrl;
+        opts.faults = path_faults.empty() ? nullptr : &path_faults;
+        opts.reconfig = cfg.reconfig;
+        traffic_trial tt(rec, ic_kind::bluescale, std::move(tasksets), opts);
+        testbench& tb = tt.tb();
 
-    std::uint64_t hard_misses = 0;
-    std::uint64_t best_effort_misses = 0;
-    std::uint64_t live_reconfigurations = 0;
+        // The service under test, ticking after the manager (later add
+        // order), so it observes manager resolutions the same cycle.
+        svc::service_config scfg = cfg.service;
+        scfg.seed = substream(rec.seed(), 0x5E17ull);
+        svc::analysis_service service(*tb.reconfig(), scfg);
+        service.bind_observability(
+            tb.metrics(), tb.trace().register_component("analysis_service"));
+        tb.sim().add(service);
 
-    obs::snapshot metrics;   ///< when cfg.collect_metrics
-    obs::trace_export trace; ///< when cfg.collect_trace, trial 0 only
-};
+        // Worker crash/stall campaign (zero weights for every fabric
+        // kind, so these two substreams never interact).
+        if (cfg.worker_fault_intensity > 0.0) {
+            sim::fault_campaign_config wfc;
+            wfc.seed = substream(rec.seed(), 0xFA17Cull);
+            wfc.horizon = cfg.measure_cycles;
+            wfc.events_per_kcycle = cfg.worker_fault_intensity;
+            wfc.se_stall_weight = 0.0;
+            wfc.link_drop_weight = 0.0;
+            wfc.dram_error_weight = 0.0;
+            wfc.backpressure_weight = 0.0;
+            wfc.worker_crash_weight = 1.0;
+            wfc.worker_stall_weight = 1.0;
+            wfc.n_workers = std::max<std::uint32_t>(1, scfg.workers);
+            service.install_faults(sim::fault_campaign(wfc));
+        }
 
-/// Concrete task set for one storm event, a pure function of (trial
-/// seed, event index) -- identical for every thread count and engine.
-workload::memory_task_set
-derive_event_taskset(const sim::reconfig_event& ev, double current_util,
-                     std::uint64_t trial_seed, std::size_t event_index,
-                     const workload::taskset_params& tmpl) {
-    if (ev.action == sim::reconfig_action::leave) return {};
-    double target = 0.0;
-    switch (ev.action) {
-    case sim::reconfig_action::scale_up:
-    case sim::reconfig_action::scale_down:
-        target = current_util * ev.magnitude;
-        break;
-    case sim::reconfig_action::join:
-        target = ev.magnitude;
-        break;
-    case sim::reconfig_action::leave: break;
-    }
-    if (target <= 0.0) return {};
-    rng er(substream(trial_seed, 0xEC0Full + event_index));
-    workload::taskset_params p = tmpl;
-    p.total_utilization = target;
-    return workload::make_taskset(er, p);
-}
-
-trial_metrics run_trial(const svc_storm_config& cfg, std::uint32_t trial,
-                        std::uint64_t trial_seed) {
-    rng workload_rng(trial_seed);
-    auto tasksets = workload::make_client_tasksets(
-        workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi, cfg.taskset);
-
-    sim::reconfig_schedule_config sc;
-    sc.seed = substream(trial_seed, 0x5EC0ull);
-    sc.horizon = cfg.measure_cycles;
-    sc.warmup = cfg.warmup;
-    sc.events_per_kcycle = cfg.requests_per_kcycle;
-    sc.n_clients = cfg.n_clients;
-    const sim::reconfig_schedule schedule(sc);
-
-    // Fabric faults (path hazards -> retries), a separate substream from
-    // the worker faults so intensities can be tuned independently.
-    sim::fault_campaign_config pfc;
-    pfc.seed = substream(trial_seed, 0xFA171ull);
-    pfc.horizon = cfg.measure_cycles;
-    pfc.events_per_kcycle = cfg.path_fault_intensity;
-    pfc.n_elements = analysis::make_quadtree_shape(cfg.n_clients).total_ses();
-    const sim::fault_campaign path_faults(pfc);
-
-    testbench_options opts;
-    opts.n_clients = cfg.n_clients;
-    opts.memctrl = cfg.memctrl;
-    opts.faults = path_faults.empty() ? nullptr : &path_faults;
-    opts.client_utilizations.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        opts.client_utilizations.push_back(workload::utilization(ts));
-    }
-    std::vector<analysis::task_set> rt_sets;
-    rt_sets.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        rt_sets.push_back(workload::to_rt_tasks(ts));
-    }
-    opts.rt_sets = &rt_sets;
-    opts.reconfig = cfg.reconfig;
-
-    testbench tb(ic_kind::bluescale, opts);
-
-    // The service under test, ticking after the manager (later add
-    // order), so it observes manager resolutions the same cycle.
-    svc::service_config scfg = cfg.service;
-    scfg.seed = substream(trial_seed, 0x5E17ull);
-    svc::analysis_service service(*tb.reconfig(), scfg);
-    service.bind_observability(
-        tb.metrics(), tb.trace().register_component("analysis_service"));
-    tb.sim().add(service);
-
-    // Worker crash/stall campaign (zero weights for every fabric kind, so
-    // these two substreams never interact).
-    if (cfg.worker_fault_intensity > 0.0) {
-        sim::fault_campaign_config wfc;
-        wfc.seed = substream(trial_seed, 0xFA17Cull);
-        wfc.horizon = cfg.measure_cycles;
-        wfc.events_per_kcycle = cfg.worker_fault_intensity;
-        wfc.se_stall_weight = 0.0;
-        wfc.link_drop_weight = 0.0;
-        wfc.dram_error_weight = 0.0;
-        wfc.backpressure_weight = 0.0;
-        wfc.worker_crash_weight = cfg.worker_crash_weight;
-        wfc.worker_stall_weight = cfg.worker_stall_weight;
-        wfc.n_workers = std::max<std::uint32_t>(1, scfg.workers);
-        service.install_faults(sim::fault_campaign(wfc));
-    }
-
-    std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-    clients.reserve(cfg.n_clients);
-    workload::traffic_gen_config tg_cfg;
-    tg_cfg.unit_cycles = tb.unit_cycles();
-    tg_cfg.retry_timeout_cycles = cfg.retry_timeout_cycles;
-    tg_cfg.max_retries = cfg.max_retries;
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets[c], tb.ic(), substream(trial_seed, c), tg_cfg));
-        auto* client = clients.back().get();
-        client->bind_observability(tb.metrics());
-        tb.add_client(c, *client, [client](mem_request&& r) {
-            client->on_response(std::move(r));
+        workload::traffic_gen_config tg;
+        tg.retry_timeout_cycles = cfg.retry_timeout_cycles;
+        tg.max_retries = cfg.max_retries;
+        tt.add_clients(tg, [&](std::uint32_t c) {
+            return substream(rec.seed(), c);
         });
-    }
+        rec.counter("feasible_trials").inc(tb.selection_feasible());
 
-    trial_metrics out;
-    out.selection_feasible = tb.selection_feasible();
+        // Live task-set swap at the committed notification; the service's
+        // completion hook keys it by service request id.
+        std::map<std::uint64_t, workload::memory_task_set> staged_swaps;
+        service.set_complete_hook([&](const svc::request_record& r,
+                                      const analysis::task_set&) {
+            auto it = staged_swaps.find(r.id);
+            if (it == staged_swaps.end()) return;
+            if (r.outcome == svc::request_outcome::committed) {
+                tt.client(r.client).reconfigure_tasks(std::move(it->second),
+                                                      r.finished_at);
+            }
+            staged_swaps.erase(it);
+        });
 
-    // Live task-set swap at the committed notification; the service's
-    // completion hook keys it by service request id.
-    std::map<std::uint64_t, workload::memory_task_set> staged_swaps;
-    service.set_complete_hook([&](const svc::request_record& rec,
-                                  const analysis::task_set&) {
-        auto it = staged_swaps.find(rec.id);
-        if (it == staged_swaps.end()) return;
-        if (rec.outcome == svc::request_outcome::committed) {
-            clients[rec.client]->reconfigure_tasks(std::move(it->second),
-                                                   rec.finished_at);
+        // The storm: run to each scheduled event and submit it to the
+        // SERVICE (not the manager directly) -- queue bound, deadlines,
+        // retries, breaker and cache all sit in the path.
+        sim::reconfig_schedule_config sc;
+        sc.warmup = cfg.warmup;
+        sc.events_per_kcycle = cfg.requests_per_kcycle;
+        tt.run_schedule(sc, cfg.measure_cycles, cfg.taskset,
+                        [&](const sim::reconfig_event& ev,
+                            workload::memory_task_set tasks) {
+                            const std::uint64_t id = service.submit(
+                                ev.client, workload::to_rt_tasks(tasks),
+                                tb.now());
+                            staged_swaps.emplace(id, std::move(tasks));
+                        });
+
+        // Drain: every request must reach a terminal outcome.
+        const auto drained = [&] {
+            return service.idle() && tb.reconfig()->backlog() == 0;
+        };
+        rec.counter("drained_trials")
+            .inc(tb.run_until(drained, cfg.drain_cycles));
+
+        const class_misses misses = tt.finalize(cfg.best_effort_clients);
+        rec.counter("hard_misses").inc(misses.hard);
+        rec.counter("best_effort_misses").inc(misses.best_effort);
+        rec.sample("miss_ratio").add(misses.ratio());
+        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
+            rec.counter("live_reconfigurations")
+                .inc(tt.client(c).stats().reconfigurations());
         }
-        staged_swaps.erase(it);
-    });
 
-    // The storm: run to each scheduled event and submit it to the
-    // SERVICE (not the manager directly) -- queue bound, deadlines,
-    // retries, breaker and cache all sit in the path.
-    for (std::size_t i = 0; i < schedule.events().size(); ++i) {
-        const sim::reconfig_event& ev = schedule.events()[i];
-        if (ev.at >= cfg.measure_cycles) break;
-        if (ev.at > tb.now()) tb.run(ev.at - tb.now());
-        auto tasks = derive_event_taskset(
-            ev, workload::utilization(clients[ev.client]->tasks()),
-            trial_seed, i, cfg.taskset);
-        const std::uint64_t id =
-            service.submit(ev.client, workload::to_rt_tasks(tasks), tb.now());
-        staged_swaps.emplace(id, std::move(tasks));
-    }
-    if (tb.now() < cfg.measure_cycles) tb.run(cfg.measure_cycles - tb.now());
+        const svc::service_stats st = service.stats();
+        rec.counter("submitted").inc(st.submitted);
+        rec.counter("accepted").inc(st.accepted);
+        rec.counter("shed").inc(st.shed);
+        rec.counter("expired").inc(st.expired);
+        rec.counter("committed").inc(st.committed);
+        rec.counter("rejected").inc(st.rejected);
+        rec.counter("retries").inc(st.retries);
+        rec.counter("requeues").inc(st.requeues);
+        rec.counter("worker_crashes").inc(st.worker_crashes);
+        rec.counter("worker_stall_cycles").inc(st.worker_stall_cycles);
+        rec.counter("cache_hits").inc(st.cache_hits);
+        rec.counter("cache_misses").inc(st.cache_misses);
+        rec.counter("cache_invalidations").inc(st.cache_invalidations);
+        rec.counter("degraded_evals").inc(st.degraded_evals);
+        rec.counter("breaker_trips").inc(st.breaker_trips);
+        rec.counter("stale_reevals")
+            .inc(tb.reconfig()->stats().stale_reevals);
 
-    // Drain: every request must reach a terminal outcome.
-    out.drained = tb.run_until(
-        [&] { return service.idle() && tb.reconfig()->backlog() == 0; },
-        cfg.drain_cycles);
-
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients[c]->finalize(tb.now());
-        const auto& s = clients[c]->stats();
-        if (c + cfg.best_effort_clients >= cfg.n_clients) {
-            out.best_effort_misses += s.missed();
-        } else {
-            out.hard_misses += s.missed();
-        }
-        out.live_reconfigurations += s.reconfigurations();
-    }
-    std::uint64_t missed = 0;
-    std::uint64_t accounted = 0;
-    for (const auto& c : clients) {
-        missed += c->stats().missed();
-        accounted += c->stats().completed() + c->stats().abandoned();
-    }
-    out.miss_ratio = accounted == 0 ? 0.0
-                                    : static_cast<double>(missed) /
-                                          static_cast<double>(accounted);
-
-    out.svc = service.stats();
-    out.stale_reevals = tb.reconfig()->stats().stale_reevals;
-
-    // Conservation: submitted == shed + expired + rejected + committed,
-    // and every record carries exactly one terminal outcome.
-    out.conserved =
-        out.svc.submitted == out.svc.shed + out.svc.expired +
-                                 out.svc.rejected + out.svc.committed &&
-        out.svc.submitted == service.records().size();
-    for (const auto& rec : service.records()) {
-        if (rec.outcome == svc::request_outcome::pending) {
-            out.conserved = false;
-        }
-        if (rec.degraded &&
-            rec.outcome != svc::request_outcome::shed) {
-            ++out.degraded_requests;
-        }
-        if (rec.outcome == svc::request_outcome::rejected) {
-            switch (rec.reject_reason) {
-            case core::admission_outcome::rejected_infeasible:
-                ++out.rejected_infeasible;
-                break;
-            case core::admission_outcome::rejected_overutilized:
-                ++out.rejected_overutilized;
-                break;
-            case core::admission_outcome::rejected_path_hazard:
-                ++out.rejected_path_hazard;
-                break;
-            case core::admission_outcome::rolled_back:
-                ++out.rolled_back;
-                break;
-            default: break;
+        // Conservation: submitted == shed + expired + rejected +
+        // committed, and every record carries exactly one terminal
+        // outcome.
+        bool conserved = st.submitted == st.shed + st.expired +
+                                              st.rejected + st.committed &&
+                         st.submitted == service.records().size();
+        auto degraded = rec.counter("degraded_requests");
+        auto infeasible = rec.counter("rejected_infeasible");
+        auto overutilized = rec.counter("rejected_overutilized");
+        auto hazard = rec.counter("rejected_path_hazard");
+        auto rolled_back = rec.counter("rolled_back");
+        auto latency = rec.sample("latency_cycles");
+        for (const auto& r : service.records()) {
+            if (r.outcome == svc::request_outcome::pending) {
+                conserved = false;
+            }
+            if (r.degraded && r.outcome != svc::request_outcome::shed) {
+                degraded.inc();
+            }
+            if (r.outcome == svc::request_outcome::rejected) {
+                switch (r.reject_reason) {
+                case core::admission_outcome::rejected_infeasible:
+                    infeasible.inc();
+                    break;
+                case core::admission_outcome::rejected_overutilized:
+                    overutilized.inc();
+                    break;
+                case core::admission_outcome::rejected_path_hazard:
+                    hazard.inc();
+                    break;
+                case core::admission_outcome::rolled_back:
+                    rolled_back.inc();
+                    break;
+                default: break;
+                }
+            }
+            if (r.outcome != svc::request_outcome::shed &&
+                r.outcome != svc::request_outcome::pending) {
+                latency.add(
+                    static_cast<double>(r.finished_at - r.submitted_at));
             }
         }
-        if (rec.outcome != svc::request_outcome::shed &&
-            rec.outcome != svc::request_outcome::pending) {
-            out.latencies.push_back(
-                static_cast<double>(rec.finished_at - rec.submitted_at));
+        rec.counter("conserved_trials").inc(conserved);
+        auto eval = rec.sample("eval_cycles");
+        for (double x : tb.metrics()
+                            .make_sample("svc/eval_cycles")
+                            .values()
+                            .samples()) {
+            eval.add(x);
         }
-    }
-    for (double x : tb.metrics()
-                        .make_sample("svc/eval_cycles")
-                        .values()
-                        .samples()) {
-        out.eval_cycles.push_back(x);
-    }
-
-    if (cfg.collect_metrics) out.metrics = tb.metrics().take_snapshot();
-    if (cfg.collect_trace && trial == 0) out.trace = tb.trace().export_all();
-    return out;
-}
-
-} // namespace
-
-svc_storm_result run_svc_storm(const svc_storm_config& cfg) {
-    svc_storm_result result;
-    result.n_clients = cfg.n_clients;
-    result.trials = cfg.trials;
-
-    // Trials are independent and returned in trial order, so this
-    // aggregation is bit-identical for any thread count.
-    const sim::trial_runner runner(cfg.threads);
-    auto per_trial = runner.run(cfg.trials, [&](std::uint32_t t) {
-        return run_trial(cfg, t, cfg.seed + t);
+        rec.capture(tb);
     });
-    for (const auto& m : per_trial) {
-        if (m.selection_feasible) ++result.feasible_trials;
-        if (m.drained) ++result.drained_trials;
-        if (m.conserved) ++result.conserved_trials;
-        result.miss_ratio.add(m.miss_ratio);
-        result.submitted += m.svc.submitted;
-        result.accepted += m.svc.accepted;
-        result.shed += m.svc.shed;
-        result.expired += m.svc.expired;
-        result.committed += m.svc.committed;
-        result.rejected += m.svc.rejected;
-        result.rejected_infeasible += m.rejected_infeasible;
-        result.rejected_overutilized += m.rejected_overutilized;
-        result.rejected_path_hazard += m.rejected_path_hazard;
-        result.rolled_back += m.rolled_back;
-        result.retries += m.svc.retries;
-        result.requeues += m.svc.requeues;
-        result.worker_crashes += m.svc.worker_crashes;
-        result.worker_stall_cycles += m.svc.worker_stall_cycles;
-        result.cache_hits += m.svc.cache_hits;
-        result.cache_misses += m.svc.cache_misses;
-        result.cache_invalidations += m.svc.cache_invalidations;
-        result.degraded_evals += m.svc.degraded_evals;
-        result.degraded_requests += m.degraded_requests;
-        result.breaker_trips += m.svc.breaker_trips;
-        result.stale_reevals += m.stale_reevals;
-        for (double l : m.latencies) result.latency_cycles.add(l);
-        for (double e : m.eval_cycles) result.eval_cycles.add(e);
-        result.hard_misses += m.hard_misses;
-        result.best_effort_misses += m.best_effort_misses;
-        result.live_reconfigurations += m.live_reconfigurations;
-        if (cfg.collect_metrics) result.metrics.merge(m.metrics);
-    }
-    if (cfg.collect_trace && !per_trial.empty()) {
-        result.trace = std::move(per_trial.front().trace);
-    }
-
-    obs::registry agg;
-    const auto put_counter = [&agg](const char* name, std::uint64_t v) {
-        agg.make_counter(std::string("svc_exp/") + name).inc(v);
-    };
-    const auto put_real = [&agg](const char* name, double v) {
-        agg.make_real(std::string("svc_exp/") + name).set(v);
-    };
-    const auto put_samples = [&agg](const char* name,
-                                    const stats::sample_set& s) {
-        auto h = agg.make_sample(std::string("svc_exp/") + name);
-        for (double x : s.samples()) h.add(x);
-    };
-    put_counter("submitted", result.submitted);
-    put_counter("accepted", result.accepted);
-    put_counter("shed", result.shed);
-    put_counter("expired", result.expired);
-    put_counter("committed", result.committed);
-    put_counter("rejected", result.rejected);
-    put_counter("rejected_infeasible", result.rejected_infeasible);
-    put_counter("rejected_overutilized", result.rejected_overutilized);
-    put_counter("rejected_path_hazard", result.rejected_path_hazard);
-    put_counter("rolled_back", result.rolled_back);
-    put_counter("retries", result.retries);
-    put_counter("requeues", result.requeues);
-    put_counter("worker_crashes", result.worker_crashes);
-    put_counter("worker_stall_cycles", result.worker_stall_cycles);
-    put_counter("cache_hits", result.cache_hits);
-    put_counter("cache_misses", result.cache_misses);
-    put_counter("cache_invalidations", result.cache_invalidations);
-    put_real("cache_hit_ratio", result.cache_hit_ratio());
-    put_counter("degraded_evals", result.degraded_evals);
-    put_counter("degraded_requests", result.degraded_requests);
-    put_counter("breaker_trips", result.breaker_trips);
-    put_counter("stale_reevals", result.stale_reevals);
-    put_samples("latency_cycles", result.latency_cycles);
-    put_samples("eval_cycles", result.eval_cycles);
-    put_samples("miss_ratio", result.miss_ratio);
-    put_counter("hard_misses", result.hard_misses);
-    put_counter("best_effort_misses", result.best_effort_misses);
-    put_counter("live_reconfigurations", result.live_reconfigurations);
-    put_counter("feasible_trials", result.feasible_trials);
-    put_counter("drained_trials", result.drained_trials);
-    put_counter("conserved_trials", result.conserved_trials);
-    result.totals = agg.take_snapshot();
-    return result;
+    const obs::snapshot& t = out.totals;
+    const std::uint64_t hits = t.get("svc_exp/cache_hits").count;
+    set_real(out.totals, "svc_exp/cache_hit_ratio",
+             ratio(hits, hits + t.get("svc_exp/cache_misses").count));
+    return out;
 }
 
 } // namespace bluescale::harness

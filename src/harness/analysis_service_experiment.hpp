@@ -17,14 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/reconfig_manager.hpp"
 #include "harness/factory.hpp"
+#include "harness/trial_sweep.hpp"
 #include "mem/memory_controller.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
-#include "stats/summary.hpp"
 #include "svc/analysis_service.hpp"
 #include "workload/taskset_gen.hpp"
 
@@ -32,14 +29,10 @@ namespace bluescale::harness {
 
 struct svc_storm_config {
     std::uint32_t n_clients = 16;
-    std::uint32_t trials = 8;
+    sweep_options sweep = {.trials = 8};
     cycle_t measure_cycles = 60'000;
     double util_lo = 0.70;
     double util_hi = 0.90;
-    std::uint64_t seed = 1;
-    /// Worker threads for the trial sweep (0 = all hardware threads).
-    /// Results are bit-identical for any setting; see sim::trial_runner.
-    unsigned threads = 1;
     workload::taskset_params taskset = {
         .n_tasks = 4,
         .total_utilization = 0.05, // overridden per trial by util_lo/hi
@@ -60,10 +53,8 @@ struct svc_storm_config {
     core::reconfig_config reconfig = {};
 
     /// Worker-fault campaign intensity (crash + stall events per 1000
-    /// cycles; 0 = reliable workers).
+    /// cycles, equally likely; 0 = reliable workers).
     double worker_fault_intensity = 0.0;
-    double worker_crash_weight = 1.0;
-    double worker_stall_weight = 1.0;
     /// Fabric fault campaign intensity (SE stalls etc.), to force
     /// path-hazard rejections and exercise the retry path.
     double path_fault_intensity = 0.0;
@@ -76,79 +67,25 @@ struct svc_storm_config {
 
     /// Budget for draining the service + manager after the storm ends.
     cycle_t drain_cycles = 50'000;
-
-    /// Snapshot each trial's obs::registry and merge them, in trial
-    /// order, into svc_storm_result::metrics (--metrics).
-    bool collect_metrics = false;
-    /// Export trial 0's event trace into svc_storm_result::trace.
-    bool collect_trace = false;
 };
 
-struct svc_storm_result {
-    std::uint32_t n_clients = 0;
-    std::uint32_t trials = 0;
-    std::uint32_t feasible_trials = 0;
-    /// Trials where the service and manager fully drained inside the
-    /// budget (a stuck request would break this and the conservation
-    /// check below).
-    std::uint32_t drained_trials = 0;
-    /// Trials where submitted == shed + expired + rejected + committed
-    /// and every record carries a terminal outcome (exactly-once).
-    std::uint32_t conserved_trials = 0;
-
-    // --- service outcomes ------------------------------------------------
-    std::uint64_t submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t committed = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t rejected_infeasible = 0;
-    std::uint64_t rejected_overutilized = 0;
-    std::uint64_t rejected_path_hazard = 0;
-    std::uint64_t rolled_back = 0;
-
-    // --- robustness machinery -------------------------------------------
-    std::uint64_t retries = 0;
-    std::uint64_t requeues = 0;
-    std::uint64_t worker_crashes = 0;
-    std::uint64_t worker_stall_cycles = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t cache_invalidations = 0;
-    std::uint64_t degraded_evals = 0;
-    std::uint64_t degraded_requests = 0; ///< requests answered degraded
-    std::uint64_t breaker_trips = 0;
-    std::uint64_t stale_reevals = 0; ///< manager-side transparent re-runs
-
-    stats::sample_set latency_cycles; ///< submit -> terminal outcome
-    stats::sample_set eval_cycles;    ///< modeled worker busy time
-
-    // --- client-side outcome --------------------------------------------
-    stats::sample_set miss_ratio;
-    std::uint64_t hard_misses = 0;
-    std::uint64_t best_effort_misses = 0;
-    std::uint64_t live_reconfigurations = 0;
-
-    /// Aggregates re-expressed as obs metrics ("svc_exp/<name>") for the
-    /// bench driver's --csv cells (obs::metric_cells).
-    obs::snapshot totals;
-    /// Per-trial registry snapshots merged in trial order
-    /// (cfg.collect_metrics); byte-identical across --threads settings.
-    obs::snapshot metrics;
-    /// Trial 0's event trace (cfg.collect_trace).
-    obs::trace_export trace;
-
-    [[nodiscard]] double cache_hit_ratio() const {
-        const std::uint64_t total = cache_hits + cache_misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(cache_hits) /
-                                static_cast<double>(total);
-    }
-};
-
-/// Runs cfg.trials independent storm trials (BlueScale only -- the
+/// Runs cfg.sweep.trials independent storm trials (BlueScale only -- the
 /// service fronts the BlueScale reconfiguration manager).
-[[nodiscard]] svc_storm_result run_svc_storm(const svc_storm_config& cfg);
+///
+/// totals ("svc_exp/"), service outcomes: counters submitted, accepted,
+/// shed, expired, committed, rejected, rejected_infeasible,
+/// rejected_overutilized, rejected_path_hazard, rolled_back. Robustness
+/// machinery: retries, requeues, worker_crashes, worker_stall_cycles,
+/// cache_hits, cache_misses, cache_invalidations, the real
+/// cache_hit_ratio, degraded_evals, degraded_requests (requests answered
+/// degraded), breaker_trips, stale_reevals (manager-side transparent
+/// re-runs), and the samples latency_cycles (submit -> terminal outcome)
+/// and eval_cycles (modeled worker busy time). Clients: the per-trial
+/// sample miss_ratio, hard_misses, best_effort_misses,
+/// live_reconfigurations. Trials: feasible_trials, drained_trials
+/// (service and manager fully drained inside the budget) and
+/// conserved_trials (submitted == shed + expired + rejected + committed
+/// and every record carries a terminal outcome).
+[[nodiscard]] sweep_result run_svc_storm(const svc_storm_config& cfg);
 
 } // namespace bluescale::harness

@@ -31,9 +31,7 @@ namespace {
         "  --profile      report simulator wall-clock profile after the"
         " run\n"
         "  --lockstep     force the cycle-stepped fallback engine"
-        " (results are byte-identical to the event engine)\n"
-        "Legacy positional arguments are still accepted where the driver"
-        " historically took them.\n",
+        " (results are byte-identical to the event engine)\n",
         argv0, what, argv0, defaults.trials,
         static_cast<unsigned long long>(defaults.measure_cycles),
         defaults.threads,
@@ -59,10 +57,8 @@ std::uint64_t parse_u64(const char* argv0, const char* what,
 
 bench_options parse_bench_cli(int argc, char** argv,
                               const bench_options& defaults,
-                              std::initializer_list<bench_arg> positional,
                               const char* what) {
     bench_options opts = defaults;
-    auto next_positional = positional.begin();
 
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -101,20 +97,6 @@ bench_options parse_bench_cli(int argc, char** argv,
         } else if (arg[0] == '-' && arg[1] != '\0') {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg);
             usage_and_exit(argv[0], what, defaults, 2);
-        } else if (next_positional != positional.end()) {
-            switch (*next_positional++) {
-            case bench_arg::trials:
-                opts.trials = static_cast<std::uint32_t>(parse_u64(
-                    argv[0], what, defaults, "[trials]", arg));
-                break;
-            case bench_arg::cycles:
-                opts.measure_cycles = static_cast<cycle_t>(parse_u64(
-                    argv[0], what, defaults, "[cycles]", arg));
-                break;
-            case bench_arg::csv:
-                opts.csv_path = arg;
-                break;
-            }
         } else {
             std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[0],
                          arg);
@@ -128,6 +110,16 @@ bench_options parse_bench_cli(int argc, char** argv,
         simulator::set_default_engine(simulator::engine::lockstep);
     }
     return opts;
+}
+
+sweep_options sweep_from(const bench_options& opts, bool export_obs) {
+    sweep_options s;
+    s.trials = opts.trials;
+    s.seed = opts.seed;
+    s.threads = opts.threads;
+    s.collect_metrics = export_obs && !opts.metrics_path.empty();
+    s.collect_trace = export_obs && !opts.trace_path.empty();
+    return s;
 }
 
 std::unique_ptr<stats::csv_writer>

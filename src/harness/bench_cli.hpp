@@ -13,18 +13,14 @@
 //   --profile      report simulator wall-clock profile after the run
 //   --lockstep     force the cycle-stepped fallback engine
 //   --help         usage
-//
-// The historical positional forms (e.g. `fig6_synthetic 20 100000 out.csv`)
-// keep working: each driver declares which options its positionals used to
-// mean, in order.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "harness/trial_sweep.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/types.hpp"
@@ -49,17 +45,19 @@ struct bench_options {
     bool lockstep = false;
 };
 
-/// Legacy positional slots a driver may accept, in declaration order.
-enum class bench_arg : std::uint8_t { trials, cycles, csv };
+/// Parses the shared bench flags. `defaults` seeds the returned options
+/// (pass the bench's historical defaults). On --help or a malformed
+/// command line, prints usage for `what` and terminates the process
+/// (benches are leaf executables).
+[[nodiscard]] bench_options parse_bench_cli(int argc, char** argv,
+                                            const bench_options& defaults,
+                                            const char* what);
 
-/// Parses the shared bench flags plus the driver's legacy positionals.
-/// `defaults` seeds the returned options (pass the bench's historical
-/// defaults). On --help or a malformed command line, prints usage for
-/// `what` and terminates the process (benches are leaf executables).
-[[nodiscard]] bench_options
-parse_bench_cli(int argc, char** argv, const bench_options& defaults,
-                std::initializer_list<bench_arg> positional,
-                const char* what);
+/// The trial-sweep settings of a driver's experiment: --trials, --seed
+/// and --threads, plus --metrics/--trace collection when `export_obs`
+/// (the driver's one exported configuration) and the path was given.
+[[nodiscard]] sweep_options sweep_from(const bench_options& opts,
+                                       bool export_obs = false);
 
 /// Opens the CSV sink when --csv was given: returns nullptr when no path
 /// was requested, and exits with a diagnostic when the file cannot be

@@ -1,144 +1,61 @@
 #include "harness/fig6_experiment.hpp"
 
-#include <memory>
-#include <utility>
+#include <algorithm>
+#include <string>
 
-#include "harness/testbench.hpp"
-#include "sim/trial_runner.hpp"
-#include "workload/traffic_generator.hpp"
+#include "harness/traffic_trial.hpp"
+#include "stats/summary.hpp"
 
 namespace bluescale::harness {
 
-namespace {
-
-/// One simulated trial of one design.
-struct trial_metrics {
-    double mean_blocking_cycles = 0.0;
-    double worst_blocking_cycles = 0.0;
-    double miss_ratio = 0.0;
-    bool selection_feasible = false;
-    obs::snapshot metrics;   ///< when cfg.collect_metrics
-    obs::trace_export trace; ///< when cfg.collect_trace, trial 0 only
-    obs::snapshot profile;   ///< when cfg.profile (wall-clock metrics)
-};
-
-trial_metrics run_trial(ic_kind kind, const fig6_config& cfg,
-                        std::uint32_t trial, std::uint64_t trial_seed) {
-    rng workload_rng(trial_seed);
-
-    // Identical workload per design at the same trial seed.
-    auto tasksets = workload::make_client_tasksets(
-        workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi, cfg.taskset);
-
-    testbench_options opts;
-    opts.n_clients = cfg.n_clients;
-    opts.memctrl = cfg.memctrl;
-    opts.bluetree_alpha = cfg.bluetree_alpha;
-    opts.bluescale_se = cfg.bluescale_se;
-    opts.client_utilizations.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        opts.client_utilizations.push_back(workload::utilization(ts));
-    }
-    std::vector<analysis::task_set> rt_sets;
-    if (kind == ic_kind::bluescale) {
-        rt_sets.reserve(tasksets.size());
-        for (const auto& ts : tasksets) {
-            rt_sets.push_back(workload::to_rt_tasks(ts));
-        }
-        opts.rt_sets = &rt_sets;
-    }
-
-    testbench tb(kind, opts);
-
-    std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-    clients.reserve(cfg.n_clients);
-    workload::traffic_gen_config tg_cfg;
-    tg_cfg.unit_cycles = tb.unit_cycles();
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets[c], tb.ic(),
-            trial_seed ^ (0x5851f42d4c957f2dull + c), tg_cfg));
-        auto* client = clients.back().get();
-        client->bind_observability(tb.metrics());
-        tb.add_client(c, *client, [client](mem_request&& r) {
-            client->on_response(std::move(r));
-        });
-    }
-
-    if (cfg.profile) tb.sim().enable_profiling(tb.metrics());
-
-    tb.run(cfg.measure_cycles);
-
-    trial_metrics out;
-    out.selection_feasible = tb.selection_feasible();
-    if (cfg.collect_metrics) out.metrics = tb.metrics().take_snapshot();
-    if (cfg.collect_trace && trial == 0) out.trace = tb.trace().export_all();
-    if (cfg.profile) {
-        out.profile = tb.metrics().take_snapshot(true).profile_only();
-    }
-    stats::running_summary blocking;
-    double worst = 0.0;
-    std::uint64_t missed = 0;
-    std::uint64_t accounted = 0;
-    for (auto& c : clients) {
-        c->finalize(tb.now());
-        const auto& s = c->stats();
-        for (double b : s.blocking_cycles().samples()) {
-            blocking.add(b);
-            worst = std::max(worst, b);
-        }
-        missed += s.missed();
-        accounted += s.completed() + s.abandoned();
-    }
-    out.mean_blocking_cycles = blocking.mean();
-    out.worst_blocking_cycles = worst;
-    out.miss_ratio = accounted == 0 ? 0.0
-                                    : static_cast<double>(missed) /
-                                          static_cast<double>(accounted);
-    return out;
-}
-
-} // namespace
-
-fig6_result run_fig6(ic_kind kind, const fig6_config& cfg) {
-    fig6_result result;
-    result.kind = kind;
-    result.n_clients = cfg.n_clients;
-    result.system_clock_mhz =
+sweep_result run_fig6(ic_kind kind, const fig6_config& cfg) {
+    const double clock_mhz =
         hwcost::system_clock_mhz(to_design(kind), cfg.n_clients);
-    const double us_per_cycle = 1.0 / result.system_clock_mhz;
+    const double us_per_cycle = 1.0 / clock_mhz;
 
-    // Trials are independent (the per-trial seed is a pure function of
-    // the trial counter) and the runner returns them in trial order, so
-    // this aggregation is bit-identical for any thread count.
-    sim::trial_runner runner(cfg.threads);
-    obs::registry sweep_prof;
-    if (cfg.profile) runner.profile_to(sweep_prof);
-    auto per_trial = runner.run(cfg.trials, [&](std::uint32_t t) {
-        return run_trial(kind, cfg, t, cfg.seed + t);
+    auto result = run_sweep(cfg.sweep, "fig6/", [&](trial_record& rec) {
+        // Identical workload per design at the same trial seed.
+        rng workload_rng(rec.seed());
+        testbench_options opts;
+        opts.memctrl = cfg.memctrl;
+        opts.bluetree_alpha = cfg.bluetree_alpha;
+        opts.bluescale_se = cfg.bluescale_se;
+        traffic_trial tt(rec, kind,
+                         workload::make_client_tasksets(
+                             workload_rng, cfg.n_clients, cfg.util_lo,
+                             cfg.util_hi, cfg.taskset),
+                         opts);
+        tt.add_clients({}, [&](std::uint32_t c) {
+            return rec.seed() ^ (0x5851f42d4c957f2dull + c);
+        });
+        tt.tb().run(cfg.measure_cycles);
+
+        rec.counter("feasible_trials").inc(tt.tb().selection_feasible());
+        rec.capture(tt.tb()); // before finalize() abandons late jobs
+        const class_misses misses = tt.finalize(0);
+        stats::running_summary blocking;
+        double worst = 0.0;
+        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
+            for (double b :
+                 tt.client(c).stats().blocking_cycles().samples()) {
+                blocking.add(b);
+                worst = std::max(worst, b);
+            }
+        }
+        rec.sample("blocking_us").add(blocking.mean() * us_per_cycle);
+        rec.sample("worst_blocking_us").add(worst * us_per_cycle);
+        rec.sample("miss_ratio").add(misses.ratio());
     });
-    for (auto& metrics : per_trial) {
-        result.blocking_us.add(metrics.mean_blocking_cycles * us_per_cycle);
-        result.worst_blocking_us.add(metrics.worst_blocking_cycles *
-                                     us_per_cycle);
-        result.miss_ratio.add(metrics.miss_ratio);
-        if (metrics.selection_feasible) ++result.feasible_trials;
-        // Trial order makes the merged snapshot bit-identical for any
-        // --threads (see obs::snapshot::merge).
-        if (cfg.collect_metrics) result.metrics.merge(metrics.metrics);
-        if (cfg.profile) result.profile.merge(metrics.profile);
-    }
-    if (cfg.collect_trace && !per_trial.empty()) {
-        result.trace = std::move(per_trial.front().trace);
-    }
-    if (cfg.profile) {
-        result.profile.merge(sweep_prof.take_snapshot(true));
-    }
+    set_real(result.totals, "fig6/system_clock_mhz", clock_mhz);
     return result;
 }
 
-std::vector<fig6_result> run_fig6_all(const fig6_config& cfg) {
-    std::vector<fig6_result> results;
+double fig6_mean(const sweep_result& r, std::string_view name) {
+    return r.totals.get("fig6/" + std::string(name)).samples.mean();
+}
+
+std::vector<sweep_result> run_fig6_all(const fig6_config& cfg) {
+    std::vector<sweep_result> results;
     for (ic_kind kind : k_all_kinds) {
         results.push_back(run_fig6(kind, cfg));
     }

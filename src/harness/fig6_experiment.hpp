@@ -5,30 +5,24 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
 #include <optional>
+#include <string_view>
+#include <vector>
 
 #include "core/scale_element.hpp"
 #include "harness/factory.hpp"
+#include "harness/trial_sweep.hpp"
 #include "mem/memory_controller.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
-#include "stats/summary.hpp"
 #include "workload/taskset_gen.hpp"
 
 namespace bluescale::harness {
 
 struct fig6_config {
     std::uint32_t n_clients = 16;
-    std::uint32_t trials = 20;          ///< paper: 200
+    sweep_options sweep = {};           ///< paper: 200 trials
     cycle_t measure_cycles = 100'000;   ///< simulated window per trial
     double util_lo = 0.70;              ///< interconnect utilization range
     double util_hi = 0.90;
-    std::uint64_t seed = 1;
-    /// Worker threads for the trial sweep (0 = all hardware threads).
-    /// Results are bit-identical for any setting; see sim::trial_runner.
-    unsigned threads = 1;
     /// Paper setup: intensive traffic with tight implicit deadlines.
     workload::taskset_params taskset = {
         .n_tasks = 4,
@@ -43,50 +37,24 @@ struct fig6_config {
     /// depth, server policy, work conservation). unit_cycles is forced to
     /// the memory controller's initiation interval.
     std::optional<core::se_params> bluescale_se;
-    /// Snapshot each trial's obs::registry and merge them, in trial
-    /// order, into fig6_result::metrics (--metrics).
-    bool collect_metrics = false;
-    /// Export trial 0's event trace into fig6_result::trace (--trace).
-    /// Empty when the build has BLUESCALE_TRACE=OFF.
-    bool collect_trace = false;
-    /// Enable wall-clock profiling (simulator per-component tick cost and
-    /// trial-sweep throughput) into fig6_result::profile (--profile).
-    /// Profile metrics are inherently nondeterministic and never leak
-    /// into fig6_result::metrics.
-    bool profile = false;
 };
 
-struct fig6_result {
-    ic_kind kind{};
-    std::uint32_t n_clients = 0;
-    /// Per-trial mean blocking latency, in microseconds of wall-clock at
-    /// the design's achievable system frequency.
-    stats::sample_set blocking_us;
-    /// Per-trial deadline miss ratio, in [0, 1].
-    stats::sample_set miss_ratio;
-    /// Per-trial worst observed request blocking, microseconds.
-    stats::sample_set worst_blocking_us;
-    /// Trials in which the BlueScale interface selection was feasible.
-    std::uint32_t feasible_trials = 0;
-    double system_clock_mhz = 0.0;
-    /// Per-trial registry snapshots merged in trial order (counters sum,
-    /// samples append), when cfg.collect_metrics. Byte-identical across
-    /// --threads settings.
-    obs::snapshot metrics;
-    /// Trial 0's event trace, when cfg.collect_trace.
-    obs::trace_export trace;
-    /// Wall-clock profile metrics (k_metric_profile entries; per-trial
-    /// simulator costs summed in trial order, plus the sweep totals),
-    /// when cfg.profile. Nondeterministic by nature.
-    obs::snapshot profile;
-};
+/// Runs `cfg.sweep.trials` trials of one design. Every design sees
+/// identical per-trial workloads (the trial seed drives the generator),
+/// matching the paper's "data input ... identical in each execution".
+///
+/// totals ("fig6/"): per-trial samples blocking_us (mean blocking
+/// latency, microseconds of wall-clock at the design's achievable system
+/// frequency), worst_blocking_us and miss_ratio (in [0, 1]); the counter
+/// feasible_trials (BlueScale interface selection feasible); and the
+/// real system_clock_mhz.
+[[nodiscard]] sweep_result run_fig6(ic_kind kind, const fig6_config& cfg);
 
-/// Runs `cfg.trials` trials of one design. Every design sees identical
-/// per-trial workloads (the trial seed drives the generator), matching the
-/// paper's "data input ... identical in each execution".
-[[nodiscard]] fig6_result run_fig6(ic_kind kind, const fig6_config& cfg);
+/// Cross-trial mean of the fig6 per-trial sample `name` ("blocking_us",
+/// "worst_blocking_us" or "miss_ratio").
+[[nodiscard]] double fig6_mean(const sweep_result& r, std::string_view name);
 
-/// Convenience: all six designs.
-[[nodiscard]] std::vector<fig6_result> run_fig6_all(const fig6_config& cfg);
+/// Convenience: all six designs, in k_all_kinds order.
+[[nodiscard]] std::vector<sweep_result> run_fig6_all(const fig6_config& cfg);
 
 } // namespace bluescale::harness

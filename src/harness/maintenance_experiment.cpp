@@ -1,291 +1,137 @@
 #include "harness/maintenance_experiment.hpp"
 
 #include <iterator>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "harness/testbench.hpp"
+#include "harness/traffic_trial.hpp"
 #include "mem/maintenance_engine.hpp"
-#include "sim/fault.hpp"
-#include "sim/trial_runner.hpp"
-#include "workload/traffic_generator.hpp"
+#include "stats/summary.hpp"
 
 namespace bluescale::harness {
 
 namespace {
 
-/// One simulated trial (always BlueScale: the toggle under study lives
-/// in its admission analysis and watchdog, which the baselines lack).
-struct trial_metrics {
-    double hard_miss_ratio = 0.0;
-    double best_effort_miss_ratio = 0.0;
-    double p99_latency = 0.0;
-    bool selection_feasible = false;
-
-    std::uint64_t hard_misses = 0;
-    std::uint64_t best_effort_misses = 0;
-    std::uint64_t refreshes = 0;
-    std::uint64_t scrubs = 0;
-    std::uint64_t hammer_mitigations = 0;
-    std::uint64_t maintenance_stolen_cycles = 0;
-    std::uint64_t maintenance_storm_cycles = 0;
-    std::uint64_t injected_storms = 0;
-    std::uint64_t windows_checked = 0;
-    std::uint64_t supply_shortfall_alarms = 0;
-    std::uint64_t deadline_alarms = 0;
-    std::uint64_t shed_events = 0;
-    std::uint64_t restore_events = 0;
-    std::uint64_t shed_client_cycles = 0;
-
-    obs::snapshot metrics;   ///< when cfg.collect_metrics
-    obs::trace_export trace; ///< when cfg.collect_trace, trial 0 only
-};
-
-trial_metrics run_trial(const maintenance_exp_config& cfg,
-                        std::uint32_t trial, std::uint64_t trial_seed) {
+/// Workload of one trial: pooled, or asymmetric (hard clients share the
+/// [util_lo, util_hi] draw, best-effort clients carry best_effort_util
+/// of bulk).
+std::vector<workload::memory_task_set>
+draw_tasksets(const maintenance_exp_config& cfg, std::uint64_t trial_seed) {
     rng workload_rng(trial_seed);
-
-    // Workload and storm schedule are pure functions of the trial seed:
-    // the aware and unaware variants face the identical scenario.
     const std::uint32_t n_be =
         cfg.best_effort_clients < cfg.n_clients ? cfg.best_effort_clients
                                                 : cfg.n_clients;
-    std::vector<workload::memory_task_set> tasksets;
-    if (cfg.best_effort_util > 0.0 && n_be > 0) {
-        // Asymmetric load: hard clients share the [util_lo, util_hi]
-        // draw, best-effort clients carry cfg.best_effort_util of bulk.
-        tasksets = workload::make_client_tasksets(
-            workload_rng, cfg.n_clients - n_be, cfg.util_lo, cfg.util_hi,
-            cfg.taskset);
-        auto be = workload::make_client_tasksets(
-            workload_rng, n_be, cfg.best_effort_util,
-            cfg.best_effort_util, cfg.taskset);
-        tasksets.insert(tasksets.end(),
-                        std::make_move_iterator(be.begin()),
-                        std::make_move_iterator(be.end()));
-    } else {
-        tasksets = workload::make_client_tasksets(
+    if (cfg.best_effort_util <= 0.0 || n_be == 0) {
+        return workload::make_client_tasksets(
             workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
             cfg.taskset);
     }
-
-    // Maintenance storms ONLY: every other kind's weight is zeroed so the
-    // trial's interference is exactly the unmodeled-maintenance story.
-    sim::fault_campaign_config fc;
-    fc.seed = substream(trial_seed, 0xFA171ull);
-    fc.horizon = cfg.measure_cycles;
-    fc.events_per_kcycle = cfg.storm_intensity;
-    fc.se_stall_weight = 0.0;
-    fc.link_drop_weight = 0.0;
-    fc.dram_error_weight = 0.0;
-    fc.backpressure_weight = 0.0;
-    fc.maintenance_storm_weight = 1.0;
-    fc.n_elements = 1;
-    fc.min_duration = cfg.storm_min_duration;
-    fc.max_duration = cfg.storm_max_duration;
-    const sim::fault_campaign campaign(fc);
-
-    testbench_options opts;
-    opts.n_clients = cfg.n_clients;
-    opts.memctrl = cfg.memctrl;
-    opts.faults = campaign.empty() ? nullptr : &campaign;
-    opts.watchdog = cfg.watchdog;
-    opts.selection.bandwidth_tolerance = cfg.bandwidth_tolerance;
-    if (cfg.maintenance_aware) {
-        // The one toggle under study: provision (Pi, Theta) against the
-        // maintenance-corrected sbf AND police supply with the same
-        // model, so budgeted refresh/scrub/mitigation never alarms.
-        const auto model = to_maintenance_model(cfg.memctrl);
-        opts.selection.sched.maintenance = model;
-        opts.watchdog->maintenance = model;
-    }
-    opts.client_utilizations.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        opts.client_utilizations.push_back(workload::utilization(ts));
-    }
-    std::vector<analysis::task_set> rt_sets;
-    rt_sets.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        rt_sets.push_back(workload::to_rt_tasks(ts));
-    }
-    opts.rt_sets = &rt_sets;
-
-    testbench tb(ic_kind::bluescale, opts);
-
-    // Admission refused: the corrected analysis found no feasible
-    // (Pi, Theta) provisioning for this workload. Nothing is admitted,
-    // so there is no admitted-system behavior to measure -- the trial
-    // contributes only its feasibility verdict (simulating the
-    // unconfigured fabric would pollute the miss statistics with a
-    // system that admission control would never have started).
-    if (!tb.selection_feasible()) {
-        trial_metrics refused;
-        refused.selection_feasible = false;
-        return refused;
-    }
-
-    std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-    clients.reserve(cfg.n_clients);
-    workload::traffic_gen_config tg_cfg;
-    tg_cfg.unit_cycles = tb.unit_cycles();
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets[c], tb.ic(), substream(trial_seed, c), tg_cfg));
-        auto* client = clients.back().get();
-        client->bind_observability(tb.metrics());
-        tb.add_client(c, *client, [client](mem_request&& r) {
-            client->on_response(std::move(r));
-        });
-    }
-
-    const auto is_best_effort = [&](std::uint32_t c) {
-        return c + cfg.best_effort_clients >= cfg.n_clients;
-    };
-    if (auto* wd = tb.watchdog()) {
-        for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-            auto* client = clients[c].get();
-            wd->track_client(
-                c,
-                is_best_effort(c) ? core::client_class::best_effort
-                                  : core::client_class::hard,
-                [client] { return client->stats().missed(); },
-                [client](bool on) { client->set_shed(on); });
-        }
-    }
-
-    tb.run(cfg.measure_cycles);
-
-    trial_metrics out;
-    out.selection_feasible = tb.selection_feasible();
-    out.injected_storms = campaign.size();
-
-    stats::sample_set latency;
-    std::uint64_t hard_accounted = 0;
-    std::uint64_t be_accounted = 0;
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients[c]->finalize(tb.now());
-        const auto& s = clients[c]->stats();
-        for (double l : s.latency_cycles().samples()) latency.add(l);
-        const std::uint64_t acc = s.completed() + s.abandoned();
-        if (is_best_effort(c)) {
-            out.best_effort_misses += s.missed();
-            be_accounted += acc;
-        } else {
-            out.hard_misses += s.missed();
-            hard_accounted += acc;
-        }
-    }
-    const auto ratio = [](std::uint64_t missed, std::uint64_t accounted) {
-        return accounted == 0 ? 0.0
-                              : static_cast<double>(missed) /
-                                    static_cast<double>(accounted);
-    };
-    out.hard_miss_ratio = ratio(out.hard_misses, hard_accounted);
-    out.best_effort_miss_ratio =
-        ratio(out.best_effort_misses, be_accounted);
-    out.p99_latency = latency.percentile(99.0);
-
-    const auto& maint = tb.memctrl().maintenance();
-    out.refreshes = maint.refreshes();
-    out.scrubs = maint.scrubs();
-    out.hammer_mitigations = maint.hammer_mitigations();
-    out.maintenance_stolen_cycles = maint.stolen_cycles();
-    out.maintenance_storm_cycles = maint.storm_cycles();
-
-    if (const auto* wd = tb.watchdog()) {
-        const auto rep = wd->report();
-        out.windows_checked = rep.windows_checked;
-        out.supply_shortfall_alarms = rep.supply_shortfall_alarms;
-        out.deadline_alarms = rep.deadline_alarms;
-        out.shed_events = rep.shed_events;
-        out.restore_events = rep.restore_events;
-        out.shed_client_cycles = rep.shed_client_cycles;
-    }
-    if (cfg.collect_metrics) out.metrics = tb.metrics().take_snapshot();
-    if (cfg.collect_trace && trial == 0) out.trace = tb.trace().export_all();
-    return out;
+    auto tasksets = workload::make_client_tasksets(
+        workload_rng, cfg.n_clients - n_be, cfg.util_lo, cfg.util_hi,
+        cfg.taskset);
+    auto be = workload::make_client_tasksets(workload_rng, n_be,
+                                             cfg.best_effort_util,
+                                             cfg.best_effort_util,
+                                             cfg.taskset);
+    tasksets.insert(tasksets.end(), std::make_move_iterator(be.begin()),
+                    std::make_move_iterator(be.end()));
+    return tasksets;
 }
 
 } // namespace
 
-maintenance_exp_result
-run_maintenance_experiment(const maintenance_exp_config& cfg) {
-    maintenance_exp_result result;
-    result.maintenance_aware = cfg.maintenance_aware;
-    result.storm_intensity = cfg.storm_intensity;
-    result.n_clients = cfg.n_clients;
+sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
+    // Always BlueScale: the toggle under study lives in its admission
+    // analysis and watchdog, which the baselines lack.
+    return run_sweep(cfg.sweep, "maintenance/", [&](trial_record& rec) {
+        // Maintenance storms ONLY: every other kind's weight is zeroed so
+        // the trial's interference is exactly the unmodeled-maintenance
+        // story.
+        sim::fault_campaign_config fc = fabric_campaign(
+            rec.seed(), cfg.n_clients, cfg.measure_cycles,
+            cfg.storm_intensity);
+        fc.se_stall_weight = 0.0;
+        fc.link_drop_weight = 0.0;
+        fc.dram_error_weight = 0.0;
+        fc.backpressure_weight = 0.0;
+        fc.maintenance_storm_weight = 1.0;
+        fc.n_elements = 1;
+        fc.min_duration = cfg.storm_min_duration;
+        fc.max_duration = cfg.storm_max_duration;
+        const sim::fault_campaign campaign(fc);
 
-    // Trials are independent (the per-trial seed is a pure function of
-    // the trial counter) and the runner returns them in trial order, so
-    // this aggregation is bit-identical for any thread count.
-    const sim::trial_runner runner(cfg.threads);
-    auto per_trial = runner.run(cfg.trials, [&](std::uint32_t t) {
-        return run_trial(cfg, t, cfg.seed + t);
+        testbench_options opts;
+        opts.memctrl = cfg.memctrl;
+        opts.faults = campaign.empty() ? nullptr : &campaign;
+        opts.watchdog = cfg.watchdog;
+        opts.selection.bandwidth_tolerance = cfg.bandwidth_tolerance;
+        if (cfg.maintenance_aware) {
+            // The one toggle under study: provision (Pi, Theta) against
+            // the maintenance-corrected sbf AND police supply with the
+            // same model, so budgeted refresh/scrub/mitigation never
+            // alarms.
+            const auto model = to_maintenance_model(cfg.memctrl);
+            opts.selection.sched.maintenance = model;
+            opts.watchdog->maintenance = model;
+        }
+        traffic_trial tt(rec, ic_kind::bluescale,
+                         draw_tasksets(cfg, rec.seed()), opts);
+        testbench& tb = tt.tb();
+
+        auto hard_ratio = rec.sample("hard_miss_ratio");
+        auto be_ratio = rec.sample("best_effort_miss_ratio");
+        auto p99 = rec.sample("p99_latency_cycles");
+        auto feasible = rec.counter("feasible_trials");
+        // Admission refused: the corrected analysis found no feasible
+        // (Pi, Theta) provisioning, so nothing is admitted and there is
+        // no admitted-system behavior to measure (simulating the
+        // unconfigured fabric would pollute the miss statistics with a
+        // system admission control would never have started).
+        if (!tb.selection_feasible()) {
+            hard_ratio.add(0.0);
+            be_ratio.add(0.0);
+            p99.add(0.0);
+            return;
+        }
+        feasible.inc();
+
+        tt.add_clients({}, [&](std::uint32_t c) {
+            return substream(rec.seed(), c);
+        });
+        tt.track_clients(cfg.best_effort_clients);
+        tb.run(cfg.measure_cycles);
+
+        rec.counter("injected_storms").inc(campaign.size());
+        const class_misses misses = tt.finalize(cfg.best_effort_clients);
+        stats::sample_set latency;
+        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
+            for (double l : tt.client(c).stats().latency_cycles().samples()) {
+                latency.add(l);
+            }
+        }
+        rec.counter("hard_misses").inc(misses.hard);
+        rec.counter("best_effort_misses").inc(misses.best_effort);
+        hard_ratio.add(ratio(misses.hard, misses.hard_accounted));
+        be_ratio.add(
+            ratio(misses.best_effort, misses.best_effort_accounted));
+        p99.add(latency.percentile(99.0));
+
+        const auto& maint = tb.memctrl().maintenance();
+        rec.counter("refreshes").inc(maint.refreshes());
+        rec.counter("scrubs").inc(maint.scrubs());
+        rec.counter("hammer_mitigations").inc(maint.hammer_mitigations());
+        rec.counter("maintenance_stolen_cycles").inc(maint.stolen_cycles());
+        rec.counter("maintenance_storm_cycles").inc(maint.storm_cycles());
+
+        const auto rep = tb.watchdog()->report();
+        rec.counter("windows_checked").inc(rep.windows_checked);
+        rec.counter("supply_shortfall_alarms")
+            .inc(rep.supply_shortfall_alarms);
+        rec.counter("deadline_alarms").inc(rep.deadline_alarms);
+        rec.counter("shed_events").inc(rep.shed_events);
+        rec.counter("restore_events").inc(rep.restore_events);
+        rec.counter("shed_client_cycles").inc(rep.shed_client_cycles);
+        rec.capture(tb);
     });
-    for (const auto& m : per_trial) {
-        result.hard_miss_ratio.add(m.hard_miss_ratio);
-        result.best_effort_miss_ratio.add(m.best_effort_miss_ratio);
-        result.p99_latency_cycles.add(m.p99_latency);
-        if (m.selection_feasible) ++result.feasible_trials;
-        result.hard_misses += m.hard_misses;
-        result.best_effort_misses += m.best_effort_misses;
-        result.refreshes += m.refreshes;
-        result.scrubs += m.scrubs;
-        result.hammer_mitigations += m.hammer_mitigations;
-        result.maintenance_stolen_cycles += m.maintenance_stolen_cycles;
-        result.maintenance_storm_cycles += m.maintenance_storm_cycles;
-        result.injected_storms += m.injected_storms;
-        result.windows_checked += m.windows_checked;
-        result.supply_shortfall_alarms += m.supply_shortfall_alarms;
-        result.deadline_alarms += m.deadline_alarms;
-        result.shed_events += m.shed_events;
-        result.restore_events += m.restore_events;
-        result.shed_client_cycles += m.shed_client_cycles;
-        // Trial order makes the merged snapshot bit-identical for any
-        // --threads (see obs::snapshot::merge).
-        if (cfg.collect_metrics) result.metrics.merge(m.metrics);
-    }
-    if (cfg.collect_trace && !per_trial.empty()) {
-        result.trace = std::move(per_trial.front().trace);
-    }
-
-    // Re-express the experiment-level aggregates as obs metrics so the
-    // bench driver's --csv cells come out of the one exporter path
-    // (obs::metric_cells) instead of hand-rolled std::to_string glue.
-    obs::registry agg;
-    const auto put_counter = [&agg](const char* name, std::uint64_t v) {
-        agg.make_counter(std::string("maintenance/") + name).inc(v);
-    };
-    const auto put_samples = [&agg](const char* name,
-                                    const stats::sample_set& s) {
-        auto h = agg.make_sample(std::string("maintenance/") + name);
-        for (double x : s.samples()) h.add(x);
-    };
-    put_samples("hard_miss_ratio", result.hard_miss_ratio);
-    put_samples("best_effort_miss_ratio", result.best_effort_miss_ratio);
-    put_samples("p99_latency_cycles", result.p99_latency_cycles);
-    put_counter("hard_misses", result.hard_misses);
-    put_counter("best_effort_misses", result.best_effort_misses);
-    put_counter("refreshes", result.refreshes);
-    put_counter("scrubs", result.scrubs);
-    put_counter("hammer_mitigations", result.hammer_mitigations);
-    put_counter("maintenance_stolen_cycles",
-                result.maintenance_stolen_cycles);
-    put_counter("maintenance_storm_cycles",
-                result.maintenance_storm_cycles);
-    put_counter("injected_storms", result.injected_storms);
-    put_counter("windows_checked", result.windows_checked);
-    put_counter("supply_shortfall_alarms",
-                result.supply_shortfall_alarms);
-    put_counter("deadline_alarms", result.deadline_alarms);
-    put_counter("shed_events", result.shed_events);
-    put_counter("restore_events", result.restore_events);
-    put_counter("shed_client_cycles", result.shed_client_cycles);
-    put_counter("feasible_trials", result.feasible_trials);
-    result.totals = agg.take_snapshot();
-    return result;
 }
 
 } // namespace bluescale::harness

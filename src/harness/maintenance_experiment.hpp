@@ -15,24 +15,18 @@
 #include <cstdint>
 
 #include "core/supply_watchdog.hpp"
+#include "harness/trial_sweep.hpp"
 #include "mem/memory_controller.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
-#include "stats/summary.hpp"
 #include "workload/taskset_gen.hpp"
 
 namespace bluescale::harness {
 
 struct maintenance_exp_config {
     std::uint32_t n_clients = 16;
-    std::uint32_t trials = 8;
+    sweep_options sweep = {.trials = 8};
     cycle_t measure_cycles = 60'000;
     double util_lo = 0.40;
     double util_hi = 0.60;
-    std::uint64_t seed = 1;
-    /// Worker threads for the trial sweep (0 = all hardware threads).
-    /// Results are bit-identical for any setting; see sim::trial_runner.
-    unsigned threads = 1;
     /// Task periods sit well above the maintenance burst (a refresh
     /// blackout is ~16 analysis units): real task periods dwarf t_RFC,
     /// and a wcet-sized demand inside a burst-sized deadline would force
@@ -77,59 +71,22 @@ struct maintenance_exp_config {
     cycle_t storm_min_duration = 64;
     cycle_t storm_max_duration = 256;
     core::watchdog_config watchdog = {};
-
-    /// Snapshot each trial's obs::registry and merge them, in trial
-    /// order, into maintenance_exp_result::metrics (--metrics).
-    bool collect_metrics = false;
-    /// Export trial 0's event trace (--trace).
-    bool collect_trace = false;
 };
 
-struct maintenance_exp_result {
-    bool maintenance_aware = false;
-    double storm_intensity = 0.0;
-    std::uint32_t n_clients = 0;
-    std::uint32_t feasible_trials = 0;
-
-    // Per-trial samples.
-    stats::sample_set hard_miss_ratio;
-    stats::sample_set best_effort_miss_ratio;
-    stats::sample_set p99_latency_cycles;
-
-    // Counter totals summed over trials.
-    std::uint64_t hard_misses = 0;
-    std::uint64_t best_effort_misses = 0;
-    std::uint64_t refreshes = 0;
-    std::uint64_t scrubs = 0;
-    std::uint64_t hammer_mitigations = 0;
-    std::uint64_t maintenance_stolen_cycles = 0;
-    std::uint64_t maintenance_storm_cycles = 0;
-    std::uint64_t injected_storms = 0;
-    std::uint64_t windows_checked = 0;
-    std::uint64_t supply_shortfall_alarms = 0;
-    std::uint64_t deadline_alarms = 0;
-    std::uint64_t shed_events = 0;
-    std::uint64_t restore_events = 0;
-    std::uint64_t shed_client_cycles = 0;
-
-    /// The aggregates above re-expressed as obs metrics
-    /// ("maintenance/<name>"); the bench driver renders --csv cells from
-    /// this via obs::metric_cells.
-    obs::snapshot totals;
-    /// Per-trial registry snapshots merged in trial order, when
-    /// cfg.collect_metrics. Byte-identical across --threads settings.
-    obs::snapshot metrics;
-    /// Trial 0's event trace, when cfg.collect_trace.
-    obs::trace_export trace;
-};
-
-/// Runs `cfg.trials` BlueScale trials. Workload and storm schedule are
-/// pure functions of the trial seed, so aware/unaware runs at the same
-/// seed face the identical scenario. A trial whose admission analysis is
-/// infeasible is NOT simulated: it contributes only to the
-/// trials-minus-feasible_trials gap (admission control refused the
-/// workload; there is no admitted system to measure).
-[[nodiscard]] maintenance_exp_result
+/// Runs `cfg.sweep.trials` BlueScale trials. Workload and storm schedule
+/// are pure functions of the trial seed, so aware/unaware runs at the
+/// same seed face the identical scenario. A trial whose admission
+/// analysis is infeasible is NOT simulated: it contributes zero samples
+/// and the trials-minus-feasible_trials gap (admission control refused
+/// the workload; there is no admitted system to measure).
+///
+/// totals ("maintenance/"): per-trial samples hard_miss_ratio,
+/// best_effort_miss_ratio and p99_latency_cycles; counters hard_misses,
+/// best_effort_misses, refreshes, scrubs, hammer_mitigations,
+/// maintenance_stolen_cycles, maintenance_storm_cycles, injected_storms,
+/// windows_checked, supply_shortfall_alarms, deadline_alarms,
+/// shed_events, restore_events, shed_client_cycles and feasible_trials.
+[[nodiscard]] sweep_result
 run_maintenance_experiment(const maintenance_exp_config& cfg);
 
 } // namespace bluescale::harness

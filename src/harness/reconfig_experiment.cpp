@@ -1,359 +1,155 @@
 #include "harness/reconfig_experiment.hpp"
 
-#include <algorithm>
 #include <map>
-#include <memory>
 #include <utility>
 
-#include "analysis/quadtree.hpp"
-#include "core/bluescale_ic.hpp"
-#include "harness/testbench.hpp"
-#include "sim/fault.hpp"
-#include "sim/trial_runner.hpp"
-#include "workload/traffic_generator.hpp"
+#include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
 
-namespace {
+sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
+    auto out = run_sweep(cfg.sweep, "reconfig_exp/", [&](trial_record& rec) {
+        rng workload_rng(rec.seed());
+        auto tasksets = workload::make_client_tasksets(
+            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
+            cfg.taskset);
 
-struct trial_metrics {
-    bool selection_feasible = false;
-    double miss_ratio = 0.0;
+        const sim::fault_campaign campaign(
+            fabric_campaign(rec.seed(), cfg.n_clients, cfg.measure_cycles,
+                            cfg.fault_intensity));
 
-    std::uint64_t submitted = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t committed = 0;
-    std::uint64_t rolled_back = 0;
-    std::uint64_t rejected_infeasible = 0;
-    std::uint64_t rejected_overutilized = 0;
-    std::uint64_t rejected_path_hazard = 0;
-    std::vector<double> reconfig_latencies;
-    std::uint64_t transition_misses = 0;
-    std::uint64_t applied_unchecked = 0;
-
-    std::uint64_t windows_checked = 0;
-    std::uint64_t violating_windows = 0;
-    std::uint64_t supply_shortfall_alarms = 0;
-    std::uint64_t shed_events = 0;
-    std::uint64_t restore_events = 0;
-    std::uint64_t shed_client_cycles = 0;
-
-    std::uint64_t hard_misses = 0;
-    std::uint64_t best_effort_misses = 0;
-    std::uint64_t shed_deferrals = 0;
-    std::uint64_t live_reconfigurations = 0;
-
-    obs::snapshot metrics;   ///< when cfg.collect_metrics
-    obs::trace_export trace; ///< when cfg.collect_trace, trial 0 only
-};
-
-/// The concrete task set one scheduled event asks for, derived purely
-/// from (trial seed, event index): every design, and every thread count,
-/// resolves the same request to the same demand.
-workload::memory_task_set
-derive_event_taskset(const sim::reconfig_event& ev, double current_util,
-                     std::uint64_t trial_seed, std::size_t event_index,
-                     const workload::taskset_params& tmpl) {
-    if (ev.action == sim::reconfig_action::leave) return {};
-    double target = 0.0;
-    switch (ev.action) {
-    case sim::reconfig_action::scale_up:
-    case sim::reconfig_action::scale_down:
-        target = current_util * ev.magnitude;
-        break;
-    case sim::reconfig_action::join:
-        target = ev.magnitude;
-        break;
-    case sim::reconfig_action::leave: break;
-    }
-    if (target <= 0.0) return {};
-    rng er(substream(trial_seed, 0xEC0Full + event_index));
-    workload::taskset_params p = tmpl;
-    p.total_utilization = target;
-    return workload::make_taskset(er, p);
-}
-
-trial_metrics run_trial(ic_kind kind, const reconfig_exp_config& cfg,
-                        std::uint32_t trial, std::uint64_t trial_seed) {
-    rng workload_rng(trial_seed);
-    auto tasksets = workload::make_client_tasksets(
-        workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi, cfg.taskset);
-
-    // Identical request schedule per design at the same trial.
-    sim::reconfig_schedule_config sc = cfg.schedule;
-    sc.seed = substream(trial_seed, 0x5EC0ull);
-    sc.horizon = cfg.measure_cycles;
-    sc.warmup = cfg.reconfig_warmup;
-    sc.events_per_kcycle = cfg.events_per_kcycle;
-    sc.n_clients = cfg.n_clients;
-    const sim::reconfig_schedule schedule(sc);
-
-    sim::fault_campaign_config fc;
-    fc.seed = substream(trial_seed, 0xFA171ull);
-    fc.horizon = cfg.measure_cycles;
-    fc.events_per_kcycle = cfg.fault_intensity;
-    fc.n_elements = analysis::make_quadtree_shape(cfg.n_clients).total_ses();
-    const sim::fault_campaign campaign(fc);
-
-    testbench_options opts;
-    opts.n_clients = cfg.n_clients;
-    opts.memctrl = cfg.memctrl;
-    opts.bluetree_alpha = cfg.bluetree_alpha;
-    opts.faults = campaign.empty() ? nullptr : &campaign;
-    if (cfg.enable_health) opts.health = cfg.health;
-    opts.client_utilizations.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        opts.client_utilizations.push_back(workload::utilization(ts));
-    }
-    std::vector<analysis::task_set> rt_sets;
-    if (kind == ic_kind::bluescale) {
-        rt_sets.reserve(tasksets.size());
-        for (const auto& ts : tasksets) {
-            rt_sets.push_back(workload::to_rt_tasks(ts));
-        }
-        opts.rt_sets = &rt_sets;
+        // The manager and watchdog are BlueScale-only (the testbench
+        // builds neither for a baseline).
+        testbench_options opts;
+        opts.memctrl = cfg.memctrl;
+        opts.bluetree_alpha = cfg.bluetree_alpha;
+        opts.faults = campaign.empty() ? nullptr : &campaign;
+        opts.health = cfg.health;
         opts.reconfig = cfg.reconfig;
-        if (cfg.enable_watchdog) opts.watchdog = cfg.watchdog;
-    }
-
-    testbench tb(kind, opts);
-
-    std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-    clients.reserve(cfg.n_clients);
-    workload::traffic_gen_config tg_cfg;
-    tg_cfg.unit_cycles = tb.unit_cycles();
-    tg_cfg.retry_timeout_cycles = cfg.retry_timeout_cycles;
-    tg_cfg.max_retries = cfg.max_retries;
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets[c], tb.ic(), substream(trial_seed, c), tg_cfg));
-        auto* client = clients.back().get();
-        client->bind_observability(tb.metrics());
-        tb.add_client(c, *client, [client](mem_request&& r) {
-            client->on_response(std::move(r));
+        opts.watchdog = cfg.watchdog;
+        traffic_trial tt(rec, kind, std::move(tasksets), opts);
+        workload::traffic_gen_config tg;
+        tg.retry_timeout_cycles = cfg.retry_timeout_cycles;
+        tg.max_retries = cfg.max_retries;
+        tt.add_clients(tg, [&](std::uint32_t c) {
+            return substream(rec.seed(), c);
         });
-    }
+        tt.track_clients(cfg.best_effort_clients);
+        testbench& tb = tt.tb();
+        rec.counter("feasible_trials").inc(tb.selection_feasible());
 
-    const auto is_best_effort = [&](std::uint32_t c) {
-        return c + cfg.best_effort_clients >= cfg.n_clients;
-    };
-    if (auto* wd = tb.watchdog()) {
-        for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-            auto* client = clients[c].get();
-            wd->track_client(
-                c,
-                is_best_effort(c) ? core::client_class::best_effort
-                                  : core::client_class::hard,
-                [client] { return client->stats().missed(); },
-                [client](bool on) { client->set_shed(on); });
-        }
-    }
-
-    trial_metrics out;
-    out.selection_feasible = tb.selection_feasible();
-
-    const auto total_missed = [&] {
-        std::uint64_t m = 0;
-        for (const auto& c : clients) m += c->stats().missed();
-        return m;
-    };
-
-    // Transition-window accounting and live task-set swap at commit.
-    std::map<std::uint64_t, workload::memory_task_set> staged_swaps;
-    std::map<std::uint64_t, std::uint64_t> missed_at_submit;
-    if (auto* mgr = tb.reconfig()) {
-        mgr->set_resolve_hook([&](const core::admission_record& rec,
-                                  const analysis::task_set&) {
-            auto base = missed_at_submit.find(rec.id);
-            if (base != missed_at_submit.end()) {
-                out.transition_misses += total_missed() - base->second;
-                missed_at_submit.erase(base);
-            }
-            auto it = staged_swaps.find(rec.id);
-            if (it == staged_swaps.end()) return;
-            if (rec.outcome == core::admission_outcome::committed) {
-                clients[rec.client]->reconfigure_tasks(
-                    std::move(it->second), rec.resolved_at);
-            }
-            staged_swaps.erase(it);
-        });
-    }
-
-    // Run in segments up to each scheduled request; the manager (when
-    // present) admits, stages and commits inside the simulation, so the
-    // swap lands at the modeled commit instant, not here.
-    for (std::size_t i = 0; i < schedule.events().size(); ++i) {
-        const sim::reconfig_event& ev = schedule.events()[i];
-        if (ev.at >= cfg.measure_cycles) break;
-        if (ev.at > tb.now()) tb.run(ev.at - tb.now());
-        auto tasks = derive_event_taskset(
-            ev, workload::utilization(clients[ev.client]->tasks()),
-            trial_seed, i, cfg.taskset);
+        // Transition-window accounting and live task-set swap at commit.
+        auto transition_misses = rec.counter("transition_misses");
+        std::map<std::uint64_t, workload::memory_task_set> staged_swaps;
+        std::map<std::uint64_t, std::uint64_t> missed_at_submit;
         if (auto* mgr = tb.reconfig()) {
-            const std::uint64_t id =
-                mgr->submit(ev.client, workload::to_rt_tasks(tasks));
-            staged_swaps.emplace(id, std::move(tasks));
-            missed_at_submit.emplace(id, total_missed());
-        } else {
-            // Baseline: no admission control -- the change lands
-            // immediately and unconditionally.
-            clients[ev.client]->reconfigure_tasks(std::move(tasks),
-                                                  tb.now());
-            ++out.applied_unchecked;
+            mgr->set_resolve_hook([&](const core::admission_record& r,
+                                      const analysis::task_set&) {
+                auto base = missed_at_submit.find(r.id);
+                if (base != missed_at_submit.end()) {
+                    transition_misses.inc(tt.missed() - base->second);
+                    missed_at_submit.erase(base);
+                }
+                auto it = staged_swaps.find(r.id);
+                if (it == staged_swaps.end()) return;
+                if (r.outcome == core::admission_outcome::committed) {
+                    tt.client(r.client).reconfigure_tasks(
+                        std::move(it->second), r.resolved_at);
+                }
+                staged_swaps.erase(it);
+            });
         }
-    }
-    if (tb.now() < cfg.measure_cycles) tb.run(cfg.measure_cycles - tb.now());
 
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients[c]->finalize(tb.now());
-        const auto& s = clients[c]->stats();
-        if (is_best_effort(c)) {
-            out.best_effort_misses += s.missed();
-        } else {
-            out.hard_misses += s.missed();
+        // Run in segments up to each scheduled request; the manager (when
+        // present) admits, stages and commits inside the simulation, so
+        // the swap lands at the modeled commit instant, not here.
+        auto unchecked = rec.counter("applied_unchecked");
+        sim::reconfig_schedule_config sc = cfg.schedule;
+        sc.warmup = cfg.reconfig_warmup;
+        sc.events_per_kcycle = cfg.events_per_kcycle;
+        tt.run_schedule(
+            sc, cfg.measure_cycles, cfg.taskset,
+            [&](const sim::reconfig_event& ev,
+                workload::memory_task_set tasks) {
+                if (auto* mgr = tb.reconfig()) {
+                    const std::uint64_t id = mgr->submit(
+                        ev.client, workload::to_rt_tasks(tasks));
+                    staged_swaps.emplace(id, std::move(tasks));
+                    missed_at_submit.emplace(id, tt.missed());
+                } else {
+                    // Baseline: no admission control -- the change lands
+                    // immediately and unconditionally.
+                    tt.client(ev.client).reconfigure_tasks(std::move(tasks),
+                                                           tb.now());
+                    unchecked.inc();
+                }
+            });
+
+        const class_misses misses = tt.finalize(cfg.best_effort_clients);
+        rec.counter("hard_misses").inc(misses.hard);
+        rec.counter("best_effort_misses").inc(misses.best_effort);
+        rec.sample("miss_ratio").add(misses.ratio());
+        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
+            const auto& s = tt.client(c).stats();
+            rec.counter("shed_deferrals").inc(s.shed_deferrals());
+            rec.counter("live_reconfigurations").inc(s.reconfigurations());
         }
-        out.shed_deferrals += s.shed_deferrals();
-        out.live_reconfigurations += s.reconfigurations();
-    }
-    std::uint64_t missed = 0;
-    std::uint64_t accounted = 0;
-    for (const auto& c : clients) {
-        missed += c->stats().missed();
-        accounted += c->stats().completed() + c->stats().abandoned();
-    }
-    out.miss_ratio = accounted == 0 ? 0.0
-                                    : static_cast<double>(missed) /
-                                          static_cast<double>(accounted);
 
-    if (const auto* mgr = tb.reconfig()) {
-        const auto& st = mgr->stats();
-        out.submitted = st.submitted;
-        out.admitted = st.admitted;
-        out.committed = st.committed;
-        out.rolled_back = st.rolled_back;
-        for (const auto& rec : mgr->records()) {
-            switch (rec.outcome) {
-            case core::admission_outcome::rejected_infeasible:
-                ++out.rejected_infeasible;
-                break;
-            case core::admission_outcome::rejected_overutilized:
-                ++out.rejected_overutilized;
-                break;
-            case core::admission_outcome::rejected_path_hazard:
-                ++out.rejected_path_hazard;
-                break;
-            default: break;
+        auto latency = rec.sample("latency_cycles");
+        auto submitted = rec.counter("submitted");
+        auto admitted = rec.counter("admitted");
+        auto committed = rec.counter("committed");
+        auto rolled_back = rec.counter("rolled_back");
+        auto infeasible = rec.counter("rejected_infeasible");
+        auto overutilized = rec.counter("rejected_overutilized");
+        auto hazard = rec.counter("rejected_path_hazard");
+        if (const auto* mgr = tb.reconfig()) {
+            const auto& st = mgr->stats();
+            submitted.inc(st.submitted);
+            admitted.inc(st.admitted);
+            committed.inc(st.committed);
+            rolled_back.inc(st.rolled_back);
+            for (const auto& r : mgr->records()) {
+                switch (r.outcome) {
+                case core::admission_outcome::rejected_infeasible:
+                    infeasible.inc();
+                    break;
+                case core::admission_outcome::rejected_overutilized:
+                    overutilized.inc();
+                    break;
+                case core::admission_outcome::rejected_path_hazard:
+                    hazard.inc();
+                    break;
+                case core::admission_outcome::committed:
+                case core::admission_outcome::rolled_back:
+                    latency.add(static_cast<double>(r.latency_cycles));
+                    break;
+                default: break;
+                }
             }
-            if (rec.outcome == core::admission_outcome::committed ||
-                rec.outcome == core::admission_outcome::rolled_back) {
-                out.reconfig_latencies.push_back(
-                    static_cast<double>(rec.latency_cycles));
-            }
         }
-    }
-    if (const auto* wd = tb.watchdog()) {
-        const auto& rep = wd->report();
-        out.windows_checked = rep.windows_checked;
-        out.violating_windows = rep.violating_windows;
-        out.supply_shortfall_alarms = rep.supply_shortfall_alarms;
-        out.shed_events = rep.shed_events;
-        out.restore_events = rep.restore_events;
-        out.shed_client_cycles = rep.shed_client_cycles;
-    }
-    if (cfg.collect_metrics) out.metrics = tb.metrics().take_snapshot();
-    if (cfg.collect_trace && trial == 0) out.trace = tb.trace().export_all();
-    return out;
-}
-
-} // namespace
-
-reconfig_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
-    reconfig_result result;
-    result.kind = kind;
-    result.n_clients = cfg.n_clients;
-    result.trials = cfg.trials;
-
-    // Trials are independent (the per-trial seed is a pure function of
-    // the trial counter) and the runner returns them in trial order, so
-    // this aggregation is bit-identical for any thread count.
-    const sim::trial_runner runner(cfg.threads);
-    auto per_trial = runner.run(cfg.trials, [&](std::uint32_t t) {
-        return run_trial(kind, cfg, t, cfg.seed + t);
+        auto windows = rec.counter("windows_checked");
+        auto violating = rec.counter("violating_windows");
+        auto shortfalls = rec.counter("supply_shortfall_alarms");
+        auto shed = rec.counter("shed_events");
+        auto restore = rec.counter("restore_events");
+        auto shed_cycles = rec.counter("shed_client_cycles");
+        if (const auto* wd = tb.watchdog()) {
+            const auto& rep = wd->report();
+            windows.inc(rep.windows_checked);
+            violating.inc(rep.violating_windows);
+            shortfalls.inc(rep.supply_shortfall_alarms);
+            shed.inc(rep.shed_events);
+            restore.inc(rep.restore_events);
+            shed_cycles.inc(rep.shed_client_cycles);
+        }
+        rec.capture(tb);
     });
-    for (const auto& m : per_trial) {
-        if (m.selection_feasible) ++result.feasible_trials;
-        result.miss_ratio.add(m.miss_ratio);
-        result.submitted += m.submitted;
-        result.admitted += m.admitted;
-        result.committed += m.committed;
-        result.rolled_back += m.rolled_back;
-        result.rejected_infeasible += m.rejected_infeasible;
-        result.rejected_overutilized += m.rejected_overutilized;
-        result.rejected_path_hazard += m.rejected_path_hazard;
-        for (double l : m.reconfig_latencies) {
-            result.reconfig_latency_cycles.add(l);
-        }
-        result.transition_misses += m.transition_misses;
-        result.applied_unchecked += m.applied_unchecked;
-        result.windows_checked += m.windows_checked;
-        result.violating_windows += m.violating_windows;
-        result.supply_shortfall_alarms += m.supply_shortfall_alarms;
-        result.shed_events += m.shed_events;
-        result.restore_events += m.restore_events;
-        result.shed_client_cycles += m.shed_client_cycles;
-        result.hard_misses += m.hard_misses;
-        result.best_effort_misses += m.best_effort_misses;
-        result.shed_deferrals += m.shed_deferrals;
-        result.live_reconfigurations += m.live_reconfigurations;
-        // Trial order makes the merged snapshot bit-identical for any
-        // --threads (see obs::snapshot::merge).
-        if (cfg.collect_metrics) result.metrics.merge(m.metrics);
-    }
-    if (cfg.collect_trace && !per_trial.empty()) {
-        result.trace = std::move(per_trial.front().trace);
-    }
-
-    // Re-express the experiment-level aggregates as obs metrics so the
-    // bench driver's --csv cells come out of the one exporter path
-    // (obs::metric_cells) instead of hand-rolled std::to_string glue.
-    obs::registry agg;
-    const auto put_counter = [&agg](const char* name, std::uint64_t v) {
-        agg.make_counter(std::string("reconfig_exp/") + name).inc(v);
-    };
-    const auto put_real = [&agg](const char* name, double v) {
-        agg.make_real(std::string("reconfig_exp/") + name).set(v);
-    };
-    const auto put_samples = [&agg](const char* name,
-                                    const stats::sample_set& s) {
-        auto h = agg.make_sample(std::string("reconfig_exp/") + name);
-        for (double x : s.samples()) h.add(x);
-    };
-    put_counter("submitted", result.submitted);
-    put_counter("applied_unchecked", result.applied_unchecked);
-    put_counter("admitted", result.admitted);
-    put_counter("committed", result.committed);
-    put_counter("rolled_back", result.rolled_back);
-    put_counter("rejected_infeasible", result.rejected_infeasible);
-    put_counter("rejected_overutilized", result.rejected_overutilized);
-    put_counter("rejected_path_hazard", result.rejected_path_hazard);
-    put_real("admission_ratio", result.admission_ratio());
-    put_samples("latency_cycles", result.reconfig_latency_cycles);
-    put_counter("transition_misses", result.transition_misses);
-    put_samples("miss_ratio", result.miss_ratio);
-    put_counter("hard_misses", result.hard_misses);
-    put_counter("best_effort_misses", result.best_effort_misses);
-    put_counter("live_reconfigurations", result.live_reconfigurations);
-    put_counter("windows_checked", result.windows_checked);
-    put_counter("violating_windows", result.violating_windows);
-    put_counter("supply_shortfall_alarms",
-                result.supply_shortfall_alarms);
-    put_counter("shed_events", result.shed_events);
-    put_counter("restore_events", result.restore_events);
-    put_counter("shed_client_cycles", result.shed_client_cycles);
-    put_counter("shed_deferrals", result.shed_deferrals);
-    put_counter("feasible_trials", result.feasible_trials);
-    result.totals = agg.take_snapshot();
-    return result;
+    const obs::snapshot& t = out.totals;
+    set_real(out.totals, "reconfig_exp/admission_ratio",
+             ratio(t.get("reconfig_exp/admitted").count,
+                   t.get("reconfig_exp/submitted").count));
+    return out;
 }
 
 } // namespace bluescale::harness

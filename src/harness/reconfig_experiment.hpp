@@ -15,31 +15,25 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "core/health_monitor.hpp"
 #include "core/reconfig_manager.hpp"
 #include "core/supply_watchdog.hpp"
 #include "harness/factory.hpp"
+#include "harness/trial_sweep.hpp"
 #include "mem/memory_controller.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "sim/reconfig_schedule.hpp"
-#include "stats/summary.hpp"
 #include "workload/taskset_gen.hpp"
 
 namespace bluescale::harness {
 
 struct reconfig_exp_config {
     std::uint32_t n_clients = 16;
-    std::uint32_t trials = 20;
+    sweep_options sweep = {};
     cycle_t measure_cycles = 100'000;
     double util_lo = 0.70;
     double util_hi = 0.90;
-    std::uint64_t seed = 1;
-    /// Worker threads for the trial sweep (0 = all hardware threads).
-    /// Results are bit-identical for any setting; see sim::trial_runner.
-    unsigned threads = 1;
     workload::taskset_params taskset = {
         .n_tasks = 4,
         .total_utilization = 0.05, // overridden per trial by util_lo/hi
@@ -63,9 +57,9 @@ struct reconfig_exp_config {
 
     /// Admission-control / transaction policy (BlueScale only).
     core::reconfig_config reconfig = {};
-    /// Online supply-conformance watchdog (BlueScale only).
-    bool enable_watchdog = true;
-    core::watchdog_config watchdog = {};
+    /// Online supply-conformance watchdog (BlueScale only); nullopt
+    /// disables it.
+    std::optional<core::watchdog_config> watchdog = core::watchdog_config{};
     /// The LAST this-many client ids are best-effort (sheddable); the
     /// rest are hard real-time and keep their contracts under overload.
     std::uint32_t best_effort_clients = 4;
@@ -76,76 +70,29 @@ struct reconfig_exp_config {
     double fault_intensity = 0.0;
     cycle_t retry_timeout_cycles = 2048;
     std::uint32_t max_retries = 3;
-    bool enable_health = true;
-    core::health_config health = {};
-
-    /// Snapshot each trial's obs::registry and merge them, in trial
-    /// order, into reconfig_result::metrics (--metrics).
-    bool collect_metrics = false;
-    /// Export trial 0's event trace into reconfig_result::trace
-    /// (--trace). Empty when the build has BLUESCALE_TRACE=OFF.
-    bool collect_trace = false;
+    /// Fabric supervision (BlueScale only); nullopt disables it.
+    std::optional<core::health_config> health = core::health_config{};
 };
 
-struct reconfig_result {
-    ic_kind kind{};
-    std::uint32_t n_clients = 0;
-    std::uint32_t trials = 0;
-    std::uint32_t feasible_trials = 0;
-
-    // --- admission control (BlueScale; zero for baselines) -------------
-    std::uint64_t submitted = 0;
-    std::uint64_t admitted = 0; ///< passed the admission test (staged)
-    std::uint64_t committed = 0;
-    std::uint64_t rolled_back = 0;
-    std::uint64_t rejected_infeasible = 0;
-    std::uint64_t rejected_overutilized = 0;
-    std::uint64_t rejected_path_hazard = 0;
-    /// Modeled parameter-path propagation latency of admitted requests.
-    stats::sample_set reconfig_latency_cycles;
-    /// Deadline misses accrued between a request's submission and its
-    /// resolution (the transition window).
-    std::uint64_t transition_misses = 0;
-    /// Unconditional zero-latency applications (baselines only).
-    std::uint64_t applied_unchecked = 0;
-
-    // --- watchdog / overload shedding (BlueScale only) ------------------
-    std::uint64_t windows_checked = 0;
-    std::uint64_t violating_windows = 0;
-    std::uint64_t supply_shortfall_alarms = 0;
-    std::uint64_t shed_events = 0;
-    std::uint64_t restore_events = 0;
-    std::uint64_t shed_client_cycles = 0;
-
-    // --- per-class outcome ----------------------------------------------
-    stats::sample_set miss_ratio; ///< per-trial, all clients
-    std::uint64_t hard_misses = 0;
-    std::uint64_t best_effort_misses = 0;
-    std::uint64_t shed_deferrals = 0;
-    std::uint64_t live_reconfigurations = 0; ///< task-set swaps applied
-
-    /// The aggregates above re-expressed as obs metrics
-    /// ("reconfig_exp/<name>": counters for the totals, sample metrics
-    /// for the per-trial series). Always populated; the bench driver
-    /// renders its --csv row cells from this via obs::metric_cells.
-    obs::snapshot totals;
-    /// Per-trial registry snapshots merged in trial order, when
-    /// cfg.collect_metrics. Byte-identical across --threads settings.
-    obs::snapshot metrics;
-    /// Trial 0's event trace, when cfg.collect_trace.
-    obs::trace_export trace;
-
-    [[nodiscard]] double admission_ratio() const {
-        return submitted == 0 ? 0.0
-                              : static_cast<double>(admitted) /
-                                    static_cast<double>(submitted);
-    }
-};
-
-/// Runs `cfg.trials` trials of one design under the same per-trial
-/// workloads and reconfiguration schedules (both pure functions of the
-/// trial seed, so designs are compared on identical request sequences).
-[[nodiscard]] reconfig_result run_reconfig(ic_kind kind,
-                                           const reconfig_exp_config& cfg);
+/// Runs `cfg.sweep.trials` trials of one design under the same
+/// per-trial workloads and reconfiguration schedules (both pure functions
+/// of the trial seed, so designs are compared on identical request
+/// sequences).
+///
+/// totals ("reconfig_exp/"), admission control (BlueScale; zero for
+/// baselines): counters submitted, admitted (passed the admission test),
+/// committed, rolled_back, rejected_infeasible, rejected_overutilized,
+/// rejected_path_hazard, transition_misses (deadline misses between a
+/// request's submission and its resolution), the real admission_ratio
+/// (admitted / submitted), and the sample latency_cycles (modeled
+/// parameter-path latency of admitted requests); applied_unchecked
+/// (unconditional zero-latency applications, baselines only). Watchdog:
+/// windows_checked, violating_windows, supply_shortfall_alarms,
+/// shed_events, restore_events, shed_client_cycles. Per class: the
+/// per-trial sample miss_ratio (all clients), hard_misses,
+/// best_effort_misses, shed_deferrals, live_reconfigurations (task-set
+/// swaps applied) and feasible_trials.
+[[nodiscard]] sweep_result run_reconfig(ic_kind kind,
+                                        const reconfig_exp_config& cfg);
 
 } // namespace bluescale::harness

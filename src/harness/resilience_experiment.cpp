@@ -1,242 +1,87 @@
 #include "harness/resilience_experiment.hpp"
 
-#include <memory>
-#include <utility>
-
-#include "analysis/quadtree.hpp"
 #include "core/bluescale_ic.hpp"
-#include "harness/testbench.hpp"
-#include "sim/fault.hpp"
-#include "sim/trial_runner.hpp"
-#include "workload/traffic_generator.hpp"
+#include "harness/traffic_trial.hpp"
+#include "stats/summary.hpp"
 
 namespace bluescale::harness {
 
-namespace {
+sweep_result run_resilience(ic_kind kind, const resilience_config& cfg) {
+    return run_sweep(cfg.sweep, "resilience/", [&](trial_record& rec) {
+        // Identical workload and fault schedule per design at the same
+        // trial seed.
+        rng workload_rng(rec.seed());
+        auto tasksets = workload::make_client_tasksets(
+            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
+            cfg.taskset);
+        const sim::fault_campaign campaign(
+            fabric_campaign(rec.seed(), cfg.n_clients, cfg.measure_cycles,
+                            cfg.fault_intensity));
 
-/// One simulated trial of one design under one fault schedule.
-struct trial_metrics {
-    double miss_ratio = 0.0;
-    double p99_latency = 0.0;
-    double worst_latency = 0.0;
-    double mean_time_to_recover = 0.0;
-    bool any_recovery = false;
-    bool selection_feasible = false;
-
-    std::uint64_t injected_events = 0;
-    std::uint64_t stall_windows = 0;
-    std::uint64_t se_stall_cycles = 0;
-    std::uint64_t link_drops = 0;
-    std::uint64_t ecc_retries = 0;
-    std::uint64_t uncorrected_errors = 0;
-    std::uint64_t storm_cycles = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t retry_exhausted = 0;
-    std::uint64_t stale_responses = 0;
-    std::uint64_t failed_responses = 0;
-    std::uint64_t degrade_events = 0;
-    std::uint64_t recovery_events = 0;
-    std::uint64_t degraded_se_cycles = 0;
-
-    obs::snapshot metrics;   ///< when cfg.collect_metrics
-    obs::trace_export trace; ///< when cfg.collect_trace, trial 0 only
-};
-
-trial_metrics run_trial(ic_kind kind, const resilience_config& cfg,
-                        std::uint32_t trial, std::uint64_t trial_seed) {
-    rng workload_rng(trial_seed);
-
-    // Identical workload per design at the same trial seed.
-    auto tasksets = workload::make_client_tasksets(
-        workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi, cfg.taskset);
-
-    // Identical fault schedule per design too: the campaign is a pure
-    // function of the trial seed, targeted at the BlueScale-sized SE
-    // population (baselines collapse link/stall targets onto what they
-    // have -- see interconnect::inject_campaign).
-    sim::fault_campaign_config fc;
-    fc.seed = substream(trial_seed, 0xFA171ull);
-    fc.horizon = cfg.measure_cycles;
-    fc.events_per_kcycle = cfg.fault_intensity;
-    fc.n_elements =
-        analysis::make_quadtree_shape(cfg.n_clients).total_ses();
-    const sim::fault_campaign campaign(fc);
-
-    testbench_options opts;
-    opts.n_clients = cfg.n_clients;
-    opts.memctrl = cfg.memctrl;
-    opts.bluetree_alpha = cfg.bluetree_alpha;
-    opts.faults = campaign.empty() ? nullptr : &campaign;
-    if (cfg.enable_health) opts.health = cfg.health;
-    opts.client_utilizations.reserve(tasksets.size());
-    for (const auto& ts : tasksets) {
-        opts.client_utilizations.push_back(workload::utilization(ts));
-    }
-    std::vector<analysis::task_set> rt_sets;
-    if (kind == ic_kind::bluescale) {
-        rt_sets.reserve(tasksets.size());
-        for (const auto& ts : tasksets) {
-            rt_sets.push_back(workload::to_rt_tasks(ts));
-        }
-        opts.rt_sets = &rt_sets;
-    }
-
-    testbench tb(kind, opts);
-
-    std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-    clients.reserve(cfg.n_clients);
-    workload::traffic_gen_config tg_cfg;
-    tg_cfg.unit_cycles = tb.unit_cycles();
-    tg_cfg.retry_timeout_cycles = cfg.retry_timeout_cycles;
-    tg_cfg.max_retries = cfg.max_retries;
-    for (std::uint32_t c = 0; c < cfg.n_clients; ++c) {
-        clients.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets[c], tb.ic(), substream(trial_seed, c), tg_cfg));
-        auto* client = clients.back().get();
-        client->bind_observability(tb.metrics());
-        tb.add_client(c, *client, [client](mem_request&& r) {
-            client->on_response(std::move(r));
+        testbench_options opts;
+        opts.memctrl = cfg.memctrl;
+        opts.bluetree_alpha = cfg.bluetree_alpha;
+        opts.faults = campaign.empty() ? nullptr : &campaign;
+        opts.health = cfg.health;
+        traffic_trial tt(rec, kind, std::move(tasksets), opts);
+        workload::traffic_gen_config tg;
+        tg.retry_timeout_cycles = cfg.retry_timeout_cycles;
+        tg.max_retries = cfg.max_retries;
+        tt.add_clients(tg, [&](std::uint32_t c) {
+            return substream(rec.seed(), c);
         });
-    }
+        testbench& tb = tt.tb();
+        tb.run(cfg.measure_cycles);
 
-    tb.run(cfg.measure_cycles);
+        rec.counter("feasible_trials").inc(tb.selection_feasible());
+        rec.counter("injected_events").inc(campaign.size());
+        rec.sample("miss_ratio").add(tt.finalize(0).ratio());
+        stats::sample_set latency;
+        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
+            const auto& s = tt.client(c).stats();
+            for (double l : s.latency_cycles().samples()) latency.add(l);
+            rec.counter("retries").inc(s.retries());
+            rec.counter("timeouts").inc(s.timeouts());
+            rec.counter("retry_exhausted").inc(s.retry_exhausted());
+            rec.counter("stale_responses").inc(s.stale_responses());
+            rec.counter("failed_responses").inc(s.failed_responses());
+        }
+        rec.sample("p99_latency_cycles").add(latency.percentile(99.0));
+        rec.sample("worst_latency_cycles").add(latency.max());
 
-    trial_metrics out;
-    out.selection_feasible = tb.selection_feasible();
-    out.injected_events = campaign.size();
+        rec.counter("link_drops").inc(tb.ic().link_dropped());
+        rec.counter("ecc_retries").inc(tb.memctrl().ecc_retries());
+        rec.counter("uncorrected_errors")
+            .inc(tb.memctrl().uncorrected_errors());
+        rec.counter("storm_cycles").inc(tb.memctrl().storm_cycles());
 
-    stats::sample_set latency;
-    std::uint64_t missed = 0;
-    std::uint64_t accounted = 0;
-    for (auto& c : clients) {
-        c->finalize(tb.now());
-        const auto& s = c->stats();
-        for (double l : s.latency_cycles().samples()) latency.add(l);
-        missed += s.missed();
-        accounted += s.completed() + s.abandoned();
-        out.retries += s.retries();
-        out.timeouts += s.timeouts();
-        out.retry_exhausted += s.retry_exhausted();
-        out.stale_responses += s.stale_responses();
-        out.failed_responses += s.failed_responses();
-    }
-    out.miss_ratio = accounted == 0 ? 0.0
-                                    : static_cast<double>(missed) /
-                                          static_cast<double>(accounted);
-    out.p99_latency = latency.percentile(99.0);
-    out.worst_latency = latency.max();
-
-    out.link_drops = tb.ic().link_dropped();
-    out.ecc_retries = tb.memctrl().ecc_retries();
-    out.uncorrected_errors = tb.memctrl().uncorrected_errors();
-    out.storm_cycles = tb.memctrl().storm_cycles();
-
-    if (auto* bs = dynamic_cast<core::bluescale_ic*>(&tb.ic())) {
-        const auto& shape = bs->shape();
-        for (std::uint32_t l = 0; l <= shape.leaf_level; ++l) {
-            for (std::uint32_t y = 0; y < shape.ses_at_level(l); ++y) {
-                out.se_stall_cycles += bs->se_at(l, y).fault_stall_cycles();
-                out.stall_windows += bs->se_at(l, y).stall_windows_entered();
+        auto stall_cycles = rec.counter("se_stall_cycles");
+        auto stall_windows = rec.counter("stall_windows");
+        if (auto* bs = dynamic_cast<core::bluescale_ic*>(&tb.ic())) {
+            const auto& shape = bs->shape();
+            for (std::uint32_t l = 0; l <= shape.leaf_level; ++l) {
+                for (std::uint32_t y = 0; y < shape.ses_at_level(l); ++y) {
+                    stall_cycles.inc(bs->se_at(l, y).fault_stall_cycles());
+                    stall_windows.inc(
+                        bs->se_at(l, y).stall_windows_entered());
+                }
             }
         }
-    }
-    if (const auto* mon = tb.health()) {
-        const auto report = mon->report();
-        out.degrade_events = report.degrade_events;
-        out.recovery_events = report.recovery_events;
-        out.degraded_se_cycles = report.degraded_se_cycles;
-        if (report.time_to_recover.count() > 0) {
-            out.mean_time_to_recover = report.time_to_recover.mean();
-            out.any_recovery = true;
+        auto degrade = rec.counter("degrade_events");
+        auto recover = rec.counter("recovery_events");
+        auto degraded_cycles = rec.counter("degraded_se_cycles");
+        auto ttr = rec.sample("time_to_recover_cycles");
+        if (const auto* mon = tb.health()) {
+            const auto report = mon->report();
+            degrade.inc(report.degrade_events);
+            recover.inc(report.recovery_events);
+            degraded_cycles.inc(report.degraded_se_cycles);
+            if (report.time_to_recover.count() > 0) {
+                ttr.add(report.time_to_recover.mean());
+            }
         }
-    }
-    if (cfg.collect_metrics) out.metrics = tb.metrics().take_snapshot();
-    if (cfg.collect_trace && trial == 0) out.trace = tb.trace().export_all();
-    return out;
-}
-
-} // namespace
-
-resilience_result run_resilience(ic_kind kind,
-                                 const resilience_config& cfg) {
-    resilience_result result;
-    result.kind = kind;
-    result.fault_intensity = cfg.fault_intensity;
-    result.n_clients = cfg.n_clients;
-
-    // Trials are independent (the per-trial seed is a pure function of
-    // the trial counter) and the runner returns them in trial order, so
-    // this aggregation is bit-identical for any thread count.
-    const sim::trial_runner runner(cfg.threads);
-    auto per_trial = runner.run(cfg.trials, [&](std::uint32_t t) {
-        return run_trial(kind, cfg, t, cfg.seed + t);
+        rec.capture(tb);
     });
-    for (const auto& m : per_trial) {
-        result.miss_ratio.add(m.miss_ratio);
-        result.p99_latency_cycles.add(m.p99_latency);
-        result.worst_latency_cycles.add(m.worst_latency);
-        if (m.any_recovery) {
-            result.time_to_recover_cycles.add(m.mean_time_to_recover);
-        }
-        if (m.selection_feasible) ++result.feasible_trials;
-        result.injected_events += m.injected_events;
-        result.stall_windows += m.stall_windows;
-        result.se_stall_cycles += m.se_stall_cycles;
-        result.link_drops += m.link_drops;
-        result.ecc_retries += m.ecc_retries;
-        result.uncorrected_errors += m.uncorrected_errors;
-        result.storm_cycles += m.storm_cycles;
-        result.retries += m.retries;
-        result.timeouts += m.timeouts;
-        result.retry_exhausted += m.retry_exhausted;
-        result.stale_responses += m.stale_responses;
-        result.failed_responses += m.failed_responses;
-        result.degrade_events += m.degrade_events;
-        result.recovery_events += m.recovery_events;
-        result.degraded_se_cycles += m.degraded_se_cycles;
-        // Trial order makes the merged snapshot bit-identical for any
-        // --threads (see obs::snapshot::merge).
-        if (cfg.collect_metrics) result.metrics.merge(m.metrics);
-    }
-    if (cfg.collect_trace && !per_trial.empty()) {
-        result.trace = std::move(per_trial.front().trace);
-    }
-
-    // Re-express the experiment-level aggregates as obs metrics so the
-    // bench driver's --csv cells come out of the one exporter path
-    // (obs::metric_cells) instead of hand-rolled std::to_string glue.
-    obs::registry agg;
-    const auto put_counter = [&agg](const char* name, std::uint64_t v) {
-        agg.make_counter(std::string("resilience/") + name).inc(v);
-    };
-    const auto put_samples = [&agg](const char* name,
-                                    const stats::sample_set& s) {
-        auto h = agg.make_sample(std::string("resilience/") + name);
-        for (double x : s.samples()) h.add(x);
-    };
-    put_samples("miss_ratio", result.miss_ratio);
-    put_samples("p99_latency_cycles", result.p99_latency_cycles);
-    put_samples("worst_latency_cycles", result.worst_latency_cycles);
-    put_samples("time_to_recover_cycles", result.time_to_recover_cycles);
-    put_counter("injected_events", result.injected_events);
-    put_counter("stall_windows", result.stall_windows);
-    put_counter("se_stall_cycles", result.se_stall_cycles);
-    put_counter("link_drops", result.link_drops);
-    put_counter("ecc_retries", result.ecc_retries);
-    put_counter("uncorrected_errors", result.uncorrected_errors);
-    put_counter("storm_cycles", result.storm_cycles);
-    put_counter("retries", result.retries);
-    put_counter("timeouts", result.timeouts);
-    put_counter("retry_exhausted", result.retry_exhausted);
-    put_counter("stale_responses", result.stale_responses);
-    put_counter("failed_responses", result.failed_responses);
-    put_counter("degrade_events", result.degrade_events);
-    put_counter("recovery_events", result.recovery_events);
-    put_counter("degraded_se_cycles", result.degraded_se_cycles);
-    put_counter("feasible_trials", result.feasible_trials);
-    result.totals = agg.take_snapshot();
-    return result;
 }
 
 } // namespace bluescale::harness

@@ -10,28 +10,22 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "core/health_monitor.hpp"
 #include "harness/factory.hpp"
+#include "harness/trial_sweep.hpp"
 #include "mem/memory_controller.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
-#include "stats/summary.hpp"
 #include "workload/taskset_gen.hpp"
 
 namespace bluescale::harness {
 
 struct resilience_config {
     std::uint32_t n_clients = 16;
-    std::uint32_t trials = 20;
+    sweep_options sweep = {};
     cycle_t measure_cycles = 100'000;
     double util_lo = 0.70;
     double util_hi = 0.90;
-    std::uint64_t seed = 1;
-    /// Worker threads for the trial sweep (0 = all hardware threads).
-    /// Results are bit-identical for any setting; see sim::trial_runner.
-    unsigned threads = 1;
     workload::taskset_params taskset = {
         .n_tasks = 4,
         .total_utilization = 0.05, // overridden per trial by util_lo/hi
@@ -51,63 +45,22 @@ struct resilience_config {
     cycle_t retry_timeout_cycles = 2048;
     std::uint32_t max_retries = 3;
     /// Fabric supervision (BlueScale only; baselines have no elements to
-    /// degrade). Disabled when enable_health is false.
-    bool enable_health = true;
-    core::health_config health = {};
-
-    /// Snapshot each trial's obs::registry and merge them, in trial
-    /// order, into resilience_result::metrics (--metrics).
-    bool collect_metrics = false;
-    /// Export trial 0's event trace into resilience_result::trace
-    /// (--trace). Empty when the build has BLUESCALE_TRACE=OFF.
-    bool collect_trace = false;
+    /// degrade); nullopt disables it.
+    std::optional<core::health_config> health = core::health_config{};
 };
 
-struct resilience_result {
-    ic_kind kind{};
-    double fault_intensity = 0.0;
-    std::uint32_t n_clients = 0;
-    std::uint32_t feasible_trials = 0;
-
-    // Per-trial samples (cross-trial mean/sd available via sample_set).
-    stats::sample_set miss_ratio;            ///< in [0, 1]
-    stats::sample_set p99_latency_cycles;    ///< per-trial p99 latency
-    stats::sample_set worst_latency_cycles;  ///< per-trial max latency
-    stats::sample_set time_to_recover_cycles; ///< per-trial mean span
-
-    // Counter totals summed over trials.
-    std::uint64_t injected_events = 0;  ///< campaign events scheduled
-    std::uint64_t stall_windows = 0;    ///< SE stall windows entered
-    std::uint64_t se_stall_cycles = 0;
-    std::uint64_t link_drops = 0;
-    std::uint64_t ecc_retries = 0;
-    std::uint64_t uncorrected_errors = 0;
-    std::uint64_t storm_cycles = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t retry_exhausted = 0;
-    std::uint64_t stale_responses = 0;
-    std::uint64_t failed_responses = 0;
-    std::uint64_t degrade_events = 0;
-    std::uint64_t recovery_events = 0;
-    std::uint64_t degraded_se_cycles = 0;
-
-    /// The aggregates above re-expressed as obs metrics
-    /// ("resilience/<name>": counters for the totals, sample metrics for
-    /// the per-trial series). Always populated; the bench driver renders
-    /// its --csv row cells from this via obs::metric_cells.
-    obs::snapshot totals;
-    /// Per-trial registry snapshots merged in trial order, when
-    /// cfg.collect_metrics. Byte-identical across --threads settings.
-    obs::snapshot metrics;
-    /// Trial 0's event trace, when cfg.collect_trace.
-    obs::trace_export trace;
-};
-
-/// Runs `cfg.trials` trials of one design at cfg.fault_intensity. Every
-/// design sees identical per-trial workloads AND fault schedules (both
-/// are pure functions of the trial seed).
-[[nodiscard]] resilience_result run_resilience(ic_kind kind,
-                                               const resilience_config& cfg);
+/// Runs `cfg.sweep.trials` trials of one design at cfg.fault_intensity.
+/// Every design sees identical per-trial workloads AND fault schedules
+/// (both are pure functions of the trial seed).
+///
+/// totals ("resilience/"): per-trial samples miss_ratio (in [0, 1]),
+/// p99_latency_cycles, worst_latency_cycles and time_to_recover_cycles
+/// (mean span, trials with a recovery only); counters injected_events,
+/// stall_windows, se_stall_cycles, link_drops, ecc_retries,
+/// uncorrected_errors, storm_cycles, retries, timeouts, retry_exhausted,
+/// stale_responses, failed_responses, degrade_events, recovery_events,
+/// degraded_se_cycles and feasible_trials.
+[[nodiscard]] sweep_result run_resilience(ic_kind kind,
+                                          const resilience_config& cfg);
 
 } // namespace bluescale::harness

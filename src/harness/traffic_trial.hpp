@@ -1,0 +1,111 @@
+// The synthetic-traffic pipeline shared by the Fig. 6 experiment and its
+// robustness extensions (resilience, maintenance, reconfig, svc_storm):
+// one task set per client, the testbench assembled around them, one
+// traffic generator per client, and the hard/best-effort miss split at
+// the end. Experiments add what is theirs -- fault campaigns,
+// supervisors, reconfiguration schedules -- through testbench_options
+// and tb().
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "harness/testbench.hpp"
+#include "harness/trial_sweep.hpp"
+#include "sim/fault.hpp"
+#include "sim/reconfig_schedule.hpp"
+#include "workload/taskset_gen.hpp"
+#include "workload/traffic_generator.hpp"
+
+namespace bluescale::harness {
+
+/// Deadline misses split by client class, over finalized clients.
+struct class_misses {
+    std::uint64_t hard = 0;
+    std::uint64_t best_effort = 0;
+    std::uint64_t hard_accounted = 0; ///< completed + abandoned jobs
+    std::uint64_t best_effort_accounted = 0;
+
+    /// All clients' miss ratio.
+    [[nodiscard]] double ratio() const {
+        return harness::ratio(hard + best_effort,
+                              hard_accounted + best_effort_accounted);
+    }
+};
+
+class traffic_trial {
+public:
+    /// Assembles trial `rec`'s testbench for `tasksets` (one per client):
+    /// sets opts.n_clients, opts.client_utilizations and opts.rt_sets (the
+    /// whole-tree selection input), and lets `rec` watch the simulator.
+    traffic_trial(trial_record& rec, ic_kind kind,
+                  std::vector<workload::memory_task_set> tasksets,
+                  testbench_options opts);
+
+    traffic_trial(const traffic_trial&) = delete;
+    traffic_trial& operator=(const traffic_trial&) = delete;
+
+    [[nodiscard]] testbench& tb() { return tb_; }
+    [[nodiscard]] std::uint32_t n_clients() const {
+        return static_cast<std::uint32_t>(tasksets_.size());
+    }
+    [[nodiscard]] workload::traffic_generator& client(std::uint32_t c) {
+        return *clients_[c];
+    }
+
+    /// Constructs client c's generator (unit_cycles from the testbench,
+    /// seeded with seed_of(c)), binds it into the trial registry and
+    /// registers it with the testbench, for every client.
+    void add_clients(workload::traffic_gen_config tg,
+                     const std::function<std::uint64_t(std::uint32_t)>&
+                         seed_of);
+
+    /// Hands every client to the supply watchdog (no-op without one):
+    /// the last `best_effort` client ids are sheddable, the rest hard.
+    void track_clients(std::uint32_t best_effort);
+
+    /// Finalizes every client at tb().now() and splits their misses,
+    /// the last `best_effort` client ids counting as best-effort.
+    [[nodiscard]] class_misses finalize(std::uint32_t best_effort);
+
+    /// Sum of every client's misses so far.
+    [[nodiscard]] std::uint64_t missed() const;
+
+    /// Draws the trial's reconfiguration schedule from `sc` (seeded from
+    /// the trial seed, so every design sees the identical request
+    /// sequence; horizon and client count set here), runs the trial up to
+    /// each event and hands it to `submit` with the task set it asks for
+    /// (a pure function of the trial seed and the event index, from the
+    /// client's current utilization and the `tmpl` task shape); then runs
+    /// on to `horizon`.
+    void run_schedule(
+        sim::reconfig_schedule_config sc, cycle_t horizon,
+        const workload::taskset_params& tmpl,
+        const std::function<void(const sim::reconfig_event&,
+                                 workload::memory_task_set)>& submit);
+
+private:
+    [[nodiscard]] bool is_best_effort(std::uint32_t c,
+                                      std::uint32_t best_effort) const {
+        return c + best_effort >= n_clients();
+    }
+
+    std::uint64_t trial_seed_;
+    std::vector<workload::memory_task_set> tasksets_;
+    std::vector<analysis::task_set> rt_sets_;
+    testbench tb_;
+    std::vector<std::unique_ptr<workload::traffic_generator>> clients_;
+};
+
+/// The fabric fault campaign of one trial: a substream of the trial seed
+/// (so every design sees the identical schedule), targeted at the
+/// BlueScale-sized SE population of `n_clients` (baselines collapse
+/// link/stall targets onto what they have -- see
+/// interconnect::inject_campaign).
+[[nodiscard]] sim::fault_campaign_config
+fabric_campaign(std::uint64_t trial_seed, std::uint32_t n_clients,
+                cycle_t horizon, double events_per_kcycle);
+
+} // namespace bluescale::harness

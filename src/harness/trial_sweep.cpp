@@ -1,0 +1,76 @@
+#include "harness/trial_sweep.hpp"
+
+#include <utility>
+
+#include "harness/testbench.hpp"
+#include "sim/trial_runner.hpp"
+
+namespace bluescale::harness {
+
+trial_record::trial_record(const sweep_options& opts,
+                           std::string_view prefix, std::uint32_t index)
+    : opts_(opts), prefix_(prefix), index_(index) {}
+
+obs::counter trial_record::counter(std::string_view name) {
+    return values_.make_counter(prefix_ + std::string(name));
+}
+
+obs::sample trial_record::sample(std::string_view name) {
+    return values_.make_sample(prefix_ + std::string(name));
+}
+
+void trial_record::watch(testbench& tb) {
+    if (opts_.profile) tb.sim().enable_profiling(tb.metrics());
+}
+
+void trial_record::capture(testbench& tb) {
+    if (opts_.collect_metrics) out_.metrics = tb.metrics().take_snapshot();
+    if (opts_.collect_trace && index_ == 0) {
+        out_.trace = tb.trace().export_all();
+    }
+    if (opts_.profile) {
+        out_.profile = tb.metrics().take_snapshot(true).profile_only();
+    }
+}
+
+sweep_result trial_record::take() && {
+    out_.totals = values_.take_snapshot();
+    return std::move(out_);
+}
+
+sweep_result run_sweep(const sweep_options& opts, std::string_view prefix,
+                       const std::function<void(trial_record&)>& trial) {
+    sim::trial_runner runner(opts.threads);
+    obs::registry sweep_prof;
+    if (opts.profile) runner.profile_to(sweep_prof);
+    auto per_trial = runner.run(opts.trials, [&](std::uint32_t t) {
+        trial_record rec(opts, prefix, t);
+        trial(rec);
+        return std::move(rec).take();
+    });
+
+    // The runner returns trials in trial order, so these merges are
+    // bit-identical for any thread count.
+    sweep_result out;
+    for (const auto& t : per_trial) {
+        out.totals.merge(t.totals);
+        out.metrics.merge(t.metrics);
+        out.profile.merge(t.profile);
+    }
+    if (!per_trial.empty()) out.trace = std::move(per_trial.front().trace);
+    if (opts.profile) out.profile.merge(sweep_prof.take_snapshot(true));
+    return out;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+}
+
+void set_real(obs::snapshot& snap, std::string name, double v) {
+    obs::registry derived;
+    derived.make_real(std::move(name)).set(v);
+    snap.merge(derived.take_snapshot());
+}
+
+} // namespace bluescale::harness

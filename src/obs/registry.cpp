@@ -95,6 +95,12 @@ const metric_value* snapshot::find(std::string_view name) const {
     return &it->second;
 }
 
+const metric_value& snapshot::get(std::string_view name) const {
+    static const metric_value k_absent;
+    const metric_value* v = find(name);
+    return v == nullptr ? k_absent : *v;
+}
+
 void snapshot::merge(const snapshot& other) {
     // Both entry lists are name-sorted: a single linear merge keeps the
     // result sorted and appends other's samples after this one's --

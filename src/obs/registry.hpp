@@ -164,6 +164,9 @@ public:
     }
     [[nodiscard]] bool empty() const { return entries_.empty(); }
     [[nodiscard]] const metric_value* find(std::string_view name) const;
+    /// The named metric, or an empty one (zero count, no samples) when
+    /// absent -- the same missing-is-zero rule metric_cells applies.
+    [[nodiscard]] const metric_value& get(std::string_view name) const;
 
     /// Accumulates `other` into this snapshot: counters/gauges/reals sum,
     /// sample sets append in call order (so merging per-trial snapshots in

@@ -29,31 +29,6 @@ const char* breaker_state_name(breaker_state s) {
     return "?";
 }
 
-namespace {
-
-inline constexpr std::uint64_t k_fnv_offset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t k_fnv_prime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xffu)) * k_fnv_prime;
-        v >>= 8;
-    }
-    return h;
-}
-
-/// Order-sensitive hash of the requested task set.
-std::uint64_t task_set_hash(const analysis::task_set& tasks) {
-    std::uint64_t h = fnv1a(k_fnv_offset, tasks.size());
-    for (const auto& t : tasks) {
-        h = fnv1a(h, t.period);
-        h = fnv1a(h, t.wcet);
-    }
-    return h;
-}
-
-} // namespace
-
 analysis_service::analysis_service(core::reconfig_manager& mgr,
                                    service_config cfg)
     : component("analysis_service"), mgr_(mgr), cfg_(cfg),
@@ -410,16 +385,6 @@ void analysis_service::note_eval_cost(std::uint64_t work, bool degraded,
     }
 }
 
-std::uint64_t
-analysis_service::cache_key(std::uint32_t client,
-                            const analysis::task_set& tasks,
-                            bool degraded) const {
-    std::uint64_t h = analysis::subtree_signature(
-        mgr_.committed(), mgr_.client_tasks(), client);
-    h = fnv1a(h, task_set_hash(tasks));
-    return fnv1a(h, degraded ? 1 : 0);
-}
-
 void analysis_service::run_evaluation(std::uint64_t id, worker& w,
                                       cycle_t now) {
     request_state& st = states_[id];
@@ -433,7 +398,7 @@ void analysis_service::run_evaluation(std::uint64_t id, worker& w,
     const bool degraded = breaker_ == breaker_state::open;
 
     std::uint64_t busy_cycles = 0;
-    const std::uint64_t key = cache_key(rec.client, st.tasks, degraded);
+    cache_key key{rec.client, degraded, st.tasks};
     const auto hit = cfg_.cache_capacity != 0 ? cache_.find(key)
                                               : cache_.end();
     if (hit != cache_.end()) {
@@ -450,8 +415,9 @@ void analysis_service::run_evaluation(std::uint64_t id, worker& w,
         busy_cycles = std::max<std::uint64_t>(cfg_.min_eval_cycles,
                                               st.eval.report.total_cycles);
         if (cfg_.cache_capacity != 0) {
-            cache_.emplace(key, cache_entry{st.eval, degraded});
-            cache_fifo_.push_back(key);
+            cache_fifo_.push_back(
+                cache_.emplace(std::move(key), cache_entry{st.eval, degraded})
+                    .first);
             if (cache_.size() > cfg_.cache_capacity) {
                 cache_.erase(cache_fifo_.front());
                 cache_fifo_.pop_front();

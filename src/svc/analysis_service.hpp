@@ -29,9 +29,10 @@
 //     precision -- sound, may reject feasible requests; reported in the
 //     response record and the obs metrics). After a cooldown the breaker
 //     half-opens and probes with full precision before closing.
-//   * A result cache keyed on the (Pi, Theta) subtree signature
-//     (analysis::subtree_signature) plus the request's task set, cleared
-//     whenever the manager commits a reconfiguration.
+//   * A result cache keyed on the full request (client, precision, task
+//     set), compared in full, and cleared whenever the manager commits a
+//     reconfiguration -- the only event that changes the committed state
+//     an evaluation reads.
 //   * Seed-driven worker faults (sim::fault_campaign worker_crash /
 //     worker_stall slices): a crash re-queues the in-flight request
 //     exactly once at the queue front; a stall defers completion cycle
@@ -225,10 +226,19 @@ private:
         cycle_t done_at = 0;
     };
 
+    /// Everything an evaluation depends on besides the committed state
+    /// (which the cache is cleared on), compared in full.
+    struct cache_key {
+        std::uint32_t client = 0;
+        bool degraded = false;
+        analysis::task_set tasks;
+        friend auto operator<=>(const cache_key&, const cache_key&) = default;
+    };
     struct cache_entry {
         core::admission_evaluation eval;
         bool degraded = false;
     };
+    using result_cache = std::map<cache_key, cache_entry>;
 
     [[nodiscard]] bool expired_now(const request_state& st,
                                    cycle_t now) const;
@@ -248,9 +258,6 @@ private:
     void note_eval_cost(std::uint64_t work, bool degraded, cycle_t now);
     [[nodiscard]] cycle_t backoff_delay(std::uint64_t id,
                                         std::uint32_t attempt) const;
-    [[nodiscard]] std::uint64_t cache_key(std::uint32_t client,
-                                          const analysis::task_set& tasks,
-                                          bool degraded) const;
 
     core::reconfig_manager& mgr_;
     service_config cfg_;
@@ -269,8 +276,9 @@ private:
     cycle_t breaker_reopen_at_ = 0;
 
     std::uint64_t cache_version_ = 0; ///< manager version the cache is for
-    std::map<std::uint64_t, cache_entry> cache_;
-    std::deque<std::uint64_t> cache_fifo_; ///< insertion order (eviction)
+    result_cache cache_;
+    /// Insertion order (FIFO eviction).
+    std::deque<result_cache::iterator> cache_fifo_;
 
     std::vector<request_record> records_;
     std::vector<request_state> states_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "../test_util.hpp"
 #include "harness/factory.hpp"
 #include "harness/fig6_experiment.hpp"
 
@@ -9,33 +12,37 @@ namespace {
 fig6_config small_config() {
     fig6_config cfg;
     cfg.n_clients = 16;
-    cfg.trials = 2;
+    cfg.sweep.trials = 2;
     cfg.measure_cycles = 8'000;
-    cfg.seed = 99;
+    cfg.sweep.seed = 99;
     return cfg;
+}
+
+const stats::sample_set& samples(const sweep_result& r, const char* name) {
+    return r.totals.get(std::string("fig6/") + name).samples;
 }
 
 TEST(fig6, produces_per_trial_samples) {
     const auto r = run_fig6(ic_kind::bluescale, small_config());
-    EXPECT_EQ(r.blocking_us.count(), 2u);
-    EXPECT_EQ(r.miss_ratio.count(), 2u);
-    EXPECT_EQ(r.n_clients, 16u);
-    EXPECT_GT(r.system_clock_mhz, 0.0);
+    EXPECT_EQ(samples(r, "blocking_us").count(), 2u);
+    EXPECT_EQ(samples(r, "miss_ratio").count(), 2u);
+    EXPECT_GT(r.totals.get("fig6/system_clock_mhz").value, 0.0);
 }
 
 TEST(fig6, bluescale_selection_feasible_at_paper_utilizations) {
     const auto r = run_fig6(ic_kind::bluescale, small_config());
-    EXPECT_EQ(r.feasible_trials, 2u);
+    EXPECT_EQ(r.totals.get("fig6/feasible_trials").count, 2u);
 }
 
 TEST(fig6, metrics_within_sane_ranges) {
     for (ic_kind kind :
          {ic_kind::bluescale, ic_kind::bluetree, ic_kind::gsmtree_tdm}) {
         const auto r = run_fig6(kind, small_config());
-        EXPECT_GE(r.miss_ratio.min(), 0.0) << kind_name(kind);
-        EXPECT_LE(r.miss_ratio.max(), 1.0) << kind_name(kind);
-        EXPECT_GE(r.blocking_us.min(), 0.0) << kind_name(kind);
-        EXPECT_LE(r.blocking_us.mean(), r.worst_blocking_us.max())
+        EXPECT_GE(samples(r, "miss_ratio").min(), 0.0) << kind_name(kind);
+        EXPECT_LE(samples(r, "miss_ratio").max(), 1.0) << kind_name(kind);
+        EXPECT_GE(samples(r, "blocking_us").min(), 0.0) << kind_name(kind);
+        EXPECT_LE(fig6_mean(r, "blocking_us"),
+                  samples(r, "worst_blocking_us").max())
             << kind_name(kind);
     }
 }
@@ -43,33 +50,35 @@ TEST(fig6, metrics_within_sane_ranges) {
 TEST(fig6, deterministic_given_seed) {
     const auto a = run_fig6(ic_kind::bluetree, small_config());
     const auto b = run_fig6(ic_kind::bluetree, small_config());
-    EXPECT_EQ(a.blocking_us.mean(), b.blocking_us.mean());
-    EXPECT_EQ(a.miss_ratio.mean(), b.miss_ratio.mean());
+    EXPECT_TRUE(testing::same_snapshot(a.totals, b.totals));
 }
 
 TEST(fig6, different_seeds_differ) {
     auto cfg = small_config();
     const auto a = run_fig6(ic_kind::bluetree, cfg);
-    cfg.seed = 12345;
+    cfg.sweep.seed = 12345;
     const auto b = run_fig6(ic_kind::bluetree, cfg);
-    EXPECT_NE(a.blocking_us.mean(), b.blocking_us.mean());
+    EXPECT_NE(fig6_mean(a, "blocking_us"), fig6_mean(b, "blocking_us"));
 }
 
 TEST(fig6, run_all_covers_six_designs) {
     auto cfg = small_config();
-    cfg.trials = 1;
+    cfg.sweep.trials = 1;
     const auto all = run_fig6_all(cfg);
     ASSERT_EQ(all.size(), 6u);
-    std::set<ic_kind> kinds;
-    for (const auto& r : all) kinds.insert(r.kind);
-    EXPECT_EQ(kinds.size(), 6u);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        // In k_all_kinds order: each design ran at its own clock.
+        EXPECT_EQ(samples(all[i], "blocking_us").count(), 1u);
+        EXPECT_EQ(all[i].totals.get("fig6/system_clock_mhz").value,
+                  hwcost::system_clock_mhz(to_design(k_all_kinds[i]), 16));
+    }
 }
 
 TEST(fig6, extended_kind_runs_through_harness) {
     const auto r = run_fig6(ic_kind::axi_hyperconnect, small_config());
-    EXPECT_EQ(r.blocking_us.count(), 2u);
-    EXPECT_GE(r.miss_ratio.min(), 0.0);
-    EXPECT_LE(r.miss_ratio.max(), 1.0);
+    EXPECT_EQ(samples(r, "blocking_us").count(), 2u);
+    EXPECT_GE(samples(r, "miss_ratio").min(), 0.0);
+    EXPECT_LE(samples(r, "miss_ratio").max(), 1.0);
 }
 
 TEST(fig6, parallel_trials_bit_identical_to_serial) {
@@ -77,39 +86,27 @@ TEST(fig6, parallel_trials_bit_identical_to_serial) {
     // just close) for any thread count, because per-trial results are
     // merged in trial order.
     auto cfg = small_config();
-    cfg.trials = 6;
+    cfg.sweep.trials = 6;
     for (ic_kind kind : {ic_kind::bluescale, ic_kind::bluetree}) {
-        cfg.threads = 1;
+        cfg.sweep.threads = 1;
         const auto serial = run_fig6(kind, cfg);
-        cfg.threads = 4;
+        cfg.sweep.threads = 4;
         const auto parallel = run_fig6(kind, cfg);
-
-        ASSERT_EQ(serial.blocking_us.count(), parallel.blocking_us.count());
-        EXPECT_EQ(serial.blocking_us.samples(),
-                  parallel.blocking_us.samples())
+        EXPECT_EQ(samples(serial, "blocking_us").count(), 6u);
+        EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals))
             << kind_name(kind);
-        EXPECT_EQ(serial.worst_blocking_us.samples(),
-                  parallel.worst_blocking_us.samples())
-            << kind_name(kind);
-        EXPECT_EQ(serial.miss_ratio.samples(), parallel.miss_ratio.samples())
-            << kind_name(kind);
-        EXPECT_EQ(serial.blocking_us.mean(), parallel.blocking_us.mean());
-        EXPECT_EQ(serial.blocking_us.stddev(),
-                  parallel.blocking_us.stddev());
-        EXPECT_EQ(serial.miss_ratio.mean(), parallel.miss_ratio.mean());
-        EXPECT_EQ(serial.feasible_trials, parallel.feasible_trials);
     }
 }
 
 TEST(fig6, se_override_applies) {
     auto cfg = small_config();
-    cfg.trials = 1;
+    cfg.sweep.trials = 1;
     core::se_params se;
     se.buffer_depth = 4;
     se.policy = core::server_policy::fixed_priority;
     cfg.bluescale_se = se;
     const auto r = run_fig6(ic_kind::bluescale, cfg);
-    EXPECT_EQ(r.blocking_us.count(), 1u); // just runs through
+    EXPECT_EQ(samples(r, "blocking_us").count(), 1u); // just runs through
 }
 
 } // namespace

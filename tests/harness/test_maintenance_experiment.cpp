@@ -8,6 +8,9 @@
 // under-provisions and hard clients miss.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "../test_util.hpp"
 #include "harness/maintenance_experiment.hpp"
 #include "mem/memory_subsystem.hpp"
 
@@ -35,10 +38,9 @@ memctrl_config heavy_maintenance_memctrl() {
 /// the hard deadlines, and a watchdog fast enough to shed mid-storm.
 maintenance_exp_config storm_config(bool aware, unsigned threads = 1) {
     maintenance_exp_config cfg;
-    cfg.trials = 3;
+    cfg.sweep.trials = 3;
     cfg.measure_cycles = 60'000;
-    cfg.seed = 1;
-    cfg.threads = threads;
+    cfg.sweep.threads = threads;
     cfg.maintenance_aware = aware;
     cfg.memctrl = heavy_maintenance_memctrl();
     cfg.util_lo = 0.18;
@@ -54,43 +56,23 @@ maintenance_exp_config storm_config(bool aware, unsigned threads = 1) {
     return cfg;
 }
 
-void expect_identical(const maintenance_exp_result& a,
-                      const maintenance_exp_result& b) {
-    // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
-    // float summation order) would show up here.
-    EXPECT_EQ(a.hard_miss_ratio.samples(), b.hard_miss_ratio.samples());
-    EXPECT_EQ(a.best_effort_miss_ratio.samples(),
-              b.best_effort_miss_ratio.samples());
-    EXPECT_EQ(a.p99_latency_cycles.samples(),
-              b.p99_latency_cycles.samples());
-    EXPECT_EQ(a.hard_misses, b.hard_misses);
-    EXPECT_EQ(a.best_effort_misses, b.best_effort_misses);
-    EXPECT_EQ(a.refreshes, b.refreshes);
-    EXPECT_EQ(a.scrubs, b.scrubs);
-    EXPECT_EQ(a.hammer_mitigations, b.hammer_mitigations);
-    EXPECT_EQ(a.maintenance_stolen_cycles, b.maintenance_stolen_cycles);
-    EXPECT_EQ(a.maintenance_storm_cycles, b.maintenance_storm_cycles);
-    EXPECT_EQ(a.injected_storms, b.injected_storms);
-    EXPECT_EQ(a.windows_checked, b.windows_checked);
-    EXPECT_EQ(a.supply_shortfall_alarms, b.supply_shortfall_alarms);
-    EXPECT_EQ(a.deadline_alarms, b.deadline_alarms);
-    EXPECT_EQ(a.shed_events, b.shed_events);
-    EXPECT_EQ(a.restore_events, b.restore_events);
-    EXPECT_EQ(a.shed_client_cycles, b.shed_client_cycles);
-    EXPECT_EQ(a.feasible_trials, b.feasible_trials);
+std::uint64_t count(const sweep_result& r, const char* name) {
+    return r.totals.get(std::string("maintenance/") + name).count;
 }
 
 TEST(maintenance_experiment, parallel_sweep_matches_serial) {
+    // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
+    // float summation order) would show up here.
     const auto serial = run_maintenance_experiment(storm_config(true, 1));
     const auto parallel =
         run_maintenance_experiment(storm_config(true, 4));
-    expect_identical(serial, parallel);
+    EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals));
 }
 
 TEST(maintenance_experiment, repeated_run_is_reproducible) {
     const auto a = run_maintenance_experiment(storm_config(false, 2));
     const auto b = run_maintenance_experiment(storm_config(false, 2));
-    expect_identical(a, b);
+    EXPECT_TRUE(testing::same_snapshot(a.totals, b.totals));
 }
 
 TEST(maintenance_experiment, modeled_maintenance_never_alarms_when_aware) {
@@ -100,13 +82,13 @@ TEST(maintenance_experiment, modeled_maintenance_never_alarms_when_aware) {
     auto cfg = storm_config(true);
     cfg.storm_intensity = 0.0;
     const auto r = run_maintenance_experiment(cfg);
-    ASSERT_GE(r.feasible_trials, 2u);
-    EXPECT_GT(r.refreshes, 0u);
-    EXPECT_GT(r.scrubs, 0u);
-    EXPECT_GT(r.windows_checked, 0u);
-    EXPECT_EQ(r.supply_shortfall_alarms, 0u);
-    EXPECT_EQ(r.shed_events, 0u);
-    EXPECT_EQ(r.hard_misses, 0u);
+    ASSERT_GE(count(r, "feasible_trials"), 2u);
+    EXPECT_GT(count(r, "refreshes"), 0u);
+    EXPECT_GT(count(r, "scrubs"), 0u);
+    EXPECT_GT(count(r, "windows_checked"), 0u);
+    EXPECT_EQ(count(r, "supply_shortfall_alarms"), 0u);
+    EXPECT_EQ(count(r, "shed_events"), 0u);
+    EXPECT_EQ(count(r, "hard_misses"), 0u);
 }
 
 TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
@@ -119,22 +101,23 @@ TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
     // the over-committed one (refusal IS the maintenance-aware
     // behavior: that workload cannot be guaranteed once refresh and
     // scrub are charged) and admits the rest.
-    ASSERT_EQ(unaware.feasible_trials, storm_config(false).trials);
-    ASSERT_GE(aware.feasible_trials, 2u);
-    ASSERT_GT(aware.injected_storms, 0u);
+    ASSERT_EQ(count(unaware, "feasible_trials"),
+              storm_config(false).sweep.trials);
+    ASSERT_GE(count(aware, "feasible_trials"), 2u);
+    ASSERT_GT(count(aware, "injected_storms"), 0u);
 
     // Corrected admission: hard clients ride out the storms miss-free;
     // the watchdog sees the unmodeled theft (supply alarms) and sheds
     // best-effort traffic to protect them.
-    EXPECT_EQ(aware.hard_misses, 0u);
-    EXPECT_GT(aware.supply_shortfall_alarms, 0u);
-    EXPECT_GT(aware.shed_events, 0u);
-    EXPECT_GT(aware.shed_client_cycles, 0u);
+    EXPECT_EQ(count(aware, "hard_misses"), 0u);
+    EXPECT_GT(count(aware, "supply_shortfall_alarms"), 0u);
+    EXPECT_GT(count(aware, "shed_events"), 0u);
+    EXPECT_GT(count(aware, "shed_client_cycles"), 0u);
 
     // Raw-sbf admission under-provisions: the same storm campaign
     // pushes hard clients over their deadlines.
-    EXPECT_GT(unaware.hard_misses, 0u);
-    EXPECT_GT(unaware.best_effort_misses, 0u);
+    EXPECT_GT(count(unaware, "hard_misses"), 0u);
+    EXPECT_GT(count(unaware, "best_effort_misses"), 0u);
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 // must apply everything unconditionally.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "../test_util.hpp"
 #include "harness/reconfig_experiment.hpp"
 
 namespace bluescale::harness {
@@ -12,41 +15,27 @@ namespace {
 
 reconfig_exp_config small_config(unsigned threads, double rate) {
     reconfig_exp_config cfg;
-    cfg.trials = 3;
+    cfg.sweep.trials = 3;
     cfg.measure_cycles = 30'000;
-    cfg.seed = 11;
-    cfg.threads = threads;
+    cfg.sweep.seed = 11;
+    cfg.sweep.threads = threads;
     cfg.events_per_kcycle = rate;
     cfg.reconfig_warmup = 2'000;
     return cfg;
 }
 
-void expect_identical(const reconfig_result& a, const reconfig_result& b) {
-    // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
-    // float summation order) would show up here.
-    EXPECT_EQ(a.miss_ratio.samples(), b.miss_ratio.samples());
-    EXPECT_EQ(a.reconfig_latency_cycles.samples(),
-              b.reconfig_latency_cycles.samples());
-    EXPECT_EQ(a.submitted, b.submitted);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.rolled_back, b.rolled_back);
-    EXPECT_EQ(a.rejected_infeasible, b.rejected_infeasible);
-    EXPECT_EQ(a.rejected_overutilized, b.rejected_overutilized);
-    EXPECT_EQ(a.rejected_path_hazard, b.rejected_path_hazard);
-    EXPECT_EQ(a.transition_misses, b.transition_misses);
-    EXPECT_EQ(a.applied_unchecked, b.applied_unchecked);
-    EXPECT_EQ(a.windows_checked, b.windows_checked);
-    EXPECT_EQ(a.violating_windows, b.violating_windows);
-    EXPECT_EQ(a.supply_shortfall_alarms, b.supply_shortfall_alarms);
-    EXPECT_EQ(a.shed_events, b.shed_events);
-    EXPECT_EQ(a.restore_events, b.restore_events);
-    EXPECT_EQ(a.shed_client_cycles, b.shed_client_cycles);
-    EXPECT_EQ(a.hard_misses, b.hard_misses);
-    EXPECT_EQ(a.best_effort_misses, b.best_effort_misses);
-    EXPECT_EQ(a.shed_deferrals, b.shed_deferrals);
-    EXPECT_EQ(a.live_reconfigurations, b.live_reconfigurations);
-    EXPECT_EQ(a.feasible_trials, b.feasible_trials);
+const obs::metric_value& get(const sweep_result& r, const char* name) {
+    return r.totals.get(std::string("reconfig_exp/") + name);
+}
+
+std::uint64_t count(const sweep_result& r, const char* name) {
+    return get(r, name).count;
+}
+
+/// Bitwise-equal aggregates: any divergence (scheduling, shared rng,
+/// float summation order) would show up here.
+void expect_identical(const sweep_result& a, const sweep_result& b) {
+    EXPECT_TRUE(testing::same_snapshot(a.totals, b.totals));
 }
 
 TEST(reconfig_experiment, parallel_sweep_matches_serial) {
@@ -75,33 +64,34 @@ TEST(reconfig_experiment, repeated_run_is_reproducible) {
 
 TEST(reconfig_experiment, bluescale_admits_and_commits) {
     const auto r = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
-    EXPECT_GT(r.submitted, 0u);
-    EXPECT_GT(r.admitted, 0u);
-    EXPECT_GT(r.committed, 0u);
-    EXPECT_EQ(r.applied_unchecked, 0u);
+    EXPECT_GT(count(r, "submitted"), 0u);
+    EXPECT_GT(count(r, "admitted"), 0u);
+    EXPECT_GT(count(r, "committed"), 0u);
+    EXPECT_EQ(count(r, "applied_unchecked"), 0u);
     // Every commit -- and nothing else -- swaps a live task set.
-    EXPECT_EQ(r.live_reconfigurations, r.committed);
-    EXPECT_GT(r.reconfig_latency_cycles.count(), 0u);
-    EXPECT_GT(r.reconfig_latency_cycles.mean(), 0.0);
-    EXPECT_GT(r.windows_checked, 0u);
+    EXPECT_EQ(count(r, "live_reconfigurations"), count(r, "committed"));
+    EXPECT_GT(get(r, "latency_cycles").samples.count(), 0u);
+    EXPECT_GT(get(r, "latency_cycles").samples.mean(), 0.0);
+    EXPECT_GT(count(r, "windows_checked"), 0u);
 }
 
 TEST(reconfig_experiment, baseline_applies_unconditionally) {
     const auto r = run_reconfig(ic_kind::bluetree, small_config(2, 0.5));
-    EXPECT_EQ(r.submitted, 0u);
-    EXPECT_EQ(r.admitted, 0u);
-    EXPECT_GT(r.applied_unchecked, 0u);
-    EXPECT_EQ(r.live_reconfigurations, r.applied_unchecked);
+    EXPECT_EQ(count(r, "submitted"), 0u);
+    EXPECT_EQ(count(r, "admitted"), 0u);
+    EXPECT_GT(count(r, "applied_unchecked"), 0u);
+    EXPECT_EQ(count(r, "live_reconfigurations"),
+              count(r, "applied_unchecked"));
     // No admission control, no watchdog: the counters stay silent.
-    EXPECT_EQ(r.windows_checked, 0u);
-    EXPECT_EQ(r.shed_events, 0u);
+    EXPECT_EQ(count(r, "windows_checked"), 0u);
+    EXPECT_EQ(count(r, "shed_events"), 0u);
 }
 
 TEST(reconfig_experiment, zero_rate_means_no_requests) {
     const auto r = run_reconfig(ic_kind::bluescale, small_config(2, 0.0));
-    EXPECT_EQ(r.submitted, 0u);
-    EXPECT_EQ(r.committed, 0u);
-    EXPECT_EQ(r.live_reconfigurations, 0u);
+    EXPECT_EQ(count(r, "submitted"), 0u);
+    EXPECT_EQ(count(r, "committed"), 0u);
+    EXPECT_EQ(count(r, "live_reconfigurations"), 0u);
 }
 
 TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
@@ -120,18 +110,21 @@ TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
     const auto churn = run_reconfig(ic_kind::bluescale, churn_cfg);
     const auto quiet = run_reconfig(ic_kind::bluescale, small_config(2, 0.0));
 
-    EXPECT_GT(churn.submitted, 0u);
-    EXPECT_EQ(churn.admitted, 0u);
-    EXPECT_EQ(churn.committed, 0u);
-    EXPECT_GT(churn.rejected_infeasible + churn.rejected_overutilized, 0u);
-    EXPECT_EQ(churn.live_reconfigurations, 0u);
+    EXPECT_GT(count(churn, "submitted"), 0u);
+    EXPECT_EQ(count(churn, "admitted"), 0u);
+    EXPECT_EQ(count(churn, "committed"), 0u);
+    EXPECT_GT(count(churn, "rejected_infeasible") +
+                  count(churn, "rejected_overutilized"),
+              0u);
+    EXPECT_EQ(count(churn, "live_reconfigurations"), 0u);
 
     // Zero perturbation, observed end to end through the whole stack.
-    EXPECT_EQ(churn.miss_ratio.samples(), quiet.miss_ratio.samples());
-    EXPECT_EQ(churn.hard_misses, quiet.hard_misses);
-    EXPECT_EQ(churn.best_effort_misses, quiet.best_effort_misses);
-    EXPECT_EQ(churn.violating_windows, quiet.violating_windows);
-    EXPECT_EQ(churn.shed_events, quiet.shed_events);
+    EXPECT_EQ(get(churn, "miss_ratio").samples.samples(),
+              get(quiet, "miss_ratio").samples.samples());
+    for (const char* name : {"hard_misses", "best_effort_misses",
+                             "violating_windows", "shed_events"}) {
+        EXPECT_EQ(count(churn, name), count(quiet, name)) << name;
+    }
 }
 
 } // namespace

@@ -4,6 +4,9 @@
 // must actually inject (non-zero fault and recovery counters).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "../test_util.hpp"
 #include "harness/resilience_experiment.hpp"
 
 namespace bluescale::harness {
@@ -11,49 +14,26 @@ namespace {
 
 resilience_config small_config(unsigned threads, double intensity) {
     resilience_config cfg;
-    cfg.trials = 3;
+    cfg.sweep.trials = 3;
     cfg.measure_cycles = 30'000;
-    cfg.seed = 11;
-    cfg.threads = threads;
+    cfg.sweep.seed = 11;
+    cfg.sweep.threads = threads;
     cfg.fault_intensity = intensity;
     return cfg;
 }
 
-void expect_identical(const resilience_result& a,
-                      const resilience_result& b) {
-    // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
-    // float summation order) would show up here.
-    EXPECT_EQ(a.miss_ratio.samples(), b.miss_ratio.samples());
-    EXPECT_EQ(a.p99_latency_cycles.samples(),
-              b.p99_latency_cycles.samples());
-    EXPECT_EQ(a.worst_latency_cycles.samples(),
-              b.worst_latency_cycles.samples());
-    EXPECT_EQ(a.time_to_recover_cycles.samples(),
-              b.time_to_recover_cycles.samples());
-    EXPECT_EQ(a.injected_events, b.injected_events);
-    EXPECT_EQ(a.stall_windows, b.stall_windows);
-    EXPECT_EQ(a.se_stall_cycles, b.se_stall_cycles);
-    EXPECT_EQ(a.link_drops, b.link_drops);
-    EXPECT_EQ(a.ecc_retries, b.ecc_retries);
-    EXPECT_EQ(a.uncorrected_errors, b.uncorrected_errors);
-    EXPECT_EQ(a.storm_cycles, b.storm_cycles);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.timeouts, b.timeouts);
-    EXPECT_EQ(a.retry_exhausted, b.retry_exhausted);
-    EXPECT_EQ(a.stale_responses, b.stale_responses);
-    EXPECT_EQ(a.failed_responses, b.failed_responses);
-    EXPECT_EQ(a.degrade_events, b.degrade_events);
-    EXPECT_EQ(a.recovery_events, b.recovery_events);
-    EXPECT_EQ(a.degraded_se_cycles, b.degraded_se_cycles);
-    EXPECT_EQ(a.feasible_trials, b.feasible_trials);
+std::uint64_t count(const sweep_result& r, const char* name) {
+    return r.totals.get(std::string("resilience/") + name).count;
 }
 
 TEST(resilience, parallel_sweep_matches_serial_under_faults) {
+    // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
+    // float summation order) would show up here.
     const auto serial =
         run_resilience(ic_kind::bluescale, small_config(1, 0.5));
     const auto parallel =
         run_resilience(ic_kind::bluescale, small_config(4, 0.5));
-    expect_identical(serial, parallel);
+    EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals));
 }
 
 TEST(resilience, baseline_parallel_sweep_matches_serial) {
@@ -61,36 +41,35 @@ TEST(resilience, baseline_parallel_sweep_matches_serial) {
         run_resilience(ic_kind::bluetree, small_config(1, 0.5));
     const auto parallel =
         run_resilience(ic_kind::bluetree, small_config(4, 0.5));
-    expect_identical(serial, parallel);
+    EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals));
 }
 
 TEST(resilience, repeated_run_is_reproducible) {
     const auto a = run_resilience(ic_kind::bluescale, small_config(2, 1.0));
     const auto b = run_resilience(ic_kind::bluescale, small_config(2, 1.0));
-    expect_identical(a, b);
+    EXPECT_TRUE(testing::same_snapshot(a.totals, b.totals));
 }
 
 TEST(resilience, nonzero_intensity_injects_and_recovers) {
     const auto r =
         run_resilience(ic_kind::bluescale, small_config(2, 1.0));
-    EXPECT_GT(r.injected_events, 0u);
-    EXPECT_GT(r.se_stall_cycles, 0u);
-    EXPECT_GT(r.ecc_retries + r.uncorrected_errors + r.link_drops +
-                  r.storm_cycles,
+    EXPECT_GT(count(r, "injected_events"), 0u);
+    EXPECT_GT(count(r, "se_stall_cycles"), 0u);
+    EXPECT_GT(count(r, "ecc_retries") + count(r, "uncorrected_errors") +
+                  count(r, "link_drops") + count(r, "storm_cycles"),
               0u);
-    EXPECT_GT(r.retries, 0u);
-    EXPECT_GT(r.timeouts, 0u);
+    EXPECT_GT(count(r, "retries"), 0u);
+    EXPECT_GT(count(r, "timeouts"), 0u);
 }
 
 TEST(resilience, zero_intensity_is_fault_free) {
     const auto r =
         run_resilience(ic_kind::bluescale, small_config(2, 0.0));
-    EXPECT_EQ(r.injected_events, 0u);
-    EXPECT_EQ(r.se_stall_cycles, 0u);
-    EXPECT_EQ(r.link_drops, 0u);
-    EXPECT_EQ(r.ecc_retries, 0u);
-    EXPECT_EQ(r.retries, 0u);
-    EXPECT_EQ(r.degrade_events, 0u);
+    for (const char* name : {"injected_events", "se_stall_cycles",
+                             "link_drops", "ecc_retries", "retries",
+                             "degrade_events"}) {
+        EXPECT_EQ(count(r, name), 0u) << name;
+    }
 }
 
 TEST(resilience, baselines_see_no_se_faults_but_share_the_rest) {
@@ -98,11 +77,11 @@ TEST(resilience, baselines_see_no_se_faults_but_share_the_rest) {
         run_resilience(ic_kind::bluetree, small_config(2, 1.0));
     // No SE fabric: stall and degraded-mode counters stay zero, while
     // the memory-side faults (and the recovery they trigger) still bite.
-    EXPECT_EQ(r.se_stall_cycles, 0u);
-    EXPECT_EQ(r.degrade_events, 0u);
-    EXPECT_EQ(r.degraded_se_cycles, 0u);
-    EXPECT_GT(r.ecc_retries + r.uncorrected_errors, 0u);
-    EXPECT_GT(r.injected_events, 0u);
+    EXPECT_EQ(count(r, "se_stall_cycles"), 0u);
+    EXPECT_EQ(count(r, "degrade_events"), 0u);
+    EXPECT_EQ(count(r, "degraded_se_cycles"), 0u);
+    EXPECT_GT(count(r, "ecc_retries") + count(r, "uncorrected_errors"), 0u);
+    EXPECT_GT(count(r, "injected_events"), 0u);
 }
 
 } // namespace

@@ -1,12 +1,15 @@
-// The acceptance gate for the event-driven engine: the hybrid
-// skip-to-next-event scheduler and the BLUESCALE_LOCKSTEP cycle-stepped
-// fallback must produce byte-identical exports -- same metrics snapshot,
-// same event trace, same aggregates -- for every experiment, at any
-// --threads setting. A horizon that sleeps through real work or a wake
-// that fires a cycle late shows up here as a diff, not as a silent
-// result shift.
+// The acceptance gate for the event-driven engine and the trial sweep:
+// the hybrid skip-to-next-event scheduler and the BLUESCALE_LOCKSTEP
+// cycle-stepped fallback must produce byte-identical exports -- same
+// aggregates, metrics snapshot and event trace -- for every experiment
+// scenario (fig6, fig7, resilience, maintenance, reconfig, svc_storm),
+// and so must --threads 1 and --threads 4. A horizon that sleeps through
+// real work, a wake that fires a cycle late, or a trial that leaks
+// state into another shows up here as a diff, not as a silent result
+// shift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -17,8 +20,11 @@
 #include "analysis/quadtree.hpp"
 #include "analysis/selection_cache.hpp"
 #include "core/bluescale_ic.hpp"
+#include "harness/analysis_service_experiment.hpp"
 #include "harness/factory.hpp"
 #include "harness/fig6_experiment.hpp"
+#include "harness/fig7_experiment.hpp"
+#include "harness/maintenance_experiment.hpp"
 #include "harness/reconfig_experiment.hpp"
 #include "harness/resilience_experiment.hpp"
 #include "harness/testbench.hpp"
@@ -58,110 +64,192 @@ std::string trace_json(const obs::trace_export& trace) {
     return os.str();
 }
 
-fig6_config fig6_cfg(unsigned threads) {
-    fig6_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 4;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 7;
-    cfg.threads = threads;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-    return cfg;
-}
+// --- scenario determinism --------------------------------------------------
+//
+// Every experiment scenario, rendered as everything its sweep exports,
+// must come out byte-identical between the engines and between thread
+// counts.
 
-template <typename Result>
-void expect_equal_exports(const Result& event, const Result& lockstep) {
-    ASSERT_FALSE(event.metrics.empty());
-    EXPECT_EQ(metrics_csv(event.metrics), metrics_csv(lockstep.metrics));
-    EXPECT_EQ(trace_json(event.trace), trace_json(lockstep.trace));
-}
-
-TEST(engine_equivalence, fig6_all_designs_bit_identical) {
-    for (const ic_kind kind : k_all_kinds) {
-        fig6_result event_r, lockstep_r;
-        {
-            scoped_engine guard(simulator::engine::event);
-            event_r = run_fig6(kind, fig6_cfg(1));
+/// A sweep's exports, bit-exact: the totals and the metrics as their CSV
+/// plus every value and sample in hexfloat (sample order included), and
+/// the trace JSON.
+std::string render(const sweep_result& r) {
+    EXPECT_FALSE(r.metrics.empty());
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const obs::snapshot* snap : {&r.totals, &r.metrics}) {
+        // Before write_csv: its percentiles sort the samples in place.
+        for (const auto& [name, v] : snap->entries()) {
+            os << name << ' ' << v.value;
+            for (double x : v.samples.samples()) os << ' ' << x;
+            os << '\n';
         }
-        {
-            scoped_engine guard(simulator::engine::lockstep);
-            lockstep_r = run_fig6(kind, fig6_cfg(1));
-        }
-        SCOPED_TRACE(kind_name(kind));
-        expect_equal_exports(event_r, lockstep_r);
-        EXPECT_EQ(event_r.blocking_us.mean(), lockstep_r.blocking_us.mean());
-        EXPECT_EQ(event_r.miss_ratio.mean(), lockstep_r.miss_ratio.mean());
+        os << metrics_csv(*snap);
     }
+    os << trace_json(r.trace);
+    return os.str();
 }
+
+sweep_options exporting_sweep(std::uint32_t trials, std::uint64_t seed,
+                              unsigned threads) {
+    sweep_options s;
+    s.trials = trials;
+    s.seed = seed;
+    s.threads = threads;
+    s.collect_metrics = true;
+    s.collect_trace = true;
+    return s;
+}
+
+struct scenario {
+    const char* name;
+    /// Runs the scenario's sweep at `threads` and renders its exports.
+    std::string (*run)(unsigned threads);
+};
+
+void PrintTo(const scenario& s, std::ostream* os) { *os << s.name; }
+
+const scenario k_scenarios[] = {
+    {"fig6",
+     [](unsigned threads) {
+         fig6_config cfg;
+         cfg.sweep = exporting_sweep(4, 7, threads);
+         cfg.measure_cycles = 8'000;
+         std::string out;
+         for (const auto& r : run_fig6_all(cfg)) out += render(r);
+         return out;
+     }},
+    {"fig7",
+     [](unsigned threads) {
+         fig7_config cfg;
+         cfg.trials = 2;
+         cfg.measure_cycles = 10'000;
+         cfg.util_lo = 0.3;
+         cfg.util_hi = 0.7;
+         cfg.util_step = 0.4;
+         cfg.seed = 7;
+         cfg.threads = threads;
+         std::ostringstream os;
+         os << std::hexfloat;
+         for (const auto& r : run_fig7_all(cfg)) {
+             for (const auto& p : r.points) {
+                 os << kind_name(r.kind) << ' ' << p.target_utilization
+                    << ' ' << p.success_ratio << ' ' << p.app_miss_ratio
+                    << '\n';
+             }
+         }
+         return os.str();
+     }},
+    {"resilience",
+     [](unsigned threads) {
+         // Fault campaigns exercise the wake paths idle skipping must
+         // never sleep through: injected storms, link drops, retry
+         // timeouts, ECC reissues.
+         resilience_config cfg;
+         cfg.sweep = exporting_sweep(3, 11, threads);
+         cfg.measure_cycles = 8'000;
+         cfg.fault_intensity = 1.0;
+         return render(run_resilience(ic_kind::bluescale, cfg));
+     }},
+    {"maintenance",
+     [](unsigned threads) {
+         // Every maintenance wake path (refresh boundary, scrub slot,
+         // hammer mitigation, injected storm) in one short run; unaware
+         // admission so every trial simulates.
+         maintenance_exp_config cfg;
+         cfg.sweep = exporting_sweep(3, 3, threads);
+         cfg.measure_cycles = 12'000;
+         cfg.maintenance_aware = false;
+         cfg.memctrl.timing.t_refi = 975;
+         cfg.memctrl.timing.t_rfc = 65;
+         cfg.memctrl.maintenance.scrub_interval = 1024;
+         cfg.memctrl.maintenance.scrub_duration = 16;
+         cfg.memctrl.maintenance.hammer_threshold = 128;
+         cfg.memctrl.maintenance.hammer_mitigation_cycles = 16;
+         cfg.storm_intensity = 0.4;
+         cfg.watchdog.check_period = 512;
+         const auto r = run_maintenance_experiment(cfg);
+         for (const char* name :
+              {"maintenance/refreshes", "maintenance/scrubs",
+               "maintenance/hammer_mitigations",
+               "maintenance/maintenance_storm_cycles"}) {
+             EXPECT_GT(r.totals.get(name).count, 0u) << name;
+         }
+         return render(r);
+     }},
+    {"reconfig",
+     [](unsigned threads) {
+         // Mid-run reconfigurations rewrite task sets and SE schedules
+         // while components sleep; the admission/watchdog supervisors
+         // have the longest horizons.
+         reconfig_exp_config cfg;
+         cfg.sweep = exporting_sweep(3, 13, threads);
+         cfg.measure_cycles = 8'000;
+         cfg.events_per_kcycle = 2.0;
+         cfg.reconfig_warmup = 1'000;
+         return render(run_reconfig(ic_kind::bluescale, cfg));
+     }},
+    {"svc_storm",
+     [](unsigned threads) {
+         // Overload, worker crash/stall faults and path hazards.
+         svc_storm_config cfg;
+         cfg.sweep = exporting_sweep(2, 11, threads);
+         cfg.measure_cycles = 12'000;
+         cfg.requests_per_kcycle = 4.0;
+         cfg.service.default_deadline = 8'000;
+         cfg.worker_fault_intensity = 0.2;
+         cfg.path_fault_intensity = 0.05;
+         return render(run_svc_storm(cfg));
+     }},
+};
+
+::testing::AssertionResult same_bytes(const std::string& a,
+                                      const std::string& b) {
+    if (a == b) return ::testing::AssertionSuccess();
+    const auto at = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+    return ::testing::AssertionFailure()
+           << "exports differ at byte " << (at.first - a.begin()) << " ("
+           << a.size() << " vs " << b.size() << " bytes)";
+}
+
+class scenario_determinism : public ::testing::TestWithParam<scenario> {};
+
+TEST_P(scenario_determinism, event_matches_lockstep) {
+    std::string event, lockstep;
+    {
+        scoped_engine guard(simulator::engine::event);
+        event = GetParam().run(2);
+    }
+    {
+        scoped_engine guard(simulator::engine::lockstep);
+        lockstep = GetParam().run(2);
+    }
+    EXPECT_TRUE(same_bytes(event, lockstep));
+}
+
+TEST_P(scenario_determinism, threads_1_match_threads_4) {
+    scoped_engine guard(simulator::engine::event);
+    EXPECT_TRUE(same_bytes(GetParam().run(1), GetParam().run(4)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    experiments, scenario_determinism, ::testing::ValuesIn(k_scenarios),
+    [](const ::testing::TestParamInfo<scenario>& p) {
+        return std::string(p.param.name);
+    });
 
 TEST(engine_equivalence, fig6_event_engine_thread_invariant) {
     // The event engine must keep the determinism contract lockstep
     // already honours: per-trial simulations are independent, so the
-    // sweep's thread count cannot change a byte of the export.
-    fig6_result serial, parallel;
-    {
-        scoped_engine guard(simulator::engine::event);
-        serial = run_fig6(ic_kind::bluescale, fig6_cfg(1));
-        parallel = run_fig6(ic_kind::bluescale, fig6_cfg(4));
-    }
-    expect_equal_exports(serial, parallel);
-}
-
-TEST(engine_equivalence, resilience_faulty_run_bit_identical) {
-    // Fault campaigns exercise the wake paths idle skipping must never
-    // sleep through: injected storms, link drops, retry timeouts, ECC
-    // reissues.
-    resilience_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 3;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 11;
-    cfg.fault_intensity = 1.0;
-    cfg.threads = 4;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-
-    resilience_result event_r, lockstep_r;
-    {
-        scoped_engine guard(simulator::engine::event);
-        event_r = run_resilience(ic_kind::bluescale, cfg);
-    }
-    {
-        scoped_engine guard(simulator::engine::lockstep);
-        lockstep_r = run_resilience(ic_kind::bluescale, cfg);
-    }
-    expect_equal_exports(event_r, lockstep_r);
-    EXPECT_EQ(metrics_csv(event_r.totals), metrics_csv(lockstep_r.totals));
-}
-
-TEST(engine_equivalence, reconfig_run_bit_identical) {
-    // Mid-run reconfigurations rewrite task sets and SE schedules while
-    // components sleep; the admission/watchdog supervisors are the
-    // components with the longest horizons, so this is the sternest test
-    // of the wake protocol.
-    reconfig_exp_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 3;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 13;
-    cfg.events_per_kcycle = 2.0;
-    cfg.reconfig_warmup = 1'000;
-    cfg.threads = 4;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-
-    reconfig_result event_r, lockstep_r;
-    {
-        scoped_engine guard(simulator::engine::event);
-        event_r = run_reconfig(ic_kind::bluescale, cfg);
-    }
-    {
-        scoped_engine guard(simulator::engine::lockstep);
-        lockstep_r = run_reconfig(ic_kind::bluescale, cfg);
-    }
-    expect_equal_exports(event_r, lockstep_r);
-    EXPECT_EQ(metrics_csv(event_r.totals), metrics_csv(lockstep_r.totals));
+    // sweep's thread count cannot change a byte of one design's export.
+    fig6_config serial_cfg;
+    serial_cfg.sweep = exporting_sweep(4, 7, 1);
+    serial_cfg.measure_cycles = 8'000;
+    fig6_config parallel_cfg = serial_cfg;
+    parallel_cfg.sweep.threads = 4;
+    scoped_engine guard(simulator::engine::event);
+    EXPECT_TRUE(same_bytes(render(run_fig6(ic_kind::bluescale, serial_cfg)),
+                           render(run_fig6(ic_kind::bluescale, parallel_cfg))));
 }
 
 // --- saturated tree --------------------------------------------------------

@@ -1,7 +1,11 @@
-// The acceptance gate for the observability layer: the --metrics and
-// --trace exports of the fig6 and resilience experiments are
-// byte-identical for any --threads setting. Serializes through the same
-// obs writers the bench_cli --metrics/--trace flags use.
+// Observability-layer guards on the fig6 exports: the --metrics and
+// --trace exports are byte-identical for any --threads setting,
+// wall-clock profiling never leaks into the deterministic --metrics
+// snapshot, and the trace carries fabric events. Serializes through the
+// same obs writers the bench_cli --metrics/--trace flags use. (Every
+// other experiment's exports are checked across --threads settings and
+// engines by experiments/scenario_determinism.* in
+// test_engine_equivalence.cpp.)
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,7 +13,6 @@
 
 #include "harness/factory.hpp"
 #include "harness/fig6_experiment.hpp"
-#include "harness/resilience_experiment.hpp"
 
 namespace bluescale::harness {
 namespace {
@@ -32,21 +35,25 @@ std::string trace_json(const obs::trace_export& trace) {
     return os.str();
 }
 
-fig6_config fig6_export_config(unsigned threads) {
+fig6_config fig6_export_config(std::uint32_t trials) {
     fig6_config cfg;
     cfg.n_clients = 16;
-    cfg.trials = 4;
+    cfg.sweep.trials = trials;
     cfg.measure_cycles = 8'000;
-    cfg.seed = 7;
-    cfg.threads = threads;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
+    cfg.sweep.seed = 7;
+    cfg.sweep.threads = 2;
+    cfg.sweep.collect_metrics = true;
+    cfg.sweep.collect_trace = true;
     return cfg;
 }
 
 TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
-    const auto serial = run_fig6(ic_kind::bluescale, fig6_export_config(1));
-    const auto parallel = run_fig6(ic_kind::bluescale, fig6_export_config(4));
+    auto serial_cfg = fig6_export_config(4);
+    serial_cfg.sweep.threads = 1;
+    auto parallel_cfg = fig6_export_config(4);
+    parallel_cfg.sweep.threads = 4;
+    const auto serial = run_fig6(ic_kind::bluescale, serial_cfg);
+    const auto parallel = run_fig6(ic_kind::bluescale, parallel_cfg);
 
     ASSERT_FALSE(serial.metrics.empty());
     EXPECT_EQ(metrics_csv(serial.metrics), metrics_csv(parallel.metrics));
@@ -56,48 +63,21 @@ TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
 
 TEST(export_determinism, fig6_profile_never_leaks_into_metrics) {
     auto cfg = fig6_export_config(2);
-    cfg.trials = 2;
-    cfg.profile = true;
+    cfg.sweep.profile = true;
     const auto r = run_fig6(ic_kind::bluescale, cfg);
     for (const auto& [name, value] : r.metrics.entries()) {
         EXPECT_EQ(value.flags & obs::k_metric_profile, 0u) << name;
         EXPECT_NE(name.rfind("profile/", 0), 0u) << name;
     }
+    EXPECT_GT(r.profile.get("profile/sim/cycles").count, 0u);
     // And the deterministic export is unchanged by profiling being on.
-    auto plain = fig6_export_config(2);
-    plain.trials = 2;
-    const auto base = run_fig6(ic_kind::bluescale, plain);
+    const auto base = run_fig6(ic_kind::bluescale, fig6_export_config(2));
     EXPECT_EQ(metrics_csv(base.metrics), metrics_csv(r.metrics));
-}
-
-resilience_config resilience_export_config(unsigned threads) {
-    resilience_config cfg;
-    cfg.n_clients = 16;
-    cfg.trials = 3;
-    cfg.measure_cycles = 8'000;
-    cfg.seed = 11;
-    cfg.fault_intensity = 1.0;
-    cfg.threads = threads;
-    cfg.collect_metrics = true;
-    cfg.collect_trace = true;
-    return cfg;
-}
-
-TEST(export_determinism, resilience_exports_bit_identical_across_threads) {
-    const auto serial =
-        run_resilience(ic_kind::bluescale, resilience_export_config(1));
-    const auto parallel =
-        run_resilience(ic_kind::bluescale, resilience_export_config(4));
-
-    ASSERT_FALSE(serial.metrics.empty());
-    EXPECT_EQ(metrics_csv(serial.metrics), metrics_csv(parallel.metrics));
-    EXPECT_EQ(metrics_csv(serial.totals), metrics_csv(parallel.totals));
-    EXPECT_EQ(trace_csv(serial.trace), trace_csv(parallel.trace));
 }
 
 #if BLUESCALE_TRACE_ENABLED
 TEST(export_determinism, fig6_trace_carries_fabric_events) {
-    const auto r = run_fig6(ic_kind::bluescale, fig6_export_config(2));
+    const auto r = run_fig6(ic_kind::bluescale, fig6_export_config(4));
     ASSERT_FALSE(r.trace.events.empty());
     bool saw_grant = false;
     for (const auto& e : r.trace.events) {

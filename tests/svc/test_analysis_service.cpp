@@ -263,6 +263,20 @@ TEST(analysis_service, result_cache_hits_and_invalidates_on_commit) {
     EXPECT_TRUE(r.service->record(b).cache_hit);
     EXPECT_EQ(r.service->stats().cache_hits, 1u);
 
+    // Within one version the full key is compared: the same client with
+    // another task set, and another client with the same one, both miss.
+    const auto other_tasks =
+        r.service->submit(3, analysis::task_set{{40, 40}}, r.sim.now());
+    r.run_until_done(other_tasks);
+    const auto other_client = r.service->submit(5, heavy, r.sim.now());
+    r.run_until_done(other_client);
+    for (const auto id : {other_tasks, other_client}) {
+        EXPECT_EQ(r.service->record(id).outcome, request_outcome::rejected);
+        EXPECT_FALSE(r.service->record(id).cache_hit);
+    }
+    EXPECT_EQ(r.service->stats().cache_hits, 1u);
+    EXPECT_EQ(r.service->stats().cache_invalidations, 0u);
+
     // A committed reconfiguration supersedes every cached evaluation.
     const auto c =
         r.service->submit(9, analysis::task_set{{100, 8}}, r.sim.now());

@@ -3,7 +3,10 @@
 
 #include <deque>
 
+#include <gtest/gtest.h>
+
 #include "interconnect/interconnect.hpp"
+#include "obs/registry.hpp"
 
 namespace bluescale::testing {
 
@@ -69,5 +72,27 @@ private:
     std::uint32_t fail_remaining_ = 0;
     std::deque<std::pair<cycle_t, mem_request>> pending_;
 };
+
+/// Bitwise equality of two snapshots: names, kinds, values and sample
+/// sequences (a CSV diff would hide drift below its six decimals).
+inline ::testing::AssertionResult same_snapshot(const obs::snapshot& a,
+                                                const obs::snapshot& b) {
+    if (a.entries().size() != b.entries().size()) {
+        return ::testing::AssertionFailure()
+               << a.entries().size() << " vs " << b.entries().size()
+               << " metrics";
+    }
+    for (std::size_t i = 0; i < a.entries().size(); ++i) {
+        const auto& [name, x] = a.entries()[i];
+        const auto& y = b.entries()[i].second;
+        if (name != b.entries()[i].first || x.kind != y.kind ||
+            x.count != y.count || x.level != y.level ||
+            x.value != y.value ||
+            x.samples.samples() != y.samples.samples()) {
+            return ::testing::AssertionFailure() << "metric " << name;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
 
 } // namespace bluescale::testing
