@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "analysis/interface_selection.hpp"
 #include "analysis/schedulability.hpp"
@@ -60,6 +62,30 @@ void bm_event_engine_pop_advance(benchmark::State& state) {
                             static_cast<std::int64_t>(k_cycles));
 }
 BENCHMARK(bm_event_engine_pop_advance)->Arg(1)->Arg(16)->Arg(256);
+
+/// Per-simulated-cycle cost of a wide, mostly sleeping system: 4,096
+/// probes on staggered long periods (about one due per cycle) beside one
+/// per-cycle probe. The event engine's step cost must follow the few due
+/// components, not the 4,097 registered ones.
+void bm_event_engine_sparse(benchmark::State& state) {
+    constexpr std::size_t k_sleepers = 4'096;
+    constexpr cycle_t k_cycles = 4'096;
+    simulator sim(simulator::engine::event);
+    periodic_probe fast(1);
+    sim.add(fast);
+    std::vector<std::unique_ptr<periodic_probe>> sleepers;
+    sleepers.reserve(k_sleepers);
+    for (std::size_t i = 0; i < k_sleepers; ++i) {
+        sleepers.push_back(std::make_unique<periodic_probe>(k_sleepers + i));
+        sim.add(*sleepers.back());
+    }
+    sim.run(2 * k_sleepers); // past the first all-armed step: staggered
+    for (auto _ : state) sim.run(k_cycles);
+    benchmark::DoNotOptimize(fast.ticks());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(k_cycles));
+}
+BENCHMARK(bm_event_engine_sparse);
 
 /// The two run_until predicate flavours over an every-cycle predicate:
 /// a lambda inlines into the stepping loop; a std::function (what

@@ -19,8 +19,10 @@
 #   $ scripts/bench_snapshot.sh --check [build-dir]  # CI perf-smoke gate
 #
 # --check reruns the benches and fails (exit 1) when an idle-heavy engine
-# case (the event scheduler's pop/advance and predicate-dispatch paths)
-# or the saturated-fabric step (a 1,024-client tree whose backpressured
+# case (the event scheduler's pop/advance and predicate-dispatch paths,
+# and a 4,097-component system with about two due per cycle, whose step
+# cost must follow the due components; a full scan costs ~40x) or the
+# saturated-fabric step (a 1,024-client tree whose backpressured
 # SEs sleep; full-tree ticking costs ~12x) regresses more than 25%
 # against the committed snapshot, or when a
 # megascale work counter grows more than 25% over the committed curve
@@ -62,6 +64,7 @@ GUARDED_PREFIXES = (
     "bm_event_engine_pop_advance",
     "bm_run_until_template_predicate",
     "bm_saturated_fabric_step",
+    "bm_event_engine_sparse",
 )
 TOLERANCE = 0.25
 

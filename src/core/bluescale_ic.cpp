@@ -44,16 +44,15 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
 
     // Every SE wake lists the SE for the next edge and bubbles up to the
     // fabric so the simulator re-arms it (client pushes reach the SE
-    // buffers directly, bypassing tick()). The flat view + SoA wake
-    // schedule keep the per-cycle walk on sequential memory; SEs start
-    // armed (wake_at == 0).
+    // buffers directly, bypassing tick()). Each SE's wake time lives in
+    // slot i of se_wakes_ (level-major); fresh SEs and fresh slots are
+    // both armed, so binding needs no copy.
     const std::uint32_t n_ses = shape_.total_ses();
     se_flat_.reserve(n_ses);
-    se_wake_.assign(n_ses, 0);
+    se_wakes_.resize(n_ses);
     se_wake_ctx_.reserve(n_ses);
     se_dirty_.assign(n_ses, 0);
     dirty_.reserve(n_ses);
-    walk_pos_ = n_ses;
     for (auto& level : levels_) {
         for (auto& se : level) {
             const auto i = static_cast<std::uint32_t>(se_flat_.size());
@@ -64,7 +63,7 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
                                    w->fabric->note_se_wake(w->index);
                                },
                                &se_wake_ctx_.back()});
-            se->bind_wake_cell(&se_wake_[i]);
+            se->bind_wake_slot(se_wakes_, i);
             se_flat_.push_back(se.get());
         }
     }
@@ -115,7 +114,6 @@ void bluescale_ic::note_se_wake(std::uint32_t i) {
         // detlint:allow(hotpath-alloc): push into pre-reserved dirty list
         dirty_.push_back(i);
     }
-    if (i < walk_pos_) rearm_ = true;
     wake();
 }
 
@@ -248,32 +246,21 @@ void bluescale_ic::tick_response_network(cycle_t now) {
 void bluescale_ic::tick(cycle_t now) {
     now_ = now;
     // Selective SE walk: the simulator's wake/horizon protocol, one level
-    // down. An element whose cached wakeup is still in the future would
-    // tick as a pure no-op (its own next_event() said so, and anything
-    // that changed since then fired a wake), so skipping it is exact. The
-    // walk folds the horizon minimum for next_event(); a wake landing
-    // behind the walk position sets rearm_ instead. Lockstep ticks
-    // everything and skips the horizon bookkeeping.
-    const auto n = static_cast<std::uint32_t>(se_flat_.size());
+    // down, on the same wake_set. An element whose cached wakeup is still
+    // in the future would tick as a pure no-op (its own next_event() said
+    // so, and anything that changed since then fired a wake), so skipping
+    // it is exact. Lockstep ticks everything and skips the horizon
+    // bookkeeping.
     if (!selective_) {
         for (scale_element* se : se_flat_) se->tick(now);
-        se_ticks_ += n;
+        se_ticks_ += se_flat_.size();
     } else {
-        rearm_ = false;
-        cycle_t due = k_cycle_never;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (se_wake_[i] <= now) {
-                walk_pos_ = i;
-                scale_element* se = se_flat_[i];
-                se->tick(now);
-                ++se_ticks_;
-                // detlint:allow(cycle-step): wake-protocol floor clamp
-                se_wake_[i] = std::max(now + 1, se->next_event(now));
-            }
-            due = std::min(due, se_wake_[i]);
-        }
-        walk_pos_ = n;
-        se_due_ = due;
+        se_wakes_.walk(now, [this, now](std::size_t i) {
+            scale_element* se = se_flat_[i];
+            se->tick(now);
+            ++se_ticks_;
+            se_wakes_.settle(i, now, se->next_event(now));
+        });
     }
     if (cfg_.responses == response_model::demux_network) {
         // A provable no-op with nothing to pull and nothing en route.
@@ -304,12 +291,11 @@ void bluescale_ic::commit() {
 }
 
 cycle_t bluescale_ic::next_event(cycle_t now) const {
-    // Request path: the earliest cached SE wakeup, folded into tick()'s
-    // walk (the same horizons the walk trusts), or the next cycle when a
-    // wake landed behind the walk. Requests parked at the memory
-    // controller hold no SE awake; their responses re-arm the fabric via
-    // the attach_memory() wake.
-    cycle_t due = rearm_ ? now + 1 : se_due_;
+    // Request path: the earliest cached SE wakeup (the horizons the walk
+    // trusts); an SE armed behind the walk makes it 0, i.e. the next
+    // cycle. Requests parked at the memory controller hold no SE awake;
+    // their responses re-arm the fabric via the attach_memory() wake.
+    cycle_t due = std::max(now + 1, se_wakes_.next_due());
     // Response path: the demux network forwards one response per SE per
     // cycle while anything is en route; the delay-line model exposes its
     // horizon directly.

@@ -17,6 +17,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "interconnect/interconnect.hpp"
+#include "sim/wake_set.hpp"
 
 namespace bluescale::core {
 
@@ -60,17 +61,17 @@ public:
     void commit() override;
     void reset() override;
 
-    /// Event-engine horizon: the earliest SE wakeup (folded into the
-    /// selective walk), per-cycle while responses are en route, and
-    /// per-cycle after any SE wake the walk had already passed. A
+    /// Event-engine horizon: the earliest SE wakeup (the root of the SE
+    /// wake_set, so per-cycle after any SE wake the walk had already
+    /// passed) and per-cycle while responses are en route. A
     /// quiescent tree sleeps until a client push or a scheduled SE stall
     /// window; while any SE sleeps on backpressure the root holds work,
     /// so the fabric keeps stepping every cycle.
     [[nodiscard]] cycle_t next_event(cycle_t now) const override;
 
-    /// The SE walk inside tick() skips elements whose cached wakeup lies
-    /// in the future, using the same wake/horizon protocol as the
-    /// simulator -- exact by the same argument, and active in both
+    /// The SE walk inside tick() visits only elements whose cached wakeup
+    /// is due, using the same wake/horizon protocol and sim::wake_set as
+    /// the simulator -- exact by the same argument, and active in both
     /// engines. The testbench switches it off under BLUESCALE_LOCKSTEP so
     /// the fallback engine is a true tick-everything reference.
     void set_selective_ticking(bool on) { selective_ = on; }
@@ -138,15 +139,15 @@ private:
     /// Stages `r` in resp_q_[l][y], listing the queue for this edge's
     /// commit on its first push of the cycle.
     void push_response(std::uint32_t l, std::uint32_t y, mem_request r);
-    /// SE wake thunk target: lists SE i for this edge's commit and, when
-    /// the walk already passed it, forces the next cycle.
+    /// SE wake thunk target: lists SE i for this edge's commit and wakes
+    /// the fabric.
     void note_se_wake(std::uint32_t i);
     /// Brings every SE's backlog counters up to the clock (registry
     /// snapshot hook).
     void settle_backlog();
 
     /// Context of one SE's wake thunk: the fabric and the SE's level-major
-    /// index (se_flat_ / se_wake_ position).
+    /// index (se_flat_ / se_wakes_ slot).
     struct se_wake_ctx {
         bluescale_ic* fabric;
         std::uint32_t index;
@@ -165,14 +166,6 @@ private:
     std::vector<std::uint32_t> dirty_;
     std::vector<std::uint8_t> se_dirty_;
     std::vector<se_wake_ctx> se_wake_ctx_;
-    /// The selective walk's position (total_ses() outside the walk): a
-    /// wake of an SE below it lands after the walk read its horizon.
-    std::uint32_t walk_pos_ = 0;
-    /// An SE was woken after the walk passed it: tick next cycle.
-    bool rearm_ = false;
-    /// Earliest SE wakeup, folded into the selective walk (0, i.e. the
-    /// next cycle, until one ran).
-    cycle_t se_due_ = 0;
     std::uint64_t se_ticks_ = 0;
     /// Responses inside resp_q_ (visible + staged): incremented when the
     /// root pulls a completion from the memory, decremented at leaf
@@ -183,12 +176,11 @@ private:
     std::vector<sim::fault_window> link_faults_;
     /// levels_[l][y] owns SE(l, y); level 0 is the root.
     std::vector<std::vector<std::unique_ptr<scale_element>>> levels_;
-    /// Level-major flat view of every SE, paired with the SoA wake
-    /// schedule se_wake_ (each SE's wake slot is relocated into it via
-    /// component::bind_wake_cell), so the selective walk -- one compare
-    /// per SE, a tick only for due ones -- reads sequential memory.
+    /// Level-major flat view of every SE, paired with se_wakes_: slot i
+    /// holds se_flat_[i]'s wake time (component::bind_wake_slot), so the
+    /// selective walk visits only due SEs, in level-major order.
     std::vector<scale_element*> se_flat_;
-    std::vector<cycle_t> se_wake_;
+    sim::wake_set se_wakes_;
     /// resp_q_[l][y]: responses waiting at SE(l, y)'s provider-side
     /// response port (demux_network model only).
     std::vector<std::vector<latched_queue<mem_request>>> resp_q_;

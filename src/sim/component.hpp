@@ -1,10 +1,12 @@
 // Base class for clocked hardware components.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "sim/types.hpp"
 #include "sim/wake.hpp"
+#include "sim/wake_set.hpp"
 
 namespace bluescale {
 
@@ -16,9 +18,10 @@ namespace bluescale {
 ///
 /// Under the event-driven engine (see simulator::engine) a component may
 /// additionally declare, via next_event(), the earliest future cycle at
-/// which it could need to run again; the simulator skips its tick() until
-/// then. Producers that hand a sleeping component new work re-arm it with
-/// wake(). Horizons must be conservative and wakes liberal: an extra tick
+/// which it could need to run again; the simulator keeps that cycle in its
+/// sim::wake_set and skips the component's tick() until then. Producers
+/// that hand a sleeping component new work re-arm it with wake().
+/// Horizons must be conservative and wakes liberal: an extra tick
 /// can never change behaviour (ticks are idempotent on idle state by the
 /// two-phase contract), only a missed one can.
 class component {
@@ -64,7 +67,11 @@ public:
     /// call this when they hand the component new work. Safe to call at
     /// any time, including on an already-armed component.
     void wake() {
-        *wake_cell_ = 0;
+        if (wakes_ != nullptr) {
+            wakes_->arm(wake_slot_);
+        } else {
+            own_wake_ = 0;
+        }
         wake_hook_.fire();
     }
 
@@ -74,17 +81,27 @@ public:
     /// it).
     void set_wake_hook(sim::wake_hook hook) { wake_hook_ = hook; }
 
-    /// The simulator's cached wakeup time for this component (0 = armed).
-    [[nodiscard]] cycle_t wake_at() const { return *wake_cell_; }
-    void set_wake_at(cycle_t at) { *wake_cell_ = at; }
+    /// The scheduler's cached wakeup time for this component (0 = armed).
+    [[nodiscard]] cycle_t wake_at() const {
+        return wakes_ != nullptr ? wakes_->at(wake_slot_) : own_wake_;
+    }
+    void set_wake_at(cycle_t at) {
+        if (wakes_ != nullptr) {
+            wakes_->schedule(wake_slot_, at);
+        } else {
+            own_wake_ = at;
+        }
+    }
 
-    /// Relocates this component's wake slot into an engine-owned
-    /// contiguous schedule array (structure-of-arrays layout), so the
-    /// per-cycle due/commit scans read sequential memory instead of
-    /// chasing one cache line per component. The caller must have copied
-    /// the current wake time into `cell` first, and must re-bind after
-    /// relocating the array. Components default to private storage.
-    void bind_wake_cell(cycle_t* cell) { wake_cell_ = cell; }
+    /// Moves this component's wake time into slot `slot` of a scheduler's
+    /// wake_set (the simulator's, or a fabric's for its sub-components),
+    /// so wake() re-arms it there. The caller must have copied the
+    /// current wake_at() into the slot first. Until bound, the component
+    /// keeps its wake time in private storage.
+    void bind_wake_slot(sim::wake_set& wakes, std::size_t slot) {
+        wakes_ = &wakes;
+        wake_slot_ = slot;
+    }
 
     [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -92,7 +109,8 @@ private:
     std::string name_;
     bool latches_ = false;
     cycle_t own_wake_ = 0;
-    cycle_t* wake_cell_ = &own_wake_;
+    sim::wake_set* wakes_ = nullptr;
+    std::size_t wake_slot_ = 0;
     sim::wake_hook wake_hook_{};
 };
 

@@ -58,98 +58,82 @@ void simulator::sync_profile_handles() {
     }
 }
 
-void simulator::rebind_wake_cells() {
-    // Read every current wake time BEFORE relocating storage: a
-    // component added earlier already points into the old array, and the
-    // move-assign below frees it.
-    std::vector<cycle_t> fresh(components_.size());
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        fresh[i] = components_[i]->wake_at();
+void simulator::bind_new_components() {
+    // Slots already bound keep their wake times; a late arrival carries
+    // its private wake time (armed unless someone set it) into its slot.
+    const std::size_t first = wakes_.size();
+    wakes_.resize(components_.size());
+    for (std::size_t i = first; i < components_.size(); ++i) {
+        wakes_.schedule(i, components_[i]->wake_at());
+        components_[i]->bind_wake_slot(wakes_, i);
     }
-    wake_cells_ = std::move(fresh);
     committers_.clear();
-    // One reservation per assembly change: the rebind runs at add() time
+    // One reservation per assembly change: this runs at add() time
     // (before stepping resumes), so the commit scan never grows storage
     // while the simulation is running.
     committers_.reserve(components_.size());
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        components_[i]->bind_wake_cell(&wake_cells_[i]);
-        if (components_[i]->latches()) committers_.push_back(components_[i]);
+    for (component* c : components_) {
+        if (c->latches()) committers_.push_back(c);
     }
-    next_due_cache_ = now_; // conservative until the next commit scan
+    if (profiling_) sync_profile_handles();
 }
 
 void simulator::step() {
-    if (trace_ != nullptr) trace_->set_now(now_);
-    const bool lockstep = engine_ == engine::lockstep;
-    if (wake_cells_.size() != components_.size()) rebind_wake_cells();
     if (profiling_) {
-        sync_profile_handles();
-        const obs::stopwatch step_watch;
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            component* c = components_[i];
-            if (lockstep || wake_cells_[i] <= now_) {
-                const obs::stopwatch tick_watch;
-                c->tick(now_);
-                prof_tick_ns_[i].inc(tick_watch.ns());
-                // Lockstep ticks everything next cycle anyway -- paying
-                // for next_event() (or the commit bookkeeping) there
-                // would only slow the fallback.
-                if (!lockstep) {
-                    wake_cells_[i] = std::max(now_ + 1, c->next_event(now_));
-                }
-            }
+        step_cycle<true>();
+    } else {
+        step_cycle<false>();
+    }
+}
+
+template <bool Profile>
+void simulator::step_cycle() {
+    if (trace_ != nullptr) trace_->set_now(now_);
+    if (wakes_.size() != components_.size()) bind_new_components();
+    std::optional<obs::stopwatch> step_watch;
+    if constexpr (Profile) step_watch.emplace();
+    const auto tick = [this](std::size_t i) {
+        if constexpr (Profile) {
+            const obs::stopwatch tick_watch;
+            components_[i]->tick(now_);
+            prof_tick_ns_[i].inc(tick_watch.ns());
+        } else {
+            components_[i]->tick(now_);
         }
-        commit_phase();
-        prof_wall_ns_.inc(step_watch.ns());
-        prof_cycles_.inc();
-        ++now_;
-        return;
-    }
-    if (lockstep) {
-        for (component* c : components_) c->tick(now_);
-        commit_phase();
-        ++now_;
-        return;
-    }
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        if (wake_cells_[i] <= now_) {
-            component* c = components_[i];
-            c->tick(now_);
+    };
+    if (engine_ == engine::lockstep) {
+        // The tick-everything reference: no horizons, no schedule, and
+        // every component commits.
+        for (std::size_t i = 0; i < components_.size(); ++i) tick(i);
+        for (component* c : components_) c->commit();
+    } else {
+        wakes_.walk(now_, [this, &tick](std::size_t i) {
+            tick(i);
             // A self-wake during tick() is absorbed here by contract:
             // next_event() runs after tick and sees this-cycle state. A
             // wake from a LATER component's tick lands after this write
             // and sticks, as it must.
-            wake_cells_[i] = std::max(now_ + 1, c->next_event(now_));
-        }
+            wakes_.settle(i, now_, components_[i]->next_event(now_));
+        });
+        // Every latching component commits on every STEPPED cycle, even
+        // ones that slept through the tick phase: a producer may push
+        // into a sleeping consumer's queue without waking it
+        // (transition-only wakes skip pushes onto existing work), and
+        // those staged values must latch on this clock edge exactly as in
+        // lockstep -- a consumer that wakes later must see everything
+        // pushed before its wake cycle as visible. Cycles the engine
+        // skips entirely stage nothing (no tick, no push), so eliding
+        // their commits is behaviour-preserving; commit() on a latching
+        // component with nothing staged is a no-op by the two-phase
+        // contract, and non-latching components (latches() == false)
+        // have no edge to run at all.
+        for (component* c : committers_) c->commit();
     }
-    commit_phase();
+    if constexpr (Profile) {
+        prof_wall_ns_.inc(step_watch->ns());
+        prof_cycles_.inc();
+    }
     ++now_;
-}
-
-void simulator::commit_phase() {
-    if (engine_ == engine::lockstep) {
-        for (component* c : components_) c->commit();
-        return;
-    }
-    // Every latching component commits on every STEPPED cycle, even ones
-    // that slept through the tick phase: a producer may push into a
-    // sleeping consumer's queue without waking it (transition-only wakes
-    // skip pushes onto existing work), and those staged values must latch
-    // on this clock edge exactly as in lockstep -- a consumer that wakes
-    // later must see everything pushed before its wake cycle as visible.
-    // Cycles the engine skips entirely stage nothing (no tick, no push),
-    // so eliding their commits is behaviour-preserving; commit() on a
-    // latching component with nothing staged is a no-op by the two-phase
-    // contract, and non-latching components (latches() == false) have no
-    // edge to run at all.
-    for (component* c : committers_) c->commit();
-    // Fold the min-wakeup reduction for next_due() over the contiguous
-    // cell array: commit() implementations are pure latches (no pushes,
-    // no wakes), so the cells are stable while this scan runs.
-    cycle_t due = k_cycle_never;
-    for (const cycle_t at : wake_cells_) due = std::min(due, at);
-    next_due_cache_ = due;
 }
 
 void simulator::run(cycle_t cycles) {

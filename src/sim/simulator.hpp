@@ -1,11 +1,12 @@
 // Hybrid event-driven / cycle-stepped simulation engine.
 //
 // The default engine skips dead time: after every tick the simulator
-// caches each component's next_event() horizon, only re-ticks components
-// whose horizon is due, and -- when every component is idle -- advances
-// the clock straight to the earliest wakeup instead of stepping through
-// empty cycles. Producers re-arm sleeping consumers through sim::wake_hook
-// (queue pushes, supervisor reprogramming), so no work is ever missed.
+// caches each component's next_event() horizon in a sim::wake_set, walks
+// only the components whose horizon is due, and -- when every component
+// is idle -- advances the clock straight to the earliest wakeup (the
+// wake_set's root) instead of stepping through empty cycles. Producers
+// re-arm sleeping consumers through sim::wake_hook (queue pushes,
+// supervisor reprogramming), so no work is ever missed.
 //
 // Setting BLUESCALE_LOCKSTEP=1 in the environment (or constructing with
 // engine::lockstep) falls back to the classic cycle-stepped loop that
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "sim/component.hpp"
 #include "sim/types.hpp"
+#include "sim/wake_set.hpp"
 
 namespace bluescale {
 
@@ -45,6 +48,10 @@ public:
 
     simulator() : engine_(default_engine()) {}
     explicit simulator(engine e) : engine_(e) {}
+    /// Added components hold the address of wakes_, so a simulator stays
+    /// where it was built.
+    simulator(const simulator&) = delete;
+    simulator& operator=(const simulator&) = delete;
 
     [[nodiscard]] engine mode() const { return engine_; }
 
@@ -64,8 +71,8 @@ public:
     /// Opt-in simulator profiling: registers profile-flagged wall-clock
     /// metrics ("profile/sim/cycles", "profile/sim/wall_ns", and
     /// "profile/<component>/tick_ns" per added component) into `reg` and
-    /// starts timing every step. Costs two clock reads per component per
-    /// stepped cycle -- leave off outside profiling runs. Under the event
+    /// starts timing every step. Costs two clock reads per ticked
+    /// component -- leave off outside profiling runs. Under the event
     /// engine "profile/sim/cycles" counts stepped (not skipped) cycles.
     void enable_profiling(obs::registry& reg);
 
@@ -116,30 +123,28 @@ public:
 
 private:
     void sync_profile_handles();
-    void commit_phase();
-    /// Rebinds every component's wake slot into wake_cells_ (called when
-    /// components are added, which can relocate the array).
-    void rebind_wake_cells();
+    /// Gives components added since the last step their wake slots and
+    /// refreshes committers_ (assembly-time; runs before the first step
+    /// after add()).
+    void bind_new_components();
+    /// One step(), with per-tick and per-step stopwatches when `Profile`.
+    template <bool Profile>
+    void step_cycle();
 
-    /// Earliest cached wakeup across all components (k_cycle_never when
-    /// everything is quiescent). Computed by the commit scan of the most
-    /// recent step() -- valid because commit() implementations are pure
-    /// latches (they never fire wakes), and only consumed right after a
-    /// step() by the run loops, so out-of-band wakes between runs (e.g.
-    /// campaign injection) can never be skipped over.
-    [[nodiscard]] cycle_t next_due() const { return next_due_cache_; }
+    /// Earliest wakeup across all components (k_cycle_never when
+    /// everything is quiescent): the wake_set's root, always current.
+    [[nodiscard]] cycle_t next_due() const { return wakes_.next_due(); }
 
     engine engine_;
     std::vector<component*> components_;
-    /// SoA wake schedule, parallel to components_: each component's wake
-    /// slot is relocated here (component::bind_wake_cell) so the due
-    /// scan, commit scan, and next_due() touch sequential memory.
-    std::vector<cycle_t> wake_cells_;
+    /// The event engine's schedule, one slot per component (parallel to
+    /// components_; each component's wake() arms its slot). A step walks
+    /// only the due slots.
+    sim::wake_set wakes_;
     /// Components whose commit() is a real clock edge (latches() == true);
     /// the event engine's commit scan calls only these -- the rest are
     /// no-ops by declaration, so skipping them is behaviour-preserving.
     std::vector<component*> committers_;
-    cycle_t next_due_cache_ = 0;
     cycle_t now_ = 0;
     obs::trace_sink* trace_ = nullptr;
     bool profiling_ = false;

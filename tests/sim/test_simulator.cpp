@@ -214,6 +214,21 @@ TEST(simulator, wake_rearms_quiescent_component) {
     EXPECT_EQ(q.ticks[1], 5u);
 }
 
+TEST(simulator, late_add_keeps_wake_times_and_arms_newcomer) {
+    // Assembly can continue after stepping started (testbench::arm adds
+    // the fabric last): components already scheduled keep their wake
+    // times, and the newcomer ticks at the next step.
+    simulator sim(simulator::engine::event);
+    periodic_sleeper p;
+    sim.add(p);
+    sim.run(3);
+    quiescent q;
+    sim.add(q);
+    sim.run(12);
+    EXPECT_EQ(p.ticks, (std::vector<cycle_t>{0, 10}));
+    EXPECT_EQ(q.ticks, (std::vector<cycle_t>{3}));
+}
+
 TEST(simulator, component_woken_mid_cycle_commits_on_that_edge) {
     // A quiescent receiver woken during another component's tick must
     // still latch (commit) on the same cycle edge, so state staged into
