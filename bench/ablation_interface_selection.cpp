@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "analysis/tree_analysis.hpp"
-#include "core/interface_selector.hpp"
+#include "core/parameter_path.hpp"
 #include "harness/bench_cli.hpp"
 #include "sim/rng.hpp"
 #include "sim/trial_runner.hpp"
@@ -24,8 +24,7 @@ namespace {
 struct selection_trial {
     bool feasible = false;
     double root_bandwidth = 0.0;
-    std::uint64_t tests_run = 0;
-    std::uint64_t points_checked = 0;
+    analysis::sched_test_stats work;
     std::uint64_t ses_updated = 0;
 };
 
@@ -47,8 +46,7 @@ selection_trial run_trial(std::uint32_t n_tasks, std::uint32_t trial) {
     selection_trial out;
     out.feasible = sel.feasible;
     out.root_bandwidth = sel.root_bandwidth;
-    out.tests_run = work.tests_run;
-    out.points_checked = work.points_checked;
+    out.work = work;
 
     // Incremental refresh: change client 0's tasks (evaluated const-ly,
     // then applied -- the service-style two-step shape).
@@ -90,12 +88,9 @@ int main(int argc, char** argv) {
         for (const auto& r : results) {
             if (r.feasible) ++feasible;
             root_bw.add(r.root_bandwidth);
-            tests.add(static_cast<double>(r.tests_run));
-            points.add(static_cast<double>(r.points_checked));
-            fsm.add(static_cast<double>(
-                r.tests_run * core::interface_selector::k_cycles_per_test +
-                r.points_checked *
-                    core::interface_selector::k_cycles_per_point));
+            tests.add(static_cast<double>(r.work.tests_run));
+            points.add(static_cast<double>(r.work.points_checked));
+            fsm.add(static_cast<double>(core::reconfig_costs{}.fsm_cycles(r.work)));
             updated.add(static_cast<double>(r.ses_updated));
         }
         t.add_row({std::to_string(n_tasks),

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity check for the experiment bench drivers: runs every driver
-# that calls a run_* experiment from two builds -- a reference (e.g. the
-# parent commit) and a candidate -- at small --trials/--cycles, at
-# --threads 1 and 4, and cmp's each driver's stdout and its --csv,
-# --metrics and --trace files. A refactor that claims "same behaviour"
+# that calls a run_* experiment, plus the two tree-selection drivers
+# (ablation A3 prints the modeled FSM price), from two builds -- a
+# reference (e.g. the parent commit) and a candidate -- at small
+# --trials/--cycles, at --threads 1 and 4, and cmp's each driver's stdout
+# and its --csv, --metrics and --trace files. A refactor that claims "same behaviour"
 # must show no difference here.
 #
 #   usage: scripts/check_bench_exports.sh <ref_build> <new_build>
@@ -25,7 +26,8 @@ cycles="${CYCLES:-6000}"
 
 drivers=(fig6_synthetic fig7_case_study resilience maintenance reconfig
          svc_storm ablation_alpha ablation_buffer_depth ablation_memctrl
-         ablation_server_policy extended_baselines)
+         ablation_server_policy extended_baselines
+         ablation_interface_selection acceptance_ratio)
 exports=(stdout.txt rows.csv metrics.csv trace.json)
 
 work="$(mktemp -d)"

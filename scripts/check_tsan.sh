@@ -17,9 +17,11 @@ cmake --build "$build_dir" --target bluescale_tests \
 
 # megascale_determinism drives the depth-8 parallel whole-tree selection
 # (ordered-merge worker pool + sharded selection cache) -- the byte-
-# identical-across-threads claim must hold without hiding a race.
+# identical-across-threads claim must hold without hiding a race. The
+# parameter-path property test and the per-SE work accounting test fill
+# select_tree_interfaces' per-SE work output from 4 workers.
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter='trial_runner.*:rng_substream.*:testbench.*:fig6.parallel*:fig7.parallel*:export_determinism.*:experiments/scenario_determinism.*:megascale_determinism.*'
+    --gtest_filter='trial_runner.*:rng_substream.*:testbench.*:fig6.parallel*:fig7.parallel*:export_determinism.*:experiments/scenario_determinism.*:megascale_determinism.*:parameter_path_property.*:tree_analysis_accounting.per_se_work*'
 
 # Fault campaigns run inside parallel trial sweeps: the injection windows,
 # retry bookkeeping, health monitoring and DRAM-maintenance accounting

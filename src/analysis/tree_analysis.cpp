@@ -31,9 +31,9 @@ namespace {
 /// The task set a non-leaf SE port sees: the child SE's engaged server
 /// tasks, each treated as the task (T = Pi, C = Theta). Unused child
 /// ports (engaged {0,0}) and failed child ports (nullopt) both vanish
-/// from the parent's task set; the latter has already latched a
-/// port_infeasible failure, so the parent-level numbers are only
-/// reported, never trusted, on that path.
+/// from the parent's task set; the failure scan reports the latter, so
+/// the parent-level numbers are only reported, never trusted, on that
+/// path.
 task_set child_server_tasks(const se_interfaces& child) {
     task_set tasks;
     for (const auto& port : child.ports) {
@@ -57,7 +57,27 @@ task_set tasks_of_client(const std::vector<task_set>& client_tasks,
     return {};
 }
 
+/// The first failed port, scanning levels leaf-to-root and SEs and ports
+/// in ascending order; reason none when every port has an interface.
+selection_failure first_failed_port(const tree_selection& sel) {
+    for (std::uint32_t l = sel.shape.leaf_level + 1; l-- > 0;) {
+        const auto& level = sel.levels[l];
+        for (std::uint32_t y = 0; y < level.size(); ++y) {
+            for (std::uint32_t p = 0; p < k_se_fanin; ++p) {
+                if (!level[y].ports[p]) {
+                    return {selection_failure_reason::port_infeasible, l, y,
+                            p};
+                }
+            }
+        }
+    }
+    return {};
+}
+
+/// The one feasibility verdict of a fully populated selection, shared by
+/// the whole-tree and the request-path walks.
 void finalize(tree_selection& sel) {
+    sel.failure = first_failed_port(sel);
     sel.root_bandwidth = sel.levels[0][0].total_bandwidth();
     if (sel.failure.empty() && sel.root_bandwidth > 1.0 + 1e-9) {
         sel.failure.reason = selection_failure_reason::root_overutilized;
@@ -106,21 +126,22 @@ void parallel_for(std::uint32_t n, unsigned threads,
 }
 
 /// Resolves one level's selections: each SE's four ports serially, SEs in
-/// parallel. Per-SE work counters land in index-addressed slots and merge
-/// in ascending order; the first failure latches in ascending (order,
-/// port) position -- both identical to the serial scan.
+/// parallel. Per-SE work counters land in index-addressed slots (`slots`,
+/// or a private vector when only ctx.sched.stats wants them) and merge in
+/// ascending order -- identical to the serial scan.
 void select_level(tree_selection& sel, std::uint32_t l, double u_level,
                   const analysis_context& ctx,
+                  std::vector<sched_test_stats>* slots,
                   const std::function<task_set(std::uint32_t, std::uint32_t)>&
                       port_tasks) {
     const auto n = static_cast<std::uint32_t>(sel.levels[l].size());
-    std::vector<sched_test_stats> slot_stats(
-        ctx.sched.stats != nullptr ? n : 0);
+    std::vector<sched_test_stats> own;
+    if (slots == nullptr && ctx.sched.stats != nullptr) slots = &own;
+    if (slots != nullptr) slots->assign(n, {});
 
     parallel_for(n, ctx.threads, [&](std::uint32_t y) {
         analysis_context local = ctx;
-        local.sched.stats =
-            ctx.sched.stats != nullptr ? &slot_stats[y] : nullptr;
+        local.sched.stats = slots != nullptr ? &(*slots)[y] : nullptr;
         for (std::uint32_t p = 0; p < k_se_fanin; ++p) {
             sel.levels[l][y].ports[p] =
                 select_interface(port_tasks(y, p), u_level, local);
@@ -128,87 +149,15 @@ void select_level(tree_selection& sel, std::uint32_t l, double u_level,
     });
 
     if (ctx.sched.stats != nullptr) {
-        for (std::uint32_t y = 0; y < n; ++y) {
-            *ctx.sched.stats += slot_stats[y];
-        }
+        for (const auto& work : *slots) *ctx.sched.stats += work;
     }
-    if (sel.failure.empty()) {
-        for (std::uint32_t y = 0; y < n && sel.failure.empty(); ++y) {
-            for (std::uint32_t p = 0; p < k_se_fanin; ++p) {
-                if (!sel.levels[l][y].ports[p]) {
-                    sel.failure = selection_failure{
-                        selection_failure_reason::port_infeasible, l, y, p};
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Shared core of the incremental reselection: mutates `sel` and
-/// `client_tasks` along the client's request path. Both public entry
-/// points (the const evaluate + apply pair and the deprecated mutating
-/// form) funnel here.
-std::uint32_t reselect_client_path(tree_selection& sel,
-                                   std::vector<task_set>& client_tasks,
-                                   std::uint32_t client, task_set new_tasks,
-                                   const analysis_context& ctx) {
-    assert(client < sel.shape.padded_clients);
-    if (client >= client_tasks.size()) client_tasks.resize(client + 1);
-    client_tasks[client] = std::move(new_tasks);
-    sel.failure = {};
-
-    const std::uint32_t depth = sel.shape.leaf_level;
-    std::uint32_t changed_ses = 0;
-
-    // Leaf level: only this client's port is reselected.
-    double u_level = 0.0;
-    for (const auto& tasks : client_tasks) u_level += utilization(tasks);
-
-    std::uint32_t order = sel.shape.leaf_se_of_client(client);
-    std::uint32_t port = sel.shape.leaf_port_of_client(client);
-    {
-        auto iface = select_interface(client_tasks[client], u_level, ctx);
-        if (!iface) {
-            sel.failure = selection_failure{
-                selection_failure_reason::port_infeasible, depth, order,
-                port};
-        }
-        if (sel.levels[depth][order].ports[port] != iface) {
-            sel.levels[depth][order].ports[port] = iface;
-            ++changed_ses;
-        }
-    }
-
-    // Walk the request path to the root, reselecting the single affected
-    // port at each level. All SEs off the path keep their parameters.
-    for (std::uint32_t l = depth; l-- > 0;) {
-        const double u_children = level_bandwidth(sel.levels[l + 1]);
-        const std::uint32_t child_order = order;
-        order = quadtree_shape::parent_order(child_order);
-        port = quadtree_shape::parent_port(child_order);
-        const task_set tasks =
-            child_server_tasks(sel.levels[l + 1][child_order]);
-        auto iface = select_interface(tasks, u_children, ctx);
-        if (!iface && sel.failure.empty()) {
-            sel.failure = selection_failure{
-                selection_failure_reason::port_infeasible, l, order, port};
-        }
-        if (sel.levels[l][order].ports[port] != iface) {
-            sel.levels[l][order].ports[port] = iface;
-            ++changed_ses;
-        }
-    }
-
-    finalize(sel);
-    return changed_ses;
 }
 
 } // namespace
 
 tree_selection
 select_tree_interfaces(const std::vector<task_set>& client_tasks,
-                       const analysis_context& ctx) {
+                       const analysis_context& ctx, tree_work* se_work) {
     tree_selection sel;
     sel.shape = make_quadtree_shape(
         static_cast<std::uint32_t>(std::max<std::size_t>(client_tasks.size(), 1)));
@@ -217,12 +166,16 @@ select_tree_interfaces(const std::vector<task_set>& client_tasks,
     for (std::uint32_t l = 0; l <= depth; ++l) {
         sel.levels[l].resize(sel.shape.ses_at_level(l));
     }
+    if (se_work != nullptr) se_work->assign(depth + 1, {});
+    const auto level_work = [&](std::uint32_t l) {
+        return se_work != nullptr ? &(*se_work)[l] : nullptr;
+    };
 
     // Level L: VEs are system clients; tasks are the Local Tasks.
     double u_level = 0.0;
     for (const auto& tasks : client_tasks) u_level += utilization(tasks);
 
-    select_level(sel, depth, u_level, ctx,
+    select_level(sel, depth, u_level, ctx, level_work(depth),
                  [&](std::uint32_t y, std::uint32_t p) {
                      const std::uint32_t client =
                          quadtree_shape::child_order(y, p);
@@ -234,7 +187,7 @@ select_tree_interfaces(const std::vector<task_set>& client_tasks,
     // l+1's results); only the SEs within a level run in parallel.
     for (std::uint32_t l = depth; l-- > 0;) {
         const double u_children = level_bandwidth(sel.levels[l + 1]);
-        select_level(sel, l, u_children, ctx,
+        select_level(sel, l, u_children, ctx, level_work(l),
                      [&](std::uint32_t y, std::uint32_t p) {
                          const std::uint32_t child =
                              quadtree_shape::child_order(y, p);
@@ -251,12 +204,53 @@ evaluate_client_update(const tree_selection& selection,
                        const std::vector<task_set>& client_tasks,
                        std::uint32_t client, task_set new_tasks,
                        const analysis_context& ctx) {
+    assert(client < selection.shape.padded_clients);
     client_update out;
     out.selection = selection;
     out.client_tasks = client_tasks;
-    out.ses_changed =
-        reselect_client_path(out.selection, out.client_tasks, client,
-                             std::move(new_tasks), ctx);
+    if (client >= out.client_tasks.size()) {
+        out.client_tasks.resize(client + 1);
+    }
+    out.client_tasks[client] = std::move(new_tasks);
+
+    tree_selection& sel = out.selection;
+    const std::uint32_t depth = sel.shape.leaf_level;
+    out.path_work.assign(depth + 1, {});
+
+    // Reselects the single affected port of SE(l, order), counting its
+    // work into the path slot of level l.
+    const auto reselect = [&](std::uint32_t l, std::uint32_t order,
+                              std::uint32_t port, const task_set& tasks,
+                              double u_level) {
+        sched_test_stats& work = out.path_work[depth - l];
+        analysis_context local = ctx;
+        local.sched.stats = &work;
+        auto iface = select_interface(tasks, u_level, local);
+        if (ctx.sched.stats != nullptr) *ctx.sched.stats += work;
+        if (sel.levels[l][order].ports[port] != iface) {
+            sel.levels[l][order].ports[port] = iface;
+            ++out.ses_changed;
+        }
+    };
+
+    // Leaf level: only this client's port is reselected.
+    double u_level = 0.0;
+    for (const auto& tasks : out.client_tasks) u_level += utilization(tasks);
+    std::uint32_t order = sel.shape.leaf_se_of_client(client);
+    reselect(depth, order, sel.shape.leaf_port_of_client(client),
+             out.client_tasks[client], u_level);
+
+    // Walk the request path to the root, reselecting the single affected
+    // port at each level. All SEs off the path keep their parameters.
+    for (std::uint32_t l = depth; l-- > 0;) {
+        const std::uint32_t child = order;
+        order = quadtree_shape::parent_order(child);
+        reselect(l, order, quadtree_shape::parent_port(child),
+                 child_server_tasks(sel.levels[l + 1][child]),
+                 level_bandwidth(sel.levels[l + 1]));
+    }
+
+    finalize(sel);
     return out;
 }
 

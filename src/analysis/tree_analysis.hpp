@@ -90,18 +90,25 @@ struct tree_selection {
     }
 };
 
+/// Per-SE selection work: work[l][y] is what SE(l, y)'s four port
+/// selections cost (same shape as tree_selection::levels). The parameter
+/// path prices each SE's selector FSM from it.
+using tree_work = std::vector<std::vector<sched_test_stats>>;
+
 /// Resolves all interface selection problems for a quadtree whose leaves
 /// run the given per-client task sets (client_tasks[c] is client mu.c's
 /// local task set; missing/extra leaf ports are treated as empty).
 ///
 /// ctx.threads parallelizes the per-SE selections within each level;
 /// ctx.cache memoizes per-port selections. The selected interfaces, the
-/// failure report and the accumulated sched_test_stats work totals are
-/// bit-identical for every threads value and with the cache on or off
-/// (only the cache_hits/cache_misses split depends on scheduling).
+/// failure report, the accumulated sched_test_stats work totals and the
+/// optional per-SE `se_work` are bit-identical for every threads value
+/// and with the cache on or off (a cache hit replays its counters; only
+/// the cache_hits/cache_misses split depends on scheduling).
 [[nodiscard]] tree_selection
 select_tree_interfaces(const std::vector<task_set>& client_tasks,
-                       const analysis_context& ctx = {});
+                       const analysis_context& ctx = {},
+                       tree_work* se_work = nullptr);
 
 /// Result of a const, re-entrant incremental reselection (paper
 /// Sec. 3.2's third property: tasks joining/leaving one client only
@@ -111,6 +118,9 @@ struct client_update {
     tree_selection selection;
     std::vector<task_set> client_tasks;
     std::uint32_t ses_changed = 0;
+    /// Selection work of the one reselected port per level of the
+    /// request path, leaf first: path_work[i] is level leaf_level - i.
+    std::vector<sched_test_stats> path_work;
 };
 
 /// Incremental reselection after tasks join/leave one client, without
@@ -119,6 +129,10 @@ struct client_update {
 /// const references. Safe for concurrent evaluators (e.g. the analysis
 /// service's worker pool) sharing one committed state. Commit the result
 /// with apply_client_update.
+///
+/// Feasibility comes from the same whole-tree failure scan
+/// select_tree_interfaces uses, so a port that failed off the path still
+/// marks the updated tree infeasible.
 [[nodiscard]] client_update
 evaluate_client_update(const tree_selection& selection,
                        const std::vector<task_set>& client_tasks,

@@ -1,5 +1,7 @@
 #include "core/interface_selector.hpp"
 
+#include "core/parameter_path.hpp"
+
 namespace bluescale::core {
 
 bool interface_selector::load_task(std::uint8_t client_port,
@@ -31,8 +33,7 @@ interface_selector::select(double level_utilization,
             analysis::select_interface(tasks, level_utilization, counted);
     }
 
-    result.estimated_cycles = result.work.tests_run * k_cycles_per_test +
-                              result.work.points_checked * k_cycles_per_point;
+    result.estimated_cycles = reconfig_costs{}.fsm_cycles(result.work);
     return result;
 }
 

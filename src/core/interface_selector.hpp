@@ -32,7 +32,8 @@ struct task_table_entry {
 struct selector_result {
     /// Selected interface per local client port; nullopt = infeasible.
     std::array<std::optional<analysis::resource_interface>, 4> interfaces;
-    /// Estimated FSM cycles to run the selection (see header comment).
+    /// Estimated FSM cycles to run the selection: the default
+    /// reconfig_costs::fsm_cycles of `work`.
     std::uint64_t estimated_cycles = 0;
     /// Raw algorithm work counters behind the estimate.
     analysis::sched_test_stats work;
@@ -71,13 +72,6 @@ public:
     [[nodiscard]] selector_result
     select(double level_utilization,
            const analysis::analysis_context& ctx = {}) const;
-
-    /// FSM cycles charged per dbf/sbf comparison: table fetch, two ALU
-    /// evaluations, one compare-and-branch.
-    static constexpr std::uint64_t k_cycles_per_point = 4;
-    /// FSM cycles charged per schedulability test setup (beta computation,
-    /// counters initialization).
-    static constexpr std::uint64_t k_cycles_per_test = 8;
 
 private:
     std::size_t table_depth_;

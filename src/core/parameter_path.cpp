@@ -1,226 +1,104 @@
 #include "core/parameter_path.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <utility>
 
 namespace bluescale::core {
 
 namespace {
 
-using analysis::k_se_fanin;
 using analysis::quadtree_shape;
-using analysis::resource_interface;
-using analysis::se_interfaces;
-using analysis::select_interface;
 using analysis::task_set;
 
-/// Server tasks a parent-port selector sees from one child SE.
-task_set child_server_tasks(const se_interfaces& child) {
-    task_set tasks;
+/// Table entries a parent selector loads from one child SE: one per
+/// engaged server task.
+std::uint64_t server_entries(const analysis::se_interfaces& child) {
+    std::uint64_t n = 0;
     for (const auto& port : child.ports) {
-        if (port && port->budget > 0) {
-            // Control-plane admission modeling: runs once per
-            // reconfiguration request (amortized over the propagation
-            // latency it computes), bounded by the SE fan-in -- not
-            // per-cycle work, even though reconfig_manager::tick drives it.
-            // detlint:allow(hotpath-alloc): amortized admission-time work
-            tasks.push_back({port->period, port->budget});
-        }
+        if (port && port->budget > 0) ++n;
     }
-    return tasks;
-}
-
-/// FSM cycles for one port's selection, counted from the algorithm work.
-/// A selection_cache in `ctx` does not perturb the price: a hit replays
-/// the original computation's counters, so the modeled latency is
-/// identical with the cache on or off.
-std::uint64_t selection_cycles(const task_set& tasks,
-                               double level_utilization,
-                               const analysis::analysis_context& ctx,
-                               const reconfig_costs& costs,
-                               std::optional<resource_interface>* out) {
-    analysis::sched_test_stats work;
-    analysis::analysis_context counted = ctx;
-    counted.sched.stats = &work;
-    auto iface = select_interface(tasks, level_utilization, counted);
-    if (out != nullptr) *out = iface;
-    return work.tests_run * costs.cycles_per_test +
-           work.points_checked * costs.cycles_per_point;
-}
-
-/// Rebuilds root bandwidth, the structured failure and feasibility from a
-/// fully-populated selection, latching the first failed port in the same
-/// leaf-to-root, ascending (order, port) scan order tree_analysis uses.
-void refresh_feasibility(analysis::tree_selection& sel) {
-    sel.failure = {};
-    const std::uint32_t depth = sel.shape.leaf_level;
-    for (std::uint32_t l = depth;; --l) {
-        const auto n = static_cast<std::uint32_t>(sel.levels[l].size());
-        for (std::uint32_t y = 0; y < n && sel.failure.empty(); ++y) {
-            for (std::uint32_t p = 0; p < k_se_fanin; ++p) {
-                if (!sel.levels[l][y].ports[p]) {
-                    sel.failure = analysis::selection_failure{
-                        analysis::selection_failure_reason::port_infeasible,
-                        l, y, p};
-                    break;
-                }
-            }
-        }
-        if (l == 0 || !sel.failure.empty()) break;
-    }
-    sel.root_bandwidth = sel.levels[0][0].total_bandwidth();
-    if (sel.failure.empty() && sel.root_bandwidth > 1.0 + 1e-9) {
-        sel.failure.reason =
-            analysis::selection_failure_reason::root_overutilized;
-    }
-    sel.feasible = sel.failure.empty();
+    return n;
 }
 
 } // namespace
 
 reconfig_report
-model_full_reconfiguration(const std::vector<analysis::task_set>& clients,
+model_full_reconfiguration(const std::vector<task_set>& clients,
                            const analysis::analysis_context& ctx,
                            const reconfig_costs& costs) {
     reconfig_report report;
-    const auto shape = analysis::make_quadtree_shape(
-        static_cast<std::uint32_t>(std::max<std::size_t>(clients.size(), 1)));
-    const std::uint32_t depth = shape.leaf_level;
-
-    report.selection.shape = shape;
-    report.selection.levels.resize(depth + 1);
-    for (std::uint32_t l = 0; l <= depth; ++l) {
-        report.selection.levels[l].resize(shape.ses_at_level(l));
-    }
+    analysis::tree_work work;
+    report.selection = analysis::select_tree_interfaces(clients, ctx, &work);
+    const analysis::tree_selection& sel = report.selection;
+    const std::uint32_t depth = sel.shape.leaf_level;
     report.level_finish_cycles.assign(depth + 1, 0);
 
-    // finish[l][y] = cycle SE(l, y)'s selector delivers its result.
-    std::vector<std::vector<std::uint64_t>> finish(depth + 1);
-
-    // Leaf level: load the clients' task parameters, then select.
-    double u_level = 0.0;
-    for (const auto& tasks : clients) {
-        u_level += analysis::utilization(tasks);
-    }
-    finish[depth].resize(shape.ses_at_level(depth), 0);
-    for (std::uint32_t y = 0; y < finish[depth].size(); ++y) {
-        std::uint64_t entries = 0;
-        std::uint64_t compute = 0;
-        for (std::uint32_t p = 0; p < k_se_fanin; ++p) {
-            const std::uint32_t c = quadtree_shape::child_order(y, p);
-            const task_set tasks =
-                c < clients.size() ? clients[c] : task_set{};
-            entries += tasks.size();
-            compute += selection_cycles(
-                tasks, u_level, ctx, costs,
-                &report.selection.levels[depth][y].ports[p]);
-        }
-        finish[depth][y] = entries * costs.cycles_per_entry + compute;
-        ++report.ses_involved;
-    }
-
-    // Inner levels: wait for the children, receive their interfaces,
-    // then select.
-    for (std::uint32_t l = depth; l-- > 0;) {
-        double u_children = 0.0;
-        for (const auto& se : report.selection.levels[l + 1]) {
-            u_children += se.total_bandwidth();
-        }
-        finish[l].resize(shape.ses_at_level(l), 0);
-        for (std::uint32_t y = 0; y < finish[l].size(); ++y) {
+    // finish[y] = cycle SE(l, y)'s selector delivers its result; `below`
+    // holds the level under it. A leaf SE loads its clients' task
+    // parameters; an inner SE waits for its children and loads their
+    // server tasks.
+    std::vector<std::uint64_t> below;
+    std::vector<std::uint64_t> finish;
+    for (std::uint32_t l = depth + 1; l-- > 0;) {
+        finish.assign(sel.levels[l].size(), 0);
+        for (std::uint32_t y = 0; y < finish.size(); ++y) {
             std::uint64_t start = 0;
             std::uint64_t entries = 0;
-            std::uint64_t compute = 0;
-            for (std::uint32_t p = 0; p < k_se_fanin; ++p) {
-                const std::uint32_t child =
-                    quadtree_shape::child_order(y, p);
-                start = std::max(start, finish[l + 1][child]);
-                const task_set tasks = child_server_tasks(
-                    report.selection.levels[l + 1][child]);
-                entries += tasks.size();
-                compute += selection_cycles(
-                    tasks, u_children, ctx, costs,
-                    &report.selection.levels[l][y].ports[p]);
+            for (std::uint32_t p = 0; p < analysis::k_se_fanin; ++p) {
+                const std::uint32_t child = quadtree_shape::child_order(y, p);
+                if (l == depth) {
+                    if (child < clients.size()) entries += clients[child].size();
+                } else {
+                    start = std::max(start, below[child]);
+                    entries += server_entries(sel.levels[l + 1][child]);
+                }
             }
-            finish[l][y] =
-                start + entries * costs.cycles_per_entry + compute;
-            ++report.ses_involved;
-        }
-    }
-
-    for (std::uint32_t l = 0; l <= depth; ++l) {
-        for (auto f : finish[l]) {
+            finish[y] = start + entries * costs.cycles_per_entry +
+                        costs.fsm_cycles(work[l][y]);
             report.level_finish_cycles[l] =
-                std::max(report.level_finish_cycles[l], f);
+                std::max(report.level_finish_cycles[l], finish[y]);
         }
+        report.ses_involved += static_cast<std::uint32_t>(finish.size());
+        below.swap(finish);
     }
     report.total_cycles = report.level_finish_cycles[0];
-
-    refresh_feasibility(report.selection);
-    report.feasible = report.selection.feasible;
+    report.feasible = sel.feasible;
     return report;
 }
 
 reconfig_report
 model_client_update(const analysis::tree_selection& committed,
-                    const std::vector<analysis::task_set>& committed_clients,
-                    std::uint32_t client, analysis::task_set new_tasks,
+                    const std::vector<task_set>& committed_clients,
+                    std::uint32_t client, task_set new_tasks,
                     const analysis::analysis_context& ctx,
                     const reconfig_costs& costs) {
-    // The update is modeled on copies; the committed inputs stay
+    // evaluate_client_update works on copies: the committed inputs stay
     // untouched (re-entrancy for concurrent evaluators, and the rejection
     // path's zero-perturbation property for the reconfig manager).
-    analysis::tree_selection selection = committed;
-    std::vector<analysis::task_set> clients = committed_clients;
+    analysis::client_update update = analysis::evaluate_client_update(
+        committed, committed_clients, client, std::move(new_tasks), ctx);
+    const analysis::tree_selection& sel = update.selection;
+    const std::uint32_t depth = sel.shape.leaf_level;
     reconfig_report report;
-    const auto& shape = selection.shape;
-    assert(client < shape.padded_clients);
-    // Control-plane copy-update: one admission evaluation per request,
-    // amortized over the modeled reconfiguration latency.
-    // detlint:allow(hotpath-alloc): amortized admission-time work
-    if (client >= clients.size()) clients.resize(client + 1);
-    clients[client] = std::move(new_tasks);
-
-    const std::uint32_t depth = shape.leaf_level;
     report.level_finish_cycles.assign(depth + 1, 0);
-
-    double u_level = 0.0;
-    for (const auto& tasks : clients) {
-        u_level += analysis::utilization(tasks);
-    }
 
     // Serial wave up the request path: each selector reloads the changed
     // entries, recomputes the single affected port, and forwards.
     std::uint64_t wave_cycles = 0;
-    std::uint32_t order = shape.leaf_se_of_client(client);
-    std::uint32_t port = shape.leaf_port_of_client(client);
-    wave_cycles += clients[client].size() * costs.cycles_per_entry;
-    wave_cycles += selection_cycles(clients[client], u_level, ctx, costs,
-                              &selection.levels[depth][order].ports[port]);
-    report.level_finish_cycles[depth] = wave_cycles;
-    ++report.ses_involved;
-
-    for (std::uint32_t l = depth; l-- > 0;) {
-        double u_children = 0.0;
-        for (const auto& se : selection.levels[l + 1]) {
-            u_children += se.total_bandwidth();
-        }
-        const std::uint32_t child = order;
-        order = quadtree_shape::parent_order(child);
-        port = quadtree_shape::parent_port(child);
-        const task_set tasks =
-            child_server_tasks(selection.levels[l + 1][child]);
-        wave_cycles += tasks.size() * costs.cycles_per_entry;
-        wave_cycles += selection_cycles(tasks, u_children, ctx, costs,
-                                  &selection.levels[l][order].ports[port]);
+    std::uint64_t entries = update.client_tasks[client].size();
+    std::uint32_t order = sel.shape.leaf_se_of_client(client);
+    for (std::uint32_t l = depth + 1; l-- > 0;) {
+        wave_cycles += entries * costs.cycles_per_entry +
+                       costs.fsm_cycles(update.path_work[depth - l]);
         report.level_finish_cycles[l] = wave_cycles;
-        ++report.ses_involved;
+        entries = server_entries(sel.levels[l][order]);
+        order = quadtree_shape::parent_order(order);
     }
 
     report.total_cycles = wave_cycles;
-    refresh_feasibility(selection);
-    report.feasible = selection.feasible;
-    report.selection = std::move(selection);
+    report.ses_involved = depth + 1;
+    report.feasible = sel.feasible;
+    report.selection = std::move(update.selection);
     return report;
 }
 

@@ -9,9 +9,12 @@
 //
 //   finish(SE) = max over children(finish(child)) + transfer + compute
 //
-// This model prices compute from the algorithm's actual work (counted
-// schedulability tests / dbf points, as core::interface_selector does)
-// and transfer from the 74-bit table-entry format.
+// This layer only prices a walk: the selection itself, and the work it
+// counts per SE, come from analysis::select_tree_interfaces (whole tree)
+// and analysis::evaluate_client_update (one request path). Compute is
+// reconfig_costs::fsm_cycles of that work; transfer is the number of
+// 74-bit table entries the selector loads -- client tasks at the leaves,
+// engaged child servers above them -- times cycles_per_entry.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +28,19 @@ namespace bluescale::core {
 struct reconfig_costs {
     /// Cycles to deliver one 74-bit task-parameter entry to the next SE.
     std::uint64_t cycles_per_entry = 2;
-    /// FSM cycles per schedulability test / per dbf point (matches
-    /// interface_selector's constants).
+    /// FSM cycles per schedulability test setup (beta computation,
+    /// counters initialization).
     std::uint64_t cycles_per_test = 8;
+    /// FSM cycles per dbf/sbf comparison: table fetch, two ALU
+    /// evaluations, one compare-and-branch.
     std::uint64_t cycles_per_point = 4;
+
+    /// FSM cycles a selector spends performing `work`.
+    [[nodiscard]] constexpr std::uint64_t
+    fsm_cycles(const analysis::sched_test_stats& work) const {
+        return work.tests_run * cycles_per_test +
+               work.points_checked * cycles_per_point;
+    }
 };
 
 struct reconfig_report {
@@ -43,17 +55,19 @@ struct reconfig_report {
     analysis::tree_selection selection;
 };
 
-/// Models a full system reconfiguration: every SE reselects.
+/// Models a full system reconfiguration: every SE reselects
+/// (select_tree_interfaces), priced along the critical path.
 [[nodiscard]] reconfig_report
 model_full_reconfiguration(const std::vector<analysis::task_set>& clients,
                            const analysis::analysis_context& ctx = {},
                            const reconfig_costs& costs = {});
 
 /// Models the paper's incremental case: one client's tasks change, only
-/// the SEs on its request path recompute (serially, leaf to root).
-/// Const-correct and re-entrant: the committed state is only read (the
-/// update is modeled on an internal copy), so concurrent evaluators --
-/// the analysis service's worker pool -- may share one committed state.
+/// the SEs on its request path recompute (evaluate_client_update),
+/// priced as a serial wave from leaf to root. Const-correct and
+/// re-entrant: the committed state is only read, so concurrent
+/// evaluators -- the analysis service's worker pool -- may share one
+/// committed state.
 [[nodiscard]] reconfig_report
 model_client_update(const analysis::tree_selection& selection,
                     const std::vector<analysis::task_set>& clients,

@@ -1,11 +1,28 @@
 #include "core/reconfig_manager.hpp"
 
 #include <cassert>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/bluescale_ic.hpp"
 
 namespace bluescale::core {
+
+namespace {
+
+/// The rejection outcome and record detail of an infeasible selection.
+std::pair<admission_outcome, std::string>
+rejection_for(const analysis::selection_failure& fail) {
+    return {fail.reason ==
+                    analysis::selection_failure_reason::root_overutilized
+                ? admission_outcome::rejected_overutilized
+                : admission_outcome::rejected_infeasible,
+            fail.empty() ? "no feasible interface on the request path"
+                         : fail.to_string()};
+}
+
+} // namespace
 
 const char* admission_outcome_name(admission_outcome o) {
     switch (o) {
@@ -123,16 +140,8 @@ reconfig_manager::evaluate(std::uint32_t client,
                                       tasks, sel, cfg_.costs);
     eval.feasible = eval.report.feasible;
     if (!eval.feasible) {
-        const analysis::selection_failure& fail =
-            eval.report.selection.failure;
-        eval.reject_reason =
-            fail.reason ==
-                    analysis::selection_failure_reason::root_overutilized
-                ? admission_outcome::rejected_overutilized
-                : admission_outcome::rejected_infeasible;
-        eval.detail = fail.empty()
-                          ? "no feasible interface on the request path"
-                          : fail.to_string();
+        std::tie(eval.reject_reason, eval.detail) =
+            rejection_for(eval.report.selection.failure);
     }
     return eval;
 }
@@ -226,15 +235,8 @@ void reconfig_manager::start_admission(queued_request req, cycle_t now) {
     rec.root_bandwidth = report.selection.root_bandwidth;
 
     if (!report.feasible) {
-        const analysis::selection_failure& fail = report.selection.failure;
-        rec.outcome =
-            fail.reason ==
-                    analysis::selection_failure_reason::root_overutilized
-                ? admission_outcome::rejected_overutilized
-                : admission_outcome::rejected_infeasible;
-        rec.detail = fail.empty()
-                         ? "no feasible interface on the request path"
-                         : fail.to_string();
+        std::tie(rec.outcome, rec.detail) =
+            rejection_for(report.selection.failure);
         rec.resolved_at = now;
         rejected_.inc();
         resolve(rec, req.tasks);

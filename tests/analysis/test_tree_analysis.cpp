@@ -285,5 +285,56 @@ TEST(tree_analysis_update, can_make_system_infeasible_and_back) {
     EXPECT_TRUE(sel.feasible) << sel.failure.to_string();
 }
 
+TEST(tree_analysis_update, off_path_failure_keeps_the_tree_infeasible) {
+    // Client 0's demand fails at the root port above it. Updating a
+    // client on another path must not hide that failure: feasibility is
+    // the whole-tree scan, not just the reselected path.
+    auto clients = uniform_clients(16, {200, 4});
+    clients[0] = {{40, 39}};
+    const auto sel = select_tree_interfaces(clients);
+    ASSERT_FALSE(sel.feasible);
+    ASSERT_EQ(sel.failure,
+              (selection_failure{selection_failure_reason::port_infeasible,
+                                 0, 0, 0}));
+
+    const auto update = evaluate_client_update(sel, clients, 15, {{200, 4}});
+    EXPECT_FALSE(update.selection.feasible);
+    EXPECT_EQ(update.selection.failure, sel.failure);
+}
+
+TEST(tree_analysis_accounting, per_se_work_sums_to_the_stats_total) {
+    auto clients = uniform_clients(64, {800, 4}, 2);
+    clients[9] = {{300, 20}};
+    for (const unsigned threads : {1u, 4u}) {
+        sched_test_stats total;
+        analysis_context ctx;
+        ctx.threads = threads;
+        ctx.sched.stats = &total;
+        tree_work work;
+        const auto sel = select_tree_interfaces(clients, ctx, &work);
+        ASSERT_EQ(work.size(), sel.levels.size());
+        sched_test_stats summed;
+        for (std::uint32_t l = 0; l < work.size(); ++l) {
+            ASSERT_EQ(work[l].size(), sel.levels[l].size());
+            for (const auto& se : work[l]) summed += se;
+        }
+        EXPECT_EQ(summed, total) << "threads " << threads;
+        EXPECT_GT(total.tests_run, 0u);
+
+        // The request path reports the work of each reselected port.
+        sched_test_stats path_total;
+        ctx.sched.stats = &path_total;
+        const auto update =
+            evaluate_client_update(sel, clients, 9, {{400, 8}}, ctx);
+        ASSERT_EQ(update.path_work.size(), sel.shape.leaf_level + 1);
+        sched_test_stats path_summed;
+        for (const auto& w : update.path_work) {
+            EXPECT_GT(w.tests_run, 0u);
+            path_summed += w;
+        }
+        EXPECT_EQ(path_summed, path_total);
+    }
+}
+
 } // namespace
 } // namespace bluescale::analysis

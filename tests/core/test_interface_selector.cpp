@@ -56,10 +56,9 @@ TEST(interface_selector, estimates_fsm_cycles_from_work) {
     sel.load_task(0, 1, 100, 10);
     const auto result = sel.select(0.2);
     EXPECT_GT(result.work.tests_run, 0u);
+    // The default reconfig_costs price: 8 cycles per test, 4 per point.
     EXPECT_EQ(result.estimated_cycles,
-              result.work.tests_run * interface_selector::k_cycles_per_test +
-                  result.work.points_checked *
-                      interface_selector::k_cycles_per_point);
+              result.work.tests_run * 8 + result.work.points_checked * 4);
 }
 
 TEST(interface_selector, more_ports_cost_more_cycles) {

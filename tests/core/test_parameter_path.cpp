@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/selection_cache.hpp"
 #include "core/parameter_path.hpp"
+#include "sim/rng.hpp"
+#include "workload/taskset_gen.hpp"
 
 namespace bluescale::core {
 namespace {
@@ -183,6 +188,169 @@ TEST(parameter_path, update_selection_matches_incremental_analysis) {
             for (std::uint32_t p = 0; p < 4; ++p) {
                 EXPECT_EQ(report.selection.levels[l][y].ports[p],
                           expected.levels[l][y].ports[p]);
+            }
+        }
+    }
+}
+
+/// Seeded client task sets: `n` clients sharing a combined utilization
+/// of `utilization`, two tasks each.
+std::vector<analysis::task_set> seeded_clients(std::uint64_t seed,
+                                               std::uint32_t n,
+                                               double utilization) {
+    rng gen(seed);
+    workload::taskset_params params;
+    params.n_tasks = 2;
+    std::vector<analysis::task_set> out;
+    for (const auto& s : workload::make_client_tasksets(
+             gen, n, utilization, utilization, params)) {
+        out.push_back(workload::to_rt_tasks(s));
+    }
+    return out;
+}
+
+/// The priced outputs of one report.
+struct price {
+    std::uint64_t total_cycles = 0;
+    std::vector<std::uint64_t> level_finish_cycles;
+    std::uint32_t ses_involved = 0;
+    bool feasible = false;
+
+    friend bool operator==(const price&, const price&) = default;
+};
+
+price price_of(const reconfig_report& r) {
+    return {r.total_cycles, r.level_finish_cycles, r.ses_involved,
+            r.feasible};
+}
+
+std::string to_string(const price& p) {
+    std::string s = "{" + std::to_string(p.total_cycles) + ", {";
+    for (std::size_t i = 0; i < p.level_finish_cycles.size(); ++i) {
+        if (i != 0) s += ", ";
+        s += std::to_string(p.level_finish_cycles[i]);
+    }
+    return s + "}, " + std::to_string(p.ses_involved) + ", " +
+           (p.feasible ? "true" : "false") + "}";
+}
+
+struct golden_case {
+    std::uint64_t seed = 0;
+    std::uint32_t clients = 0;
+    double utilization = 0.0;
+    bool cached = false;
+    /// Full reconfiguration, then two client updates of its selection:
+    /// a fresh random task set for one client, and either a heavy task
+    /// (even seeds) or a client leaving (odd seeds) for another.
+    std::array<price, 3> expected;
+};
+
+std::array<price, 3> run_golden_case(const golden_case& gc) {
+    const auto clients = seeded_clients(gc.seed, gc.clients, gc.utilization);
+    analysis::selection_cache cache;
+    analysis::analysis_context ctx;
+    if (gc.cached) ctx.cache = &cache;
+
+    const auto full = model_full_reconfiguration(clients, ctx);
+
+    rng gen(substream(gc.seed, 1));
+    workload::taskset_params params;
+    params.n_tasks = 3;
+    params.total_utilization = gc.utilization / gc.clients;
+    const std::uint32_t a = static_cast<std::uint32_t>(gc.seed % gc.clients);
+    const auto update_a = model_client_update(
+        full.selection, clients, a,
+        workload::to_rt_tasks(workload::make_taskset(gen, params)), ctx);
+
+    const std::uint32_t b =
+        static_cast<std::uint32_t>((gc.seed * 7 + 3) % gc.clients);
+    const analysis::task_set heavy{{100, 45}};
+    const auto update_b = model_client_update(
+        full.selection, clients, b,
+        gc.seed % 2 == 0 ? heavy : analysis::task_set{}, ctx);
+    return {price_of(full), price_of(update_a), price_of(update_b)};
+}
+
+TEST(parameter_path_golden, prices_match_the_recorded_values) {
+    // Recorded from the parameter path before it priced tree_analysis's
+    // walk; a drift here changes reconfiguration latency, svc eval cycles
+    // and every export that reads them.
+    const std::vector<golden_case> cases = {
+        {1, 16, 0.6, false,
+         {{{127188, {127188, 124724}, 5, true},
+           {2686, {2686, 2130}, 2, true},
+           {1454, {1454, 0}, 2, true}}}},
+        {2, 16, 1.05, false,
+         {{{45552, {45552, 44752}, 5, false},
+           {1250, {1250, 1186}, 2, false},
+           {2386, {2386, 2370}, 2, false}}}},
+        {3, 64, 0.45, false,
+         {{{602776, {602776, 601260, 595188}, 21, true},
+           {11238, {11238, 10834, 8830}, 3, true},
+           {2638, {2638, 2318, 0}, 3, true}}}},
+        {4, 64, 0.75, true,
+         {{{468504, {468504, 467740, 463404}, 21, false},
+           {7426, {7426, 7182, 6646}, 3, false},
+           {3406, {3406, 3398, 3382}, 3, false}}}},
+        {5, 256, 0.4, false,
+         {{{7857428, {7857428, 7855332, 7846524, 7804380}, 85, true},
+           {90390, {90390, 89902, 86630, 66162}, 4, true},
+           {18362, {18362, 17810, 16398, 0}, 4, true}}}},
+        {6, 256, 0.4, true,
+         {{{4630232, {4630232, 4628300, 4622148, 4588100}, 85, true},
+           {117106, {117106, 116514, 114766, 109594}, 4, true},
+           {5628, {5628, 5310, 5302, 5286}, 4, false}}}},
+    };
+    for (const auto& gc : cases) {
+        const auto got = run_golden_case(gc);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i], gc.expected[i])
+                << "seed " << gc.seed << " clients " << gc.clients
+                << " report " << i << ": got " << to_string(got[i]);
+        }
+    }
+}
+
+TEST(parameter_path_property, prices_the_tree_analysis_walk) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        rng gen(seed);
+        const std::uint32_t n = gen.uniform_u64(0, 1) == 0 ? 16 : 64;
+        const double u = 0.4 + 0.6 * gen.uniform_unit();
+        const auto clients = seeded_clients(substream(seed, 0), n, u);
+        const auto client =
+            static_cast<std::uint32_t>(gen.uniform_u64(0, n - 1));
+        const analysis::task_set update{{200, 1 + gen.uniform_u64(0, 60)}};
+
+        const auto direct = analysis::select_tree_interfaces(clients);
+        const auto full = model_full_reconfiguration(clients);
+        EXPECT_EQ(full.selection.failure, direct.failure);
+        EXPECT_EQ(full.selection.root_bandwidth, direct.root_bandwidth);
+        EXPECT_EQ(full.feasible, direct.feasible);
+        for (std::uint32_t l = 0; l < direct.levels.size(); ++l) {
+            for (std::uint32_t y = 0; y < direct.levels[l].size(); ++y) {
+                EXPECT_EQ(full.selection.levels[l][y].ports,
+                          direct.levels[l][y].ports)
+                    << "SE(" << l << "," << y << ")";
+            }
+        }
+        const auto path =
+            model_client_update(direct, clients, client, update);
+
+        // The price is the same at any thread count, cache on or off.
+        for (const unsigned threads : {1u, 4u}) {
+            for (const bool cached : {false, true}) {
+                analysis::selection_cache cache;
+                analysis::analysis_context ctx;
+                ctx.threads = threads;
+                if (cached) ctx.cache = &cache;
+                SCOPED_TRACE("threads " + std::to_string(threads) +
+                             (cached ? " cached" : " uncached"));
+                EXPECT_EQ(price_of(model_full_reconfiguration(clients, ctx)),
+                          price_of(full));
+                EXPECT_EQ(price_of(model_client_update(direct, clients,
+                                                       client, update, ctx)),
+                          price_of(path));
             }
         }
     }
