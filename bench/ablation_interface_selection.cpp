@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
             root_bw.add(r.root_bandwidth);
             tests.add(static_cast<double>(r.work.tests_run));
             points.add(static_cast<double>(r.work.points_checked));
-            fsm.add(static_cast<double>(core::reconfig_costs{}.fsm_cycles(r.work)));
+            fsm.add(static_cast<double>(
+                core::reconfig_costs{}.fsm_cycles(r.work)));
             updated.add(static_cast<double>(r.ses_updated));
         }
         t.add_row({std::to_string(n_tasks),

@@ -4,8 +4,8 @@
 # (ablation A3 prints the modeled FSM price), from two builds -- a
 # reference (e.g. the parent commit) and a candidate -- at small
 # --trials/--cycles, at --threads 1 and 4, and cmp's each driver's stdout
-# and its --csv, --metrics and --trace files. A refactor that claims "same behaviour"
-# must show no difference here.
+# and its --csv, --metrics and --trace files. A refactor that claims
+# "same behaviour" must show no difference here.
 #
 #   usage: scripts/check_bench_exports.sh <ref_build> <new_build>
 #

@@ -47,7 +47,9 @@ model_full_reconfiguration(const std::vector<task_set>& clients,
             for (std::uint32_t p = 0; p < analysis::k_se_fanin; ++p) {
                 const std::uint32_t child = quadtree_shape::child_order(y, p);
                 if (l == depth) {
-                    if (child < clients.size()) entries += clients[child].size();
+                    if (child < clients.size()) {
+                        entries += clients[child].size();
+                    }
                 } else {
                     start = std::max(start, below[child]);
                     entries += server_entries(sel.levels[l + 1][child]);
