@@ -23,7 +23,9 @@
 # and a 4,097-component system with about two due per cycle, whose step
 # cost must follow the due components; a full scan costs ~40x) or the
 # saturated-fabric step (a 1,024-client tree whose backpressured
-# SEs sleep; full-tree ticking costs ~12x) regresses more than 25%
+# SEs sleep; full-tree ticking costs ~12x) or one interface selection
+# (the budget kernel answers its probes from tables; full
+# is_schedulable calls per probe cost ~5x) regresses more than 25%
 # against the committed snapshot, or when a
 # megascale work counter grows more than 25% over the committed curve
 # (compared at the depths the shallow --check run shares with the
@@ -65,6 +67,7 @@ GUARDED_PREFIXES = (
     "bm_run_until_template_predicate",
     "bm_saturated_fabric_step",
     "bm_event_engine_sparse",
+    "bm_select_interface",
 )
 TOLERANCE = 0.25
 

@@ -4,7 +4,9 @@
 # campaigns, retry bookkeeping, and the reconfiguration subsystem, whose
 # transactional staging/rollback swaps whole tree selections and task
 # sets at runtime. A clean run demonstrates the rollback paths leak and
-# corrupt nothing.
+# corrupt nothing. It also runs the schedulability and interface-selection
+# suites, whose double-to-integer casts the float-cast-overflow sanitizer
+# (added to both UBSan presets in CMakeLists.txt) checks.
 #
 #   $ scripts/check_asan_ubsan.sh [build-dir]
 set -euo pipefail
@@ -23,6 +25,13 @@ export ASAN_OPTIONS="detect_leaks=1"
 # Core fabric + analysis surfaces the reconfiguration layer leans on.
 "$build_dir/tests/bluescale_tests" \
     --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*'
+
+# The schedulability test and interface selection, including the budget
+# kernel's property tests against the probe-by-probe search: their
+# horizon and budget arithmetic converts doubles to integers, which the
+# float-cast-overflow sanitizer checks.
+"$build_dir/tests/bluescale_tests" \
+    --gtest_filter='is_schedulable.*:theorem1_beta.*:*schedulability*:sufficient_portfolio.*:theorem2_max_period.*:min_budget_for_period.*:select_interface.*:*selection_optimality*:min_budget_for_supply.*:budget_kernel_property.*'
 
 # The whole resilience suite: fault campaigns, retries, health monitor,
 # admission control, transactional rollback, watchdog shedding, and the

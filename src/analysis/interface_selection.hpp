@@ -26,12 +26,28 @@ namespace bluescale::analysis {
 /// Minimum schedulable budget for a fixed period, found by binary search
 /// (schedulability is monotone in Theta). Returns nullopt when even
 /// Theta == Pi is unschedulable. Uses ctx.sched only.
+///
+/// Two paths, one answer and one count of work:
+///  - exact-only tests (the default): a budget kernel answers each probe
+///    of the binary search from tables -- the blackout filter inverted
+///    once per Pi, and per dbf step point t the minimal budget
+///    min_budget_for_supply(t - stolen(t), Pi, dbf(t)) with its prefix
+///    max -- instead of a full is_schedulable call. It replays the
+///    search's probe schedule, so the result and every sched_test_stats
+///    counter (tests_run, points_checked) equal what the search over
+///    is_schedulable would produce; the modeled FSM work
+///    (core::reconfig_costs::fsm_cycles) does not move.
+///  - ctx.sched.cheap_first or ctx.sched.sufficient_only: the probes'
+///    verdicts come from the sufficient portfolio, which the kernel does
+///    not model, so the search calls is_schedulable probe by probe.
 [[nodiscard]] std::optional<std::uint64_t>
 min_budget_for_period(const task_set& tasks, std::uint64_t period,
                       const analysis_context& ctx = {});
 
 /// Full interface selection for one VE: enumerate feasible periods
-/// (1 .. Theorem-2 bound), binary-search the budget for each, and return
+/// (1 .. Theorem-2 bound), search the budget for each as
+/// min_budget_for_period does (one budget kernel serves every period of
+/// the call on the exact-only path), and return
 /// the minimum-bandwidth interface (ties broken toward smaller Pi, which
 /// minimizes supply jitter). Returns nullopt when no feasible pair exists.
 ///

@@ -45,13 +45,10 @@ std::uint64_t maintenance_sbf(std::uint64_t t, const resource_interface& r,
 
 double maintenance_beta(const resource_interface& iface,
                         double task_utilization, const maintenance_model& m) {
-    const double bw = iface.bandwidth();
-    const double mu = m.utilization();
-    if (bw * (1.0 - mu) <= task_utilization) return 0.0;
-    const double gap =
-        static_cast<double>(iface.period) - static_cast<double>(iface.budget);
-    const double burst = static_cast<double>(m.burst());
-    return bw * (burst + 2.0 * gap) / (bw * (1.0 - mu) - task_utilization);
+    return maintenance_beta(
+        iface.bandwidth(),
+        static_cast<double>(iface.period) - static_cast<double>(iface.budget),
+        task_utilization, m.utilization(), static_cast<double>(m.burst()));
 }
 
 } // namespace bluescale::analysis

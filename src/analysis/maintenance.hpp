@@ -81,4 +81,17 @@ struct maintenance_model {
                                       double task_utilization,
                                       const maintenance_model& m);
 
+/// maintenance_beta on precomputed terms: bandwidth = iface.bandwidth(),
+/// gap = double(Pi) - double(Theta), mu = m.utilization() and
+/// burst = double(m.burst()). The overload above is exactly this call, so
+/// a caller probing many budgets against one model gets bit-identical
+/// bounds without re-summing the model per budget.
+[[nodiscard]] inline double maintenance_beta(double bandwidth, double gap,
+                                             double task_utilization,
+                                             double mu, double burst) {
+    if (bandwidth * (1.0 - mu) <= task_utilization) return 0.0;
+    return bandwidth * (burst + 2.0 * gap) /
+           (bandwidth * (1.0 - mu) - task_utilization);
+}
+
 } // namespace bluescale::analysis

@@ -133,10 +133,10 @@ sched_result is_schedulable(const task_set& tasks,
         }
     }
 
-    const double beta = maintenance_beta(iface, u, maint);
-    // Testing slightly beyond beta is sound (a violation past beta implies
-    // one before it), so round the horizon up.
-    const auto horizon = static_cast<std::uint64_t>(std::ceil(beta)) + 1;
+    const std::optional<std::uint64_t> bounded =
+        test_horizon(maintenance_beta(iface, u, maint));
+    if (!bounded) return sched_result::aborted;
+    const std::uint64_t horizon = *bounded;
 
     // Bound the work before enumerating.
     std::uint64_t point_estimate = 0;

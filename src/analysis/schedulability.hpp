@@ -2,7 +2,9 @@
 // (paper Sec. 5, Theorem 1).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "analysis/demand_bound.hpp"
 #include "analysis/maintenance.hpp"
@@ -89,6 +91,20 @@ struct sched_test_config {
 /// Only defined when bandwidth > U; returns 0 otherwise.
 [[nodiscard]] double theorem1_beta(const resource_interface& iface,
                                    double task_utilization);
+
+/// The exact test's enumeration horizon for a candidate that passed the
+/// bandwidth filter: ceil(beta) + 1 for beta = maintenance_beta (testing
+/// slightly beyond beta is sound, so the horizon rounds up). Saturating:
+/// returns nullopt when beta does not fit in 64 bits, and the test then
+/// aborts with no point checked -- as it already does for any horizon
+/// whose point estimate exceeds the work cap. Shared by is_schedulable and
+/// interface selection's budget kernel, so both enumerate the same points.
+[[nodiscard]] inline std::optional<std::uint64_t> test_horizon(double beta) {
+    // Below 2^64 a double's ceiling is at most 2^64 - 2048, so the cast
+    // and the +1 are both defined. NaN fails the comparison too.
+    if (!(beta < 18446744073709551616.0)) return std::nullopt;
+    return static_cast<std::uint64_t>(std::ceil(beta)) + 1;
+}
 
 /// Checks dbf(t, tasks) <= sbf(t, iface) for all t < beta (sufficient by
 /// Theorem 1 for all t). Requires iface.bandwidth() > utilization(tasks)

@@ -142,6 +142,27 @@ TEST(is_schedulable, aborts_when_bound_explodes) {
     EXPECT_EQ(is_schedulable(s, {4, 2}, cfg), sched_result::aborted);
 }
 
+TEST(is_schedulable, beta_beyond_64_bits_aborts) {
+    // U = 1/2 + 1/3 + 1/8 = 0.958333...; the bandwidth 28750/30000 lands
+    // one ulp above it, so beta ~= 2.16e19 does not fit in 64 bits. The
+    // set is unschedulable (dbf(240000) = 230000 > sbf = 228750), so the
+    // test must not prove it; like any horizon past the work cap, it
+    // aborts with no point checked.
+    const task_set s{{20000, 10000}, {30000, 10000}, {80000, 10000}};
+    const resource_interface iface{30000, 28750};
+    ASSERT_GT(iface.bandwidth(), utilization(s));
+    EXPECT_GT(dbf(240000, s), sbf(240000, iface));
+    EXPECT_EQ(test_horizon(maintenance_beta(iface, utilization(s), {})),
+              std::nullopt);
+
+    sched_test_stats st;
+    sched_test_config cfg;
+    cfg.stats = &st;
+    EXPECT_EQ(is_schedulable(s, iface, cfg), sched_result::aborted);
+    EXPECT_EQ(st.tests_run, 1u);
+    EXPECT_EQ(st.points_checked, 0u);
+}
+
 struct sched_case {
     task_set tasks;
     resource_interface iface;
