@@ -3,15 +3,15 @@
 // Sweeps the quadtree depth d (4^d clients; depth 8 = 65,536 leaves) and
 // reports, per depth:
 //
-//   (a) selection time with the cheap-first test ladder + selection
-//       cache (the mega-scale configuration), plus the deterministic
-//       work counters that machine-independently proxy that time;
+//   (a) selection time with the exact test + selection cache (the
+//       mega-scale configuration), plus the deterministic work counters
+//       that machine-independently proxy that time;
 //   (b) feasibility at a fixed light load: the root bandwidth the
 //       selection actually provisions vs the offered utilization -- the
 //       compounding price of hierarchical composition at scale;
-//   (c) ladder parity: at depths <= 4 the laddered+cached selection is
-//       byte-compared against the exact-only selector (they must be
-//       bit-identical wherever the exact test never aborts);
+//   (c) cache parity: at depths <= 4 the cached selection is
+//       byte-compared against the uncached one (a hit must hand back
+//       exactly what the miss computed);
 //   (d) threads determinism: byte-identical selections for every
 //       --threads value.
 //
@@ -20,10 +20,11 @@
 //
 // --json dumps the per-depth counters (BENCH_megascale.json via
 // scripts/bench_snapshot.sh). --check is the CI perf-smoke leg: shallow
-// depths, exits nonzero on any parity or determinism violation.
+// depths, exits nonzero on any parity or determinism violation. A
+// malformed flag value prints the usage and exits 2.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,34 @@ struct mega_options {
     bool check = false;
 };
 
+// 4^d clients must fit in 32 bits (clients_at_depth).
+constexpr std::uint32_t k_max_depth = 15;
+
+[[noreturn]] void usage_and_exit(int code) {
+    std::fprintf(code == 0 ? stdout : stderr,
+                 "usage: megascale [--depth N] [--feas-depth N] "
+                 "[--parity-depth N] [--threads N] [--json PATH] "
+                 "[--check]\n  depths are at most %u (4^d clients)\n",
+                 k_max_depth);
+    std::exit(code);
+}
+
+/// Strict decimal parse of a flag value in [0, max]: no sign, no
+/// trailing characters, no overflow.
+std::uint32_t parse_uint(const std::string& flag, const char* text,
+                         std::uint32_t max) {
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || v > max) {
+        std::fprintf(stderr,
+                     "megascale: %s expects an integer in [0, %u], got "
+                     "'%s'\n",
+                     flag.c_str(), max, text);
+        usage_and_exit(2);
+    }
+    return static_cast<std::uint32_t>(v);
+}
+
 mega_options parse_cli(int argc, char** argv) {
     mega_options o;
     for (int i = 1; i < argc; ++i) {
@@ -74,23 +103,19 @@ mega_options parse_cli(int argc, char** argv) {
             return argv[++i];
         };
         if (a == "--depth") {
-            o.depth = static_cast<std::uint32_t>(std::atoi(next()));
+            o.depth = parse_uint(a, next(), k_max_depth);
         } else if (a == "--feas-depth") {
-            o.feas_depth = static_cast<std::uint32_t>(std::atoi(next()));
+            o.feas_depth = parse_uint(a, next(), k_max_depth);
         } else if (a == "--parity-depth") {
-            o.parity_depth = static_cast<std::uint32_t>(std::atoi(next()));
+            o.parity_depth = parse_uint(a, next(), k_max_depth);
         } else if (a == "--threads") {
-            o.threads = static_cast<unsigned>(std::atoi(next()));
+            o.threads = parse_uint(a, next(), UINT_MAX);
         } else if (a == "--json") {
             o.json_path = next();
         } else if (a == "--check") {
             o.check = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: megascale [--depth N] [--feas-depth N] "
-                         "[--parity-depth N] [--threads N] [--json PATH] "
-                         "[--check]\n");
-            std::exit(a == "--help" ? 0 : 2);
+            usage_and_exit(a == "--help" ? 0 : 2);
         }
     }
     if (o.check) {
@@ -137,7 +162,6 @@ analysis_context mega_context(selection_cache* cache, unsigned threads,
                               analysis::sched_test_stats* stats) {
     analysis_context ctx;
     ctx.max_period = k_max_period;
-    ctx.sched.cheap_first = cache != nullptr;
     ctx.cache = cache;
     ctx.threads = threads;
     ctx.sched.stats = stats;
@@ -178,15 +202,13 @@ struct depth_result {
     std::uint64_t cache_misses = 0;
     std::uint64_t tests_run = 0;
     std::uint64_t points_checked = 0;
-    std::uint64_t ladder_fallbacks = 0;
 };
 
 depth_result run_depth(const std::vector<task_set>& clients,
-                       std::uint32_t d, unsigned threads, bool cached) {
+                       std::uint32_t d, unsigned threads) {
     selection_cache cache;
     analysis::sched_test_stats work;
-    const auto ctx =
-        mega_context(cached ? &cache : nullptr, threads, &work);
+    const auto ctx = mega_context(&cache, threads, &work);
     obs::stopwatch sw;
     const auto sel = select_tree_interfaces(clients, ctx);
     depth_result r;
@@ -198,7 +220,6 @@ depth_result run_depth(const std::vector<task_set>& clients,
     r.cache_misses = cache.stats().misses;
     r.tests_run = work.tests_run;
     r.points_checked = work.points_checked;
-    r.ladder_fallbacks = work.ladder_exact_fallbacks;
     return r;
 }
 
@@ -258,7 +279,7 @@ int main(int argc, char** argv) {
     const auto opts = parse_cli(argc, argv);
 
     std::printf("Mega-scale whole-tree interface selection "
-                "(cheap-first ladder + selection cache)\n");
+                "(exact test + selection cache)\n");
 
     // (a) Selection-time curve.
     std::printf("\n(a) Selection time vs depth (pool of %u profiles, "
@@ -266,16 +287,15 @@ int main(int argc, char** argv) {
                 k_pool, k_u_nominal, opts.threads);
     std::vector<depth_result> timing;
     stats::table t({"depth", "clients", "feasible", "root bw", "wall ms",
-                    "cache misses", "exact fallbacks"});
+                    "cache misses"});
     for (std::uint32_t d = 2; d <= opts.depth; ++d) {
-        const auto r = run_depth(pool_clients(clients_at_depth(d)), d,
-                                 opts.threads, true);
+        const auto r =
+            run_depth(pool_clients(clients_at_depth(d)), d, opts.threads);
         t.add_row({std::to_string(d), std::to_string(clients_at_depth(d)),
                    r.feasible ? "yes" : "no",
                    stats::table::num(r.root_bw, 3),
                    stats::table::num(r.wall_ms, 1),
-                   std::to_string(r.cache_misses),
-                   std::to_string(r.ladder_fallbacks)});
+                   std::to_string(r.cache_misses)});
         timing.push_back(r);
     }
     t.print();
@@ -289,7 +309,7 @@ int main(int argc, char** argv) {
                      "root bw", "overhead x", "wall ms"});
     for (std::uint32_t d = 2; d <= opts.feas_depth; ++d) {
         const auto r =
-            run_depth(uniform_clients(clients_at_depth(d)), d, 1, true);
+            run_depth(uniform_clients(clients_at_depth(d)), d, 1);
         ft.add_row({std::to_string(d), std::to_string(clients_at_depth(d)),
                     r.feasible ? "yes" : "no",
                     stats::table::num(r.offered_u, 3),
@@ -303,29 +323,26 @@ int main(int argc, char** argv) {
                 "hierarchical composition:\neach level re-quantizes its "
                 "children's (Pi, Theta) server tasks.\n");
 
-    // (c) Ladder parity against the exact-only selector.
-    std::printf("\n(c) Ladder parity (exact-only vs laddered+cached, "
+    // (c) Cache parity: the cached selection against the uncached one.
+    std::printf("\n(c) Cache parity (uncached vs cached, "
                 "byte-compared):\n");
     bool parity_ok = true;
     for (std::uint32_t d = 2; d <= opts.parity_depth; ++d) {
         const auto clients = pool_clients(clients_at_depth(d));
-        analysis_context exact_ctx;
-        exact_ctx.max_period = k_max_period;
-        exact_ctx.threads = opts.threads;
         obs::stopwatch sw;
-        const auto exact = select_tree_interfaces(clients, exact_ctx);
-        const double exact_ms = sw.seconds() * 1e3;
+        const auto uncached = select_tree_interfaces(
+            clients, mega_context(nullptr, opts.threads, nullptr));
+        const double uncached_ms = sw.seconds() * 1e3;
         selection_cache cache;
         sw.restart();
-        const auto laddered = select_tree_interfaces(
+        const auto cached = select_tree_interfaces(
             clients, mega_context(&cache, opts.threads, nullptr));
-        const double ladder_ms = sw.seconds() * 1e3;
-        const bool same = canonical(exact) == canonical(laddered);
+        const double cached_ms = sw.seconds() * 1e3;
+        const bool same = canonical(uncached) == canonical(cached);
         parity_ok = parity_ok && same;
-        std::printf("  depth %u: %s (exact %.1f ms, laddered+cached "
-                    "%.1f ms)\n",
-                    d, same ? "bit-identical" : "MISMATCH", exact_ms,
-                    ladder_ms);
+        std::printf("  depth %u: %s (uncached %.1f ms, cached %.1f ms)\n",
+                    d, same ? "bit-identical" : "MISMATCH", uncached_ms,
+                    cached_ms);
     }
 
     // (d) Threads determinism.

@@ -151,7 +151,7 @@ import sys
 fresh_path, snapshot_path = sys.argv[1], sys.argv[2]
 # Deterministic work counters: identical on every machine and for every
 # --threads (cache hits replay the miss's counters), so growth is a real
-# algorithmic regression in the selection ladder/cache, not noise.
+# algorithmic regression in the selection search or cache, not noise.
 GUARDED_KEYS = ("tests_run", "points_checked")
 TOLERANCE = 0.25
 

@@ -32,8 +32,8 @@ struct analysis_context {
     /// inflates total bandwidth by ~7-10%; trading a few percent at the
     /// leaves relaxes every level above (see bench/acceptance_ratio).
     double bandwidth_tolerance = 0.0;
-    /// Schedulability test knobs, including the cheap-first ladder switch
-    /// and the optional sched_test_stats work counters.
+    /// Schedulability test knobs, including the sufficient-only degraded
+    /// mode and the optional sched_test_stats work counters.
     sched_test_config sched = {};
     /// Optional memoization of select_interface results, keyed on the
     /// full inputs (task set + level utilization + analysis knobs). May

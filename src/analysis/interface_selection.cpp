@@ -53,9 +53,8 @@ std::optional<std::uint64_t> search_budget(std::uint64_t lo,
 }
 
 /// The probe-by-probe budget search: each probe is a full is_schedulable
-/// call. Serves the cheap-first ladder and the sufficient-only mode,
-/// whose verdicts come from the sufficient portfolio rather than from
-/// dbf points.
+/// call. Serves the sufficient-only mode, whose verdicts come from the
+/// sufficient portfolio rather than from dbf points.
 std::optional<std::uint64_t> min_budget_by_probes(const task_set& tasks,
                                                   std::uint64_t period,
                                                   const analysis_context& ctx) {
@@ -263,9 +262,9 @@ private:
 };
 
 /// Which budget search serves ctx: the kernel replays the exact test, so
-/// it only stands in when the test is exact-only.
+/// it stands in unless the degraded sufficient-only mode is on.
 bool uses_kernel(const analysis_context& ctx) {
-    return !ctx.sched.sufficient_only && !ctx.sched.cheap_first;
+    return !ctx.sched.sufficient_only;
 }
 
 } // namespace

@@ -27,8 +27,8 @@ namespace bluescale::analysis {
 /// (schedulability is monotone in Theta). Returns nullopt when even
 /// Theta == Pi is unschedulable. Uses ctx.sched only.
 ///
-/// Two paths, one answer and one count of work:
-///  - exact-only tests (the default): a budget kernel answers each probe
+/// Two paths, one per test mode:
+///  - the exact test (the default): a budget kernel answers each probe
 ///    of the binary search from tables -- the blackout filter inverted
 ///    once per Pi, and per dbf step point t the minimal budget
 ///    min_budget_for_supply(t - stolen(t), Pi, dbf(t)) with its prefix
@@ -37,9 +37,10 @@ namespace bluescale::analysis {
 ///    counter (tests_run, points_checked) equal what the search over
 ///    is_schedulable would produce; the modeled FSM work
 ///    (core::reconfig_costs::fsm_cycles) does not move.
-///  - ctx.sched.cheap_first or ctx.sched.sufficient_only: the probes'
-///    verdicts come from the sufficient portfolio, which the kernel does
-///    not model, so the search calls is_schedulable probe by probe.
+///  - ctx.sched.sufficient_only (the circuit breaker's degraded mode):
+///    the probes' verdicts come from the sufficient portfolio, which the
+///    kernel does not model, so the search calls is_schedulable probe by
+///    probe.
 [[nodiscard]] std::optional<std::uint64_t>
 min_budget_for_period(const task_set& tasks, std::uint64_t period,
                       const analysis_context& ctx = {});
@@ -47,7 +48,7 @@ min_budget_for_period(const task_set& tasks, std::uint64_t period,
 /// Full interface selection for one VE: enumerate feasible periods
 /// (1 .. Theorem-2 bound), search the budget for each as
 /// min_budget_for_period does (one budget kernel serves every period of
-/// the call on the exact-only path), and return
+/// the call on the exact path), and return
 /// the minimum-bandwidth interface (ties broken toward smaller Pi, which
 /// minimizes supply jitter). Returns nullopt when no feasible pair exists.
 ///

@@ -98,17 +98,6 @@ sched_result is_schedulable(const task_set& tasks,
     if (cfg.sufficient_only) {
         return is_schedulable_sufficient(tasks, iface, cfg);
     }
-    if (cfg.cheap_first) {
-        // Cheap-first ladder: both rungs are sound, so the portfolio's
-        // verdict (when it has one) is final and the exact enumeration is
-        // skipped entirely. Only `aborted` (undecided) falls through.
-        const sched_result quick = is_schedulable_sufficient(tasks, iface, cfg);
-        if (quick != sched_result::aborted) {
-            if (cfg.stats != nullptr) ++cfg.stats->ladder_cheap_decided;
-            return quick;
-        }
-        if (cfg.stats != nullptr) ++cfg.stats->ladder_exact_fallbacks;
-    }
     if (cfg.stats != nullptr) ++cfg.stats->tests_run;
     if (tasks.empty()) return sched_result::schedulable;
     if (iface.period == 0 || iface.budget == 0) {

@@ -27,14 +27,12 @@ enum class sched_result : std::uint8_t {
 struct sched_test_stats {
     std::uint64_t tests_run = 0;      ///< schedulability tests invoked
     std::uint64_t points_checked = 0; ///< dbf/sbf comparisons performed
-    /// Cheap-first ladder outcomes: candidates the O(n log n) sufficient
-    /// portfolio decided outright vs. those that fell through (`aborted`)
-    /// to the pseudo-polynomial exact test. Only advanced when
-    /// sched_test_config::cheap_first is set.
-    std::uint64_t ladder_cheap_decided = 0;
+    /// Always 0: no test path advances it. Kept only because the
+    /// end-to-end benchmark (perfbench) exports it as
+    /// analysis.exact_fallbacks; remove it together with that export.
     std::uint64_t ladder_exact_fallbacks = 0;
     /// Selection-cache outcomes (analysis::selection_cache). A hit replays
-    /// the cached entry's tests_run/points_checked/ladder counters into
+    /// the cached entry's tests_run/points_checked counters into
     /// this struct, so the work totals are identical with the cache on or
     /// off; only these two counters reveal the cache.
     std::uint64_t cache_hits = 0;
@@ -43,7 +41,6 @@ struct sched_test_stats {
     sched_test_stats& operator+=(const sched_test_stats& other) {
         tests_run += other.tests_run;
         points_checked += other.points_checked;
-        ladder_cheap_decided += other.ladder_cheap_decided;
         ladder_exact_fallbacks += other.ladder_exact_fallbacks;
         cache_hits += other.cache_hits;
         cache_misses += other.cache_misses;
@@ -75,15 +72,6 @@ struct sched_test_config {
     /// treated as unschedulable by every caller). Default false reproduces
     /// the pseudo-polynomial exact test bit-for-bit.
     bool sufficient_only = false;
-    /// Cheap-first test ladder: is_schedulable() tries the O(n log n)
-    /// sufficient portfolio first and runs the pseudo-polynomial exact
-    /// test only when the portfolio returns `aborted` (undecided). Both
-    /// rungs are sound, so a laddered verdict can differ from the
-    /// exact-only verdict only where the exact test itself would abort
-    /// (work cap) -- there the ladder may still prove schedulability.
-    /// Ignored when sufficient_only is set. Default false reproduces the
-    /// exact test bit-for-bit.
-    bool cheap_first = false;
 };
 
 /// Theorem 1 test bound:
@@ -114,8 +102,8 @@ struct sched_test_config {
                                           const resource_interface& iface,
                                           const sched_test_config& cfg = {});
 
-/// Linear-time sufficient-test portfolio (the cheap half of the
-/// cheap-first test ladder; also the circuit breaker's degraded mode):
+/// Linear-time sufficient-test portfolio (the circuit breaker's degraded
+/// mode, sched_test_config::sufficient_only):
 ///
 ///  1. necessary filters shared with the exact test: effective bandwidth
 ///     above utilization, and the first-job blackout check -- a failure

@@ -299,25 +299,22 @@ TEST(budget_kernel_property, min_budget_for_period_matches_reference) {
 }
 
 TEST(budget_kernel_property, ladder_paths_keep_the_probe_search) {
-    // cheap_first and sufficient_only answer probes from the sufficient
-    // portfolio, which the kernel does not model: they must still match
-    // the probe-by-probe search under the same configuration.
+    // sufficient_only answers probes from the sufficient portfolio,
+    // which the kernel does not model: it must still match the
+    // probe-by-probe search under the same configuration.
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         selection_draw d = random_draw(2'000'000 + seed);
-        for (const bool sufficient_only : {false, true}) {
-            d.ctx.sched.cheap_first = !sufficient_only;
-            d.ctx.sched.sufficient_only = sufficient_only;
-            sched_test_stats want_work;
-            sched_test_stats got_work;
-            d.ctx.sched.stats = &want_work;
-            const auto want =
-                reference_select(d.tasks, d.level_utilization, d.ctx);
-            d.ctx.sched.stats = &got_work;
-            const auto got =
-                select_interface(d.tasks, d.level_utilization, d.ctx);
-            ASSERT_EQ(got, want) << describe(2'000'000 + seed, d);
-            ASSERT_EQ(got_work, want_work) << describe(2'000'000 + seed, d);
-        }
+        d.ctx.sched.sufficient_only = true;
+        sched_test_stats want_work;
+        sched_test_stats got_work;
+        d.ctx.sched.stats = &want_work;
+        const auto want =
+            reference_select(d.tasks, d.level_utilization, d.ctx);
+        d.ctx.sched.stats = &got_work;
+        const auto got =
+            select_interface(d.tasks, d.level_utilization, d.ctx);
+        ASSERT_EQ(got, want) << describe(2'000'000 + seed, d);
+        ASSERT_EQ(got_work, want_work) << describe(2'000'000 + seed, d);
     }
 }
 

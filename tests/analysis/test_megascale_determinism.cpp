@@ -33,7 +33,6 @@ analysis_context mega_context(selection_cache& cache, unsigned threads,
                               sched_test_stats* stats = nullptr) {
     analysis_context ctx;
     ctx.max_period = 1u << 26; // leaf periods exceed the 2^16 default cap
-    ctx.sched.cheap_first = true;
     ctx.cache = &cache;
     ctx.threads = threads;
     if (stats != nullptr) ctx.sched.stats = stats;
@@ -88,8 +87,6 @@ TEST(megascale_determinism, depth8_selection_identical_threads_1_vs_8) {
     // changes, the summed work.
     EXPECT_EQ(work_parallel.tests_run, work_serial.tests_run);
     EXPECT_EQ(work_parallel.points_checked, work_serial.points_checked);
-    EXPECT_EQ(work_parallel.ladder_cheap_decided,
-              work_serial.ladder_cheap_decided);
     EXPECT_EQ(work_parallel.ladder_exact_fallbacks,
               work_serial.ladder_exact_fallbacks);
     EXPECT_EQ(work_parallel.cache_hits + work_parallel.cache_misses,

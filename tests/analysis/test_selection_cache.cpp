@@ -117,9 +117,9 @@ TEST(selection_cache, analysis_knobs_are_part_of_the_key) {
     maintained.sched.maintenance.ops.push_back({1000, 40});
     (void)select_interface(tasks, 0.5, maintained);
 
-    analysis_context laddered = ctx;
-    laddered.sched.cheap_first = true;
-    (void)select_interface(tasks, 0.5, laddered);
+    analysis_context degraded = ctx;
+    degraded.sched.sufficient_only = true;
+    (void)select_interface(tasks, 0.5, degraded);
 
     // A different utilization context is a different key as well.
     (void)select_interface(tasks, 0.6, ctx);

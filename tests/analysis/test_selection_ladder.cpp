@@ -2,7 +2,6 @@
 
 #include "analysis/interface_selection.hpp"
 #include "analysis/schedulability.hpp"
-#include "analysis/tree_analysis.hpp"
 #include "sim/rng.hpp"
 
 namespace bluescale::analysis {
@@ -26,9 +25,10 @@ resource_interface random_interface(rng& r) {
     return {pi, theta};
 }
 
-// The soundness contract behind the cheap-first ladder: whenever the
-// sufficient portfolio decides, the exact test agrees. A disagreement
-// here would let the ladder flip a selection verdict.
+// The soundness contract behind the sufficient-only degraded mode (the
+// analysis service's circuit breaker): whenever the sufficient
+// portfolio decides, the exact test agrees. A disagreement here would
+// let the degraded mode admit what the exact test rejects.
 class ladder_agreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(ladder_agreement, sufficient_verdicts_match_exact) {
@@ -50,20 +50,25 @@ TEST_P(ladder_agreement, sufficient_verdicts_match_exact) {
 }
 
 TEST_P(ladder_agreement, laddered_test_never_flips_a_decided_verdict) {
+    // The same contract through is_schedulable's sufficient_only switch,
+    // against the exact test at its default work cap.
     rng r(900 + GetParam());
     for (int i = 0; i < 200; ++i) {
         const auto tasks = random_tasks(r);
         const auto iface = random_interface(r);
         const auto exact = is_schedulable(tasks, iface);
-        sched_test_config ladder;
-        ladder.cheap_first = true;
-        const auto mixed = is_schedulable(tasks, iface, ladder);
+        sched_test_config degraded;
+        degraded.sufficient_only = true;
+        const auto quick = is_schedulable(tasks, iface, degraded);
+        if (quick == sched_result::aborted) continue; // undecided is fine
         if (exact == sched_result::aborted) {
-            // The only permitted divergence: the capped exact test gave
-            // up, the ladder may still prove schedulability.
-            EXPECT_NE(mixed, sched_result::unschedulable);
+            // The capped exact test gave up after the necessary filters
+            // the portfolio shares, so only a proof can come back.
+            EXPECT_EQ(quick, sched_result::schedulable);
         } else {
-            EXPECT_EQ(mixed, exact);
+            EXPECT_EQ(quick, exact)
+                << "sufficient_only flipped the verdict for Pi="
+                << iface.period << " Theta=" << iface.budget;
         }
     }
 }
@@ -71,79 +76,92 @@ TEST_P(ladder_agreement, laddered_test_never_flips_a_decided_verdict) {
 INSTANTIATE_TEST_SUITE_P(seeds, ladder_agreement, ::testing::Range(1, 9));
 
 TEST(ladder_agreement, selection_identical_with_and_without_ladder) {
-    // Whole-tree sweep: the laddered selection must pick bit-identical
-    // interfaces whenever the exact test never aborts (it does not at
-    // these scales -- the abort counter proves it).
-    for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
-        rng r(seed);
-        std::vector<task_set> clients(16);
-        for (auto& s : clients) s = random_tasks(r, 3);
-
-        sched_test_stats exact_work;
-        analysis_context exact_ctx;
-        exact_ctx.sched.stats = &exact_work;
-        const auto exact = select_tree_interfaces(clients, exact_ctx);
-
-        sched_test_stats ladder_work;
-        analysis_context ladder_ctx;
-        ladder_ctx.sched.cheap_first = true;
-        ladder_ctx.sched.stats = &ladder_work;
-        const auto laddered = select_tree_interfaces(clients, ladder_ctx);
-
-        EXPECT_EQ(laddered.feasible, exact.feasible);
-        EXPECT_EQ(laddered.failure, exact.failure);
-        EXPECT_EQ(laddered.root_bandwidth, exact.root_bandwidth);
-        ASSERT_EQ(laddered.levels.size(), exact.levels.size());
-        for (std::uint32_t l = 0; l < exact.levels.size(); ++l) {
-            for (std::uint32_t y = 0; y < exact.levels[l].size(); ++y) {
-                for (std::uint32_t p = 0; p < 4; ++p) {
-                    EXPECT_EQ(laddered.levels[l][y].ports[p],
-                              exact.levels[l][y].ports[p])
-                        << "SE(" << l << "," << y << ") port " << p;
-                }
-            }
-        }
-        // The ladder decided candidates cheaply...
-        EXPECT_GT(ladder_work.ladder_cheap_decided, 0u);
-        // ...and the exact-only run never used the ladder.
-        EXPECT_EQ(exact_work.ladder_cheap_decided, 0u);
-        EXPECT_EQ(exact_work.ladder_exact_fallbacks, 0u);
+    // Seeded property: the degraded mode's selection never beats the
+    // exact one. Every sufficient_only interface is exact-schedulable,
+    // so the exact selector -- whose work cap here is high enough that
+    // it never aborts -- finds one of no more bandwidth, and is feasible
+    // wherever the degraded mode is.
+    analysis_context exact_ctx;
+    exact_ctx.sched.max_test_points = 1u << 26;
+    analysis_context degraded_ctx = exact_ctx;
+    degraded_ctx.sched.sufficient_only = true;
+    std::uint32_t compared = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        rng r(5'000 + seed);
+        const auto tasks = random_tasks(r, 4);
+        const double level_u =
+            utilization(tasks) + 0.05 * static_cast<double>(r.pick(6));
+        const auto exact = select_interface(tasks, level_u, exact_ctx);
+        const auto degraded = select_interface(tasks, level_u, degraded_ctx);
+        if (!degraded) continue;
+        ASSERT_TRUE(exact) << "seed " << seed << ": sufficient_only found "
+                           << degraded->period << "/" << degraded->budget
+                           << ", exact found nothing";
+        ASSERT_EQ(is_schedulable(tasks, *degraded, exact_ctx.sched),
+                  sched_result::schedulable)
+            << "seed " << seed;
+        // Theta_e / Pi_e <= Theta_s / Pi_s, compared exactly.
+        EXPECT_LE(exact->budget * degraded->period,
+                  degraded->budget * exact->period)
+            << "seed " << seed << ": exact " << exact->period << "/"
+            << exact->budget << " vs sufficient_only " << degraded->period
+            << "/" << degraded->budget;
+        ++compared;
     }
+    EXPECT_GT(compared, 100u);
 }
 
 TEST(ladder_stats, cheap_decisions_and_fallbacks_are_counted) {
+    // The exact path counts one test per call and one point per dbf
+    // comparison; ladder_exact_fallbacks has no path left that moves it.
     sched_test_stats stats;
     sched_test_config cfg;
-    cfg.cheap_first = true;
     cfg.stats = &stats;
-    // A trivially schedulable pair: the portfolio decides it outright.
-    const task_set easy{{1000, 1}};
-    EXPECT_EQ(is_schedulable(easy, {10, 9}, cfg),
+    // Horizon below the first dbf step: schedulable with no point walked.
+    EXPECT_EQ(is_schedulable(task_set{{1000, 1}}, {10, 9}, cfg),
               sched_result::schedulable);
-    EXPECT_EQ(stats.ladder_cheap_decided, 1u);
-    EXPECT_EQ(stats.ladder_exact_fallbacks, 0u);
+    EXPECT_EQ(stats.tests_run, 1u);
+    EXPECT_EQ(stats.points_checked, 0u);
 
-    // A necessary-filter failure is also a cheap decision.
+    // A necessary-filter failure also counts as a test.
     EXPECT_EQ(is_schedulable(task_set{{10, 9}}, {10, 1}, cfg),
               sched_result::unschedulable);
-    EXPECT_EQ(stats.ladder_cheap_decided, 2u);
+    EXPECT_EQ(stats.tests_run, 2u);
+    EXPECT_EQ(stats.points_checked, 0u);
+
+    // A pair the exact test decides by walking dbf step points.
+    EXPECT_EQ(is_schedulable(task_set{{50, 5}, {80, 8}}, {20, 7}, cfg),
+              sched_result::schedulable);
+    EXPECT_EQ(stats.tests_run, 3u);
+    EXPECT_GT(stats.points_checked, 0u);
+    EXPECT_EQ(stats.ladder_exact_fallbacks, 0u);
 }
 
 TEST(ladder_stats, sufficient_only_wins_over_cheap_first) {
-    // sufficient_only is the circuit breaker's degraded mode; cheap_first
-    // must not resurrect the exact test behind it.
-    sched_test_stats a_stats, b_stats;
-    sched_test_config a;
-    a.sufficient_only = true;
-    a.stats = &a_stats;
-    sched_test_config b = a;
-    b.cheap_first = true;
-    b.stats = &b_stats;
-    const task_set tasks{{50, 5}, {80, 8}};
-    const resource_interface iface{20, 7};
-    EXPECT_EQ(is_schedulable(tasks, iface, a),
-              is_schedulable(tasks, iface, b));
-    EXPECT_EQ(a_stats, b_stats);
+    // sufficient_only is the circuit breaker's degraded mode: a set the
+    // portfolio cannot decide comes back `aborted`, and no exact dbf
+    // point is walked behind it -- although the exact test proves it.
+    const task_set tasks{{20, 2}, {30, 3}};
+    const resource_interface iface{10, 3};
+    sched_test_stats portfolio_stats;
+    sched_test_config portfolio;
+    portfolio.stats = &portfolio_stats;
+    EXPECT_EQ(is_schedulable_sufficient(tasks, iface, portfolio),
+              sched_result::aborted);
+
+    sched_test_stats degraded_stats;
+    sched_test_config degraded;
+    degraded.sufficient_only = true;
+    degraded.stats = &degraded_stats;
+    EXPECT_EQ(is_schedulable(tasks, iface, degraded), sched_result::aborted);
+
+    sched_test_stats exact_stats;
+    sched_test_config exact;
+    exact.stats = &exact_stats;
+    EXPECT_EQ(is_schedulable(tasks, iface, exact), sched_result::schedulable);
+    EXPECT_GT(exact_stats.points_checked, 0u);
+    // The degraded call did the portfolio's work and nothing more.
+    EXPECT_EQ(degraded_stats, portfolio_stats);
 }
 
 } // namespace

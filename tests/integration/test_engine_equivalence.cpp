@@ -396,10 +396,15 @@ saturated_exports run_saturated(bool configured, simulator::engine engine,
     for (const auto& t : out.trials) merged.merge(t.metrics);
     out.metrics = metrics_csv(merged);
     out.trace = trace_json(out.trials.front().trace);
-    const std::string path = ::testing::TempDir() + "saturated_" +
-                             (configured ? "cfg" : "free") + "_" +
-                             std::to_string(static_cast<int>(engine)) + "_" +
-                             std::to_string(threads) + ".csv";
+    // ctest -j runs both saturated_tree tests at once, each in its own
+    // process: the test name (which carries the parameter) keeps their
+    // files apart.
+    std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(test.begin(), test.end(), '/', '_');
+    const std::string path = ::testing::TempDir() + "saturated_" + test +
+                             "_" + std::to_string(static_cast<int>(engine)) +
+                             "_" + std::to_string(threads) + ".csv";
     {
         stats::csv_writer csv(path, {"issued", "completed", "missed",
                                      "outstanding", "link_drops",
@@ -433,6 +438,7 @@ TEST_P(saturated_tree, exports_bit_identical_across_engines_and_threads) {
 
     EXPECT_EQ(event1.metrics, lockstep.metrics);
     EXPECT_EQ(event1.trace, lockstep.trace);
+    EXPECT_NE(event1.csv.find('\n'), std::string::npos); // rows written
     EXPECT_EQ(event1.csv, lockstep.csv);
     EXPECT_EQ(event1.metrics, event4.metrics);
     EXPECT_EQ(event1.trace, event4.trace);

@@ -18,7 +18,11 @@ std::string read_file(const std::string& path) {
 
 class csv_test : public ::testing::Test {
 protected:
-    std::string path_ = ::testing::TempDir() + "csv_test_out.csv";
+    // One file per test: ctest -j runs these tests in parallel processes.
+    std::string path_ =
+        ::testing::TempDir() + "csv_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
     void TearDown() override { std::remove(path_.c_str()); }
 };
 
