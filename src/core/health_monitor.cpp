@@ -6,12 +6,11 @@ namespace bluescale::core {
 
 health_monitor::health_monitor(bluescale_ic& fabric, health_config cfg)
     : component("health_monitor"), fabric_(fabric), cfg_(cfg),
-      next_check_(cfg.check_period), state_(fabric.total_ses()),
-      own_(std::make_unique<obs::registry>()) {
-    bind_observability(*own_, obs::tracer{});
+      next_check_(cfg.check_period), state_(fabric.total_ses()) {
+    bind_observability(own_, obs::tracer{});
 }
 
-void health_monitor::bind_observability(obs::registry& reg,
+void health_monitor::bind_observability(obs::metric_store& reg,
                                         obs::tracer tracer) {
     degrade_events_ = reg.make_counter("health/degrade_events");
     recovery_events_ = reg.make_counter("health/recovery_events");

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -58,7 +57,7 @@ public:
 
     /// Re-homes the supervision counters into `reg` under "health/..."
     /// and attaches the trace stream; call before the trial starts.
-    void bind_observability(obs::registry& reg, obs::tracer tracer);
+    void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
     /// Clears per-element tracking and the report (between trials).
     void reset();
@@ -86,9 +85,11 @@ private:
     health_config cfg_;
     cycle_t next_check_;
     std::vector<element_state> state_; ///< indexed by se_linear_index
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 3;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter degrade_events_;
     obs::counter recovery_events_;
     obs::sample time_to_recover_;

@@ -48,13 +48,12 @@ reconfig_manager::reconfig_manager(bluescale_ic& fabric,
                                    std::vector<analysis::task_set> tasks,
                                    reconfig_config cfg)
     : component("reconfig_manager"), fabric_(fabric), cfg_(std::move(cfg)),
-      committed_(std::move(committed)), client_tasks_(std::move(tasks)),
-      own_(std::make_unique<obs::registry>()) {
-    bind_observability(*own_, obs::tracer{});
+      committed_(std::move(committed)), client_tasks_(std::move(tasks)) {
+    bind_observability(own_, obs::tracer{});
     assert(committed_.shape.leaf_level == fabric_.shape().leaf_level);
 }
 
-void reconfig_manager::bind_observability(obs::registry& reg,
+void reconfig_manager::bind_observability(obs::metric_store& reg,
                                           obs::tracer tracer) {
     submitted_ = reg.make_counter("reconfig/submitted");
     admitted_ = reg.make_counter("reconfig/admitted");

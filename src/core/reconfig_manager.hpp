@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <functional>
 #include <string>
 #include <vector>
@@ -246,7 +245,7 @@ public:
 
     /// Re-homes the admission counters into `reg` under "reconfig/..."
     /// and attaches the trace stream; call before the trial starts.
-    void bind_observability(obs::registry& reg, obs::tracer tracer);
+    void bind_observability(obs::metric_store& reg, obs::tracer tracer);
     [[nodiscard]] const std::vector<admission_record>& records() const {
         return records_;
     }
@@ -294,9 +293,11 @@ private:
     analysis::tree_selection staged_selection_;
     std::vector<analysis::task_set> staged_tasks_;
 
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 9;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     std::uint64_t version_ = 0;
     obs::counter submitted_;
     obs::counter admitted_;

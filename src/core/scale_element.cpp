@@ -15,9 +15,8 @@ make_buffers(std::size_t depth) {
 
 scale_element::scale_element(std::string name, se_params params)
     : component(std::move(name), /*latches=*/true), params_(params),
-      buffers_(make_buffers(params.buffer_depth)), sched_(params.policy),
-      own_(std::make_unique<obs::registry>()) {
-    bind_observability(*own_, this->name(), obs::tracer{});
+      buffers_(make_buffers(params.buffer_depth)), sched_(params.policy) {
+    bind_observability(own_, this->name(), obs::tracer{});
     // A push into any port buffer re-arms this element (and, through the
     // component wake hook, whatever fabric drives it).
     for (auto& buf : buffers_) buf.set_wake_hook(sim::wake_of(*this));
@@ -28,7 +27,7 @@ void scale_element::bind_sink(sink_ready_fn ready, sink_push_fn push) {
     sink_push_ = std::move(push);
 }
 
-void scale_element::bind_observability(obs::registry& reg,
+void scale_element::bind_observability(obs::metric_store& reg,
                                        const std::string& prefix,
                                        obs::tracer tracer) {
     forwarded_ = reg.make_counter(prefix + "/forwarded");

@@ -8,7 +8,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "core/local_scheduler.hpp"
@@ -60,7 +59,7 @@ public:
     /// Re-homes this element's counters into `reg` under
     /// "<prefix>/..." / "<prefix>/port<p>/..." (e.g. "se.2.1") and
     /// attaches the trace stream; call before the trial starts.
-    void bind_observability(obs::registry& reg, const std::string& prefix,
+    void bind_observability(obs::metric_store& reg, const std::string& prefix,
                             obs::tracer tracer);
 
     /// Distance from the tree root (root SE = 0); drives the per-level
@@ -240,9 +239,11 @@ private:
     cycle_t refused_at_ = k_cycle_never;
     std::uint8_t refused_mask_ = 0;
     std::uint32_t tree_level_ = 0;
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 5 + 3 * k_se_ports;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter forwarded_;
     obs::counter forwarded_budgeted_;
     std::array<obs::counter, k_se_ports> port_forwarded_;

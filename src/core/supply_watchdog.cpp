@@ -24,12 +24,11 @@ supply_watchdog::supply_watchdog(bluescale_ic& fabric,
     : component("supply_watchdog"), fabric_(fabric), selection_(selection),
       cfg_(cfg), next_check_(cfg.check_period),
       ports_(static_cast<std::size_t>(fabric.total_ses()) * k_se_ports),
-      restore_after_(cfg.restore_windows),
-      own_(std::make_unique<obs::registry>()) {
-    bind_observability(*own_, obs::tracer{});
+      restore_after_(cfg.restore_windows) {
+    bind_observability(own_, obs::tracer{});
 }
 
-void supply_watchdog::bind_observability(obs::registry& reg,
+void supply_watchdog::bind_observability(obs::metric_store& reg,
                                          obs::tracer tracer) {
     windows_checked_ = reg.make_counter("watchdog/windows_checked");
     violating_windows_ = reg.make_counter("watchdog/violating_windows");

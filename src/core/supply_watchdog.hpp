@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "analysis/maintenance.hpp"
@@ -130,7 +129,7 @@ public:
 
     /// Re-homes the supervision counters into `reg` under "watchdog/..."
     /// and attaches the trace stream; call before the trial starts.
-    void bind_observability(obs::registry& reg, obs::tracer tracer);
+    void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
     /// Clears window tracking and the report (between trials).
     void reset();
@@ -181,9 +180,11 @@ private:
     /// Indexed by client id: currently shed (supply checks exempt the
     /// donated leaf ports).
     std::vector<bool> shed_clients_;
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 9;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter windows_checked_;
     obs::counter violating_windows_;
     obs::counter supply_shortfall_alarms_;

@@ -1,9 +1,11 @@
 #include "harness/bench_cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "sim/simulator.hpp"
 
@@ -39,18 +41,33 @@ namespace {
     std::exit(code);
 }
 
-std::uint64_t parse_u64(const char* argv0, const char* what,
-                        const bench_options& defaults, const char* flag,
-                        const char* text) {
+/// Strict decimal parse of a flag value in [0, max]: digits only (no
+/// sign, no blanks, no trailing characters) and no overflow, so `-1` is
+/// rejected instead of wrapping and no value is truncated by its field.
+std::uint64_t parse_uint(const char* argv0, const char* what,
+                         const bench_options& defaults, const char* flag,
+                         const char* text, std::uint64_t max) {
+    errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: %s expects a non-negative integer, got"
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+        v > max) {
+        std::fprintf(stderr, "%s: %s expects an integer in [0, %llu], got"
                              " '%s'\n",
-                     argv0, flag, text);
+                     argv0, flag, static_cast<unsigned long long>(max),
+                     text);
         usage_and_exit(argv0, what, defaults, 2);
     }
     return v;
+}
+
+/// parse_uint bounded by the destination field's range.
+template <class T>
+void parse_into(T& field, const char* argv0, const char* what,
+                const bench_options& defaults, const char* flag,
+                const char* text) {
+    field = static_cast<T>(parse_uint(argv0, what, defaults, flag, text,
+                                      std::numeric_limits<T>::max()));
 }
 
 } // namespace
@@ -74,16 +91,14 @@ bench_options parse_bench_cli(int argc, char** argv,
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             usage_and_exit(argv[0], what, defaults, 0);
         } else if (std::strcmp(arg, "--trials") == 0) {
-            opts.trials = static_cast<std::uint32_t>(
-                parse_u64(argv[0], what, defaults, arg, value()));
+            parse_into(opts.trials, argv[0], what, defaults, arg, value());
         } else if (std::strcmp(arg, "--cycles") == 0) {
-            opts.measure_cycles = static_cast<cycle_t>(
-                parse_u64(argv[0], what, defaults, arg, value()));
+            parse_into(opts.measure_cycles, argv[0], what, defaults, arg,
+                       value());
         } else if (std::strcmp(arg, "--threads") == 0) {
-            opts.threads = static_cast<unsigned>(
-                parse_u64(argv[0], what, defaults, arg, value()));
+            parse_into(opts.threads, argv[0], what, defaults, arg, value());
         } else if (std::strcmp(arg, "--seed") == 0) {
-            opts.seed = parse_u64(argv[0], what, defaults, arg, value());
+            parse_into(opts.seed, argv[0], what, defaults, arg, value());
         } else if (std::strcmp(arg, "--csv") == 0) {
             opts.csv_path = value();
         } else if (std::strcmp(arg, "--metrics") == 0) {

@@ -11,9 +11,8 @@ maintenance_engine::maintenance_engine(dram_model& dram,
     : dram_(dram), cfg_(cfg),
       next_refresh_(dram.timing().n_banks, k_cycle_never),
       blocked_until_(dram.timing().n_banks, 0),
-      activations_(dram.timing().n_banks, 0),
-      own_(std::make_unique<obs::registry>()) {
-    bind_observability(*own_);
+      activations_(dram.timing().n_banks, 0) {
+    bind_observability(own_);
     arm_refresh();
     next_scrub_ = cfg_.scrub_interval > 0 && cfg_.scrub_duration > 0
                       ? cfg_.scrub_interval
@@ -33,7 +32,7 @@ void maintenance_engine::arm_refresh() {
     }
 }
 
-void maintenance_engine::bind_observability(obs::registry& reg) {
+void maintenance_engine::bind_observability(obs::metric_store& reg) {
     refreshes_ = reg.make_counter("mem/refreshes");
     scrubs_ = reg.make_counter("mem/scrubs");
     hammer_mitigations_ = reg.make_counter("mem/hammer_mitigations");

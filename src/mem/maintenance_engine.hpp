@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "analysis/maintenance.hpp"
@@ -60,8 +59,12 @@ class maintenance_engine {
 public:
     maintenance_engine(dram_model& dram, maintenance_config cfg);
 
+    /// Metrics bind_observability registers (own_'s capacity; the
+    /// controller's own_ holds them as well once it binds the engine).
+    static constexpr std::size_t k_metric_count = 5;
+
     /// Re-homes the maintenance counters into `reg` under "mem/...".
-    void bind_observability(obs::registry& reg);
+    void bind_observability(obs::metric_store& reg);
 
     /// Applies every maintenance window starting in (previous, now].
     /// Closed-form catch-up: repeated row-closes collapse, blocked-until
@@ -124,9 +127,9 @@ private:
     std::uint32_t scrub_bank_ = 0;
     sim::fault_window storms_;
     bool storm_active_ = false;
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter refreshes_;
     obs::counter scrubs_;
     obs::counter hammer_mitigations_;

@@ -8,16 +8,15 @@ memory_controller::memory_controller(memctrl_config cfg)
     : component("memory_controller", /*latches=*/true), cfg_(cfg),
       dram_(cfg.timing), maint_(dram_, cfg.maintenance),
       in_q_(cfg.request_queue_depth), out_q_(cfg.response_queue_depth),
-      bank_busy_until_(cfg.timing.n_banks, 0),
-      own_(std::make_unique<obs::registry>()) {
-    bind_observability(*own_, obs::tracer{});
+      bank_busy_until_(cfg.timing.n_banks, 0) {
+    bind_observability(own_, obs::tracer{});
     // The interconnect root pushes requests during its own tick; the wake
     // re-arms a sleeping controller for the same cycle (it ticks after
     // the fabric in registration order, exactly as in lockstep).
     in_q_.set_wake_hook(sim::wake_of(*this));
 }
 
-void memory_controller::bind_observability(obs::registry& reg,
+void memory_controller::bind_observability(obs::metric_store& reg,
                                            obs::tracer tracer) {
     serviced_ = reg.make_counter("mem/serviced");
     ecc_retries_ = reg.make_counter("mem/ecc_retries");

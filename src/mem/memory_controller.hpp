@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -79,7 +78,7 @@ public:
 
     /// Re-homes the service counters into `reg` under "mem/..." and
     /// attaches the trace stream; call before the trial starts.
-    void bind_observability(obs::registry& reg, obs::tracer tracer);
+    void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
     /// Drops queued/in-flight state between trials.
     void reset();
@@ -147,9 +146,12 @@ private:
     sim::fault_window storm_faults_;
     bool storm_active_ = false;
     cycle_t next_start_ = 0;
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count =
+        4 + maintenance_engine::k_metric_count;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter serviced_;
     obs::counter ecc_retries_;
     obs::counter uncorrected_errors_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <ostream>
 
 namespace bluescale::obs {
@@ -27,35 +29,15 @@ const stats::sample_set& sample::values() const {
 
 detail::slot& registry::slot_for(std::string name, metric_kind kind,
                                  std::uint32_t flags) {
-    if (auto it = index_.find(name); it != index_.end()) {
-        assert(it->second->kind == kind &&
-               "metric re-registered under a different kind");
-        (void)kind;
-        it->second->flags |= flags;
-        return *it->second;
+    const auto [it, inserted] = index_.try_emplace(std::move(name));
+    if (inserted) {
+        it->second = &slots_.emplace_back();
+        it->second->kind = kind;
     }
-    detail::slot& s = slots_.emplace_back();
-    s.name = std::move(name);
-    s.kind = kind;
-    s.flags = flags;
-    index_.emplace(s.name, &s);
-    return s;
-}
-
-counter registry::make_counter(std::string name, std::uint32_t flags) {
-    return counter(&slot_for(std::move(name), metric_kind::counter, flags));
-}
-
-gauge registry::make_gauge(std::string name, std::uint32_t flags) {
-    return gauge(&slot_for(std::move(name), metric_kind::gauge, flags));
-}
-
-real_gauge registry::make_real(std::string name, std::uint32_t flags) {
-    return real_gauge(&slot_for(std::move(name), metric_kind::real, flags));
-}
-
-sample registry::make_sample(std::string name, std::uint32_t flags) {
-    return sample(&slot_for(std::move(name), metric_kind::sample, flags));
+    assert(it->second->kind == kind &&
+           "metric re-registered under a different kind");
+    it->second->flags |= flags;
+    return *it->second;
 }
 
 snapshot registry::take_snapshot(bool include_profile) const {
@@ -79,12 +61,32 @@ snapshot registry::take_snapshot(bool include_profile) const {
 }
 
 void registry::reset_values() {
-    for (auto& s : slots_) {
-        s.count = 0;
-        s.level = 0;
-        s.value = 0.0;
-        s.samples = {};
+    for (auto& s : slots_) s.zero();
+}
+
+value_block::value_block(std::size_t capacity)
+    : slots_(std::make_unique<detail::slot[]>(capacity)),
+      capacity_(static_cast<std::uint32_t>(capacity)) {}
+
+detail::slot& value_block::slot_for(std::string /*name*/, metric_kind kind,
+                                    std::uint32_t flags) {
+    // Checked in every build: registration is assembly-time, and a slot
+    // past the allocation would corrupt the heap silently.
+    if (size_ == capacity_) {
+        std::fprintf(stderr,
+                     "obs::value_block: registering past its capacity of"
+                     " %u metrics\n",
+                     static_cast<unsigned>(capacity_));
+        std::abort();
     }
+    detail::slot& s = slots_[size_++];
+    s.kind = kind;
+    s.flags = flags;
+    return s;
+}
+
+void value_block::reset_values() {
+    for (std::uint32_t i = 0; i < size_; ++i) slots_[i].zero();
 }
 
 const metric_value* snapshot::find(std::string_view name) const {

@@ -20,6 +20,7 @@
 #include <deque>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,16 +44,23 @@ enum class metric_kind : std::uint8_t {
 inline constexpr std::uint32_t k_metric_profile = 1u << 0;
 
 namespace detail {
-/// Storage cell behind a handle. Lives in the registry's deque, so its
-/// address is stable for the registry's lifetime.
+/// Storage cell behind a handle. Its address is stable for the lifetime
+/// of the store that made it (a registry's deque, a value_block's
+/// array). It carries no name: a registry's index keys it by one.
 struct slot {
-    std::string name;
     metric_kind kind = metric_kind::counter;
     std::uint32_t flags = 0;
     std::uint64_t count = 0;   ///< counter
     std::int64_t level = 0;    ///< gauge
     double value = 0.0;        ///< real
     stats::sample_set samples; ///< sample
+
+    void zero() {
+        count = 0;
+        level = 0;
+        value = 0.0;
+        samples = {};
+    }
 };
 } // namespace detail
 
@@ -74,7 +82,7 @@ public:
     [[nodiscard]] bool bound() const { return s_ != nullptr; }
 
 private:
-    friend class registry;
+    friend class metric_store;
     explicit counter(detail::slot* s) : s_(s) {}
     detail::slot* s_ = nullptr;
 };
@@ -95,7 +103,7 @@ public:
     [[nodiscard]] bool bound() const { return s_ != nullptr; }
 
 private:
-    friend class registry;
+    friend class metric_store;
     explicit gauge(detail::slot* s) : s_(s) {}
     detail::slot* s_ = nullptr;
 };
@@ -116,7 +124,7 @@ public:
     [[nodiscard]] bool bound() const { return s_ != nullptr; }
 
 private:
-    friend class registry;
+    friend class metric_store;
     explicit real_gauge(detail::slot* s) : s_(s) {}
     detail::slot* s_ = nullptr;
 };
@@ -136,7 +144,7 @@ public:
     [[nodiscard]] bool bound() const { return s_ != nullptr; }
 
 private:
-    friend class registry;
+    friend class metric_store;
     explicit sample(detail::slot* s) : s_(s) {}
     detail::slot* s_ = nullptr;
 };
@@ -210,10 +218,46 @@ private:
 [[nodiscard]] std::vector<std::string>
 metric_cells(const snapshot& snap, const std::vector<std::string>& names);
 
-/// Owns metric storage. Handles stay valid for the registry's lifetime
-/// (slots live in a deque); the registry is neither copyable nor movable
-/// so handles can never dangle through a move.
-class registry {
+/// Where a stat owner registers its metrics: a named registry, or the
+/// unnamed value_block it falls back on while no one has bound it. An
+/// owner's bind_observability takes either, so one registration list
+/// serves both.
+class metric_store {
+public:
+    [[nodiscard]] counter make_counter(std::string name,
+                                       std::uint32_t flags = 0) {
+        return counter(
+            &slot_for(std::move(name), metric_kind::counter, flags));
+    }
+    [[nodiscard]] gauge make_gauge(std::string name,
+                                   std::uint32_t flags = 0) {
+        return gauge(&slot_for(std::move(name), metric_kind::gauge, flags));
+    }
+    [[nodiscard]] real_gauge make_real(std::string name,
+                                       std::uint32_t flags = 0) {
+        return real_gauge(
+            &slot_for(std::move(name), metric_kind::real, flags));
+    }
+    [[nodiscard]] sample make_sample(std::string name,
+                                     std::uint32_t flags = 0) {
+        return sample(&slot_for(std::move(name), metric_kind::sample, flags));
+    }
+
+protected:
+    metric_store() = default;
+    metric_store(metric_store&&) = default;
+    metric_store& operator=(metric_store&&) = default;
+    ~metric_store() = default;
+
+private:
+    virtual detail::slot& slot_for(std::string name, metric_kind kind,
+                                   std::uint32_t flags) = 0;
+};
+
+/// Owns named metric storage. Handles stay valid for the registry's
+/// lifetime (slots live in a deque); the registry is neither copyable
+/// nor movable so handles can never dangle through a move.
+class registry final : public metric_store {
 public:
     registry() = default;
     registry(const registry&) = delete;
@@ -221,16 +265,10 @@ public:
     registry(registry&&) = delete;
     registry& operator=(registry&&) = delete;
 
-    /// Registering an existing name with the same kind returns a handle
-    /// to the existing metric (idempotent re-binding); a kind mismatch is
-    /// a programming error and asserts.
-    [[nodiscard]] counter make_counter(std::string name,
-                                       std::uint32_t flags = 0);
-    [[nodiscard]] gauge make_gauge(std::string name, std::uint32_t flags = 0);
-    [[nodiscard]] real_gauge make_real(std::string name,
-                                       std::uint32_t flags = 0);
-    [[nodiscard]] sample make_sample(std::string name,
-                                     std::uint32_t flags = 0);
+    // make_counter / make_gauge / make_real / make_sample: registering an
+    // existing name with the same kind returns a handle to the existing
+    // metric (idempotent re-binding); a kind mismatch is a programming
+    // error and asserts.
 
     [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
@@ -256,13 +294,35 @@ public:
 
 private:
     detail::slot& slot_for(std::string name, metric_kind kind,
-                           std::uint32_t flags);
+                           std::uint32_t flags) override;
 
     std::deque<detail::slot> slots_;
-    /// Sorted name -> slot index; gives snapshots their deterministic
-    /// order without sorting at snapshot time.
+    /// Sorted name -> slot index (the one copy of each name); gives
+    /// snapshots their deterministic order without sorting at snapshot
+    /// time.
     std::map<std::string, detail::slot*, std::less<>> index_;
     std::vector<sync_hook> sync_;
+};
+
+/// Unnamed storage for a component that no one has bound yet: `capacity`
+/// slots in one allocation and nothing else -- no names, no index, no
+/// sync hooks. Every make_* takes the next slot (names are dropped, so
+/// nothing is idempotent), and registering past the capacity aborts.
+/// Moving the block moves the allocation, so handles into it stay valid.
+class value_block final : public metric_store {
+public:
+    explicit value_block(std::size_t capacity);
+
+    /// Zeroes every metric; handles stay bound.
+    void reset_values();
+
+private:
+    detail::slot& slot_for(std::string name, metric_kind kind,
+                           std::uint32_t flags) override;
+
+    std::unique_ptr<detail::slot[]> slots_;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 0;
 };
 
 } // namespace bluescale::obs

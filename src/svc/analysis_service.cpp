@@ -31,8 +31,7 @@ const char* breaker_state_name(breaker_state s) {
 
 analysis_service::analysis_service(core::reconfig_manager& mgr,
                                    service_config cfg)
-    : component("analysis_service"), mgr_(mgr), cfg_(cfg),
-      own_(std::make_unique<obs::registry>()) {
+    : component("analysis_service"), mgr_(mgr), cfg_(cfg) {
     // Virtual-time and wall-clock deadlines are never mixed in one
     // configuration: a deterministic run uses cycles only, a profile run
     // wall nanoseconds only.
@@ -41,10 +40,10 @@ analysis_service::analysis_service(core::reconfig_manager& mgr,
         cfg_.resume_depth != 0 ? cfg_.resume_depth : cfg_.max_queue / 2;
     workers_.resize(std::max<std::uint32_t>(1, cfg_.workers));
     cache_version_ = mgr_.committed_version();
-    bind_observability(*own_, obs::tracer{});
+    bind_observability(own_, obs::tracer{});
 }
 
-void analysis_service::bind_observability(obs::registry& reg,
+void analysis_service::bind_observability(obs::metric_store& reg,
                                           obs::tracer tracer) {
     submitted_ = reg.make_counter("svc/submitted");
     accepted_ = reg.make_counter("svc/accepted");

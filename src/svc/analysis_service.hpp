@@ -47,7 +47,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -202,7 +201,7 @@ public:
 
     /// Re-homes the service counters into `reg` under "svc/..." and
     /// attaches the trace stream; call before the trial starts.
-    void bind_observability(obs::registry& reg, obs::tracer tracer);
+    void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
 private:
     /// Per-request working state, parallel to records_.
@@ -284,8 +283,11 @@ private:
     std::vector<request_state> states_;
     complete_hook on_complete_;
 
-    /// Fallback registry for unbound instances.
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 17;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter submitted_;
     obs::counter accepted_;
     obs::counter shed_;

@@ -4,15 +4,14 @@
 // Sec. 11): the former public mutable fields are gone. Client models
 // mutate exclusively through the record_* API -- each call is one or two
 // handle increments, no lookup, no allocation -- and every consumer reads
-// through the accessors. By default an instance owns a private registry;
-// bind() re-homes the handles into an external registry (typically the
-// trial testbench's) so the client's counters appear in the unified
-// metrics export under "<prefix>/...". Bind before the trial starts
-// recording: binding re-registers fresh zero-valued metrics.
+// through the accessors. Until bound, an instance keeps its values in an
+// unnamed obs::value_block; bind() re-homes the handles into a registry
+// (typically the trial testbench's) so the client's counters appear in
+// the unified metrics export under "<prefix>/...". Bind before the trial
+// starts recording: binding re-registers fresh zero-valued metrics.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "obs/registry.hpp"
@@ -22,16 +21,14 @@ namespace bluescale::workload {
 
 class client_stats {
 public:
-    client_stats() : own_(std::make_unique<obs::registry>()) {
-        bind(*own_, "client");
-    }
+    client_stats() { bind(own_, "client"); }
     client_stats(client_stats&&) = default;
     client_stats& operator=(client_stats&&) = default;
 
     /// Re-registers every metric under `prefix` in `reg` (e.g.
-    /// "client.3"). Handles into a previously owned registry are
-    /// replaced; call before recording starts.
-    void bind(obs::registry& reg, const std::string& prefix) {
+    /// "client.3"). Handles into the unnamed fallback are replaced; call
+    /// before recording starts.
+    void bind(obs::metric_store& reg, const std::string& prefix) {
         issued_ = reg.make_counter(prefix + "/issued");
         completed_ = reg.make_counter(prefix + "/completed");
         missed_ = reg.make_counter(prefix + "/missed");
@@ -153,9 +150,11 @@ public:
     }
 
 private:
-    /// Fallback registry for unbound instances (unit tests, standalone
+    /// Metrics bind() registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 15;
+    /// Unnamed storage for unbound instances (unit tests, standalone
     /// clients); moving it keeps slot addresses -- and handles -- valid.
-    std::unique_ptr<obs::registry> own_;
+    obs::value_block own_{k_metric_count};
     obs::counter issued_;
     obs::counter completed_;
     obs::counter missed_;

@@ -11,12 +11,11 @@ processor_client::processor_client(client_id_t id, compute_task_set tasks,
     : component("processor_" + std::to_string(id)), id_(id),
       tasks_(std::move(tasks)), net_(net), rng_(seed), retry_(retry),
       next_release_(tasks_.size(), 0),
-      own_(std::make_unique<obs::registry>()),
       next_request_id_((static_cast<request_id_t>(id) << 40) | 1u) {
-    bind_observability(*own_);
+    bind_observability(own_);
 }
 
-void processor_client::bind_observability(obs::registry& reg) {
+void processor_client::bind_observability(obs::metric_store& reg) {
     const std::string prefix = "client." + std::to_string(id_);
     retries_ = reg.make_counter(prefix + "/retries");
     timeouts_ = reg.make_counter(prefix + "/timeouts");

@@ -7,7 +7,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,7 +74,7 @@ public:
 
     /// Re-homes this client's counters into `reg` (metric names
     /// "client.<id>/..."); call before the trial starts.
-    void bind_observability(obs::registry& reg);
+    void bind_observability(obs::metric_store& reg);
 
     [[nodiscard]] client_id_t id() const { return id_; }
     [[nodiscard]] job_stats stats(task_category c) const {
@@ -131,9 +130,11 @@ private:
     request_id_t awaited_id_ = 0;     ///< current attempt's id (0 = none)
     cycle_t stall_timeout_at_ = k_cycle_never;
     std::uint32_t attempts_ = 0;
-    /// Fallback registry for unbound instances (bind_observability
-    /// re-homes the handles).
-    std::unique_ptr<obs::registry> own_;
+    /// Metrics bind_observability registers (own_'s capacity).
+    static constexpr std::size_t k_metric_count = 12;
+    /// Unnamed storage while unbound (bind_observability re-homes the
+    /// handles).
+    obs::value_block own_{k_metric_count};
     obs::counter retries_;
     obs::counter timeouts_;
     obs::counter aborted_;

@@ -3,8 +3,8 @@
 // processing any data. Requests are prioritized locally by GEDF.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -112,10 +112,42 @@ private:
         std::uint32_t issued = 0; ///< requests already issued (addr offset)
         std::uint32_t job_seq = 0;
     };
+    /// Released jobs in release order: a vector consumed from head_.
+    /// Allocates nothing until the first release; pop_front is O(1), and
+    /// the consumed prefix is dropped once it outweighs the live jobs, so
+    /// a queue that never drains stays within twice its backlog.
+    class job_queue {
+    public:
+        [[nodiscard]] bool empty() const { return head_ == jobs_.size(); }
+        [[nodiscard]] pending_job& front() { return jobs_[head_]; }
+        [[nodiscard]] const pending_job& front() const {
+            return jobs_[head_];
+        }
+        void push_back(const pending_job& job) {
+            // detlint:allow(hotpath-alloc): client-model job bookkeeping
+            jobs_.push_back(job);
+        }
+        void pop_front() {
+            if (++head_ * 2 >= jobs_.size()) {
+                jobs_.erase(jobs_.begin(),
+                            jobs_.begin() +
+                                static_cast<std::ptrdiff_t>(head_));
+                head_ = 0;
+            }
+        }
+        [[nodiscard]] auto begin() const {
+            return jobs_.begin() + static_cast<std::ptrdiff_t>(head_);
+        }
+        [[nodiscard]] auto end() const { return jobs_.end(); }
+
+    private:
+        std::vector<pending_job> jobs_;
+        std::size_t head_ = 0;
+    };
     struct task_state {
         cycle_t next_release = 0;
         std::uint32_t jobs_released = 0;
-        std::deque<pending_job> jobs;
+        job_queue jobs;
     };
 
     /// One in-flight transaction, with everything a reissue needs.

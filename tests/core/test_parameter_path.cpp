@@ -225,7 +225,12 @@ price price_of(const reconfig_report& r) {
 }
 
 std::string to_string(const price& p) {
-    std::string s = "{" + std::to_string(p.total_cycles) + ", {";
+    // Appended, not `"{" + std::to_string(...)`: at -O3 GCC 12 flags the
+    // string replace inlined behind that operator+ with a false
+    // -Wrestrict.
+    std::string s = "{";
+    s += std::to_string(p.total_cycles);
+    s += ", {";
     for (std::size_t i = 0; i < p.level_finish_cycles.size(); ++i) {
         if (i != 0) s += ", ";
         s += std::to_string(p.level_finish_cycles[i]);

@@ -1,0 +1,129 @@
+// Heap footprint of the per-client and per-SE building blocks, as the
+// bytes requested through operator new that an object still holds once
+// it is constructed. This binary replaces the global operator new/delete
+// with a counting pair, so the figures are the sizes the code asks for
+// -- the same on every host and allocator -- not what malloc rounds them
+// up to. A mega-scale fabric holds thousands of these objects, so a few
+// hundred bytes each is megabytes of heap before cycle 0.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "../test_util.hpp"
+#include "core/scale_element.hpp"
+#include "workload/traffic_generator.hpp"
+
+namespace {
+
+std::atomic<std::int64_t> g_live_bytes{0};
+
+// Each block carries its requested size in a header, so delete can
+// subtract exactly what new added.
+constexpr std::size_t k_header = alignof(std::max_align_t);
+
+void* counted_alloc(std::size_t n) noexcept {
+    void* base = std::malloc(n + k_header);
+    if (base == nullptr) return nullptr;
+    *static_cast<std::size_t*>(base) = n;
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
+                           std::memory_order_relaxed);
+    return static_cast<char*>(base) + k_header;
+}
+
+void counted_free(void* p) noexcept {
+    if (p == nullptr) return;
+    void* base = static_cast<char*>(p) - k_header;
+    g_live_bytes.fetch_sub(
+        static_cast<std::int64_t>(*static_cast<std::size_t*>(base)),
+        std::memory_order_relaxed);
+    std::free(base);
+}
+
+void* counted_alloc_or_throw(std::size_t n) {
+    void* p = counted_alloc(n);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+
+/// Bytes `make()`'s result still holds on the heap, its own block
+/// included.
+template <class Make>
+std::int64_t held_bytes(Make make) {
+    const std::int64_t before = g_live_bytes.load();
+    auto obj = make();
+    return g_live_bytes.load() - before;
+}
+
+} // namespace
+
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+    return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+    return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+    counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+    counted_free(p);
+}
+
+namespace bluescale {
+namespace {
+
+TEST(footprint, counting_allocator_sees_new_and_delete) {
+    EXPECT_EQ(held_bytes([] { return std::make_unique<char[]>(1000); }),
+              1000);
+    const std::int64_t before = g_live_bytes.load();
+    { auto gone = std::make_unique<char[]>(1000); }
+    EXPECT_EQ(g_live_bytes.load(), before);
+}
+
+// Budgets sit just above today's figures (an unbound SE holds 8,544 B,
+// most of it its four RAB arenas; a 4-task client holds 2,447 B), so a
+// named registry per component (about 3 KB) or a std::deque per task
+// (about 650 B each while empty) fails them.
+
+TEST(footprint, unbound_scale_element) {
+    // Default parameters (four 8-deep RABs); a deep-tree name, as the
+    // fabric gives it.
+    const std::int64_t bytes = held_bytes([] {
+        return std::make_unique<core::scale_element>("se.5.1023",
+                                                     core::se_params{});
+    });
+    RecordProperty("bytes", static_cast<int>(bytes));
+    EXPECT_LE(bytes, 9 * 1024) << "unbound scale_element holds " << bytes
+                               << " B";
+}
+
+TEST(footprint, four_task_traffic_generator) {
+    testing::loopback_interconnect net(4096);
+    const std::int64_t bytes = held_bytes([&] {
+        workload::memory_task_set tasks;
+        for (task_id_t i = 0; i < 4; ++i) {
+            tasks.push_back({.id = i,
+                             .period_units = 100 + 10 * std::uint64_t{i},
+                             .requests_per_job = 2});
+        }
+        return std::make_unique<workload::traffic_generator>(
+            4095, std::move(tasks), net, /*seed=*/1);
+    });
+    RecordProperty("bytes", static_cast<int>(bytes));
+    EXPECT_LE(bytes, 3 * 1024) << "4-task traffic_generator holds " << bytes
+                               << " B";
+}
+
+} // namespace
+} // namespace bluescale

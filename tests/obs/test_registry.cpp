@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
+#include "core/scale_element.hpp"
 #include "obs/registry.hpp"
+#include "workload/client_stats.hpp"
 
 namespace bluescale::obs {
 namespace {
@@ -141,6 +144,75 @@ TEST(obs_registry, reset_values_zeroes_but_keeps_bindings) {
     EXPECT_EQ(s.count(), 0u);
     c.inc();
     EXPECT_EQ(c.value(), 1u);
+}
+
+TEST(obs_value_block, handles_write_unnamed_slots_and_reset) {
+    value_block block(4);
+    auto c = block.make_counter("a/count");
+    auto g = block.make_gauge("a/level");
+    auto r = block.make_real("a/rate");
+    auto s = block.make_sample("a/wait");
+    c.inc(3);
+    g.set(-2);
+    r.set(1.5);
+    s.add(4.0);
+    // Moving the block keeps its slots, and so the handles, valid.
+    value_block moved = std::move(block);
+    c.inc();
+    EXPECT_EQ(c.value(), 4u);
+    EXPECT_EQ(g.value(), -2);
+    EXPECT_DOUBLE_EQ(r.value(), 1.5);
+    EXPECT_EQ(s.count(), 1u);
+    // reset_values zeroes the block; handles stay bound.
+    moved.reset_values();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(g.value(), 0);
+    EXPECT_EQ(s.count(), 0u);
+    c.inc();
+    EXPECT_EQ(c.value(), 1u);
+}
+
+TEST(obs_value_block, registering_past_capacity_aborts) {
+    // A slot past the one allocation would corrupt the heap, so the
+    // check holds in every build type, not only under assert.
+    EXPECT_DEATH(
+        {
+            value_block block(1);
+            (void)block.make_counter("first");
+            (void)block.make_counter("second");
+        },
+        "registering past its capacity of 1 metrics");
+}
+
+TEST(obs_value_block, binding_after_construction_yields_zero_metrics) {
+    // Values recorded while unbound stay in the fallback: the bound
+    // metrics start from zero, and the accessors read them.
+    workload::client_stats stats;
+    stats.record_issue();
+    stats.record_completion(12.0, 3.0, true, false);
+    EXPECT_EQ(stats.issued(), 1u);
+    registry reg;
+    stats.bind(reg, "client.0");
+    EXPECT_EQ(stats.issued(), 0u);
+    EXPECT_EQ(stats.missed(), 0u);
+    EXPECT_EQ(stats.latency_cycles().count(), 0u);
+    const snapshot snap = reg.take_snapshot();
+    EXPECT_EQ(snap.entries().size(), 15u);
+    for (const auto& [name, v] : snap.entries()) {
+        EXPECT_EQ(v.count, 0u) << name;
+        EXPECT_EQ(v.samples.count(), 0u) << name;
+    }
+
+    core::scale_element se("se.0.0", core::se_params{});
+    registry se_reg;
+    se.bind_observability(se_reg, "se.0.0", tracer{});
+    const snapshot se_snap = se_reg.take_snapshot();
+    EXPECT_EQ(se_snap.entries().size(), 17u);
+    for (const auto& [name, v] : se_snap.entries()) {
+        EXPECT_EQ(v.count, 0u) << name;
+        EXPECT_EQ(v.level, 0) << name;
+        EXPECT_EQ(v.samples.count(), 0u) << name;
+    }
 }
 
 TEST(obs_registry, write_csv_is_deterministic_and_well_formed) {

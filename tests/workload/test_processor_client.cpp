@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "../test_util.hpp"
 #include "sim/simulator.hpp"
 #include "workload/automotive_profiles.hpp"
@@ -14,7 +17,12 @@ compute_task task(task_id_t id, cycle_t period, std::uint32_t compute,
                   std::uint32_t mem,
                   task_category cat = task_category::function) {
     compute_task t;
-    t.name = "t" + std::to_string(id);
+    // Built by append, not as `"t" + std::to_string(id)`: at -O3 GCC 12
+    // flags the string replace inlined behind that operator+ (and behind
+    // assigning a literal to t.name) with a false -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(id);
+    t.name = std::move(name);
     t.id = id;
     t.category = cat;
     t.period = period;
