@@ -88,15 +88,15 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
             const std::uint32_t port =
                 analysis::quadtree_shape::parent_port(y);
             const std::uint32_t link_idx = se_linear_index(l, y);
+            assert(uplink_parent(link_idx) == parent &&
+                   uplink_port(link_idx) == port);
             scale_element& child = *levels_[l][y];
+            // Both closures fit std::function's local buffer (16 B), so
+            // wiring an SE allocates nothing.
             child.bind_sink(
                 [parent, port] { return parent->port_can_accept(port); },
-                [this, parent, port, link_idx](mem_request r) {
-                    if (link_faults_[link_idx].active(now_)) {
-                        note_dropped();
-                        return;
-                    }
-                    parent->port_push(port, std::move(r));
+                [this, link_idx](mem_request r) {
+                    push_up(link_idx, std::move(r));
                 });
             // The parent port's full -> non-full edge is the only way the
             // child's sink turns ready again: a refused child sleeps on it.
@@ -104,6 +104,14 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
             child.enable_backpressure_sleep(&now_);
         }
     }
+}
+
+void bluescale_ic::push_up(std::uint32_t link_idx, mem_request r) {
+    if (link_faults_[link_idx].active(now_)) {
+        note_dropped();
+        return;
+    }
+    uplink_parent(link_idx)->port_push(uplink_port(link_idx), std::move(r));
 }
 
 void bluescale_ic::note_se_wake(std::uint32_t i) {

@@ -139,6 +139,18 @@ private:
     /// Stages `r` in resp_q_[l][y], listing the queue for this edge's
     /// commit on its first push of the cycle.
     void push_response(std::uint32_t l, std::uint32_t y, mem_request r);
+    /// The parent SE and parent port that non-root SE `link_idx` (level-major
+    /// index) feeds. In the full quadtree's level-major numbering the
+    /// children of SE i are 4i+1 .. 4i+4.
+    [[nodiscard]] scale_element* uplink_parent(std::uint32_t link_idx) const {
+        return se_flat_[(link_idx - 1) / analysis::k_se_fanin];
+    }
+    [[nodiscard]] static std::uint32_t uplink_port(std::uint32_t link_idx) {
+        return (link_idx - 1) % analysis::k_se_fanin;
+    }
+    /// Sink of non-root SE `link_idx`: crosses its provider link (which an
+    /// injected link fault may eat) into the parent's port buffer.
+    void push_up(std::uint32_t link_idx, mem_request r);
     /// SE wake thunk target: lists SE i for this edge's commit and wakes
     /// the fabric.
     void note_se_wake(std::uint32_t i);

@@ -4,20 +4,32 @@
 // the highest-priority (earliest-deadline) request, and the fetcher
 // extracts it for the local scheduler.
 //
-// Storage is structure-of-arrays over a fixed arena: the mem_request
-// payloads live in pre-allocated slots that are recycled through a free
-// list (no per-request heap traffic), while the comparator bank scans a
-// dense, contiguous deadline array -- the one field the hot EDF pick and
-// the blocking-charge loop actually touch. Two-phase visibility matches
-// latched_queue: load() stages a slot, commit() publishes it.
+// Like the register bank it models, the buffer is sized once: its whole
+// storage is one heap block allocated at construction for the exact
+// depth, laid out structure-of-arrays (depth entries each):
+//
+//   deadlines  level deadlines of the visible requests, in load order --
+//              the dense array the comparator bank (the hot EDF pick and
+//              the blocking-charge loop) scans
+//   arena      mem_request payloads, recycled through the free stack, so
+//              a request costs no heap traffic
+//   order      arena slot of each visible request (parallel to deadlines)
+//   staged     arena slots loaded this cycle, awaiting commit()
+//   free       free arena slots (a stack; the top is the next slot out)
+//
+// Two-phase visibility matches latched_queue: load() stages a slot,
+// commit() publishes it.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "mem/request.hpp"
 #include "sim/types.hpp"
@@ -27,16 +39,16 @@ namespace bluescale::core {
 
 class random_access_buffer {
 public:
-    explicit random_access_buffer(std::size_t depth) : arena_(depth) {
-        free_.reserve(depth);
-        // Recycle low slots first (pop from the back): load order stays
-        // deterministic and the arena stays dense under low occupancy.
-        for (std::size_t i = depth; i > 0; --i) {
-            free_.push_back(static_cast<std::uint32_t>(i - 1));
-        }
-        order_.reserve(depth);
-        deadlines_.reserve(depth);
-        staged_.reserve(depth);
+    explicit random_access_buffer(std::size_t depth)
+        : block_(new std::byte[depth * k_slot_bytes]),
+          depth_(static_cast<std::uint32_t>(depth)) {
+        std::byte* at = block_.get();
+        deadlines_ = carve<cycle_t>(at, depth);
+        arena_ = carve<mem_request>(at, depth);
+        order_ = carve<std::uint32_t>(at, depth);
+        staged_ = carve<std::uint32_t>(at, depth);
+        free_ = carve<std::uint32_t>(at, depth);
+        reset_free_stack();
     }
 
     /// Producer-side wake notification, fired on every load(). Unlike
@@ -53,29 +65,25 @@ public:
     void set_drain_hook(sim::wake_hook hook) { drain_ = hook; }
 
     // --- loader side (register chain input) -----------------------------
-    [[nodiscard]] bool can_load() const { return !free_.empty(); }
+    [[nodiscard]] bool can_load() const { return free_size_ != 0; }
 
     void load(mem_request r) {
         assert(can_load());
-        const std::uint32_t slot = free_.back();
-        free_.pop_back();
+        const std::uint32_t slot = free_[--free_size_];
         arena_[slot] = std::move(r);
-        // staged_ is reserved to the arena depth at construction and
-        // can_load() (asserted above) bounds occupancy.
-        // detlint:allow(hotpath-alloc): push into pre-reserved staging
-        staged_.push_back(slot);
+        staged_[staged_size_++] = slot;
         wake_.fire();
     }
 
     // --- arbiter / fetcher side ------------------------------------------
-    [[nodiscard]] bool empty() const { return order_.empty(); }
-    [[nodiscard]] std::size_t size() const { return order_.size(); }
-    [[nodiscard]] std::size_t capacity() const { return arena_.size(); }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::size_t capacity() const { return depth_; }
 
     /// Occupancy including loads staged for the next edge -- what a
     /// consumer's quiescence check must consult.
     [[nodiscard]] std::size_t total_size() const {
-        return order_.size() + staged_.size();
+        return std::size_t{size_} + staged_size_;
     }
 
     [[nodiscard]] bool quiet() const { return total_size() == 0; }
@@ -83,9 +91,9 @@ public:
     /// The comparators' result: earliest level deadline currently stored
     /// (nullopt when empty). This is Algorithm 1's inner EDF pick.
     [[nodiscard]] std::optional<cycle_t> min_deadline() const {
-        if (deadlines_.empty()) return std::nullopt;
+        if (size_ == 0) return std::nullopt;
         cycle_t best = deadlines_[0];
-        for (std::size_t i = 1; i < deadlines_.size(); ++i) {
+        for (std::uint32_t i = 1; i < size_; ++i) {
             best = std::min(best, deadlines_[i]);
         }
         return best;
@@ -94,20 +102,19 @@ public:
     /// Fetches the earliest-deadline request (ties broken by load order,
     /// matching the comparator chain's first-match behaviour).
     mem_request fetch_earliest() {
-        assert(!order_.empty());
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < deadlines_.size(); ++i) {
+        assert(size_ != 0);
+        std::uint32_t best = 0;
+        for (std::uint32_t i = 1; i < size_; ++i) {
             if (deadlines_[i] < deadlines_[best]) best = i;
         }
         const std::uint32_t slot = order_[best];
-        order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(best));
-        deadlines_.erase(deadlines_.begin() +
-                         static_cast<std::ptrdiff_t>(best));
-        const bool was_full = free_.empty();
-        // The free list is reserved to the arena depth at construction and
-        // holds at most one entry per slot.
-        // detlint:allow(hotpath-alloc): push into pre-reserved free list
-        free_.push_back(slot);
+        // Close the gap: the visible entries stay in load order.
+        std::copy(order_ + best + 1, order_ + size_, order_ + best);
+        std::copy(deadlines_ + best + 1, deadlines_ + size_,
+                  deadlines_ + best);
+        --size_;
+        const bool was_full = free_size_ == 0;
+        free_[free_size_++] = slot;
         if (was_full) drain_.fire();
         return std::move(arena_[slot]);
     }
@@ -115,7 +122,7 @@ public:
     /// Charges one blocking cycle to stored requests with a deadline
     /// earlier than the granted one (measurement hook, not hardware).
     void charge_blocked(cycle_t granted_deadline) {
-        for (std::size_t i = 0; i < deadlines_.size(); ++i) {
+        for (std::uint32_t i = 0; i < size_; ++i) {
             if (deadlines_[i] < granted_deadline) {
                 ++arena_[order_[i]].blocked_cycles;
             }
@@ -123,45 +130,67 @@ public:
     }
 
     /// Clock edge: loads staged this cycle become visible, in load order.
+    /// deadlines_[i] mirrors arena_[order_[i]].level_deadline, valid
+    /// because a stored request's level_deadline is never mutated.
     void commit() {
-        for (const std::uint32_t slot : staged_) {
-            // order_/deadlines_ are reserved to the arena depth at
-            // construction; visible + staged occupancy never exceeds it.
-            // detlint:allow(hotpath-alloc): push into pre-reserved mirror
-            order_.push_back(slot);
-            // detlint:allow(hotpath-alloc): push into pre-reserved mirror
-            deadlines_.push_back(arena_[slot].level_deadline);
+        // Counts in locals: the slot-index stores could alias them.
+        const std::uint32_t staged = staged_size_;
+        std::uint32_t n = size_;
+        for (std::uint32_t k = 0; k < staged; ++k, ++n) {
+            const std::uint32_t slot = staged_[k];
+            order_[n] = slot;
+            deadlines_[n] = arena_[slot].level_deadline;
         }
-        staged_.clear();
+        size_ = n;
+        staged_size_ = 0;
     }
 
     void clear() {
-        order_.clear();
-        deadlines_.clear();
-        staged_.clear();
-        free_.clear();
-        for (std::size_t i = arena_.size(); i > 0; --i) {
-            // clear() is a between-trials reset, hot only through the
-            // clear/clear name collision with commit()'s staged_.clear();
-            // the free list is pre-reserved to the arena depth regardless.
-            // detlint:allow(hotpath-alloc): push into pre-reserved free list
-            free_.push_back(static_cast<std::uint32_t>(i - 1));
-        }
+        size_ = 0;
+        staged_size_ = 0;
+        reset_free_stack();
     }
 
 private:
-    /// Fixed request storage; slots are recycled, never reallocated.
-    std::vector<mem_request> arena_;
-    /// Free arena slots (stack; top = next slot to hand out).
-    std::vector<std::uint32_t> free_;
-    /// Visible slots in load order (parallel to deadlines_).
-    std::vector<std::uint32_t> order_;
-    /// Dense deadline mirror of order_ -- the comparator bank's scan
-    /// array. deadlines_[i] == arena_[order_[i]].level_deadline, valid
-    /// because a stored request's level_deadline is never mutated.
-    std::vector<cycle_t> deadlines_;
-    /// Slots loaded this cycle, awaiting commit().
-    std::vector<std::uint32_t> staged_;
+    // The constructor carves the block's arrays widest-aligned first, so
+    // each one starts aligned: the arrays before it end on a multiple of
+    // its alignment.
+    static_assert(std::is_trivially_destructible_v<mem_request>,
+                  "the block is freed without destroying its requests");
+    static_assert(alignof(mem_request) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__ &&
+                  alignof(mem_request) <= alignof(cycle_t) &&
+                  sizeof(mem_request) % alignof(std::uint32_t) == 0);
+    static constexpr std::size_t k_slot_bytes =
+        sizeof(cycle_t) + sizeof(mem_request) + 3 * sizeof(std::uint32_t);
+
+    /// Creates an array of `n` default-initialized T at `at` and moves
+    /// `at` past it.
+    template <class T>
+    static T* carve(std::byte*& at, std::size_t n) {
+        T* first = ::new (static_cast<void*>(at)) T[n];
+        at += n * sizeof(T);
+        return first;
+    }
+
+    /// Every slot free; low slots are handed out first (top of the stack
+    /// is slot 0), so slot use is deterministic and dense under low
+    /// occupancy.
+    void reset_free_stack() {
+        for (std::uint32_t k = 0; k < depth_; ++k) free_[k] = depth_ - 1 - k;
+        free_size_ = depth_;
+    }
+
+    std::unique_ptr<std::byte[]> block_;
+    cycle_t* deadlines_ = nullptr;
+    mem_request* arena_ = nullptr;
+    std::uint32_t* order_ = nullptr;
+    std::uint32_t* staged_ = nullptr;
+    std::uint32_t* free_ = nullptr;
+    std::uint32_t depth_ = 0;
+    /// Visible requests (deadlines_/order_ entries in use).
+    std::uint32_t size_ = 0;
+    std::uint32_t staged_size_ = 0;
+    std::uint32_t free_size_ = 0;
     sim::wake_hook wake_{};
     sim::wake_hook drain_{};
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 
 namespace bluescale::core {
 
@@ -30,17 +31,20 @@ void scale_element::bind_sink(sink_ready_fn ready, sink_push_fn push) {
 void scale_element::bind_observability(obs::metric_store& reg,
                                        const std::string& prefix,
                                        obs::tracer tracer) {
-    forwarded_ = reg.make_counter(prefix + "/forwarded");
-    forwarded_budgeted_ = reg.make_counter(prefix + "/forwarded_budgeted");
-    fault_stall_cycles_ = reg.make_counter(prefix + "/fault_stall_cycles");
-    degraded_cycles_ = reg.make_counter(prefix + "/degraded_cycles");
-    wait_stats_ = reg.make_sample(prefix + "/wait_cycles");
+    static constexpr std::array<std::string_view, k_se_ports> k_port = {
+        "/port0", "/port1", "/port2", "/port3"};
+    forwarded_ = reg.make_counter({prefix, "/forwarded"});
+    forwarded_budgeted_ = reg.make_counter({prefix, "/forwarded_budgeted"});
+    fault_stall_cycles_ = reg.make_counter({prefix, "/fault_stall_cycles"});
+    degraded_cycles_ = reg.make_counter({prefix, "/degraded_cycles"});
+    wait_stats_ = reg.make_sample({prefix, "/wait_cycles"});
     for (std::uint32_t p = 0; p < k_se_ports; ++p) {
-        const std::string port = prefix + "/port" + std::to_string(p);
-        port_forwarded_[p] = reg.make_counter(port + "/forwarded");
+        port_forwarded_[p] =
+            reg.make_counter({prefix, k_port[p], "/forwarded"});
         port_backlogged_cycles_[p] =
-            reg.make_counter(port + "/backlogged_cycles");
-        port_queue_depth_[p] = reg.make_gauge(port + "/queue_depth");
+            reg.make_counter({prefix, k_port[p], "/backlogged_cycles"});
+        port_queue_depth_[p] =
+            reg.make_gauge({prefix, k_port[p], "/queue_depth"});
     }
     trace_ = tracer;
 }

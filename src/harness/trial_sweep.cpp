@@ -12,11 +12,11 @@ trial_record::trial_record(const sweep_options& opts,
     : opts_(opts), prefix_(prefix), index_(index) {}
 
 obs::counter trial_record::counter(std::string_view name) {
-    return values_.make_counter(prefix_ + std::string(name));
+    return values_.make_counter({prefix_, name});
 }
 
 obs::sample trial_record::sample(std::string_view name) {
-    return values_.make_sample(prefix_ + std::string(name));
+    return values_.make_sample({prefix_, name});
 }
 
 void trial_record::watch(testbench& tb) {

@@ -27,9 +27,18 @@ const stats::sample_set& sample::values() const {
     return s_ == nullptr ? k_empty : s_->samples;
 }
 
-detail::slot& registry::slot_for(std::string name, metric_kind kind,
+std::string metric_name::joined() const {
+    std::size_t n = 0;
+    for (const std::string_view p : parts_) n += p.size();
+    std::string out;
+    out.reserve(n);
+    for (const std::string_view p : parts_) out += p;
+    return out;
+}
+
+detail::slot& registry::slot_for(const metric_name& name, metric_kind kind,
                                  std::uint32_t flags) {
-    const auto [it, inserted] = index_.try_emplace(std::move(name));
+    const auto [it, inserted] = index_.try_emplace(name.joined());
     if (inserted) {
         it->second = &slots_.emplace_back();
         it->second->kind = kind;
@@ -68,8 +77,8 @@ value_block::value_block(std::size_t capacity)
     : slots_(std::make_unique<detail::slot[]>(capacity)),
       capacity_(static_cast<std::uint32_t>(capacity)) {}
 
-detail::slot& value_block::slot_for(std::string /*name*/, metric_kind kind,
-                                    std::uint32_t flags) {
+detail::slot& value_block::slot_for(const metric_name& /*name*/,
+                                    metric_kind kind, std::uint32_t flags) {
     // Checked in every build: registration is assembly-time, and a slot
     // past the allocation would corrupt the heap silently.
     if (size_ == capacity_) {

@@ -1,9 +1,10 @@
 // Typed metrics registry: the one way measurement data leaves the
 // simulator (DESIGN.md Sec. 11).
 //
-// Components register named metrics once (registration allocates), then
-// bump them through small handle objects on the hot path (a handle is one
-// pointer; an increment is one dereference, no lookup, no allocation).
+// Components register named metrics once (a registry allocates the
+// joined name; an unbound value_block only takes a slot), then bump them
+// through small handle objects on the hot path (a handle is one pointer;
+// an increment is one dereference, no lookup, no allocation).
 // Names are hierarchical with '/' separators and '.'-suffixed instance
 // coordinates, e.g. "se.2.1/port0/queue_depth" or "client.3/issued".
 //
@@ -16,6 +17,7 @@
 // excluded from snapshots unless explicitly requested.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -218,29 +220,47 @@ private:
 [[nodiscard]] std::vector<std::string>
 metric_cells(const snapshot& snap, const std::vector<std::string>& names);
 
+/// A metric name as the pieces it is joined from, e.g. {"se.2.1",
+/// "/port3", "/backlogged_cycles"}. Only a named registry joins them; a
+/// value_block never reads them, so an owner registering into one formats
+/// and allocates nothing. The pieces are views: they must outlive the
+/// make_* call that takes the name.
+class metric_name {
+public:
+    metric_name(const char* name) : parts_{std::string_view(name)} {}
+    metric_name(const std::string& name) : parts_{std::string_view(name)} {}
+    metric_name(std::string_view a, std::string_view b = {},
+                std::string_view c = {}, std::string_view d = {})
+        : parts_{a, b, c, d} {}
+
+    /// The pieces concatenated, in order.
+    [[nodiscard]] std::string joined() const;
+
+private:
+    std::array<std::string_view, 4> parts_;
+};
+
 /// Where a stat owner registers its metrics: a named registry, or the
 /// unnamed value_block it falls back on while no one has bound it. An
 /// owner's bind_observability takes either, so one registration list
 /// serves both.
 class metric_store {
 public:
-    [[nodiscard]] counter make_counter(std::string name,
+    [[nodiscard]] counter make_counter(const metric_name& name,
                                        std::uint32_t flags = 0) {
-        return counter(
-            &slot_for(std::move(name), metric_kind::counter, flags));
+        return counter(&slot_for(name, metric_kind::counter, flags));
     }
-    [[nodiscard]] gauge make_gauge(std::string name,
+    [[nodiscard]] gauge make_gauge(const metric_name& name,
                                    std::uint32_t flags = 0) {
-        return gauge(&slot_for(std::move(name), metric_kind::gauge, flags));
+        return gauge(&slot_for(name, metric_kind::gauge, flags));
     }
-    [[nodiscard]] real_gauge make_real(std::string name,
+    [[nodiscard]] real_gauge make_real(const metric_name& name,
                                        std::uint32_t flags = 0) {
-        return real_gauge(
-            &slot_for(std::move(name), metric_kind::real, flags));
+        return real_gauge(&slot_for(name, metric_kind::real, flags));
     }
-    [[nodiscard]] sample make_sample(std::string name,
+    [[nodiscard]] sample make_sample(const metric_name& name,
                                      std::uint32_t flags = 0) {
-        return sample(&slot_for(std::move(name), metric_kind::sample, flags));
+        return sample(&slot_for(name, metric_kind::sample, flags));
     }
 
 protected:
@@ -250,7 +270,7 @@ protected:
     ~metric_store() = default;
 
 private:
-    virtual detail::slot& slot_for(std::string name, metric_kind kind,
+    virtual detail::slot& slot_for(const metric_name& name, metric_kind kind,
                                    std::uint32_t flags) = 0;
 };
 
@@ -293,7 +313,7 @@ public:
     void reset_values();
 
 private:
-    detail::slot& slot_for(std::string name, metric_kind kind,
+    detail::slot& slot_for(const metric_name& name, metric_kind kind,
                            std::uint32_t flags) override;
 
     std::deque<detail::slot> slots_;
@@ -306,8 +326,8 @@ private:
 
 /// Unnamed storage for a component that no one has bound yet: `capacity`
 /// slots in one allocation and nothing else -- no names, no index, no
-/// sync hooks. Every make_* takes the next slot (names are dropped, so
-/// nothing is idempotent), and registering past the capacity aborts.
+/// sync hooks. Every make_* takes the next slot without reading the name
+/// (so nothing is idempotent), and registering past the capacity aborts.
 /// Moving the block moves the allocation, so handles into it stay valid.
 class value_block final : public metric_store {
 public:
@@ -317,7 +337,7 @@ public:
     void reset_values();
 
 private:
-    detail::slot& slot_for(std::string name, metric_kind kind,
+    detail::slot& slot_for(const metric_name& name, metric_kind kind,
                            std::uint32_t flags) override;
 
     std::unique_ptr<detail::slot[]> slots_;

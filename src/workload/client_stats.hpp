@@ -29,22 +29,22 @@ public:
     /// "client.3"). Handles into the unnamed fallback are replaced; call
     /// before recording starts.
     void bind(obs::metric_store& reg, const std::string& prefix) {
-        issued_ = reg.make_counter(prefix + "/issued");
-        completed_ = reg.make_counter(prefix + "/completed");
-        missed_ = reg.make_counter(prefix + "/missed");
-        abandoned_ = reg.make_counter(prefix + "/abandoned");
+        issued_ = reg.make_counter({prefix, "/issued"});
+        completed_ = reg.make_counter({prefix, "/completed"});
+        missed_ = reg.make_counter({prefix, "/missed"});
+        abandoned_ = reg.make_counter({prefix, "/abandoned"});
         missed_beyond_margin_ =
-            reg.make_counter(prefix + "/missed_beyond_margin");
-        retries_ = reg.make_counter(prefix + "/retries");
-        timeouts_ = reg.make_counter(prefix + "/timeouts");
-        failed_responses_ = reg.make_counter(prefix + "/failed_responses");
-        retry_exhausted_ = reg.make_counter(prefix + "/retry_exhausted");
-        stale_responses_ = reg.make_counter(prefix + "/stale_responses");
-        shed_cycles_ = reg.make_counter(prefix + "/shed_cycles");
-        shed_deferrals_ = reg.make_counter(prefix + "/shed_deferrals");
-        reconfigurations_ = reg.make_counter(prefix + "/reconfigurations");
-        latency_cycles_ = reg.make_sample(prefix + "/latency_cycles");
-        blocking_cycles_ = reg.make_sample(prefix + "/blocking_cycles");
+            reg.make_counter({prefix, "/missed_beyond_margin"});
+        retries_ = reg.make_counter({prefix, "/retries"});
+        timeouts_ = reg.make_counter({prefix, "/timeouts"});
+        failed_responses_ = reg.make_counter({prefix, "/failed_responses"});
+        retry_exhausted_ = reg.make_counter({prefix, "/retry_exhausted"});
+        stale_responses_ = reg.make_counter({prefix, "/stale_responses"});
+        shed_cycles_ = reg.make_counter({prefix, "/shed_cycles"});
+        shed_deferrals_ = reg.make_counter({prefix, "/shed_deferrals"});
+        reconfigurations_ = reg.make_counter({prefix, "/reconfigurations"});
+        latency_cycles_ = reg.make_sample({prefix, "/latency_cycles"});
+        blocking_cycles_ = reg.make_sample({prefix, "/blocking_cycles"});
     }
 
     // --- recording API (the only mutation path) -------------------------

@@ -17,20 +17,20 @@ processor_client::processor_client(client_id_t id, compute_task_set tasks,
 
 void processor_client::bind_observability(obs::metric_store& reg) {
     const std::string prefix = "client." + std::to_string(id_);
-    retries_ = reg.make_counter(prefix + "/retries");
-    timeouts_ = reg.make_counter(prefix + "/timeouts");
-    aborted_ = reg.make_counter(prefix + "/aborted");
-    stale_responses_ = reg.make_counter(prefix + "/stale_responses");
-    failed_responses_ = reg.make_counter(prefix + "/failed_responses");
+    retries_ = reg.make_counter({prefix, "/retries"});
+    timeouts_ = reg.make_counter({prefix, "/timeouts"});
+    aborted_ = reg.make_counter({prefix, "/aborted"});
+    stale_responses_ = reg.make_counter({prefix, "/stale_responses"});
+    failed_responses_ = reg.make_counter({prefix, "/failed_responses"});
     static constexpr const char* k_categories[] = {"safety", "function",
                                                    "interference"};
     for (std::size_t i = 0; i < 3; ++i) {
-        jobs_completed_[i] = reg.make_counter(prefix + "/jobs." +
-                                              k_categories[i] + "/completed");
-        jobs_missed_[i] = reg.make_counter(prefix + "/jobs." +
-                                           k_categories[i] + "/missed");
+        jobs_completed_[i] = reg.make_counter(
+            {prefix, "/jobs.", k_categories[i], "/completed"});
+        jobs_missed_[i] =
+            reg.make_counter({prefix, "/jobs.", k_categories[i], "/missed"});
     }
-    requests_issued_ = reg.make_counter(prefix + "/requests_issued");
+    requests_issued_ = reg.make_counter({prefix, "/requests_issued"});
 }
 
 void processor_client::release_jobs(cycle_t now) {

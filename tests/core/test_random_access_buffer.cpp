@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/random_access_buffer.hpp"
+#include "sim/rng.hpp"
 
 namespace bluescale::core {
 namespace {
@@ -100,6 +107,158 @@ TEST(random_access_buffer, interleaved_load_fetch) {
     EXPECT_EQ(buf.fetch_earliest().id, 1u);
     buf.commit();
     EXPECT_EQ(buf.fetch_earliest().id, 2u);
+}
+
+// --- seeded property test against a naive vector model -----------------
+
+/// The buffer's contract, written the obvious way: visible requests in
+/// load order, staged loads beside them, EDF fetch taking the first
+/// minimum, and the hook firings the buffer promises.
+struct rab_model {
+    std::size_t depth = 0;
+    std::vector<mem_request> visible;
+    std::vector<mem_request> staged;
+    std::uint64_t wakes = 0;
+    std::uint64_t drains = 0;
+
+    [[nodiscard]] bool can_load() const {
+        return visible.size() + staged.size() < depth;
+    }
+    void load(const mem_request& r) {
+        staged.push_back(r);
+        ++wakes;
+    }
+    void commit() {
+        visible.insert(visible.end(), staged.begin(), staged.end());
+        staged.clear();
+    }
+    mem_request fetch_earliest() {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < visible.size(); ++i) {
+            if (visible[i].level_deadline < visible[best].level_deadline) {
+                best = i;
+            }
+        }
+        if (!can_load()) ++drains;
+        const mem_request r = visible[best];
+        visible.erase(visible.begin() + static_cast<std::ptrdiff_t>(best));
+        return r;
+    }
+    void charge_blocked(cycle_t granted) {
+        for (auto& r : visible) {
+            if (r.level_deadline < granted) ++r.blocked_cycles;
+        }
+    }
+    void clear() {
+        visible.clear();
+        staged.clear();
+    }
+    [[nodiscard]] std::optional<cycle_t> min_deadline() const {
+        std::optional<cycle_t> best;
+        for (const auto& r : visible) {
+            if (!best || r.level_deadline < *best) best = r.level_deadline;
+        }
+        return best;
+    }
+};
+
+void count_firing(void* n) { ++*static_cast<std::uint64_t*>(n); }
+
+/// The first observable difference between `buf` and `m`, or "".
+std::string state_mismatch(const random_access_buffer& buf,
+                           const rab_model& m, std::uint64_t wakes,
+                           std::uint64_t drains) {
+    std::ostringstream os;
+    if (buf.size() != m.visible.size()) {
+        os << "size " << buf.size() << " vs " << m.visible.size();
+    } else if (buf.total_size() != m.visible.size() + m.staged.size()) {
+        os << "total_size " << buf.total_size() << " vs "
+           << m.visible.size() + m.staged.size();
+    } else if (buf.empty() != m.visible.empty() ||
+               buf.quiet() != (m.visible.empty() && m.staged.empty())) {
+        os << "empty/quiet " << buf.empty() << '/' << buf.quiet();
+    } else if (buf.can_load() != m.can_load()) {
+        os << "can_load " << buf.can_load();
+    } else if (buf.min_deadline() != m.min_deadline()) {
+        os << "min_deadline " << buf.min_deadline().value_or(k_cycle_never)
+           << " vs " << m.min_deadline().value_or(k_cycle_never);
+    } else if (wakes != m.wakes || drains != m.drains) {
+        os << "wake/drain firings " << wakes << '/' << drains << " vs "
+           << m.wakes << '/' << m.drains;
+    }
+    return os.str();
+}
+
+TEST(random_access_buffer_property, matches_vector_model) {
+    constexpr std::uint64_t k_seeds = 40;
+    constexpr std::uint32_t k_ops = 3000;
+    for (const std::size_t depth : {1, 2, 8, 64}) {
+        for (std::uint64_t seed = 1; seed <= k_seeds; ++seed) {
+            rng gen(seed * 1000 + depth);
+            random_access_buffer buf(depth);
+            rab_model m;
+            m.depth = depth;
+            std::uint64_t wakes = 0;
+            std::uint64_t drains = 0;
+            buf.set_wake_hook({count_firing, &wakes});
+            buf.set_drain_hook({count_firing, &drains});
+            ASSERT_EQ(buf.capacity(), depth);
+            request_id_t next_id = 1;
+            std::size_t peak = 0;
+            for (std::uint32_t op = 0; op < k_ops; ++op) {
+                const auto fail = [&](const std::string& what) {
+                    return ::testing::Message()
+                           << "depth " << depth << ", seed " << seed
+                           << ", op #" << op << ": " << what;
+                };
+                // Loads outweigh fetches and clears are rare, so deep
+                // buffers fill up; deadlines come from a narrow range, so
+                // ties are common.
+                const std::uint64_t roll = gen.uniform_u64(0, 999);
+                if (roll < 450) {
+                    if (buf.can_load()) {
+                        const mem_request r =
+                            req(next_id++, gen.uniform_u64(0, 15));
+                        buf.load(r);
+                        m.load(r);
+                    }
+                } else if (roll < 650) {
+                    buf.commit();
+                    m.commit();
+                } else if (roll < 820) {
+                    if (!buf.empty()) {
+                        const mem_request got = buf.fetch_earliest();
+                        const mem_request want = m.fetch_earliest();
+                        if (got.id != want.id ||
+                            got.level_deadline != want.level_deadline ||
+                            got.blocked_cycles != want.blocked_cycles) {
+                            std::ostringstream os;
+                            os << "fetched id " << got.id << " (deadline "
+                               << got.level_deadline << ", blocked "
+                               << got.blocked_cycles << "), model id "
+                               << want.id << " (deadline "
+                               << want.level_deadline << ", blocked "
+                               << want.blocked_cycles << ")";
+                            FAIL() << fail(os.str());
+                        }
+                    }
+                } else if (roll < 995) {
+                    const cycle_t granted = gen.uniform_u64(0, 16);
+                    buf.charge_blocked(granted);
+                    m.charge_blocked(granted);
+                } else {
+                    buf.clear();
+                    m.clear();
+                }
+                const std::string diff = state_mismatch(buf, m, wakes, drains);
+                if (!diff.empty()) FAIL() << fail(diff);
+                peak = std::max(peak, buf.total_size());
+            }
+            // Every run must reach a full buffer, so the drain hook and
+            // the full-buffer refusals are exercised.
+            ASSERT_EQ(peak, depth) << "depth " << depth << ", seed " << seed;
+        }
+    }
 }
 
 } // namespace

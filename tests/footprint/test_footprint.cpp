@@ -1,10 +1,12 @@
-// Heap footprint of the per-client and per-SE building blocks, as the
-// bytes requested through operator new that an object still holds once
-// it is constructed. This binary replaces the global operator new/delete
-// with a counting pair, so the figures are the sizes the code asks for
-// -- the same on every host and allocator -- not what malloc rounds them
-// up to. A mega-scale fabric holds thousands of these objects, so a few
-// hundred bytes each is megabytes of heap before cycle 0.
+// Heap footprint of the per-client and per-SE building blocks: the bytes
+// requested through operator new that an object still holds once it is
+// constructed, and the number of operator new calls its construction
+// makes. This binary replaces the global operator new/delete with a
+// counting pair, so the figures are what the code asks for -- the same on
+// every host and allocator -- not what malloc rounds them up to. A
+// mega-scale fabric builds thousands of these objects, so a few hundred
+// bytes or a dozen allocations each is megabytes of heap and most of the
+// assembly time before cycle 0.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_allocations{0};
 
 // Each block carries its requested size in a header, so delete can
 // subtract exactly what new added.
@@ -30,6 +33,7 @@ void* counted_alloc(std::size_t n) noexcept {
     void* base = std::malloc(n + k_header);
     if (base == nullptr) return nullptr;
     *static_cast<std::size_t*>(base) = n;
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
                            std::memory_order_relaxed);
     return static_cast<char*>(base) + k_header;
@@ -57,6 +61,15 @@ std::int64_t held_bytes(Make make) {
     const std::int64_t before = g_live_bytes.load();
     auto obj = make();
     return g_live_bytes.load() - before;
+}
+
+/// operator new calls made while `make()` builds its result, temporaries
+/// freed before it returns included.
+template <class Make>
+std::int64_t allocations(Make make) {
+    const std::int64_t before = g_allocations.load();
+    auto obj = make();
+    return g_allocations.load() - before;
 }
 
 } // namespace
@@ -89,20 +102,39 @@ TEST(footprint, counting_allocator_sees_new_and_delete) {
     const std::int64_t before = g_live_bytes.load();
     { auto gone = std::make_unique<char[]>(1000); }
     EXPECT_EQ(g_live_bytes.load(), before);
+    EXPECT_EQ(allocations([] {
+                  auto freed = std::make_unique<char[]>(8);
+                  return std::make_unique<char[]>(8);
+              }),
+              2);
 }
 
-// Budgets sit just above today's figures (an unbound SE holds 8,544 B,
-// most of it its four RAB arenas; a 4-task client holds 2,447 B), so a
+// Budgets sit just above today's figures (an unbound SE holds 8,320 B,
+// most of it its four RAB blocks; a 4-task client holds 2,447 B), so a
 // named registry per component (about 3 KB) or a std::deque per task
 // (about 650 B each while empty) fails them.
 
-TEST(footprint, unbound_scale_element) {
+auto make_unbound_scale_element() {
     // Default parameters (four 8-deep RABs); a deep-tree name, as the
     // fabric gives it.
-    const std::int64_t bytes = held_bytes([] {
-        return std::make_unique<core::scale_element>("se.5.1023",
-                                                     core::se_params{});
-    });
+    return std::make_unique<core::scale_element>("se.5.1023",
+                                                 core::se_params{});
+}
+
+auto make_four_task_client(interconnect& net) {
+    workload::memory_task_set tasks;
+    tasks.reserve(4);
+    for (task_id_t i = 0; i < 4; ++i) {
+        tasks.push_back({.id = i,
+                         .period_units = 100 + 10 * std::uint64_t{i},
+                         .requests_per_job = 2});
+    }
+    return std::make_unique<workload::traffic_generator>(
+        4095, std::move(tasks), net, /*seed=*/1);
+}
+
+TEST(footprint, unbound_scale_element) {
+    const std::int64_t bytes = held_bytes(make_unbound_scale_element);
     RecordProperty("bytes", static_cast<int>(bytes));
     EXPECT_LE(bytes, 9 * 1024) << "unbound scale_element holds " << bytes
                                << " B";
@@ -110,19 +142,32 @@ TEST(footprint, unbound_scale_element) {
 
 TEST(footprint, four_task_traffic_generator) {
     testing::loopback_interconnect net(4096);
-    const std::int64_t bytes = held_bytes([&] {
-        workload::memory_task_set tasks;
-        for (task_id_t i = 0; i < 4; ++i) {
-            tasks.push_back({.id = i,
-                             .period_units = 100 + 10 * std::uint64_t{i},
-                             .requests_per_job = 2});
-        }
-        return std::make_unique<workload::traffic_generator>(
-            4095, std::move(tasks), net, /*seed=*/1);
-    });
+    const std::int64_t bytes =
+        held_bytes([&] { return make_four_task_client(net); });
     RecordProperty("bytes", static_cast<int>(bytes));
     EXPECT_LE(bytes, 3 * 1024) << "4-task traffic_generator holds " << bytes
                                << " B";
+}
+
+// Allocation budgets: an unbound SE makes 6 (itself, its value block and
+// one storage block per RAB) and a 4-task client 5. Formatting metric
+// names into an unbound value block (17 strings per SE) or a std::vector
+// per RAB index array (four per RAB) fails them.
+
+TEST(footprint, unbound_scale_element_allocations) {
+    const std::int64_t n = allocations(make_unbound_scale_element);
+    RecordProperty("allocations", static_cast<int>(n));
+    EXPECT_LE(n, 8) << "building an unbound scale_element allocates " << n
+                    << " times";
+}
+
+TEST(footprint, four_task_traffic_generator_allocations) {
+    testing::loopback_interconnect net(4096);
+    const std::int64_t n =
+        allocations([&] { return make_four_task_client(net); });
+    RecordProperty("allocations", static_cast<int>(n));
+    EXPECT_LE(n, 6) << "building a 4-task traffic_generator allocates " << n
+                    << " times";
 }
 
 } // namespace

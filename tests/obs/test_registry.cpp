@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/scale_element.hpp"
 #include "obs/registry.hpp"
@@ -213,6 +215,67 @@ TEST(obs_value_block, binding_after_construction_yields_zero_metrics) {
         EXPECT_EQ(v.level, 0) << name;
         EXPECT_EQ(v.samples.count(), 0u) << name;
     }
+}
+
+TEST(obs_registry, bound_names_are_exact) {
+    // The exported names of the two owners on every fabric's path,
+    // written out in full: registration passes names as pieces, and only
+    // the registry joins them.
+    core::scale_element se("SE(2,1)", core::se_params{});
+    workload::client_stats stats;
+    registry reg;
+    se.bind_observability(reg, "se.2.1", tracer{});
+    stats.bind(reg, "client.7");
+    const std::vector<std::string> want = {
+        "client.7/abandoned",
+        "client.7/blocking_cycles",
+        "client.7/completed",
+        "client.7/failed_responses",
+        "client.7/issued",
+        "client.7/latency_cycles",
+        "client.7/missed",
+        "client.7/missed_beyond_margin",
+        "client.7/reconfigurations",
+        "client.7/retries",
+        "client.7/retry_exhausted",
+        "client.7/shed_cycles",
+        "client.7/shed_deferrals",
+        "client.7/stale_responses",
+        "client.7/timeouts",
+        "se.2.1/degraded_cycles",
+        "se.2.1/fault_stall_cycles",
+        "se.2.1/forwarded",
+        "se.2.1/forwarded_budgeted",
+        "se.2.1/port0/backlogged_cycles",
+        "se.2.1/port0/forwarded",
+        "se.2.1/port0/queue_depth",
+        "se.2.1/port1/backlogged_cycles",
+        "se.2.1/port1/forwarded",
+        "se.2.1/port1/queue_depth",
+        "se.2.1/port2/backlogged_cycles",
+        "se.2.1/port2/forwarded",
+        "se.2.1/port2/queue_depth",
+        "se.2.1/port3/backlogged_cycles",
+        "se.2.1/port3/forwarded",
+        "se.2.1/port3/queue_depth",
+        "se.2.1/wait_cycles",
+    };
+    const snapshot snap = reg.take_snapshot();
+    std::vector<std::string> got;
+    for (const auto& [name, v] : snap.entries()) {
+        got.push_back(name);
+    }
+    EXPECT_EQ(got, want);
+}
+
+TEST(obs_registry, metric_name_pieces_join_to_one_name) {
+    registry reg;
+    auto joined = reg.make_counter({"se.0.0", "/port2", "/forwarded"});
+    auto whole = reg.make_counter("se.0.0/port2/forwarded");
+    joined.inc();
+    EXPECT_EQ(whole.value(), 1u);
+    EXPECT_EQ(reg.size(), 1u);
+    EXPECT_EQ(metric_name("a", "/b", "/c", "/d").joined(), "a/b/c/d");
 }
 
 TEST(obs_registry, write_csv_is_deterministic_and_well_formed) {
