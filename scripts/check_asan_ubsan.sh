@@ -31,11 +31,12 @@ export ASAN_OPTIONS="detect_leaks=1"
     --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:random_access_buffer*:obs_value_block.*:obs_registry.*'
 
 # The schedulability test and interface selection, including the budget
-# kernel's property tests against the probe-by-probe search: their
-# horizon and budget arithmetic converts doubles to integers, which the
+# kernel's property tests against the probe-by-probe search and the
+# bounded period scan's against the full scan: their horizon, budget and
+# budget-cap arithmetic converts doubles to integers, which the
 # float-cast-overflow sanitizer checks.
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter='is_schedulable.*:theorem1_beta.*:*schedulability*:sufficient_portfolio.*:theorem2_max_period.*:min_budget_for_period.*:select_interface.*:*selection_optimality*:min_budget_for_supply.*:budget_kernel_property.*'
+    --gtest_filter='is_schedulable.*:theorem1_beta.*:*schedulability*:sufficient_portfolio.*:theorem2_max_period.*:min_budget_for_period.*:select_interface.*:*selection_optimality*:min_budget_for_supply.*:budget_kernel_property.*:bounded_scan.*'
 
 # The whole resilience suite: fault campaigns, retries, health monitor,
 # admission control, transactional rollback, watchdog shedding, and the

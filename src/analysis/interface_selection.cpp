@@ -32,15 +32,35 @@ std::uint64_t budget_floor(double u, std::uint64_t period) {
            1;
 }
 
-/// The budget search's probe schedule, shared by both paths: Theta = Pi
+/// The largest budget Theta <= Pi whose bandwidth Theta/Pi is still <=
+/// `limit` (> 0), in that exact floating-point comparison. The floor of
+/// limit * Pi lands within one of it; the comparison then settles it.
+std::uint64_t budget_cap(std::uint64_t period, double limit) {
+    const auto fits = [&](std::uint64_t theta) {
+        return static_cast<double>(theta) / static_cast<double>(period) <=
+               limit;
+    };
+    if (fits(period)) return period;
+    auto cap = std::min(
+        static_cast<std::uint64_t>(
+            std::floor(limit * static_cast<double>(period))),
+        period - 1);
+    while (cap + 1 < period && fits(cap + 1)) ++cap;
+    while (cap > 0 && !fits(cap)) --cap;
+    return cap;
+}
+
+/// The budget search's probe schedule, shared by both paths: Theta = cap
 /// first (nullopt when even that fails), then a binary search over
-/// [lo, Pi) (schedulability is monotone in Theta).
+/// [lo, cap) (schedulability is monotone in Theta). A lone period
+/// searches with cap = Pi; the period scan passes the cap that would
+/// still beat the best bandwidth found so far.
 template <typename Probe>
 std::optional<std::uint64_t> search_budget(std::uint64_t lo,
-                                           std::uint64_t period,
+                                           std::uint64_t cap,
                                            Probe&& probe) {
-    if (!probe(period)) return std::nullopt;
-    std::uint64_t hi = period;
+    if (!probe(cap)) return std::nullopt;
+    std::uint64_t hi = cap;
     while (lo < hi) {
         const std::uint64_t mid = lo + (hi - lo) / 2;
         if (probe(mid)) {
@@ -57,10 +77,10 @@ std::optional<std::uint64_t> search_budget(std::uint64_t lo,
 /// sufficient portfolio rather than from dbf points.
 std::optional<std::uint64_t> min_budget_by_probes(const task_set& tasks,
                                                   std::uint64_t period,
+                                                  std::uint64_t lo,
+                                                  std::uint64_t cap,
                                                   const analysis_context& ctx) {
-    const std::uint64_t lo = budget_floor(utilization(tasks), period);
-    if (lo > period) return std::nullopt;
-    return search_budget(lo, period, [&](std::uint64_t theta) {
+    return search_budget(lo, cap, [&](std::uint64_t theta) {
         return is_schedulable(tasks, {period, theta}, ctx.sched) ==
                sched_result::schedulable;
     });
@@ -100,13 +120,16 @@ public:
         }
     }
 
-    /// min_budget_by_probes for one period (> 0), counting its work.
+    /// min_budget_by_probes for one period (> 0) with lo <= cap <= Pi,
+    /// counting its work. A cap below the blackout floor fails every
+    /// probe, so the period is dropped without one.
     std::optional<std::uint64_t> min_budget(std::uint64_t period,
+                                            std::uint64_t lo,
+                                            std::uint64_t cap,
                                             sched_test_stats& work) {
-        const std::uint64_t lo = budget_floor(u_, period);
-        if (lo > period) return std::nullopt;
         start_period(period, lo);
-        return search_budget(lo, period, [&](std::uint64_t theta) {
+        if (cap < blackout_floor_) return std::nullopt;
+        return search_budget(lo, cap, [&](std::uint64_t theta) {
             return probe(theta, work);
         });
     }
@@ -274,10 +297,15 @@ min_budget_for_period(const task_set& tasks, std::uint64_t period,
                       const analysis_context& ctx) {
     if (period == 0) return std::nullopt;
     if (tasks.empty()) return 0;
-    if (!uses_kernel(ctx)) return min_budget_by_probes(tasks, period, ctx);
+    const std::uint64_t lo = budget_floor(utilization(tasks), period);
+    if (lo > period) return std::nullopt;
+    if (!uses_kernel(ctx)) {
+        return min_budget_by_probes(tasks, period, lo, period, ctx);
+    }
 
     sched_test_stats work;
-    const auto theta = budget_kernel(tasks, ctx.sched).min_budget(period, work);
+    const auto theta =
+        budget_kernel(tasks, ctx.sched).min_budget(period, lo, period, work);
     if (ctx.sched.stats != nullptr) *ctx.sched.stats += work;
     return theta;
 }
@@ -301,19 +329,23 @@ select_interface_uncached(const task_set& tasks, double level_utilization,
     sched_test_stats work;
     std::vector<resource_interface> candidates;
     double best_bw = 2.0; // anything beats this
+    // The largest bandwidth the final pick keeps, within tolerance of the
+    // best found so far.
+    const auto kept_limit = [&] { return best_bw * (1.0 + tol) + 1e-12; };
 
     for (std::uint64_t pi = 1; pi <= pi_max; ++pi) {
-        // Cheapest budget this period could possibly achieve; skip the
-        // budget search when it cannot land within tolerance of the best
-        // bandwidth found so far.
-        const std::uint64_t theta_floor = budget_floor(u, pi);
-        if (theta_floor > pi) continue;
-        const double bw_floor =
-            static_cast<double>(theta_floor) / static_cast<double>(pi);
-        if (bw_floor >= best_bw * (1.0 + tol) + 1e-12) continue;
+        // best_bw only falls, so a budget above the cap could only yield
+        // a candidate the final pick discards: the search starts at the
+        // cap, and a period whose cap is below Theorem 1's floor is
+        // skipped.
+        const std::uint64_t lo = budget_floor(u, pi);
+        if (lo > pi) continue;
+        const std::uint64_t cap = budget_cap(pi, kept_limit());
+        if (cap < lo) continue;
 
-        const auto theta = kernel ? kernel->min_budget(pi, work)
-                                  : min_budget_by_probes(tasks, pi, ctx);
+        const auto theta =
+            kernel ? kernel->min_budget(pi, lo, cap, work)
+                   : min_budget_by_probes(tasks, pi, lo, cap, ctx);
         if (!theta) continue;
         const resource_interface candidate{pi, *theta};
         candidates.push_back(candidate);
@@ -330,7 +362,7 @@ select_interface_uncached(const task_set& tasks, double level_utilization,
     std::optional<resource_interface> best;
     for (const auto& c : candidates) {
         const double bw = c.bandwidth();
-        if (bw > best_bw * (1.0 + tol) + 1e-12) continue;
+        if (bw > kept_limit()) continue;
         if (!best) {
             best = c;
         } else if (tol > 0.0 ? c.period > best->period

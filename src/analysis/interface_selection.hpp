@@ -24,8 +24,9 @@ namespace bluescale::analysis {
                                                 double level_utilization);
 
 /// Minimum schedulable budget for a fixed period, found by binary search
-/// (schedulability is monotone in Theta). Returns nullopt when even
-/// Theta == Pi is unschedulable. Uses ctx.sched only.
+/// (schedulability is monotone in Theta): Theta = Pi first, then the
+/// midpoints of [floor, Pi). Returns nullopt when even Theta == Pi is
+/// unschedulable. Uses ctx.sched only.
 ///
 /// Two paths, one per test mode:
 ///  - the exact test (the default): a budget kernel answers each probe
@@ -35,8 +36,7 @@ namespace bluescale::analysis {
 ///    max -- instead of a full is_schedulable call. It replays the
 ///    search's probe schedule, so the result and every sched_test_stats
 ///    counter (tests_run, points_checked) equal what the search over
-///    is_schedulable would produce; the modeled FSM work
-///    (core::reconfig_costs::fsm_cycles) does not move.
+///    is_schedulable would produce.
 ///  - ctx.sched.sufficient_only (the circuit breaker's degraded mode):
 ///    the probes' verdicts come from the sufficient portfolio, which the
 ///    kernel does not model, so the search calls is_schedulable probe by
@@ -45,12 +45,24 @@ namespace bluescale::analysis {
 min_budget_for_period(const task_set& tasks, std::uint64_t period,
                       const analysis_context& ctx = {});
 
-/// Full interface selection for one VE: enumerate feasible periods
-/// (1 .. Theorem-2 bound), search the budget for each as
-/// min_budget_for_period does (one budget kernel serves every period of
-/// the call on the exact path), and return
-/// the minimum-bandwidth interface (ties broken toward smaller Pi, which
-/// minimizes supply jitter). Returns nullopt when no feasible pair exists.
+/// Full interface selection for one VE: scan the feasible periods
+/// (1 .. Theorem-2 bound) and return the minimum-bandwidth interface
+/// (ties broken toward smaller Pi, which minimizes supply jitter; with a
+/// bandwidth tolerance, the largest Pi within it). Returns nullopt when no
+/// feasible pair exists.
+///
+/// The scan is bounded by the best bandwidth found so far: on each Pi the
+/// budget search covers [floor, cap] instead of [floor, Pi], where cap is
+/// the largest Theta whose Theta/Pi the final pick's own comparison would
+/// still keep (best * (1 + tol) + 1e-12). It probes cap first -- a
+/// failure drops the period after one probe -- and a period is skipped
+/// without a probe when cap lies below Theorem 1's floor or, on the exact
+/// path, below the blackout floor. Since the best bandwidth only falls, a
+/// pruned period could only have produced a candidate the final pick
+/// discards, so the selection is the full scan's; the work counted
+/// (tests_run, points_checked, and so core::reconfig_costs::fsm_cycles)
+/// is that of the bounded scan, which the modeled selector FSM runs too.
+/// One budget kernel serves every period of the call on the exact path.
 ///
 /// An empty task set yields the null interface {0, 0} (bandwidth 0).
 ///

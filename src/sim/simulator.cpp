@@ -148,7 +148,7 @@ void simulator::run(cycle_t cycles) {
         // Idle skip: when no component is due before `due`, the cycles in
         // between are provably empty -- jump the clock over them.
         const cycle_t due = std::min(end, std::max(now_, next_due()));
-        if (due > now_) now_ = due;
+        if (due > now_) skip_to(due);
     }
 }
 

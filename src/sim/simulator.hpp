@@ -66,6 +66,8 @@ public:
     /// Keeps `sink`'s trace clock in lockstep with the simulation: every
     /// step publishes the current cycle before components tick, so emit
     /// sites without a `now` argument in scope stamp the right cycle.
+    /// Between steps the clock reads the last cycle run, skipped or not,
+    /// so an emit between run calls is stamped alike under both engines.
     void bind_trace(obs::trace_sink& sink) { trace_ = &sink; }
 
     /// Opt-in simulator profiling: registers profile-flagged wall-clock
@@ -107,7 +109,7 @@ public:
                     // All components idle until `due`: state is frozen, so
                     // one evaluation covers every cycle in [now_, due).
                     if (done()) return true;
-                    now_ = due;
+                    skip_to(due);
                     checked = true;
                 }
             }
@@ -123,6 +125,13 @@ public:
 
 private:
     void sync_profile_handles();
+    /// The event engine's idle skip: jumps the clock to `due` (> now_)
+    /// and leaves the trace clock on due - 1, the last cycle lockstep
+    /// would have stepped.
+    void skip_to(cycle_t due) {
+        now_ = due;
+        if (trace_ != nullptr) trace_->set_now(due - 1);
+    }
     /// Gives components added since the last step their wake slots and
     /// refreshes committers_ (assembly-time; runs before the first step
     /// after add()).

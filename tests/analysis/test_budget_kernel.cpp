@@ -1,7 +1,8 @@
 // The budget kernel behind select_interface's exact-test path, checked
 // against a probe-by-probe binary search over is_schedulable: the sbf
 // inversion exhaustively, and whole selections on seeded random task sets
-// down to every sched_test_stats counter.
+// down to every sched_test_stats counter. Selections are also checked
+// against a full period scan, which the bounded scan must reproduce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,23 +85,26 @@ TEST(min_budget_for_supply, degenerate_inputs) {
 
 // --- the probe-by-probe reference -----------------------------------------
 
-/// The reference budget search: a binary search of full is_schedulable
-/// calls. The kernel must reproduce its answer and its work exactly.
-std::optional<std::uint64_t> reference_min_budget(const task_set& tasks,
-                                                  std::uint64_t period,
-                                                  const analysis_context& ctx) {
-    if (period == 0) return std::nullopt;
-    if (tasks.empty()) return 0;
-    const double u = utilization(tasks);
-    auto lo = static_cast<std::uint64_t>(
-                  std::floor(u * static_cast<double>(period))) +
-              1;
-    if (lo > period) return std::nullopt;
-    if (is_schedulable(tasks, {period, period}, ctx.sched) !=
+/// Theorem 1's smallest budget worth probing on period Pi.
+std::uint64_t reference_floor(double u, std::uint64_t period) {
+    return static_cast<std::uint64_t>(
+               std::floor(u * static_cast<double>(period))) +
+           1;
+}
+
+/// The reference budget search over [lo, cap]: Theta = cap first, then a
+/// binary search of full is_schedulable calls. The kernel must reproduce
+/// its answer and its work exactly.
+std::optional<std::uint64_t> reference_search(const task_set& tasks,
+                                              std::uint64_t period,
+                                              std::uint64_t lo,
+                                              std::uint64_t cap,
+                                              const analysis_context& ctx) {
+    if (is_schedulable(tasks, {period, cap}, ctx.sched) !=
         sched_result::schedulable) {
         return std::nullopt;
     }
-    std::uint64_t hi = period;
+    std::uint64_t hi = cap;
     while (lo < hi) {
         const std::uint64_t mid = lo + (hi - lo) / 2;
         if (is_schedulable(tasks, {period, mid}, ctx.sched) ==
@@ -113,42 +117,116 @@ std::optional<std::uint64_t> reference_min_budget(const task_set& tasks,
     return hi;
 }
 
-/// select_interface's period scan and tie-break over the reference search.
-std::optional<resource_interface>
-reference_select(const task_set& tasks, double level_utilization,
-                 const analysis_context& ctx) {
-    if (tasks.empty()) return resource_interface{0, 0};
-    const std::uint64_t pi_max = std::min(
-        theorem2_max_period(tasks, level_utilization), ctx.max_period);
-    if (pi_max == 0) return std::nullopt;
-    const double u = utilization(tasks);
-    const double tol = std::max(0.0, ctx.bandwidth_tolerance);
+std::optional<std::uint64_t> reference_min_budget(const task_set& tasks,
+                                                  std::uint64_t period,
+                                                  const analysis_context& ctx) {
+    if (period == 0) return std::nullopt;
+    if (tasks.empty()) return 0;
+    const std::uint64_t lo = reference_floor(utilization(tasks), period);
+    if (lo > period) return std::nullopt;
+    return reference_search(tasks, period, lo, period, ctx);
+}
+
+/// The largest Theta <= Pi with Theta/Pi <= limit, by bisection over that
+/// comparison (Theta = 0 always fits a positive limit).
+std::uint64_t reference_cap(std::uint64_t period, double limit) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = period;
+    while (lo < hi) {
+        const std::uint64_t mid = hi - (hi - lo) / 2;
+        if (static_cast<double>(mid) / static_cast<double>(period) <= limit) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    return lo;
+}
+
+/// Theta fails is_schedulable's first-job blackout clause on period Pi.
+bool fails_blackout(const task_set& tasks, std::uint64_t period,
+                    std::uint64_t theta, const maintenance_model& m) {
+    for (const auto& task : tasks) {
+        if (task.wcet > 0 && task.period < 2 * (period - theta) + task.wcet &&
+            maintenance_sbf(task.period, {period, theta}, m) < task.wcet) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/// How the reference scans the periods:
+///  - full: every period's budget search covers [lo, Pi]; a period is
+///    skipped only when its floor budget already lies beyond the final
+///    filter's limit, so it could only yield a discarded candidate. The
+///    oracle for what select_interface selects.
+///  - bounded: select_interface's scan -- the search covers [lo, cap],
+///    cap the largest budget the final filter would still keep, and on
+///    the exact path a cap that fails the blackout clause drops the period
+///    without a probe. The oracle for the work it counts.
+enum class scan : std::uint8_t { full, bounded };
+
+struct reference_scan {
     std::vector<resource_interface> candidates;
     double best_bw = 2.0;
+};
+
+reference_scan reference_candidates(const task_set& tasks,
+                                    double level_utilization,
+                                    const analysis_context& ctx, scan mode) {
+    reference_scan out;
+    const std::uint64_t pi_max = std::min(
+        theorem2_max_period(tasks, level_utilization), ctx.max_period);
+    const double u = utilization(tasks);
+    const double tol = std::max(0.0, ctx.bandwidth_tolerance);
     for (std::uint64_t pi = 1; pi <= pi_max; ++pi) {
-        const auto theta_floor =
-            static_cast<std::uint64_t>(
-                std::floor(u * static_cast<double>(pi))) +
-            1;
-        if (theta_floor > pi) continue;
-        const double bw_floor =
-            static_cast<double>(theta_floor) / static_cast<double>(pi);
-        if (bw_floor >= best_bw * (1.0 + tol) + 1e-12) continue;
-        const auto theta = reference_min_budget(tasks, pi, ctx);
+        const std::uint64_t lo = reference_floor(u, pi);
+        if (lo > pi) continue;
+        const double limit = out.best_bw * (1.0 + tol) + 1e-12;
+        std::uint64_t cap = pi;
+        if (mode == scan::full) {
+            if (static_cast<double>(lo) / static_cast<double>(pi) > limit) {
+                continue;
+            }
+        } else {
+            cap = reference_cap(pi, limit);
+            if (cap < lo) continue;
+            if (!ctx.sched.sufficient_only &&
+                fails_blackout(tasks, pi, cap, ctx.sched.maintenance)) {
+                continue;
+            }
+        }
+        const auto theta = reference_search(tasks, pi, lo, cap, ctx);
         if (!theta) continue;
-        candidates.push_back({pi, *theta});
-        best_bw = std::min(best_bw, candidates.back().bandwidth());
+        out.candidates.push_back({pi, *theta});
+        out.best_bw = std::min(out.best_bw, out.candidates.back().bandwidth());
     }
+    return out;
+}
+
+/// select_interface's final filter and tie-break.
+std::optional<resource_interface> reference_pick(const reference_scan& scanned,
+                                                 double tolerance) {
+    const double tol = std::max(0.0, tolerance);
     std::optional<resource_interface> best;
-    for (const auto& c : candidates) {
+    for (const auto& c : scanned.candidates) {
         const double bw = c.bandwidth();
-        if (bw > best_bw * (1.0 + tol) + 1e-12) continue;
+        if (bw > scanned.best_bw * (1.0 + tol) + 1e-12) continue;
         if (!best || (tol > 0.0 ? c.period > best->period
                                 : bw < best->bandwidth() - 1e-12)) {
             best = c;
         }
     }
     return best;
+}
+
+std::optional<resource_interface>
+reference_select(const task_set& tasks, double level_utilization,
+                 const analysis_context& ctx, scan mode = scan::full) {
+    if (tasks.empty()) return resource_interface{0, 0};
+    return reference_pick(
+        reference_candidates(tasks, level_utilization, ctx, mode),
+        ctx.bandwidth_tolerance);
 }
 
 // --- seeded property: kernel vs. reference --------------------------------
@@ -248,24 +326,44 @@ std::string describe(const sched_test_stats& st) {
 
 constexpr std::uint64_t k_property_seeds = 400;
 
+/// select_interface on one draw, checked against both references: it must
+/// select what the full scan selects and count exactly the bounded scan's
+/// work. `error` describes a mismatch (empty when there is none).
+struct checked_selection {
+    std::optional<resource_interface> selected;
+    sched_test_stats work;
+    std::string error;
+};
+
+checked_selection check_selection(std::uint64_t seed, selection_draw d) {
+    checked_selection out;
+    d.ctx.sched.stats = nullptr;
+    const auto want = reference_select(d.tasks, d.level_utilization, d.ctx);
+    sched_test_stats want_work;
+    d.ctx.sched.stats = &want_work;
+    const auto bounded = reference_select(d.tasks, d.level_utilization,
+                                          d.ctx, scan::bounded);
+    d.ctx.sched.stats = &out.work;
+    out.selected = select_interface(d.tasks, d.level_utilization, d.ctx);
+    if (out.selected != want || bounded != want || out.work != want_work) {
+        std::ostringstream os;
+        os << describe(seed, d) << "\n  kernel " << describe(out.selected)
+           << ", " << describe(out.work) << "\n  full scan "
+           << describe(want) << "\n  bounded scan " << describe(bounded)
+           << ", " << describe(want_work);
+        out.error = os.str();
+    }
+    return out;
+}
+
 TEST(budget_kernel_property, select_interface_matches_reference) {
     std::uint64_t with_points = 0;
     std::uint64_t with_failures = 0;
     for (std::uint64_t seed = 1; seed <= k_property_seeds; ++seed) {
-        selection_draw d = random_draw(seed);
-        sched_test_stats want_work;
-        sched_test_stats got_work;
-        d.ctx.sched.stats = &want_work;
-        const auto want = reference_select(d.tasks, d.level_utilization, d.ctx);
-        d.ctx.sched.stats = &got_work;
-        const auto got = select_interface(d.tasks, d.level_utilization, d.ctx);
-        if (got != want || got_work != want_work) {
-            FAIL() << describe(seed, d) << "\n  kernel " << describe(got)
-                   << ", " << describe(got_work) << "\n  reference "
-                   << describe(want) << ", " << describe(want_work);
-        }
-        with_points += want_work.points_checked > 0 ? 1 : 0;
-        with_failures += want ? 0 : 1;
+        const auto checked = check_selection(seed, random_draw(seed));
+        if (!checked.error.empty()) FAIL() << checked.error;
+        with_points += checked.work.points_checked > 0 ? 1 : 0;
+        with_failures += checked.selected ? 0 : 1;
     }
     // The draws must reach dbf points and infeasible sets, not only the
     // filters.
@@ -305,17 +403,74 @@ TEST(budget_kernel_property, ladder_paths_keep_the_probe_search) {
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         selection_draw d = random_draw(2'000'000 + seed);
         d.ctx.sched.sufficient_only = true;
-        sched_test_stats want_work;
-        sched_test_stats got_work;
-        d.ctx.sched.stats = &want_work;
-        const auto want =
-            reference_select(d.tasks, d.level_utilization, d.ctx);
-        d.ctx.sched.stats = &got_work;
-        const auto got =
-            select_interface(d.tasks, d.level_utilization, d.ctx);
-        ASSERT_EQ(got, want) << describe(2'000'000 + seed, d);
-        ASSERT_EQ(got_work, want_work) << describe(2'000'000 + seed, d);
+        const auto checked = check_selection(2'000'000 + seed, d);
+        ASSERT_TRUE(checked.error.empty()) << checked.error;
     }
+}
+
+// --- seeded property: bounded scan vs. full scan --------------------------
+
+/// Sets the draw's tolerance so that the final filter's limit
+/// best * (1 + tol) + 1e-12 equals, bit for bit, the bandwidth of the
+/// full scan's last candidate: the candidate then sits exactly on its
+/// period's cap, which the bounded scan must keep. Returns that bandwidth,
+/// or nullopt (tolerance unchanged) when the last candidate is the best
+/// one or no tolerance near the estimate hits it exactly.
+std::optional<double> force_tie(selection_draw& d) {
+    const auto scanned = reference_candidates(d.tasks, d.level_utilization,
+                                              d.ctx, scan::full);
+    if (scanned.candidates.empty()) return std::nullopt;
+    const double target = scanned.candidates.back().bandwidth();
+    const double best = scanned.best_bw;
+    if (target <= best + 2e-12) return std::nullopt;
+    // Step the factor 1 + tol one ulp at a time around its estimate; the
+    // tolerance is then the factor minus one, exactly.
+    double factor = (target - 1e-12) / best;
+    for (int i = 0; i < 32; ++i) factor = std::nextafter(factor, 0.0);
+    for (int i = 0; i < 64; ++i) {
+        if (best * factor + 1e-12 == target) {
+            d.ctx.bandwidth_tolerance = factor - 1.0;
+            return target;
+        }
+        factor = std::nextafter(factor, 4.0);
+    }
+    return std::nullopt;
+}
+
+TEST(bounded_scan, selects_what_the_full_scan_selects) {
+    // Every draw mixes in tolerances, Pi caps, maintenance models, small
+    // work caps and (one in four) the sufficient-only mode; one in three
+    // tries to put a candidate exactly on its cap.
+    std::uint64_t tolerant = 0;
+    std::uint64_t capped = 0;
+    std::uint64_t maintained = 0;
+    std::uint64_t small_caps = 0;
+    std::uint64_t sufficient = 0;
+    std::uint64_t ties = 0;
+    for (std::uint64_t seed = 1; seed <= k_property_seeds; ++seed) {
+        selection_draw d = random_draw(3'000'000 + seed);
+        d.ctx.sched.sufficient_only = seed % 4 == 0;
+        const auto tie = seed % 3 == 0 ? force_tie(d) : std::nullopt;
+        const auto checked = check_selection(3'000'000 + seed, d);
+        if (!checked.error.empty()) FAIL() << checked.error;
+        tolerant += d.ctx.bandwidth_tolerance > 0.0 ? 1 : 0;
+        capped += d.ctx.max_period < analysis_context{}.max_period ? 1 : 0;
+        maintained += d.ctx.sched.maintenance.ops.empty() ? 0 : 1;
+        small_caps += d.ctx.sched.max_test_points <= 64 ? 1 : 0;
+        sufficient += d.ctx.sched.sufficient_only ? 1 : 0;
+        ties += tie && checked.selected &&
+                        checked.selected->bandwidth() == *tie
+                    ? 1
+                    : 0;
+    }
+    EXPECT_GT(tolerant, 0u);
+    EXPECT_GT(capped, 0u);
+    EXPECT_GT(maintained, 0u);
+    EXPECT_GT(small_caps, 0u);
+    EXPECT_GT(sufficient, 0u);
+    // Some selections must sit exactly on the limit, where `<=` and `<`
+    // part ways.
+    EXPECT_GT(ties, 0u);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/component.hpp"
 #include "sim/simulator.hpp"
 
@@ -200,6 +201,33 @@ TEST(simulator, event_engine_matches_lockstep_for_default_components) {
     for (cycle_t i = 0; i < 5; ++i) EXPECT_EQ(r.ticks[i], i);
     EXPECT_EQ(r.commits, 5);
 }
+
+#if BLUESCALE_TRACE_ENABLED
+
+TEST(simulator, trace_clock_after_idle_skip_matches_lockstep) {
+    // An emit between run calls (a service accepting a request, say)
+    // carries the trace clock the last run left: under both engines the
+    // last cycle run, even when the event engine skipped it.
+    for (const auto e :
+         {simulator::engine::event, simulator::engine::lockstep}) {
+        simulator sim(e);
+        obs::trace_sink sink;
+        sim.bind_trace(sink);
+        quiescent q;
+        sim.add(q);
+        const obs::tracer svc = sink.register_component("svc");
+        sim.run(40);
+        svc.emit(obs::trace_event_kind::fault_inject, 1);
+        EXPECT_FALSE(sim.run_until([] { return false; }, 25));
+        svc.emit(obs::trace_event_kind::fault_inject, 2);
+        const auto events = sink.export_all().events;
+        ASSERT_EQ(events.size(), 2u);
+        EXPECT_EQ(events[0].cycle, 39u);
+        EXPECT_EQ(events[1].cycle, 64u);
+    }
+}
+
+#endif // BLUESCALE_TRACE_ENABLED
 
 TEST(simulator, wake_rearms_quiescent_component) {
     simulator sim(simulator::engine::event);
