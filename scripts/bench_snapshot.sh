@@ -16,7 +16,16 @@
 # that snapshot is trend-reading only, never gated.
 #
 #   $ scripts/bench_snapshot.sh [build-dir]          # refresh the snapshots
+#   $ scripts/bench_snapshot.sh --only CASES [build-dir]
 #   $ scripts/bench_snapshot.sh --check [build-dir]  # CI perf-smoke gate
+#
+# --only refreshes just the named micro cases (comma-separated; a name
+# also covers its "/arg" variants, so bm_random_access_buffer_fetch is
+# all four depths) and keeps every other case's committed value, so a
+# refresh for one changed case does not move the guarded cases by
+# machine noise and reset their gate. It runs only those cases and the
+# bm_sbf baseline, stores each at the committed baseline's scale, and
+# leaves BENCH_megascale.json alone.
 #
 # --check reruns the benches and fails (exit 1) when an idle-heavy engine
 # case (the event scheduler's pop/advance and predicate-dispatch paths,
@@ -36,9 +45,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="snapshot"
+only=""
 if [[ "${1:-}" == "--check" ]]; then
     mode="check"
     shift
+elif [[ "${1:-}" == "--only" ]]; then
+    mode="only"
+    only="${2:?--only needs a comma-separated list of case names}"
+    shift 2
 fi
 build_dir="${1:-build}"
 snapshot="BENCH_micro_hotpaths.json"
@@ -49,14 +63,18 @@ cmake --build "$build_dir" --target micro_hotpaths megascale \
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
-"$build_dir/bench/micro_hotpaths" \
+filter="."
+if [[ "$mode" == "only" ]]; then
+    filter="^(bm_sbf|${only//,/|})(/|\$)"
+fi
+"$build_dir/bench/micro_hotpaths" --benchmark_filter="$filter" \
     --benchmark_out="$raw" --benchmark_out_format=json >/dev/null
 
-python3 - "$raw" "$snapshot" "$mode" <<'PY'
+python3 - "$raw" "$snapshot" "$mode" "$only" <<'PY'
 import json
 import sys
 
-raw_path, snapshot_path, mode = sys.argv[1], sys.argv[2], sys.argv[3]
+raw_path, snapshot_path, mode, only = sys.argv[1:5]
 
 BASELINE = "bm_sbf"
 # The perf-smoke gate: engine paths this PR is accountable for. Model-
@@ -105,6 +123,27 @@ if mode == "snapshot":
 with open(snapshot_path) as f:
     committed = json.load(f)
 
+if mode == "only":
+    # Each named case keeps its fresh cost in baseline units and is
+    # stored at the committed baseline's scale; every other case, and the
+    # baseline itself, stays as committed.
+    for want in only.split(","):
+        hits = [n for n in snap["cases"]
+                if n == want or n.startswith(want + "/")]
+        if not hits:
+            sys.exit(f"--only {want}: no such micro_hotpaths case")
+        for name in hits:
+            ratio = snap["cases"][name]["vs_baseline"]
+            committed["cases"][name] = {
+                "ns": round(ratio * committed["baseline_ns"], 1),
+                "vs_baseline": ratio,
+            }
+            print(f"refreshed {name}: {ratio} x{BASELINE}")
+    with open(snapshot_path, "w") as f:
+        json.dump(committed, f, indent=2, sort_keys=True)
+        f.write("\n")
+    sys.exit(0)
+
 failures = []
 for name, fresh in sorted(snap["cases"].items()):
     if not name.startswith(GUARDED_PREFIXES):
@@ -132,6 +171,9 @@ PY
 
 # --- mega-scale whole-tree selection ---------------------------------------
 
+if [[ "$mode" == "only" ]]; then
+    exit 0
+fi
 if [[ "$mode" == "snapshot" ]]; then
     # Full curves: depth 8 timing, depth 10 feasibility, depth-4 parity.
     # Takes minutes; that is the price of the committed snapshot.

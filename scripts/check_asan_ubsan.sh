@@ -24,11 +24,13 @@ export ASAN_OPTIONS="detect_leaks=1"
 
 # Core fabric + analysis surfaces the reconfiguration layer leans on, and
 # the hand-laid storage under them: each random access buffer carves its
-# arrays out of one raw block (its seeded model test included), and the
-# metric stores hand out slot pointers into a registry's deque or a
-# value_block's single allocation.
+# arrays out of one raw block (its seeded model test included), each
+# latched_queue indexes one ring with wrapping head arithmetic (its ring
+# cases and seeded model test included), and the metric stores hand out
+# slot pointers into a registry's deque or a value_block's single
+# allocation.
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:random_access_buffer*:obs_value_block.*:obs_registry.*'
+    --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:random_access_buffer*:latched_queue*:fixed_queue.*:obs_value_block.*:obs_registry.*'
 
 # The schedulability test and interface selection, including the budget
 # kernel's property tests against the probe-by-probe search and the

@@ -43,7 +43,7 @@ void axi_hyperconnect::tick(cycle_t now) {
             mem_request granted = client_q_[c].pop();
             ++outstanding_[c];
             for (auto& q : client_q_) {
-                charge_blocked(q, granted.level_deadline);
+                charge_blocked(q, granted.level_deadline, 1);
             }
             // Fabric pipeline occupancy is credit-bounded (at most
             // clients x max_outstanding_per_client in flight), so deque

@@ -84,7 +84,7 @@ void axi_icrt::tick(cycle_t now) {
             regulator& reg = regulators_[static_cast<std::size_t>(best)];
             if (reg.enabled) --reg.budget;
             for (auto& q : client_q_) {
-                charge_blocked(q, granted.level_deadline);
+                charge_blocked(q, granted.level_deadline, 1);
             }
             // Arbiter pipeline occupancy is bounded by the total queued
             // requests feeding it (per-client queue depths), so deque

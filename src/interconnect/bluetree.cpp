@@ -108,8 +108,8 @@ void bluetree::arbitrate(std::uint32_t i, cycle_t now) {
     }
 
     mem_request granted = n.in[pick].pop();
-    charge_blocked(n.in[0], granted.level_deadline);
-    charge_blocked(n.in[1], granted.level_deadline);
+    charge_blocked(n.in[0], granted.level_deadline, 1);
+    charge_blocked(n.in[1], granted.level_deadline, 1);
     sink_push(i, now, std::move(granted));
 }
 

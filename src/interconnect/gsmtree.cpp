@@ -102,13 +102,8 @@ void gsmtree::tick(cycle_t now) {
             --queued_;
             // Requests of other clients with earlier deadlines wait out
             // this whole slot: charge the slot as inversion blocking.
-            for (std::uint32_t c = 0; c < num_clients(); ++c) {
-                for (std::size_t i = 0; i < client_q_[c].size(); ++i) {
-                    mem_request& waiting = client_q_[c].at(i);
-                    if (waiting.level_deadline < granted.level_deadline) {
-                        waiting.blocked_cycles += cfg_.slot_cycles;
-                    }
-                }
+            for (auto& q : client_q_) {
+                charge_blocked(q, granted.level_deadline, cfg_.slot_cycles);
             }
             // Tree pipeline holds at most one request per slot in flight
             // over `levels_` cycles, so deque chunk growth is capped and

@@ -9,16 +9,6 @@ interconnect::interconnect(std::string name, std::uint32_t n_clients)
     assert(n_clients > 0);
 }
 
-void interconnect::charge_blocked(latched_queue<mem_request>& q,
-                                  cycle_t granted_deadline) {
-    for (std::size_t i = 0; i < q.size(); ++i) {
-        mem_request& waiting = q.at(i);
-        if (waiting.level_deadline < granted_deadline) {
-            ++waiting.blocked_cycles;
-        }
-    }
-}
-
 void interconnect::drain_memory_responses(cycle_t now) {
     if (mem_ == nullptr) return;
     while (mem_->has_response()) {

@@ -87,12 +87,6 @@ public:
     virtual void reset();
 
 protected:
-    /// Charges one cycle of priority-inversion blocking to every request
-    /// waiting in `q` whose level deadline is earlier than the granted
-    /// request's (the paper's blocking-latency metric, Sec. 6.3).
-    static void charge_blocked(latched_queue<mem_request>& q,
-                               cycle_t granted_deadline);
-
     /// Bookkeeping wrappers derived classes use at the memory boundary.
     [[nodiscard]] bool memory_can_accept() const {
         return mem_ != nullptr && mem_->can_accept();

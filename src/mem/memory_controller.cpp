@@ -119,12 +119,7 @@ void memory_controller::tick(cycle_t now) {
                 dram_.bank_of(r.addr));
     // Requests that keep waiting while a later-deadline transaction
     // occupies the start slot are blocked by lower-priority work.
-    for (std::size_t i = 0; i < in_q_.size(); ++i) {
-        mem_request& waiting = in_q_.at(i);
-        if (waiting.level_deadline < r.level_deadline) {
-            waiting.blocked_cycles += cfg_.initiation_interval;
-        }
-    }
+    charge_blocked(in_q_, r.level_deadline, cfg_.initiation_interval);
     const std::uint32_t bank = dram_.bank_of(r.addr);
     bank_busy_until_[bank] = now + latency;
     maint_.on_activation(bank, now + latency);

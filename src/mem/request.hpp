@@ -1,9 +1,11 @@
 // Memory transaction types that flow through every interconnect.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "obs/hop_stamps.hpp"
+#include "sim/latched_queue.hpp"
 #include "sim/types.hpp"
 
 namespace bluescale {
@@ -73,5 +75,20 @@ struct mem_request {
         return complete_cycle <= abs_deadline;
     }
 };
+
+/// Charges `cycles` of priority-inversion blocking to every visible
+/// request in `q` whose level deadline is earlier than the granted
+/// request's (the paper's blocking-latency metric, Sec. 6.3). Every
+/// arbiter that grants past a queue calls this with the cycles the grant
+/// holds its slot for.
+inline void charge_blocked(latched_queue<mem_request>& q,
+                           cycle_t granted_deadline, cycle_t cycles) {
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        mem_request& waiting = q.at(i);
+        if (waiting.level_deadline < granted_deadline) {
+            waiting.blocked_cycles += cycles;
+        }
+    }
+}
 
 } // namespace bluescale

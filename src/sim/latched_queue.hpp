@@ -4,14 +4,22 @@
 // only after commit() -- i.e., on the next clock edge. This gives every
 // producer/consumer pair well-defined one-cycle hand-off semantics that do
 // not depend on the order in which the simulator ticks components.
+//
+// Like the register file it models, the queue is one fixed-capacity ring
+// in a single heap block, with a head pointer and two counts. From the
+// head, in ring order, sit first the `visible_` entries the consumer may
+// read, then the `staged_` entries pushed since the last edge, in push
+// order. push() writes behind the staged tail, and commit() only moves
+// the boundary between the two windows: it is O(1) and moves no entry.
+// Hardware queues exert backpressure; they never drop or grow.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <utility>
-#include <vector>
 
-#include "sim/fixed_queue.hpp"
+#include "sim/wake.hpp"
 
 namespace bluescale {
 
@@ -19,11 +27,8 @@ template <typename T>
 class latched_queue {
 public:
     explicit latched_queue(std::size_t capacity)
-        : visible_(capacity), capacity_(capacity) {
-        // The staging buffer can hold at most `capacity` values (can_push()
-        // counts staged work against capacity), so one reservation here
-        // makes every push() allocation-free.
-        staged_.reserve(capacity);
+        : slots_(std::make_unique<T[]>(capacity)), capacity_(capacity) {
+        assert(capacity > 0);
     }
 
     /// Producer-side wake notification: a push() into a fully quiet queue
@@ -44,68 +49,99 @@ public:
     /// Free slots from the producer's point of view: pushes staged this
     /// cycle count against capacity, so a producer can never overrun the
     /// queue even before commit().
-    [[nodiscard]] bool can_push() const {
-        return visible_.size() + staged_.size() < capacity_;
-    }
+    [[nodiscard]] bool can_push() const { return total_size() < capacity_; }
 
     [[nodiscard]] std::size_t free_slots() const {
-        return capacity_ - visible_.size() - staged_.size();
+        return capacity_ - total_size();
     }
 
     /// Occupancy including values still staged for the next edge -- the
     /// quantity a consumer's next_event() must consult: staged work means
     /// the queue is not quiescent even though empty() still holds.
-    [[nodiscard]] std::size_t total_size() const {
-        return visible_.size() + staged_.size();
-    }
+    [[nodiscard]] std::size_t total_size() const { return visible_ + staged_; }
 
     [[nodiscard]] bool quiet() const { return total_size() == 0; }
 
     void push(T value) {
         assert(can_push());
-        const bool was_quiet = visible_.empty() && staged_.empty();
-        // staged_ is reserved to capacity at construction and can_push()
-        // (asserted above) bounds occupancy, so this never reallocates.
-        // detlint:allow(hotpath-alloc): push into pre-reserved staging
-        staged_.push_back(std::move(value));
+        const bool was_quiet = quiet();
+        slots_[slot(total_size())] = std::move(value);
+        ++staged_;
         if (was_quiet) wake_.fire();
     }
 
     // --- consumer side: operates on values committed in earlier cycles ---
-    [[nodiscard]] bool empty() const { return visible_.empty(); }
-    [[nodiscard]] std::size_t size() const { return visible_.size(); }
+    [[nodiscard]] bool empty() const { return visible_ == 0; }
+    [[nodiscard]] std::size_t size() const { return visible_; }
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
-    [[nodiscard]] const T& front() const { return visible_.front(); }
+
+    [[nodiscard]] const T& front() const {
+        assert(!empty());
+        return slots_[head_];
+    }
+
     T pop() {
+        assert(!empty());
         const bool was_full = total_size() == capacity_;
-        T value = visible_.pop();
+        T value = std::move(slots_[head_]);
+        head_ = slot(1);
+        --visible_;
         if (was_full) drain_.fire();
         return value;
     }
-    [[nodiscard]] const T& at(std::size_t i) const { return visible_.at(i); }
-    [[nodiscard]] T& at(std::size_t i) { return visible_.at(i); }
+
+    /// Visible entry i positions from the front (0 == front). For
+    /// arbiters that inspect queue contents without consuming them.
+    [[nodiscard]] const T& at(std::size_t i) const {
+        assert(i < visible_);
+        return slots_[slot(i)];
+    }
+
+    [[nodiscard]] T& at(std::size_t i) {
+        assert(i < visible_);
+        return slots_[slot(i)];
+    }
+
+    /// Removes and returns visible entry i, keeping the order of the rest.
+    /// Everything behind it, the staged tail included, moves one slot
+    /// forward, so the staged entries stay contiguous and in push order.
     T extract(std::size_t i) {
+        assert(i < visible_);
         const bool was_full = total_size() == capacity_;
-        T value = visible_.extract(i);
+        T value = std::move(slots_[slot(i)]);
+        for (std::size_t j = i + 1; j < total_size(); ++j) {
+            slots_[slot(j - 1)] = std::move(slots_[slot(j)]);
+        }
+        --visible_;
         if (was_full) drain_.fire();
         return value;
     }
 
     /// Clock edge: staged values become visible, in push order.
     void commit() {
-        for (auto& value : staged_) visible_.push(std::move(value));
-        staged_.clear();
+        visible_ += staged_;
+        staged_ = 0;
     }
 
     void clear() {
-        visible_.clear();
-        staged_.clear();
+        head_ = 0;
+        visible_ = 0;
+        staged_ = 0;
     }
 
 private:
-    fixed_queue<T> visible_;
-    std::vector<T> staged_;
+    /// Ring index of the entry i positions behind the head (i <=
+    /// capacity_, so one conditional subtraction wraps it).
+    [[nodiscard]] std::size_t slot(std::size_t i) const {
+        const std::size_t j = head_ + i;
+        return j < capacity_ ? j : j - capacity_;
+    }
+
+    std::unique_ptr<T[]> slots_;
     std::size_t capacity_;
+    std::size_t head_ = 0;
+    std::size_t visible_ = 0;
+    std::size_t staged_ = 0;
     sim::wake_hook wake_{};
     sim::wake_hook drain_{};
 };

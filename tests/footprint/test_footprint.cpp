@@ -18,6 +18,8 @@
 
 #include "../test_util.hpp"
 #include "core/scale_element.hpp"
+#include "mem/request.hpp"
+#include "sim/latched_queue.hpp"
 #include "workload/traffic_generator.hpp"
 
 namespace {
@@ -168,6 +170,18 @@ TEST(footprint, four_task_traffic_generator_allocations) {
     RecordProperty("allocations", static_cast<int>(n));
     EXPECT_LE(n, 6) << "building a 4-task traffic_generator allocates " << n
                     << " times";
+}
+
+// A registered interface is one ring: the fabric builds one 4-deep
+// response queue per SE (1,365 in a 4,096-client tree), so a second block
+// for the staged entries is a thousand more allocations.
+TEST(footprint, latched_queue_allocations) {
+    const std::int64_t n =
+        allocations([] { return latched_queue<mem_request>(4); });
+    RecordProperty("allocations", static_cast<int>(n));
+    EXPECT_EQ(n, 1) << "building a 4-deep latched_queue<mem_request> "
+                       "allocates "
+                    << n << " times";
 }
 
 } // namespace

@@ -51,7 +51,7 @@ const std::set<std::string>& root_names() {
 /// generic.
 const std::set<std::string>& queue_classes() {
     static const std::set<std::string> k = {
-        "latched_queue", "random_access_buffer", "fixed_queue",
+        "latched_queue", "random_access_buffer",
     };
     return k;
 }
