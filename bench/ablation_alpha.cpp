@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
                     "miss ratio"});
     for (std::uint32_t alpha : {1u, 2u, 4u, 8u}) {
         fig6_config cfg;
-        cfg.sweep = sweep_from(opts);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.sweep = sweep_from(opts);
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         cfg.bluetree_alpha = alpha;
         const auto r = run_fig6(ic_kind::bluetree, cfg);
         t.add_row({"BlueTree alpha=" + std::to_string(alpha),
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     }
     {
         fig6_config cfg;
-        cfg.sweep = sweep_from(opts);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.sweep = sweep_from(opts);
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         const auto r = run_fig6(ic_kind::bluescale, cfg);
         t.add_row({"BlueScale (reference)",
                    stats::table::num(fig6_mean(r, "blocking_us"), 3),

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
                     "miss ratio"});
     for (std::size_t depth : {2u, 4u, 8u, 16u, 32u}) {
         fig6_config cfg;
-        cfg.sweep = sweep_from(opts);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.sweep = sweep_from(opts);
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         core::se_params se;
         se.buffer_depth = depth;
         cfg.bluescale_se = se;

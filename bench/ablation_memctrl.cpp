@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
         for (memctrl_policy policy :
              {memctrl_policy::fr_fcfs, memctrl_policy::fcfs}) {
             fig6_config cfg;
-            cfg.sweep = sweep_from(opts);
-            cfg.measure_cycles = opts.measure_cycles;
-            cfg.memctrl.policy = policy;
+            cfg.scenario.sweep = sweep_from(opts);
+            cfg.scenario.measure_cycles = opts.measure_cycles;
+            cfg.scenario.memctrl.policy = policy;
             const auto r = run_fig6(kind, cfg);
             t.add_row({kind_name(kind),
                        policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS",
@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
                          ic_kind::bluetree}) {
         for (bool refresh : {false, true}) {
             fig6_config cfg;
-            cfg.sweep = sweep_from(opts);
-            cfg.measure_cycles = opts.measure_cycles;
+            cfg.scenario.sweep = sweep_from(opts);
+            cfg.scenario.measure_cycles = opts.measure_cycles;
             if (refresh) {
-                cfg.memctrl.timing.t_refi = 1560;
-                cfg.memctrl.timing.t_rfc = 44;
+                cfg.scenario.memctrl.timing.t_refi = 1560;
+                cfg.scenario.memctrl.timing.t_rfc = 44;
             }
             const auto r = run_fig6(kind, cfg);
             rt.add_row({kind_name(kind), refresh ? "on" : "off",

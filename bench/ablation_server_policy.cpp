@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
                     "miss ratio"});
     for (const auto& v : variants) {
         fig6_config cfg;
-        cfg.sweep = sweep_from(opts);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.sweep = sweep_from(opts);
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         core::se_params se;
         se.policy = v.policy;
         se.work_conserving = v.work_conserving;

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
                 "70-90%%)\n\n");
 
     fig6_config cfg;
-    cfg.sweep = sweep_from(opts);
-    cfg.measure_cycles = opts.measure_cycles;
+    cfg.scenario.sweep = sweep_from(opts);
+    cfg.scenario.measure_cycles = opts.measure_cycles;
 
     stats::table t({"design", "blocking lat (us)", "worst (us)",
                     "miss ratio"});

@@ -31,15 +31,16 @@ namespace {
 void run_scale(std::uint32_t n_clients, const bench_options& opts,
                stats::csv_writer* csv, bool export_obs) {
     fig6_config cfg;
-    cfg.n_clients = n_clients;
-    cfg.sweep = sweep_from(opts, export_obs);
-    cfg.sweep.profile = opts.profile;
-    cfg.measure_cycles = opts.measure_cycles;
+    traffic_scenario& sc = cfg.scenario;
+    sc.n_clients = n_clients;
+    sc.sweep = sweep_from(opts, export_obs);
+    sc.sweep.profile = opts.profile;
+    sc.measure_cycles = opts.measure_cycles;
 
     std::printf("\n=== Fig. 6(%c): %u traffic generators, %u trials, "
                 "%llu cycles/trial, utilization 70-90%% ===\n",
-                n_clients == 16 ? 'a' : 'b', n_clients, cfg.sweep.trials,
-                static_cast<unsigned long long>(cfg.measure_cycles));
+                n_clients == 16 ? 'a' : 'b', n_clients, sc.sweep.trials,
+                static_cast<unsigned long long>(sc.measure_cycles));
 
     stats::table t({"design", "blocking lat (us)", "+/- sd", "worst (us)",
                     "miss ratio", "+/- sd", "sys clk (MHz)"});
@@ -70,8 +71,7 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
             csv->add_row(row);
         }
         if (kind == ic_kind::bluescale) {
-            if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
-            if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+            write_bench_exports(opts, sc.sweep, r);
         }
         if (opts.profile) {
             const auto count = [&r](const char* name) {

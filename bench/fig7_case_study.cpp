@@ -21,34 +21,38 @@ void run_scale(std::uint32_t n_processors, const bench_options& opts,
                stats::csv_writer* csv) {
     fig7_config cfg;
     cfg.n_processors = n_processors;
-    cfg.trials = opts.trials;
+    cfg.sweep = sweep_from(opts);
     cfg.measure_cycles = opts.measure_cycles;
-    cfg.seed = opts.seed;
-    cfg.threads = opts.threads;
 
     std::printf("\n=== Fig. 7(%c): %u-core system + %u DNN HAs, %u trials "
                 "x %llu cycles per point ===\n",
                 n_processors == 16 ? 'a' : 'b', n_processors,
-                cfg.n_accelerators, cfg.trials,
+                k_fig7_accelerators, cfg.sweep.trials,
                 static_cast<unsigned long long>(cfg.measure_cycles));
 
-    const auto all = run_fig7_all(cfg);
+    std::vector<std::vector<sweep_result>> all;
+    for (ic_kind kind : k_all_kinds) all.push_back(run_fig7(kind, cfg));
 
     std::vector<std::string> headers{"design"};
-    for (const auto& p : all.front().points) {
-        headers.push_back(stats::table::num(p.target_utilization, 2));
+    for (const auto& p : all.front()) {
+        headers.push_back(stats::table::num(
+            p.totals.get("fig7/target_utilization").value, 2));
     }
     stats::table t(std::move(headers));
-    for (const auto& r : all) {
-        std::vector<std::string> row{kind_name(r.kind)};
-        for (const auto& p : r.points) {
-            row.push_back(stats::table::num(p.success_ratio, 2));
+    for (std::size_t k = 0; k < all.size(); ++k) {
+        const char* design = kind_name(k_all_kinds[k]);
+        std::vector<std::string> row{design};
+        for (const auto& p : all[k]) {
+            const auto value = [&p](const char* name) {
+                return p.totals.get(name).value;
+            };
+            row.push_back(stats::table::num(value("fig7/success_ratio"), 2));
             if (csv != nullptr) {
-                csv->add_row({std::to_string(n_processors),
-                              kind_name(r.kind),
-                              std::to_string(p.target_utilization),
-                              std::to_string(p.success_ratio),
-                              std::to_string(p.app_miss_ratio)});
+                csv->add_row({std::to_string(n_processors), design,
+                              std::to_string(value("fig7/target_utilization")),
+                              std::to_string(value("fig7/success_ratio")),
+                              std::to_string(
+                                  value("fig7/mean_app_miss_ratio"))});
             }
         }
         t.add_row(std::move(row));

@@ -66,16 +66,16 @@ void run_mode(bool aware, const bench_options& opts,
         for (const auto& sc : k_scrub) {
             for (const auto& hm : k_hammer) {
                 maintenance_exp_config cfg;
-                cfg.sweep = sweep_from(opts);
-                cfg.measure_cycles = opts.measure_cycles;
+                cfg.scenario.sweep = sweep_from(opts);
+                cfg.scenario.measure_cycles = opts.measure_cycles;
                 cfg.maintenance_aware = aware;
-                cfg.memctrl.timing.t_refi = rf.t_refi;
-                cfg.memctrl.timing.t_rfc = rf.t_rfc;
-                cfg.memctrl.maintenance.scrub_interval = sc.interval;
-                cfg.memctrl.maintenance.scrub_duration = sc.duration;
-                cfg.memctrl.maintenance.hammer_threshold = hm.threshold;
-                cfg.memctrl.maintenance.hammer_mitigation_cycles =
-                    hm.mitigation;
+                memctrl_config& mc = cfg.scenario.memctrl;
+                mc.timing.t_refi = rf.t_refi;
+                mc.timing.t_rfc = rf.t_rfc;
+                mc.maintenance.scrub_interval = sc.interval;
+                mc.maintenance.scrub_duration = sc.duration;
+                mc.maintenance.hammer_threshold = hm.threshold;
+                mc.maintenance.hammer_mitigation_cycles = hm.mitigation;
                 // Fixed unmodeled-interference floor: rare short storms
                 // the corrected bound does NOT budget for, so the
                 // watchdog columns stay meaningful in aware mode too.

@@ -52,14 +52,13 @@ void run_design(ic_kind kind, const bench_options& opts,
         reconfig_exp_config cfg;
         // Obs exports cover the BlueScale design at the highest request
         // rate (the most eventful run on a timeline).
-        cfg.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
+        cfg.scenario.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
                                          rate == k_rates[2]);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         cfg.events_per_kcycle = rate;
 
         const sweep_result r = run_reconfig(kind, cfg);
-        if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+        write_bench_exports(opts, cfg.scenario.sweep, r);
         const auto get = [&r](const char* name) -> const obs::metric_value& {
             return r.totals.get(std::string("reconfig_exp/") + name);
         };

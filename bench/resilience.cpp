@@ -51,14 +51,13 @@ void run_design(ic_kind kind, const bench_options& opts,
         resilience_config cfg;
         // Obs exports cover the BlueScale design at the highest intensity
         // (the most eventful run on a timeline).
-        cfg.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
+        cfg.scenario.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
                                          intensity == k_intensities[3]);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         cfg.fault_intensity = intensity;
 
         const sweep_result r = run_resilience(kind, cfg);
-        if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+        write_bench_exports(opts, cfg.scenario.sweep, r);
         const auto mean = [&r](const char* name) {
             return r.totals.get(std::string("resilience/") + name)
                 .samples.mean();

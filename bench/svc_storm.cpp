@@ -72,16 +72,15 @@ int main(int argc, char** argv) {
                     "breaker", "lat (cyc)", "hard miss", "conserved"});
     for (double rate : k_rates) {
         svc_storm_config cfg;
-        cfg.sweep = sweep_from(opts, rate == k_rates[2]);
-        cfg.measure_cycles = opts.measure_cycles;
+        cfg.scenario.sweep = sweep_from(opts, rate == k_rates[2]);
+        cfg.scenario.measure_cycles = opts.measure_cycles;
         cfg.requests_per_kcycle = rate;
         cfg.service.default_deadline = 20'000;
         cfg.worker_fault_intensity = 0.05;
         cfg.path_fault_intensity = 0.05;
 
         const sweep_result r = run_svc_storm(cfg);
-        if (cfg.sweep.collect_metrics) write_bench_metrics(opts, r.metrics);
-        if (cfg.sweep.collect_trace) write_bench_trace(opts, r.trace);
+        write_bench_exports(opts, cfg.scenario.sweep, r);
         const auto get = [&r](const char* name) -> const obs::metric_value& {
             return r.totals.get(std::string("svc_exp/") + name);
         };
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
                    stats::table::num(get("latency_cycles").samples.mean(), 0),
                    total("hard_misses"),
                    total("conserved_trials") + "/" +
-                       std::to_string(cfg.sweep.trials)});
+                       std::to_string(cfg.scenario.sweep.trials)});
         if (csv != nullptr) {
             std::vector<std::string> row{std::to_string(rate)};
             for (auto& cell : obs::metric_cells(

@@ -28,9 +28,12 @@ export ASAN_OPTIONS="detect_leaks=1"
 # latched_queue indexes one ring with wrapping head arithmetic (its ring
 # cases and seeded model test included), and the metric stores hand out
 # slot pointers into a registry's deque or a value_block's single
-# allocation.
+# allocation. The fig7 suites and the fig7/reconfig scenario-determinism
+# cases run the experiment trial bodies whose lambdas capture per-point
+# and per-trial state across the sweep's worker threads (the reconfig
+# experiment's own suite runs in the resilience leg below).
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:random_access_buffer*:latched_queue*:fixed_queue.*:obs_value_block.*:obs_registry.*'
+    --gtest_filter='parameter_path.*:bluescale_ic.*:scale_element.*:testbench.*:random_access_buffer*:latched_queue*:fixed_queue.*:obs_value_block.*:obs_registry.*:fig7*:experiments/scenario_determinism.*/fig7:experiments/scenario_determinism.*/reconfig'
 
 # The schedulability test and interface selection, including the budget
 # kernel's property tests against the probe-by-probe search and the

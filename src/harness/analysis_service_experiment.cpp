@@ -4,29 +4,31 @@
 #include <map>
 #include <utility>
 
-#include "harness/traffic_trial.hpp"
-
 namespace bluescale::harness {
 
-sweep_result run_svc_storm(const svc_storm_config& cfg) {
-    auto out = run_sweep(cfg.sweep, "svc_exp/", [&](trial_record& rec) {
-        rng workload_rng(rec.seed());
-        auto tasksets = workload::make_client_tasksets(
-            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
-            cfg.taskset);
+namespace {
 
+/// Requests start after the initial selection settles.
+constexpr cycle_t k_warmup = 2'000;
+/// Budget for draining the service + manager after the storm ends.
+constexpr cycle_t k_drain_cycles = 50'000;
+
+} // namespace
+
+sweep_result run_svc_storm(const svc_storm_config& cfg) {
+    const traffic_scenario& sc = cfg.scenario;
+    auto out = run_sweep(sc.sweep, "svc_exp/", [&](trial_record& rec) {
         // Fabric faults (path hazards -> retries), a separate substream
         // from the worker faults so intensities can be tuned
         // independently.
         const sim::fault_campaign path_faults(
-            fabric_campaign(rec.seed(), cfg.n_clients, cfg.measure_cycles,
+            fabric_campaign(rec.seed(), sc.n_clients, sc.measure_cycles,
                             cfg.path_fault_intensity));
 
         testbench_options opts;
-        opts.memctrl = cfg.memctrl;
         opts.faults = path_faults.empty() ? nullptr : &path_faults;
-        opts.reconfig = cfg.reconfig;
-        traffic_trial tt(rec, ic_kind::bluescale, std::move(tasksets), opts);
+        opts.reconfig = core::reconfig_config{};
+        traffic_trial tt(rec, ic_kind::bluescale, sc, opts);
         testbench& tb = tt.tb();
 
         // The service under test, ticking after the manager (later add
@@ -43,7 +45,7 @@ sweep_result run_svc_storm(const svc_storm_config& cfg) {
         if (cfg.worker_fault_intensity > 0.0) {
             sim::fault_campaign_config wfc;
             wfc.seed = substream(rec.seed(), 0xFA17Cull);
-            wfc.horizon = cfg.measure_cycles;
+            wfc.horizon = sc.measure_cycles;
             wfc.events_per_kcycle = cfg.worker_fault_intensity;
             wfc.se_stall_weight = 0.0;
             wfc.link_drop_weight = 0.0;
@@ -55,12 +57,7 @@ sweep_result run_svc_storm(const svc_storm_config& cfg) {
             service.install_faults(sim::fault_campaign(wfc));
         }
 
-        workload::traffic_gen_config tg;
-        tg.retry_timeout_cycles = cfg.retry_timeout_cycles;
-        tg.max_retries = cfg.max_retries;
-        tt.add_clients(tg, [&](std::uint32_t c) {
-            return substream(rec.seed(), c);
-        });
+        tt.add_clients(/*recover=*/true);
         rec.counter("feasible_trials").inc(tb.selection_feasible());
 
         // Live task-set swap at the committed notification; the service's
@@ -80,10 +77,10 @@ sweep_result run_svc_storm(const svc_storm_config& cfg) {
         // The storm: run to each scheduled event and submit it to the
         // SERVICE (not the manager directly) -- queue bound, deadlines,
         // retries, breaker and cache all sit in the path.
-        sim::reconfig_schedule_config sc;
-        sc.warmup = cfg.warmup;
-        sc.events_per_kcycle = cfg.requests_per_kcycle;
-        tt.run_schedule(sc, cfg.measure_cycles, cfg.taskset,
+        sim::reconfig_schedule_config storm;
+        storm.warmup = k_warmup;
+        storm.events_per_kcycle = cfg.requests_per_kcycle;
+        tt.run_schedule(storm, sc.measure_cycles, sc.taskset,
                         [&](const sim::reconfig_event& ev,
                             workload::memory_task_set tasks) {
                             const std::uint64_t id = service.submit(
@@ -97,9 +94,9 @@ sweep_result run_svc_storm(const svc_storm_config& cfg) {
             return service.idle() && tb.reconfig()->backlog() == 0;
         };
         rec.counter("drained_trials")
-            .inc(tb.run_until(drained, cfg.drain_cycles));
+            .inc(tb.run_until(drained, k_drain_cycles));
 
-        const class_misses misses = tt.finalize(cfg.best_effort_clients);
+        const class_misses misses = tt.finalize(k_best_effort_clients);
         rec.counter("hard_misses").inc(misses.hard);
         rec.counter("best_effort_misses").inc(misses.best_effort);
         rec.sample("miss_ratio").add(misses.ratio());

@@ -16,41 +16,22 @@
 // --threads setting and for the event vs lockstep engines.
 #pragma once
 
-#include <cstdint>
-
-#include "core/reconfig_manager.hpp"
-#include "harness/factory.hpp"
-#include "harness/trial_sweep.hpp"
-#include "mem/memory_controller.hpp"
+#include "harness/traffic_trial.hpp"
 #include "svc/analysis_service.hpp"
-#include "workload/taskset_gen.hpp"
 
 namespace bluescale::harness {
 
 struct svc_storm_config {
-    std::uint32_t n_clients = 16;
-    sweep_options sweep = {.trials = 8};
-    cycle_t measure_cycles = 60'000;
-    double util_lo = 0.70;
-    double util_hi = 0.90;
-    workload::taskset_params taskset = {
-        .n_tasks = 4,
-        .total_utilization = 0.05, // overridden per trial by util_lo/hi
-        .min_period_units = 40,
-        .max_period_units = 600,
-        .write_fraction = 0.3,
-    };
-    memctrl_config memctrl = {};
+    traffic_scenario scenario = {.sweep = {.trials = 8},
+                                 .measure_cycles = 60'000};
 
     /// Expected service requests per 1000 cycles (storm intensity).
     double requests_per_kcycle = 2.0;
-    cycle_t warmup = 2'000;
 
     /// Service policy under test (workers, queue bound, deadlines,
     /// retry/backoff, breaker, cache). The service seed is re-derived per
     /// trial.
     svc::service_config service = {};
-    core::reconfig_config reconfig = {};
 
     /// Worker-fault campaign intensity (crash + stall events per 1000
     /// cycles, equally likely; 0 = reliable workers).
@@ -58,19 +39,15 @@ struct svc_storm_config {
     /// Fabric fault campaign intensity (SE stalls etc.), to force
     /// path-hazard rejections and exercise the retry path.
     double path_fault_intensity = 0.0;
-
-    /// The LAST this-many client ids are best-effort; the rest are hard
-    /// real-time (their deadline misses are the acceptance criterion).
-    std::uint32_t best_effort_clients = 4;
-    cycle_t retry_timeout_cycles = 2048;
-    std::uint32_t max_retries = 3;
-
-    /// Budget for draining the service + manager after the storm ends.
-    cycle_t drain_cycles = 50'000;
 };
 
-/// Runs cfg.sweep.trials independent storm trials (BlueScale only -- the
-/// service fronts the BlueScale reconfiguration manager).
+/// Runs cfg.scenario.sweep.trials independent storm trials (BlueScale
+/// only -- the service fronts the BlueScale reconfiguration manager,
+/// which runs its default configuration). Requests start after a
+/// 2,000-cycle warmup; the last k_best_effort_clients client ids are
+/// best-effort, the rest hard real-time (their deadline misses are the
+/// acceptance criterion); after the storm the service and manager get
+/// 50,000 cycles to drain.
 ///
 /// totals ("svc_exp/"), service outcomes: counters submitted, accepted,
 /// shed, expired, committed, rejected, rejected_infeasible,

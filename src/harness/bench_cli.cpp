@@ -168,24 +168,22 @@ std::ofstream open_export_file(const std::string& path) {
 
 } // namespace
 
-void write_bench_metrics(const bench_options& opts,
-                         const obs::snapshot& snap) {
-    if (opts.metrics_path.empty()) return;
-    auto os = open_export_file(opts.metrics_path);
-    snap.write_csv(os);
-}
-
-void write_bench_trace(const bench_options& opts,
-                       const obs::trace_export& trace) {
-    if (opts.trace_path.empty()) return;
-    auto os = open_export_file(opts.trace_path);
-    const std::string& p = opts.trace_path;
-    const bool json =
-        p.size() >= 5 && p.compare(p.size() - 5, 5, ".json") == 0;
-    if (json) {
-        trace.write_chrome_json(os);
-    } else {
-        trace.write_csv(os);
+void write_bench_exports(const bench_options& opts,
+                         const sweep_options& sweep, const sweep_result& r) {
+    if (sweep.collect_metrics && !opts.metrics_path.empty()) {
+        auto os = open_export_file(opts.metrics_path);
+        r.metrics.write_csv(os);
+    }
+    if (sweep.collect_trace && !opts.trace_path.empty()) {
+        auto os = open_export_file(opts.trace_path);
+        const std::string& p = opts.trace_path;
+        const bool json =
+            p.size() >= 5 && p.compare(p.size() - 5, 5, ".json") == 0;
+        if (json) {
+            r.trace.write_chrome_json(os);
+        } else {
+            r.trace.write_csv(os);
+        }
     }
 }
 

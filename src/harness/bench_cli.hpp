@@ -21,8 +21,6 @@
 #include <vector>
 
 #include "harness/trial_sweep.hpp"
-#include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "sim/types.hpp"
 #include "stats/csv.hpp"
 
@@ -65,17 +63,16 @@ struct bench_options {
 [[nodiscard]] std::unique_ptr<stats::csv_writer>
 open_bench_csv(const bench_options& opts, std::vector<std::string> headers);
 
-/// Writes the merged metrics snapshot when --metrics was given (no-op
-/// otherwise). The export is snapshot::write_csv's sorted, deterministic
-/// CSV, so the file is byte-identical across --threads settings. Exits
-/// with a diagnostic when the file cannot be created.
-void write_bench_metrics(const bench_options& opts, const obs::snapshot& snap);
-
-/// Writes the event trace when --trace was given (no-op otherwise): a
-/// path ending in ".json" gets Chrome trace-event JSON (chrome://tracing
-/// / Perfetto), anything else the CSV form. Exits on I/O failure. When
-/// the build has BLUESCALE_TRACE=OFF the export is valid but empty.
-void write_bench_trace(const bench_options& opts,
-                       const obs::trace_export& trace);
+/// Writes what `sweep` collected: the merged metrics snapshot to
+/// --metrics (snapshot::write_csv's sorted, deterministic CSV, so the file
+/// is byte-identical across --threads settings) and trial 0's event trace
+/// to --trace (a path ending in ".json" gets Chrome trace-event JSON for
+/// chrome://tracing / Perfetto, anything else the CSV form; valid but
+/// empty when the build has BLUESCALE_TRACE=OFF). A sweep that collected
+/// neither writes nothing, so a driver's non-exporting sweeps never
+/// overwrite its one exported configuration. Exits with a diagnostic
+/// when a file cannot be created.
+void write_bench_exports(const bench_options& opts,
+                         const sweep_options& sweep, const sweep_result& r);
 
 } // namespace bluescale::harness

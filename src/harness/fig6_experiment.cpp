@@ -3,32 +3,25 @@
 #include <algorithm>
 #include <string>
 
-#include "harness/traffic_trial.hpp"
 #include "stats/summary.hpp"
 
 namespace bluescale::harness {
 
 sweep_result run_fig6(ic_kind kind, const fig6_config& cfg) {
+    const traffic_scenario& sc = cfg.scenario;
     const double clock_mhz =
-        hwcost::system_clock_mhz(to_design(kind), cfg.n_clients);
+        hwcost::system_clock_mhz(to_design(kind), sc.n_clients);
     const double us_per_cycle = 1.0 / clock_mhz;
 
-    auto result = run_sweep(cfg.sweep, "fig6/", [&](trial_record& rec) {
-        // Identical workload per design at the same trial seed.
-        rng workload_rng(rec.seed());
+    auto result = run_sweep(sc.sweep, "fig6/", [&](trial_record& rec) {
         testbench_options opts;
-        opts.memctrl = cfg.memctrl;
         opts.bluetree_alpha = cfg.bluetree_alpha;
         opts.bluescale_se = cfg.bluescale_se;
-        traffic_trial tt(rec, kind,
-                         workload::make_client_tasksets(
-                             workload_rng, cfg.n_clients, cfg.util_lo,
-                             cfg.util_hi, cfg.taskset),
-                         opts);
-        tt.add_clients({}, [&](std::uint32_t c) {
+        traffic_trial tt(rec, kind, sc, opts);
+        tt.add_clients(/*recover=*/false, [&](std::uint32_t c) {
             return rec.seed() ^ (0x5851f42d4c957f2dull + c);
         });
-        tt.tb().run(cfg.measure_cycles);
+        tt.tb().run(sc.measure_cycles);
 
         rec.counter("feasible_trials").inc(tt.tb().selection_feasible());
         rec.capture(tt.tb()); // before finalize() abandons late jobs

@@ -11,27 +11,12 @@
 
 #include "core/scale_element.hpp"
 #include "harness/factory.hpp"
-#include "harness/trial_sweep.hpp"
-#include "mem/memory_controller.hpp"
-#include "workload/taskset_gen.hpp"
+#include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
 
 struct fig6_config {
-    std::uint32_t n_clients = 16;
-    sweep_options sweep = {};           ///< paper: 200 trials
-    cycle_t measure_cycles = 100'000;   ///< simulated window per trial
-    double util_lo = 0.70;              ///< interconnect utilization range
-    double util_hi = 0.90;
-    /// Paper setup: intensive traffic with tight implicit deadlines.
-    workload::taskset_params taskset = {
-        .n_tasks = 4,
-        .total_utilization = 0.05, // overridden per trial by util_lo/hi
-        .min_period_units = 40,
-        .max_period_units = 600,
-        .write_fraction = 0.3,
-    };
-    memctrl_config memctrl = {};
+    traffic_scenario scenario = {};
     std::uint32_t bluetree_alpha = 2;
     /// Optional SE parameter override for BlueScale (ablations: buffer
     /// depth, server policy, work conservation). unit_cycles is forced to
@@ -39,7 +24,7 @@ struct fig6_config {
     std::optional<core::se_params> bluescale_se;
 };
 
-/// Runs `cfg.sweep.trials` trials of one design. Every design sees
+/// Runs `cfg.scenario.sweep.trials` trials of one design. Every design sees
 /// identical per-trial workloads (the trial seed drives the generator),
 /// matching the paper's "data input ... identical in each execution".
 ///

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "harness/testbench.hpp"
-#include "sim/trial_runner.hpp"
 #include "workload/automotive_profiles.hpp"
 #include "workload/dnn_accelerator.hpp"
 #include "workload/memory_task.hpp"
@@ -73,52 +72,47 @@ analysis::task_set memory_view_ha(const workload::dnn_config& cfg) {
              cfg.burst_requests}};
 }
 
-/// Seed for one (utilization, trial) cell. Depends on the utilization and
-/// the trial counter but not the design, so every design sees identical
-/// workloads.
-std::uint64_t fig7_trial_seed(const fig7_config& cfg, double utilization,
-                              std::uint32_t trial) {
-    return cfg.seed + trial * 1000003ull +
-           static_cast<std::uint64_t>(utilization * 1000.0) * 7919ull;
-}
+/// Multiplier on every task profile's memory demand, calibrated so the
+/// 16-core system stresses the interconnect in the paper's 0.6-0.9
+/// utilization band while the 64-core system's memory saturates around
+/// 0.55-0.65 (matching Fig. 7's earlier collapse).
+constexpr double k_mem_intensity_scale = 0.75;
 
-} // namespace
-
-bool run_fig7_trial(ic_kind kind, const fig7_config& cfg,
-                    double target_utilization, std::uint64_t trial_seed,
-                    double* app_miss_ratio) {
+/// One trial at `target_utilization`: the processor and accelerator
+/// clients on the default memory controller and BlueTree alpha.
+void fig7_trial(trial_record& rec, ic_kind kind, const fig7_config& cfg,
+                double target_utilization, std::uint64_t trial_seed) {
     rng gen(trial_seed);
-    const std::uint32_t n_clients = cfg.n_processors + cfg.n_accelerators;
+    const std::uint32_t n_clients = cfg.n_processors + k_fig7_accelerators;
 
     const auto per_proc =
         build_processor_tasks(gen, cfg.n_processors, target_utilization,
-                              cfg.mem_intensity_scale);
+                              k_mem_intensity_scale);
+
+    testbench_options opts;
+    opts.n_clients = n_clients;
+    const std::uint32_t unit_cycles = opts.memctrl.initiation_interval;
 
     workload::dnn_config ha_cfg;
-    ha_cfg.unit_cycles = cfg.memctrl.initiation_interval;
+    ha_cfg.unit_cycles = unit_cycles;
     ha_cfg.bandwidth_share = 1.0 / n_clients; // paper's enforced cap
 
     // Analysis view (used by BlueScale selection and reservations).
     std::vector<analysis::task_set> rt_sets;
-    std::vector<double> client_utils;
     for (const auto& tasks : per_proc) {
-        rt_sets.push_back(
-            memory_view(tasks, cfg.memctrl.initiation_interval));
-        client_utils.push_back(analysis::utilization(rt_sets.back()));
+        rt_sets.push_back(memory_view(tasks, unit_cycles));
+        opts.client_utilizations.push_back(
+            analysis::utilization(rt_sets.back()));
     }
-    for (std::uint32_t h = 0; h < cfg.n_accelerators; ++h) {
+    for (std::uint32_t h = 0; h < k_fig7_accelerators; ++h) {
         rt_sets.push_back(memory_view_ha(ha_cfg));
-        client_utils.push_back(analysis::utilization(rt_sets.back()));
+        opts.client_utilizations.push_back(
+            analysis::utilization(rt_sets.back()));
     }
-
-    testbench_options opts;
-    opts.n_clients = n_clients;
-    opts.memctrl = cfg.memctrl;
-    opts.bluetree_alpha = cfg.bluetree_alpha;
-    opts.client_utilizations = std::move(client_utils);
     opts.rt_sets = &rt_sets;
 
     testbench tb(kind, opts);
+    rec.watch(tb);
 
     std::vector<std::unique_ptr<workload::processor_client>> procs;
     for (std::uint32_t c = 0; c < cfg.n_processors; ++c) {
@@ -130,7 +124,7 @@ bool run_fig7_trial(ic_kind kind, const fig7_config& cfg,
         });
     }
     std::vector<std::unique_ptr<workload::dnn_accelerator>> has;
-    for (std::uint32_t h = 0; h < cfg.n_accelerators; ++h) {
+    for (std::uint32_t h = 0; h < k_fig7_accelerators; ++h) {
         has.push_back(std::make_unique<workload::dnn_accelerator>(
             cfg.n_processors + h, ha_cfg, tb.ic(),
             trial_seed ^ (0x51ull * (h + 1))));
@@ -141,6 +135,7 @@ bool run_fig7_trial(ic_kind kind, const fig7_config& cfg,
     }
 
     tb.run(cfg.measure_cycles);
+    rec.capture(tb);
 
     bool success = true;
     std::uint64_t app_completed = 0, app_missed = 0;
@@ -153,71 +148,35 @@ bool run_fig7_trial(ic_kind kind, const fig7_config& cfg,
             app_missed += p->stats(cat).missed;
         }
     }
-    if (app_miss_ratio != nullptr) {
-        *app_miss_ratio =
-            app_completed == 0
-                ? 0.0
-                : static_cast<double>(app_missed) /
-                      static_cast<double>(app_completed);
-    }
-    return success;
+    rec.counter("successful_trials").inc(success);
+    rec.sample("app_miss_ratio").add(ratio(app_missed, app_completed));
 }
 
-fig7_result run_fig7(ic_kind kind, const fig7_config& cfg) {
-    fig7_result result;
-    result.kind = kind;
-    result.n_processors = cfg.n_processors;
+} // namespace
 
-    std::vector<double> utilizations;
+std::vector<sweep_result> run_fig7(ic_kind kind, const fig7_config& cfg) {
+    std::vector<sweep_result> points;
     for (double u = cfg.util_lo; u <= cfg.util_hi + 1e-9;
          u += cfg.util_step) {
-        utilizations.push_back(u);
+        auto r = run_sweep(cfg.sweep, "fig7/", [&](trial_record& rec) {
+            // Depends on the utilization and the trial index but not the
+            // design, so every design sees identical workloads.
+            const std::uint64_t trial_seed =
+                cfg.sweep.seed + rec.index() * 1000003ull +
+                static_cast<std::uint64_t>(u * 1000.0) * 7919ull;
+            fig7_trial(rec, kind, cfg, u, trial_seed);
+        });
+        const double trials = cfg.sweep.trials;
+        set_real(r.totals, "fig7/target_utilization", u);
+        set_real(r.totals, "fig7/success_ratio",
+                 static_cast<double>(
+                     r.totals.get("fig7/successful_trials").count) /
+                     trials);
+        set_real(r.totals, "fig7/mean_app_miss_ratio",
+                 r.totals.get("fig7/app_miss_ratio").samples.sum() / trials);
+        points.push_back(std::move(r));
     }
-
-    // Flatten the (utilization, trial) grid into one sweep so the pool
-    // stays busy across point boundaries; cells are independent and come
-    // back in grid order, keeping aggregation order identical to the
-    // serial nested loop.
-    struct cell_metrics {
-        bool success = false;
-        double app_miss_ratio = 0.0;
-    };
-    const auto n_cells = static_cast<std::uint32_t>(utilizations.size()) *
-                         cfg.trials;
-    const sim::trial_runner runner(cfg.threads);
-    const auto cells = runner.run(n_cells, [&](std::uint32_t i) {
-        const double u = utilizations[i / cfg.trials];
-        const std::uint32_t t = i % cfg.trials;
-        cell_metrics m;
-        m.success = run_fig7_trial(kind, cfg, u, fig7_trial_seed(cfg, u, t),
-                                   &m.app_miss_ratio);
-        return m;
-    });
-
-    for (std::size_t p = 0; p < utilizations.size(); ++p) {
-        fig7_point point;
-        point.target_utilization = utilizations[p];
-        std::uint32_t successes = 0;
-        double miss_sum = 0.0;
-        for (std::uint32_t t = 0; t < cfg.trials; ++t) {
-            const auto& m = cells[p * cfg.trials + t];
-            if (m.success) ++successes;
-            miss_sum += m.app_miss_ratio;
-        }
-        point.success_ratio =
-            static_cast<double>(successes) / cfg.trials;
-        point.app_miss_ratio = miss_sum / cfg.trials;
-        result.points.push_back(point);
-    }
-    return result;
-}
-
-std::vector<fig7_result> run_fig7_all(const fig7_config& cfg) {
-    std::vector<fig7_result> results;
-    for (ic_kind kind : k_all_kinds) {
-        results.push_back(run_fig7(kind, cfg));
-    }
-    return results;
+    return points;
 }
 
 } // namespace bluescale::harness

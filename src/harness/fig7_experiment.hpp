@@ -1,35 +1,27 @@
 // System-level case study (paper Sec. 6.4 / Fig. 7): 16/64 processors plus
-// DNN accelerators run 10 automotive safety + 10 function tasks alongside
-// interference tasks that raise each processor to a target utilization.
-// The metric is the success ratio: the fraction of trials in which no
-// safety or function task missed a deadline.
+// two DNN accelerators run 10 automotive safety + 10 function tasks
+// alongside interference tasks that raise each processor to a target
+// utilization. The metric is the success ratio: the fraction of trials in
+// which no safety or function task missed a deadline. Each utilization
+// point is one run_sweep; its clients are processor and accelerator
+// models, not the synthetic traffic_scenario the other experiments share.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "harness/factory.hpp"
-#include "mem/memory_controller.hpp"
-#include "workload/compute_task.hpp"
+#include "harness/trial_sweep.hpp"
 
 namespace bluescale::harness {
 
+/// DNN accelerators beside the processors in every fig7 system.
+inline constexpr std::uint32_t k_fig7_accelerators = 2;
+
 struct fig7_config {
     std::uint32_t n_processors = 16;
-    std::uint32_t n_accelerators = 2;
-    std::uint32_t trials = 10;         ///< paper: 200
-    cycle_t measure_cycles = 60'000;   ///< paper: 300 s wall-clock
-    std::uint64_t seed = 1;
-    /// Worker threads for the (utilization x trial) sweep (0 = all
-    /// hardware threads). Results are bit-identical for any setting.
-    unsigned threads = 1;
-    memctrl_config memctrl = {};
-    std::uint32_t bluetree_alpha = 2;
-    /// Multiplier on every task profile's memory demand. The default is
-    /// calibrated so the 16-core system stresses the interconnect in the
-    /// paper's 0.6-0.9 utilization band while the 64-core system's memory
-    /// saturates around 0.55-0.65 (matching Fig. 7's earlier collapse).
-    double mem_intensity_scale = 0.75;
+    sweep_options sweep = {.trials = 10}; ///< paper: 200 trials
+    cycle_t measure_cycles = 60'000;      ///< paper: 300 s wall-clock
     /// Target utilization sweep (paper: 10-90% at 5% intervals; Fig. 7
     /// plots 30-90%).
     double util_lo = 0.30;
@@ -37,31 +29,16 @@ struct fig7_config {
     double util_step = 0.10;
 };
 
-struct fig7_point {
-    double target_utilization = 0.0;
-    double success_ratio = 0.0; ///< trials without any app deadline miss
-    double app_miss_ratio = 0.0; ///< mean per-trial app-task job miss ratio
-};
-
-struct fig7_result {
-    ic_kind kind{};
-    std::uint32_t n_processors = 0;
-    std::vector<fig7_point> points;
-};
-
-/// Runs the sweep for one design. Workloads are identical across designs
-/// for the same (seed, utilization, trial) triple.
-[[nodiscard]] fig7_result run_fig7(ic_kind kind, const fig7_config& cfg);
-
-/// All six designs.
-[[nodiscard]] std::vector<fig7_result> run_fig7_all(const fig7_config& cfg);
-
-/// Single trial at one utilization point; exposed for tests and examples.
-/// Returns true when no safety/function deadline was missed, and fills
-/// `app_miss_ratio` (jobs missed / jobs completed across app tasks).
-[[nodiscard]] bool run_fig7_trial(ic_kind kind, const fig7_config& cfg,
-                                  double target_utilization,
-                                  std::uint64_t trial_seed,
-                                  double* app_miss_ratio = nullptr);
+/// Runs the sweep for one design: one sweep_result per utilization point,
+/// util_lo, util_lo + util_step, ... up to util_hi. Workloads are
+/// identical across designs for the same (seed, utilization, trial).
+///
+/// totals ("fig7/"): the counter successful_trials (trials without any
+/// safety/function deadline miss), the per-trial sample app_miss_ratio
+/// (app-task jobs missed / completed), and the reals target_utilization,
+/// success_ratio (successful_trials / trials) and mean_app_miss_ratio
+/// (the app_miss_ratio samples' sum / trials).
+[[nodiscard]] std::vector<sweep_result> run_fig7(ic_kind kind,
+                                                 const fig7_config& cfg);
 
 } // namespace bluescale::harness

@@ -1,9 +1,9 @@
 #include "harness/maintenance_experiment.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <vector>
 
-#include "harness/traffic_trial.hpp"
 #include "mem/maintenance_engine.hpp"
 #include "stats/summary.hpp"
 
@@ -15,23 +15,18 @@ namespace {
 /// [util_lo, util_hi] draw, best-effort clients carry best_effort_util
 /// of bulk).
 std::vector<workload::memory_task_set>
-draw_tasksets(const maintenance_exp_config& cfg, std::uint64_t trial_seed) {
+maintenance_tasksets(const maintenance_exp_config& cfg,
+                     std::uint64_t trial_seed) {
+    const traffic_scenario& sc = cfg.scenario;
     rng workload_rng(trial_seed);
-    const std::uint32_t n_be =
-        cfg.best_effort_clients < cfg.n_clients ? cfg.best_effort_clients
-                                                : cfg.n_clients;
+    const std::uint32_t n_be = std::min(cfg.best_effort_clients, sc.n_clients);
     if (cfg.best_effort_util <= 0.0 || n_be == 0) {
-        return workload::make_client_tasksets(
-            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
-            cfg.taskset);
+        return draw_tasksets(sc, workload_rng, sc.n_clients);
     }
-    auto tasksets = workload::make_client_tasksets(
-        workload_rng, cfg.n_clients - n_be, cfg.util_lo, cfg.util_hi,
-        cfg.taskset);
-    auto be = workload::make_client_tasksets(workload_rng, n_be,
-                                             cfg.best_effort_util,
-                                             cfg.best_effort_util,
-                                             cfg.taskset);
+    auto tasksets = draw_tasksets(sc, workload_rng, sc.n_clients - n_be);
+    traffic_scenario bulk = sc;
+    bulk.util_lo = bulk.util_hi = cfg.best_effort_util;
+    auto be = draw_tasksets(bulk, workload_rng, n_be);
     tasksets.insert(tasksets.end(), std::make_move_iterator(be.begin()),
                     std::make_move_iterator(be.end()));
     return tasksets;
@@ -42,13 +37,13 @@ draw_tasksets(const maintenance_exp_config& cfg, std::uint64_t trial_seed) {
 sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
     // Always BlueScale: the toggle under study lives in its admission
     // analysis and watchdog, which the baselines lack.
-    return run_sweep(cfg.sweep, "maintenance/", [&](trial_record& rec) {
+    const traffic_scenario& sc = cfg.scenario;
+    return run_sweep(sc.sweep, "maintenance/", [&](trial_record& rec) {
         // Maintenance storms ONLY: every other kind's weight is zeroed so
         // the trial's interference is exactly the unmodeled-maintenance
         // story.
         sim::fault_campaign_config fc = fabric_campaign(
-            rec.seed(), cfg.n_clients, cfg.measure_cycles,
-            cfg.storm_intensity);
+            rec.seed(), sc.n_clients, sc.measure_cycles, cfg.storm_intensity);
         fc.se_stall_weight = 0.0;
         fc.link_drop_weight = 0.0;
         fc.dram_error_weight = 0.0;
@@ -60,7 +55,6 @@ sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
         const sim::fault_campaign campaign(fc);
 
         testbench_options opts;
-        opts.memctrl = cfg.memctrl;
         opts.faults = campaign.empty() ? nullptr : &campaign;
         opts.watchdog = cfg.watchdog;
         opts.selection.bandwidth_tolerance = cfg.bandwidth_tolerance;
@@ -69,12 +63,12 @@ sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
             // the maintenance-corrected sbf AND police supply with the
             // same model, so budgeted refresh/scrub/mitigation never
             // alarms.
-            const auto model = to_maintenance_model(cfg.memctrl);
+            const auto model = to_maintenance_model(sc.memctrl);
             opts.selection.sched.maintenance = model;
             opts.watchdog->maintenance = model;
         }
-        traffic_trial tt(rec, ic_kind::bluescale,
-                         draw_tasksets(cfg, rec.seed()), opts);
+        traffic_trial tt(rec, ic_kind::bluescale, sc, opts,
+                         maintenance_tasksets(cfg, rec.seed()));
         testbench& tb = tt.tb();
 
         auto hard_ratio = rec.sample("hard_miss_ratio");
@@ -94,11 +88,9 @@ sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
         }
         feasible.inc();
 
-        tt.add_clients({}, [&](std::uint32_t c) {
-            return substream(rec.seed(), c);
-        });
+        tt.add_clients(/*recover=*/false);
         tt.track_clients(cfg.best_effort_clients);
-        tb.run(cfg.measure_cycles);
+        tb.run(sc.measure_cycles);
 
         rec.counter("injected_storms").inc(campaign.size());
         const class_misses misses = tt.finalize(cfg.best_effort_clients);

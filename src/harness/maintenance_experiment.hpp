@@ -15,33 +15,34 @@
 #include <cstdint>
 
 #include "core/supply_watchdog.hpp"
-#include "harness/trial_sweep.hpp"
-#include "mem/memory_controller.hpp"
-#include "workload/taskset_gen.hpp"
+#include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
 
 struct maintenance_exp_config {
-    std::uint32_t n_clients = 16;
-    sweep_options sweep = {.trials = 8};
-    cycle_t measure_cycles = 60'000;
-    double util_lo = 0.40;
-    double util_hi = 0.60;
     /// Task periods sit well above the maintenance burst (a refresh
     /// blackout is ~16 analysis units): real task periods dwarf t_RFC,
     /// and a wcet-sized demand inside a burst-sized deadline would force
     /// the corrected analysis to provision nearly the whole device per
-    /// client.
-    workload::taskset_params taskset = {
-        .n_tasks = 3,
-        .total_utilization = 0.05, // overridden per trial by util_lo/hi
-        .min_period_units = 300,
-        .max_period_units = 1500,
-        .write_fraction = 0.3,
+    /// client. scenario.memctrl carries the maintenance mechanisms under
+    /// study (timing.t_refi/t_rfc, maintenance.scrub_*,
+    /// maintenance.hammer_*).
+    traffic_scenario scenario = {
+        .sweep = {.trials = 8},
+        .measure_cycles = 60'000,
+        .util_lo = 0.40,
+        .util_hi = 0.60,
+        .taskset = {
+            .n_tasks = 3,
+            .total_utilization = 0.05, // overridden per client
+            .min_period_units = 300,
+            .max_period_units = 1500,
+            .write_fraction = 0.3,
+        },
     };
     /// The LAST this-many client ids are best-effort (sheddable); the
     /// rest are hard real-time.
-    std::uint32_t best_effort_clients = 4;
+    std::uint32_t best_effort_clients = k_best_effort_clients;
     /// Combined utilization of the best-effort clients. 0 (default)
     /// pools every client into one [util_lo, util_hi] draw; > 0 gives
     /// the hard clients the [util_lo, util_hi] draw to themselves and
@@ -50,9 +51,6 @@ struct maintenance_exp_config {
     /// heavy sheddable DMA) that makes watchdog shedding free real
     /// bandwidth during a storm.
     double best_effort_util = 0.0;
-    /// Memory controller with the maintenance mechanisms under study
-    /// (timing.t_refi/t_rfc, maintenance.scrub_*, maintenance.hammer_*).
-    memctrl_config memctrl = {};
     /// Selection bandwidth tolerance (applied in BOTH modes so the
     /// aware/unaware comparison is apples-to-apples). Nonzero matters
     /// under maintenance: the strict-minimum selection picks tiny server
@@ -73,9 +71,9 @@ struct maintenance_exp_config {
     core::watchdog_config watchdog = {};
 };
 
-/// Runs `cfg.sweep.trials` BlueScale trials. Workload and storm schedule
-/// are pure functions of the trial seed, so aware/unaware runs at the
-/// same seed face the identical scenario. A trial whose admission
+/// Runs `cfg.scenario.sweep.trials` BlueScale trials. Workload and storm
+/// schedule are pure functions of the trial seed, so aware/unaware runs
+/// at the same seed face the identical scenario. A trial whose admission
 /// analysis is infeasible is NOT simulated: it contributes zero samples
 /// and the trials-minus-feasible_trials gap (admission control refused
 /// the workload; there is no admitted system to measure).

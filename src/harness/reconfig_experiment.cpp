@@ -3,38 +3,25 @@
 #include <map>
 #include <utility>
 
-#include "harness/traffic_trial.hpp"
-
 namespace bluescale::harness {
 
 sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
-    auto out = run_sweep(cfg.sweep, "reconfig_exp/", [&](trial_record& rec) {
-        rng workload_rng(rec.seed());
-        auto tasksets = workload::make_client_tasksets(
-            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
-            cfg.taskset);
-
+    const traffic_scenario& sc = cfg.scenario;
+    auto out = run_sweep(sc.sweep, "reconfig_exp/", [&](trial_record& rec) {
         const sim::fault_campaign campaign(
-            fabric_campaign(rec.seed(), cfg.n_clients, cfg.measure_cycles,
+            fabric_campaign(rec.seed(), sc.n_clients, sc.measure_cycles,
                             cfg.fault_intensity));
 
         // The manager and watchdog are BlueScale-only (the testbench
         // builds neither for a baseline).
         testbench_options opts;
-        opts.memctrl = cfg.memctrl;
-        opts.bluetree_alpha = cfg.bluetree_alpha;
         opts.faults = campaign.empty() ? nullptr : &campaign;
-        opts.health = cfg.health;
-        opts.reconfig = cfg.reconfig;
-        opts.watchdog = cfg.watchdog;
-        traffic_trial tt(rec, kind, std::move(tasksets), opts);
-        workload::traffic_gen_config tg;
-        tg.retry_timeout_cycles = cfg.retry_timeout_cycles;
-        tg.max_retries = cfg.max_retries;
-        tt.add_clients(tg, [&](std::uint32_t c) {
-            return substream(rec.seed(), c);
-        });
-        tt.track_clients(cfg.best_effort_clients);
+        opts.health = core::health_config{};
+        opts.reconfig = core::reconfig_config{};
+        opts.watchdog = core::watchdog_config{};
+        traffic_trial tt(rec, kind, sc, opts);
+        tt.add_clients(/*recover=*/true);
+        tt.track_clients(k_best_effort_clients);
         testbench& tb = tt.tb();
         rec.counter("feasible_trials").inc(tb.selection_feasible());
 
@@ -64,11 +51,11 @@ sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
         // present) admits, stages and commits inside the simulation, so
         // the swap lands at the modeled commit instant, not here.
         auto unchecked = rec.counter("applied_unchecked");
-        sim::reconfig_schedule_config sc = cfg.schedule;
-        sc.warmup = cfg.reconfig_warmup;
-        sc.events_per_kcycle = cfg.events_per_kcycle;
+        sim::reconfig_schedule_config schedule = cfg.schedule;
+        schedule.warmup = cfg.reconfig_warmup;
+        schedule.events_per_kcycle = cfg.events_per_kcycle;
         tt.run_schedule(
-            sc, cfg.measure_cycles, cfg.taskset,
+            schedule, sc.measure_cycles, sc.taskset,
             [&](const sim::reconfig_event& ev,
                 workload::memory_task_set tasks) {
                 if (auto* mgr = tb.reconfig()) {
@@ -85,7 +72,7 @@ sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
                 }
             });
 
-        const class_misses misses = tt.finalize(cfg.best_effort_clients);
+        const class_misses misses = tt.finalize(k_best_effort_clients);
         rec.counter("hard_misses").inc(misses.hard);
         rec.counter("best_effort_misses").inc(misses.best_effort);
         rec.sample("miss_ratio").add(misses.ratio());

@@ -7,42 +7,23 @@
 // hazards -- while a core::supply_watchdog polices delivered supply and
 // sheds best-effort clients under sustained overload. The BlueTree
 // baseline applies every change unconditionally with zero latency (no
-// admission control to refuse an infeasible one).
+// admission control to refuse an infeasible one). The manager, watchdog
+// and health monitor run their default configurations, and the last
+// k_best_effort_clients client ids are the sheddable best-effort ones.
 //
 // Metrics: admission ratio by outcome, modeled reconfiguration latency,
 // deadline misses during transitions, shed/restore counts and per-class
 // miss totals, per design.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-
-#include "core/health_monitor.hpp"
-#include "core/reconfig_manager.hpp"
-#include "core/supply_watchdog.hpp"
 #include "harness/factory.hpp"
-#include "harness/trial_sweep.hpp"
-#include "mem/memory_controller.hpp"
+#include "harness/traffic_trial.hpp"
 #include "sim/reconfig_schedule.hpp"
-#include "workload/taskset_gen.hpp"
 
 namespace bluescale::harness {
 
 struct reconfig_exp_config {
-    std::uint32_t n_clients = 16;
-    sweep_options sweep = {};
-    cycle_t measure_cycles = 100'000;
-    double util_lo = 0.70;
-    double util_hi = 0.90;
-    workload::taskset_params taskset = {
-        .n_tasks = 4,
-        .total_utilization = 0.05, // overridden per trial by util_lo/hi
-        .min_period_units = 40,
-        .max_period_units = 600,
-        .write_fraction = 0.3,
-    };
-    memctrl_config memctrl = {};
-    std::uint32_t bluetree_alpha = 2;
+    traffic_scenario scenario = {};
 
     /// Expected reconfiguration requests per 1000 cycles. The schedule
     /// seed is a substream of the trial seed, so every design sees the
@@ -55,26 +36,13 @@ struct reconfig_exp_config {
     /// selection settle before churn starts).
     cycle_t reconfig_warmup = 5'000;
 
-    /// Admission-control / transaction policy (BlueScale only).
-    core::reconfig_config reconfig = {};
-    /// Online supply-conformance watchdog (BlueScale only); nullopt
-    /// disables it.
-    std::optional<core::watchdog_config> watchdog = core::watchdog_config{};
-    /// The LAST this-many client ids are best-effort (sheddable); the
-    /// rest are hard real-time and keep their contracts under overload.
-    std::uint32_t best_effort_clients = 4;
-
     /// Optional concurrent fault campaign (0 = healthy run), to exercise
     /// hazard rollbacks; same substream convention as the resilience
     /// experiment.
     double fault_intensity = 0.0;
-    cycle_t retry_timeout_cycles = 2048;
-    std::uint32_t max_retries = 3;
-    /// Fabric supervision (BlueScale only); nullopt disables it.
-    std::optional<core::health_config> health = core::health_config{};
 };
 
-/// Runs `cfg.sweep.trials` trials of one design under the same
+/// Runs `cfg.scenario.sweep.trials` trials of one design under the same
 /// per-trial workloads and reconfiguration schedules (both pure functions
 /// of the trial seed, so designs are compared on identical request
 /// sequences).

@@ -1,37 +1,25 @@
 #include "harness/resilience_experiment.hpp"
 
 #include "core/bluescale_ic.hpp"
-#include "harness/traffic_trial.hpp"
 #include "stats/summary.hpp"
 
 namespace bluescale::harness {
 
 sweep_result run_resilience(ic_kind kind, const resilience_config& cfg) {
-    return run_sweep(cfg.sweep, "resilience/", [&](trial_record& rec) {
+    const traffic_scenario& sc = cfg.scenario;
+    return run_sweep(sc.sweep, "resilience/", [&](trial_record& rec) {
         // Identical workload and fault schedule per design at the same
         // trial seed.
-        rng workload_rng(rec.seed());
-        auto tasksets = workload::make_client_tasksets(
-            workload_rng, cfg.n_clients, cfg.util_lo, cfg.util_hi,
-            cfg.taskset);
         const sim::fault_campaign campaign(
-            fabric_campaign(rec.seed(), cfg.n_clients, cfg.measure_cycles,
+            fabric_campaign(rec.seed(), sc.n_clients, sc.measure_cycles,
                             cfg.fault_intensity));
-
         testbench_options opts;
-        opts.memctrl = cfg.memctrl;
-        opts.bluetree_alpha = cfg.bluetree_alpha;
         opts.faults = campaign.empty() ? nullptr : &campaign;
-        opts.health = cfg.health;
-        traffic_trial tt(rec, kind, std::move(tasksets), opts);
-        workload::traffic_gen_config tg;
-        tg.retry_timeout_cycles = cfg.retry_timeout_cycles;
-        tg.max_retries = cfg.max_retries;
-        tt.add_clients(tg, [&](std::uint32_t c) {
-            return substream(rec.seed(), c);
-        });
+        opts.health = core::health_config{};
+        traffic_trial tt(rec, kind, sc, opts);
+        tt.add_clients(/*recover=*/true);
         testbench& tb = tt.tb();
-        tb.run(cfg.measure_cycles);
+        tb.run(sc.measure_cycles);
 
         rec.counter("feasible_trials").inc(tb.selection_feasible());
         rec.counter("injected_events").inc(campaign.size());

@@ -3,55 +3,29 @@
 // sim::fault_campaign of SE stalls, link drops, DRAM transient errors and
 // controller backpressure storms. Clients recover with bounded
 // retry/timeout reissue; the BlueScale fabric additionally degrades
-// unhealthy elements to work-conserving mode under a core::health_monitor.
+// unhealthy elements to work-conserving mode under a core::health_monitor
+// (always on; baselines have no elements to degrade).
 // Metrics: deadline-miss ratio, p99 / worst latency inflation, recovery
 // counter totals, and mean time-to-recover, per design and fault
 // intensity.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-
-#include "core/health_monitor.hpp"
 #include "harness/factory.hpp"
-#include "harness/trial_sweep.hpp"
-#include "mem/memory_controller.hpp"
-#include "workload/taskset_gen.hpp"
+#include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
 
 struct resilience_config {
-    std::uint32_t n_clients = 16;
-    sweep_options sweep = {};
-    cycle_t measure_cycles = 100'000;
-    double util_lo = 0.70;
-    double util_hi = 0.90;
-    workload::taskset_params taskset = {
-        .n_tasks = 4,
-        .total_utilization = 0.05, // overridden per trial by util_lo/hi
-        .min_period_units = 40,
-        .max_period_units = 600,
-        .write_fraction = 0.3,
-    };
-    memctrl_config memctrl = {};
-    std::uint32_t bluetree_alpha = 2;
-
+    traffic_scenario scenario = {};
     /// Expected injected fault events per 1000 cycles (0 = healthy run;
     /// the campaign seed is a substream of the trial seed, so every
     /// design sees the identical fault schedule at the same trial).
     double fault_intensity = 0.5;
-    /// Client-side recovery (workload::traffic_gen_config): reissue a
-    /// request unanswered for this long, with exponential backoff.
-    cycle_t retry_timeout_cycles = 2048;
-    std::uint32_t max_retries = 3;
-    /// Fabric supervision (BlueScale only; baselines have no elements to
-    /// degrade); nullopt disables it.
-    std::optional<core::health_config> health = core::health_config{};
 };
 
-/// Runs `cfg.sweep.trials` trials of one design at cfg.fault_intensity.
-/// Every design sees identical per-trial workloads AND fault schedules
-/// (both are pure functions of the trial seed).
+/// Runs `cfg.scenario.sweep.trials` trials of one design at
+/// cfg.fault_intensity. Every design sees identical per-trial workloads
+/// AND fault schedules (both are pure functions of the trial seed).
 ///
 /// totals ("resilience/"): per-trial samples miss_ratio (in [0, 1]),
 /// p99_latency_cycles, worst_latency_cycles and time_to_recover_cycles

@@ -8,6 +8,13 @@ namespace bluescale::harness {
 
 namespace {
 
+/// The fault-bearing experiments' clients: reissue a request unanswered
+/// for 2,048 cycles, at most 3 times, with exponential backoff.
+constexpr workload::traffic_gen_config k_recovering_client = {
+    .retry_timeout_cycles = 2048,
+    .max_retries = 3,
+};
+
 std::vector<analysis::task_set>
 rt_view(const std::vector<workload::memory_task_set>& tasksets) {
     std::vector<analysis::task_set> out;
@@ -17,9 +24,10 @@ rt_view(const std::vector<workload::memory_task_set>& tasksets) {
 }
 
 testbench_options
-with_demand(testbench_options opts,
+with_demand(testbench_options opts, const traffic_scenario& s,
             const std::vector<workload::memory_task_set>& tasksets,
             const std::vector<analysis::task_set>& rt_sets) {
+    opts.memctrl = s.memctrl;
     opts.n_clients = static_cast<std::uint32_t>(tasksets.size());
     opts.client_utilizations.clear();
     opts.client_utilizations.reserve(tasksets.size());
@@ -55,26 +63,49 @@ derive_event_taskset(const sim::reconfig_event& ev, double current_util,
     return workload::make_taskset(er, p);
 }
 
+std::vector<workload::memory_task_set>
+scenario_tasksets(const traffic_scenario& s, std::uint64_t trial_seed) {
+    rng gen(trial_seed);
+    return draw_tasksets(s, gen, s.n_clients);
+}
+
 } // namespace
 
+std::vector<workload::memory_task_set>
+draw_tasksets(const traffic_scenario& s, rng& gen, std::uint32_t n) {
+    return workload::make_client_tasksets(gen, n, s.util_lo, s.util_hi,
+                                          s.taskset);
+}
+
 traffic_trial::traffic_trial(trial_record& rec, ic_kind kind,
-                             std::vector<workload::memory_task_set> tasksets,
-                             testbench_options opts)
+                             const traffic_scenario& s,
+                             testbench_options opts,
+                             std::vector<workload::memory_task_set> tasksets)
     : trial_seed_(rec.seed()),
       tasksets_(std::move(tasksets)),
       rt_sets_(rt_view(tasksets_)),
-      tb_(kind, with_demand(std::move(opts), tasksets_, rt_sets_)) {
+      tb_(kind, with_demand(std::move(opts), s, tasksets_, rt_sets_)) {
     rec.watch(tb_);
 }
 
+traffic_trial::traffic_trial(trial_record& rec, ic_kind kind,
+                             const traffic_scenario& s,
+                             testbench_options opts)
+    : traffic_trial(rec, kind, s, std::move(opts),
+                    scenario_tasksets(s, rec.seed())) {}
+
 void traffic_trial::add_clients(
-    workload::traffic_gen_config tg,
+    bool recover,
     const std::function<std::uint64_t(std::uint32_t)>& seed_of) {
+    workload::traffic_gen_config tg =
+        recover ? k_recovering_client : workload::traffic_gen_config{};
     tg.unit_cycles = tb_.unit_cycles();
     clients_.reserve(n_clients());
     for (std::uint32_t c = 0; c < n_clients(); ++c) {
+        const std::uint64_t seed =
+            seed_of ? seed_of(c) : substream(trial_seed_, c);
         clients_.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets_[c], tb_.ic(), seed_of(c), tg));
+            c, tasksets_[c], tb_.ic(), seed, tg));
         auto* client = clients_.back().get();
         client->bind_observability(tb_.metrics());
         tb_.add_client(c, *client, [client](mem_request&& r) {

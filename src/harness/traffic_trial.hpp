@@ -1,10 +1,13 @@
-// The synthetic-traffic pipeline shared by the Fig. 6 experiment and its
-// robustness extensions (resilience, maintenance, reconfig, svc_storm):
-// one task set per client, the testbench assembled around them, one
-// traffic generator per client, and the hard/best-effort miss split at
-// the end. Experiments add what is theirs -- fault campaigns,
-// supervisors, reconfiguration schedules -- through testbench_options
-// and tb().
+// The synthetic-traffic scenario and pipeline shared by the Fig. 6
+// experiment and its robustness extensions (resilience, maintenance,
+// reconfig, svc_storm). A traffic_scenario is the one value those five
+// configs embed: client count, trial sweep, simulated window,
+// utilization band, task shape and memory controller. A traffic_trial
+// consumes it: one task set per client drawn from the trial seed, the
+// testbench assembled around them, one traffic generator per client,
+// and the hard/best-effort miss split at the end. Experiments add what
+// is theirs -- fault campaigns, supervisors, reconfiguration schedules
+// -- through testbench_options and tb().
 #pragma once
 
 #include <cstdint>
@@ -14,12 +17,42 @@
 
 #include "harness/testbench.hpp"
 #include "harness/trial_sweep.hpp"
+#include "mem/memory_controller.hpp"
 #include "sim/fault.hpp"
 #include "sim/reconfig_schedule.hpp"
 #include "workload/taskset_gen.hpp"
 #include "workload/traffic_generator.hpp"
 
 namespace bluescale::harness {
+
+/// The traffic every synthetic experiment runs, with Fig. 6's defaults
+/// (paper Sec. 6.3: intensive traffic with tight implicit deadlines at
+/// 70-90% interconnect utilization).
+struct traffic_scenario {
+    std::uint32_t n_clients = 16;
+    sweep_options sweep = {};           ///< paper: 200 trials
+    cycle_t measure_cycles = 100'000;   ///< simulated window per trial
+    double util_lo = 0.70;              ///< interconnect utilization range
+    double util_hi = 0.90;
+    workload::taskset_params taskset = {
+        .n_tasks = 4,
+        .total_utilization = 0.05, // overridden per client by util_lo/hi
+        .min_period_units = 40,
+        .max_period_units = 600,
+        .write_fraction = 0.3,
+    };
+    memctrl_config memctrl = {};
+};
+
+/// `n` clients' task sets drawn from `gen`, each with the scenario's task
+/// shape at a total utilization uniform in [util_lo, util_hi].
+[[nodiscard]] std::vector<workload::memory_task_set>
+draw_tasksets(const traffic_scenario& s, rng& gen, std::uint32_t n);
+
+/// The reconfig and svc_storm experiments' hard/best-effort split: the
+/// last this-many client ids are best-effort (sheddable), the rest hard
+/// real-time.
+inline constexpr std::uint32_t k_best_effort_clients = 4;
 
 /// Deadline misses split by client class, over finalized clients.
 struct class_misses {
@@ -37,11 +70,16 @@ struct class_misses {
 
 class traffic_trial {
 public:
-    /// Assembles trial `rec`'s testbench for `tasksets` (one per client):
-    /// sets opts.n_clients, opts.client_utilizations and opts.rt_sets (the
+    /// Assembles trial `rec`'s testbench for `tasksets` (one per client)
+    /// on the scenario's memory controller: sets opts.memctrl,
+    /// opts.n_clients, opts.client_utilizations and opts.rt_sets (the
     /// whole-tree selection input), and lets `rec` watch the simulator.
-    traffic_trial(trial_record& rec, ic_kind kind,
-                  std::vector<workload::memory_task_set> tasksets,
+    traffic_trial(trial_record& rec, ic_kind kind, const traffic_scenario& s,
+                  testbench_options opts,
+                  std::vector<workload::memory_task_set> tasksets);
+    /// The same, with the scenario's n_clients task sets drawn from the
+    /// trial seed, so every design sees the identical workload.
+    traffic_trial(trial_record& rec, ic_kind kind, const traffic_scenario& s,
                   testbench_options opts);
 
     traffic_trial(const traffic_trial&) = delete;
@@ -56,11 +94,14 @@ public:
     }
 
     /// Constructs client c's generator (unit_cycles from the testbench,
-    /// seeded with seed_of(c)), binds it into the trial registry and
-    /// registers it with the testbench, for every client.
-    void add_clients(workload::traffic_gen_config tg,
+    /// seeded with seed_of(c), or substream(trial seed, c) when seed_of is
+    /// empty), binds it into the trial registry and registers it with the
+    /// testbench, for every client. With `recover`, clients reissue a
+    /// request unanswered for 2,048 cycles, at most 3 times, with
+    /// exponential backoff (the fault-bearing experiments).
+    void add_clients(bool recover,
                      const std::function<std::uint64_t(std::uint32_t)>&
-                         seed_of);
+                         seed_of = {});
 
     /// Hands every client to the supply watchdog (no-op without one):
     /// the last `best_effort` client ids are sheddable, the rest hard.

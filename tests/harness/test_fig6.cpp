@@ -11,10 +11,10 @@ namespace {
 
 fig6_config small_config() {
     fig6_config cfg;
-    cfg.n_clients = 16;
-    cfg.sweep.trials = 2;
-    cfg.measure_cycles = 8'000;
-    cfg.sweep.seed = 99;
+    cfg.scenario.n_clients = 16;
+    cfg.scenario.sweep.trials = 2;
+    cfg.scenario.measure_cycles = 8'000;
+    cfg.scenario.sweep.seed = 99;
     return cfg;
 }
 
@@ -56,14 +56,14 @@ TEST(fig6, deterministic_given_seed) {
 TEST(fig6, different_seeds_differ) {
     auto cfg = small_config();
     const auto a = run_fig6(ic_kind::bluetree, cfg);
-    cfg.sweep.seed = 12345;
+    cfg.scenario.sweep.seed = 12345;
     const auto b = run_fig6(ic_kind::bluetree, cfg);
     EXPECT_NE(fig6_mean(a, "blocking_us"), fig6_mean(b, "blocking_us"));
 }
 
 TEST(fig6, run_all_covers_six_designs) {
     auto cfg = small_config();
-    cfg.sweep.trials = 1;
+    cfg.scenario.sweep.trials = 1;
     const auto all = run_fig6_all(cfg);
     ASSERT_EQ(all.size(), 6u);
     for (std::size_t i = 0; i < all.size(); ++i) {
@@ -86,11 +86,11 @@ TEST(fig6, parallel_trials_bit_identical_to_serial) {
     // just close) for any thread count, because per-trial results are
     // merged in trial order.
     auto cfg = small_config();
-    cfg.sweep.trials = 6;
+    cfg.scenario.sweep.trials = 6;
     for (ic_kind kind : {ic_kind::bluescale, ic_kind::bluetree}) {
-        cfg.sweep.threads = 1;
+        cfg.scenario.sweep.threads = 1;
         const auto serial = run_fig6(kind, cfg);
-        cfg.sweep.threads = 4;
+        cfg.scenario.sweep.threads = 4;
         const auto parallel = run_fig6(kind, cfg);
         EXPECT_EQ(samples(serial, "blocking_us").count(), 6u);
         EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals))
@@ -100,7 +100,7 @@ TEST(fig6, parallel_trials_bit_identical_to_serial) {
 
 TEST(fig6, se_override_applies) {
     auto cfg = small_config();
-    cfg.sweep.trials = 1;
+    cfg.scenario.sweep.trials = 1;
     core::se_params se;
     se.buffer_depth = 4;
     se.policy = core::server_policy::fixed_priority;

@@ -38,14 +38,14 @@ memctrl_config heavy_maintenance_memctrl() {
 /// the hard deadlines, and a watchdog fast enough to shed mid-storm.
 maintenance_exp_config storm_config(bool aware, unsigned threads = 1) {
     maintenance_exp_config cfg;
-    cfg.sweep.trials = 3;
-    cfg.measure_cycles = 60'000;
-    cfg.sweep.threads = threads;
+    cfg.scenario.sweep.trials = 3;
+    cfg.scenario.measure_cycles = 60'000;
+    cfg.scenario.sweep.threads = threads;
     cfg.maintenance_aware = aware;
-    cfg.memctrl = heavy_maintenance_memctrl();
-    cfg.util_lo = 0.18;
-    cfg.util_hi = 0.28;
-    cfg.taskset.min_period_units = 400;
+    cfg.scenario.memctrl = heavy_maintenance_memctrl();
+    cfg.scenario.util_lo = 0.18;
+    cfg.scenario.util_hi = 0.28;
+    cfg.scenario.taskset.min_period_units = 400;
     cfg.best_effort_clients = 6;
     cfg.best_effort_util = 0.44;
     cfg.storm_intensity = 0.5;
@@ -102,7 +102,7 @@ TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
     // behavior: that workload cannot be guaranteed once refresh and
     // scrub are charged) and admits the rest.
     ASSERT_EQ(count(unaware, "feasible_trials"),
-              storm_config(false).sweep.trials);
+              storm_config(false).scenario.sweep.trials);
     ASSERT_GE(count(aware, "feasible_trials"), 2u);
     ASSERT_GT(count(aware, "injected_storms"), 0u);
 

@@ -15,10 +15,10 @@ namespace {
 
 reconfig_exp_config small_config(unsigned threads, double rate) {
     reconfig_exp_config cfg;
-    cfg.sweep.trials = 3;
-    cfg.measure_cycles = 30'000;
-    cfg.sweep.seed = 11;
-    cfg.sweep.threads = threads;
+    cfg.scenario.sweep.trials = 3;
+    cfg.scenario.measure_cycles = 30'000;
+    cfg.scenario.sweep.seed = 11;
+    cfg.scenario.sweep.threads = threads;
     cfg.events_per_kcycle = rate;
     cfg.reconfig_warmup = 2'000;
     return cfg;

@@ -14,10 +14,10 @@ namespace {
 
 resilience_config small_config(unsigned threads, double intensity) {
     resilience_config cfg;
-    cfg.sweep.trials = 3;
-    cfg.measure_cycles = 30'000;
-    cfg.sweep.seed = 11;
-    cfg.sweep.threads = threads;
+    cfg.scenario.sweep.trials = 3;
+    cfg.scenario.measure_cycles = 30'000;
+    cfg.scenario.sweep.seed = 11;
+    cfg.scenario.sweep.threads = threads;
     cfg.fault_intensity = intensity;
     return cfg;
 }

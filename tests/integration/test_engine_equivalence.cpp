@@ -113,8 +113,8 @@ const scenario k_scenarios[] = {
     {"fig6",
      [](unsigned threads) {
          fig6_config cfg;
-         cfg.sweep = exporting_sweep(4, 7, threads);
-         cfg.measure_cycles = 8'000;
+         cfg.scenario.sweep = exporting_sweep(4, 7, threads);
+         cfg.scenario.measure_cycles = 8'000;
          std::string out;
          for (const auto& r : run_fig6_all(cfg)) out += render(r);
          return out;
@@ -122,23 +122,16 @@ const scenario k_scenarios[] = {
     {"fig7",
      [](unsigned threads) {
          fig7_config cfg;
-         cfg.trials = 2;
+         cfg.sweep = exporting_sweep(2, 7, threads);
          cfg.measure_cycles = 10'000;
          cfg.util_lo = 0.3;
          cfg.util_hi = 0.7;
          cfg.util_step = 0.4;
-         cfg.seed = 7;
-         cfg.threads = threads;
-         std::ostringstream os;
-         os << std::hexfloat;
-         for (const auto& r : run_fig7_all(cfg)) {
-             for (const auto& p : r.points) {
-                 os << kind_name(r.kind) << ' ' << p.target_utilization
-                    << ' ' << p.success_ratio << ' ' << p.app_miss_ratio
-                    << '\n';
-             }
+         std::string out;
+         for (ic_kind kind : k_all_kinds) {
+             for (const auto& r : run_fig7(kind, cfg)) out += render(r);
          }
-         return os.str();
+         return out;
      }},
     {"resilience",
      [](unsigned threads) {
@@ -146,8 +139,8 @@ const scenario k_scenarios[] = {
          // never sleep through: injected storms, link drops, retry
          // timeouts, ECC reissues.
          resilience_config cfg;
-         cfg.sweep = exporting_sweep(3, 11, threads);
-         cfg.measure_cycles = 8'000;
+         cfg.scenario.sweep = exporting_sweep(3, 11, threads);
+         cfg.scenario.measure_cycles = 8'000;
          cfg.fault_intensity = 1.0;
          return render(run_resilience(ic_kind::bluescale, cfg));
      }},
@@ -157,15 +150,16 @@ const scenario k_scenarios[] = {
          // hammer mitigation, injected storm) in one short run; unaware
          // admission so every trial simulates.
          maintenance_exp_config cfg;
-         cfg.sweep = exporting_sweep(3, 3, threads);
-         cfg.measure_cycles = 12'000;
+         cfg.scenario.sweep = exporting_sweep(3, 3, threads);
+         cfg.scenario.measure_cycles = 12'000;
          cfg.maintenance_aware = false;
-         cfg.memctrl.timing.t_refi = 975;
-         cfg.memctrl.timing.t_rfc = 65;
-         cfg.memctrl.maintenance.scrub_interval = 1024;
-         cfg.memctrl.maintenance.scrub_duration = 16;
-         cfg.memctrl.maintenance.hammer_threshold = 128;
-         cfg.memctrl.maintenance.hammer_mitigation_cycles = 16;
+         memctrl_config& mc = cfg.scenario.memctrl;
+         mc.timing.t_refi = 975;
+         mc.timing.t_rfc = 65;
+         mc.maintenance.scrub_interval = 1024;
+         mc.maintenance.scrub_duration = 16;
+         mc.maintenance.hammer_threshold = 128;
+         mc.maintenance.hammer_mitigation_cycles = 16;
          cfg.storm_intensity = 0.4;
          cfg.watchdog.check_period = 512;
          const auto r = run_maintenance_experiment(cfg);
@@ -183,8 +177,8 @@ const scenario k_scenarios[] = {
          // while components sleep; the admission/watchdog supervisors
          // have the longest horizons.
          reconfig_exp_config cfg;
-         cfg.sweep = exporting_sweep(3, 13, threads);
-         cfg.measure_cycles = 8'000;
+         cfg.scenario.sweep = exporting_sweep(3, 13, threads);
+         cfg.scenario.measure_cycles = 8'000;
          cfg.events_per_kcycle = 2.0;
          cfg.reconfig_warmup = 1'000;
          return render(run_reconfig(ic_kind::bluescale, cfg));
@@ -193,8 +187,8 @@ const scenario k_scenarios[] = {
      [](unsigned threads) {
          // Overload, worker crash/stall faults and path hazards.
          svc_storm_config cfg;
-         cfg.sweep = exporting_sweep(2, 11, threads);
-         cfg.measure_cycles = 12'000;
+         cfg.scenario.sweep = exporting_sweep(2, 11, threads);
+         cfg.scenario.measure_cycles = 12'000;
          cfg.requests_per_kcycle = 4.0;
          cfg.service.default_deadline = 8'000;
          cfg.worker_fault_intensity = 0.2;
@@ -243,10 +237,10 @@ TEST(engine_equivalence, fig6_event_engine_thread_invariant) {
     // already honours: per-trial simulations are independent, so the
     // sweep's thread count cannot change a byte of one design's export.
     fig6_config serial_cfg;
-    serial_cfg.sweep = exporting_sweep(4, 7, 1);
-    serial_cfg.measure_cycles = 8'000;
+    serial_cfg.scenario.sweep = exporting_sweep(4, 7, 1);
+    serial_cfg.scenario.measure_cycles = 8'000;
     fig6_config parallel_cfg = serial_cfg;
-    parallel_cfg.sweep.threads = 4;
+    parallel_cfg.scenario.sweep.threads = 4;
     scoped_engine guard(simulator::engine::event);
     EXPECT_TRUE(same_bytes(render(run_fig6(ic_kind::bluescale, serial_cfg)),
                            render(run_fig6(ic_kind::bluescale, parallel_cfg))));

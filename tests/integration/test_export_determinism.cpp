@@ -37,21 +37,21 @@ std::string trace_json(const obs::trace_export& trace) {
 
 fig6_config fig6_export_config(std::uint32_t trials) {
     fig6_config cfg;
-    cfg.n_clients = 16;
-    cfg.sweep.trials = trials;
-    cfg.measure_cycles = 8'000;
-    cfg.sweep.seed = 7;
-    cfg.sweep.threads = 2;
-    cfg.sweep.collect_metrics = true;
-    cfg.sweep.collect_trace = true;
+    cfg.scenario.n_clients = 16;
+    cfg.scenario.sweep.trials = trials;
+    cfg.scenario.measure_cycles = 8'000;
+    cfg.scenario.sweep.seed = 7;
+    cfg.scenario.sweep.threads = 2;
+    cfg.scenario.sweep.collect_metrics = true;
+    cfg.scenario.sweep.collect_trace = true;
     return cfg;
 }
 
 TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
     auto serial_cfg = fig6_export_config(4);
-    serial_cfg.sweep.threads = 1;
+    serial_cfg.scenario.sweep.threads = 1;
     auto parallel_cfg = fig6_export_config(4);
-    parallel_cfg.sweep.threads = 4;
+    parallel_cfg.scenario.sweep.threads = 4;
     const auto serial = run_fig6(ic_kind::bluescale, serial_cfg);
     const auto parallel = run_fig6(ic_kind::bluescale, parallel_cfg);
 
@@ -63,7 +63,7 @@ TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
 
 TEST(export_determinism, fig6_profile_never_leaks_into_metrics) {
     auto cfg = fig6_export_config(2);
-    cfg.sweep.profile = true;
+    cfg.scenario.sweep.profile = true;
     const auto r = run_fig6(ic_kind::bluescale, cfg);
     for (const auto& [name, value] : r.metrics.entries()) {
         EXPECT_EQ(value.flags & obs::k_metric_profile, 0u) << name;
