@@ -7,68 +7,54 @@
 //
 //   $ ./bench/ablation_interface_selection [--trials N] [--threads N]
 #include <cstdio>
+#include <string>
 
 #include "analysis/tree_analysis.hpp"
 #include "core/parameter_path.hpp"
 #include "harness/bench_cli.hpp"
-#include "sim/rng.hpp"
-#include "sim/trial_runner.hpp"
-#include "stats/summary.hpp"
+#include "harness/traffic_trial.hpp"
 #include "stats/table.hpp"
-#include "workload/taskset_gen.hpp"
 
 using namespace bluescale;
+using namespace bluescale::harness;
 
 namespace {
 
-struct selection_trial {
-    bool feasible = false;
-    double root_bandwidth = 0.0;
-    analysis::sched_test_stats work;
-    std::uint64_t ses_updated = 0;
-};
-
-selection_trial run_trial(std::uint32_t n_tasks, std::uint32_t trial) {
-    rng gen(1000 + trial);
-    workload::taskset_params params;
-    params.n_tasks = n_tasks;
-    auto sets = workload::make_client_tasksets(gen, 16, 0.8, 0.8, params);
-    std::vector<analysis::task_set> rt;
-    for (const auto& s : sets) {
-        rt.push_back(workload::to_rt_tasks(s));
-    }
-
+/// One trial of `n_tasks` tasks per client: the whole-tree selection's
+/// quality and work, then the incremental refresh when client 0's tasks
+/// change (evaluated const-ly, then applied -- the service-style two-step
+/// shape).
+void selection_trial(trial_record& rec, const traffic_scenario& sc) {
+    rng gen(1000 + rec.index());
+    auto rt = rt_view(draw_tasksets(sc, gen, sc.n_clients));
     analysis::sched_test_stats work;
     analysis::analysis_context ctx;
     ctx.sched.stats = &work;
     auto sel = analysis::select_tree_interfaces(rt, ctx);
+    rec.counter("feasible").inc(sel.feasible);
+    rec.sample("root_bw").add(sel.root_bandwidth);
+    rec.sample("tests").add(static_cast<double>(work.tests_run));
+    rec.sample("points").add(static_cast<double>(work.points_checked));
+    rec.sample("fsm_cycles")
+        .add(static_cast<double>(core::reconfig_costs{}.fsm_cycles(work)));
 
-    selection_trial out;
-    out.feasible = sel.feasible;
-    out.root_bandwidth = sel.root_bandwidth;
-    out.work = work;
-
-    // Incremental refresh: change client 0's tasks (evaluated const-ly,
-    // then applied -- the service-style two-step shape).
-    rng rand2(5000 + trial);
+    rng rand2(5000 + rec.index());
     auto new_tasks =
-        workload::to_rt_tasks(workload::make_taskset(rand2, params));
+        workload::to_rt_tasks(workload::make_taskset(rand2, sc.taskset));
     auto update =
         analysis::evaluate_client_update(sel, rt, 0, new_tasks, ctx);
-    out.ses_updated = update.ses_changed;
+    rec.sample("ses_updated").add(static_cast<double>(update.ses_changed));
     analysis::apply_client_update(std::move(update), sel, rt);
-    return out;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    harness::bench_options defaults;
+    bench_options defaults;
     defaults.trials = 10;
-    const auto opts = harness::parse_bench_cli(
+    const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Ablation A3: interface selection cost/quality");
-    const sim::trial_runner runner(opts.threads);
 
     std::printf("Ablation A3: interface selection cost/quality "
                 "(16 clients, utilization 80%%)\n\n");
@@ -78,30 +64,27 @@ int main(int argc, char** argv) {
                     "SEs updated on 1-client change"});
 
     for (std::uint32_t n_tasks : {1u, 2u, 4u, 8u, 16u}) {
-        const auto results =
-            runner.run(opts.trials, [n_tasks](std::uint32_t trial) {
-                return run_trial(n_tasks, trial);
+        // Periods of 100-2000 units.
+        const traffic_scenario sc = {
+            .util_lo = 0.8,
+            .util_hi = 0.8,
+            .taskset = {.n_tasks = n_tasks,
+                        .min_period_units = 100,
+                        .max_period_units = 2000},
+        };
+        const sweep_result r =
+            run_sweep(sweep_from(opts), "", [&sc](trial_record& rec) {
+                selection_trial(rec, sc);
             });
-
-        stats::running_summary root_bw, tests, points, fsm, updated;
-        std::uint32_t feasible = 0;
-        for (const auto& r : results) {
-            if (r.feasible) ++feasible;
-            root_bw.add(r.root_bandwidth);
-            tests.add(static_cast<double>(r.work.tests_run));
-            points.add(static_cast<double>(r.work.points_checked));
-            fsm.add(static_cast<double>(
-                core::reconfig_costs{}.fsm_cycles(r.work)));
-            updated.add(static_cast<double>(r.ses_updated));
-        }
+        const auto mean = [&r](const char* name, int decimals) {
+            return stats::table::num(r.totals.get(name).samples.mean(),
+                                     decimals);
+        };
         t.add_row({std::to_string(n_tasks),
-                   std::to_string(feasible) + "/" +
+                   std::to_string(r.totals.get("feasible").count) + "/" +
                        std::to_string(opts.trials),
-                   stats::table::num(root_bw.mean(), 3),
-                   stats::table::num(tests.mean(), 0),
-                   stats::table::num(points.mean(), 0),
-                   stats::table::num(fsm.mean(), 0),
-                   stats::table::num(updated.mean(), 1)});
+                   mean("root_bw", 3), mean("tests", 0), mean("points", 0),
+                   mean("fsm_cycles", 0), mean("ses_updated", 1)});
     }
     t.print();
     std::printf("\nNote: a 1-client change touches at most leaf_level+1 "

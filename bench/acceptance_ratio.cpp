@@ -5,75 +5,60 @@
 // centralized EDF scheduler would accept. The gap is the price of
 // hierarchical composition plus integer (Pi, Theta) quantization.
 //
-// A second sweep scales every task period by k (finer relative time
-// granularity): the quantization overhead shrinks as 1/k, recovering most
-// of the region -- evidence that the 64-client infeasibility seen in
-// wcrt_validation is a granularity artifact, not a structural limit.
+// A second sweep trades a bandwidth tolerance in the selection for
+// larger server periods at 64 clients, recovering schedulable region.
 //
 //   $ ./bench/acceptance_ratio [--trials N] [--threads N]
 #include <cstdio>
 
 #include "analysis/tree_analysis.hpp"
 #include "harness/bench_cli.hpp"
-#include "sim/rng.hpp"
-#include "sim/trial_runner.hpp"
+#include "harness/traffic_trial.hpp"
 #include "stats/table.hpp"
-#include "workload/taskset_gen.hpp"
 
 using namespace bluescale;
+using namespace bluescale::harness;
 
 namespace {
 
-struct selection_outcome {
-    bool accepted = false;
-    double root_bandwidth = 0.0;
-};
-
-double acceptance(const sim::trial_runner& runner, std::uint32_t n_clients,
-                  double utilization, std::uint32_t trials,
-                  std::uint64_t period_scale, double* mean_root_bw = nullptr,
+/// Fraction of trials whose whole-tree selection is feasible for
+/// `n_clients` at total `utilization` (Fig. 6's task shape: four tasks
+/// per client, periods of 40-600 units); `mean_root_bw` gets the accepted
+/// trials' mean root bandwidth.
+double acceptance(const sweep_options& sweep, std::uint32_t n_clients,
+                  double utilization, double* mean_root_bw,
                   double bandwidth_tolerance = 0.0) {
-    // The per-trial seed is a pure function of the trial counter, so the
-    // sweep parallelizes without changing any outcome.
-    const auto outcomes = runner.run(trials, [&](std::uint32_t t) {
-        rng gen(9000 + t * 131 + n_clients);
-        workload::taskset_params params;
-        params.min_period_units = 40 * period_scale;
-        params.max_period_units = 600 * period_scale;
-        auto sets = workload::make_client_tasksets(
-            gen, n_clients, utilization, utilization, params);
-        std::vector<analysis::task_set> rt;
-        for (const auto& s : sets) {
-            rt.push_back(workload::to_rt_tasks(s));
-        }
+    const traffic_scenario sc = {
+        .n_clients = n_clients,
+        .util_lo = utilization,
+        .util_hi = utilization,
+    };
+    const sweep_result r = run_sweep(sweep, "", [&](trial_record& rec) {
+        rng gen(9000 + rec.index() * 131 + n_clients);
         analysis::analysis_context ctx;
         ctx.bandwidth_tolerance = bandwidth_tolerance;
-        const auto sel = analysis::select_tree_interfaces(rt, ctx);
-        return selection_outcome{sel.feasible, sel.root_bandwidth};
+        const auto sel = analysis::select_tree_interfaces(
+            rt_view(draw_tasksets(sc, gen, n_clients)), ctx);
+        if (!sel.feasible) return;
+        rec.counter("accepted").inc();
+        rec.sample("root_bw").add(sel.root_bandwidth);
     });
-
-    std::uint32_t accepted = 0;
-    double bw_sum = 0.0;
-    for (const auto& o : outcomes) {
-        if (!o.accepted) continue;
-        ++accepted;
-        bw_sum += o.root_bandwidth;
-    }
-    if (mean_root_bw != nullptr) {
-        *mean_root_bw = accepted ? bw_sum / accepted : 0.0;
-    }
-    return static_cast<double>(accepted) / trials;
+    const std::uint64_t accepted = r.totals.get("accepted").count;
+    *mean_root_bw = accepted ? r.totals.get("root_bw").samples.sum() /
+                                   static_cast<double>(accepted)
+                             : 0.0;
+    return static_cast<double>(accepted) / sweep.trials;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    harness::bench_options defaults;
+    bench_options defaults;
     defaults.trials = 20;
-    const auto opts = harness::parse_bench_cli(
+    const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Acceptance ratio of the whole-tree interface selection");
-    const sim::trial_runner runner(opts.threads);
+    const sweep_options sweep = sweep_from(opts);
 
     std::printf("Acceptance ratio of the whole-tree interface selection "
                 "(vs the centralized-EDF U<=1 bound)\n\n");
@@ -82,8 +67,8 @@ int main(int argc, char** argv) {
                     "root bw (64)", "centralized EDF"});
     for (double u = 0.5; u <= 0.95 + 1e-9; u += 0.1) {
         double bw16 = 0, bw64 = 0;
-        const double a16 = acceptance(runner, 16, u, opts.trials, 1, &bw16);
-        const double a64 = acceptance(runner, 64, u, opts.trials, 1, &bw64);
+        const double a16 = acceptance(sweep, 16, u, &bw16);
+        const double a64 = acceptance(sweep, 64, u, &bw64);
         t.add_row({stats::table::num(u, 2), stats::table::pct(a16, 0),
                    stats::table::num(bw16, 3), stats::table::pct(a64, 0),
                    stats::table::num(bw64, 3),
@@ -101,10 +86,8 @@ int main(int argc, char** argv) {
                     "root bw @U=0.70"});
     for (double tol : {0.0, 0.05, 0.10, 0.25}) {
         double bw70 = 0, unused = 0;
-        const double a70 =
-            acceptance(runner, 64, 0.70, opts.trials, 1, &bw70, tol);
-        const double a80 =
-            acceptance(runner, 64, 0.80, opts.trials, 1, &unused, tol);
+        const double a70 = acceptance(sweep, 64, 0.70, &bw70, tol);
+        const double a80 = acceptance(sweep, 64, 0.80, &unused, tol);
         q.add_row({stats::table::pct(tol, 0), stats::table::pct(a70, 0),
                    stats::table::pct(a80, 0),
                    stats::table::num(bw70, 3)});

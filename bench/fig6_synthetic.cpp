@@ -16,17 +16,21 @@
 // for any --threads setting.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
 
 namespace {
+
+constexpr csv_column k_columns[] = {
+    {"blocking_us", "blocking_us"},    {"blocking_sd", "blocking_us:sd"},
+    {"worst_us", "worst_blocking_us"}, {"miss_ratio", "miss_ratio"},
+    {"miss_sd", "miss_ratio:sd"},      {"sys_clk_mhz", "system_clock_mhz"},
+};
 
 void run_scale(std::uint32_t n_clients, const bench_options& opts,
                stats::csv_writer* csv, bool export_obs) {
@@ -58,18 +62,8 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
              stats::table::pct(miss.stddev(), 2),
              stats::table::num(r.totals.get("fig6/system_clock_mhz").value,
                                0)});
-        if (csv != nullptr) {
-            std::vector<std::string> row{std::to_string(n_clients),
-                                         kind_name(kind)};
-            for (auto& cell : obs::metric_cells(
-                     r.totals, {"fig6/blocking_us", "fig6/blocking_us:sd",
-                                "fig6/worst_blocking_us", "fig6/miss_ratio",
-                                "fig6/miss_ratio:sd",
-                                "fig6/system_clock_mhz"})) {
-                row.push_back(std::move(cell));
-            }
-            csv->add_row(row);
-        }
+        add_csv_row(csv, {std::to_string(n_clients), kind_name(kind)},
+                    r.totals, "fig6/", k_columns);
         if (kind == ic_kind::bluescale) {
             write_bench_exports(opts, sc.sweep, r);
         }
@@ -105,9 +99,7 @@ int main(int argc, char** argv) {
         argc, argv, defaults,
         "Fig. 6 reproduction: blocking latency and deadline miss ratio");
 
-    const auto csv = open_bench_csv(
-        opts, {"clients", "design", "blocking_us", "blocking_sd",
-               "worst_us", "miss_ratio", "miss_sd", "sys_clk_mhz"});
+    const auto csv = open_bench_csv(opts, {"clients", "design"}, k_columns);
 
     std::printf("Fig. 6 reproduction: blocking latency and deadline miss "
                 "ratio, six interconnects\n");

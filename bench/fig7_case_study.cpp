@@ -6,6 +6,11 @@
 //
 //   $ ./bench/fig7_case_study [--trials N] [--cycles N] [--threads N]
 //                             [--seed N] [--csv out.csv]
+//                             [--metrics out.csv] [--trace out.json]
+//
+// --metrics dumps the BlueScale design's merged per-trial obs::registry
+// snapshot and --trace its trial-0 event trace, both of the 16-processor
+// system at the highest utilization point.
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -17,21 +22,33 @@ using namespace bluescale::harness;
 
 namespace {
 
+constexpr csv_column k_columns[] = {
+    {"target_utilization", "target_utilization"},
+    {"success_ratio", "success_ratio"},
+    {"app_miss_ratio", "mean_app_miss_ratio"},
+};
+
 void run_scale(std::uint32_t n_processors, const bench_options& opts,
                stats::csv_writer* csv) {
     fig7_config cfg;
     cfg.n_processors = n_processors;
-    cfg.sweep = sweep_from(opts);
     cfg.measure_cycles = opts.measure_cycles;
 
     std::printf("\n=== Fig. 7(%c): %u-core system + %u DNN HAs, %u trials "
                 "x %llu cycles per point ===\n",
                 n_processors == 16 ? 'a' : 'b', n_processors,
-                k_fig7_accelerators, cfg.sweep.trials,
+                k_fig7_accelerators, opts.trials,
                 static_cast<unsigned long long>(cfg.measure_cycles));
 
     std::vector<std::vector<sweep_result>> all;
-    for (ic_kind kind : k_all_kinds) all.push_back(run_fig7(kind, cfg));
+    for (ic_kind kind : k_all_kinds) {
+        // Obs exports cover BlueScale's 16-processor system at its
+        // highest utilization point (the last one run_fig7 returns).
+        cfg.sweep = sweep_from(
+            opts, n_processors == 16 && kind == ic_kind::bluescale);
+        all.push_back(run_fig7(kind, cfg));
+        write_bench_exports(opts, cfg.sweep, all.back().back());
+    }
 
     std::vector<std::string> headers{"design"};
     for (const auto& p : all.front()) {
@@ -43,17 +60,10 @@ void run_scale(std::uint32_t n_processors, const bench_options& opts,
         const char* design = kind_name(k_all_kinds[k]);
         std::vector<std::string> row{design};
         for (const auto& p : all[k]) {
-            const auto value = [&p](const char* name) {
-                return p.totals.get(name).value;
-            };
-            row.push_back(stats::table::num(value("fig7/success_ratio"), 2));
-            if (csv != nullptr) {
-                csv->add_row({std::to_string(n_processors), design,
-                              std::to_string(value("fig7/target_utilization")),
-                              std::to_string(value("fig7/success_ratio")),
-                              std::to_string(
-                                  value("fig7/mean_app_miss_ratio"))});
-            }
+            row.push_back(stats::table::num(
+                p.totals.get("fig7/success_ratio").value, 2));
+            add_csv_row(csv, {std::to_string(n_processors), design},
+                        p.totals, "fig7/", k_columns);
         }
         t.add_row(std::move(row));
     }
@@ -71,9 +81,7 @@ int main(int argc, char** argv) {
         argc, argv, defaults,
         "Fig. 7 reproduction: case-study success ratio");
 
-    const auto csv = open_bench_csv(
-        opts, {"processors", "design", "target_utilization",
-               "success_ratio", "app_miss_ratio"});
+    const auto csv = open_bench_csv(opts, {"processors", "design"}, k_columns);
 
     std::printf("Fig. 7 reproduction: case-study success ratio, "
                 "six interconnects\n");

@@ -4,33 +4,43 @@
 // per-level server grant -- see obs::hop_stamps); this bench reads those
 // attribution stamps straight off completed responses and aggregates them
 // per tree level, alongside the memory controller's share, across the
-// utilization range.
+// utilization range. Each utilization point is one traffic_trial.
 //
 //   $ ./bench/latency_breakdown [--cycles N]
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "analysis/tree_analysis.hpp"
-#include "core/bluescale_ic.hpp"
+#include "analysis/quadtree.hpp"
 #include "harness/bench_cli.hpp"
-#include "mem/memory_controller.hpp"
+#include "harness/traffic_trial.hpp"
 #include "obs/hop_stamps.hpp"
-#include "sim/simulator.hpp"
 #include "stats/table.hpp"
-#include "workload/taskset_gen.hpp"
-#include "workload/traffic_generator.hpp"
 
 using namespace bluescale;
+using namespace bluescale::harness;
+
+namespace {
+
+constexpr std::uint32_t k_clients = 64;
+
+/// The per-level wait sample's name.
+std::string wait_name(std::uint32_t level) {
+    std::string name = "wait.l";
+    name += std::to_string(level);
+    return name;
+}
+
+} // namespace
 
 int main(int argc, char** argv) {
-    harness::bench_options defaults;
+    bench_options defaults;
     defaults.measure_cycles = 80'000;
-    const auto opts = harness::parse_bench_cli(
+    const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Per-level queueing breakdown inside BlueScale");
-    const cycle_t cycles = opts.measure_cycles;
-    constexpr std::uint32_t n_clients = 64;
+    const std::uint32_t depth =
+        analysis::make_quadtree_shape(k_clients).leaf_level;
 
     std::printf("Per-level queueing breakdown inside BlueScale "
                 "(64 clients, 3 SE levels)\n\n");
@@ -39,62 +49,54 @@ int main(int argc, char** argv) {
                     "root wait (cyc)", "memory (cyc)",
                     "end-to-end (cyc)"});
     for (double util : {0.3, 0.5, 0.7, 0.85}) {
-        rng gen(2024);
-        auto tasksets = workload::make_client_tasksets(gen, n_clients,
-                                                       util, util);
-        std::vector<analysis::task_set> rt;
-        for (const auto& ts : tasksets) {
-            rt.push_back(workload::to_rt_tasks(ts));
-        }
-        const auto selection = analysis::select_tree_interfaces(rt);
-
-        core::bluescale_ic fabric(n_clients);
-        if (selection.feasible) fabric.configure(selection);
-        memory_controller mem;
-        fabric.attach_memory(mem);
-
-        std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-        const std::uint32_t depth = fabric.shape().leaf_level;
-        std::vector<stats::running_summary> per_level(depth + 1);
-        stats::running_summary mem_time, end_to_end;
-        for (std::uint32_t c = 0; c < n_clients; ++c) {
-            clients.push_back(
-                std::make_unique<workload::traffic_generator>(
-                    c, tasksets[c], fabric, 300 + c));
-        }
-        // Per-hop attribution off the response's stamp vector: the wait at
-        // level l runs from arrival (grant at level l+1, plus the one-cycle
-        // hop; RAB admission at the leaf) to the level-l grant, and the
-        // memory stage from the root grant's handoff to mem_done.
-        fabric.set_response_handler([&](mem_request&& r) {
-            const obs::hop_stamps& h = r.hops;
+        // One trial at seed 2024 (--trials does not apply); client c is
+        // seeded 300 + c.
+        const traffic_scenario sc = {
+            .n_clients = k_clients,
+            .sweep = {.trials = 1, .seed = 2024},
+            .measure_cycles = opts.measure_cycles,
+            .util_lo = util,
+            .util_hi = util,
+            .taskset = {.min_period_units = 100, .max_period_units = 2000},
+        };
+        const sweep_result r = run_sweep(sc.sweep, "", [&](trial_record& rec) {
+            std::vector<obs::sample> waits;
             for (std::uint32_t l = 0; l <= depth; ++l) {
-                if (!h.granted_at(l)) continue;
-                const cycle_t arrived =
-                    l == depth ? h.rab_admit : h.grant_at(l + 1) + 1;
-                per_level[l].add(
-                    static_cast<double>(h.grant_at(l) - arrived));
+                waits.push_back(rec.sample(wait_name(l)));
             }
-            if (h.granted_at(0)) {
-                mem_time.add(
-                    static_cast<double>(r.mem_done - (h.grant_at(0) + 1)));
-            }
-            end_to_end.add(static_cast<double>(r.total_latency()));
-            clients[r.client]->on_response(std::move(r));
+            auto mem_time = rec.sample("memory");
+            auto end_to_end = rec.sample("end_to_end");
+            traffic_trial tt(rec, ic_kind::bluescale, sc, {});
+            // Per-hop attribution off the response's stamp vector: the
+            // wait at level l runs from arrival (grant at level l+1, plus
+            // the one-cycle hop; RAB admission at the leaf) to the level-l
+            // grant, and the memory stage from the root grant's handoff to
+            // mem_done.
+            tt.add_clients(
+                {}, [](std::uint32_t c) { return 300 + c; },
+                [&](const mem_request& resp) {
+                    const obs::hop_stamps& h = resp.hops;
+                    for (std::uint32_t l = 0; l <= depth; ++l) {
+                        if (!h.granted_at(l)) continue;
+                        const cycle_t arrived =
+                            l == depth ? h.rab_admit : h.grant_at(l + 1) + 1;
+                        waits[l].add(
+                            static_cast<double>(h.grant_at(l) - arrived));
+                    }
+                    if (h.granted_at(0)) {
+                        mem_time.add(static_cast<double>(
+                            resp.mem_done - (h.grant_at(0) + 1)));
+                    }
+                    end_to_end.add(static_cast<double>(resp.total_latency()));
+                });
+            tt.tb().run(sc.measure_cycles);
         });
-
-        simulator sim;
-        for (auto& c : clients) sim.add(*c);
-        sim.add(fabric);
-        sim.add(mem);
-        sim.run(cycles);
-
-        t.add_row({stats::table::num(util, 2),
-                   stats::table::num(per_level[depth].mean(), 1),
-                   stats::table::num(per_level[1].mean(), 1),
-                   stats::table::num(per_level[0].mean(), 1),
-                   stats::table::num(mem_time.mean(), 1),
-                   stats::table::num(end_to_end.mean(), 1)});
+        const auto mean = [&r](const std::string& name) {
+            return stats::table::num(r.totals.get(name).samples.mean(), 1);
+        };
+        t.add_row({stats::table::num(util, 2), mean(wait_name(depth)),
+                   mean(wait_name(1)), mean(wait_name(0)), mean("memory"),
+                   mean("end_to_end")});
     }
     t.print();
     std::printf("\nQueueing concentrates at the leaf/mid levels (each "

@@ -9,18 +9,19 @@
 //
 //   $ ./bench/maintenance [--trials N] [--cycles N] [--threads N]
 //                         [--seed N] [--csv out.csv]
+//                         [--metrics out.csv] [--trace out.json]
 //
 // --csv dumps one row per (mode, refresh, scrub, hammer) cell with the
 // raw aggregates (rendered through obs::metric_cells off the
 // experiment's metric snapshot); the file is byte-identical for any
-// --threads setting.
+// --threads setting. --metrics dumps the merged per-trial obs::registry
+// snapshot and --trace the trial-0 event trace, both of the aware mode
+// at 2x refresh with scrub and hammer on.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/maintenance_experiment.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -51,6 +52,24 @@ constexpr refresh_point k_refresh[] = {
 constexpr scrub_point k_scrub[] = {{"off", 0, 0}, {"on", 2048, 32}};
 constexpr hammer_point k_hammer[] = {{"off", 0, 0}, {"on", 256, 32}};
 
+constexpr csv_column k_columns[] = {
+    {"hard_miss_ratio", "hard_miss_ratio"},
+    {"hard_miss_sd", "hard_miss_ratio:sd"},
+    {"be_miss_ratio", "best_effort_miss_ratio"},
+    {"p99_cycles", "p99_latency_cycles"}, {"hard_misses", "hard_misses"},
+    {"best_effort_misses", "best_effort_misses"}, {"refreshes", "refreshes"},
+    {"scrubs", "scrubs"}, {"hammer_mitigations", "hammer_mitigations"},
+    {"stolen_cycles", "maintenance_stolen_cycles"},
+    {"storm_cycles", "maintenance_storm_cycles"},
+    {"injected_storms", "injected_storms"},
+    {"windows_checked", "windows_checked"},
+    {"supply_shortfall_alarms", "supply_shortfall_alarms"},
+    {"deadline_alarms", "deadline_alarms"}, {"shed_events", "shed_events"},
+    {"restore_events", "restore_events"},
+    {"shed_client_cycles", "shed_client_cycles"},
+    {"feasible_trials", "feasible_trials"},
+};
+
 void run_mode(bool aware, const bench_options& opts,
               stats::csv_writer* csv) {
     std::printf("\n=== %s admission: refresh x scrub x hammer sweep, "
@@ -66,7 +85,11 @@ void run_mode(bool aware, const bench_options& opts,
         for (const auto& sc : k_scrub) {
             for (const auto& hm : k_hammer) {
                 maintenance_exp_config cfg;
-                cfg.scenario.sweep = sweep_from(opts);
+                // Obs exports cover the aware mode's heaviest cell: 2x
+                // refresh with scrub and hammer on.
+                cfg.scenario.sweep = sweep_from(
+                    opts, aware && &rf == &k_refresh[2] &&
+                              &sc == &k_scrub[1] && &hm == &k_hammer[1]);
                 cfg.scenario.measure_cycles = opts.measure_cycles;
                 cfg.maintenance_aware = aware;
                 memctrl_config& mc = cfg.scenario.memctrl;
@@ -82,6 +105,7 @@ void run_mode(bool aware, const bench_options& opts,
                 cfg.storm_intensity = 0.02;
 
                 const sweep_result r = run_maintenance_experiment(cfg);
+                write_bench_exports(opts, cfg.scenario.sweep, r);
                 const auto mean = [&r](const char* name) {
                     return r.totals.get(std::string("maintenance/") + name)
                         .samples.mean();
@@ -102,40 +126,12 @@ void run_mode(bool aware, const bench_options& opts,
                      total("deadline_alarms"),
                      total("shed_events") + "/" + total("restore_events"),
                      total("feasible_trials")});
-                if (csv != nullptr) {
-                    // Raw aggregate cells come off the experiment's
-                    // metric snapshot through the one exporter path; only
-                    // the sweep coordinates are composed here.
-                    std::vector<std::string> row{
-                        aware ? "aware" : "unaware",
-                        std::to_string(rf.t_refi),
-                        std::to_string(sc.interval),
-                        std::to_string(hm.threshold)};
-                    for (auto& cell : obs::metric_cells(
-                             r.totals,
-                             {"maintenance/hard_miss_ratio",
-                              "maintenance/hard_miss_ratio:sd",
-                              "maintenance/best_effort_miss_ratio",
-                              "maintenance/p99_latency_cycles",
-                              "maintenance/hard_misses",
-                              "maintenance/best_effort_misses",
-                              "maintenance/refreshes",
-                              "maintenance/scrubs",
-                              "maintenance/hammer_mitigations",
-                              "maintenance/maintenance_stolen_cycles",
-                              "maintenance/maintenance_storm_cycles",
-                              "maintenance/injected_storms",
-                              "maintenance/windows_checked",
-                              "maintenance/supply_shortfall_alarms",
-                              "maintenance/deadline_alarms",
-                              "maintenance/shed_events",
-                              "maintenance/restore_events",
-                              "maintenance/shed_client_cycles",
-                              "maintenance/feasible_trials"})) {
-                        row.push_back(std::move(cell));
-                    }
-                    csv->add_row(row);
-                }
+                add_csv_row(csv,
+                            {aware ? "aware" : "unaware",
+                             std::to_string(rf.t_refi),
+                             std::to_string(sc.interval),
+                             std::to_string(hm.threshold)},
+                            r.totals, "maintenance/", k_columns);
             }
         }
     }
@@ -154,14 +150,8 @@ int main(int argc, char** argv) {
         "refresh/scrub/RowHammer interference");
 
     const auto csv = open_bench_csv(
-        opts, {"mode", "t_refi", "scrub_interval", "hammer_threshold",
-               "hard_miss_ratio", "hard_miss_sd", "be_miss_ratio",
-               "p99_cycles", "hard_misses", "best_effort_misses",
-               "refreshes", "scrubs", "hammer_mitigations",
-               "stolen_cycles", "storm_cycles", "injected_storms",
-               "windows_checked", "supply_shortfall_alarms",
-               "deadline_alarms", "shed_events", "restore_events",
-               "shed_client_cycles", "feasible_trials"});
+        opts, {"mode", "t_refi", "scrub_interval", "hammer_threshold"},
+        k_columns);
 
     std::printf("DRAM maintenance: maintenance-aware vs -unaware "
                 "admission under refresh/scrub/RowHammer\n");

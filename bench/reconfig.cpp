@@ -22,11 +22,9 @@
 // --threads setting.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/reconfig_experiment.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -37,6 +35,29 @@ namespace {
 /// Reconfiguration requests per 1000 cycles.
 constexpr double k_rates[] = {0.05, 0.2, 0.5};
 constexpr ic_kind k_designs[] = {ic_kind::bluetree, ic_kind::bluescale};
+
+constexpr csv_column k_columns[] = {
+    {"submitted", "submitted"}, {"applied_unchecked", "applied_unchecked"},
+    {"admitted", "admitted"}, {"committed", "committed"},
+    {"rolled_back", "rolled_back"},
+    {"rejected_infeasible", "rejected_infeasible"},
+    {"rejected_overutilized", "rejected_overutilized"},
+    {"rejected_path_hazard", "rejected_path_hazard"},
+    {"admission_ratio", "admission_ratio"},
+    {"mean_latency_cycles", "latency_cycles"},
+    {"max_latency_cycles", "latency_cycles:max"},
+    {"transition_misses", "transition_misses"}, {"miss_ratio", "miss_ratio"},
+    {"miss_sd", "miss_ratio:sd"}, {"hard_misses", "hard_misses"},
+    {"best_effort_misses", "best_effort_misses"},
+    {"live_reconfigurations", "live_reconfigurations"},
+    {"windows_checked", "windows_checked"},
+    {"violating_windows", "violating_windows"},
+    {"supply_shortfall_alarms", "supply_shortfall_alarms"},
+    {"shed_events", "shed_events"}, {"restore_events", "restore_events"},
+    {"shed_client_cycles", "shed_client_cycles"},
+    {"shed_deferrals", "shed_deferrals"},
+    {"feasible_trials", "feasible_trials"},
+};
 
 void run_design(ic_kind kind, const bench_options& opts,
                 stats::csv_writer* csv) {
@@ -78,42 +99,8 @@ void run_design(ic_kind kind, const bench_options& opts,
                    stats::table::pct(get("miss_ratio").samples.mean(), 2),
                    total("hard_misses"), total("best_effort_misses"),
                    total("shed_events") + "/" + total("restore_events")});
-        if (csv != nullptr) {
-            // Raw aggregate cells come off the experiment's metric
-            // snapshot through the one exporter path; only the design
-            // key and the sweep coordinate are composed here.
-            std::vector<std::string> row{kind_name(kind),
-                                         std::to_string(rate)};
-            for (auto& cell : obs::metric_cells(
-                     r.totals,
-                     {"reconfig_exp/submitted",
-                      "reconfig_exp/applied_unchecked",
-                      "reconfig_exp/admitted", "reconfig_exp/committed",
-                      "reconfig_exp/rolled_back",
-                      "reconfig_exp/rejected_infeasible",
-                      "reconfig_exp/rejected_overutilized",
-                      "reconfig_exp/rejected_path_hazard",
-                      "reconfig_exp/admission_ratio",
-                      "reconfig_exp/latency_cycles",
-                      "reconfig_exp/latency_cycles:max",
-                      "reconfig_exp/transition_misses",
-                      "reconfig_exp/miss_ratio",
-                      "reconfig_exp/miss_ratio:sd",
-                      "reconfig_exp/hard_misses",
-                      "reconfig_exp/best_effort_misses",
-                      "reconfig_exp/live_reconfigurations",
-                      "reconfig_exp/windows_checked",
-                      "reconfig_exp/violating_windows",
-                      "reconfig_exp/supply_shortfall_alarms",
-                      "reconfig_exp/shed_events",
-                      "reconfig_exp/restore_events",
-                      "reconfig_exp/shed_client_cycles",
-                      "reconfig_exp/shed_deferrals",
-                      "reconfig_exp/feasible_trials"})) {
-                row.push_back(std::move(cell));
-            }
-            csv->add_row(row);
-        }
+        add_csv_row(csv, {kind_name(kind), std::to_string(rate)}, r.totals,
+                    "reconfig_exp/", k_columns);
     }
     t.print();
 }
@@ -129,16 +116,7 @@ int main(int argc, char** argv) {
         "Reconfig: online admission control, transactional (Pi, Theta) "
         "reconfiguration and overload shedding");
 
-    const auto csv = open_bench_csv(
-        opts,
-        {"design", "rate", "submitted", "applied_unchecked", "admitted",
-         "committed", "rolled_back", "rejected_infeasible",
-         "rejected_overutilized", "rejected_path_hazard", "admission_ratio",
-         "mean_latency_cycles", "max_latency_cycles", "transition_misses",
-         "miss_ratio", "miss_sd", "hard_misses", "best_effort_misses",
-         "live_reconfigurations", "windows_checked", "violating_windows",
-         "supply_shortfall_alarms", "shed_events", "restore_events",
-         "shed_client_cycles", "shed_deferrals", "feasible_trials"});
+    const auto csv = open_bench_csv(opts, {"design", "rate"}, k_columns);
 
     std::printf("Runtime admission control and transactional "
                 "reconfiguration under churn\n");

@@ -18,11 +18,9 @@
 // --threads setting.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/resilience_experiment.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -34,6 +32,28 @@ constexpr double k_intensities[] = {0.0, 0.2, 0.5, 1.0};
 constexpr ic_kind k_designs[] = {ic_kind::bluetree,
                                  ic_kind::bluetree_smooth,
                                  ic_kind::bluescale};
+
+// The two inflation columns are ratios to the healthy run, which the
+// driver sets as reals on the totals.
+constexpr csv_column k_columns[] = {
+    {"miss_ratio", "miss_ratio"}, {"miss_sd", "miss_ratio:sd"},
+    {"p99_cycles", "p99_latency_cycles"}, {"p99_inflation", "p99_inflation"},
+    {"worst_cycles", "worst_latency_cycles"},
+    {"worst_inflation", "worst_inflation"},
+    {"injected_events", "injected_events"}, {"stall_windows", "stall_windows"},
+    {"se_stall_cycles", "se_stall_cycles"}, {"link_drops", "link_drops"},
+    {"ecc_retries", "ecc_retries"},
+    {"uncorrected_errors", "uncorrected_errors"},
+    {"storm_cycles", "storm_cycles"}, {"retries", "retries"},
+    {"timeouts", "timeouts"}, {"retry_exhausted", "retry_exhausted"},
+    {"stale_responses", "stale_responses"},
+    {"failed_responses", "failed_responses"},
+    {"degrade_events", "degrade_events"},
+    {"recovery_events", "recovery_events"},
+    {"degraded_se_cycles", "degraded_se_cycles"},
+    {"mean_time_to_recover", "time_to_recover_cycles"},
+    {"feasible_trials", "feasible_trials"},
+};
 
 void run_design(ic_kind kind, const bench_options& opts,
                 stats::csv_writer* csv) {
@@ -56,7 +76,7 @@ void run_design(ic_kind kind, const bench_options& opts,
         cfg.scenario.measure_cycles = opts.measure_cycles;
         cfg.fault_intensity = intensity;
 
-        const sweep_result r = run_resilience(kind, cfg);
+        sweep_result r = run_resilience(kind, cfg);
         write_bench_exports(opts, cfg.scenario.sweep, r);
         const auto mean = [&r](const char* name) {
             return r.totals.get(std::string("resilience/") + name)
@@ -86,39 +106,10 @@ void run_design(ic_kind kind, const bench_options& opts,
                    total("link_drops"),
                    total("degrade_events") + "/" + total("recovery_events"),
                    stats::table::num(mean("time_to_recover_cycles"), 0)});
-        if (csv != nullptr) {
-            // Raw aggregate cells come off the experiment's metric
-            // snapshot through the one exporter path; only the design
-            // key, the sweep coordinate and the cross-run inflation
-            // ratios are composed here.
-            std::vector<std::string> row{kind_name(kind),
-                                         std::to_string(intensity)};
-            const auto append = [&](std::vector<std::string> names) {
-                for (auto& cell : obs::metric_cells(r.totals, names)) {
-                    row.push_back(std::move(cell));
-                }
-            };
-            append({"resilience/miss_ratio", "resilience/miss_ratio:sd",
-                    "resilience/p99_latency_cycles"});
-            row.push_back(std::to_string(p99_inflation));
-            append({"resilience/worst_latency_cycles"});
-            row.push_back(std::to_string(worst_inflation));
-            append({"resilience/injected_events",
-                    "resilience/stall_windows",
-                    "resilience/se_stall_cycles", "resilience/link_drops",
-                    "resilience/ecc_retries",
-                    "resilience/uncorrected_errors",
-                    "resilience/storm_cycles", "resilience/retries",
-                    "resilience/timeouts", "resilience/retry_exhausted",
-                    "resilience/stale_responses",
-                    "resilience/failed_responses",
-                    "resilience/degrade_events",
-                    "resilience/recovery_events",
-                    "resilience/degraded_se_cycles",
-                    "resilience/time_to_recover_cycles",
-                    "resilience/feasible_trials"});
-            csv->add_row(row);
-        }
+        set_real(r.totals, "resilience/p99_inflation", p99_inflation);
+        set_real(r.totals, "resilience/worst_inflation", worst_inflation);
+        add_csv_row(csv, {kind_name(kind), std::to_string(intensity)},
+                    r.totals, "resilience/", k_columns);
     }
     t.print();
 }
@@ -134,15 +125,7 @@ int main(int argc, char** argv) {
         "Resilience: deadline misses and latency inflation under "
         "fault-injection campaigns");
 
-    const auto csv = open_bench_csv(
-        opts,
-        {"design", "intensity", "miss_ratio", "miss_sd", "p99_cycles",
-         "p99_inflation", "worst_cycles", "worst_inflation",
-         "injected_events", "stall_windows", "se_stall_cycles",
-         "link_drops", "ecc_retries", "uncorrected_errors", "storm_cycles",
-         "retries", "timeouts", "retry_exhausted", "stale_responses",
-         "failed_responses", "degrade_events", "recovery_events",
-         "degraded_se_cycles", "mean_time_to_recover", "feasible_trials"});
+    const auto csv = open_bench_csv(opts, {"design", "intensity"}, k_columns);
 
     std::printf("Resilience under fault injection: retry/timeout recovery "
                 "and graceful degradation\n");

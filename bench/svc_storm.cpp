@@ -21,11 +21,9 @@
 // rate.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/analysis_service_experiment.hpp"
 #include "harness/bench_cli.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
@@ -35,6 +33,32 @@ namespace {
 
 /// Service requests per 1000 cycles (the storm intensity).
 constexpr double k_rates[] = {0.5, 2.0, 8.0};
+
+constexpr csv_column k_columns[] = {
+    {"submitted", "submitted"}, {"shed", "shed"}, {"expired", "expired"},
+    {"committed", "committed"}, {"rejected", "rejected"},
+    {"rejected_infeasible", "rejected_infeasible"},
+    {"rejected_overutilized", "rejected_overutilized"},
+    {"rejected_path_hazard", "rejected_path_hazard"},
+    {"rolled_back", "rolled_back"}, {"retries", "retries"},
+    {"requeues", "requeues"}, {"worker_crashes", "worker_crashes"},
+    {"worker_stall_cycles", "worker_stall_cycles"},
+    {"cache_hits", "cache_hits"}, {"cache_misses", "cache_misses"},
+    {"cache_hit_ratio", "cache_hit_ratio"},
+    {"cache_invalidations", "cache_invalidations"},
+    {"degraded_evals", "degraded_evals"},
+    {"degraded_requests", "degraded_requests"},
+    {"breaker_trips", "breaker_trips"}, {"stale_reevals", "stale_reevals"},
+    {"mean_latency_cycles", "latency_cycles"},
+    {"max_latency_cycles", "latency_cycles:max"},
+    {"mean_eval_cycles", "eval_cycles"}, {"miss_ratio", "miss_ratio"},
+    {"hard_misses", "hard_misses"},
+    {"best_effort_misses", "best_effort_misses"},
+    {"live_reconfigurations", "live_reconfigurations"},
+    {"feasible_trials", "feasible_trials"},
+    {"drained_trials", "drained_trials"},
+    {"conserved_trials", "conserved_trials"},
+};
 
 } // namespace
 
@@ -47,18 +71,7 @@ int main(int argc, char** argv) {
         "Svc storm: bounded-queue multi-worker admission service under "
         "overload, worker faults and path hazards");
 
-    const auto csv = open_bench_csv(
-        opts,
-        {"rate", "submitted", "shed", "expired", "committed", "rejected",
-         "rejected_infeasible", "rejected_overutilized",
-         "rejected_path_hazard", "rolled_back", "retries", "requeues",
-         "worker_crashes", "worker_stall_cycles", "cache_hits",
-         "cache_misses", "cache_hit_ratio", "cache_invalidations",
-         "degraded_evals", "degraded_requests", "breaker_trips",
-         "stale_reevals", "mean_latency_cycles", "max_latency_cycles",
-         "mean_eval_cycles", "miss_ratio", "hard_misses",
-         "best_effort_misses", "live_reconfigurations", "feasible_trials",
-         "drained_trials", "conserved_trials"});
+    const auto csv = open_bench_csv(opts, {"rate"}, k_columns);
 
     std::printf("Hardened analysis service under admission storms, "
                 "worker faults and path hazards\n");
@@ -97,35 +110,8 @@ int main(int argc, char** argv) {
                    total("hard_misses"),
                    total("conserved_trials") + "/" +
                        std::to_string(cfg.scenario.sweep.trials)});
-        if (csv != nullptr) {
-            std::vector<std::string> row{std::to_string(rate)};
-            for (auto& cell : obs::metric_cells(
-                     r.totals,
-                     {"svc_exp/submitted", "svc_exp/shed",
-                      "svc_exp/expired", "svc_exp/committed",
-                      "svc_exp/rejected", "svc_exp/rejected_infeasible",
-                      "svc_exp/rejected_overutilized",
-                      "svc_exp/rejected_path_hazard",
-                      "svc_exp/rolled_back", "svc_exp/retries",
-                      "svc_exp/requeues", "svc_exp/worker_crashes",
-                      "svc_exp/worker_stall_cycles", "svc_exp/cache_hits",
-                      "svc_exp/cache_misses", "svc_exp/cache_hit_ratio",
-                      "svc_exp/cache_invalidations",
-                      "svc_exp/degraded_evals",
-                      "svc_exp/degraded_requests",
-                      "svc_exp/breaker_trips", "svc_exp/stale_reevals",
-                      "svc_exp/latency_cycles",
-                      "svc_exp/latency_cycles:max",
-                      "svc_exp/eval_cycles", "svc_exp/miss_ratio",
-                      "svc_exp/hard_misses",
-                      "svc_exp/best_effort_misses",
-                      "svc_exp/live_reconfigurations",
-                      "svc_exp/feasible_trials", "svc_exp/drained_trials",
-                      "svc_exp/conserved_trials"})) {
-                row.push_back(std::move(cell));
-            }
-            csv->add_row(row);
-        }
+        add_csv_row(csv.get(), {std::to_string(rate)}, r.totals, "svc_exp/",
+                    k_columns);
     }
     t.print();
     return 0;

@@ -57,7 +57,7 @@ sweep_result run_svc_storm(const svc_storm_config& cfg) {
             service.install_faults(sim::fault_campaign(wfc));
         }
 
-        tt.add_clients(/*recover=*/true);
+        tt.add_clients(k_recovering_client);
         rec.counter("feasible_trials").inc(tb.selection_feasible());
 
         // Live task-set swap at the committed notification; the service's

@@ -138,15 +138,34 @@ sweep_options sweep_from(const bench_options& opts, bool export_obs) {
 }
 
 std::unique_ptr<stats::csv_writer>
-open_bench_csv(const bench_options& opts, std::vector<std::string> headers) {
+open_bench_csv(const bench_options& opts, std::vector<std::string> keys,
+               std::span<const csv_column> columns) {
     if (opts.csv_path.empty()) return nullptr;
+    for (const csv_column& c : columns) keys.emplace_back(c.first);
     auto csv = std::make_unique<stats::csv_writer>(opts.csv_path,
-                                                   std::move(headers));
+                                                   std::move(keys));
     if (!csv->ok()) {
         std::fprintf(stderr, "cannot write %s\n", opts.csv_path.c_str());
         std::exit(1);
     }
     return csv;
+}
+
+void add_csv_row(stats::csv_writer* csv, std::vector<std::string> keys,
+                 const obs::snapshot& totals, std::string_view prefix,
+                 std::span<const csv_column> columns) {
+    if (csv == nullptr) return;
+    std::vector<std::string> names;
+    names.reserve(columns.size());
+    for (const csv_column& c : columns) {
+        std::string name(prefix);
+        name += c.second;
+        names.push_back(std::move(name));
+    }
+    for (auto& cell : obs::metric_cells(totals, names)) {
+        keys.push_back(std::move(cell));
+    }
+    csv->add_row(keys);
 }
 
 namespace {

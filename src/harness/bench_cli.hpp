@@ -17,7 +17,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "harness/trial_sweep.hpp"
@@ -57,11 +60,24 @@ struct bench_options {
 [[nodiscard]] sweep_options sweep_from(const bench_options& opts,
                                        bool export_obs = false);
 
+/// One CSV column of experiment values, declared once: {header, metric},
+/// where the metric is an obs::metric_cells name (":sd"-style suffixes
+/// included) under the row's prefix.
+using csv_column = std::pair<std::string_view, std::string_view>;
+
 /// Opens the CSV sink when --csv was given: returns nullptr when no path
 /// was requested, and exits with a diagnostic when the file cannot be
-/// created (consistent across drivers).
+/// created (consistent across drivers). The header row is `keys` (the
+/// row coordinates the driver composes) followed by each column's header.
 [[nodiscard]] std::unique_ptr<stats::csv_writer>
-open_bench_csv(const bench_options& opts, std::vector<std::string> headers);
+open_bench_csv(const bench_options& opts, std::vector<std::string> keys,
+               std::span<const csv_column> columns = {});
+
+/// Writes one row when `csv` is open: `keys`, then each column's cell
+/// rendered off `totals` from the metric "<prefix><metric>".
+void add_csv_row(stats::csv_writer* csv, std::vector<std::string> keys,
+                 const obs::snapshot& totals, std::string_view prefix,
+                 std::span<const csv_column> columns);
 
 /// Writes what `sweep` collected: the merged metrics snapshot to
 /// --metrics (snapshot::write_csv's sorted, deterministic CSV, so the file

@@ -18,7 +18,7 @@ sweep_result run_fig6(ic_kind kind, const fig6_config& cfg) {
         opts.bluetree_alpha = cfg.bluetree_alpha;
         opts.bluescale_se = cfg.bluescale_se;
         traffic_trial tt(rec, kind, sc, opts);
-        tt.add_clients(/*recover=*/false, [&](std::uint32_t c) {
+        tt.add_clients({}, [&](std::uint32_t c) {
             return rec.seed() ^ (0x5851f42d4c957f2dull + c);
         });
         tt.tb().run(sc.measure_cycles);

@@ -119,6 +119,7 @@ void fig7_trial(trial_record& rec, ic_kind kind, const fig7_config& cfg,
         procs.push_back(std::make_unique<workload::processor_client>(
             c, per_proc[c], tb.ic(), trial_seed ^ (0x9e3779b9ull * (c + 1))));
         auto* proc = procs.back().get();
+        proc->bind_observability(tb.metrics());
         tb.add_client(c, *proc, [proc](mem_request&& r) {
             proc->on_response(std::move(r));
         });

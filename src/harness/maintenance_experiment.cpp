@@ -88,7 +88,7 @@ sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
         }
         feasible.inc();
 
-        tt.add_clients(/*recover=*/false);
+        tt.add_clients({});
         tt.track_clients(cfg.best_effort_clients);
         tb.run(sc.measure_cycles);
 

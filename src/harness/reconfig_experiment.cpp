@@ -20,7 +20,7 @@ sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
         opts.reconfig = core::reconfig_config{};
         opts.watchdog = core::watchdog_config{};
         traffic_trial tt(rec, kind, sc, opts);
-        tt.add_clients(/*recover=*/true);
+        tt.add_clients(k_recovering_client);
         tt.track_clients(k_best_effort_clients);
         testbench& tb = tt.tb();
         rec.counter("feasible_trials").inc(tb.selection_feasible());

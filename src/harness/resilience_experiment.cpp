@@ -17,7 +17,7 @@ sweep_result run_resilience(ic_kind kind, const resilience_config& cfg) {
         opts.faults = campaign.empty() ? nullptr : &campaign;
         opts.health = core::health_config{};
         traffic_trial tt(rec, kind, sc, opts);
-        tt.add_clients(/*recover=*/true);
+        tt.add_clients(k_recovering_client);
         testbench& tb = tt.tb();
         tb.run(sc.measure_cycles);
 

@@ -8,21 +8,6 @@ namespace bluescale::harness {
 
 namespace {
 
-/// The fault-bearing experiments' clients: reissue a request unanswered
-/// for 2,048 cycles, at most 3 times, with exponential backoff.
-constexpr workload::traffic_gen_config k_recovering_client = {
-    .retry_timeout_cycles = 2048,
-    .max_retries = 3,
-};
-
-std::vector<analysis::task_set>
-rt_view(const std::vector<workload::memory_task_set>& tasksets) {
-    std::vector<analysis::task_set> out;
-    out.reserve(tasksets.size());
-    for (const auto& ts : tasksets) out.push_back(workload::to_rt_tasks(ts));
-    return out;
-}
-
 testbench_options
 with_demand(testbench_options opts, const traffic_scenario& s,
             const std::vector<workload::memory_task_set>& tasksets,
@@ -77,6 +62,14 @@ draw_tasksets(const traffic_scenario& s, rng& gen, std::uint32_t n) {
                                           s.taskset);
 }
 
+std::vector<analysis::task_set>
+rt_view(const std::vector<workload::memory_task_set>& tasksets) {
+    std::vector<analysis::task_set> out;
+    out.reserve(tasksets.size());
+    for (const auto& ts : tasksets) out.push_back(workload::to_rt_tasks(ts));
+    return out;
+}
+
 traffic_trial::traffic_trial(trial_record& rec, ic_kind kind,
                              const traffic_scenario& s,
                              testbench_options opts,
@@ -95,10 +88,9 @@ traffic_trial::traffic_trial(trial_record& rec, ic_kind kind,
                     scenario_tasksets(s, rec.seed())) {}
 
 void traffic_trial::add_clients(
-    bool recover,
-    const std::function<std::uint64_t(std::uint32_t)>& seed_of) {
-    workload::traffic_gen_config tg =
-        recover ? k_recovering_client : workload::traffic_gen_config{};
+    workload::traffic_gen_config tg,
+    const std::function<std::uint64_t(std::uint32_t)>& seed_of,
+    const std::function<void(const mem_request&)>& tap) {
     tg.unit_cycles = tb_.unit_cycles();
     clients_.reserve(n_clients());
     for (std::uint32_t c = 0; c < n_clients(); ++c) {
@@ -108,7 +100,8 @@ void traffic_trial::add_clients(
             c, tasksets_[c], tb_.ic(), seed, tg));
         auto* client = clients_.back().get();
         client->bind_observability(tb_.metrics());
-        tb_.add_client(c, *client, [client](mem_request&& r) {
+        tb_.add_client(c, *client, [client, tap](mem_request&& r) {
+            if (tap) tap(r);
             client->on_response(std::move(r));
         });
     }

@@ -49,6 +49,18 @@ struct traffic_scenario {
 [[nodiscard]] std::vector<workload::memory_task_set>
 draw_tasksets(const traffic_scenario& s, rng& gen, std::uint32_t n);
 
+/// The memory-demand view of each client's task set (the interface
+/// selection's input).
+[[nodiscard]] std::vector<analysis::task_set>
+rt_view(const std::vector<workload::memory_task_set>& tasksets);
+
+/// The fault-bearing experiments' clients: reissue a request unanswered
+/// for 2,048 cycles, at most 3 times, with exponential backoff.
+inline constexpr workload::traffic_gen_config k_recovering_client = {
+    .retry_timeout_cycles = 2048,
+    .max_retries = 3,
+};
+
 /// The reconfig and svc_storm experiments' hard/best-effort split: the
 /// last this-many client ids are best-effort (sheddable), the rest hard
 /// real-time.
@@ -93,15 +105,15 @@ public:
         return *clients_[c];
     }
 
-    /// Constructs client c's generator (unit_cycles from the testbench,
-    /// seeded with seed_of(c), or substream(trial seed, c) when seed_of is
-    /// empty), binds it into the trial registry and registers it with the
-    /// testbench, for every client. With `recover`, clients reissue a
-    /// request unanswered for 2,048 cycles, at most 3 times, with
-    /// exponential backoff (the fault-bearing experiments).
-    void add_clients(bool recover,
+    /// Constructs client c's generator from `tg` (unit_cycles from the
+    /// testbench; k_recovering_client or {}), seeded with seed_of(c), or
+    /// substream(trial seed, c) when seed_of is empty, binds it into the
+    /// trial registry and registers it with the testbench, for every
+    /// client. A non-empty `tap` sees each response before its client.
+    void add_clients(workload::traffic_gen_config tg,
                      const std::function<std::uint64_t(std::uint32_t)>&
-                         seed_of = {});
+                         seed_of = {},
+                     const std::function<void(const mem_request&)>& tap = {});
 
     /// Hands every client to the supply watchdog (no-op without one):
     /// the last `best_effort` client ids are sheddable, the rest hard.

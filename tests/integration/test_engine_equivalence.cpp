@@ -2,11 +2,11 @@
 // the hybrid skip-to-next-event scheduler and the BLUESCALE_LOCKSTEP
 // cycle-stepped fallback must produce byte-identical exports -- same
 // aggregates, metrics snapshot and event trace -- for every experiment
-// scenario (fig6, fig7, resilience, maintenance, reconfig, svc_storm),
-// and so must --threads 1 and --threads 4. A horizon that sleeps through
-// real work, a wake that fires a cycle late, or a trial that leaks
-// state into another shows up here as a diff, not as a silent result
-// shift.
+// scenario (fig6, fig7, resilience, maintenance, reconfig, svc_storm,
+// wcrt_validation), and so must --threads 1 and --threads 4. A horizon
+// that sleeps through real work, a wake that fires a cycle late, or a
+// trial that leaks state into another shows up here as a diff, not as a
+// silent result shift.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +28,7 @@
 #include "harness/reconfig_experiment.hpp"
 #include "harness/resilience_experiment.hpp"
 #include "harness/testbench.hpp"
+#include "harness/wcrt_experiment.hpp"
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -194,6 +195,17 @@ const scenario k_scenarios[] = {
          cfg.worker_fault_intensity = 0.2;
          cfg.path_fault_intensity = 0.05;
          return render(run_svc_storm(cfg));
+     }},
+    {"wcrt_validation",
+     [](unsigned threads) {
+         // Configured fabrics under A6's task shape, with the validation
+         // allowance granted to every client.
+         const traffic_scenario sc = {
+             .sweep = exporting_sweep(3, 7000, threads),
+             .measure_cycles = 8'000,
+             .taskset = {.min_period_units = 100, .max_period_units = 2000},
+         };
+         return render(run_wcrt_validation(sc));
      }},
 };
 
