@@ -15,8 +15,8 @@
 // raw aggregates (rendered through obs::metric_cells off the
 // experiment's metric snapshot); the file is byte-identical for any
 // --threads setting. --metrics dumps the merged per-trial obs::registry
-// snapshot and --trace the trial-0 event trace, both of the aware mode
-// at 2x refresh with scrub and hammer on.
+// snapshot and --trace the event trace of the first admitted trial, both
+// of the aware mode at 2x refresh with scrub and hammer on.
 #include <cstdio>
 #include <string>
 

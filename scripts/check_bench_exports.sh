@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity check for the experiment bench drivers: runs every driver
 # that calls a run_* experiment or run_sweep, the two tree-selection
-# drivers among them (ablation A3 prints the modeled FSM price), from two
+# drivers among them (ablation A3 prints the modeled FSM price), plus
+# ablation_channels (the one driver of meshed BlueScale), from two
 # builds -- a reference (e.g. the parent commit) and a candidate -- at
 # small --trials/--cycles, at --threads 1 and 4, and cmp's each driver's
 # stdout and its --csv, --metrics and --trace files. A refactor that
@@ -28,7 +29,7 @@ drivers=(fig6_synthetic fig7_case_study resilience maintenance reconfig
          svc_storm ablation_alpha ablation_buffer_depth ablation_memctrl
          ablation_server_policy extended_baselines
          ablation_interface_selection acceptance_ratio wcrt_validation
-         latency_breakdown)
+         latency_breakdown ablation_channels)
 exports=(stdout.txt rows.csv metrics.csv trace.json)
 
 work="$(mktemp -d)"

@@ -35,7 +35,7 @@ bluescale_ic::bluescale_ic(std::uint32_t n_clients, bluescale_config cfg,
             const std::uint32_t count = shape_.ses_at_level(l);
             resp_q_[l].reserve(count);
             for (std::uint32_t y = 0; y < count; ++y) {
-                resp_q_[l].emplace_back(cfg_.response_buffer_depth);
+                resp_q_[l].emplace_back(k_response_buffer_depth);
             }
             resp_busy_[l].assign((count + 63) / 64, 0);
         }
@@ -315,24 +315,6 @@ cycle_t bluescale_ic::next_event(cycle_t now) const {
         due = std::min(due, response_horizon(now));
     }
     return due;
-}
-
-void bluescale_ic::reset() {
-    interconnect::reset();
-    now_ = 0;
-    resp_in_network_ = 0;
-    se_ticks_ = 0;
-    for (auto& w : link_faults_) w.reset();
-    for (auto& level : levels_) {
-        for (auto& se : level) se->reset();
-    }
-    for (auto& level : resp_q_) {
-        for (auto& q : level) q.clear();
-    }
-    for (auto& level : resp_busy_) {
-        std::fill(level.begin(), level.end(), 0);
-    }
-    resp_pushed_.clear();
 }
 
 } // namespace bluescale::core

@@ -35,9 +35,10 @@ enum class response_model : std::uint8_t {
 struct bluescale_config {
     se_params se = {};
     response_model responses = response_model::demux_network;
-    /// Per-SE response buffer depth (demux_network model).
-    std::size_t response_buffer_depth = 4;
 };
+
+/// Per-SE response buffer depth (demux_network model).
+inline constexpr std::size_t k_response_buffer_depth = 4;
 
 class bluescale_ic : public interconnect {
 public:
@@ -59,7 +60,6 @@ public:
 
     void tick(cycle_t now) override;
     void commit() override;
-    void reset() override;
 
     /// Event-engine horizon: the earliest SE wakeup (the root of the SE
     /// wake_set, so per-cycle after any SE wake the walk had already
@@ -114,9 +114,9 @@ public:
         return *levels_[level][order];
     }
 
-    /// SE ticks run since construction or reset(): a deterministic work
-    /// counter (the same for any --threads, engine-specific by design),
-    /// kept out of the registry so exports do not change.
+    /// SE ticks run since construction: a deterministic work counter (the
+    /// same for any --threads, engine-specific by design), kept out of the
+    /// registry so exports do not change.
     [[nodiscard]] std::uint64_t se_ticks() const { return se_ticks_; }
 
 private:

@@ -79,13 +79,4 @@ health_report health_monitor::report() const {
     return out;
 }
 
-void health_monitor::reset() {
-    next_check_ = cfg_.check_period;
-    wake(); // drop any cached horizon from the previous trial
-    for (auto& st : state_) st = element_state{};
-    degrade_events_.reset();
-    recovery_events_.reset();
-    time_to_recover_.reset();
-}
-
 } // namespace bluescale::core

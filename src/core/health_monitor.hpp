@@ -59,9 +59,6 @@ public:
     /// and attaches the trace stream; call before the trial starts.
     void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
-    /// Clears per-element tracking and the report (between trials).
-    void reset();
-
     [[nodiscard]] const health_config& config() const { return cfg_; }
     /// Report with degraded_se_cycles refreshed from the fabric.
     [[nodiscard]] health_report report() const;

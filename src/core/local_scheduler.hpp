@@ -82,10 +82,6 @@ public:
         return servers_[port];
     }
 
-    void reset_counters() {
-        for (auto& s : servers_) s.configure(s.period(), s.budget());
-    }
-
 private:
     server_policy policy_;
     std::array<server_task, k_se_ports> servers_{};

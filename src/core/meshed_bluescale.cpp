@@ -11,7 +11,7 @@ meshed_bluescale_ic::meshed_bluescale_ic(std::uint32_t n_clients,
     assert(cfg_.channels >= 1);
     for (std::uint32_t k = 0; k < cfg_.channels; ++k) {
         trees_.push_back(std::make_unique<bluescale_ic>(
-            n_clients, cfg_.tree,
+            n_clients, bluescale_config{},
             "bluescale_ch" + std::to_string(k)));
         controllers_.push_back(
             std::make_unique<memory_controller>(cfg_.memctrl));
@@ -70,14 +70,6 @@ void meshed_bluescale_ic::commit() {
     for (std::uint32_t k = 0; k < cfg_.channels; ++k) {
         trees_[k]->commit();
         controllers_[k]->commit();
-    }
-}
-
-void meshed_bluescale_ic::reset() {
-    interconnect::reset();
-    for (std::uint32_t k = 0; k < cfg_.channels; ++k) {
-        trees_[k]->reset();
-        controllers_[k]->reset();
     }
 }
 

@@ -19,7 +19,6 @@ struct meshed_config {
     std::uint32_t channels = 2;
     /// Consecutive chunks of this many bytes alternate across channels.
     std::uint64_t interleave_bytes = 4096;
-    bluescale_config tree = {};
     memctrl_config memctrl = {};
 };
 
@@ -46,7 +45,6 @@ public:
 
     void tick(cycle_t now) override;
     void commit() override;
-    void reset() override;
 
     /// Event-engine horizon: per-cycle while any transaction is in
     /// flight anywhere in the mesh; otherwise the earliest wakeup among

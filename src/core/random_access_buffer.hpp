@@ -48,7 +48,11 @@ public:
         order_ = carve<std::uint32_t>(at, depth);
         staged_ = carve<std::uint32_t>(at, depth);
         free_ = carve<std::uint32_t>(at, depth);
-        reset_free_stack();
+        // Every slot free; low slots are handed out first (top of the
+        // stack is slot 0), so slot use is deterministic and dense under
+        // low occupancy.
+        for (std::uint32_t k = 0; k < depth_; ++k) free_[k] = depth_ - 1 - k;
+        free_size_ = depth_;
     }
 
     /// Producer-side wake notification, fired on every load(). Unlike
@@ -145,12 +149,6 @@ public:
         staged_size_ = 0;
     }
 
-    void clear() {
-        size_ = 0;
-        staged_size_ = 0;
-        reset_free_stack();
-    }
-
 private:
     // The constructor carves the block's arrays widest-aligned first, so
     // each one starts aligned: the arrays before it end on a multiple of
@@ -170,14 +168,6 @@ private:
         T* first = ::new (static_cast<void*>(at)) T[n];
         at += n * sizeof(T);
         return first;
-    }
-
-    /// Every slot free; low slots are handed out first (top of the stack
-    /// is slot 0), so slot use is deterministic and dense under low
-    /// occupancy.
-    void reset_free_stack() {
-        for (std::uint32_t k = 0; k < depth_; ++k) free_[k] = depth_ - 1 - k;
-        free_size_ = depth_;
     }
 
     std::unique_ptr<std::byte[]> block_;

@@ -55,7 +55,7 @@ enum class admission_outcome : std::uint8_t {
     /// Rejected: the new selection would over-utilize the root resource.
     rejected_overutilized,
     /// Rejected: a request-path SE was degraded or stalled when the
-    /// admission test ran (reconfig_config::reject_degraded_path).
+    /// admission test ran.
     rejected_path_hazard,
     /// Rejected at submission: the bounded request queue
     /// (reconfig_config::max_queue) was full. The admission test never
@@ -80,10 +80,6 @@ struct reconfig_config {
     /// selection cache, parallelism) threaded into every admission test.
     analysis::analysis_context selection = {};
     reconfig_costs costs = {};
-    /// Run the admission-time hazard check: reject a request outright when
-    /// a request-path SE is already degraded or stalled (otherwise the
-    /// request stages and takes its chances with a mid-flight rollback).
-    bool reject_degraded_path = true;
     /// Bound on the FIFO request queue (0 = unbounded, the historical
     /// behavior). A submit() against a full queue is rejected
     /// queue_full without running the admission test.

@@ -272,27 +272,4 @@ cycle_t scale_element::next_event(cycle_t now) const {
     return stall_faults_.wake_horizon(now);
 }
 
-void scale_element::reset() {
-    for (auto& buf : buffers_) buf.clear();
-    sched_.reset_counters();
-    stall_faults_.reset();
-    degraded_ = false;
-    stalled_now_ = false;
-    forwarded_.reset();
-    forwarded_budgeted_.reset();
-    for (std::uint32_t p = 0; p < k_se_ports; ++p) {
-        port_forwarded_[p].reset();
-        port_backlogged_cycles_[p].reset();
-        port_queue_depth_[p].reset();
-    }
-    fault_stall_cycles_.reset();
-    degraded_cycles_.reset();
-    wait_stats_.reset();
-    next_unit_mark_ = 0;
-    pending_resync_ = false;
-    refused_at_ = k_cycle_never;
-    refused_mask_ = 0;
-    wake();
-}
-
 } // namespace bluescale::core

@@ -108,9 +108,6 @@ public:
     /// next_unit_mark_), so sleeping over unit boundaries is exact.
     [[nodiscard]] cycle_t next_event(cycle_t now) const override;
 
-    /// Drops buffered requests and restarts counters (between trials).
-    void reset();
-
     /// Campaign-driven stall schedule (fault_kind::se_stall slice for
     /// this element). The only failure-injection path since the legacy
     /// se_params periodic knob was removed: campaigns are reproducible

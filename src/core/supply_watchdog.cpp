@@ -103,7 +103,7 @@ std::uint64_t supply_watchdog::supply_violations(cycle_t window_cycles) {
                 // interference beyond the maintenance model can alarm.
                 if (d_bkl < window_cycles) continue;
                 const auto guarantee = static_cast<std::uint64_t>(
-                    std::floor(cfg_.supply_margin *
+                    std::floor(k_supply_margin *
                                static_cast<double>(analysis::maintenance_sbf(
                                    window_units, *iface,
                                    cfg_.maintenance))));
@@ -162,7 +162,7 @@ void supply_watchdog::check(cycle_t now) {
         c.total_missed = m;
         if (c.cls == client_class::hard) {
             hard_misses_.inc(delta);
-            if (delta > cfg_.miss_tolerance) {
+            if (delta > 0) {
                 ++miss_alarms;
                 raise(watchdog_alarm::hard_deadline_miss, now);
             }
@@ -196,32 +196,6 @@ void supply_watchdog::tick(cycle_t now) {
     if (now < next_check_) return;
     check(now);
     next_check_ = now + cfg_.check_period;
-}
-
-void supply_watchdog::reset() {
-    for (auto& p : ports_) p = {};
-    for (auto& c : clients_) {
-        c.last_missed = 0;
-        c.total_missed = 0;
-    }
-    shed_clients_.assign(shed_clients_.size(), false);
-    violating_streak_ = 0;
-    clean_streak_ = 0;
-    restore_after_ = cfg_.restore_windows;
-    shedding_now_ = false;
-    shed_since_ = 0;
-    last_check_ = 0;
-    next_check_ = cfg_.check_period;
-    wake(); // drop any cached horizon from the previous trial
-    windows_checked_.reset();
-    violating_windows_.reset();
-    supply_shortfall_alarms_.reset();
-    deadline_alarms_.reset();
-    shed_events_.reset();
-    restore_events_.reset();
-    shed_client_cycles_.reset();
-    hard_misses_.reset();
-    best_effort_misses_.reset();
 }
 
 } // namespace bluescale::core

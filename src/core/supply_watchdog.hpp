@@ -37,8 +37,7 @@ class bluescale_ic;
 enum class watchdog_alarm : std::uint8_t {
     /// A fully backlogged SE port received less than margin * sbf(window).
     supply_shortfall,
-    /// A hard real-time client missed more than miss_tolerance deadlines
-    /// inside one window.
+    /// A hard real-time client missed a deadline inside one window.
     hard_deadline_miss,
     /// Sustained violation: best-effort clients were shed.
     overload_shed,
@@ -51,14 +50,13 @@ enum class watchdog_alarm : std::uint8_t {
 /// QoS class of a tracked client.
 enum class client_class : std::uint8_t { hard, best_effort };
 
+/// A backlogged port conforms while it receives at least this fraction of
+/// sbf(window) -- headroom for window-phase effects.
+inline constexpr double k_supply_margin = 0.9;
+
 struct watchdog_config {
     /// Cycles per sliding conformance window (one check per window).
     cycle_t check_period = 1024;
-    /// A backlogged port conforms while it receives at least this
-    /// fraction of sbf(window) -- headroom for window-phase effects.
-    double supply_margin = 0.9;
-    /// Hard-client deadline misses tolerated per window.
-    std::uint64_t miss_tolerance = 0;
     /// Consecutive violating windows before best-effort clients are shed.
     std::uint32_t shed_enter_windows = 2;
     /// Consecutive clean windows before shed clients are restored.
@@ -130,9 +128,6 @@ public:
     /// Re-homes the supervision counters into `reg` under "watchdog/..."
     /// and attaches the trace stream; call before the trial starts.
     void bind_observability(obs::metric_store& reg, obs::tracer tracer);
-
-    /// Clears window tracking and the report (between trials).
-    void reset();
 
     [[nodiscard]] const watchdog_config& config() const { return cfg_; }
     [[nodiscard]] watchdog_report report() const {

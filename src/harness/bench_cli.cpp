@@ -28,8 +28,8 @@ namespace {
         "  --seed N       base RNG seed (default %llu)\n"
         "  --csv PATH     also write machine-readable rows to PATH\n"
         "  --metrics PATH write the merged obs metrics snapshot (CSV)\n"
-        "  --trace PATH   write the trial-0 event trace (.json = Chrome"
-        " trace JSON, else CSV)\n"
+        "  --trace PATH   write the first traced trial's event trace"
+        " (.json = Chrome trace JSON, else CSV)\n"
         "  --profile      report simulator wall-clock profile after the"
         " run\n"
         "  --lockstep     force the cycle-stepped fallback engine"

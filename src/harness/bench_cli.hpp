@@ -81,13 +81,13 @@ void add_csv_row(stats::csv_writer* csv, std::vector<std::string> keys,
 
 /// Writes what `sweep` collected: the merged metrics snapshot to
 /// --metrics (snapshot::write_csv's sorted, deterministic CSV, so the file
-/// is byte-identical across --threads settings) and trial 0's event trace
-/// to --trace (a path ending in ".json" gets Chrome trace-event JSON for
-/// chrome://tracing / Perfetto, anything else the CSV form; valid but
-/// empty when the build has BLUESCALE_TRACE=OFF). A sweep that collected
-/// neither writes nothing, so a driver's non-exporting sweeps never
-/// overwrite its one exported configuration. Exits with a diagnostic
-/// when a file cannot be created.
+/// is byte-identical across --threads settings) and the event trace of
+/// the lowest-index trial that captured one to --trace (a path ending in
+/// ".json" gets Chrome trace-event JSON for chrome://tracing / Perfetto,
+/// anything else the CSV form; valid but empty when the build has
+/// BLUESCALE_TRACE=OFF). A sweep that collected neither writes nothing,
+/// so a driver's non-exporting sweeps never overwrite its one exported
+/// configuration. Exits with a diagnostic when a file cannot be created.
 void write_bench_exports(const bench_options& opts,
                          const sweep_options& sweep, const sweep_result& r);
 

@@ -25,8 +25,9 @@ void trial_record::watch(testbench& tb) {
 
 void trial_record::capture(testbench& tb) {
     if (opts_.collect_metrics) out_.metrics = tb.metrics().take_snapshot();
-    if (opts_.collect_trace && index_ == 0) {
+    if (opts_.collect_trace) {
         out_.trace = tb.trace().export_all();
+        traced_ = true;
     }
     if (opts_.profile) {
         out_.profile = tb.metrics().take_snapshot(true).profile_only();
@@ -46,18 +47,24 @@ sweep_result run_sweep(const sweep_options& opts, std::string_view prefix,
     auto per_trial = runner.run(opts.trials, [&](std::uint32_t t) {
         trial_record rec(opts, prefix, t);
         trial(rec);
-        return std::move(rec).take();
+        const bool traced = rec.traced();
+        return std::pair(std::move(rec).take(), traced);
     });
 
-    // The runner returns trials in trial order, so these merges are
-    // bit-identical for any thread count.
+    // The runner returns trials in trial order, so these merges, and the
+    // pick of the first traced trial, are bit-identical for any thread
+    // count.
     sweep_result out;
-    for (const auto& t : per_trial) {
+    bool traced = false;
+    for (auto& [t, t_traced] : per_trial) {
         out.totals.merge(t.totals);
         out.metrics.merge(t.metrics);
         out.profile.merge(t.profile);
+        if (t_traced && !traced) {
+            out.trace = std::move(t.trace);
+            traced = true;
+        }
     }
-    if (!per_trial.empty()) out.trace = std::move(per_trial.front().trace);
     if (opts.profile) out.profile.merge(sweep_prof.take_snapshot(true));
     return out;
 }

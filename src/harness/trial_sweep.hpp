@@ -35,8 +35,9 @@ struct sweep_options {
     /// Snapshot each trial's testbench registry and merge them, in trial
     /// order, into sweep_result::metrics (--metrics).
     bool collect_metrics = false;
-    /// Export trial 0's event trace into sweep_result::trace (--trace).
-    /// Empty when the build has BLUESCALE_TRACE=OFF.
+    /// Export the event trace of the lowest-index trial that captured
+    /// into sweep_result::trace (--trace). Empty when the build has
+    /// BLUESCALE_TRACE=OFF.
     bool collect_trace = false;
     /// Wall-clock profiling (simulator per-component tick cost and
     /// trial-sweep throughput) into sweep_result::profile (--profile).
@@ -53,7 +54,8 @@ struct sweep_result {
     /// Per-trial testbench registry snapshots merged in trial order, when
     /// collect_metrics.
     obs::snapshot metrics;
-    /// Trial 0's event trace, when collect_trace.
+    /// The lowest-index capturing trial's event trace, when
+    /// collect_trace.
     obs::trace_export trace;
     /// k_metric_profile entries (per-trial simulator costs summed in
     /// trial order, plus the sweep totals), when profile.
@@ -80,11 +82,12 @@ public:
     /// Before the run: turns on tb's simulator profiling when the sweep
     /// profiles.
     void watch(testbench& tb);
-    /// Keeps tb's registry snapshot, trace (trial 0 only) and profile, as
-    /// the sweep options ask. Call it at the point the export should
-    /// reflect.
+    /// Keeps tb's registry snapshot, trace and profile, as the sweep
+    /// options ask. Call it at the point the export should reflect.
     void capture(testbench& tb);
 
+    /// Whether capture() kept a trace (run_sweep only).
+    [[nodiscard]] bool traced() const { return traced_; }
     /// The trial's contribution to the sweep (run_sweep only).
     [[nodiscard]] sweep_result take() &&;
 
@@ -94,6 +97,7 @@ private:
     std::uint32_t index_;
     obs::registry values_;
     sweep_result out_;
+    bool traced_ = false;
 };
 
 /// Runs opts.trials trials of `trial` and merges them in trial order.

@@ -26,7 +26,7 @@ void axi_hyperconnect::client_push(client_id_t c, mem_request r) {
 }
 
 std::uint32_t axi_hyperconnect::depth_of(client_id_t) const {
-    return cfg_.fabric_latency;
+    return k_hyperconnect_fabric_latency;
 }
 
 void axi_hyperconnect::tick(cycle_t now) {
@@ -49,7 +49,7 @@ void axi_hyperconnect::tick(cycle_t now) {
             // clients x max_outstanding_per_client in flight), so deque
             // chunk growth is capped and amortized across the run.
             // detlint:allow(hotpath-alloc): credit-bounded pipeline depth
-            pipeline_.emplace_back(now + cfg_.fabric_latency,
+            pipeline_.emplace_back(now + k_hyperconnect_fabric_latency,
                                    std::move(granted));
             rr_next_ = (c + 1) % n;
             break;
@@ -68,14 +68,6 @@ void axi_hyperconnect::tick(cycle_t now) {
 
 void axi_hyperconnect::commit() {
     for (auto& q : client_q_) q.commit();
-}
-
-void axi_hyperconnect::reset() {
-    interconnect::reset();
-    for (auto& q : client_q_) q.clear();
-    for (auto& o : outstanding_) o = 0;
-    pipeline_.clear();
-    rr_next_ = 0;
 }
 
 } // namespace bluescale

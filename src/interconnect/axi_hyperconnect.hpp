@@ -19,13 +19,14 @@
 
 namespace bluescale {
 
+/// Pipeline latency of the central crossbar, in cycles.
+inline constexpr std::uint32_t k_hyperconnect_fabric_latency = 2;
+
 struct axi_hyperconnect_config {
     std::size_t queue_depth = 4;
     /// Maximum in-flight transactions per client (the hypervisor's
     /// interference bound).
     std::uint32_t max_outstanding_per_client = 4;
-    /// Pipeline latency of the central crossbar, in cycles.
-    std::uint32_t fabric_latency = 2;
 };
 
 class axi_hyperconnect : public interconnect {
@@ -40,7 +41,6 @@ public:
 
     void tick(cycle_t now) override;
     void commit() override;
-    void reset() override;
 
     /// Event-engine horizon: outstanding credits only change when a
     /// response is delivered, and responses exist only while requests are

@@ -111,13 +111,4 @@ void axi_icrt::commit() {
     for (auto& q : client_q_) q.commit();
 }
 
-void axi_icrt::reset() {
-    interconnect::reset();
-    for (auto& q : client_q_) q.clear();
-    pipeline_.clear();
-    next_refill_ = 0;
-    queued_ = 0;
-    for (auto& reg : regulators_) reg.budget = reg.budget_per_period;
-}
-
 } // namespace bluescale

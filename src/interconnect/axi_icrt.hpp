@@ -50,7 +50,6 @@ public:
 
     void tick(cycle_t now) override;
     void commit() override;
-    void reset() override;
 
     /// Event-engine horizon: per-cycle while the switch box holds
     /// requests (central arbitration contends every cycle), else the

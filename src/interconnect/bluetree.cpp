@@ -167,16 +167,4 @@ void bluetree::commit() {
     }
 }
 
-void bluetree::reset() {
-    interconnect::reset();
-    for (auto& n : nodes_) {
-        n.in[0].clear();
-        n.in[1].clear();
-        if (n.out) n.out->clear();
-        n.hp_run = 0;
-    }
-    node_items_.assign(nodes_.size(), 0);
-    items_total_ = 0;
-}
-
 } // namespace bluescale

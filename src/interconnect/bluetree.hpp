@@ -43,7 +43,6 @@ public:
 
     void tick(cycle_t now) override;
     void commit() override;
-    void reset() override;
 
     /// Event-engine horizon: per-cycle while any node holds a request
     /// (arbitration contends every cycle), else the response path. A

@@ -147,11 +147,4 @@ cycle_t gsmtree::next_event(cycle_t now) const {
     return due;
 }
 
-void gsmtree::reset() {
-    interconnect::reset();
-    for (auto& q : client_q_) q.clear();
-    pipeline_.clear();
-    queued_ = 0;
-}
-
 } // namespace bluescale

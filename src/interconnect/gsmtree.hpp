@@ -54,7 +54,6 @@ public:
 
     void tick(cycle_t now) override;
     void commit() override;
-    void reset() override;
 
     /// Event-engine horizon: queued requests can only be admitted at TDM
     /// slot boundaries (the slot owner is a pure function of `now`, so

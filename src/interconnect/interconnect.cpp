@@ -48,13 +48,4 @@ void interconnect::inject_campaign(const sim::fault_campaign& campaign) {
         sim::fault_window(campaign.slice_all(sim::fault_kind::link_drop));
 }
 
-void interconnect::reset() {
-    while (!response_line_.empty()) response_line_.pop();
-    root_link_faults_.reset();
-    in_flight_ = 0;
-    forwarded_ = 0;
-    link_dropped_ = 0;
-    response_seq_ = 0;
-}
-
 } // namespace bluescale

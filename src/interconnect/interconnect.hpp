@@ -83,9 +83,6 @@ public:
     /// belong to memory_controller::inject_campaign.
     virtual void inject_campaign(const sim::fault_campaign& campaign);
 
-    /// Drops all queued state between trials (derived classes extend).
-    virtual void reset();
-
 protected:
     /// Bookkeeping wrappers derived classes use at the memory boundary.
     [[nodiscard]] bool memory_can_accept() const {

@@ -75,11 +75,4 @@ void dram_model::close_all_rows() {
     for (std::uint32_t b = 0; b < timing_.n_banks; ++b) close_row(b);
 }
 
-void dram_model::reset() {
-    for (auto& row : open_row_) row = -1;
-    for (auto& p : refresh_penalty_) p = 0;
-    hits_ = 0;
-    misses_ = 0;
-}
-
 } // namespace bluescale

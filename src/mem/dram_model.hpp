@@ -75,11 +75,6 @@ public:
     /// bank carries the close_row() first-access conflict penalty.
     void close_all_rows();
 
-    /// Closes all rows and clears counters (between trials). Unlike
-    /// close_all_rows(), carries no refresh penalty: the first access of
-    /// a fresh trial sees an idle bank.
-    void reset();
-
     [[nodiscard]] const dram_timing& timing() const { return timing_; }
 
     // Counters for tests/reporting.

@@ -11,15 +11,11 @@ maintenance_engine::maintenance_engine(dram_model& dram,
     : dram_(dram), cfg_(cfg),
       next_refresh_(dram.timing().n_banks, k_cycle_never),
       blocked_until_(dram.timing().n_banks, 0),
-      activations_(dram.timing().n_banks, 0) {
+      activations_(dram.timing().n_banks, 0),
+      next_scrub_(cfg.scrub_interval > 0 && cfg.scrub_duration > 0
+                      ? cfg.scrub_interval
+                      : k_cycle_never) {
     bind_observability(own_);
-    arm_refresh();
-    next_scrub_ = cfg_.scrub_interval > 0 && cfg_.scrub_duration > 0
-                      ? cfg_.scrub_interval
-                      : k_cycle_never;
-}
-
-void maintenance_engine::arm_refresh() {
     const dram_timing& t = dram_.timing();
     for (std::uint32_t b = 0; b < t.n_banks; ++b) {
         // DSARP stagger: bank b's first window at (b+1)*t_refi/n_banks,
@@ -106,23 +102,6 @@ cycle_t maintenance_engine::next_boundary(cycle_t now) const {
 
 void maintenance_engine::inject_storms(std::vector<sim::fault_event> events) {
     storms_ = sim::fault_window(std::move(events));
-}
-
-void maintenance_engine::reset() {
-    arm_refresh();
-    next_scrub_ = cfg_.scrub_interval > 0 && cfg_.scrub_duration > 0
-                      ? cfg_.scrub_interval
-                      : k_cycle_never;
-    scrub_bank_ = 0;
-    for (auto& b : blocked_until_) b = 0;
-    for (auto& a : activations_) a = 0;
-    storms_.reset();
-    storm_active_ = false;
-    refreshes_.reset();
-    scrubs_.reset();
-    hammer_mitigations_.reset();
-    stolen_cycles_.reset();
-    storm_cycles_.reset();
 }
 
 namespace {

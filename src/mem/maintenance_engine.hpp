@@ -71,7 +71,7 @@ public:
     /// horizons take the max over processed windows, and counters advance
     /// once per window, exactly as if every cycle had been ticked. Call
     /// once per controller tick, before any scheduling decision; `now`
-    /// must never decrease between calls (reset() rewinds).
+    /// must never decrease between calls.
     void advance(cycle_t now);
 
     /// Records a bank activation at service start (RowHammer bookkeeping)
@@ -93,9 +93,6 @@ public:
     /// Consumes the maintenance_storm slice of a fault campaign.
     void inject_storms(std::vector<sim::fault_event> events);
 
-    /// Rewinds schedules and counters between trials.
-    void reset();
-
     [[nodiscard]] const maintenance_config& config() const { return cfg_; }
     [[nodiscard]] std::uint64_t refreshes() const { return refreshes_.value(); }
     [[nodiscard]] std::uint64_t scrubs() const { return scrubs_.value(); }
@@ -113,8 +110,6 @@ public:
     }
 
 private:
-    void arm_refresh();
-
     dram_model& dram_;
     maintenance_config cfg_;
     /// Next refresh window start per bank (staggered phases).

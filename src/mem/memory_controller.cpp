@@ -166,23 +166,4 @@ void memory_controller::inject_campaign(const sim::fault_campaign& campaign) {
     wake(); // the fresh schedules invalidate any cached horizon
 }
 
-void memory_controller::reset() {
-    in_q_.clear();
-    out_q_.clear();
-    while (!in_flight_.empty()) in_flight_.pop();
-    for (auto& b : bank_busy_until_) b = 0;
-    error_faults_.reset();
-    storm_faults_.reset();
-    storm_active_ = false;
-    next_start_ = 0;
-    maint_.reset();
-    head_bypasses_ = 0;
-    wake();
-    serviced_.reset();
-    ecc_retries_.reset();
-    uncorrected_errors_.reset();
-    storm_cycles_.reset();
-    dram_.reset();
-}
-
 } // namespace bluescale

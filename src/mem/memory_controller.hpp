@@ -80,9 +80,6 @@ public:
     /// attaches the trace stream; call before the trial starts.
     void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
-    /// Drops queued/in-flight state between trials.
-    void reset();
-
     /// Consumes the campaign kinds owned by the memory side: dram_error
     /// windows corrupt completing transactions (one transparent ECC-style
     /// retry, then a failed response), backpressure_storm windows make

@@ -18,10 +18,6 @@ const char* metric_kind_name(metric_kind k) {
     return "?";
 }
 
-void sample::reset() {
-    if (s_ != nullptr) s_->samples = {};
-}
-
 const stats::sample_set& sample::values() const {
     static const stats::sample_set k_empty;
     return s_ == nullptr ? k_empty : s_->samples;
@@ -69,10 +65,6 @@ snapshot registry::take_snapshot(bool include_profile) const {
     return out;
 }
 
-void registry::reset_values() {
-    for (auto& s : slots_) s.zero();
-}
-
 value_block::value_block(std::size_t capacity)
     : slots_(std::make_unique<detail::slot[]>(capacity)),
       capacity_(static_cast<std::uint32_t>(capacity)) {}
@@ -92,10 +84,6 @@ detail::slot& value_block::slot_for(const metric_name& /*name*/,
     s.kind = kind;
     s.flags = flags;
     return s;
-}
-
-void value_block::reset_values() {
-    for (std::uint32_t i = 0; i < size_; ++i) slots_[i].zero();
 }
 
 const metric_value* snapshot::find(std::string_view name) const {

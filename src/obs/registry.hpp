@@ -56,13 +56,6 @@ struct slot {
     std::int64_t level = 0;    ///< gauge
     double value = 0.0;        ///< real
     stats::sample_set samples; ///< sample
-
-    void zero() {
-        count = 0;
-        level = 0;
-        value = 0.0;
-        samples = {};
-    }
 };
 } // namespace detail
 
@@ -74,9 +67,6 @@ public:
     counter() = default;
     void inc(std::uint64_t n = 1) {
         if (s_ != nullptr) s_->count += n;
-    }
-    void reset() {
-        if (s_ != nullptr) s_->count = 0;
     }
     [[nodiscard]] std::uint64_t value() const {
         return s_ == nullptr ? 0 : s_->count;
@@ -98,7 +88,6 @@ public:
     void add(std::int64_t d) {
         if (s_ != nullptr) s_->level += d;
     }
-    void reset() { set(0); }
     [[nodiscard]] std::int64_t value() const {
         return s_ == nullptr ? 0 : s_->level;
     }
@@ -119,7 +108,6 @@ public:
     void add(double d) {
         if (s_ != nullptr) s_->value += d;
     }
-    void reset() { set(0.0); }
     [[nodiscard]] double value() const {
         return s_ == nullptr ? 0.0 : s_->value;
     }
@@ -137,7 +125,6 @@ public:
     void add(double x) {
         if (s_ != nullptr) s_->samples.add(x);
     }
-    void reset();
     /// The accumulated sample set (a shared empty set when unbound).
     [[nodiscard]] const stats::sample_set& values() const;
     [[nodiscard]] std::uint64_t count() const {
@@ -309,9 +296,6 @@ public:
     /// carry wall-clock noise and would break byte-identical exports).
     [[nodiscard]] snapshot take_snapshot(bool include_profile = false) const;
 
-    /// Zeroes every metric (between trials); handles stay bound.
-    void reset_values();
-
 private:
     detail::slot& slot_for(const metric_name& name, metric_kind kind,
                            std::uint32_t flags) override;
@@ -332,9 +316,6 @@ private:
 class value_block final : public metric_store {
 public:
     explicit value_block(std::size_t capacity);
-
-    /// Zeroes every metric; handles stay bound.
-    void reset_values();
 
 private:
     detail::slot& slot_for(const metric_name& name, metric_kind kind,

@@ -142,10 +142,4 @@ cycle_t fault_window::wake_horizon(cycle_t now) const {
     return k_cycle_never;
 }
 
-void fault_window::reset() {
-    cursor_ = 0;
-    active_until_ = 0;
-    activations_ = 0;
-}
-
 } // namespace bluescale::sim

@@ -135,7 +135,7 @@ private:
 
 /// Forward-only cursor over one slice of a campaign. Components call
 /// active(now) once or more per cycle; `now` must never decrease between
-/// calls (reset() rewinds between trials). Overlapping windows merge.
+/// calls. Overlapping windows merge.
 class fault_window {
 public:
     fault_window() = default;
@@ -152,9 +152,6 @@ public:
     /// now + 1; otherwise it is the next scheduled window start
     /// (k_cycle_never when the schedule is exhausted).
     [[nodiscard]] cycle_t wake_horizon(cycle_t now) const;
-
-    /// Rewinds the cursor and clears the activation count.
-    void reset();
 
     [[nodiscard]] bool empty() const { return events_.empty(); }
     /// Windows the cursor has entered so far (injected-fault counter).

@@ -123,12 +123,6 @@ public:
         staged_ = 0;
     }
 
-    void clear() {
-        head_ = 0;
-        visible_ = 0;
-        staged_ = 0;
-    }
-
 private:
     /// Ring index of the entry i positions behind the head (i <=
     /// capacity_, so one conditional subtraction wraps it).

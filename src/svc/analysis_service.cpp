@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/rng.hpp"
-#include "svc/profile_clock.hpp"
 
 namespace bluescale::svc {
 
@@ -32,10 +31,6 @@ const char* breaker_state_name(breaker_state s) {
 analysis_service::analysis_service(core::reconfig_manager& mgr,
                                    service_config cfg)
     : component("analysis_service"), mgr_(mgr), cfg_(cfg) {
-    // Virtual-time and wall-clock deadlines are never mixed in one
-    // configuration: a deterministic run uses cycles only, a profile run
-    // wall nanoseconds only.
-    assert(!(cfg_.wall_deadline_ns != 0 && cfg_.default_deadline != 0));
     resume_depth_ =
         cfg_.resume_depth != 0 ? cfg_.resume_depth : cfg_.max_queue / 2;
     workers_.resize(std::max<std::uint32_t>(1, cfg_.workers));
@@ -108,12 +103,7 @@ std::uint64_t analysis_service::submit(std::uint32_t client,
     rec.submitted_at = now_;
     request_state st;
     st.tasks = std::move(tasks);
-    if (cfg_.wall_deadline_ns != 0) {
-        // Profile mode: wall-clock deadline only; virtual deadlines are
-        // rejected at the API boundary (never mixed).
-        assert(deadline == k_cycle_never);
-        st.wall_deadline_ns = profile_now_ns() + cfg_.wall_deadline_ns;
-    } else if (deadline == k_cycle_never && cfg_.default_deadline != 0) {
+    if (deadline == k_cycle_never && cfg_.default_deadline != 0) {
         st.deadline = now_ + cfg_.default_deadline;
     } else {
         st.deadline = deadline;
@@ -144,9 +134,6 @@ std::uint64_t analysis_service::submit(std::uint32_t client,
 
 bool analysis_service::expired_now(const request_state& st,
                                    cycle_t now) const {
-    if (st.wall_deadline_ns != 0) {
-        return profile_now_ns() > st.wall_deadline_ns;
-    }
     return st.deadline != k_cycle_never && now > st.deadline;
 }
 
@@ -398,14 +385,13 @@ void analysis_service::run_evaluation(std::uint64_t id, worker& w,
 
     std::uint64_t busy_cycles = 0;
     cache_key key{rec.client, degraded, st.tasks};
-    const auto hit = cfg_.cache_capacity != 0 ? cache_.find(key)
-                                              : cache_.end();
+    const auto hit = cache_.find(key);
     if (hit != cache_.end()) {
         st.eval = hit->second.eval;
         st.eval_degraded = hit->second.degraded;
         rec.cache_hit = true;
         cache_hits_.inc();
-        busy_cycles = cfg_.cache_hit_cycles;
+        busy_cycles = k_cache_hit_cycles;
     } else {
         st.eval = mgr_.evaluate(rec.client, st.tasks, degraded);
         st.eval_degraded = degraded;
@@ -413,14 +399,12 @@ void analysis_service::run_evaluation(std::uint64_t id, worker& w,
         note_eval_cost(st.eval.report.total_cycles, degraded, now);
         busy_cycles = std::max<std::uint64_t>(cfg_.min_eval_cycles,
                                               st.eval.report.total_cycles);
-        if (cfg_.cache_capacity != 0) {
-            cache_fifo_.push_back(
-                cache_.emplace(std::move(key), cache_entry{st.eval, degraded})
-                    .first);
-            if (cache_.size() > cfg_.cache_capacity) {
-                cache_.erase(cache_fifo_.front());
-                cache_fifo_.pop_front();
-            }
+        cache_fifo_.push_back(
+            cache_.emplace(std::move(key), cache_entry{st.eval, degraded})
+                .first);
+        if (cache_.size() > k_cache_capacity) {
+            cache_.erase(cache_fifo_.front());
+            cache_fifo_.pop_front();
         }
     }
     st.has_eval = true;

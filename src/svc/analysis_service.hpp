@@ -15,10 +15,7 @@
 //     drains to a low watermark, so an overload burst cannot flap the
 //     admission path open and closed every cycle.
 //   * Per-request deadlines with cancellation: an expired request is
-//     dropped before any work runs. Deterministic runs use virtual-time
-//     deadlines; profile runs may use wall-clock deadlines through the
-//     profile_now_ns() boundary -- the two clocks are never mixed in one
-//     configuration (asserted).
+//     dropped before any work runs. Deadlines are virtual-time cycles.
 //   * Seeded retry with exponential backoff + jitter for transient
 //     path-hazard rejections: the jitter stream is derived per (seed,
 //     request, attempt) via substream(), so storm runs stay bit-identical
@@ -78,6 +75,11 @@ enum class breaker_state : std::uint8_t {
 
 [[nodiscard]] const char* breaker_state_name(breaker_state s);
 
+/// Modeled worker busy time of a result-cache hit.
+inline constexpr std::uint64_t k_cache_hit_cycles = 2;
+/// Result-cache capacity, FIFO eviction.
+inline constexpr std::size_t k_cache_capacity = 64;
+
 struct service_config {
     /// Logical worker slots draining the queue (virtual-time concurrency;
     /// the trial-sweep --threads knob is orthogonal and never changes
@@ -91,9 +93,6 @@ struct service_config {
     /// Default per-request deadline, relative cycles from submission
     /// (0 = none). Virtual-time clock; deterministic.
     cycle_t default_deadline = 0;
-    /// Profile-mode wall-clock deadline in nanoseconds (0 = off). Mutually
-    /// exclusive with virtual deadlines -- the clocks are never mixed.
-    std::uint64_t wall_deadline_ns = 0;
     /// Retry budget for transient path-hazard rejections.
     std::uint32_t max_retries = 3;
     /// Exponential backoff: delay = min(cap, base << attempt) + jitter,
@@ -109,11 +108,8 @@ struct service_config {
     cycle_t breaker_cooldown = 8192;
     std::uint32_t breaker_close_after = 2;
     /// Modeled worker busy time: max(min_eval_cycles, evaluation's
-    /// parameter-path cycles); a cache hit costs cache_hit_cycles.
+    /// parameter-path cycles); a cache hit costs k_cache_hit_cycles.
     std::uint64_t min_eval_cycles = 8;
-    std::uint64_t cache_hit_cycles = 2;
-    /// Result-cache capacity, FIFO eviction (0 disables the cache).
-    std::size_t cache_capacity = 64;
 };
 
 /// Full audit record of one service request.
@@ -207,8 +203,7 @@ private:
     /// Per-request working state, parallel to records_.
     struct request_state {
         analysis::task_set tasks;
-        cycle_t deadline = k_cycle_never;   ///< absolute virtual cycle
-        std::uint64_t wall_deadline_ns = 0; ///< profile mode (0 = none)
+        cycle_t deadline = k_cycle_never; ///< absolute virtual cycle
         core::admission_evaluation eval;
         bool has_eval = false;
         bool eval_degraded = false;

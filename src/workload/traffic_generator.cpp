@@ -31,11 +31,11 @@ void traffic_generator::release_jobs(cycle_t now) {
             // private region (sequential within a job -> row locality).
             const std::uint64_t task_base =
                 (static_cast<std::uint64_t>(id_) * 64 + task.id) *
-                cfg_.task_region_bytes;
+                k_task_region_bytes;
             const std::uint64_t lines =
-                cfg_.task_region_bytes / cfg_.cache_line_bytes;
+                k_task_region_bytes / k_cache_line_bytes;
             job.base_addr = task_base + rng_.uniform_u64(0, lines - 1) *
-                                            cfg_.cache_line_bytes;
+                                            k_cache_line_bytes;
             // Software workload model, not modeled hardware: per-task job
             // backlog mirrors what a generator thread would queue.
             // detlint:allow(hotpath-alloc): client-model job bookkeeping
@@ -135,7 +135,7 @@ void traffic_generator::tick(cycle_t now) {
     r.task = tasks_[static_cast<std::size_t>(which)].id;
     r.job = job.job_seq;
     r.addr = job.base_addr +
-             static_cast<std::uint64_t>(job.issued) * cfg_.cache_line_bytes;
+             static_cast<std::uint64_t>(job.issued) * k_cache_line_bytes;
     r.op = tasks_[static_cast<std::size_t>(which)].writes ? mem_op::write
                                                           : mem_op::read;
     r.issue_cycle = now;

@@ -17,14 +17,15 @@
 
 namespace bluescale::workload {
 
+/// Private address region per task, for locality-realistic traffic.
+inline constexpr std::uint64_t k_task_region_bytes = 1u << 20;
+inline constexpr std::uint64_t k_cache_line_bytes = 64;
+
 struct traffic_gen_config {
     std::uint32_t unit_cycles = k_unit_cycles;
     /// Maximum requests in flight before the generator throttles (models
     /// finite MSHRs; the port buffer also exerts backpressure).
     std::uint32_t max_outstanding = 16;
-    /// Private address region per task, for locality-realistic traffic.
-    std::uint64_t task_region_bytes = 1u << 20;
-    std::uint64_t cache_line_bytes = 64;
     /// Allowance for client_stats::missed_beyond_margin (see there).
     cycle_t validation_margin_cycles = 0;
 

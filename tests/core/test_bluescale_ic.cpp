@@ -161,19 +161,6 @@ TEST(bluescale_ic, no_loss_under_saturating_load) {
     EXPECT_EQ(r.net.in_flight(), 0u);
 }
 
-TEST(bluescale_ic, reset_restores_clean_state) {
-    rig r(16);
-    r.net.client_push(3, req(1, 3, 1000));
-    r.sim.run(3);
-    r.net.reset();
-    r.mem.reset();
-    EXPECT_EQ(r.net.in_flight(), 0u);
-    r.net.client_push(9, req(2, 9, 100'000));
-    r.run_until_drained();
-    ASSERT_EQ(r.completed.size(), 1u);
-    EXPECT_EQ(r.completed[0].id, 2u);
-}
-
 TEST(bluescale_ic, demux_response_network_routes_correctly) {
     bluescale_config cfg;
     cfg.responses = response_model::demux_network;

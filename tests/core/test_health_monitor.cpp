@@ -113,15 +113,5 @@ TEST(health_monitor, interrupted_healthy_run_restarts_recovery_count) {
     EXPECT_EQ(r.monitor.recovery_events(), 1u);
 }
 
-TEST(health_monitor, reset_clears_state_and_report) {
-    rig r({{sim::fault_kind::se_stall, 0, 0, 60}});
-    r.sim.run(101);
-    ASSERT_EQ(r.monitor.degrade_events(), 1u);
-    r.fabric.se_at(1, 0).set_degraded(false);
-    r.monitor.reset();
-    EXPECT_EQ(r.monitor.degrade_events(), 0u);
-    EXPECT_EQ(r.monitor.report().recovery_events, 0u);
-}
-
 } // namespace
 } // namespace bluescale::core

@@ -102,16 +102,5 @@ TEST(local_scheduler, disabled_ports_skipped) {
     EXPECT_EQ(*sched.pick_budgeted(b.arr), 1u);
 }
 
-TEST(local_scheduler, reset_counters_restores_budgets) {
-    local_scheduler sched;
-    sched.configure_port(0, 4, 2);
-    sched.server(0).consume();
-    sched.server(0).consume();
-    sched.tick_unit();
-    sched.reset_counters();
-    EXPECT_EQ(sched.server(0).budget_left(), 2u);
-    EXPECT_EQ(sched.server(0).units_to_deadline(), 4u);
-}
-
 } // namespace
 } // namespace bluescale::core

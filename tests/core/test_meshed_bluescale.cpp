@@ -112,20 +112,6 @@ TEST(meshed_bluescale, configure_programs_all_channels) {
     }
 }
 
-TEST(meshed_bluescale, reset_clears_all_channels) {
-    meshed_config cfg;
-    cfg.channels = 2;
-    rig r(16, cfg);
-    r.net.client_push(0, req(1, 0, 0));
-    r.sim.run(2);
-    r.net.reset();
-    EXPECT_EQ(r.net.in_flight(), 0u);
-    r.net.client_push(1, req(2, 1, 4096));
-    r.run_until_drained();
-    ASSERT_EQ(r.completed.size(), 1u);
-    EXPECT_EQ(r.completed[0].id, 2u);
-}
-
 TEST(meshed_bluescale, single_channel_degenerates_to_plain_bluescale) {
     meshed_config cfg;
     cfg.channels = 1;

@@ -87,17 +87,6 @@ TEST(random_access_buffer, charge_blocked_only_earlier_deadlines) {
     EXPECT_EQ(b.blocked_cycles, 0u);
 }
 
-TEST(random_access_buffer, clear_drops_everything) {
-    random_access_buffer buf(4);
-    buf.load(req(1, 1));
-    buf.commit();
-    buf.load(req(2, 2)); // staged
-    buf.clear();
-    buf.commit();
-    EXPECT_TRUE(buf.empty());
-    EXPECT_TRUE(buf.can_load());
-}
-
 TEST(random_access_buffer, interleaved_load_fetch) {
     random_access_buffer buf(4);
     buf.load(req(1, 50));
@@ -148,10 +137,6 @@ struct rab_model {
         for (auto& r : visible) {
             if (r.level_deadline < granted) ++r.blocked_cycles;
         }
-    }
-    void clear() {
-        visible.clear();
-        staged.clear();
     }
     [[nodiscard]] std::optional<cycle_t> min_deadline() const {
         std::optional<cycle_t> best;
@@ -211,9 +196,8 @@ TEST(random_access_buffer_property, matches_vector_model) {
                            << "depth " << depth << ", seed " << seed
                            << ", op #" << op << ": " << what;
                 };
-                // Loads outweigh fetches and clears are rare, so deep
-                // buffers fill up; deadlines come from a narrow range, so
-                // ties are common.
+                // Loads outweigh fetches, so deep buffers fill up;
+                // deadlines come from a narrow range, so ties are common.
                 const std::uint64_t roll = gen.uniform_u64(0, 999);
                 if (roll < 450) {
                     if (buf.can_load()) {
@@ -242,13 +226,10 @@ TEST(random_access_buffer_property, matches_vector_model) {
                             FAIL() << fail(os.str());
                         }
                     }
-                } else if (roll < 995) {
+                } else {
                     const cycle_t granted = gen.uniform_u64(0, 16);
                     buf.charge_blocked(granted);
                     m.charge_blocked(granted);
-                } else {
-                    buf.clear();
-                    m.clear();
                 }
                 const std::string diff = state_mismatch(buf, m, wakes, drains);
                 if (!diff.empty()) FAIL() << fail(diff);

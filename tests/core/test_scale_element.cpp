@@ -226,16 +226,6 @@ TEST(scale_element, wait_stats_near_zero_when_uncontended) {
     EXPECT_LE(r.se.wait_stats().mean(), 2.0);
 }
 
-TEST(scale_element, reset_clears_buffers_and_counters) {
-    rig r;
-    cycle_t now = 0;
-    r.se.port_push(0, req(1, 10));
-    r.cycle(now, 2);
-    r.se.reset();
-    EXPECT_EQ(r.se.forwarded(), 0u);
-    EXPECT_TRUE(r.se.buffer(0).empty());
-}
-
 /// A child SE feeding port 0 of a parent SE, wired the way bluescale_ic
 /// wires internal elements (backpressure sleep on the parent port's drain
 /// edge). `selective` runs the child on the event engine's wake protocol

@@ -232,22 +232,6 @@ TEST(supply_watchdog, shedding_with_no_best_effort_clients_is_safe) {
     EXPECT_EQ(r.wd->report().restore_events, 1u);
 }
 
-TEST(supply_watchdog, reset_clears_state_and_report) {
-    rig r(tight_config());
-    std::uint64_t missed = 0;
-    r.wd->track_client(0, client_class::hard, [&] { return missed; });
-    r.wd->track_client(15, client_class::best_effort, [] { return 0ull; });
-    for (cycle_t t = 0; t <= 400; ++t) {
-        if (t % 100 == 50) ++missed;
-        r.wd->tick(t);
-    }
-    ASSERT_TRUE(r.wd->shedding_now());
-    r.wd->reset();
-    EXPECT_FALSE(r.wd->shedding_now());
-    EXPECT_EQ(r.wd->report().windows_checked, 0u);
-    EXPECT_EQ(r.wd->report().shed_events, 0u);
-}
-
 // Sustained overload under a stalled best-effort subtree: the watchdog
 // sheds the best-effort clients (their issue streams throttle, their
 // misses mount) while every hard real-time client keeps its contract and

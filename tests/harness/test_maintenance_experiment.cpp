@@ -8,11 +8,13 @@
 // under-provisions and hard clients miss.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "../test_util.hpp"
 #include "harness/maintenance_experiment.hpp"
 #include "mem/memory_subsystem.hpp"
+#include "obs/trace.hpp"
 
 namespace bluescale::harness {
 namespace {
@@ -119,6 +121,45 @@ TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
     EXPECT_GT(count(unaware, "hard_misses"), 0u);
     EXPECT_GT(count(unaware, "best_effort_misses"), 0u);
 }
+
+#if BLUESCALE_TRACE_ENABLED
+/// The cell bench/maintenance exports with --metrics/--trace, at the
+/// driver's defaults: aware admission, 2x refresh with scrub and hammer
+/// on, rare storms, 6 trials of 40,000 cycles from seed 1. Trial 0 of
+/// this cell is refused admission, so its trace must come from a later
+/// trial.
+maintenance_exp_config exported_cell(unsigned threads) {
+    maintenance_exp_config cfg;
+    cfg.scenario.sweep.trials = 6;
+    cfg.scenario.sweep.seed = 1;
+    cfg.scenario.sweep.threads = threads;
+    cfg.scenario.sweep.collect_trace = true;
+    cfg.scenario.measure_cycles = 40'000;
+    memctrl_config& mc = cfg.scenario.memctrl;
+    mc.timing.t_refi = 975;
+    mc.timing.t_rfc = 65;
+    mc.maintenance.scrub_interval = 2048;
+    mc.maintenance.scrub_duration = 32;
+    mc.maintenance.hammer_threshold = 256;
+    mc.maintenance.hammer_mitigation_cycles = 32;
+    cfg.storm_intensity = 0.02;
+    return cfg;
+}
+
+std::string trace_json(const obs::trace_export& trace) {
+    std::ostringstream os;
+    trace.write_chrome_json(os);
+    return os.str();
+}
+
+TEST(maintenance_experiment, exported_cell_trace_is_nonempty_and_thread_invariant) {
+    const auto serial = run_maintenance_experiment(exported_cell(1));
+    const auto parallel = run_maintenance_experiment(exported_cell(4));
+    ASSERT_GT(count(serial, "feasible_trials"), 0u);
+    EXPECT_FALSE(serial.trace.events.empty());
+    EXPECT_EQ(trace_json(serial.trace), trace_json(parallel.trace));
+}
+#endif // BLUESCALE_TRACE_ENABLED
 
 } // namespace
 } // namespace bluescale::harness

@@ -137,19 +137,5 @@ TEST(axi_hyperconnect, no_loss_under_sustained_load) {
     EXPECT_EQ(r.completed.size(), pushed);
 }
 
-TEST(axi_hyperconnect, reset_restores_clean_state) {
-    rig r(4);
-    r.net.client_push(0, req(1, 0, 1000));
-    r.sim.run(2);
-    r.net.reset();
-    r.mem.reset();
-    EXPECT_EQ(r.net.in_flight(), 0u);
-    EXPECT_EQ(r.net.outstanding(0), 0u);
-    r.net.client_push(2, req(5, 2, 100'000));
-    r.run_until_drained();
-    ASSERT_EQ(r.completed.size(), 1u);
-    EXPECT_EQ(r.completed[0].id, 5u);
-}
-
 } // namespace
 } // namespace bluescale

@@ -157,19 +157,5 @@ TEST(axi_icrt, no_loss_under_sustained_load) {
     EXPECT_EQ(r.completed.size(), pushed);
 }
 
-TEST(axi_icrt, reset_restores_clean_state) {
-    rig r(4);
-    r.net.set_client_share(1, 0.5);
-    r.net.client_push(1, req(1, 1, 1000));
-    r.sim.run(2);
-    r.net.reset();
-    r.mem.reset();
-    EXPECT_EQ(r.net.in_flight(), 0u);
-    r.net.client_push(3, req(7, 3, 100'000));
-    r.run_until_drained();
-    ASSERT_EQ(r.completed.size(), 1u);
-    EXPECT_EQ(r.completed[0].id, 7u);
-}
-
 } // namespace
 } // namespace bluescale

@@ -199,20 +199,6 @@ TEST(bluetree, smooth_variant_round_trip) {
     EXPECT_EQ(r.completed.size(), 8u);
 }
 
-TEST(bluetree, reset_clears_in_flight_state) {
-    rig r(4);
-    r.net.client_push(0, req(1, 0, 1000));
-    r.sim.run(2);
-    r.net.reset();
-    r.mem.reset();
-    EXPECT_EQ(r.net.in_flight(), 0u);
-    // Fabric must still work after reset.
-    r.net.client_push(1, req(2, 1, 1000));
-    r.run_until_drained();
-    ASSERT_EQ(r.completed.size(), 1u);
-    EXPECT_EQ(r.completed[0].id, 2u);
-}
-
 TEST(bluetree, forwarded_counter_matches_completions) {
     rig r(4);
     for (client_id_t c = 0; c < 4; ++c) {

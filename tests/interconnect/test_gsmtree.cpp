@@ -180,18 +180,5 @@ TEST(gsmtree, no_loss_under_sustained_load) {
     EXPECT_EQ(r.completed.size(), pushed);
 }
 
-TEST(gsmtree, reset_restores_clean_state) {
-    rig r(4);
-    r.net.client_push(0, req(1, 0, 1000));
-    r.sim.run(3);
-    r.net.reset();
-    r.mem.reset();
-    EXPECT_EQ(r.net.in_flight(), 0u);
-    r.net.client_push(2, req(9, 2, 100'000));
-    r.run_until_drained();
-    ASSERT_EQ(r.completed.size(), 1u);
-    EXPECT_EQ(r.completed[0].id, 9u);
-}
-
 } // namespace
 } // namespace bluescale

@@ -120,16 +120,6 @@ TEST(dram_model, hit_miss_counters) {
     EXPECT_EQ(d.misses(), 1u);
 }
 
-TEST(dram_model, reset_closes_rows_and_clears_counters) {
-    dram_model d;
-    d.access(read_at(0));
-    d.access(read_at(0));
-    d.reset();
-    EXPECT_EQ(d.hits(), 0u);
-    EXPECT_EQ(d.misses(), 0u);
-    EXPECT_EQ(d.classify(read_at(0)), row_outcome::closed);
-}
-
 TEST(dram_model, independent_bank_state) {
     dram_timing t;
     dram_model d(t);
@@ -166,15 +156,6 @@ TEST(dram_model, close_all_rows_penalizes_every_bank) {
     EXPECT_EQ(d.classify(read_at(64)), row_outcome::conflict);
     // Bank 2 was never touched but refresh precharges it all the same.
     EXPECT_EQ(d.classify(read_at(128)), row_outcome::conflict);
-}
-
-TEST(dram_model, reset_clears_refresh_penalty) {
-    dram_model d;
-    d.access(read_at(0));
-    d.close_all_rows();
-    d.reset();
-    // A fresh trial starts with idle banks, not refresh-penalized ones.
-    EXPECT_EQ(d.classify(read_at(0)), row_outcome::closed);
 }
 
 } // namespace

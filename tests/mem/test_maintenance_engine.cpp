@@ -137,32 +137,6 @@ TEST(maintenance_engine, storm_blocks_every_bank) {
     EXPECT_EQ(eng.stolen_cycles(), 0u);
 }
 
-TEST(maintenance_engine, reset_rewinds_schedules_and_counters) {
-    dram_model d(refresh_timing(100, 10));
-    maintenance_config cfg;
-    cfg.scrub_interval = 40;
-    cfg.scrub_duration = 4;
-    cfg.hammer_threshold = 2;
-    cfg.hammer_mitigation_cycles = 10;
-    maintenance_engine eng(d, cfg);
-    eng.advance(500);
-    eng.on_activation(0, 500);
-    eng.on_activation(0, 500);
-    ASSERT_GT(eng.refreshes(), 0u);
-    ASSERT_GT(eng.scrubs(), 0u);
-    ASSERT_EQ(eng.hammer_mitigations(), 1u);
-    eng.reset();
-    EXPECT_EQ(eng.refreshes(), 0u);
-    EXPECT_EQ(eng.scrubs(), 0u);
-    EXPECT_EQ(eng.hammer_mitigations(), 0u);
-    EXPECT_EQ(eng.stolen_cycles(), 0u);
-    for (std::uint32_t b = 0; b < 8; ++b) {
-        EXPECT_FALSE(eng.bank_blocked(b, 0));
-    }
-    // The schedule rewound: bank 0's first window is ahead again.
-    EXPECT_EQ(eng.next_boundary(0), 100u / 8u);
-}
-
 TEST(maintenance_engine, controller_keeps_accepting_through_storm) {
     // A maintenance storm blocks the banks, not the queue: unlike a
     // backpressure storm, can_accept() stays true while service stalls.

@@ -197,18 +197,6 @@ TEST(memory_controller, no_blocking_charge_for_later_deadline_waiters) {
     for (const auto& r : done) EXPECT_EQ(r.blocked_cycles, 0u);
 }
 
-TEST(memory_controller, reset_clears_everything) {
-    memory_controller mc;
-    mc.push(make_req(0, 0));
-    mc.push(make_req(1, 64));
-    drain(mc, 10);
-    mc.reset();
-    EXPECT_TRUE(mc.idle());
-    EXPECT_EQ(mc.serviced(), 0u);
-    EXPECT_FALSE(mc.has_response());
-    EXPECT_TRUE(mc.can_accept());
-}
-
 TEST(memory_controller, refresh_blocks_starts_during_bank_window) {
     memctrl_config cfg;
     cfg.timing.t_refi = 100;

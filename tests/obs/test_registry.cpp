@@ -134,21 +134,7 @@ TEST(obs_registry, profile_metrics_stay_out_of_deterministic_snapshots) {
     EXPECT_EQ(prof.entries().front().first, "profile/wall_ns");
 }
 
-TEST(obs_registry, reset_values_zeroes_but_keeps_bindings) {
-    registry reg;
-    auto c = reg.make_counter("n");
-    auto s = reg.make_sample("w");
-    c.inc(4);
-    s.add(1.5);
-    reg.reset_values();
-    EXPECT_TRUE(c.bound());
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(s.count(), 0u);
-    c.inc();
-    EXPECT_EQ(c.value(), 1u);
-}
-
-TEST(obs_value_block, handles_write_unnamed_slots_and_reset) {
+TEST(obs_value_block, handles_write_unnamed_slots) {
     value_block block(4);
     auto c = block.make_counter("a/count");
     auto g = block.make_gauge("a/level");
@@ -165,13 +151,6 @@ TEST(obs_value_block, handles_write_unnamed_slots_and_reset) {
     EXPECT_EQ(g.value(), -2);
     EXPECT_DOUBLE_EQ(r.value(), 1.5);
     EXPECT_EQ(s.count(), 1u);
-    // reset_values zeroes the block; handles stay bound.
-    moved.reset_values();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(s.count(), 0u);
-    c.inc();
-    EXPECT_EQ(c.value(), 1u);
 }
 
 TEST(obs_value_block, registering_past_capacity_aborts) {

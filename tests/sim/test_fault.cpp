@@ -153,18 +153,6 @@ TEST(fault_window, disjoint_events_count_separately) {
     EXPECT_EQ(w.activations(), 2u);
 }
 
-TEST(fault_window, reset_replays_identically) {
-    fault_window w({{fault_kind::se_stall, 0, 10, 5},
-                    {fault_kind::se_stall, 0, 30, 5}});
-    std::vector<bool> first;
-    for (cycle_t t = 0; t < 40; ++t) first.push_back(w.active(t));
-    w.reset();
-    EXPECT_EQ(w.activations(), 0u);
-    for (cycle_t t = 0; t < 40; ++t) {
-        EXPECT_EQ(w.active(t), first[static_cast<std::size_t>(t)]) << t;
-    }
-}
-
 TEST(fault_window, empty_window_never_active) {
     fault_window w;
     EXPECT_TRUE(w.empty());

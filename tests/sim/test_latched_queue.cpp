@@ -88,17 +88,6 @@ TEST(latched_queue, at_and_extract_on_visible_elements) {
     EXPECT_EQ(q.pop(), 30);
 }
 
-TEST(latched_queue, clear_drops_staged_and_visible) {
-    latched_queue<int> q(4);
-    q.push(1);
-    q.commit();
-    q.push(2); // staged
-    q.clear();
-    q.commit();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.free_slots(), 4u);
-}
-
 TEST(latched_queue, commit_with_nothing_staged_is_noop) {
     latched_queue<int> q(4);
     q.push(5);
@@ -227,18 +216,6 @@ TEST(fixed_queue, extract_across_wraparound) {
     EXPECT_EQ(q.pop(), 5);
 }
 
-TEST(fixed_queue, clear_resets) {
-    latched_queue<int> q(3);
-    q.push(1);
-    q.push(2);
-    q.commit();
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    q.push(9);
-    q.commit();
-    EXPECT_EQ(q.front(), 9);
-}
-
 TEST(fixed_queue, move_only_types) {
     latched_queue<std::unique_ptr<int>> q(2);
     q.push(std::make_unique<int>(5));
@@ -326,8 +303,8 @@ TEST(latched_queue_property, matches_deque_model) {
                            << "capacity " << capacity << ", seed " << seed
                            << ", op #" << op << ": " << what;
                 };
-                // Pushes outweigh removals and clears are rare, so the
-                // queue fills, wraps and drains from full.
+                // Pushes outweigh removals, so the queue fills, wraps and
+                // drains from full.
                 const std::uint64_t roll = gen.uniform_u64(0, 999);
                 if (roll < 400) {
                     if (q.can_push()) {
@@ -353,17 +330,11 @@ TEST(latched_queue_property, matches_deque_model) {
                             FAIL() << fail(os.str());
                         }
                     }
-                } else if (roll < 980) {
-                    if (!q.empty()) {
-                        const std::size_t i = gen.pick(m.visible);
-                        q.at(i) = -next_value;
-                        m.entries[i] = -next_value;
-                        ++next_value;
-                    }
-                } else {
-                    q.clear();
-                    m.entries.clear();
-                    m.visible = 0;
+                } else if (!q.empty()) {
+                    const std::size_t i = gen.pick(m.visible);
+                    q.at(i) = -next_value;
+                    m.entries[i] = -next_value;
+                    ++next_value;
                 }
                 const std::string diff = state_mismatch(q, m, wakes, drains);
                 if (!diff.empty()) FAIL() << fail(diff);
