@@ -8,6 +8,7 @@
 //   $ ./bench/ablation_interface_selection [--trials N] [--threads N]
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/tree_analysis.hpp"
 #include "core/parameter_path.hpp"
@@ -59,11 +60,9 @@ int main(int argc, char** argv) {
     std::printf("Ablation A3: interface selection cost/quality "
                 "(16 clients, utilization 80%%)\n\n");
 
-    stats::table t({"tasks/client", "feasible", "root bandwidth",
-                    "sched tests", "dbf points", "est. FSM cycles",
-                    "SEs updated on 1-client change"});
-
-    for (std::uint32_t n_tasks : {1u, 2u, 4u, 8u, 16u}) {
+    constexpr std::uint32_t k_task_counts[] = {1, 2, 4, 8, 16};
+    std::vector<sweep_cell> cells;
+    for (std::uint32_t n_tasks : k_task_counts) {
         // Periods of 100-2000 units.
         const traffic_scenario sc = {
             .util_lo = 0.8,
@@ -72,15 +71,21 @@ int main(int argc, char** argv) {
                         .min_period_units = 100,
                         .max_period_units = 2000},
         };
-        const sweep_result r =
-            run_sweep(sweep_from(opts), "", [&sc](trial_record& rec) {
-                selection_trial(rec, sc);
-            });
+        cells.push_back(
+            {"", [sc](trial_record& rec) { selection_trial(rec, sc); }});
+    }
+    const auto results = run_sweep(sweep_from(opts), cells);
+
+    stats::table t({"tasks/client", "feasible", "root bandwidth",
+                    "sched tests", "dbf points", "est. FSM cycles",
+                    "SEs updated on 1-client change"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const sweep_result& r = results[i];
         const auto mean = [&r](const char* name, int decimals) {
             return stats::table::num(r.totals.get(name).samples.mean(),
                                      decimals);
         };
-        t.add_row({std::to_string(n_tasks),
+        t.add_row({std::to_string(k_task_counts[i]),
                    std::to_string(r.totals.get("feasible").count) + "/" +
                        std::to_string(opts.trials),
                    mean("root_bw", 3), mean("tests", 0), mean("points", 0),

@@ -5,6 +5,7 @@
 //
 //   $ ./bench/ablation_server_policy [--trials N] [--cycles N] [--threads N]
 #include <cstdio>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
@@ -38,18 +39,24 @@ int main(int argc, char** argv) {
          core::server_policy::fixed_priority, false},
     };
 
-    stats::table t({"variant", "blocking lat (us)", "worst (us)",
-                    "miss ratio"});
+    std::vector<sweep_cell> cells;
     for (const auto& v : variants) {
         fig6_config cfg;
-        cfg.scenario.sweep = sweep_from(opts);
         cfg.scenario.measure_cycles = opts.measure_cycles;
         core::se_params se;
         se.policy = v.policy;
         se.work_conserving = v.work_conserving;
         cfg.bluescale_se = se;
-        const auto r = run_fig6(ic_kind::bluescale, cfg);
-        t.add_row({v.name, stats::table::num(fig6_mean(r, "blocking_us"), 3),
+        cells.push_back(fig6_cell(ic_kind::bluescale, cfg));
+    }
+    const auto results = run_sweep(sweep_from(opts), cells);
+
+    stats::table t({"variant", "blocking lat (us)", "worst (us)",
+                    "miss ratio"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const sweep_result& r = results[i];
+        t.add_row({variants[i].name,
+                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
                    stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
                    stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
     }

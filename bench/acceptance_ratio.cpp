@@ -10,6 +10,7 @@
 //
 //   $ ./bench/acceptance_ratio [--trials N] [--threads N]
 #include <cstdio>
+#include <vector>
 
 #include "analysis/tree_analysis.hpp"
 #include "harness/bench_cli.hpp"
@@ -21,33 +22,37 @@ using namespace bluescale::harness;
 
 namespace {
 
-/// Fraction of trials whose whole-tree selection is feasible for
-/// `n_clients` at total `utilization` (Fig. 6's task shape: four tasks
-/// per client, periods of 40-600 units); `mean_root_bw` gets the accepted
-/// trials' mean root bandwidth.
-double acceptance(const sweep_options& sweep, std::uint32_t n_clients,
-                  double utilization, double* mean_root_bw,
-                  double bandwidth_tolerance = 0.0) {
+/// The trials of `n_clients` at total `utilization` (Fig. 6's task
+/// shape: four tasks per client, periods of 40-600 units), counting those
+/// whose whole-tree selection is feasible.
+sweep_cell acceptance_cell(std::uint32_t n_clients, double utilization,
+                           double bandwidth_tolerance = 0.0) {
     const traffic_scenario sc = {
         .n_clients = n_clients,
         .util_lo = utilization,
         .util_hi = utilization,
     };
-    const sweep_result r = run_sweep(sweep, "", [&](trial_record& rec) {
-        rng gen(9000 + rec.index() * 131 + n_clients);
+    return {"", [sc, bandwidth_tolerance](trial_record& rec) {
+        rng gen(9000 + rec.index() * 131 + sc.n_clients);
         analysis::analysis_context ctx;
         ctx.bandwidth_tolerance = bandwidth_tolerance;
         const auto sel = analysis::select_tree_interfaces(
-            rt_view(draw_tasksets(sc, gen, n_clients)), ctx);
+            rt_view(draw_tasksets(sc, gen, sc.n_clients)), ctx);
         if (!sel.feasible) return;
         rec.counter("accepted").inc();
         rec.sample("root_bw").add(sel.root_bandwidth);
-    });
+    }};
+}
+
+/// Fraction of a cell's `trials` whose selection is feasible;
+/// `mean_root_bw` gets the accepted trials' mean root bandwidth.
+double acceptance(const sweep_result& r, std::uint32_t trials,
+                  double* mean_root_bw) {
     const std::uint64_t accepted = r.totals.get("accepted").count;
     *mean_root_bw = accepted ? r.totals.get("root_bw").samples.sum() /
                                    static_cast<double>(accepted)
                              : 0.0;
-    return static_cast<double>(accepted) / sweep.trials;
+    return static_cast<double>(accepted) / trials;
 }
 
 } // namespace
@@ -58,17 +63,32 @@ int main(int argc, char** argv) {
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Acceptance ratio of the whole-tree interface selection");
-    const sweep_options sweep = sweep_from(opts);
-
     std::printf("Acceptance ratio of the whole-tree interface selection "
                 "(vs the centralized-EDF U<=1 bound)\n\n");
 
+    // Both tables' cells on one grid: per total U, 16 then 64 clients;
+    // then per tolerance, U 0.70 then 0.80 at 64 clients.
+    std::vector<double> utils;
+    for (double u = 0.5; u <= 0.95 + 1e-9; u += 0.1) utils.push_back(u);
+    constexpr double k_tolerances[] = {0.0, 0.05, 0.10, 0.25};
+    std::vector<sweep_cell> cells;
+    for (double u : utils) {
+        cells.push_back(acceptance_cell(16, u));
+        cells.push_back(acceptance_cell(64, u));
+    }
+    for (double tol : k_tolerances) {
+        cells.push_back(acceptance_cell(64, 0.70, tol));
+        cells.push_back(acceptance_cell(64, 0.80, tol));
+    }
+    const auto results = run_sweep(sweep_from(opts), cells);
+    const sweep_result* next = results.data();
+
     stats::table t({"total U", "16 clients", "root bw (16)", "64 clients",
                     "root bw (64)", "centralized EDF"});
-    for (double u = 0.5; u <= 0.95 + 1e-9; u += 0.1) {
+    for (double u : utils) {
         double bw16 = 0, bw64 = 0;
-        const double a16 = acceptance(sweep, 16, u, &bw16);
-        const double a64 = acceptance(sweep, 64, u, &bw64);
+        const double a16 = acceptance(*next++, opts.trials, &bw16);
+        const double a64 = acceptance(*next++, opts.trials, &bw64);
         t.add_row({stats::table::num(u, 2), stats::table::pct(a16, 0),
                    stats::table::num(bw16, 3), stats::table::pct(a64, 0),
                    stats::table::num(bw64, 3),
@@ -84,10 +104,10 @@ int main(int argc, char** argv) {
                 "recovers schedulable region:\n");
     stats::table q({"bw tolerance", "accept @U=0.70", "accept @U=0.80",
                     "root bw @U=0.70"});
-    for (double tol : {0.0, 0.05, 0.10, 0.25}) {
+    for (double tol : k_tolerances) {
         double bw70 = 0, unused = 0;
-        const double a70 = acceptance(sweep, 64, 0.70, &bw70, tol);
-        const double a80 = acceptance(sweep, 64, 0.80, &unused, tol);
+        const double a70 = acceptance(*next++, opts.trials, &bw70);
+        const double a80 = acceptance(*next++, opts.trials, &unused);
         q.add_row({stats::table::pct(tol, 0), stats::table::pct(a70, 0),
                    stats::table::pct(a80, 0),
                    stats::table::num(bw70, 3)});

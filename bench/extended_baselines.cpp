@@ -5,6 +5,7 @@
 //
 //   $ ./bench/extended_baselines [--trials N] [--cycles N] [--threads N]
 #include <cstdio>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
@@ -26,14 +27,18 @@ int main(int argc, char** argv) {
                 "70-90%%)\n\n");
 
     fig6_config cfg;
-    cfg.scenario.sweep = sweep_from(opts);
     cfg.scenario.measure_cycles = opts.measure_cycles;
+    std::vector<sweep_cell> cells;
+    for (ic_kind kind : k_extended_kinds) {
+        cells.push_back(fig6_cell(kind, cfg));
+    }
+    const auto results = run_sweep(sweep_from(opts), cells);
 
     stats::table t({"design", "blocking lat (us)", "worst (us)",
                     "miss ratio"});
-    for (ic_kind kind : k_extended_kinds) {
-        const auto r = run_fig6(kind, cfg);
-        t.add_row({kind_name(kind),
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const sweep_result& r = results[i];
+        t.add_row({kind_name(k_extended_kinds[i]),
                    stats::table::num(fig6_mean(r, "blocking_us"), 3),
                    stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
                    stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});

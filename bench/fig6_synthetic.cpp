@@ -11,11 +11,14 @@
 // --csv dumps one row per (scale, design) with the raw aggregates for
 // plotting; the file is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged obs::registry snapshot
-// and --trace its trial-0 event trace (.json = chrome://tracing), both
-// at the 16-generator scale; the metrics file is likewise byte-identical
-// for any --threads setting.
+// and --trace the event trace of its lowest-index trial that captured
+// one (.json = chrome://tracing), both at the 16-generator scale; the
+// metrics file is likewise byte-identical for any --threads setting.
+// --profile adds each design's simulator throughput under its table and
+// the whole grid's sweep wall time at the end.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
@@ -32,26 +35,22 @@ constexpr csv_column k_columns[] = {
     {"miss_sd", "miss_ratio:sd"},      {"sys_clk_mhz", "system_clock_mhz"},
 };
 
-void run_scale(std::uint32_t n_clients, const bench_options& opts,
-               stats::csv_writer* csv, bool export_obs) {
-    fig6_config cfg;
-    traffic_scenario& sc = cfg.scenario;
-    sc.n_clients = n_clients;
-    sc.sweep = sweep_from(opts, export_obs);
-    sc.sweep.profile = opts.profile;
-    sc.measure_cycles = opts.measure_cycles;
+constexpr std::uint32_t k_scales[] = {16, 64};
 
+/// One scale's table: `next` walks its designs' results, in k_all_kinds
+/// order.
+void print_scale(std::uint32_t n_clients, const bench_options& opts,
+                 const sweep_result*& next, stats::csv_writer* csv) {
     std::printf("\n=== Fig. 6(%c): %u traffic generators, %u trials, "
                 "%llu cycles/trial, utilization 70-90%% ===\n",
-                n_clients == 16 ? 'a' : 'b', n_clients, sc.sweep.trials,
-                static_cast<unsigned long long>(sc.measure_cycles));
+                n_clients == 16 ? 'a' : 'b', n_clients, opts.trials,
+                static_cast<unsigned long long>(opts.measure_cycles));
 
     stats::table t({"design", "blocking lat (us)", "+/- sd", "worst (us)",
                     "miss ratio", "+/- sd", "sys clk (MHz)"});
-    stats::table prof_t({"design", "sim Mcyc/s", "sim wall (s)",
-                         "sweep wall (s)"});
+    stats::table prof_t({"design", "sim Mcyc/s", "sim wall (s)"});
     for (ic_kind kind : k_all_kinds) {
-        const sweep_result r = run_fig6(kind, cfg);
+        const sweep_result& r = *next++;
         const auto& blocking = r.totals.get("fig6/blocking_us").samples;
         const auto& miss = r.totals.get("fig6/miss_ratio").samples;
         t.add_row(
@@ -64,9 +63,6 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
                                0)});
         add_csv_row(csv, {std::to_string(n_clients), kind_name(kind)},
                     r.totals, "fig6/", k_columns);
-        if (kind == ic_kind::bluescale) {
-            write_bench_exports(opts, sc.sweep, r);
-        }
         if (opts.profile) {
             const auto count = [&r](const char* name) {
                 return static_cast<double>(r.profile.get(name).count);
@@ -76,9 +72,7 @@ void run_scale(std::uint32_t n_clients, const bench_options& opts,
             prof_t.add_row(
                 {kind_name(kind),
                  stats::table::num(sim_s == 0.0 ? 0.0 : mcyc / sim_s, 2),
-                 stats::table::num(sim_s, 2),
-                 stats::table::num(count("profile/sweep/wall_ns") * 1e-9,
-                                   2)});
+                 stats::table::num(sim_s, 2)});
         }
     }
     t.print();
@@ -103,7 +97,33 @@ int main(int argc, char** argv) {
 
     std::printf("Fig. 6 reproduction: blocking latency and deadline miss "
                 "ratio, six interconnects\n");
-    run_scale(16, opts, csv.get(), /*export_obs=*/true);
-    run_scale(64, opts, csv.get(), /*export_obs=*/false);
+
+    // Both scales' designs on one grid. Obs exports cover the BlueScale
+    // design at 16 generators.
+    std::vector<sweep_cell> cells;
+    std::size_t exported = 0;
+    for (std::uint32_t n_clients : k_scales) {
+        for (ic_kind kind : k_all_kinds) {
+            if (n_clients == 16 && kind == ic_kind::bluescale) {
+                exported = cells.size();
+            }
+            cells.push_back(fig6_cell(
+                kind, {.scenario = {.n_clients = n_clients,
+                                    .measure_cycles = opts.measure_cycles}}));
+        }
+    }
+    const auto results = run_sweep(sweep_from(opts, exported), cells);
+    write_bench_exports(opts, results[exported]);
+
+    const sweep_result* next = results.data();
+    for (std::uint32_t n_clients : k_scales) {
+        print_scale(n_clients, opts, next, csv.get());
+    }
+    if (opts.profile) {
+        std::printf("\ngrid sweep wall (s): %.2f\n",
+                    static_cast<double>(
+                        results[0].profile.get("profile/sweep/wall_ns").count) *
+                        1e-9);
+    }
     return 0;
 }

@@ -4,9 +4,11 @@
 // per-level server grant -- see obs::hop_stamps); this bench reads those
 // attribution stamps straight off completed responses and aggregates them
 // per tree level, alongside the memory controller's share, across the
-// utilization range. Each utilization point is one traffic_trial.
+// utilization range. Each utilization point is one cell of one trial at
+// seed 2024 (--trials and --seed do not apply); --threads runs the
+// points in parallel, and the table is identical for any setting.
 //
-//   $ ./bench/latency_breakdown [--cycles N]
+//   $ ./bench/latency_breakdown [--cycles N] [--threads N]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -45,21 +47,18 @@ int main(int argc, char** argv) {
     std::printf("Per-level queueing breakdown inside BlueScale "
                 "(64 clients, 3 SE levels)\n\n");
 
-    stats::table t({"utilization", "leaf wait (cyc)", "mid wait (cyc)",
-                    "root wait (cyc)", "memory (cyc)",
-                    "end-to-end (cyc)"});
-    for (double util : {0.3, 0.5, 0.7, 0.85}) {
-        // One trial at seed 2024 (--trials does not apply); client c is
-        // seeded 300 + c.
+    constexpr double k_utils[] = {0.3, 0.5, 0.7, 0.85};
+    std::vector<sweep_cell> cells;
+    for (double util : k_utils) {
+        // Client c is seeded 300 + c.
         const traffic_scenario sc = {
             .n_clients = k_clients,
-            .sweep = {.trials = 1, .seed = 2024},
             .measure_cycles = opts.measure_cycles,
             .util_lo = util,
             .util_hi = util,
             .taskset = {.min_period_units = 100, .max_period_units = 2000},
         };
-        const sweep_result r = run_sweep(sc.sweep, "", [&](trial_record& rec) {
+        cells.push_back({"", [sc, depth](trial_record& rec) {
             std::vector<obs::sample> waits;
             for (std::uint32_t l = 0; l <= depth; ++l) {
                 waits.push_back(rec.sample(wait_name(l)));
@@ -90,11 +89,19 @@ int main(int argc, char** argv) {
                     end_to_end.add(static_cast<double>(resp.total_latency()));
                 });
             tt.tb().run(sc.measure_cycles);
-        });
-        const auto mean = [&r](const std::string& name) {
+        }});
+    }
+    const auto results = run_sweep(
+        {.trials = 1, .seed = 2024, .threads = opts.threads}, cells);
+
+    stats::table t({"utilization", "leaf wait (cyc)", "mid wait (cyc)",
+                    "root wait (cyc)", "memory (cyc)",
+                    "end-to-end (cyc)"});
+    for (std::size_t p = 0; p < results.size(); ++p) {
+        const auto mean = [&r = results[p]](const std::string& name) {
             return stats::table::num(r.totals.get(name).samples.mean(), 1);
         };
-        t.add_row({stats::table::num(util, 2), mean(wait_name(depth)),
+        t.add_row({stats::table::num(k_utils[p], 2), mean(wait_name(depth)),
                    mean(wait_name(1)), mean(wait_name(0)), mean("memory"),
                    mean("end_to_end")});
     }

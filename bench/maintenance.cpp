@@ -19,6 +19,7 @@
 // of the aware mode at 2x refresh with scrub and hammer on.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/maintenance_experiment.hpp"
@@ -70,8 +71,10 @@ constexpr csv_column k_columns[] = {
     {"feasible_trials", "feasible_trials"},
 };
 
-void run_mode(bool aware, const bench_options& opts,
-              stats::csv_writer* csv) {
+/// One mode's table: `next` walks its cells' results, in refresh x
+/// scrub x hammer order.
+void print_mode(bool aware, const bench_options& opts,
+                const sweep_result*& next, stats::csv_writer* csv) {
     std::printf("\n=== %s admission: refresh x scrub x hammer sweep, "
                 "%u trials, %llu cycles/trial ===\n",
                 aware ? "maintenance-aware" : "maintenance-unaware",
@@ -84,28 +87,7 @@ void run_mode(bool aware, const bench_options& opts,
     for (const auto& rf : k_refresh) {
         for (const auto& sc : k_scrub) {
             for (const auto& hm : k_hammer) {
-                maintenance_exp_config cfg;
-                // Obs exports cover the aware mode's heaviest cell: 2x
-                // refresh with scrub and hammer on.
-                cfg.scenario.sweep = sweep_from(
-                    opts, aware && &rf == &k_refresh[2] &&
-                              &sc == &k_scrub[1] && &hm == &k_hammer[1]);
-                cfg.scenario.measure_cycles = opts.measure_cycles;
-                cfg.maintenance_aware = aware;
-                memctrl_config& mc = cfg.scenario.memctrl;
-                mc.timing.t_refi = rf.t_refi;
-                mc.timing.t_rfc = rf.t_rfc;
-                mc.maintenance.scrub_interval = sc.interval;
-                mc.maintenance.scrub_duration = sc.duration;
-                mc.maintenance.hammer_threshold = hm.threshold;
-                mc.maintenance.hammer_mitigation_cycles = hm.mitigation;
-                // Fixed unmodeled-interference floor: rare short storms
-                // the corrected bound does NOT budget for, so the
-                // watchdog columns stay meaningful in aware mode too.
-                cfg.storm_intensity = 0.02;
-
-                const sweep_result r = run_maintenance_experiment(cfg);
-                write_bench_exports(opts, cfg.scenario.sweep, r);
+                const sweep_result& r = *next++;
                 const auto mean = [&r](const char* name) {
                     return r.totals.get(std::string("maintenance/") + name)
                         .samples.mean();
@@ -155,7 +137,41 @@ int main(int argc, char** argv) {
 
     std::printf("DRAM maintenance: maintenance-aware vs -unaware "
                 "admission under refresh/scrub/RowHammer\n");
-    run_mode(false, opts, csv.get());
-    run_mode(true, opts, csv.get());
+
+    // Both modes' cells on one grid.
+    constexpr bool k_modes[] = {false, true};
+    std::vector<sweep_cell> cells;
+    for (bool aware : k_modes) {
+        for (const auto& rf : k_refresh) {
+            for (const auto& sc : k_scrub) {
+                for (const auto& hm : k_hammer) {
+                    maintenance_exp_config cfg;
+                    cfg.scenario.measure_cycles = opts.measure_cycles;
+                    cfg.maintenance_aware = aware;
+                    memctrl_config& mc = cfg.scenario.memctrl;
+                    mc.timing.t_refi = rf.t_refi;
+                    mc.timing.t_rfc = rf.t_rfc;
+                    mc.maintenance.scrub_interval = sc.interval;
+                    mc.maintenance.scrub_duration = sc.duration;
+                    mc.maintenance.hammer_threshold = hm.threshold;
+                    mc.maintenance.hammer_mitigation_cycles = hm.mitigation;
+                    // Fixed unmodeled-interference floor: rare short
+                    // storms the corrected bound does NOT budget for, so
+                    // the watchdog columns stay meaningful in aware mode
+                    // too.
+                    cfg.storm_intensity = 0.02;
+                    cells.push_back(maintenance_cell(cfg));
+                }
+            }
+        }
+    }
+    // Obs exports cover the last cell, the aware mode's heaviest: 2x
+    // refresh with scrub and hammer on.
+    const std::size_t exported = cells.size() - 1;
+    const auto results = run_sweep(sweep_from(opts, exported), cells);
+    write_bench_exports(opts, results[exported]);
+
+    const sweep_result* next = results.data();
+    for (bool aware : k_modes) print_mode(aware, opts, next, csv.get());
     return 0;
 }

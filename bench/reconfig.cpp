@@ -17,11 +17,12 @@
 // rendered through obs::metric_cells off the experiment's metric
 // snapshot); the file is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged per-trial obs::registry
-// snapshot and --trace its trial-0 event trace, both at the highest
-// request rate; the metrics file is likewise byte-identical for any
-// --threads setting.
+// snapshot and --trace the event trace of its lowest-index trial that
+// captured one, both at the highest request rate; the metrics file is
+// likewise byte-identical for any --threads setting.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/reconfig_experiment.hpp"
@@ -59,8 +60,10 @@ constexpr csv_column k_columns[] = {
     {"feasible_trials", "feasible_trials"},
 };
 
-void run_design(ic_kind kind, const bench_options& opts,
-                stats::csv_writer* csv) {
+/// One design's table: `next` walks its cells' results, in k_rates
+/// order.
+void print_design(ic_kind kind, const bench_options& opts,
+                  const sweep_result*& next, stats::csv_writer* csv) {
     std::printf("\n=== %s: request-rate sweep, %u trials, %llu "
                 "cycles/trial ===\n",
                 kind_name(kind), opts.trials,
@@ -70,16 +73,7 @@ void run_design(ic_kind kind, const bench_options& opts,
                     "rej inf/over/haz", "lat (cyc)", "trans miss",
                     "miss ratio", "hard miss", "BE miss", "shed/rest"});
     for (double rate : k_rates) {
-        reconfig_exp_config cfg;
-        // Obs exports cover the BlueScale design at the highest request
-        // rate (the most eventful run on a timeline).
-        cfg.scenario.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
-                                         rate == k_rates[2]);
-        cfg.scenario.measure_cycles = opts.measure_cycles;
-        cfg.events_per_kcycle = rate;
-
-        const sweep_result r = run_reconfig(kind, cfg);
-        write_bench_exports(opts, cfg.scenario.sweep, r);
+        const sweep_result& r = *next++;
         const auto get = [&r](const char* name) -> const obs::metric_value& {
             return r.totals.get(std::string("reconfig_exp/") + name);
         };
@@ -120,8 +114,23 @@ int main(int argc, char** argv) {
 
     std::printf("Runtime admission control and transactional "
                 "reconfiguration under churn\n");
+
+    // Every design x rate on one grid.
+    std::vector<sweep_cell> cells;
     for (ic_kind kind : k_designs) {
-        run_design(kind, opts, csv.get());
+        for (double rate : k_rates) {
+            cells.push_back(reconfig_cell(
+                kind, {.scenario = {.measure_cycles = opts.measure_cycles},
+                       .events_per_kcycle = rate}));
+        }
     }
+    // Obs exports cover the last cell: the BlueScale design at the
+    // highest request rate (the most eventful run on a timeline).
+    const std::size_t exported = cells.size() - 1;
+    const auto results = run_sweep(sweep_from(opts, exported), cells);
+    write_bench_exports(opts, results[exported]);
+
+    const sweep_result* next = results.data();
+    for (ic_kind kind : k_designs) print_design(kind, opts, next, csv.get());
     return 0;
 }

@@ -13,11 +13,12 @@
 // (cells rendered through obs::metric_cells off the experiment's metric
 // snapshot); the file is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged per-trial obs::registry
-// snapshot and --trace its trial-0 event trace, both at the highest
-// fault intensity; the metrics file is likewise byte-identical for any
-// --threads setting.
+// snapshot and --trace the event trace of its lowest-index trial that
+// captured one, both at the highest fault intensity; the metrics file is
+// likewise byte-identical for any --threads setting.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/resilience_experiment.hpp"
@@ -55,8 +56,10 @@ constexpr csv_column k_columns[] = {
     {"feasible_trials", "feasible_trials"},
 };
 
-void run_design(ic_kind kind, const bench_options& opts,
-                stats::csv_writer* csv) {
+/// One design's table: `next` walks its cells' results, in
+/// k_intensities order.
+void print_design(ic_kind kind, const bench_options& opts,
+                  sweep_result*& next, stats::csv_writer* csv) {
     std::printf("\n=== %s: fault-intensity sweep, %u trials, %llu "
                 "cycles/trial ===\n",
                 kind_name(kind), opts.trials,
@@ -68,16 +71,7 @@ void run_design(ic_kind kind, const bench_options& opts,
     double healthy_p99 = 0.0;
     double healthy_worst = 0.0;
     for (double intensity : k_intensities) {
-        resilience_config cfg;
-        // Obs exports cover the BlueScale design at the highest intensity
-        // (the most eventful run on a timeline).
-        cfg.scenario.sweep = sweep_from(opts, kind == ic_kind::bluescale &&
-                                         intensity == k_intensities[3]);
-        cfg.scenario.measure_cycles = opts.measure_cycles;
-        cfg.fault_intensity = intensity;
-
-        sweep_result r = run_resilience(kind, cfg);
-        write_bench_exports(opts, cfg.scenario.sweep, r);
+        sweep_result& r = *next++;
         const auto mean = [&r](const char* name) {
             return r.totals.get(std::string("resilience/") + name)
                 .samples.mean();
@@ -129,8 +123,23 @@ int main(int argc, char** argv) {
 
     std::printf("Resilience under fault injection: retry/timeout recovery "
                 "and graceful degradation\n");
+
+    // Every design x intensity on one grid.
+    std::vector<sweep_cell> cells;
     for (ic_kind kind : k_designs) {
-        run_design(kind, opts, csv.get());
+        for (double intensity : k_intensities) {
+            cells.push_back(resilience_cell(
+                kind, {.scenario = {.measure_cycles = opts.measure_cycles},
+                       .fault_intensity = intensity}));
+        }
     }
+    // Obs exports cover the last cell: the BlueScale design at the
+    // highest intensity (the most eventful run on a timeline).
+    const std::size_t exported = cells.size() - 1;
+    auto results = run_sweep(sweep_from(opts, exported), cells);
+    write_bench_exports(opts, results[exported]);
+
+    sweep_result* next = results.data();
+    for (ic_kind kind : k_designs) print_design(kind, opts, next, csv.get());
     return 0;
 }

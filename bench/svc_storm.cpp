@@ -17,10 +17,11 @@
 // through obs::metric_cells off the experiment's metric snapshot); the
 // file is byte-identical for any --threads setting and for the event vs
 // lockstep engines. --metrics dumps the merged per-trial obs::registry
-// snapshot and --trace the trial-0 event trace, both at the highest
-// rate.
+// snapshot and --trace the event trace of the lowest-index trial that
+// captured one, both at the highest rate.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/analysis_service_experiment.hpp"
 #include "harness/bench_cli.hpp"
@@ -80,20 +81,27 @@ int main(int argc, char** argv) {
                 opts.trials,
                 static_cast<unsigned long long>(opts.measure_cycles));
 
-    stats::table t({"rate", "submitted", "shed", "expired", "commit",
-                    "reject", "retry/requeue", "cache hit%", "degraded",
-                    "breaker", "lat (cyc)", "hard miss", "conserved"});
+    std::vector<sweep_cell> cells;
     for (double rate : k_rates) {
         svc_storm_config cfg;
-        cfg.scenario.sweep = sweep_from(opts, rate == k_rates[2]);
         cfg.scenario.measure_cycles = opts.measure_cycles;
         cfg.requests_per_kcycle = rate;
         cfg.service.default_deadline = 20'000;
         cfg.worker_fault_intensity = 0.05;
         cfg.path_fault_intensity = 0.05;
+        cells.push_back(svc_storm_cell(cfg));
+    }
+    // Obs exports cover the highest rate.
+    const std::size_t exported = cells.size() - 1;
+    const auto results = run_sweep(sweep_from(opts, exported), cells);
+    write_bench_exports(opts, results[exported]);
 
-        const sweep_result r = run_svc_storm(cfg);
-        write_bench_exports(opts, cfg.scenario.sweep, r);
+    stats::table t({"rate", "submitted", "shed", "expired", "commit",
+                    "reject", "retry/requeue", "cache hit%", "degraded",
+                    "breaker", "lat (cyc)", "hard miss", "conserved"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const double rate = k_rates[i];
+        const sweep_result& r = results[i];
         const auto get = [&r](const char* name) -> const obs::metric_value& {
             return r.totals.get(std::string("svc_exp/") + name);
         };
@@ -109,7 +117,7 @@ int main(int argc, char** argv) {
                    stats::table::num(get("latency_cycles").samples.mean(), 0),
                    total("hard_misses"),
                    total("conserved_trials") + "/" +
-                       std::to_string(cfg.scenario.sweep.trials)});
+                       std::to_string(opts.trials)});
         add_csv_row(csv.get(), {std::to_string(rate)}, r.totals, "svc_exp/",
                     k_columns);
     }

@@ -16,6 +16,7 @@
 //   $ ./bench/wcrt_validation [--trials N] [--cycles N] [--threads N]
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/wcrt_experiment.hpp"
@@ -43,22 +44,28 @@ int main(int argc, char** argv) {
     // quantization makes 70-90%% selections mostly infeasible there.
     const scale scales[] = {{16, 0.70, 0.90}, {64, 0.50, 0.70}};
 
-    stats::table t({"clients", "utilization", "feasible trials",
-                    "missed/completed", "beyond margin",
-                    "worst latency (cyc)", "drain bound (cyc)"});
+    // Four tasks per client with periods of 100-2000 units; trial t runs
+    // at seed 7000 + t.
+    std::vector<sweep_cell> cells;
     for (const auto& s : scales) {
-        // Four tasks per client with periods of 100-2000 units; trial t
-        // runs at seed 7000 + t.
-        traffic_scenario sc = {
+        cells.push_back(wcrt_validation_cell({
             .n_clients = s.clients,
-            .sweep = sweep_from(opts),
             .measure_cycles = opts.measure_cycles,
             .util_lo = s.util_lo,
             .util_hi = s.util_hi,
             .taskset = {.min_period_units = 100, .max_period_units = 2000},
-        };
-        sc.sweep.seed = 7000;
-        const sweep_result r = run_wcrt_validation(sc);
+        }));
+    }
+    sweep_options grid = sweep_from(opts);
+    grid.seed = 7000;
+    const auto results = run_sweep(grid, cells);
+
+    stats::table t({"clients", "utilization", "feasible trials",
+                    "missed/completed", "beyond margin",
+                    "worst latency (cyc)", "drain bound (cyc)"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const scale& s = scales[i];
+        const sweep_result& r = results[i];
         const auto total = [&r](const char* name) {
             return std::to_string(
                 r.totals.get(std::string("wcrt/") + name).count);

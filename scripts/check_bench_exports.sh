@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Byte-identity check for the experiment bench drivers: runs every driver
-# that calls a run_* experiment or run_sweep, the two tree-selection
+# that calls run_sweep, the two tree-selection
 # drivers among them (ablation A3 prints the modeled FSM price), plus
 # ablation_channels (the one driver of meshed BlueScale), from two
 # builds -- a reference (e.g. the parent commit) and a candidate -- at

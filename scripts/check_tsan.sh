@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Build the test suite under ThreadSanitizer and run the concurrency-
-# relevant tests (trial runner, parallel fig6/fig7 sweeps, testbench).
-# A clean run demonstrates the determinism contract is not hiding a data
-# race: trials share no mutable state, so TSan should stay silent.
+# relevant tests (the trial sweep and its cross-trial trace keeping,
+# parallel fig6/fig7 grids, testbench). A clean run demonstrates the
+# determinism contract is not hiding a data race: trials share no
+# mutable state but the exported cell's kept trace, which is locked, so
+# TSan should stay silent.
 #
 #   $ scripts/check_tsan.sh [build-dir]
 set -euo pipefail
@@ -21,7 +23,7 @@ cmake --build "$build_dir" --target bluescale_tests \
 # parameter-path property test and the per-SE work accounting test fill
 # select_tree_interfaces' per-SE work output from 4 workers.
 "$build_dir/tests/bluescale_tests" \
-    --gtest_filter='trial_runner.*:rng_substream.*:testbench.*:fig6.parallel*:fig7.parallel*:export_determinism.*:experiments/scenario_determinism.*:megascale_determinism.*:parameter_path_property.*:tree_analysis_accounting.per_se_work*'
+    --gtest_filter='trial_sweep.*:rng_substream.*:testbench.*:fig6.parallel*:fig7.parallel*:export_determinism.*:experiments/scenario_determinism.*:megascale_determinism.*:parameter_path_property.*:tree_analysis_accounting.per_se_work*'
 
 # Fault campaigns run inside parallel trial sweeps: the injection windows,
 # retry bookkeeping, health monitoring and DRAM-maintenance accounting

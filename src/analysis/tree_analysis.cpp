@@ -1,13 +1,11 @@
 #include "analysis/tree_analysis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
+
+#include "analysis/parallel_for.hpp"
 
 namespace bluescale::analysis {
 
@@ -83,46 +81,6 @@ void finalize(tree_selection& sel) {
         sel.failure.reason = selection_failure_reason::root_overutilized;
     }
     sel.feasible = sel.failure.empty();
-}
-
-/// trial_runner-style deterministic work sharing: workers claim SE
-/// indices from an atomic counter and write results into index-addressed
-/// slots only, so the merge order (and therefore every output bit) is
-/// independent of thread scheduling. The first worker exception is
-/// rethrown after the join.
-void parallel_for(std::uint32_t n, unsigned threads,
-                  const std::function<void(std::uint32_t)>& fn) {
-    unsigned workers = threads == 0 ? std::thread::hardware_concurrency()
-                                    : threads;
-    if (workers == 0) workers = 1;
-    if (workers > n) workers = n;
-    if (workers <= 1) {
-        for (std::uint32_t i = 0; i < n; ++i) fn(i);
-        return;
-    }
-
-    std::atomic<std::uint32_t> next{0};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    auto body = [&] {
-        for (;;) {
-            const std::uint32_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n) return;
-            try {
-                fn(i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(error_mu);
-                if (!first_error) first_error = std::current_exception();
-            }
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(body);
-    body();
-    for (auto& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
 }
 
 /// Resolves one level's selections: each SE's four ports serially, SEs in

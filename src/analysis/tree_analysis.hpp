@@ -5,7 +5,7 @@
 // Selection scales to mega-trees (ROADMAP item 2): with
 // analysis_context::threads > 1 the per-SE selections of one level run in
 // parallel (sibling subtrees are independent below the root bandwidth
-// check) under the trial_runner-style ordered-merge discipline, and with
+// check) on analysis::parallel_for with an ordered merge, and with
 // a selection_cache attached identical (task set, level context) subtree
 // profiles are resolved once. Both are bit-identical to the serial,
 // uncached selection.

@@ -15,9 +15,9 @@ constexpr cycle_t k_drain_cycles = 50'000;
 
 } // namespace
 
-sweep_result run_svc_storm(const svc_storm_config& cfg) {
-    const traffic_scenario& sc = cfg.scenario;
-    auto out = run_sweep(sc.sweep, "svc_exp/", [&](trial_record& rec) {
+sweep_cell svc_storm_cell(const svc_storm_config& cfg) {
+    const auto trial = [cfg](trial_record& rec) {
+        const traffic_scenario& sc = cfg.scenario;
         // Fabric faults (path hazards -> retries), a separate substream
         // from the worker faults so intensities can be tuned
         // independently.
@@ -175,12 +175,13 @@ sweep_result run_svc_storm(const svc_storm_config& cfg) {
             eval.add(x);
         }
         rec.capture(tb);
-    });
-    const obs::snapshot& t = out.totals;
-    const std::uint64_t hits = t.get("svc_exp/cache_hits").count;
-    set_real(out.totals, "svc_exp/cache_hit_ratio",
-             ratio(hits, hits + t.get("svc_exp/cache_misses").count));
-    return out;
+    };
+    return {"svc_exp/", trial, [](sweep_result& r) {
+                const auto hits = r.totals.get("svc_exp/cache_hits").count;
+                const auto misses = r.totals.get("svc_exp/cache_misses").count;
+                set_real(r.totals, "svc_exp/cache_hit_ratio",
+                         ratio(hits, hits + misses));
+            }};
 }
 
 } // namespace bluescale::harness

@@ -22,8 +22,7 @@
 namespace bluescale::harness {
 
 struct svc_storm_config {
-    traffic_scenario scenario = {.sweep = {.trials = 8},
-                                 .measure_cycles = 60'000};
+    traffic_scenario scenario = {.measure_cycles = 60'000};
 
     /// Expected service requests per 1000 cycles (storm intensity).
     double requests_per_kcycle = 2.0;
@@ -41,9 +40,9 @@ struct svc_storm_config {
     double path_fault_intensity = 0.0;
 };
 
-/// Runs cfg.scenario.sweep.trials independent storm trials (BlueScale
-/// only -- the service fronts the BlueScale reconfiguration manager,
-/// which runs its default configuration). Requests start after a
+/// Independent storm trials (BlueScale only -- the service fronts the
+/// BlueScale reconfiguration manager, which runs its default
+/// configuration). Requests start after a
 /// 2,000-cycle warmup; the last k_best_effort_clients client ids are
 /// best-effort, the rest hard real-time (their deadline misses are the
 /// acceptance criterion); after the storm the service and manager get
@@ -63,6 +62,6 @@ struct svc_storm_config {
 /// (service and manager fully drained inside the budget) and
 /// conserved_trials (submitted == shed + expired + rejected + committed
 /// and every record carries a terminal outcome).
-[[nodiscard]] sweep_result run_svc_storm(const svc_storm_config& cfg);
+[[nodiscard]] sweep_cell svc_storm_cell(const svc_storm_config& cfg);
 
 } // namespace bluescale::harness

@@ -127,13 +127,15 @@ bench_options parse_bench_cli(int argc, char** argv,
     return opts;
 }
 
-sweep_options sweep_from(const bench_options& opts, bool export_obs) {
+sweep_options sweep_from(const bench_options& opts,
+                         std::optional<std::size_t> export_cell) {
     sweep_options s;
     s.trials = opts.trials;
     s.seed = opts.seed;
     s.threads = opts.threads;
-    s.collect_metrics = export_obs && !opts.metrics_path.empty();
-    s.collect_trace = export_obs && !opts.trace_path.empty();
+    s.profile = opts.profile;
+    if (!opts.metrics_path.empty()) s.metrics_cell = export_cell;
+    if (!opts.trace_path.empty()) s.trace_cell = export_cell;
     return s;
 }
 
@@ -188,20 +190,20 @@ std::ofstream open_export_file(const std::string& path) {
 } // namespace
 
 void write_bench_exports(const bench_options& opts,
-                         const sweep_options& sweep, const sweep_result& r) {
-    if (sweep.collect_metrics && !opts.metrics_path.empty()) {
+                         const sweep_result& exported) {
+    if (!opts.metrics_path.empty()) {
         auto os = open_export_file(opts.metrics_path);
-        r.metrics.write_csv(os);
+        exported.metrics.write_csv(os);
     }
-    if (sweep.collect_trace && !opts.trace_path.empty()) {
+    if (!opts.trace_path.empty()) {
         auto os = open_export_file(opts.trace_path);
         const std::string& p = opts.trace_path;
         const bool json =
             p.size() >= 5 && p.compare(p.size() - 5, 5, ".json") == 0;
         if (json) {
-            r.trace.write_chrome_json(os);
+            exported.trace.write_chrome_json(os);
         } else {
-            r.trace.write_csv(os);
+            exported.trace.write_csv(os);
         }
     }
 }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -54,11 +55,12 @@ struct bench_options {
                                             const bench_options& defaults,
                                             const char* what);
 
-/// The trial-sweep settings of a driver's experiment: --trials, --seed
-/// and --threads, plus --metrics/--trace collection when `export_obs`
-/// (the driver's one exported configuration) and the path was given.
-[[nodiscard]] sweep_options sweep_from(const bench_options& opts,
-                                       bool export_obs = false);
+/// The grid settings of a driver's run_sweep: --trials, --seed,
+/// --threads and --profile, and `export_cell` as the metrics_cell when
+/// --metrics and the trace_cell when --trace was given.
+[[nodiscard]] sweep_options
+sweep_from(const bench_options& opts,
+           std::optional<std::size_t> export_cell = std::nullopt);
 
 /// One CSV column of experiment values, declared once: {header, metric},
 /// where the metric is an obs::metric_cells name (":sd"-style suffixes
@@ -79,16 +81,14 @@ void add_csv_row(stats::csv_writer* csv, std::vector<std::string> keys,
                  const obs::snapshot& totals, std::string_view prefix,
                  std::span<const csv_column> columns);
 
-/// Writes what `sweep` collected: the merged metrics snapshot to
-/// --metrics (snapshot::write_csv's sorted, deterministic CSV, so the file
-/// is byte-identical across --threads settings) and the event trace of
-/// the lowest-index trial that captured one to --trace (a path ending in
-/// ".json" gets Chrome trace-event JSON for chrome://tracing / Perfetto,
-/// anything else the CSV form; valid but empty when the build has
-/// BLUESCALE_TRACE=OFF). A sweep that collected neither writes nothing,
-/// so a driver's non-exporting sweeps never overwrite its one exported
-/// configuration. Exits with a diagnostic when a file cannot be created.
+/// Writes the exported cell's merged metrics snapshot to --metrics
+/// (snapshot::write_csv's sorted, deterministic CSV, so the file is
+/// byte-identical across --threads settings) and its event trace to
+/// --trace (a path ending in ".json" gets Chrome trace-event JSON for
+/// chrome://tracing / Perfetto, anything else the CSV form; valid but
+/// empty when the build has BLUESCALE_TRACE=OFF). Exits with a diagnostic
+/// when a file cannot be created.
 void write_bench_exports(const bench_options& opts,
-                         const sweep_options& sweep, const sweep_result& r);
+                         const sweep_result& exported);
 
 } // namespace bluescale::harness

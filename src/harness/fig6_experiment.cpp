@@ -7,13 +7,13 @@
 
 namespace bluescale::harness {
 
-sweep_result run_fig6(ic_kind kind, const fig6_config& cfg) {
-    const traffic_scenario& sc = cfg.scenario;
+sweep_cell fig6_cell(ic_kind kind, const fig6_config& cfg) {
     const double clock_mhz =
-        hwcost::system_clock_mhz(to_design(kind), sc.n_clients);
+        hwcost::system_clock_mhz(to_design(kind), cfg.scenario.n_clients);
     const double us_per_cycle = 1.0 / clock_mhz;
 
-    auto result = run_sweep(sc.sweep, "fig6/", [&](trial_record& rec) {
+    const auto trial = [kind, cfg, us_per_cycle](trial_record& rec) {
+        const traffic_scenario& sc = cfg.scenario;
         testbench_options opts;
         opts.bluetree_alpha = cfg.bluetree_alpha;
         opts.bluescale_se = cfg.bluescale_se;
@@ -38,21 +38,14 @@ sweep_result run_fig6(ic_kind kind, const fig6_config& cfg) {
         rec.sample("blocking_us").add(blocking.mean() * us_per_cycle);
         rec.sample("worst_blocking_us").add(worst * us_per_cycle);
         rec.sample("miss_ratio").add(misses.ratio());
-    });
-    set_real(result.totals, "fig6/system_clock_mhz", clock_mhz);
-    return result;
+    };
+    return {"fig6/", trial, [clock_mhz](sweep_result& r) {
+                set_real(r.totals, "fig6/system_clock_mhz", clock_mhz);
+            }};
 }
 
 double fig6_mean(const sweep_result& r, std::string_view name) {
     return r.totals.get("fig6/" + std::string(name)).samples.mean();
-}
-
-std::vector<sweep_result> run_fig6_all(const fig6_config& cfg) {
-    std::vector<sweep_result> results;
-    for (ic_kind kind : k_all_kinds) {
-        results.push_back(run_fig6(kind, cfg));
-    }
-    return results;
 }
 
 } // namespace bluescale::harness

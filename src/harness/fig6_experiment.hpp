@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "core/scale_element.hpp"
 #include "harness/factory.hpp"
@@ -21,25 +20,22 @@ struct fig6_config {
     /// Optional SE parameter override for BlueScale (ablations: buffer
     /// depth, server policy, work conservation). unit_cycles is forced to
     /// the memory controller's initiation interval.
-    std::optional<core::se_params> bluescale_se;
+    std::optional<core::se_params> bluescale_se = std::nullopt;
 };
 
-/// Runs `cfg.scenario.sweep.trials` trials of one design. Every design sees
-/// identical per-trial workloads (the trial seed drives the generator),
-/// matching the paper's "data input ... identical in each execution".
+/// The trials of one design. Every design sees identical per-trial
+/// workloads (the trial seed drives the generator), matching the paper's
+/// "data input ... identical in each execution".
 ///
 /// totals ("fig6/"): per-trial samples blocking_us (mean blocking
 /// latency, microseconds of wall-clock at the design's achievable system
 /// frequency), worst_blocking_us and miss_ratio (in [0, 1]); the counter
 /// feasible_trials (BlueScale interface selection feasible); and the
 /// real system_clock_mhz.
-[[nodiscard]] sweep_result run_fig6(ic_kind kind, const fig6_config& cfg);
+[[nodiscard]] sweep_cell fig6_cell(ic_kind kind, const fig6_config& cfg);
 
 /// Cross-trial mean of the fig6 per-trial sample `name` ("blocking_us",
 /// "worst_blocking_us" or "miss_ratio").
 [[nodiscard]] double fig6_mean(const sweep_result& r, std::string_view name);
-
-/// Convenience: all six designs, in k_all_kinds order.
-[[nodiscard]] std::vector<sweep_result> run_fig6_all(const fig6_config& cfg);
 
 } // namespace bluescale::harness

@@ -155,27 +155,31 @@ void fig7_trial(trial_record& rec, ic_kind kind, const fig7_config& cfg,
 
 } // namespace
 
-std::vector<sweep_result> run_fig7(ic_kind kind, const fig7_config& cfg) {
-    std::vector<sweep_result> points;
+std::vector<sweep_cell> fig7_cells(ic_kind kind, const fig7_config& cfg) {
+    std::vector<sweep_cell> points;
     for (double u = cfg.util_lo; u <= cfg.util_hi + 1e-9;
          u += cfg.util_step) {
-        auto r = run_sweep(cfg.sweep, "fig7/", [&](trial_record& rec) {
+        const auto trial = [kind, cfg, u](trial_record& rec) {
             // Depends on the utilization and the trial index but not the
             // design, so every design sees identical workloads.
+            const std::uint64_t grid_seed = rec.seed() - rec.index();
             const std::uint64_t trial_seed =
-                cfg.sweep.seed + rec.index() * 1000003ull +
+                grid_seed + rec.index() * 1000003ull +
                 static_cast<std::uint64_t>(u * 1000.0) * 7919ull;
             fig7_trial(rec, kind, cfg, u, trial_seed);
-        });
-        const double trials = cfg.sweep.trials;
-        set_real(r.totals, "fig7/target_utilization", u);
-        set_real(r.totals, "fig7/success_ratio",
-                 static_cast<double>(
-                     r.totals.get("fig7/successful_trials").count) /
-                     trials);
-        set_real(r.totals, "fig7/mean_app_miss_ratio",
-                 r.totals.get("fig7/app_miss_ratio").samples.sum() / trials);
-        points.push_back(std::move(r));
+        };
+        const auto finish = [u](sweep_result& r) {
+            // One app_miss_ratio sample per trial.
+            const auto& miss = r.totals.get("fig7/app_miss_ratio").samples;
+            const auto trials = static_cast<double>(miss.count());
+            const double miss_sum = miss.sum();
+            const double successful = static_cast<double>(
+                r.totals.get("fig7/successful_trials").count);
+            set_real(r.totals, "fig7/target_utilization", u);
+            set_real(r.totals, "fig7/success_ratio", successful / trials);
+            set_real(r.totals, "fig7/mean_app_miss_ratio", miss_sum / trials);
+        };
+        points.push_back({"fig7/", trial, finish});
     }
     return points;
 }

@@ -34,11 +34,11 @@ maintenance_tasksets(const maintenance_exp_config& cfg,
 
 } // namespace
 
-sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
+sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
     // Always BlueScale: the toggle under study lives in its admission
     // analysis and watchdog, which the baselines lack.
-    const traffic_scenario& sc = cfg.scenario;
-    return run_sweep(sc.sweep, "maintenance/", [&](trial_record& rec) {
+    return {"maintenance/", [cfg](trial_record& rec) {
+        const traffic_scenario& sc = cfg.scenario;
         // Maintenance storms ONLY: every other kind's weight is zeroed so
         // the trial's interference is exactly the unmodeled-maintenance
         // story.
@@ -123,7 +123,7 @@ sweep_result run_maintenance_experiment(const maintenance_exp_config& cfg) {
         rec.counter("restore_events").inc(rep.restore_events);
         rec.counter("shed_client_cycles").inc(rep.shed_client_cycles);
         rec.capture(tb);
-    });
+    }};
 }
 
 } // namespace bluescale::harness

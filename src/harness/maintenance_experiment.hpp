@@ -28,7 +28,6 @@ struct maintenance_exp_config {
     /// study (timing.t_refi/t_rfc, maintenance.scrub_*,
     /// maintenance.hammer_*).
     traffic_scenario scenario = {
-        .sweep = {.trials = 8},
         .measure_cycles = 60'000,
         .util_lo = 0.40,
         .util_hi = 0.60,
@@ -71,9 +70,9 @@ struct maintenance_exp_config {
     core::watchdog_config watchdog = {};
 };
 
-/// Runs `cfg.scenario.sweep.trials` BlueScale trials. Workload and storm
-/// schedule are pure functions of the trial seed, so aware/unaware runs
-/// at the same seed face the identical scenario. A trial whose admission
+/// The BlueScale trials of one maintenance configuration. Workload and
+/// storm schedule are pure functions of the trial seed, so aware/unaware
+/// runs at the same seed face the identical scenario. A trial whose admission
 /// analysis is infeasible is NOT simulated: it contributes zero samples
 /// and the trials-minus-feasible_trials gap (admission control refused
 /// the workload; there is no admitted system to measure).
@@ -84,7 +83,6 @@ struct maintenance_exp_config {
 /// maintenance_stolen_cycles, maintenance_storm_cycles, injected_storms,
 /// windows_checked, supply_shortfall_alarms, deadline_alarms,
 /// shed_events, restore_events, shed_client_cycles and feasible_trials.
-[[nodiscard]] sweep_result
-run_maintenance_experiment(const maintenance_exp_config& cfg);
+[[nodiscard]] sweep_cell maintenance_cell(const maintenance_exp_config& cfg);
 
 } // namespace bluescale::harness

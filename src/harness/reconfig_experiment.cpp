@@ -5,9 +5,9 @@
 
 namespace bluescale::harness {
 
-sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
-    const traffic_scenario& sc = cfg.scenario;
-    auto out = run_sweep(sc.sweep, "reconfig_exp/", [&](trial_record& rec) {
+sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
+    const auto trial = [kind, cfg](trial_record& rec) {
+        const traffic_scenario& sc = cfg.scenario;
         const sim::fault_campaign campaign(
             fabric_campaign(rec.seed(), sc.n_clients, sc.measure_cycles,
                             cfg.fault_intensity));
@@ -131,12 +131,12 @@ sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg) {
             shed_cycles.inc(rep.shed_client_cycles);
         }
         rec.capture(tb);
-    });
-    const obs::snapshot& t = out.totals;
-    set_real(out.totals, "reconfig_exp/admission_ratio",
-             ratio(t.get("reconfig_exp/admitted").count,
-                   t.get("reconfig_exp/submitted").count));
-    return out;
+    };
+    return {"reconfig_exp/", trial, [](sweep_result& r) {
+                set_real(r.totals, "reconfig_exp/admission_ratio",
+                         ratio(r.totals.get("reconfig_exp/admitted").count,
+                               r.totals.get("reconfig_exp/submitted").count));
+            }};
 }
 
 } // namespace bluescale::harness

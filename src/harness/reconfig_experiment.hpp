@@ -42,10 +42,9 @@ struct reconfig_exp_config {
     double fault_intensity = 0.0;
 };
 
-/// Runs `cfg.scenario.sweep.trials` trials of one design under the same
-/// per-trial workloads and reconfiguration schedules (both pure functions
-/// of the trial seed, so designs are compared on identical request
-/// sequences).
+/// The trials of one design under the same per-trial workloads and
+/// reconfiguration schedules (both pure functions of the trial seed, so
+/// designs are compared on identical request sequences).
 ///
 /// totals ("reconfig_exp/"), admission control (BlueScale; zero for
 /// baselines): counters submitted, admitted (passed the admission test),
@@ -60,7 +59,7 @@ struct reconfig_exp_config {
 /// per-trial sample miss_ratio (all clients), hard_misses,
 /// best_effort_misses, shed_deferrals, live_reconfigurations (task-set
 /// swaps applied) and feasible_trials.
-[[nodiscard]] sweep_result run_reconfig(ic_kind kind,
-                                        const reconfig_exp_config& cfg);
+[[nodiscard]] sweep_cell reconfig_cell(ic_kind kind,
+                                      const reconfig_exp_config& cfg);
 
 } // namespace bluescale::harness

@@ -5,9 +5,9 @@
 
 namespace bluescale::harness {
 
-sweep_result run_resilience(ic_kind kind, const resilience_config& cfg) {
-    const traffic_scenario& sc = cfg.scenario;
-    return run_sweep(sc.sweep, "resilience/", [&](trial_record& rec) {
+sweep_cell resilience_cell(ic_kind kind, const resilience_config& cfg) {
+    return {"resilience/", [kind, cfg](trial_record& rec) {
+        const traffic_scenario& sc = cfg.scenario;
         // Identical workload and fault schedule per design at the same
         // trial seed.
         const sim::fault_campaign campaign(
@@ -69,7 +69,7 @@ sweep_result run_resilience(ic_kind kind, const resilience_config& cfg) {
             }
         }
         rec.capture(tb);
-    });
+    }};
 }
 
 } // namespace bluescale::harness

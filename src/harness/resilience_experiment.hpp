@@ -23,9 +23,9 @@ struct resilience_config {
     double fault_intensity = 0.5;
 };
 
-/// Runs `cfg.scenario.sweep.trials` trials of one design at
-/// cfg.fault_intensity. Every design sees identical per-trial workloads
-/// AND fault schedules (both are pure functions of the trial seed).
+/// The trials of one design at cfg.fault_intensity. Every design sees
+/// identical per-trial workloads AND fault schedules (both are pure
+/// functions of the trial seed).
 ///
 /// totals ("resilience/"): per-trial samples miss_ratio (in [0, 1]),
 /// p99_latency_cycles, worst_latency_cycles and time_to_recover_cycles
@@ -34,7 +34,7 @@ struct resilience_config {
 /// uncorrected_errors, storm_cycles, retries, timeouts, retry_exhausted,
 /// stale_responses, failed_responses, degrade_events, recovery_events,
 /// degraded_se_cycles and feasible_trials.
-[[nodiscard]] sweep_result run_resilience(ic_kind kind,
-                                          const resilience_config& cfg);
+[[nodiscard]] sweep_cell resilience_cell(ic_kind kind,
+                                        const resilience_config& cfg);
 
 } // namespace bluescale::harness

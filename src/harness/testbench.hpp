@@ -7,7 +7,7 @@
 // clients (traffic generators, processor models, accelerators -- these
 // differ per figure) and register them. A testbench instance is
 // single-trial and single-threaded: parallel sweeps create one per
-// trial (see sim::trial_runner).
+// trial (see harness::run_sweep).
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,14 @@
 // The synthetic-traffic scenario and pipeline shared by the Fig. 6
 // experiment and its robustness extensions (resilience, maintenance,
 // reconfig, svc_storm). A traffic_scenario is the one value those five
-// configs embed: client count, trial sweep, simulated window,
-// utilization band, task shape and memory controller. A traffic_trial
-// consumes it: one task set per client drawn from the trial seed, the
-// testbench assembled around them, one traffic generator per client,
-// and the hard/best-effort miss split at the end. Experiments add what
-// is theirs -- fault campaigns, supervisors, reconfiguration schedules
-// -- through testbench_options and tb().
+// configs embed: client count, simulated window, utilization band, task
+// shape and memory controller (the trial count and seed belong to the
+// run_sweep grid). A traffic_trial consumes it: one task set per client
+// drawn from the trial seed, the testbench assembled around them, one
+// traffic generator per client, and the hard/best-effort miss split at
+// the end. Experiments add what is theirs -- fault campaigns,
+// supervisors, reconfiguration schedules -- through testbench_options
+// and tb().
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,6 @@ namespace bluescale::harness {
 /// 70-90% interconnect utilization).
 struct traffic_scenario {
     std::uint32_t n_clients = 16;
-    sweep_options sweep = {};           ///< paper: 200 trials
     cycle_t measure_cycles = 100'000;   ///< simulated window per trial
     double util_lo = 0.70;              ///< interconnect utilization range
     double util_hi = 0.90;

@@ -1,15 +1,43 @@
 #include "harness/trial_sweep.hpp"
 
+#include <limits>
+#include <mutex>
+#include <optional>
 #include <utility>
 
+#include "analysis/parallel_for.hpp"
 #include "harness/testbench.hpp"
-#include "sim/trial_runner.hpp"
+#include "obs/profile.hpp"
 
 namespace bluescale::harness {
 
-trial_record::trial_record(const sweep_options& opts,
-                           std::string_view prefix, std::uint32_t index)
-    : opts_(opts), prefix_(prefix), index_(index) {}
+/// The trace_cell's trace, from the lowest-index trial that captured one
+/// so far. Its trials share it, so at most one trace per running trial
+/// plus this one is alive at a time.
+struct kept_trace {
+    /// Keeps trial t's trace of tb unless a lower-index trial's is kept;
+    /// skips the export when that is already known.
+    void offer(std::uint32_t t, testbench& tb) {
+        {
+            const std::lock_guard<std::mutex> lock(mu);
+            if (index < t) return;
+        }
+        obs::trace_export exported = tb.trace().export_all();
+        const std::lock_guard<std::mutex> lock(mu);
+        if (index < t) return;
+        index = t;
+        trace = std::move(exported);
+    }
+
+    std::mutex mu;
+    std::uint32_t index = std::numeric_limits<std::uint32_t>::max();
+    obs::trace_export trace;
+};
+
+trial_record::trial_record(const sweep_options& grid, std::size_t cell,
+                           std::string_view prefix, std::uint32_t index,
+                           kept_trace& kept)
+    : grid_(grid), cell_(cell), prefix_(prefix), index_(index), kept_(kept) {}
 
 obs::counter trial_record::counter(std::string_view name) {
     return values_.make_counter({prefix_, name});
@@ -20,16 +48,15 @@ obs::sample trial_record::sample(std::string_view name) {
 }
 
 void trial_record::watch(testbench& tb) {
-    if (opts_.profile) tb.sim().enable_profiling(tb.metrics());
+    if (grid_.profile) tb.sim().enable_profiling(tb.metrics());
 }
 
 void trial_record::capture(testbench& tb) {
-    if (opts_.collect_metrics) out_.metrics = tb.metrics().take_snapshot();
-    if (opts_.collect_trace) {
-        out_.trace = tb.trace().export_all();
-        traced_ = true;
+    if (grid_.metrics_cell == cell_) {
+        out_.metrics = tb.metrics().take_snapshot();
     }
-    if (opts_.profile) {
+    if (grid_.trace_cell == cell_) kept_.offer(index_, tb);
+    if (grid_.profile) {
         out_.profile = tb.metrics().take_snapshot(true).profile_only();
     }
 }
@@ -39,33 +66,49 @@ sweep_result trial_record::take() && {
     return std::move(out_);
 }
 
-sweep_result run_sweep(const sweep_options& opts, std::string_view prefix,
-                       const std::function<void(trial_record&)>& trial) {
-    sim::trial_runner runner(opts.threads);
-    obs::registry sweep_prof;
-    if (opts.profile) runner.profile_to(sweep_prof);
-    auto per_trial = runner.run(opts.trials, [&](std::uint32_t t) {
-        trial_record rec(opts, prefix, t);
-        trial(rec);
-        const bool traced = rec.traced();
-        return std::pair(std::move(rec).take(), traced);
-    });
-
-    // The runner returns trials in trial order, so these merges, and the
-    // pick of the first traced trial, are bit-identical for any thread
-    // count.
-    sweep_result out;
-    bool traced = false;
-    for (auto& [t, t_traced] : per_trial) {
-        out.totals.merge(t.totals);
-        out.metrics.merge(t.metrics);
-        out.profile.merge(t.profile);
-        if (t_traced && !traced) {
-            out.trace = std::move(t.trace);
-            traced = true;
+std::vector<sweep_result> run_sweep(const sweep_options& grid,
+                                    const std::vector<sweep_cell>& cells) {
+    const std::uint32_t trials = grid.trials;
+    const auto n_cells = static_cast<std::uint32_t>(cells.size());
+    kept_trace kept;
+    std::vector<sweep_result> out(n_cells);
+    // A finished trial waits in its slot (cell-major: c * trials + t)
+    // until every lower trial of its cell has merged, so each cell merges
+    // in trial order -- bit-identical for any thread count -- and holds
+    // only the trials that finished out of order.
+    std::mutex merge_mu;
+    std::vector<std::optional<sweep_result>> finished(std::size_t{n_cells} *
+                                                      trials);
+    std::vector<std::uint32_t> merged(n_cells, 0);
+    const obs::stopwatch wall;
+    analysis::parallel_for(n_cells * trials, grid.threads,
+                           [&](std::uint32_t i) {
+        const std::uint32_t c = i / trials;
+        trial_record rec(grid, c, cells[c].prefix, i % trials, kept);
+        cells[c].trial(rec);
+        sweep_result one = std::move(rec).take();
+        const std::lock_guard<std::mutex> lock(merge_mu);
+        finished[i] = std::move(one);
+        for (std::uint32_t& t = merged[c];
+             t < trials && finished[std::size_t{c} * trials + t]; ++t) {
+            std::optional<sweep_result>& next =
+                finished[std::size_t{c} * trials + t];
+            out[c].totals.merge(next->totals);
+            out[c].metrics.merge(next->metrics);
+            out[c].profile.merge(next->profile);
+            next.reset();
         }
+    });
+    obs::registry sweep_prof;
+    sweep_prof.make_counter("profile/sweep/wall_ns", obs::k_metric_profile)
+        .inc(wall.ns());
+
+    for (std::uint32_t c = 0; c < n_cells; ++c) {
+        sweep_result& r = out[c];
+        if (grid.trace_cell == c) r.trace = std::move(kept.trace);
+        if (grid.profile) r.profile.merge(sweep_prof.take_snapshot(true));
+        if (cells[c].finish) cells[c].finish(r);
     }
-    if (opts.profile) out.profile.merge(sweep_prof.take_snapshot(true));
     return out;
 }
 

@@ -6,8 +6,8 @@
 
 namespace bluescale::harness {
 
-sweep_result run_wcrt_validation(const traffic_scenario& s) {
-    return run_sweep(s.sweep, "wcrt/", [&](trial_record& rec) {
+sweep_cell wcrt_validation_cell(const traffic_scenario& s) {
+    return {"wcrt/", [s](trial_record& rec) {
         traffic_trial tt(rec, ic_kind::bluescale, s, {});
         testbench& tb = tt.tb();
         if (!tb.selection_feasible()) return;
@@ -49,7 +49,7 @@ sweep_result run_wcrt_validation(const traffic_scenario& s) {
         rec.sample("worst_latency_cycles").add(worst);
         rec.sample("drain_bound_cycles")
             .add(static_cast<double>(largest_bound));
-    });
+    }};
 }
 
 } // namespace bluescale::harness

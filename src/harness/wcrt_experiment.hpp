@@ -11,14 +11,13 @@
 
 namespace bluescale::harness {
 
-/// Runs `s.sweep.trials` BlueScale trials of `s`; client c of a trial is
-/// seeded trial seed + c. A trial whose selection is infeasible is not
+/// BlueScale trials of `s`; client c of a trial is seeded trial seed + c. A trial whose selection is infeasible is not
 /// simulated and records nothing.
 ///
 /// totals ("wcrt/"): counters feasible_trials, missed,
 /// missed_beyond_margin and completed; per-trial samples
 /// worst_latency_cycles (the largest observed latency) and
 /// drain_bound_cycles (the largest bounded client's drain bound).
-[[nodiscard]] sweep_result run_wcrt_validation(const traffic_scenario& s);
+[[nodiscard]] sweep_cell wcrt_validation_cell(const traffic_scenario& s);
 
 } // namespace bluescale::harness

@@ -163,16 +163,6 @@ trace_export trace_sink::export_all() const {
     return out;
 }
 
-void trace_sink::clear() {
-    next_seq_ = 0;
-    now_ = 0;
-    for (stream& s : streams_) {
-        s.ring.clear();
-        s.head = 0;
-        s.dropped = 0;
-    }
-}
-
 #endif // BLUESCALE_TRACE_ENABLED
 
 } // namespace bluescale::obs

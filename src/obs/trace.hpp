@@ -123,9 +123,6 @@ public:
     /// Snapshot of all retained events, seq-ordered, with names/drops.
     [[nodiscard]] trace_export export_all() const;
 
-    /// Drops all buffered events (between trials); streams stay bound.
-    void clear();
-
 private:
     struct stream {
         std::string name;
@@ -169,7 +166,6 @@ public:
     [[nodiscard]] std::uint64_t total_events() const { return 0; }
     [[nodiscard]] std::uint64_t total_dropped() const { return 0; }
     [[nodiscard]] trace_export export_all() const { return {}; }
-    void clear() {}
 };
 
 #endif // BLUESCALE_TRACE_ENABLED

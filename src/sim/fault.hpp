@@ -5,8 +5,8 @@
 // controller backpressure storms) aimed at numbered targets over a cycle
 // horizon. A campaign is pure data: building one from the same config is
 // bit-identical on every platform and for every trial-sweep thread
-// count, so faulty experiments stay exactly as reproducible under
-// sim::trial_runner as healthy ones. Components never draw randomness at
+// count, so faulty experiments stay exactly as reproducible in a
+// parallel harness::run_sweep as healthy ones. Components never draw randomness at
 // injection time -- each consumes its slice of the schedule through a
 // fault_window cursor that only moves forward with simulated time.
 #pragma once

@@ -6,7 +6,7 @@
 // campaign it is pure data -- building one from the same config is
 // bit-identical on every platform and for every trial-sweep thread count,
 // so experiments that exercise core::reconfig_manager stay exactly as
-// reproducible under sim::trial_runner as static-workload ones. The
+// reproducible in a parallel harness::run_sweep as static-workload ones. The
 // schedule only says WHEN and WHAT KIND of change a client requests; the
 // harness derives the concrete task set deterministically from the event
 // index (see harness::reconfig_experiment).

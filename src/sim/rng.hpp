@@ -86,7 +86,7 @@ private:
 /// pairs yield statistically independent generator states, so per-trial
 /// and per-client rngs can be seeded purely from their indices -- no
 /// generator state is shared or consumed across streams, which is what
-/// lets the trial runner execute trials in any order (or in parallel) and
+/// lets a trial sweep execute trials in any order (or in parallel) and
 /// still reproduce the serial results bit-for-bit.
 [[nodiscard]] constexpr std::uint64_t substream(std::uint64_t base,
                                                 std::uint64_t index) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "../test_util.hpp"
 #include "harness/factory.hpp"
@@ -9,13 +10,18 @@
 namespace bluescale::harness {
 namespace {
 
+constexpr sweep_options k_small_grid = {.trials = 2, .seed = 99};
+
 fig6_config small_config() {
     fig6_config cfg;
     cfg.scenario.n_clients = 16;
-    cfg.scenario.sweep.trials = 2;
     cfg.scenario.measure_cycles = 8'000;
-    cfg.scenario.sweep.seed = 99;
     return cfg;
+}
+
+sweep_result run_fig6(ic_kind kind, const fig6_config& cfg,
+                      const sweep_options& grid = k_small_grid) {
+    return testing::run_cell(grid, fig6_cell(kind, cfg));
 }
 
 const stats::sample_set& samples(const sweep_result& r, const char* name) {
@@ -54,17 +60,20 @@ TEST(fig6, deterministic_given_seed) {
 }
 
 TEST(fig6, different_seeds_differ) {
-    auto cfg = small_config();
+    const auto cfg = small_config();
     const auto a = run_fig6(ic_kind::bluetree, cfg);
-    cfg.scenario.sweep.seed = 12345;
-    const auto b = run_fig6(ic_kind::bluetree, cfg);
+    auto grid = k_small_grid;
+    grid.seed = 12345;
+    const auto b = run_fig6(ic_kind::bluetree, cfg, grid);
     EXPECT_NE(fig6_mean(a, "blocking_us"), fig6_mean(b, "blocking_us"));
 }
 
 TEST(fig6, run_all_covers_six_designs) {
-    auto cfg = small_config();
-    cfg.scenario.sweep.trials = 1;
-    const auto all = run_fig6_all(cfg);
+    std::vector<sweep_cell> cells;
+    for (ic_kind kind : k_all_kinds) {
+        cells.push_back(fig6_cell(kind, small_config()));
+    }
+    const auto all = run_sweep({.trials = 1, .seed = 99}, cells);
     ASSERT_EQ(all.size(), 6u);
     for (std::size_t i = 0; i < all.size(); ++i) {
         // In k_all_kinds order: each design ran at its own clock.
@@ -85,13 +94,13 @@ TEST(fig6, parallel_trials_bit_identical_to_serial) {
     // The execution-layer contract: aggregates are exactly equal (not
     // just close) for any thread count, because per-trial results are
     // merged in trial order.
-    auto cfg = small_config();
-    cfg.scenario.sweep.trials = 6;
+    auto grid = k_small_grid;
+    grid.trials = 6;
     for (ic_kind kind : {ic_kind::bluescale, ic_kind::bluetree}) {
-        cfg.scenario.sweep.threads = 1;
-        const auto serial = run_fig6(kind, cfg);
-        cfg.scenario.sweep.threads = 4;
-        const auto parallel = run_fig6(kind, cfg);
+        grid.threads = 1;
+        const auto serial = run_fig6(kind, small_config(), grid);
+        grid.threads = 4;
+        const auto parallel = run_fig6(kind, small_config(), grid);
         EXPECT_EQ(samples(serial, "blocking_us").count(), 6u);
         EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals))
             << kind_name(kind);
@@ -100,12 +109,12 @@ TEST(fig6, parallel_trials_bit_identical_to_serial) {
 
 TEST(fig6, se_override_applies) {
     auto cfg = small_config();
-    cfg.scenario.sweep.trials = 1;
     core::se_params se;
     se.buffer_depth = 4;
     se.policy = core::server_policy::fixed_priority;
     cfg.bluescale_se = se;
-    const auto r = run_fig6(ic_kind::bluescale, cfg);
+    const auto r =
+        run_fig6(ic_kind::bluescale, cfg, {.trials = 1, .seed = 99});
     EXPECT_EQ(samples(r, "blocking_us").count(), 1u); // just runs through
 }
 

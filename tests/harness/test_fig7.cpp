@@ -12,13 +12,18 @@ namespace {
 fig7_config small_config() {
     fig7_config cfg;
     cfg.n_processors = 16;
-    cfg.sweep.trials = 2;
     cfg.measure_cycles = 15'000;
     cfg.util_lo = 0.3;
     cfg.util_hi = 0.5;
     cfg.util_step = 0.2;
-    cfg.sweep.seed = 7;
     return cfg;
+}
+
+/// One design's points, each a cell of one grid.
+std::vector<sweep_result> run_fig7(ic_kind kind, const fig7_config& cfg,
+                                   sweep_options grid = {.trials = 2,
+                                                         .seed = 7}) {
+    return run_sweep(grid, fig7_cells(kind, cfg));
 }
 
 double value(const sweep_result& point, const char* name) {
@@ -60,11 +65,10 @@ TEST(fig7, all_designs_succeed_at_low_utilization) {
 
 TEST(fig7, trial_deterministic_given_seed) {
     auto cfg = small_config();
-    cfg.sweep.trials = 1;
-    cfg.sweep.seed = 99;
     cfg.util_lo = cfg.util_hi = 0.4;
-    const auto a = run_fig7(ic_kind::bluetree, cfg);
-    const auto b = run_fig7(ic_kind::bluetree, cfg);
+    const sweep_options grid = {.trials = 1, .seed = 99};
+    const auto a = run_fig7(ic_kind::bluetree, cfg, grid);
+    const auto b = run_fig7(ic_kind::bluetree, cfg, grid);
     ASSERT_EQ(a.size(), 1u);
     ASSERT_EQ(b.size(), 1u);
     EXPECT_TRUE(testing::same_snapshot(a[0].totals, b[0].totals));
@@ -72,11 +76,10 @@ TEST(fig7, trial_deterministic_given_seed) {
 
 TEST(fig7, run_all_covers_six_designs) {
     auto cfg = small_config();
-    cfg.sweep.trials = 1;
     cfg.util_lo = cfg.util_hi = 0.4;
     std::size_t designs = 0;
     for (ic_kind kind : k_all_kinds) {
-        const auto r = run_fig7(kind, cfg);
+        const auto r = run_fig7(kind, cfg, {.trials = 1, .seed = 7});
         ASSERT_EQ(r.size(), 1u) << kind_name(kind);
         EXPECT_EQ(r[0].totals.get("fig7/app_miss_ratio").samples.count(),
                   1u)
@@ -87,12 +90,10 @@ TEST(fig7, run_all_covers_six_designs) {
 }
 
 TEST(fig7, parallel_sweep_bit_identical_to_serial) {
-    auto cfg = small_config();
-    cfg.sweep.trials = 3;
-    cfg.sweep.threads = 1;
-    const auto serial = run_fig7(ic_kind::bluescale, cfg);
-    cfg.sweep.threads = 4;
-    const auto parallel = run_fig7(ic_kind::bluescale, cfg);
+    const auto serial = run_fig7(ic_kind::bluescale, small_config(),
+                                 {.trials = 3, .seed = 7, .threads = 1});
+    const auto parallel = run_fig7(ic_kind::bluescale, small_config(),
+                                   {.trials = 3, .seed = 7, .threads = 4});
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -105,9 +106,8 @@ TEST(fig7, parallel_sweep_bit_identical_to_serial) {
 TEST(fig7, sixty_four_core_configuration_runs) {
     auto cfg = small_config();
     cfg.n_processors = 64;
-    cfg.sweep.trials = 1;
     cfg.util_lo = cfg.util_hi = 0.3;
-    const auto r = run_fig7(ic_kind::bluescale, cfg);
+    const auto r = run_fig7(ic_kind::bluescale, cfg, {.trials = 1, .seed = 7});
     ASSERT_EQ(r.size(), 1u);
     EXPECT_EQ(r[0].totals.get("fig7/app_miss_ratio").samples.count(), 1u);
 }
@@ -148,13 +148,11 @@ TEST(fig7_golden, matches_the_parent_values) {
     for (const auto& gc : cases) {
         fig7_config cfg;
         cfg.n_processors = gc.n_processors;
-        cfg.sweep.trials = 2;
-        cfg.sweep.seed = 7;
         cfg.measure_cycles = 10'000;
         cfg.util_lo = 0.3;
         cfg.util_hi = 0.7;
         cfg.util_step = gc.util_step;
-        const auto r = run_fig7(gc.kind, cfg);
+        const auto r = run_fig7(gc.kind, cfg, {.trials = 2, .seed = 7});
         ASSERT_EQ(r.size(), gc.points.size());
         for (std::size_t i = 0; i < r.size(); ++i) {
             SCOPED_TRACE(::testing::Message()

@@ -1,5 +1,5 @@
 // Maintenance experiment: the maintenance-aware admission story and the
-// trial runner's bit-identical-for-any-thread-count contract.
+// trial sweep's bit-identical-for-any-thread-count contract.
 //
 // The headline assertion (ISSUE acceptance): under identical
 // maintenance-storm campaigns, hard clients admitted with the
@@ -38,11 +38,9 @@ memctrl_config heavy_maintenance_memctrl() {
 /// sheddable best-effort bulk, recurring maintenance storms (unmodeled
 /// excess scrubbing) long enough to build real backlog but well under
 /// the hard deadlines, and a watchdog fast enough to shed mid-storm.
-maintenance_exp_config storm_config(bool aware, unsigned threads = 1) {
+maintenance_exp_config storm_config(bool aware) {
     maintenance_exp_config cfg;
-    cfg.scenario.sweep.trials = 3;
     cfg.scenario.measure_cycles = 60'000;
-    cfg.scenario.sweep.threads = threads;
     cfg.maintenance_aware = aware;
     cfg.scenario.memctrl = heavy_maintenance_memctrl();
     cfg.scenario.util_lo = 0.18;
@@ -58,6 +56,15 @@ maintenance_exp_config storm_config(bool aware, unsigned threads = 1) {
     return cfg;
 }
 
+/// The acceptance scenario's grid: 3 trials from seed 1.
+constexpr std::uint32_t k_storm_trials = 3;
+
+sweep_result run_storm(const maintenance_exp_config& cfg,
+                       unsigned threads = 1) {
+    return testing::run_cell({.trials = k_storm_trials, .threads = threads},
+                             maintenance_cell(cfg));
+}
+
 std::uint64_t count(const sweep_result& r, const char* name) {
     return r.totals.get(std::string("maintenance/") + name).count;
 }
@@ -65,15 +72,14 @@ std::uint64_t count(const sweep_result& r, const char* name) {
 TEST(maintenance_experiment, parallel_sweep_matches_serial) {
     // Bitwise-equal aggregates: any divergence (scheduling, shared rng,
     // float summation order) would show up here.
-    const auto serial = run_maintenance_experiment(storm_config(true, 1));
-    const auto parallel =
-        run_maintenance_experiment(storm_config(true, 4));
+    const auto serial = run_storm(storm_config(true), 1);
+    const auto parallel = run_storm(storm_config(true), 4);
     EXPECT_TRUE(testing::same_snapshot(serial.totals, parallel.totals));
 }
 
 TEST(maintenance_experiment, repeated_run_is_reproducible) {
-    const auto a = run_maintenance_experiment(storm_config(false, 2));
-    const auto b = run_maintenance_experiment(storm_config(false, 2));
+    const auto a = run_storm(storm_config(false), 2);
+    const auto b = run_storm(storm_config(false), 2);
     EXPECT_TRUE(testing::same_snapshot(a.totals, b.totals));
 }
 
@@ -83,7 +89,7 @@ TEST(maintenance_experiment, modeled_maintenance_never_alarms_when_aware) {
     // shed -- refresh and scrub alone are budgeted, not anomalous.
     auto cfg = storm_config(true);
     cfg.storm_intensity = 0.0;
-    const auto r = run_maintenance_experiment(cfg);
+    const auto r = run_storm(cfg);
     ASSERT_GE(count(r, "feasible_trials"), 2u);
     EXPECT_GT(count(r, "refreshes"), 0u);
     EXPECT_GT(count(r, "scrubs"), 0u);
@@ -96,15 +102,14 @@ TEST(maintenance_experiment, modeled_maintenance_never_alarms_when_aware) {
 TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
     // The acceptance scenario: identical workloads and storm schedules,
     // only the supply model differs.
-    const auto aware = run_maintenance_experiment(storm_config(true));
-    const auto unaware = run_maintenance_experiment(storm_config(false));
+    const auto aware = run_storm(storm_config(true));
+    const auto unaware = run_storm(storm_config(false));
 
     // Raw-sbf admission accepts every draw; corrected admission refuses
     // the over-committed one (refusal IS the maintenance-aware
     // behavior: that workload cannot be guaranteed once refresh and
     // scrub are charged) and admits the rest.
-    ASSERT_EQ(count(unaware, "feasible_trials"),
-              storm_config(false).scenario.sweep.trials);
+    ASSERT_EQ(count(unaware, "feasible_trials"), k_storm_trials);
     ASSERT_GE(count(aware, "feasible_trials"), 2u);
     ASSERT_GT(count(aware, "injected_storms"), 0u);
 
@@ -128,12 +133,8 @@ TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
 /// on, rare storms, 6 trials of 40,000 cycles from seed 1. Trial 0 of
 /// this cell is refused admission, so its trace must come from a later
 /// trial.
-maintenance_exp_config exported_cell(unsigned threads) {
+sweep_result run_exported_cell(unsigned threads) {
     maintenance_exp_config cfg;
-    cfg.scenario.sweep.trials = 6;
-    cfg.scenario.sweep.seed = 1;
-    cfg.scenario.sweep.threads = threads;
-    cfg.scenario.sweep.collect_trace = true;
     cfg.scenario.measure_cycles = 40'000;
     memctrl_config& mc = cfg.scenario.memctrl;
     mc.timing.t_refi = 975;
@@ -143,7 +144,9 @@ maintenance_exp_config exported_cell(unsigned threads) {
     mc.maintenance.hammer_threshold = 256;
     mc.maintenance.hammer_mitigation_cycles = 32;
     cfg.storm_intensity = 0.02;
-    return cfg;
+    return testing::run_cell(
+        {.trials = 6, .seed = 1, .threads = threads, .trace_cell = 0},
+        maintenance_cell(cfg));
 }
 
 std::string trace_json(const obs::trace_export& trace) {
@@ -153,8 +156,8 @@ std::string trace_json(const obs::trace_export& trace) {
 }
 
 TEST(maintenance_experiment, exported_cell_trace_is_nonempty_and_thread_invariant) {
-    const auto serial = run_maintenance_experiment(exported_cell(1));
-    const auto parallel = run_maintenance_experiment(exported_cell(4));
+    const auto serial = run_exported_cell(1);
+    const auto parallel = run_exported_cell(4);
     ASSERT_GT(count(serial, "feasible_trials"), 0u);
     EXPECT_FALSE(serial.trace.events.empty());
     EXPECT_EQ(trace_json(serial.trace), trace_json(parallel.trace));

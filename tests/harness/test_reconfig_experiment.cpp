@@ -1,5 +1,5 @@
 // Reconfiguration experiment determinism and plumbing: scheduled
-// admission requests must preserve the trial runner's bit-identical-for-
+// admission requests must preserve the trial sweep's bit-identical-for-
 // any-thread-count contract, BlueScale must actually admit and commit
 // (and reject infeasible churn with zero perturbation), and the baseline
 // must apply everything unconditionally.
@@ -13,15 +13,19 @@
 namespace bluescale::harness {
 namespace {
 
-reconfig_exp_config small_config(unsigned threads, double rate) {
+reconfig_exp_config small_config(double rate) {
     reconfig_exp_config cfg;
-    cfg.scenario.sweep.trials = 3;
     cfg.scenario.measure_cycles = 30'000;
-    cfg.scenario.sweep.seed = 11;
-    cfg.scenario.sweep.threads = threads;
     cfg.events_per_kcycle = rate;
     cfg.reconfig_warmup = 2'000;
     return cfg;
+}
+
+/// 3 trials from seed 11 on `threads` workers.
+sweep_result run_reconfig(ic_kind kind, const reconfig_exp_config& cfg,
+                          unsigned threads) {
+    return testing::run_cell({.trials = 3, .seed = 11, .threads = threads},
+                             reconfig_cell(kind, cfg));
 }
 
 const obs::metric_value& get(const sweep_result& r, const char* name) {
@@ -39,31 +43,30 @@ void expect_identical(const sweep_result& a, const sweep_result& b) {
 }
 
 TEST(reconfig_experiment, parallel_sweep_matches_serial) {
-    auto serial_cfg = small_config(1, 0.5);
-    auto parallel_cfg = small_config(4, 0.5);
+    auto cfg = small_config(0.5);
     // Include concurrent faults so hazard rollbacks are exercised too.
-    serial_cfg.fault_intensity = parallel_cfg.fault_intensity = 0.3;
-    const auto serial = run_reconfig(ic_kind::bluescale, serial_cfg);
-    const auto parallel = run_reconfig(ic_kind::bluescale, parallel_cfg);
+    cfg.fault_intensity = 0.3;
+    const auto serial = run_reconfig(ic_kind::bluescale, cfg, 1);
+    const auto parallel = run_reconfig(ic_kind::bluescale, cfg, 4);
     expect_identical(serial, parallel);
 }
 
 TEST(reconfig_experiment, baseline_parallel_sweep_matches_serial) {
     const auto serial =
-        run_reconfig(ic_kind::bluetree, small_config(1, 0.5));
+        run_reconfig(ic_kind::bluetree, small_config(0.5), 1);
     const auto parallel =
-        run_reconfig(ic_kind::bluetree, small_config(4, 0.5));
+        run_reconfig(ic_kind::bluetree, small_config(0.5), 4);
     expect_identical(serial, parallel);
 }
 
 TEST(reconfig_experiment, repeated_run_is_reproducible) {
-    const auto a = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
-    const auto b = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
+    const auto a = run_reconfig(ic_kind::bluescale, small_config(0.5), 2);
+    const auto b = run_reconfig(ic_kind::bluescale, small_config(0.5), 2);
     expect_identical(a, b);
 }
 
 TEST(reconfig_experiment, bluescale_admits_and_commits) {
-    const auto r = run_reconfig(ic_kind::bluescale, small_config(2, 0.5));
+    const auto r = run_reconfig(ic_kind::bluescale, small_config(0.5), 2);
     EXPECT_GT(count(r, "submitted"), 0u);
     EXPECT_GT(count(r, "admitted"), 0u);
     EXPECT_GT(count(r, "committed"), 0u);
@@ -76,7 +79,7 @@ TEST(reconfig_experiment, bluescale_admits_and_commits) {
 }
 
 TEST(reconfig_experiment, baseline_applies_unconditionally) {
-    const auto r = run_reconfig(ic_kind::bluetree, small_config(2, 0.5));
+    const auto r = run_reconfig(ic_kind::bluetree, small_config(0.5), 2);
     EXPECT_EQ(count(r, "submitted"), 0u);
     EXPECT_EQ(count(r, "admitted"), 0u);
     EXPECT_GT(count(r, "applied_unchecked"), 0u);
@@ -88,7 +91,7 @@ TEST(reconfig_experiment, baseline_applies_unconditionally) {
 }
 
 TEST(reconfig_experiment, zero_rate_means_no_requests) {
-    const auto r = run_reconfig(ic_kind::bluescale, small_config(2, 0.0));
+    const auto r = run_reconfig(ic_kind::bluescale, small_config(0.0), 2);
     EXPECT_EQ(count(r, "submitted"), 0u);
     EXPECT_EQ(count(r, "committed"), 0u);
     EXPECT_EQ(count(r, "live_reconfigurations"), 0u);
@@ -100,15 +103,15 @@ TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
     // other clients hold, so every admission test must reject -- and a
     // fully rejected run must leave every client metric bit-identical to
     // a run where no request ever arrived.
-    auto churn_cfg = small_config(2, 0.5);
+    auto churn_cfg = small_config(0.5);
     churn_cfg.schedule.scale_up_weight = 0.0;
     churn_cfg.schedule.scale_down_weight = 0.0;
     churn_cfg.schedule.join_weight = 1.0;
     churn_cfg.schedule.leave_weight = 0.0;
     churn_cfg.schedule.magnitude_lo = 1.5;
     churn_cfg.schedule.magnitude_hi = 2.0;
-    const auto churn = run_reconfig(ic_kind::bluescale, churn_cfg);
-    const auto quiet = run_reconfig(ic_kind::bluescale, small_config(2, 0.0));
+    const auto churn = run_reconfig(ic_kind::bluescale, churn_cfg, 2);
+    const auto quiet = run_reconfig(ic_kind::bluescale, small_config(0.0), 2);
 
     EXPECT_GT(count(churn, "submitted"), 0u);
     EXPECT_EQ(count(churn, "admitted"), 0u);

@@ -18,20 +18,21 @@ TEST(svc_storm, conserves_requests_and_protects_hard_clients) {
     // legitimately stall a hard client's subtree, which is the supply
     // watchdog's problem, not the service's. The service-level storm
     // must never touch the fabric's hard guarantees.
+    constexpr std::uint32_t trials = 2;
     svc_storm_config cfg;
-    cfg.scenario.sweep.trials = 2;
     cfg.scenario.measure_cycles = 12'000;
-    cfg.scenario.sweep.seed = 11;
     cfg.requests_per_kcycle = 4.0; // past the queue bound: shedding fires
     cfg.service.default_deadline = 8'000;
     cfg.worker_fault_intensity = 0.2;
-    const auto r = run_svc_storm(cfg);
+    const auto r = run_sweep({.trials = trials, .seed = 11},
+                             {svc_storm_cell(cfg)})
+                       .front();
     const auto count = [&r](const char* name) {
         return r.totals.get(std::string("svc_exp/") + name).count;
     };
-    EXPECT_EQ(count("feasible_trials"), cfg.scenario.sweep.trials);
-    EXPECT_EQ(count("drained_trials"), cfg.scenario.sweep.trials);
-    EXPECT_EQ(count("conserved_trials"), cfg.scenario.sweep.trials);
+    EXPECT_EQ(count("feasible_trials"), trials);
+    EXPECT_EQ(count("drained_trials"), trials);
+    EXPECT_EQ(count("conserved_trials"), trials);
     EXPECT_GT(count("submitted"), 0u);
     // Exactly one terminal outcome per request, summed over all trials.
     EXPECT_EQ(count("submitted"), count("shed") + count("expired") +

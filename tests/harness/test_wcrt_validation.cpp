@@ -21,13 +21,14 @@ TEST(wcrt_validation, feasible_trials_meet_deadlines_within_allowance) {
     for (const scale& s : {scale{16, 0.70, 0.90}, scale{64, 0.50, 0.70}}) {
         const traffic_scenario sc = {
             .n_clients = s.clients,
-            .sweep = {.trials = 4, .seed = 7000},
             .measure_cycles = 4'000,
             .util_lo = s.util_lo,
             .util_hi = s.util_hi,
             .taskset = {.min_period_units = 100, .max_period_units = 2000},
         };
-        const sweep_result r = run_wcrt_validation(sc);
+        const sweep_result r =
+            run_sweep({.trials = 4, .seed = 7000}, {wcrt_validation_cell(sc)})
+                .front();
         const auto count = [&r](const char* name) {
             return r.totals.get(std::string("wcrt/") + name).count;
         };

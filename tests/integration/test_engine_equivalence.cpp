@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/parallel_for.hpp"
 #include "analysis/quadtree.hpp"
 #include "analysis/selection_cache.hpp"
 #include "core/bluescale_ic.hpp"
@@ -32,7 +33,6 @@
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trial_runner.hpp"
 #include "stats/csv.hpp"
 #include "workload/taskset_gen.hpp"
 #include "workload/traffic_generator.hpp"
@@ -91,15 +91,21 @@ std::string render(const sweep_result& r) {
     return os.str();
 }
 
-sweep_options exporting_sweep(std::uint32_t trials, std::uint64_t seed,
-                              unsigned threads) {
-    sweep_options s;
-    s.trials = trials;
-    s.seed = seed;
-    s.threads = threads;
-    s.collect_metrics = true;
-    s.collect_trace = true;
-    return s;
+/// Every cell of `cells` run as an exporting grid of its own (trials
+/// from `seed` on `threads` workers), rendered in cell order.
+std::string render_each(std::vector<sweep_cell> cells, std::uint32_t trials,
+                        std::uint64_t seed, unsigned threads) {
+    std::string out;
+    for (auto& cell : cells) {
+        out += render(run_sweep({.trials = trials,
+                                 .seed = seed,
+                                 .threads = threads,
+                                 .metrics_cell = 0,
+                                 .trace_cell = 0},
+                                {std::move(cell)})
+                          .front());
+    }
+    return out;
 }
 
 struct scenario {
@@ -114,25 +120,27 @@ const scenario k_scenarios[] = {
     {"fig6",
      [](unsigned threads) {
          fig6_config cfg;
-         cfg.scenario.sweep = exporting_sweep(4, 7, threads);
          cfg.scenario.measure_cycles = 8'000;
-         std::string out;
-         for (const auto& r : run_fig6_all(cfg)) out += render(r);
-         return out;
+         std::vector<sweep_cell> cells;
+         for (ic_kind kind : k_all_kinds) {
+             cells.push_back(fig6_cell(kind, cfg));
+         }
+         return render_each(std::move(cells), 4, 7, threads);
      }},
     {"fig7",
      [](unsigned threads) {
          fig7_config cfg;
-         cfg.sweep = exporting_sweep(2, 7, threads);
          cfg.measure_cycles = 10'000;
          cfg.util_lo = 0.3;
          cfg.util_hi = 0.7;
          cfg.util_step = 0.4;
-         std::string out;
+         std::vector<sweep_cell> cells;
          for (ic_kind kind : k_all_kinds) {
-             for (const auto& r : run_fig7(kind, cfg)) out += render(r);
+             for (auto& cell : fig7_cells(kind, cfg)) {
+                 cells.push_back(std::move(cell));
+             }
          }
-         return out;
+         return render_each(std::move(cells), 2, 7, threads);
      }},
     {"resilience",
      [](unsigned threads) {
@@ -140,10 +148,10 @@ const scenario k_scenarios[] = {
          // never sleep through: injected storms, link drops, retry
          // timeouts, ECC reissues.
          resilience_config cfg;
-         cfg.scenario.sweep = exporting_sweep(3, 11, threads);
          cfg.scenario.measure_cycles = 8'000;
          cfg.fault_intensity = 1.0;
-         return render(run_resilience(ic_kind::bluescale, cfg));
+         return render_each({resilience_cell(ic_kind::bluescale, cfg)}, 3,
+                            11, threads);
      }},
     {"maintenance",
      [](unsigned threads) {
@@ -151,7 +159,6 @@ const scenario k_scenarios[] = {
          // hammer mitigation, injected storm) in one short run; unaware
          // admission so every trial simulates.
          maintenance_exp_config cfg;
-         cfg.scenario.sweep = exporting_sweep(3, 3, threads);
          cfg.scenario.measure_cycles = 12'000;
          cfg.maintenance_aware = false;
          memctrl_config& mc = cfg.scenario.memctrl;
@@ -163,7 +170,13 @@ const scenario k_scenarios[] = {
          mc.maintenance.hammer_mitigation_cycles = 16;
          cfg.storm_intensity = 0.4;
          cfg.watchdog.check_period = 512;
-         const auto r = run_maintenance_experiment(cfg);
+         const auto r = run_sweep({.trials = 3,
+                                   .seed = 3,
+                                   .threads = threads,
+                                   .metrics_cell = 0,
+                                   .trace_cell = 0},
+                                  {maintenance_cell(cfg)})
+                            .front();
          for (const char* name :
               {"maintenance/refreshes", "maintenance/scrubs",
                "maintenance/hammer_mitigations",
@@ -178,34 +191,32 @@ const scenario k_scenarios[] = {
          // while components sleep; the admission/watchdog supervisors
          // have the longest horizons.
          reconfig_exp_config cfg;
-         cfg.scenario.sweep = exporting_sweep(3, 13, threads);
          cfg.scenario.measure_cycles = 8'000;
          cfg.events_per_kcycle = 2.0;
          cfg.reconfig_warmup = 1'000;
-         return render(run_reconfig(ic_kind::bluescale, cfg));
+         return render_each({reconfig_cell(ic_kind::bluescale, cfg)}, 3, 13,
+                            threads);
      }},
     {"svc_storm",
      [](unsigned threads) {
          // Overload, worker crash/stall faults and path hazards.
          svc_storm_config cfg;
-         cfg.scenario.sweep = exporting_sweep(2, 11, threads);
          cfg.scenario.measure_cycles = 12'000;
          cfg.requests_per_kcycle = 4.0;
          cfg.service.default_deadline = 8'000;
          cfg.worker_fault_intensity = 0.2;
          cfg.path_fault_intensity = 0.05;
-         return render(run_svc_storm(cfg));
+         return render_each({svc_storm_cell(cfg)}, 2, 11, threads);
      }},
     {"wcrt_validation",
      [](unsigned threads) {
          // Configured fabrics under A6's task shape, with the validation
          // allowance granted to every client.
          const traffic_scenario sc = {
-             .sweep = exporting_sweep(3, 7000, threads),
              .measure_cycles = 8'000,
              .taskset = {.min_period_units = 100, .max_period_units = 2000},
          };
-         return render(run_wcrt_validation(sc));
+         return render_each({wcrt_validation_cell(sc)}, 3, 7000, threads);
      }},
 };
 
@@ -248,14 +259,12 @@ TEST(engine_equivalence, fig6_event_engine_thread_invariant) {
     // The event engine must keep the determinism contract lockstep
     // already honours: per-trial simulations are independent, so the
     // sweep's thread count cannot change a byte of one design's export.
-    fig6_config serial_cfg;
-    serial_cfg.scenario.sweep = exporting_sweep(4, 7, 1);
-    serial_cfg.scenario.measure_cycles = 8'000;
-    fig6_config parallel_cfg = serial_cfg;
-    parallel_cfg.scenario.sweep.threads = 4;
+    fig6_config cfg;
+    cfg.scenario.measure_cycles = 8'000;
     scoped_engine guard(simulator::engine::event);
-    EXPECT_TRUE(same_bytes(render(run_fig6(ic_kind::bluescale, serial_cfg)),
-                           render(run_fig6(ic_kind::bluescale, parallel_cfg))));
+    EXPECT_TRUE(
+        same_bytes(render_each({fig6_cell(ic_kind::bluescale, cfg)}, 4, 7, 1),
+                   render_each({fig6_cell(ic_kind::bluescale, cfg)}, 4, 7, 4)));
 }
 
 // --- saturated tree --------------------------------------------------------
@@ -393,10 +402,10 @@ struct saturated_exports {
 saturated_exports run_saturated(bool configured, simulator::engine engine,
                                 unsigned threads) {
     const scoped_engine guard(engine);
-    const sim::trial_runner runner(threads);
     saturated_exports out;
-    out.trials = runner.run(k_sat_trials, [&](std::uint32_t t) {
-        return run_saturated_trial(configured, 71 + t);
+    out.trials.resize(k_sat_trials);
+    analysis::parallel_for(k_sat_trials, threads, [&](std::uint32_t t) {
+        out.trials[t] = run_saturated_trial(configured, 71 + t);
     });
     obs::snapshot merged;
     for (const auto& t : out.trials) merged.merge(t.metrics);

@@ -35,25 +35,26 @@ std::string trace_json(const obs::trace_export& trace) {
     return os.str();
 }
 
-fig6_config fig6_export_config(std::uint32_t trials) {
+/// The BlueScale fig6 cell of 16 clients, 8,000 cycles, exported from a
+/// grid of `trials` trials from seed 7.
+sweep_result run_exported(std::uint32_t trials, unsigned threads = 2,
+                          bool profile = false) {
     fig6_config cfg;
     cfg.scenario.n_clients = 16;
-    cfg.scenario.sweep.trials = trials;
     cfg.scenario.measure_cycles = 8'000;
-    cfg.scenario.sweep.seed = 7;
-    cfg.scenario.sweep.threads = 2;
-    cfg.scenario.sweep.collect_metrics = true;
-    cfg.scenario.sweep.collect_trace = true;
-    return cfg;
+    return run_sweep({.trials = trials,
+                      .seed = 7,
+                      .threads = threads,
+                      .profile = profile,
+                      .metrics_cell = 0,
+                      .trace_cell = 0},
+                     {fig6_cell(ic_kind::bluescale, cfg)})
+        .front();
 }
 
 TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
-    auto serial_cfg = fig6_export_config(4);
-    serial_cfg.scenario.sweep.threads = 1;
-    auto parallel_cfg = fig6_export_config(4);
-    parallel_cfg.scenario.sweep.threads = 4;
-    const auto serial = run_fig6(ic_kind::bluescale, serial_cfg);
-    const auto parallel = run_fig6(ic_kind::bluescale, parallel_cfg);
+    const auto serial = run_exported(4, 1);
+    const auto parallel = run_exported(4, 4);
 
     ASSERT_FALSE(serial.metrics.empty());
     EXPECT_EQ(metrics_csv(serial.metrics), metrics_csv(parallel.metrics));
@@ -62,22 +63,20 @@ TEST(export_determinism, fig6_exports_bit_identical_across_threads) {
 }
 
 TEST(export_determinism, fig6_profile_never_leaks_into_metrics) {
-    auto cfg = fig6_export_config(2);
-    cfg.scenario.sweep.profile = true;
-    const auto r = run_fig6(ic_kind::bluescale, cfg);
+    const auto r = run_exported(2, 2, /*profile=*/true);
     for (const auto& [name, value] : r.metrics.entries()) {
         EXPECT_EQ(value.flags & obs::k_metric_profile, 0u) << name;
         EXPECT_NE(name.rfind("profile/", 0), 0u) << name;
     }
     EXPECT_GT(r.profile.get("profile/sim/cycles").count, 0u);
     // And the deterministic export is unchanged by profiling being on.
-    const auto base = run_fig6(ic_kind::bluescale, fig6_export_config(2));
+    const auto base = run_exported(2);
     EXPECT_EQ(metrics_csv(base.metrics), metrics_csv(r.metrics));
 }
 
 #if BLUESCALE_TRACE_ENABLED
 TEST(export_determinism, fig6_trace_carries_fabric_events) {
-    const auto r = run_fig6(ic_kind::bluescale, fig6_export_config(4));
+    const auto r = run_exported(4);
     ASSERT_FALSE(r.trace.events.empty());
     bool saw_grant = false;
     for (const auto& e : r.trace.events) {

@@ -140,18 +140,6 @@ TEST(obs_trace, overflow_is_per_component) {
     EXPECT_EQ(ex.events.back().kind, trace_event_kind::server_exhaust);
 }
 
-TEST(obs_trace, clear_drops_events_but_keeps_streams_bound) {
-    trace_sink sink;
-    auto t = sink.register_component("se");
-    t.emit(trace_event_kind::request_grant, 1, 0);
-    sink.clear();
-    EXPECT_TRUE(sink.export_all().events.empty());
-    t.emit(trace_event_kind::request_grant, 2, 0);
-    const trace_export ex = sink.export_all();
-    ASSERT_EQ(ex.events.size(), 1u);
-    EXPECT_EQ(ex.events[0].a, 2u);
-}
-
 TEST(obs_trace, csv_export_rows_match_the_events) {
     trace_sink sink;
     auto t = sink.register_component("se.1.0");

@@ -103,5 +103,19 @@ TEST(rng, satisfies_uniform_random_bit_generator) {
     SUCCEED();
 }
 
+TEST(rng_substream, deterministic_and_distinct) {
+    EXPECT_EQ(substream(1, 0), substream(1, 0));
+    EXPECT_NE(substream(1, 0), substream(1, 1));
+    EXPECT_NE(substream(1, 0), substream(2, 0));
+    // Streams from adjacent indices must not produce correlated draws.
+    rng a(substream(99, 0));
+    rng b(substream(99, 1));
+    int equal = 0;
+    for (int i = 0; i < 64; ++i) {
+        if (a.next() == b.next()) ++equal;
+    }
+    EXPECT_EQ(equal, 0);
+}
+
 } // namespace
 } // namespace bluescale

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <deque>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "harness/trial_sweep.hpp"
 #include "interconnect/interconnect.hpp"
 #include "obs/registry.hpp"
 
@@ -93,6 +95,12 @@ inline ::testing::AssertionResult same_snapshot(const obs::snapshot& a,
         }
     }
     return ::testing::AssertionSuccess();
+}
+
+/// Runs `cell` as a grid of its own.
+inline harness::sweep_result run_cell(const harness::sweep_options& grid,
+                                      harness::sweep_cell cell) {
+    return std::move(harness::run_sweep(grid, {std::move(cell)}).front());
 }
 
 } // namespace bluescale::testing
