@@ -5,13 +5,17 @@
 // BlueScale's deadline-aware behaviour.
 //
 //   $ ./bench/ablation_alpha [--trials N] [--cycles N] [--threads N]
+//                            [--seed N] [--csv out.csv]
+//                            [--metrics out.csv] [--trace out.json]
+//                            [--profile] [--lockstep]
+//
+// --csv dumps one row per config; --metrics and --trace export the
+// BlueScale reference (the last cell).
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -27,30 +31,17 @@ int main(int argc, char** argv) {
     std::printf("Ablation A1: BlueTree blocking factor alpha "
                 "(16 clients, utilization 70-90%%)\n\n");
 
-    constexpr std::uint32_t k_alphas[] = {1, 2, 4, 8};
     fig6_config base;
     base.scenario.measure_cycles = opts.measure_cycles;
-    std::vector<sweep_cell> cells;
-    std::vector<std::string> labels;
-    for (std::uint32_t alpha : k_alphas) {
+    report_section s{"", {"config"}, k_fig6_columns, {}};
+    for (std::uint32_t alpha : {1u, 2u, 4u, 8u}) {
         fig6_config cfg = base;
         cfg.bluetree_alpha = alpha;
-        cells.push_back(fig6_cell(ic_kind::bluetree, cfg));
-        labels.push_back("BlueTree alpha=" + std::to_string(alpha));
+        s.rows.push_back({fig6_cell(ic_kind::bluetree, cfg),
+                          {"BlueTree alpha=" + std::to_string(alpha)}});
     }
-    cells.push_back(fig6_cell(ic_kind::bluescale, base));
-    labels.emplace_back("BlueScale (reference)");
-    const auto results = run_sweep(sweep_from(opts), cells);
-
-    stats::table t({"config", "blocking lat (us)", "worst (us)",
-                    "miss ratio"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const sweep_result& r = results[i];
-        t.add_row({labels[i],
-                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
-                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
-                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
-    }
-    t.print();
+    s.rows.push_back(
+        {fig6_cell(ic_kind::bluescale, base), {"BlueScale (reference)"}});
+    run_report(opts, {.sections = {std::move(s)}});
     return 0;
 }

@@ -5,7 +5,10 @@
 // per-channel scheduling. Reports sustained throughput and latency for a
 // saturating streaming workload.
 //
-//   $ ./bench/ablation_channels [--cycles N]
+//   $ ./bench/ablation_channels [--cycles N] [--lockstep]
+//
+// The workload is fixed (no trials, no seed) and the table is the only
+// output.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -23,7 +26,8 @@ int main(int argc, char** argv) {
     defaults.measure_cycles = 40'000;
     const auto opts = harness::parse_bench_cli(
         argc, argv, defaults,
-        "Ablation A7: Meshed BlueScale channel count");
+        "Ablation A7: Meshed BlueScale channel count",
+        harness::flag_cycles | harness::flag_lockstep);
     const cycle_t cycles = opts.measure_cycles;
     constexpr std::uint32_t n_clients = 16;
 

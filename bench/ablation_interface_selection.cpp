@@ -6,15 +6,18 @@
 // (Sec. 3.2's distributed-refresh property).
 //
 //   $ ./bench/ablation_interface_selection [--trials N] [--threads N]
+//                                          [--csv out.csv]
+//
+// Trial t draws its task sets from seed 1000 + t. --csv dumps one row
+// per task count. The trials build no testbench, so there is nothing for
+// --metrics, --trace or --profile to export.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "analysis/tree_analysis.hpp"
 #include "core/parameter_path.hpp"
 #include "harness/bench_cli.hpp"
 #include "harness/traffic_trial.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -48,6 +51,16 @@ void selection_trial(trial_record& rec, const traffic_scenario& sc) {
     analysis::apply_client_update(std::move(update), sel, rt);
 }
 
+constexpr report_column k_columns[] = {
+    {"feasible", "feasible_trials", "feasible", shown::per_trial},
+    {"root bandwidth", "root_bw", "root_bw", shown::num, 3},
+    {"sched tests", "sched_tests", "tests", shown::num, 0},
+    {"dbf points", "dbf_points", "points", shown::num, 0},
+    {"est. FSM cycles", "fsm_cycles", "fsm_cycles", shown::num, 0},
+    {"SEs updated on 1-client change", "ses_updated", "ses_updated",
+     shown::num, 1},
+};
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -55,14 +68,14 @@ int main(int argc, char** argv) {
     defaults.trials = 10;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Ablation A3: interface selection cost/quality");
+        "Ablation A3: interface selection cost/quality",
+        flag_trials | flag_threads | flag_csv);
 
     std::printf("Ablation A3: interface selection cost/quality "
                 "(16 clients, utilization 80%%)\n\n");
 
-    constexpr std::uint32_t k_task_counts[] = {1, 2, 4, 8, 16};
-    std::vector<sweep_cell> cells;
-    for (std::uint32_t n_tasks : k_task_counts) {
+    report_section s{"", {"tasks/client"}, k_columns, {}};
+    for (std::uint32_t n_tasks : {1u, 2u, 4u, 8u, 16u}) {
         // Periods of 100-2000 units.
         const traffic_scenario sc = {
             .util_lo = 0.8,
@@ -71,27 +84,11 @@ int main(int argc, char** argv) {
                         .min_period_units = 100,
                         .max_period_units = 2000},
         };
-        cells.push_back(
-            {"", [sc](trial_record& rec) { selection_trial(rec, sc); }});
+        s.rows.push_back(
+            {{"", [sc](trial_record& rec) { selection_trial(rec, sc); }},
+             {std::to_string(n_tasks)}});
     }
-    const auto results = run_sweep(sweep_from(opts), cells);
-
-    stats::table t({"tasks/client", "feasible", "root bandwidth",
-                    "sched tests", "dbf points", "est. FSM cycles",
-                    "SEs updated on 1-client change"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const sweep_result& r = results[i];
-        const auto mean = [&r](const char* name, int decimals) {
-            return stats::table::num(r.totals.get(name).samples.mean(),
-                                     decimals);
-        };
-        t.add_row({std::to_string(k_task_counts[i]),
-                   std::to_string(r.totals.get("feasible").count) + "/" +
-                       std::to_string(opts.trials),
-                   mean("root_bw", 3), mean("tests", 0), mean("points", 0),
-                   mean("fsm_cycles", 0), mean("ses_updated", 1)});
-    }
-    t.print();
+    run_report(opts, {.sections = {std::move(s)}});
     std::printf("\nNote: a 1-client change touches at most leaf_level+1 "
                 "SEs (the request path), never the whole tree.\n");
     return 0;

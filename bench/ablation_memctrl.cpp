@@ -3,15 +3,37 @@
 // bank-level parallelism; FCFS is strictly in-order.
 //
 //   $ ./bench/ablation_memctrl [--trials N] [--cycles N] [--threads N]
+//                              [--seed N] [--csv out.csv]
+//                              [--metrics out.csv] [--trace out.json]
+//                              [--profile] [--lockstep]
+//
+// --csv dumps one row per cell of both tables (keys design, policy,
+// refresh); --metrics and --trace export the last cell (BlueTree with
+// refresh on).
 #include <cstdio>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
+
+namespace {
+
+// The policy table leaves the worst case out and the refresh table the
+// mean; the CSV has all three.
+constexpr report_column k_policy_columns[] = {
+    k_fig6_columns[0],
+    {"", "worst_us", "worst_blocking_us"},
+    k_fig6_columns[2],
+};
+constexpr report_column k_refresh_columns[] = {
+    {"", "blocking_us"},
+    k_fig6_columns[1],
+    k_fig6_columns[2],
+};
+
+} // namespace
 
 int main(int argc, char** argv) {
     bench_options defaults;
@@ -24,66 +46,44 @@ int main(int argc, char** argv) {
     std::printf("Ablation A4: memory controller policy x interconnect "
                 "(16 clients, utilization 70-90%%)\n\n");
 
-    // Both tables' cells on one grid: design x policy, then design x
-    // refresh.
-    constexpr ic_kind k_policy_kinds[] = {ic_kind::bluescale,
-                                          ic_kind::axi_icrt,
-                                          ic_kind::bluetree,
-                                          ic_kind::gsmtree_tdm};
-    constexpr memctrl_policy k_policies[] = {memctrl_policy::fr_fcfs,
-                                             memctrl_policy::fcfs};
-    constexpr ic_kind k_refresh_kinds[] = {
-        ic_kind::bluescale, ic_kind::axi_icrt, ic_kind::bluetree};
     fig6_config base;
     base.scenario.measure_cycles = opts.measure_cycles;
-    std::vector<sweep_cell> cells;
-    for (ic_kind kind : k_policy_kinds) {
-        for (memctrl_policy policy : k_policies) {
+    report_section policies{"", {"design", "policy"}, k_policy_columns, {}};
+    for (ic_kind kind : {ic_kind::bluescale, ic_kind::axi_icrt,
+                         ic_kind::bluetree, ic_kind::gsmtree_tdm}) {
+        for (memctrl_policy policy :
+             {memctrl_policy::fr_fcfs, memctrl_policy::fcfs}) {
+            const char* name =
+                policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS";
             fig6_config cfg = base;
             cfg.scenario.memctrl.policy = policy;
-            cells.push_back(fig6_cell(kind, cfg));
+            policies.rows.push_back({fig6_cell(kind, cfg),
+                                     {kind_name(kind), name},
+                                     {kind_name(kind), name, "off"}});
         }
     }
-    for (ic_kind kind : k_refresh_kinds) {
-        for (bool refresh : {false, true}) {
-            fig6_config cfg = base;
-            if (refresh) {
-                cfg.scenario.memctrl.timing.t_refi = 1560;
-                cfg.scenario.memctrl.timing.t_rfc = 44;
-            }
-            cells.push_back(fig6_cell(kind, cfg));
-        }
-    }
-    const auto results = run_sweep(sweep_from(opts), cells);
-    const sweep_result* next = results.data();
-
-    stats::table t({"design", "policy", "blocking lat (us)",
-                    "miss ratio"});
-    for (ic_kind kind : k_policy_kinds) {
-        for (memctrl_policy policy : k_policies) {
-            const sweep_result& r = *next++;
-            t.add_row({kind_name(kind),
-                       policy == memctrl_policy::fcfs ? "FCFS" : "FR-FCFS",
-                       stats::table::num(fig6_mean(r, "blocking_us"), 3),
-                       stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
-        }
-    }
-    t.print();
 
     // DRAM refresh: a fixed-cadence disturbance that steals ~3% of the
     // device time and closes every row. Predictable designs must absorb
     // it; the table shows the worst-case/miss impact per design.
-    std::printf("\nDRAM refresh disturbance (tREFI=1560, tRFC=44 cycles, "
-                "~2.8%% duty):\n");
-    stats::table rt({"design", "refresh", "worst (us)", "miss ratio"});
-    for (ic_kind kind : k_refresh_kinds) {
-        for (bool refresh : {false, true}) {
-            const sweep_result& r = *next++;
-            rt.add_row({kind_name(kind), refresh ? "on" : "off",
-                        stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
-                        stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
+    report_section refresh{"\nDRAM refresh disturbance (tREFI=1560, "
+                           "tRFC=44 cycles, ~2.8% duty):\n",
+                           {"design", "refresh"}, k_refresh_columns, {}};
+    for (ic_kind kind :
+         {ic_kind::bluescale, ic_kind::axi_icrt, ic_kind::bluetree}) {
+        for (bool on : {false, true}) {
+            fig6_config cfg = base;
+            if (on) {
+                cfg.scenario.memctrl.timing.t_refi = 1560;
+                cfg.scenario.memctrl.timing.t_rfc = 44;
+            }
+            refresh.rows.push_back({fig6_cell(kind, cfg),
+                                    {kind_name(kind), on ? "on" : "off"},
+                                    {kind_name(kind), "FR-FCFS",
+                                     on ? "on" : "off"}});
         }
     }
-    rt.print();
+    run_report(opts, {.csv_keys = {"design", "policy", "refresh"},
+                      .sections = {std::move(policies), std::move(refresh)}});
     return 0;
 }

@@ -4,12 +4,16 @@
 // slack-reclamation fallback contributes.
 //
 //   $ ./bench/ablation_server_policy [--trials N] [--cycles N] [--threads N]
+//                                    [--seed N] [--csv out.csv]
+//                                    [--metrics out.csv] [--trace out.json]
+//                                    [--profile] [--lockstep]
+//
+// --csv dumps one row per variant; --metrics and --trace export the
+// last variant (fixed-priority, strict budgets).
 #include <cstdio>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -39,7 +43,7 @@ int main(int argc, char** argv) {
          core::server_policy::fixed_priority, false},
     };
 
-    std::vector<sweep_cell> cells;
+    report_section s{"", {"variant"}, k_fig6_columns, {}};
     for (const auto& v : variants) {
         fig6_config cfg;
         cfg.scenario.measure_cycles = opts.measure_cycles;
@@ -47,19 +51,8 @@ int main(int argc, char** argv) {
         se.policy = v.policy;
         se.work_conserving = v.work_conserving;
         cfg.bluescale_se = se;
-        cells.push_back(fig6_cell(ic_kind::bluescale, cfg));
+        s.rows.push_back({fig6_cell(ic_kind::bluescale, cfg), {v.name}});
     }
-    const auto results = run_sweep(sweep_from(opts), cells);
-
-    stats::table t({"variant", "blocking lat (us)", "worst (us)",
-                    "miss ratio"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const sweep_result& r = results[i];
-        t.add_row({variants[i].name,
-                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
-                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
-                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
-    }
-    t.print();
+    run_report(opts, {.sections = {std::move(s)}});
     return 0;
 }

@@ -9,6 +9,10 @@
 // larger server periods at 64 clients, recovering schedulable region.
 //
 //   $ ./bench/acceptance_ratio [--trials N] [--threads N]
+//
+// Trial t of a cell draws its task sets from seed 9000 + 131 t + the
+// client count, so --seed does not apply. The trials build no testbench,
+// so there is nothing for --metrics, --trace or --profile to export.
 #include <cstdio>
 #include <vector>
 
@@ -62,7 +66,8 @@ int main(int argc, char** argv) {
     defaults.trials = 20;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
-        "Acceptance ratio of the whole-tree interface selection");
+        "Acceptance ratio of the whole-tree interface selection",
+        flag_trials | flag_threads);
     std::printf("Acceptance ratio of the whole-tree interface selection "
                 "(vs the centralized-EDF U<=1 bound)\n\n");
 
@@ -80,7 +85,8 @@ int main(int argc, char** argv) {
         cells.push_back(acceptance_cell(64, 0.70, tol));
         cells.push_back(acceptance_cell(64, 0.80, tol));
     }
-    const auto results = run_sweep(sweep_from(opts), cells);
+    const auto results =
+        run_sweep({.trials = opts.trials, .threads = opts.threads}, cells);
     const sweep_result* next = results.data();
 
     stats::table t({"total U", "16 clients", "root bw (16)", "64 clients",

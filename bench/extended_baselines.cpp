@@ -4,12 +4,16 @@
 // between the heuristic trees and the deadline-aware designs.
 //
 //   $ ./bench/extended_baselines [--trials N] [--cycles N] [--threads N]
+//                                [--seed N] [--csv out.csv]
+//                                [--metrics out.csv] [--trace out.json]
+//                                [--profile] [--lockstep]
+//
+// --csv dumps one row per design; --metrics and --trace export the last
+// design (AXI-HyperConnect).
 #include <cstdio>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/fig6_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -28,21 +32,10 @@ int main(int argc, char** argv) {
 
     fig6_config cfg;
     cfg.scenario.measure_cycles = opts.measure_cycles;
-    std::vector<sweep_cell> cells;
+    report_section s{"", {"design"}, k_fig6_columns, {}};
     for (ic_kind kind : k_extended_kinds) {
-        cells.push_back(fig6_cell(kind, cfg));
+        s.rows.push_back({fig6_cell(kind, cfg), {kind_name(kind)}});
     }
-    const auto results = run_sweep(sweep_from(opts), cells);
-
-    stats::table t({"design", "blocking lat (us)", "worst (us)",
-                    "miss ratio"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const sweep_result& r = results[i];
-        t.add_row({kind_name(k_extended_kinds[i]),
-                   stats::table::num(fig6_mean(r, "blocking_us"), 3),
-                   stats::table::num(fig6_mean(r, "worst_blocking_us"), 2),
-                   stats::table::pct(fig6_mean(r, "miss_ratio"), 2)});
-    }
-    t.print();
+    run_report(opts, {.sections = {std::move(s)}});
     return 0;
 }

@@ -9,90 +9,97 @@
 // platform), "power" (W) or "fmax" (MHz); the combined columns are empty
 // for fmax, which Fig. 5 only reports standalone.
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "hwcost/cost_model.hpp"
+#include "stats/csv.hpp"
 #include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::hwcost;
 
+namespace {
+
+/// One panel of the figure.
+struct panel {
+    const char* name;  ///< the CSV's metric
+    const char* title;
+    double (*legacy)(std::uint32_t);
+    double (*of)(design, std::uint32_t);
+    bool combined;     ///< also the legacy + interconnect columns
+    bool percent;      ///< shown as a percentage, else `precision` decimals
+    int precision;
+};
+
+constexpr panel k_panels[] = {
+    {"area", "\n(a) Area consumption (% of platform):\n",
+     legacy_area_fraction, area_fraction, true, true, 1},
+    {"power", "\n(b) Power consumption (W):\n", legacy_power_w, power_w,
+     true, false, 3},
+    {"fmax", "\n(c) Maximum frequency (MHz):\n", legacy_fmax_mhz, fmax_mhz,
+     false, false, 0},
+};
+
+} // namespace
+
 int main(int argc, char** argv) {
     harness::bench_options defaults;
     const auto opts = harness::parse_bench_cli(
         argc, argv, defaults,
-        "Fig. 5 reproduction: area / power / fmax vs scaling factor");
-    const auto csv = harness::open_bench_csv(
-        opts, {"metric", "eta", "clients", "legacy", "axi_icrt",
-               "bluescale", "legacy_axi", "legacy_bluescale"});
+        "Fig. 5 reproduction: area / power / fmax vs scaling factor",
+        harness::flag_csv);
+    std::optional<stats::csv_writer> csv;
+    if (!opts.csv_path.empty()) {
+        csv.emplace(opts.csv_path,
+                    std::vector<std::string>{"metric", "eta", "clients",
+                                             "legacy", "axi_icrt",
+                                             "bluescale", "legacy_axi",
+                                             "legacy_bluescale"});
+        if (!csv->ok()) {
+            std::fprintf(stderr, "cannot write %s\n", opts.csv_path.c_str());
+            return 1;
+        }
+    }
 
     std::printf("Fig. 5 reproduction: area / power / fmax vs scaling "
                 "factor eta (clients = 2^eta)\n");
 
-    std::printf("\n(a) Area consumption (%% of platform):\n");
-    stats::table area({"eta", "clients", "Legacy", "AXI-IC^RT",
-                       "BlueScale", "Legacy+AXI", "Legacy+BlueScale"});
-    for (std::uint32_t eta = 1; eta <= 7; ++eta) {
-        const std::uint32_t n = 1u << eta;
-        const double legacy = legacy_area_fraction(n);
-        const double axi = area_fraction(design::axi_icrt, n);
-        const double bs = area_fraction(design::bluescale, n);
-        area.add_row({std::to_string(eta), std::to_string(n),
-                      stats::table::pct(legacy, 1),
-                      stats::table::pct(axi, 1), stats::table::pct(bs, 1),
-                      stats::table::pct(legacy + axi, 1),
-                      stats::table::pct(legacy + bs, 1)});
-        if (csv != nullptr) {
-            csv->add_row({"area", std::to_string(eta), std::to_string(n),
-                          std::to_string(legacy), std::to_string(axi),
-                          std::to_string(bs), std::to_string(legacy + axi),
-                          std::to_string(legacy + bs)});
+    for (const panel& p : k_panels) {
+        std::fputs(p.title, stdout);
+        std::vector<std::string> headings = {"eta", "clients", "Legacy",
+                                             "AXI-IC^RT", "BlueScale"};
+        if (p.combined) {
+            headings.emplace_back("Legacy+AXI");
+            headings.emplace_back("Legacy+BlueScale");
         }
-    }
-    area.print();
-
-    std::printf("\n(b) Power consumption (W):\n");
-    stats::table power({"eta", "clients", "Legacy", "AXI-IC^RT",
-                        "BlueScale", "Legacy+AXI", "Legacy+BlueScale"});
-    for (std::uint32_t eta = 1; eta <= 7; ++eta) {
-        const std::uint32_t n = 1u << eta;
-        const double legacy = legacy_power_w(n);
-        const double axi = power_w(design::axi_icrt, n);
-        const double bs = power_w(design::bluescale, n);
-        power.add_row({std::to_string(eta), std::to_string(n),
-                       stats::table::num(legacy, 3),
-                       stats::table::num(axi, 3),
-                       stats::table::num(bs, 3),
-                       stats::table::num(legacy + axi, 3),
-                       stats::table::num(legacy + bs, 3)});
-        if (csv != nullptr) {
-            csv->add_row({"power", std::to_string(eta), std::to_string(n),
-                          std::to_string(legacy), std::to_string(axi),
-                          std::to_string(bs), std::to_string(legacy + axi),
-                          std::to_string(legacy + bs)});
+        stats::table t(std::move(headings));
+        for (std::uint32_t eta = 1; eta <= 7; ++eta) {
+            const std::uint32_t n = 1u << eta;
+            const double legacy = p.legacy(n);
+            const double axi = p.of(design::axi_icrt, n);
+            const double bs = p.of(design::bluescale, n);
+            std::vector<double> values = {legacy, axi, bs};
+            if (p.combined) {
+                values.push_back(legacy + axi);
+                values.push_back(legacy + bs);
+            }
+            std::vector<std::string> row = {std::to_string(eta),
+                                            std::to_string(n)};
+            std::vector<std::string> csv_row = {p.name, row[0], row[1]};
+            for (double v : values) {
+                row.push_back(p.percent ? stats::table::pct(v, p.precision)
+                                        : stats::table::num(v, p.precision));
+                csv_row.push_back(std::to_string(v));
+            }
+            csv_row.resize(8);
+            t.add_row(std::move(row));
+            if (csv) csv->add_row(csv_row);
         }
+        t.print();
     }
-    power.print();
-
-    std::printf("\n(c) Maximum frequency (MHz):\n");
-    stats::table fmax({"eta", "clients", "Legacy", "AXI-IC^RT",
-                       "BlueScale"});
-    for (std::uint32_t eta = 1; eta <= 7; ++eta) {
-        const std::uint32_t n = 1u << eta;
-        const double legacy = legacy_fmax_mhz(n);
-        const double axi = fmax_mhz(design::axi_icrt, n);
-        const double bs = fmax_mhz(design::bluescale, n);
-        fmax.add_row({std::to_string(eta), std::to_string(n),
-                      stats::table::num(legacy, 0),
-                      stats::table::num(axi, 0),
-                      stats::table::num(bs, 0)});
-        if (csv != nullptr) {
-            csv->add_row({"fmax", std::to_string(eta), std::to_string(n),
-                          std::to_string(legacy), std::to_string(axi),
-                          std::to_string(bs), "", ""});
-        }
-    }
-    fmax.print();
 
     std::printf("\nObs 3 check: AXI-IC^RT drops below the legacy system "
                 "past eta = 5; BlueScale never does.\n");

@@ -4,11 +4,18 @@
 // per-level server grant -- see obs::hop_stamps); this bench reads those
 // attribution stamps straight off completed responses and aggregates them
 // per tree level, alongside the memory controller's share, across the
-// utilization range. Each utilization point is one cell of one trial at
-// seed 2024 (--trials and --seed do not apply); --threads runs the
-// points in parallel, and the table is identical for any setting.
+// utilization range. Each utilization point is one cell; trial t draws
+// its task sets from seed + t (defaults: one trial at seed 2024) and
+// client c is seeded 300 + c. --threads runs the cells in parallel, and
+// the output is identical for any setting.
 //
-//   $ ./bench/latency_breakdown [--cycles N] [--threads N]
+//   $ ./bench/latency_breakdown [--trials N] [--cycles N] [--threads N]
+//                               [--seed N] [--csv out.csv]
+//                               [--metrics out.csv] [--trace out.json]
+//                               [--profile] [--lockstep]
+//
+// --csv dumps one row per utilization point; --metrics and --trace
+// export the highest point (the last cell).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,7 +24,6 @@
 #include "harness/bench_cli.hpp"
 #include "harness/traffic_trial.hpp"
 #include "obs/hop_stamps.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -37,20 +43,29 @@ std::string wait_name(std::uint32_t level) {
 
 int main(int argc, char** argv) {
     bench_options defaults;
+    defaults.trials = 1;
     defaults.measure_cycles = 80'000;
+    defaults.seed = 2024;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Per-level queueing breakdown inside BlueScale");
     const std::uint32_t depth =
         analysis::make_quadtree_shape(k_clients).leaf_level;
+    const std::string leaf_wait = wait_name(depth);
+    const report_column columns[] = {
+        {"leaf wait (cyc)", "leaf_wait_cycles", leaf_wait, shown::num, 1},
+        {"mid wait (cyc)", "mid_wait_cycles", "wait.l1", shown::num, 1},
+        {"root wait (cyc)", "root_wait_cycles", "wait.l0", shown::num, 1},
+        {"memory (cyc)", "memory_cycles", "memory", shown::num, 1},
+        {"end-to-end (cyc)", "end_to_end_cycles", "end_to_end", shown::num,
+         1},
+    };
 
     std::printf("Per-level queueing breakdown inside BlueScale "
                 "(64 clients, 3 SE levels)\n\n");
 
-    constexpr double k_utils[] = {0.3, 0.5, 0.7, 0.85};
-    std::vector<sweep_cell> cells;
-    for (double util : k_utils) {
-        // Client c is seeded 300 + c.
+    report_section s{"", {"utilization"}, columns, {}};
+    for (double util : {0.3, 0.5, 0.7, 0.85}) {
         const traffic_scenario sc = {
             .n_clients = k_clients,
             .measure_cycles = opts.measure_cycles,
@@ -58,7 +73,7 @@ int main(int argc, char** argv) {
             .util_hi = util,
             .taskset = {.min_period_units = 100, .max_period_units = 2000},
         };
-        cells.push_back({"", [sc, depth](trial_record& rec) {
+        sweep_cell cell{"", [sc, depth](trial_record& rec) {
             std::vector<obs::sample> waits;
             for (std::uint32_t l = 0; l <= depth; ++l) {
                 waits.push_back(rec.sample(wait_name(l)));
@@ -89,23 +104,11 @@ int main(int argc, char** argv) {
                     end_to_end.add(static_cast<double>(resp.total_latency()));
                 });
             tt.tb().run(sc.measure_cycles);
-        }});
+            rec.capture(tt.tb());
+        }};
+        s.rows.push_back({std::move(cell), {formatted("%.2f", util)}});
     }
-    const auto results = run_sweep(
-        {.trials = 1, .seed = 2024, .threads = opts.threads}, cells);
-
-    stats::table t({"utilization", "leaf wait (cyc)", "mid wait (cyc)",
-                    "root wait (cyc)", "memory (cyc)",
-                    "end-to-end (cyc)"});
-    for (std::size_t p = 0; p < results.size(); ++p) {
-        const auto mean = [&r = results[p]](const std::string& name) {
-            return stats::table::num(r.totals.get(name).samples.mean(), 1);
-        };
-        t.add_row({stats::table::num(k_utils[p], 2), mean(wait_name(depth)),
-                   mean(wait_name(1)), mean(wait_name(0)), mean("memory"),
-                   mean("end_to_end")});
-    }
-    t.print();
+    run_report(opts, {.sections = {std::move(s)}});
     std::printf("\nQueueing concentrates at the leaf/mid levels (each "
                 "client throttled by its own minimum-bandwidth\n"
                 "interface) while the root stays shallow -- contention is "

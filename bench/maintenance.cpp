@@ -10,6 +10,7 @@
 //   $ ./bench/maintenance [--trials N] [--cycles N] [--threads N]
 //                         [--seed N] [--csv out.csv]
 //                         [--metrics out.csv] [--trace out.json]
+//                         [--profile] [--lockstep]
 //
 // --csv dumps one row per (mode, refresh, scrub, hammer) cell with the
 // raw aggregates (rendered through obs::metric_cells off the
@@ -19,11 +20,9 @@
 // of the aware mode at 2x refresh with scrub and hammer on.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/maintenance_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -53,72 +52,25 @@ constexpr refresh_point k_refresh[] = {
 constexpr scrub_point k_scrub[] = {{"off", 0, 0}, {"on", 2048, 32}};
 constexpr hammer_point k_hammer[] = {{"off", 0, 0}, {"on", 256, 32}};
 
-constexpr csv_column k_columns[] = {
-    {"hard_miss_ratio", "hard_miss_ratio"},
-    {"hard_miss_sd", "hard_miss_ratio:sd"},
-    {"be_miss_ratio", "best_effort_miss_ratio"},
-    {"p99_cycles", "p99_latency_cycles"}, {"hard_misses", "hard_misses"},
-    {"best_effort_misses", "best_effort_misses"}, {"refreshes", "refreshes"},
-    {"scrubs", "scrubs"}, {"hammer_mitigations", "hammer_mitigations"},
-    {"stolen_cycles", "maintenance_stolen_cycles"},
-    {"storm_cycles", "maintenance_storm_cycles"},
-    {"injected_storms", "injected_storms"},
-    {"windows_checked", "windows_checked"},
-    {"supply_shortfall_alarms", "supply_shortfall_alarms"},
-    {"deadline_alarms", "deadline_alarms"}, {"shed_events", "shed_events"},
-    {"restore_events", "restore_events"},
-    {"shed_client_cycles", "shed_client_cycles"},
-    {"feasible_trials", "feasible_trials"},
+constexpr report_column k_columns[] = {
+    {"hard miss", "hard_miss_ratio", "hard_miss_ratio", shown::pct, 2},
+    {"", "hard_miss_sd", "hard_miss_ratio:sd"},
+    {"BE miss", "be_miss_ratio", "best_effort_miss_ratio", shown::pct, 2},
+    {"p99 (cyc)", "p99_cycles", "p99_latency_cycles", shown::num, 1},
+    {"", "hard_misses"}, {"", "best_effort_misses"}, {"", "refreshes"},
+    {"", "scrubs"}, {"", "hammer_mitigations"},
+    {"stolen (cyc)", "stolen_cycles", "maintenance_stolen_cycles",
+     shown::count},
+    {"", "storm_cycles", "maintenance_storm_cycles"},
+    {"", "injected_storms"}, {"", "windows_checked"},
+    {"shortfalls", "supply_shortfall_alarms", "supply_shortfall_alarms",
+     shown::count},
+    {"dl alarms", "deadline_alarms", "deadline_alarms", shown::count},
+    {"", "shed_events"}, {"", "restore_events"},
+    {"shed/rest", "", "shed_events/restore_events", shown::count},
+    {"", "shed_client_cycles"},
+    {"feas", "feasible_trials", "feasible_trials", shown::count},
 };
-
-/// One mode's table: `next` walks its cells' results, in refresh x
-/// scrub x hammer order.
-void print_mode(bool aware, const bench_options& opts,
-                const sweep_result*& next, stats::csv_writer* csv) {
-    std::printf("\n=== %s admission: refresh x scrub x hammer sweep, "
-                "%u trials, %llu cycles/trial ===\n",
-                aware ? "maintenance-aware" : "maintenance-unaware",
-                opts.trials,
-                static_cast<unsigned long long>(opts.measure_cycles));
-
-    stats::table t({"refresh", "scrub", "hammer", "hard miss", "BE miss",
-                    "p99 (cyc)", "stolen (cyc)", "shortfalls", "dl alarms",
-                    "shed/rest", "feas"});
-    for (const auto& rf : k_refresh) {
-        for (const auto& sc : k_scrub) {
-            for (const auto& hm : k_hammer) {
-                const sweep_result& r = *next++;
-                const auto mean = [&r](const char* name) {
-                    return r.totals.get(std::string("maintenance/") + name)
-                        .samples.mean();
-                };
-                const auto total = [&r](const char* name) {
-                    return std::to_string(
-                        r.totals.get(std::string("maintenance/") + name)
-                            .count);
-                };
-
-                t.add_row(
-                    {rf.name, sc.name, hm.name,
-                     stats::table::pct(mean("hard_miss_ratio"), 2),
-                     stats::table::pct(mean("best_effort_miss_ratio"), 2),
-                     stats::table::num(mean("p99_latency_cycles"), 1),
-                     total("maintenance_stolen_cycles"),
-                     total("supply_shortfall_alarms"),
-                     total("deadline_alarms"),
-                     total("shed_events") + "/" + total("restore_events"),
-                     total("feasible_trials")});
-                add_csv_row(csv,
-                            {aware ? "aware" : "unaware",
-                             std::to_string(rf.t_refi),
-                             std::to_string(sc.interval),
-                             std::to_string(hm.threshold)},
-                            r.totals, "maintenance/", k_columns);
-            }
-        }
-    }
-    t.print();
-}
 
 } // namespace
 
@@ -131,17 +83,20 @@ int main(int argc, char** argv) {
         "Maintenance: deadline misses and watchdog alarms under DRAM "
         "refresh/scrub/RowHammer interference");
 
-    const auto csv = open_bench_csv(
-        opts, {"mode", "t_refi", "scrub_interval", "hammer_threshold"},
-        k_columns);
-
     std::printf("DRAM maintenance: maintenance-aware vs -unaware "
                 "admission under refresh/scrub/RowHammer\n");
 
-    // Both modes' cells on one grid.
-    constexpr bool k_modes[] = {false, true};
-    std::vector<sweep_cell> cells;
-    for (bool aware : k_modes) {
+    // Both modes' cells on one grid, one table per mode.
+    bench_report report{.csv_keys = {"mode", "t_refi", "scrub_interval",
+                                     "hammer_threshold"}};
+    for (bool aware : {false, true}) {
+        report_section& s = report.sections.emplace_back(report_section{
+            formatted("\n=== %s admission: refresh x scrub x hammer sweep, "
+                      "%u trials, %llu cycles/trial ===\n",
+                      aware ? "maintenance-aware" : "maintenance-unaware",
+                      opts.trials,
+                      static_cast<unsigned long long>(opts.measure_cycles)),
+            {"refresh", "scrub", "hammer"}, k_columns, {}});
         for (const auto& rf : k_refresh) {
             for (const auto& sc : k_scrub) {
                 for (const auto& hm : k_hammer) {
@@ -160,18 +115,19 @@ int main(int argc, char** argv) {
                     // the watchdog columns stay meaningful in aware mode
                     // too.
                     cfg.storm_intensity = 0.02;
-                    cells.push_back(maintenance_cell(cfg));
+                    s.rows.push_back(
+                        {maintenance_cell(cfg),
+                         {rf.name, sc.name, hm.name},
+                         {aware ? "aware" : "unaware",
+                          std::to_string(rf.t_refi),
+                          std::to_string(sc.interval),
+                          std::to_string(hm.threshold)}});
                 }
             }
         }
     }
     // Obs exports cover the last cell, the aware mode's heaviest: 2x
     // refresh with scrub and hammer on.
-    const std::size_t exported = cells.size() - 1;
-    const auto results = run_sweep(sweep_from(opts, exported), cells);
-    write_bench_exports(opts, results[exported]);
-
-    const sweep_result* next = results.data();
-    for (bool aware : k_modes) print_mode(aware, opts, next, csv.get());
+    run_report(opts, report);
     return 0;
 }

@@ -8,21 +8,20 @@
 //   $ ./bench/resilience [--trials N] [--cycles N] [--threads N]
 //                        [--seed N] [--csv out.csv]
 //                        [--metrics out.csv] [--trace out.json]
+//                        [--profile] [--lockstep]
 //
 // --csv dumps one row per (design, intensity) with the raw aggregates
 // (cells rendered through obs::metric_cells off the experiment's metric
 // snapshot); the file is byte-identical for any --threads setting.
 // --metrics dumps the BlueScale design's merged per-trial obs::registry
 // snapshot and --trace the event trace of its lowest-index trial that
-// captured one, both at the highest fault intensity; the metrics file is
-// likewise byte-identical for any --threads setting.
+// captured one, both at the highest fault intensity (the last cell); the
+// metrics file is likewise byte-identical for any --threads setting.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/resilience_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
@@ -30,83 +29,29 @@ using namespace bluescale::harness;
 namespace {
 
 constexpr double k_intensities[] = {0.0, 0.2, 0.5, 1.0};
-constexpr ic_kind k_designs[] = {ic_kind::bluetree,
-                                 ic_kind::bluetree_smooth,
-                                 ic_kind::bluescale};
 
-// The two inflation columns are ratios to the healthy run, which the
-// driver sets as reals on the totals.
-constexpr csv_column k_columns[] = {
-    {"miss_ratio", "miss_ratio"}, {"miss_sd", "miss_ratio:sd"},
-    {"p99_cycles", "p99_latency_cycles"}, {"p99_inflation", "p99_inflation"},
-    {"worst_cycles", "worst_latency_cycles"},
-    {"worst_inflation", "worst_inflation"},
-    {"injected_events", "injected_events"}, {"stall_windows", "stall_windows"},
-    {"se_stall_cycles", "se_stall_cycles"}, {"link_drops", "link_drops"},
-    {"ecc_retries", "ecc_retries"},
-    {"uncorrected_errors", "uncorrected_errors"},
-    {"storm_cycles", "storm_cycles"}, {"retries", "retries"},
-    {"timeouts", "timeouts"}, {"retry_exhausted", "retry_exhausted"},
-    {"stale_responses", "stale_responses"},
-    {"failed_responses", "failed_responses"},
-    {"degrade_events", "degrade_events"},
-    {"recovery_events", "recovery_events"},
-    {"degraded_se_cycles", "degraded_se_cycles"},
-    {"mean_time_to_recover", "time_to_recover_cycles"},
-    {"feasible_trials", "feasible_trials"},
+// The table shows ecc and drops after the retry counters, the CSV before.
+constexpr report_column k_columns[] = {
+    {"miss ratio", "miss_ratio", "miss_ratio", shown::pct, 2},
+    {"", "miss_sd", "miss_ratio:sd"},
+    {"p99 (cyc)", "p99_cycles", "p99_latency_cycles", shown::num, 1},
+    {"p99 infl", "p99_inflation", "p99_inflation", shown::num, 2},
+    {"worst (cyc)", "worst_cycles", "worst_latency_cycles", shown::num, 1},
+    {"", "worst_inflation"}, {"", "injected_events"}, {"", "stall_windows"},
+    {"", "se_stall_cycles"}, {"", "link_drops"}, {"", "ecc_retries"},
+    {"", "uncorrected_errors"}, {"", "storm_cycles"},
+    {"retries", "retries", "retries", shown::count},
+    {"timeouts", "timeouts", "timeouts", shown::count},
+    {"ecc", "", "ecc_retries", shown::count},
+    {"drops", "", "link_drops", shown::count},
+    {"", "retry_exhausted"}, {"", "stale_responses"}, {"", "failed_responses"},
+    {"degr/recov", "", "degrade_events/recovery_events", shown::count},
+    {"", "degrade_events"}, {"", "recovery_events"},
+    {"", "degraded_se_cycles"},
+    {"mean TTR", "mean_time_to_recover", "time_to_recover_cycles",
+     shown::num, 0},
+    {"", "feasible_trials"},
 };
-
-/// One design's table: `next` walks its cells' results, in
-/// k_intensities order.
-void print_design(ic_kind kind, const bench_options& opts,
-                  sweep_result*& next, stats::csv_writer* csv) {
-    std::printf("\n=== %s: fault-intensity sweep, %u trials, %llu "
-                "cycles/trial ===\n",
-                kind_name(kind), opts.trials,
-                static_cast<unsigned long long>(opts.measure_cycles));
-
-    stats::table t({"intensity", "miss ratio", "p99 (cyc)", "p99 infl",
-                    "worst (cyc)", "retries", "timeouts", "ecc", "drops",
-                    "degr/recov", "mean TTR"});
-    double healthy_p99 = 0.0;
-    double healthy_worst = 0.0;
-    for (double intensity : k_intensities) {
-        sweep_result& r = *next++;
-        const auto mean = [&r](const char* name) {
-            return r.totals.get(std::string("resilience/") + name)
-                .samples.mean();
-        };
-        const auto total = [&r](const char* name) {
-            return std::to_string(
-                r.totals.get(std::string("resilience/") + name).count);
-        };
-        if (intensity == 0.0) {
-            healthy_p99 = mean("p99_latency_cycles");
-            healthy_worst = mean("worst_latency_cycles");
-        }
-        const double p99_inflation =
-            healthy_p99 == 0.0 ? 0.0 : mean("p99_latency_cycles") / healthy_p99;
-        const double worst_inflation =
-            healthy_worst == 0.0
-                ? 0.0
-                : mean("worst_latency_cycles") / healthy_worst;
-
-        t.add_row({stats::table::num(intensity, 1),
-                   stats::table::pct(mean("miss_ratio"), 2),
-                   stats::table::num(mean("p99_latency_cycles"), 1),
-                   stats::table::num(p99_inflation, 2),
-                   stats::table::num(mean("worst_latency_cycles"), 1),
-                   total("retries"), total("timeouts"), total("ecc_retries"),
-                   total("link_drops"),
-                   total("degrade_events") + "/" + total("recovery_events"),
-                   stats::table::num(mean("time_to_recover_cycles"), 0)});
-        set_real(r.totals, "resilience/p99_inflation", p99_inflation);
-        set_real(r.totals, "resilience/worst_inflation", worst_inflation);
-        add_csv_row(csv, {kind_name(kind), std::to_string(intensity)},
-                    r.totals, "resilience/", k_columns);
-    }
-    t.print();
-}
 
 } // namespace
 
@@ -119,27 +64,29 @@ int main(int argc, char** argv) {
         "Resilience: deadline misses and latency inflation under "
         "fault-injection campaigns");
 
-    const auto csv = open_bench_csv(opts, {"design", "intensity"}, k_columns);
-
     std::printf("Resilience under fault injection: retry/timeout recovery "
                 "and graceful degradation\n");
 
-    // Every design x intensity on one grid.
-    std::vector<sweep_cell> cells;
-    for (ic_kind kind : k_designs) {
-        for (double intensity : k_intensities) {
-            cells.push_back(resilience_cell(
-                kind, {.scenario = {.measure_cycles = opts.measure_cycles},
-                       .fault_intensity = intensity}));
+    // Every design x intensity on one grid, one table per design.
+    bench_report report{.csv_keys = {"design", "intensity"}};
+    for (ic_kind kind : {ic_kind::bluetree, ic_kind::bluetree_smooth,
+                         ic_kind::bluescale}) {
+        report_section& s = report.sections.emplace_back(report_section{
+            formatted("\n=== %s: fault-intensity sweep, %u trials, %llu "
+                      "cycles/trial ===\n",
+                      kind_name(kind), opts.trials,
+                      static_cast<unsigned long long>(opts.measure_cycles)),
+            {"intensity"}, k_columns, {}});
+        auto cells = resilience_cells(
+            kind, {.scenario = {.measure_cycles = opts.measure_cycles}},
+            k_intensities);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const double intensity = k_intensities[i];
+            s.rows.push_back({std::move(cells[i]),
+                              {formatted("%.1f", intensity)},
+                              {kind_name(kind), std::to_string(intensity)}});
         }
     }
-    // Obs exports cover the last cell: the BlueScale design at the
-    // highest intensity (the most eventful run on a timeline).
-    const std::size_t exported = cells.size() - 1;
-    auto results = run_sweep(sweep_from(opts, exported), cells);
-    write_bench_exports(opts, results[exported]);
-
-    sweep_result* next = results.data();
-    for (ic_kind kind : k_designs) print_design(kind, opts, next, csv.get());
+    run_report(opts, report);
     return 0;
 }

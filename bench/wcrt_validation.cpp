@@ -4,8 +4,8 @@
 // drives configured BlueScale fabrics hard and checks that promise
 // directly (zero misses over every feasible trial), and reports the
 // structural backlog-drain bound (analysis/wcrt.hpp) next to the observed
-// maximum latency as a pessimism diagnostic. The trial is
-// harness::run_wcrt_validation.
+// maximum latency as a pessimism diagnostic. The cell is
+// harness::wcrt_validation_cell.
 //
 // It also surfaces a real quantization effect: with integer (Pi, Theta)
 // at 1-unit granularity, each port's minimum bandwidth overshoots its
@@ -14,21 +14,44 @@
 // column records this.
 //
 //   $ ./bench/wcrt_validation [--trials N] [--cycles N] [--threads N]
+//                             [--seed N] [--csv out.csv]
+//                             [--metrics out.csv] [--trace out.json]
+//                             [--profile] [--lockstep]
+//
+// Trial t runs at seed + t (default seed 7000). --csv dumps one row per
+// scale; --metrics and --trace export the 64-client scale (the last
+// cell).
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/bench_cli.hpp"
 #include "harness/wcrt_experiment.hpp"
-#include "stats/table.hpp"
 
 using namespace bluescale;
 using namespace bluescale::harness;
+
+namespace {
+
+constexpr report_column k_columns[] = {
+    {"feasible trials", "feasible_trials", "feasible_trials",
+     shown::per_trial},
+    {"missed/completed", "", "missed/completed", shown::count},
+    {"", "missed"}, {"", "completed"},
+    {"beyond margin", "missed_beyond_margin", "missed_beyond_margin",
+     shown::count},
+    {"worst latency (cyc)", "worst_latency_cycles", "worst_latency_cycles:max",
+     shown::num, 0},
+    {"drain bound (cyc)", "drain_bound_cycles", "drain_bound_cycles:max",
+     shown::num, 0},
+};
+
+} // namespace
 
 int main(int argc, char** argv) {
     bench_options defaults;
     defaults.trials = 10;
     defaults.measure_cycles = 80'000;
+    defaults.seed = 7000;
     const auto opts = parse_bench_cli(
         argc, argv, defaults,
         "Analysis validation: feasible selection => zero misses");
@@ -44,47 +67,22 @@ int main(int argc, char** argv) {
     // quantization makes 70-90%% selections mostly infeasible there.
     const scale scales[] = {{16, 0.70, 0.90}, {64, 0.50, 0.70}};
 
-    // Four tasks per client with periods of 100-2000 units; trial t runs
-    // at seed 7000 + t.
-    std::vector<sweep_cell> cells;
-    for (const auto& s : scales) {
-        cells.push_back(wcrt_validation_cell({
-            .n_clients = s.clients,
-            .measure_cycles = opts.measure_cycles,
-            .util_lo = s.util_lo,
-            .util_hi = s.util_hi,
-            .taskset = {.min_period_units = 100, .max_period_units = 2000},
-        }));
+    // Four tasks per client with periods of 100-2000 units.
+    report_section s{"", {"clients", "utilization"}, k_columns, {}};
+    for (const auto& sc : scales) {
+        s.rows.push_back(
+            {wcrt_validation_cell({
+                 .n_clients = sc.clients,
+                 .measure_cycles = opts.measure_cycles,
+                 .util_lo = sc.util_lo,
+                 .util_hi = sc.util_hi,
+                 .taskset = {.min_period_units = 100,
+                             .max_period_units = 2000},
+             }),
+             {std::to_string(sc.clients),
+              formatted("%.2f-%.2f", sc.util_lo, sc.util_hi)}});
     }
-    sweep_options grid = sweep_from(opts);
-    grid.seed = 7000;
-    const auto results = run_sweep(grid, cells);
-
-    stats::table t({"clients", "utilization", "feasible trials",
-                    "missed/completed", "beyond margin",
-                    "worst latency (cyc)", "drain bound (cyc)"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const scale& s = scales[i];
-        const sweep_result& r = results[i];
-        const auto total = [&r](const char* name) {
-            return std::to_string(
-                r.totals.get(std::string("wcrt/") + name).count);
-        };
-        const auto max = [&r](const char* name) {
-            return r.totals.get(std::string("wcrt/") + name).samples.max();
-        };
-        t.add_row({std::to_string(s.clients),
-                   stats::table::num(s.util_lo, 2) + "-" +
-                       stats::table::num(s.util_hi, 2),
-                   total("feasible_trials") + "/" +
-                       std::to_string(opts.trials),
-                   total("missed") + "/" + total("completed"),
-                   total("missed_beyond_margin"),
-                   stats::table::num(max("worst_latency_cycles"), 0),
-                   std::to_string(static_cast<std::uint64_t>(
-                       max("drain_bound_cycles")))});
-    }
-    t.print();
+    run_report(opts, {.sections = {std::move(s)}});
     std::printf("\nThe compositional guarantee covers transaction "
                 "scheduling on the unit-rate memory abstraction;\n"
                 "'beyond margin' counts misses after granting the "

@@ -1,7 +1,6 @@
 #include "harness/fig6_experiment.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "stats/summary.hpp"
 
@@ -42,10 +41,6 @@ sweep_cell fig6_cell(ic_kind kind, const fig6_config& cfg) {
     return {"fig6/", trial, [clock_mhz](sweep_result& r) {
                 set_real(r.totals, "fig6/system_clock_mhz", clock_mhz);
             }};
-}
-
-double fig6_mean(const sweep_result& r, std::string_view name) {
-    return r.totals.get("fig6/" + std::string(name)).samples.mean();
 }
 
 } // namespace bluescale::harness

@@ -6,9 +6,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 
 #include "core/scale_element.hpp"
+#include "harness/bench_cli.hpp"
 #include "harness/factory.hpp"
 #include "harness/traffic_trial.hpp"
 
@@ -34,8 +34,12 @@ struct fig6_config {
 /// real system_clock_mhz.
 [[nodiscard]] sweep_cell fig6_cell(ic_kind kind, const fig6_config& cfg);
 
-/// Cross-trial mean of the fig6 per-trial sample `name` ("blocking_us",
-/// "worst_blocking_us" or "miss_ratio").
-[[nodiscard]] double fig6_mean(const sweep_result& r, std::string_view name);
+/// The fig6-family tables' columns: the cross-trial means of blocking_us,
+/// worst_blocking_us and miss_ratio.
+inline constexpr report_column k_fig6_columns[] = {
+    {"blocking lat (us)", "blocking_us", "blocking_us", shown::num, 3},
+    {"worst (us)", "worst_us", "worst_blocking_us", shown::num, 2},
+    {"miss ratio", "miss_ratio", "miss_ratio", shown::pct, 2},
+};
 
 } // namespace bluescale::harness

@@ -1,6 +1,7 @@
 #include "harness/reconfig_experiment.hpp"
 
 #include <map>
+#include <string>
 #include <utility>
 
 namespace bluescale::harness {
@@ -133,9 +134,15 @@ sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
         rec.capture(tb);
     };
     return {"reconfig_exp/", trial, [](sweep_result& r) {
+                const auto count = [&r](const char* name) {
+                    return r.totals.get(std::string("reconfig_exp/") + name)
+                        .count;
+                };
                 set_real(r.totals, "reconfig_exp/admission_ratio",
-                         ratio(r.totals.get("reconfig_exp/admitted").count,
-                               r.totals.get("reconfig_exp/submitted").count));
+                         ratio(count("admitted"), count("submitted")));
+                set_real(r.totals, "reconfig_exp/requests",
+                         static_cast<double>(count("submitted") +
+                                             count("applied_unchecked")));
             }};
 }
 

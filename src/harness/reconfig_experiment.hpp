@@ -53,7 +53,8 @@ struct reconfig_exp_config {
 /// request's submission and its resolution), the real admission_ratio
 /// (admitted / submitted), and the sample latency_cycles (modeled
 /// parameter-path latency of admitted requests); applied_unchecked
-/// (unconditional zero-latency applications, baselines only). Watchdog:
+/// (unconditional zero-latency applications, baselines only), and the
+/// real requests (submitted + applied_unchecked). Watchdog:
 /// windows_checked, violating_windows, supply_shortfall_alarms,
 /// shed_events, restore_events, shed_client_cycles. Per class: the
 /// per-trial sample miss_ratio (all clients), hard_misses,

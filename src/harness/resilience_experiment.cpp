@@ -1,5 +1,8 @@
 #include "harness/resilience_experiment.hpp"
 
+#include <array>
+#include <memory>
+
 #include "core/bluescale_ic.hpp"
 #include "stats/summary.hpp"
 
@@ -70,6 +73,32 @@ sweep_cell resilience_cell(ic_kind kind, const resilience_config& cfg) {
         }
         rec.capture(tb);
     }};
+}
+
+std::vector<sweep_cell> resilience_cells(ic_kind kind, resilience_config cfg,
+                                         std::span<const double> intensities) {
+    // The first cell's finish step sets the reference the others read.
+    const auto healthy = std::make_shared<std::array<double, 2>>();
+    std::vector<sweep_cell> cells;
+    for (double intensity : intensities) {
+        cfg.fault_intensity = intensity;
+        sweep_cell cell = resilience_cell(kind, cfg);
+        cell.finish = [healthy, first = cells.empty()](sweep_result& r) {
+            const std::array<double, 2> means = {
+                r.totals.get("resilience/p99_latency_cycles").samples.mean(),
+                r.totals.get("resilience/worst_latency_cycles")
+                    .samples.mean()};
+            if (first) *healthy = means;
+            const auto inflation = [&](std::size_t i) {
+                return (*healthy)[i] == 0.0 ? 0.0
+                                            : means[i] / (*healthy)[i];
+            };
+            set_real(r.totals, "resilience/p99_inflation", inflation(0));
+            set_real(r.totals, "resilience/worst_inflation", inflation(1));
+        };
+        cells.push_back(std::move(cell));
+    }
+    return cells;
 }
 
 } // namespace bluescale::harness

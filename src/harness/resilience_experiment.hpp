@@ -10,6 +10,9 @@
 // intensity.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "harness/factory.hpp"
 #include "harness/traffic_trial.hpp"
 
@@ -36,5 +39,15 @@ struct resilience_config {
 /// degraded_se_cycles and feasible_trials.
 [[nodiscard]] sweep_cell resilience_cell(ic_kind kind,
                                         const resilience_config& cfg);
+
+/// One design's cells at each of `intensities`, the first one (normally
+/// 0) the healthy reference. Each cell's finish step adds the reals
+/// p99_inflation and worst_inflation: its mean p99_latency_cycles and
+/// worst_latency_cycles over the first cell's (0 while that is 0).
+/// run_sweep runs finish steps in cell order, so the cells must keep
+/// their order within one grid.
+[[nodiscard]] std::vector<sweep_cell>
+resilience_cells(ic_kind kind, resilience_config cfg,
+                 std::span<const double> intensities);
 
 } // namespace bluescale::harness

@@ -119,7 +119,8 @@ struct sweep_cell {
     std::string prefix;
     std::function<void(trial_record&)> trial;
     /// Optional: runs on the cell's merged result (values derived from
-    /// the merged totals, which must not be summed per trial).
+    /// the merged totals, which must not be summed per trial), after the
+    /// whole grid, in cell order.
     std::function<void(sweep_result&)> finish = {};
 };
 
