@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
     for (std::uint32_t h = 0; h < n_has; ++h) {
         rt[n_processors + h].push_back(
             {static_cast<std::uint64_t>(
-                 static_cast<double>(ha_cfg.burst_requests) /
+                 static_cast<double>(workload::k_dnn_burst_requests) /
                  ha_cfg.bandwidth_share),
-             ha_cfg.burst_requests});
+             workload::k_dnn_burst_requests});
     }
     const auto selection = analysis::select_tree_interfaces(rt);
     std::printf("interface selection: %s (root bandwidth %.3f, "

@@ -199,7 +199,7 @@ private:
         std::uint64_t estimate = 0;
         for (const auto& s : step_tasks_) {
             estimate += horizon / s.task.period;
-            if (estimate > cfg_.max_test_points) return true;
+            if (estimate > k_max_test_points) return true;
         }
         return false;
     }

@@ -132,7 +132,7 @@ sched_result is_schedulable(const task_set& tasks,
     for (const auto& task : tasks) {
         if (task.period == 0 || task.wcet == 0) continue;
         point_estimate += horizon / task.period;
-        if (point_estimate > cfg.max_test_points) return sched_result::aborted;
+        if (point_estimate > k_max_test_points) return sched_result::aborted;
     }
 
     for (const std::uint64_t t : dbf_step_points(tasks, horizon)) {

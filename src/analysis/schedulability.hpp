@@ -23,7 +23,7 @@ enum class sched_result : std::uint8_t {
 };
 
 /// Work counters for estimating the hardware interface selector's FSM
-/// runtime (core::interface_selector) and for test assertions.
+/// runtime (core::reconfig_costs::fsm_cycles) and for test assertions.
 struct sched_test_stats {
     std::uint64_t tests_run = 0;      ///< schedulability tests invoked
     std::uint64_t points_checked = 0; ///< dbf/sbf comparisons performed
@@ -51,12 +51,13 @@ struct sched_test_stats {
                            const sched_test_stats&) = default;
 };
 
+/// Upper limit on the number of dbf step points inspected before the
+/// test conservatively aborts. Theorem 1's bound beta explodes as the
+/// interface bandwidth approaches the task-set utilization; aborting
+/// keeps the interface-selection search total.
+inline constexpr std::uint64_t k_max_test_points = 1u << 20;
+
 struct sched_test_config {
-    /// Upper limit on the number of dbf step points inspected before the
-    /// test conservatively aborts. Theorem 1's bound beta explodes as the
-    /// interface bandwidth approaches the task-set utilization; aborting
-    /// keeps the interface-selection search total.
-    std::uint64_t max_test_points = 1u << 20;
     /// Optional work counters, accumulated across calls when set.
     sched_test_stats* stats = nullptr;
     /// Device maintenance charged against the supply. The test compares

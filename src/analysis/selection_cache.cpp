@@ -44,7 +44,6 @@ selection_key make_selection_key(const task_set& tasks,
     std::uint64_t k = k_fnv_offset;
     k = fnv_mix(k, ctx.max_period);
     k = fnv_mix(k, std::bit_cast<std::uint64_t>(ctx.bandwidth_tolerance));
-    k = fnv_mix(k, ctx.sched.max_test_points);
     k = fnv_mix(k, static_cast<std::uint64_t>(ctx.sched.sufficient_only));
     k = fnv_mix(k, ctx.sched.maintenance.ops.size());
     for (const maintenance_op& op : ctx.sched.maintenance.ops) {

@@ -72,8 +72,8 @@ public:
     /// The SE walk inside tick() visits only elements whose cached wakeup
     /// is due, using the same wake/horizon protocol and sim::wake_set as
     /// the simulator -- exact by the same argument, and active in both
-    /// engines. The testbench switches it off under BLUESCALE_LOCKSTEP so
-    /// the fallback engine is a true tick-everything reference.
+    /// engines. The testbench switches it off under the lockstep engine
+    /// so the fallback is a true tick-everything reference.
     void set_selective_ticking(bool on) { selective_ = on; }
 
     /// Re-homes every SE's counters into `reg` ("se.<level>.<order>/...")

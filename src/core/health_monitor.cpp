@@ -4,9 +4,9 @@
 
 namespace bluescale::core {
 
-health_monitor::health_monitor(bluescale_ic& fabric, health_config cfg)
-    : component("health_monitor"), fabric_(fabric), cfg_(cfg),
-      next_check_(cfg.check_period), state_(fabric.total_ses()) {
+health_monitor::health_monitor(bluescale_ic& fabric)
+    : component("health_monitor"), fabric_(fabric),
+      state_(fabric.total_ses()) {
     bind_observability(own_, obs::tracer{});
 }
 
@@ -20,7 +20,7 @@ void health_monitor::bind_observability(obs::metric_store& reg,
 
 void health_monitor::tick(cycle_t now) {
     if (now < next_check_) return;
-    next_check_ = now + cfg_.check_period;
+    next_check_ = now + k_health_period;
     check(now);
 }
 
@@ -35,11 +35,11 @@ void health_monitor::check(cycle_t now) {
             const std::uint64_t stalls = se.fault_stall_cycles();
             const double ratio =
                 static_cast<double>(stalls - st.last_stall_cycles) /
-                static_cast<double>(cfg_.check_period);
+                static_cast<double>(k_health_period);
             st.last_stall_cycles = stalls;
 
             if (!se.degraded()) {
-                if (ratio >= cfg_.stall_enter) {
+                if (ratio >= k_stall_enter) {
                     se.set_degraded(true);
                     st.degraded_since = now;
                     st.healthy_windows = 0;
@@ -48,8 +48,8 @@ void health_monitor::check(cycle_t now) {
                 continue;
             }
             // Degraded: count consecutive quiet windows toward recovery.
-            if (ratio <= cfg_.stall_exit) {
-                if (++st.healthy_windows >= cfg_.recovery_windows) {
+            if (ratio <= k_stall_exit) {
+                if (++st.healthy_windows >= k_recovery_windows) {
                     se.set_degraded(false);
                     st.healthy_windows = 0;
                     recovery_events_.inc();

@@ -18,19 +18,17 @@ namespace bluescale::core {
 
 class bluescale_ic;
 
-struct health_config {
-    /// Cycles between health checks (one stall-ratio sample per window).
-    cycle_t check_period = 1024;
-    /// Stall-cycle ratio (stalled cycles / window) at or above which a
-    /// healthy element is degraded.
-    double stall_enter = 0.05;
-    /// Ratio at or below which a degraded element's window counts as
-    /// healthy. Must be below stall_enter for hysteresis.
-    double stall_exit = 0.01;
-    /// Consecutive healthy windows required before a degraded element is
-    /// restored to budgeted compositional mode.
-    std::uint32_t recovery_windows = 3;
-};
+/// Cycles between health checks (one stall-ratio sample per window).
+inline constexpr cycle_t k_health_period = 1024;
+/// Stall-cycle ratio (stalled cycles / window) at or above which a
+/// healthy element is degraded.
+inline constexpr double k_stall_enter = 0.05;
+/// Ratio at or below which a degraded element's window counts as
+/// healthy; below k_stall_enter for hysteresis.
+inline constexpr double k_stall_exit = 0.01;
+/// Consecutive healthy windows required before a degraded element is
+/// restored to budgeted compositional mode.
+inline constexpr std::uint32_t k_recovery_windows = 3;
 
 /// Aggregate outcome of a trial's health supervision (values read out of
 /// obs handles; a result type, not mutable storage).
@@ -45,7 +43,7 @@ struct health_report {
 
 class health_monitor : public component {
 public:
-    health_monitor(bluescale_ic& fabric, health_config cfg = {});
+    explicit health_monitor(bluescale_ic& fabric);
 
     void tick(cycle_t now) override;
 
@@ -59,7 +57,6 @@ public:
     /// and attaches the trace stream; call before the trial starts.
     void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
-    [[nodiscard]] const health_config& config() const { return cfg_; }
     /// Report with degraded_se_cycles refreshed from the fabric.
     [[nodiscard]] health_report report() const;
     [[nodiscard]] std::uint64_t degrade_events() const {
@@ -79,8 +76,7 @@ private:
     void check(cycle_t now);
 
     bluescale_ic& fabric_;
-    health_config cfg_;
-    cycle_t next_check_;
+    cycle_t next_check_ = k_health_period;
     std::vector<element_state> state_; ///< indexed by se_linear_index
     /// Metrics bind_observability registers (own_'s capacity).
     static constexpr std::size_t k_metric_count = 3;

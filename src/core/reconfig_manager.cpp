@@ -60,7 +60,6 @@ void reconfig_manager::bind_observability(obs::metric_store& reg,
     rejected_ = reg.make_counter("reconfig/rejected");
     committed_count_ = reg.make_counter("reconfig/committed");
     rolled_back_ = reg.make_counter("reconfig/rolled_back");
-    queue_full_ = reg.make_counter("reconfig/rejected_queue_full");
     deadline_expired_ =
         reg.make_counter("reconfig/rejected_deadline_expired");
     stale_reevals_ = reg.make_counter("reconfig/stale_reevals");
@@ -101,24 +100,6 @@ std::uint64_t reconfig_manager::enqueue(queued_request req) {
     rec.deadline = req.deadline;
     records_.push_back(rec);
     submitted_.inc();
-
-    // Bounded-queue backpressure: a full queue sheds the request with a
-    // structured reason. The admission test never runs and the fabric is
-    // never touched, so the run stays bit-identical to one where the
-    // request never arrived (zero perturbation).
-    if (cfg_.max_queue != 0 && queue_.size() >= cfg_.max_queue) {
-        admission_record& r = records_[rec.id];
-        r.outcome = admission_outcome::rejected_queue_full;
-        r.detail = "request queue full (" + std::to_string(queue_.size()) +
-                   "/" + std::to_string(cfg_.max_queue) + ")";
-        r.decided_at = now_;
-        r.resolved_at = now_;
-        rejected_.inc();
-        queue_full_.inc();
-        admission_record copy = r;
-        resolve(copy, req.tasks);
-        return rec.id;
-    }
 
     req.id = rec.id;
     queue_.push_back(std::move(req));

@@ -57,9 +57,9 @@ enum class admission_outcome : std::uint8_t {
     /// Rejected: a request-path SE was degraded or stalled when the
     /// admission test ran.
     rejected_path_hazard,
-    /// Rejected at submission: the bounded request queue
-    /// (reconfig_config::max_queue) was full. The admission test never
-    /// ran, so the running system is untouched (zero perturbation).
+    /// Rejected at submission: the analysis service's bounded request
+    /// queue was full. The admission test never ran, so the running
+    /// system is untouched (zero perturbation).
     rejected_queue_full,
     /// Rejected: the request's deadline passed before the admission test
     /// could run. The test never ran (zero perturbation).
@@ -80,10 +80,6 @@ struct reconfig_config {
     /// selection cache, parallelism) threaded into every admission test.
     analysis::analysis_context selection = {};
     reconfig_costs costs = {};
-    /// Bound on the FIFO request queue (0 = unbounded, the historical
-    /// behavior). A submit() against a full queue is rejected
-    /// queue_full without running the admission test.
-    std::size_t max_queue = 0;
 };
 
 /// Full audit record of one request, kept for every submission.
@@ -120,7 +116,6 @@ struct reconfig_manager_stats {
     std::uint64_t rejected = 0;
     std::uint64_t committed = 0;
     std::uint64_t rolled_back = 0;
-    std::uint64_t rejected_queue_full = 0;
     std::uint64_t rejected_deadline_expired = 0;
     /// apply_evaluated() submissions whose evaluation was stale (the
     /// committed version moved) and had to be re-run fresh.
@@ -162,10 +157,10 @@ public:
     /// admission test runs at the manager's next tick. `deadline` is the
     /// absolute cycle by which the test must start (k_cycle_never =
     /// none); a request still queued past it is rejected
-    /// deadline_expired. With cfg.max_queue set, a submit against a full
-    /// queue is rejected queue_full immediately. Both rejection paths
-    /// never run the test and never touch the fabric. Thread-safety: the
-    /// manager is trial-local, like every other component.
+    /// deadline_expired without running the test or touching the fabric.
+    /// The queue is unbounded: the analysis service in front of the
+    /// manager owns the one bounded queue. Thread-safety: the manager is
+    /// trial-local, like every other component.
     std::uint64_t submit(std::uint32_t client, analysis::task_set tasks,
                          cycle_t deadline = k_cycle_never);
 
@@ -234,9 +229,8 @@ public:
     [[nodiscard]] reconfig_manager_stats stats() const {
         return {submitted_.value(),        admitted_.value(),
                 rejected_.value(),         committed_count_.value(),
-                rolled_back_.value(),      queue_full_.value(),
-                deadline_expired_.value(), stale_reevals_.value(),
-                reconfig_latency_.values()};
+                rolled_back_.value(),      deadline_expired_.value(),
+                stale_reevals_.value(),    reconfig_latency_.values()};
     }
 
     /// Re-homes the admission counters into `reg` under "reconfig/..."
@@ -290,7 +284,7 @@ private:
     std::vector<analysis::task_set> staged_tasks_;
 
     /// Metrics bind_observability registers (own_'s capacity).
-    static constexpr std::size_t k_metric_count = 9;
+    static constexpr std::size_t k_metric_count = 8;
     /// Unnamed storage while unbound (bind_observability re-homes the
     /// handles).
     obs::value_block own_{k_metric_count};
@@ -300,7 +294,6 @@ private:
     obs::counter rejected_;
     obs::counter committed_count_;
     obs::counter rolled_back_;
-    obs::counter queue_full_;
     obs::counter deadline_expired_;
     obs::counter stale_reevals_;
     obs::sample reconfig_latency_;

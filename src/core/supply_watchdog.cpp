@@ -22,9 +22,8 @@ supply_watchdog::supply_watchdog(bluescale_ic& fabric,
                                  const analysis::tree_selection* selection,
                                  watchdog_config cfg)
     : component("supply_watchdog"), fabric_(fabric), selection_(selection),
-      cfg_(cfg), next_check_(cfg.check_period),
-      ports_(static_cast<std::size_t>(fabric.total_ses()) * k_se_ports),
-      restore_after_(cfg.restore_windows) {
+      cfg_(cfg),
+      ports_(static_cast<std::size_t>(fabric.total_ses()) * k_se_ports) {
     bind_observability(own_, obs::tracer{});
 }
 
@@ -124,7 +123,7 @@ void supply_watchdog::set_shed(bool on, cycle_t now) {
         raise(watchdog_alarm::overload_shed, now);
     } else {
         restore_events_.inc();
-        restore_after_ *= cfg_.restore_backoff;
+        restore_after_ *= k_restore_backoff;
         trace_.emit(obs::trace_event_kind::shed_off);
         raise(watchdog_alarm::overload_restore, now);
     }
@@ -182,8 +181,7 @@ void supply_watchdog::check(cycle_t now) {
         ++clean_streak_;
     }
 
-    if (!cfg_.shedding) return;
-    if (!shedding_now_ && violating_streak_ >= cfg_.shed_enter_windows) {
+    if (!shedding_now_ && violating_streak_ >= k_shed_enter_windows) {
         set_shed(true, now);
         violating_streak_ = 0;
     } else if (shedding_now_ && clean_streak_ >= restore_after_) {
@@ -195,7 +193,7 @@ void supply_watchdog::check(cycle_t now) {
 void supply_watchdog::tick(cycle_t now) {
     if (now < next_check_) return;
     check(now);
-    next_check_ = now + cfg_.check_period;
+    next_check_ = now + k_watchdog_period;
 }
 
 } // namespace bluescale::core

@@ -54,19 +54,18 @@ enum class client_class : std::uint8_t { hard, best_effort };
 /// sbf(window) -- headroom for window-phase effects.
 inline constexpr double k_supply_margin = 0.9;
 
+/// Cycles per sliding conformance window (one check per window).
+inline constexpr cycle_t k_watchdog_period = 1024;
+/// Consecutive violating windows before best-effort clients are shed.
+inline constexpr std::uint32_t k_shed_enter_windows = 2;
+/// Consecutive clean windows before shed clients are first restored.
+inline constexpr std::uint32_t k_restore_windows = 4;
+/// Restore requirement multiplier applied after every restore (hysteresis
+/// backoff: a recurring overload sheds again quickly but restores ever
+/// more cautiously, bounding shed/restore transitions to O(log T)).
+inline constexpr std::uint32_t k_restore_backoff = 2;
+
 struct watchdog_config {
-    /// Cycles per sliding conformance window (one check per window).
-    cycle_t check_period = 1024;
-    /// Consecutive violating windows before best-effort clients are shed.
-    std::uint32_t shed_enter_windows = 2;
-    /// Consecutive clean windows before shed clients are restored.
-    std::uint32_t restore_windows = 4;
-    /// restore_windows multiplier applied after every restore (hysteresis
-    /// backoff: a recurring overload sheds again quickly but restores ever
-    /// more cautiously, bounding shed/restore transitions to O(log T)).
-    std::uint32_t restore_backoff = 2;
-    /// Master switch: false = observe and alarm only, never shed.
-    bool shedding = true;
     /// MODELED device maintenance (mem::to_maintenance_model): the
     /// conformance guarantee is the maintenance-corrected
     /// sbf(window - stolen(window)), so budgeted refresh/scrub/mitigation
@@ -161,15 +160,16 @@ private:
     bluescale_ic& fabric_;
     const analysis::tree_selection* selection_;
     watchdog_config cfg_;
-    cycle_t next_check_;
+    cycle_t next_check_ = k_watchdog_period;
     cycle_t last_check_ = 0;
     /// Per (SE linear index, port) window counters.
     std::vector<port_state> ports_;
     std::vector<tracked_client> clients_;
     std::uint32_t violating_streak_ = 0;
     std::uint32_t clean_streak_ = 0;
-    /// Current restore requirement (grows by restore_backoff per restore).
-    std::uint32_t restore_after_;
+    /// Current restore requirement (grows by k_restore_backoff per
+    /// restore).
+    std::uint32_t restore_after_ = k_restore_windows;
     bool shedding_now_ = false;
     cycle_t shed_since_ = 0;
     /// Indexed by client id: currently shed (supply checks exempt the

@@ -53,7 +53,7 @@ sweep_cell svc_storm_cell(const svc_storm_config& cfg) {
             wfc.backpressure_weight = 0.0;
             wfc.worker_crash_weight = 1.0;
             wfc.worker_stall_weight = 1.0;
-            wfc.n_workers = std::max<std::uint32_t>(1, scfg.workers);
+            wfc.n_workers = svc::k_workers;
             service.install_faults(sim::fault_campaign(wfc));
         }
 

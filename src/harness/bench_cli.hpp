@@ -50,12 +50,11 @@ enum bench_flag : unsigned {
 /// Parses the flags in `honoured`. `defaults` seeds the returned options
 /// (pass the bench's historical defaults). --lockstep makes
 /// simulator::engine::lockstep the default engine of every simulator the
-/// driver builds (as BLUESCALE_LOCKSTEP=1 does; exports are
-/// byte-identical either way -- the baseline side of the
-/// engine-equivalence contract). On --help, a malformed command line or
-/// a flag outside `honoured`, prints usage for `what` (listing only the
-/// honoured flags) and terminates the process (benches are leaf
-/// executables).
+/// driver builds (exports are byte-identical either way -- the baseline
+/// side of the engine-equivalence contract). On --help, a malformed
+/// command line or a flag outside `honoured`, prints usage for `what`
+/// (listing only the honoured flags) and terminates the process (benches
+/// are leaf executables).
 [[nodiscard]] bench_options parse_bench_cli(int argc, char** argv,
                                             const bench_options& defaults,
                                             const char* what,

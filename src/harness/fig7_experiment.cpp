@@ -53,23 +53,23 @@ memory_view(const workload::compute_task_set& tasks,
 }
 
 analysis::task_set memory_view_ha(const workload::dnn_config& cfg) {
-    // One layer = burst_requests transactions each
+    // One layer = k_dnn_burst_requests transactions each
     // (burst issue + compute) cycles -- but the HA's own token-bucket
     // regulator caps its rate at bandwidth_share, so downstream
     // reservations (FBSP weights, AXI shares, BlueScale interfaces) must
     // see the capped demand, not the raw burst rate.
+    constexpr std::uint32_t burst = workload::k_dnn_burst_requests;
     const std::uint64_t raw_period_units =
-        (static_cast<std::uint64_t>(cfg.burst_requests) * cfg.unit_cycles +
+        (static_cast<std::uint64_t>(burst) * cfg.unit_cycles +
          cfg.compute_cycles) /
         cfg.unit_cycles;
     const double raw_util =
-        static_cast<double>(cfg.burst_requests) /
+        static_cast<double>(burst) /
         static_cast<double>(std::max<std::uint64_t>(1, raw_period_units));
     const double util = std::min(raw_util, cfg.bandwidth_share);
-    const auto period_units = static_cast<std::uint64_t>(
-        static_cast<double>(cfg.burst_requests) / util);
-    return {{std::max<std::uint64_t>(1, period_units),
-             cfg.burst_requests}};
+    const auto period_units =
+        static_cast<std::uint64_t>(static_cast<double>(burst) / util);
+    return {{std::max<std::uint64_t>(1, period_units), burst}};
 }
 
 /// Multiplier on every task profile's memory demand, calibrated so the

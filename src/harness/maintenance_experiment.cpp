@@ -1,38 +1,9 @@
 #include "harness/maintenance_experiment.hpp"
 
-#include <algorithm>
-#include <iterator>
-#include <vector>
-
 #include "mem/maintenance_engine.hpp"
 #include "stats/summary.hpp"
 
 namespace bluescale::harness {
-
-namespace {
-
-/// Workload of one trial: pooled, or asymmetric (hard clients share the
-/// [util_lo, util_hi] draw, best-effort clients carry best_effort_util
-/// of bulk).
-std::vector<workload::memory_task_set>
-maintenance_tasksets(const maintenance_exp_config& cfg,
-                     std::uint64_t trial_seed) {
-    const traffic_scenario& sc = cfg.scenario;
-    rng workload_rng(trial_seed);
-    const std::uint32_t n_be = std::min(cfg.best_effort_clients, sc.n_clients);
-    if (cfg.best_effort_util <= 0.0 || n_be == 0) {
-        return draw_tasksets(sc, workload_rng, sc.n_clients);
-    }
-    auto tasksets = draw_tasksets(sc, workload_rng, sc.n_clients - n_be);
-    traffic_scenario bulk = sc;
-    bulk.util_lo = bulk.util_hi = cfg.best_effort_util;
-    auto be = draw_tasksets(bulk, workload_rng, n_be);
-    tasksets.insert(tasksets.end(), std::make_move_iterator(be.begin()),
-                    std::make_move_iterator(be.end()));
-    return tasksets;
-}
-
-} // namespace
 
 sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
     // Always BlueScale: the toggle under study lives in its admission
@@ -50,13 +21,13 @@ sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
         fc.backpressure_weight = 0.0;
         fc.maintenance_storm_weight = 1.0;
         fc.n_elements = 1;
-        fc.min_duration = cfg.storm_min_duration;
-        fc.max_duration = cfg.storm_max_duration;
+        fc.min_duration = k_storm_min_duration;
+        fc.max_duration = k_storm_max_duration;
         const sim::fault_campaign campaign(fc);
 
         testbench_options opts;
         opts.faults = campaign.empty() ? nullptr : &campaign;
-        opts.watchdog = cfg.watchdog;
+        opts.watchdog = core::watchdog_config{};
         opts.selection.bandwidth_tolerance = cfg.bandwidth_tolerance;
         if (cfg.maintenance_aware) {
             // The one toggle under study: provision (Pi, Theta) against
@@ -67,8 +38,7 @@ sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
             opts.selection.sched.maintenance = model;
             opts.watchdog->maintenance = model;
         }
-        traffic_trial tt(rec, ic_kind::bluescale, sc, opts,
-                         maintenance_tasksets(cfg, rec.seed()));
+        traffic_trial tt(rec, ic_kind::bluescale, sc, opts);
         testbench& tb = tt.tb();
 
         auto hard_ratio = rec.sample("hard_miss_ratio");
@@ -89,11 +59,11 @@ sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
         feasible.inc();
 
         tt.add_clients({});
-        tt.track_clients(cfg.best_effort_clients);
+        tt.track_clients(k_best_effort_clients);
         tb.run(sc.measure_cycles);
 
         rec.counter("injected_storms").inc(campaign.size());
-        const class_misses misses = tt.finalize(cfg.best_effort_clients);
+        const class_misses misses = tt.finalize(k_best_effort_clients);
         stats::sample_set latency;
         for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
             for (double l : tt.client(c).stats().latency_cycles().samples()) {

@@ -14,10 +14,13 @@
 
 #include <cstdint>
 
-#include "core/supply_watchdog.hpp"
 #include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
+
+/// Maintenance-storm window length, uniform in [min, max] cycles.
+inline constexpr cycle_t k_storm_min_duration = 64;
+inline constexpr cycle_t k_storm_max_duration = 256;
 
 struct maintenance_exp_config {
     /// Task periods sit well above the maintenance burst (a refresh
@@ -39,17 +42,6 @@ struct maintenance_exp_config {
             .write_fraction = 0.3,
         },
     };
-    /// The LAST this-many client ids are best-effort (sheddable); the
-    /// rest are hard real-time.
-    std::uint32_t best_effort_clients = k_best_effort_clients;
-    /// Combined utilization of the best-effort clients. 0 (default)
-    /// pools every client into one [util_lo, util_hi] draw; > 0 gives
-    /// the hard clients the [util_lo, util_hi] draw to themselves and
-    /// loads the best-effort clients with exactly this much bulk
-    /// traffic -- the asymmetric shape (light hard control traffic,
-    /// heavy sheddable DMA) that makes watchdog shedding free real
-    /// bandwidth during a storm.
-    double best_effort_util = 0.0;
     /// Selection bandwidth tolerance (applied in BOTH modes so the
     /// aware/unaware comparison is apples-to-apples). Nonzero matters
     /// under maintenance: the strict-minimum selection picks tiny server
@@ -65,12 +57,11 @@ struct maintenance_exp_config {
     /// The campaign carries ONLY maintenance storms, so every trial's
     /// interference is exactly the maintenance story under test.
     double storm_intensity = 0.0;
-    cycle_t storm_min_duration = 64;
-    cycle_t storm_max_duration = 256;
-    core::watchdog_config watchdog = {};
 };
 
-/// The BlueScale trials of one maintenance configuration. Workload and
+/// The BlueScale trials of one maintenance configuration; the last
+/// k_best_effort_clients client ids are best-effort (sheddable), the
+/// rest hard real-time. Workload and
 /// storm schedule are pure functions of the trial seed, so aware/unaware
 /// runs at the same seed face the identical scenario. A trial whose admission
 /// analysis is infeasible is NOT simulated: it contributes zero samples

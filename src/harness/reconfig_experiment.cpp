@@ -17,7 +17,7 @@ sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
         // builds neither for a baseline).
         testbench_options opts;
         opts.faults = campaign.empty() ? nullptr : &campaign;
-        opts.health = core::health_config{};
+        opts.health = true;
         opts.reconfig = core::reconfig_config{};
         opts.watchdog = core::watchdog_config{};
         traffic_trial tt(rec, kind, sc, opts);
@@ -52,8 +52,8 @@ sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
         // present) admits, stages and commits inside the simulation, so
         // the swap lands at the modeled commit instant, not here.
         auto unchecked = rec.counter("applied_unchecked");
-        sim::reconfig_schedule_config schedule = cfg.schedule;
-        schedule.warmup = cfg.reconfig_warmup;
+        sim::reconfig_schedule_config schedule;
+        schedule.warmup = k_reconfig_warmup;
         schedule.events_per_kcycle = cfg.events_per_kcycle;
         tt.run_schedule(
             schedule, sc.measure_cycles, sc.taskset,

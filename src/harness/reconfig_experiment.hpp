@@ -18,23 +18,20 @@
 
 #include "harness/factory.hpp"
 #include "harness/traffic_trial.hpp"
-#include "sim/reconfig_schedule.hpp"
 
 namespace bluescale::harness {
+
+/// Requests are scheduled after this many cycles (lets the initial
+/// selection settle before churn starts).
+inline constexpr cycle_t k_reconfig_warmup = 5'000;
 
 struct reconfig_exp_config {
     traffic_scenario scenario = {};
 
     /// Expected reconfiguration requests per 1000 cycles. The schedule
     /// seed is a substream of the trial seed, so every design sees the
-    /// identical request sequence at the same trial; action weights and
-    /// magnitudes come from `schedule` (seed/horizon/n_clients are
-    /// overridden per trial).
+    /// identical request sequence at the same trial.
     double events_per_kcycle = 0.2;
-    sim::reconfig_schedule_config schedule = {};
-    /// Requests are scheduled after this many cycles (lets the initial
-    /// selection settle before churn starts).
-    cycle_t reconfig_warmup = 5'000;
 
     /// Optional concurrent fault campaign (0 = healthy run), to exercise
     /// hazard rollbacks; same substream convention as the resilience

@@ -18,7 +18,7 @@ sweep_cell resilience_cell(ic_kind kind, const resilience_config& cfg) {
                             cfg.fault_intensity));
         testbench_options opts;
         opts.faults = campaign.empty() ? nullptr : &campaign;
-        opts.health = core::health_config{};
+        opts.health = true;
         traffic_trial tt(rec, kind, sc, opts);
         tt.add_clients(k_recovering_client);
         testbench& tb = tt.tb();

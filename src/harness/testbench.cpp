@@ -45,16 +45,15 @@ testbench::testbench(ic_kind kind, const testbench_options& opts)
     if (auto* bs = dynamic_cast<core::bluescale_ic*>(ic_.get())) {
         bs->bind_observability(reg_, trace_);
         // Under the lockstep fallback the fabric's internal SE walk is
-        // forced to tick everything too, so BLUESCALE_LOCKSTEP is a true
+        // forced to tick everything too, so --lockstep is a true
         // end-to-end tick-every-cycle reference.
         if (sim_.mode() == simulator::engine::lockstep) {
             bs->set_selective_ticking(false);
         }
         // Only the BlueScale fabric has elements to supervise; baselines
         // run the same campaign without graceful degradation.
-        if (opts.health.has_value()) {
-            monitor_ =
-                std::make_unique<core::health_monitor>(*bs, *opts.health);
+        if (opts.health) {
+            monitor_ = std::make_unique<core::health_monitor>(*bs);
             monitor_->bind_observability(
                 reg_, trace_.register_component("health"));
         }

@@ -59,10 +59,10 @@ struct testbench_options {
     /// controller before the trial starts (nullptr = healthy run). The
     /// campaign object must outlive the testbench.
     const sim::fault_campaign* faults = nullptr;
-    /// When set and the kind is BlueScale, a core::health_monitor
+    /// When true and the kind is BlueScale, a core::health_monitor
     /// supervises the fabric and drives degraded-mode transitions.
     /// Ignored (no SEs to supervise) for the baseline interconnects.
-    std::optional<core::health_config> health;
+    bool health = false;
     /// When set and the kind is BlueScale, a core::reconfig_manager
     /// accepts runtime admission requests against the resolved selection
     /// (requires rt_sets). Ignored for the baseline interconnects.

@@ -72,20 +72,13 @@ rt_view(const std::vector<workload::memory_task_set>& tasksets) {
 
 traffic_trial::traffic_trial(trial_record& rec, ic_kind kind,
                              const traffic_scenario& s,
-                             testbench_options opts,
-                             std::vector<workload::memory_task_set> tasksets)
+                             testbench_options opts)
     : trial_seed_(rec.seed()),
-      tasksets_(std::move(tasksets)),
+      tasksets_(scenario_tasksets(s, rec.seed())),
       rt_sets_(rt_view(tasksets_)),
       tb_(kind, with_demand(std::move(opts), s, tasksets_, rt_sets_)) {
     rec.watch(tb_);
 }
-
-traffic_trial::traffic_trial(trial_record& rec, ic_kind kind,
-                             const traffic_scenario& s,
-                             testbench_options opts)
-    : traffic_trial(rec, kind, s, std::move(opts),
-                    scenario_tasksets(s, rec.seed())) {}
 
 void traffic_trial::add_clients(
     workload::traffic_gen_config tg,

@@ -82,15 +82,12 @@ struct class_misses {
 
 class traffic_trial {
 public:
-    /// Assembles trial `rec`'s testbench for `tasksets` (one per client)
-    /// on the scenario's memory controller: sets opts.memctrl,
-    /// opts.n_clients, opts.client_utilizations and opts.rt_sets (the
-    /// whole-tree selection input), and lets `rec` watch the simulator.
-    traffic_trial(trial_record& rec, ic_kind kind, const traffic_scenario& s,
-                  testbench_options opts,
-                  std::vector<workload::memory_task_set> tasksets);
-    /// The same, with the scenario's n_clients task sets drawn from the
-    /// trial seed, so every design sees the identical workload.
+    /// Assembles trial `rec`'s testbench for the scenario's n_clients
+    /// task sets, drawn from the trial seed so every design sees the
+    /// identical workload, on the scenario's memory controller: sets
+    /// opts.memctrl, opts.n_clients, opts.client_utilizations and
+    /// opts.rt_sets (the whole-tree selection input), and lets `rec`
+    /// watch the simulator.
     traffic_trial(trial_record& rec, ic_kind kind, const traffic_scenario& s,
                   testbench_options opts);
 

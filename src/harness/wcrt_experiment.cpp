@@ -15,12 +15,13 @@ sweep_cell wcrt_validation_cell(const traffic_scenario& s) {
 
         // Grant the constant overhead the unit-rate abstraction omits:
         // draining the memory queue, the FR-FCFS bypass allowance (a
-        // queued request may lose up to bypass_cap further start slots to
-        // row hits), the worst single access, and the response-path hops.
+        // queued request may lose up to k_fr_fcfs_bypass_cap further start
+        // slots to row hits), the worst single access, and the
+        // response-path hops.
         const memctrl_config& mc = tb.memctrl().config();
         workload::traffic_gen_config tg;
         tg.validation_margin_cycles =
-            (mc.request_queue_depth + mc.fr_fcfs_bypass_cap + 1) *
+            (k_request_queue_depth + k_fr_fcfs_bypass_cap + 1) *
                 mc.initiation_interval +
             24 + 2ull * tb.ic().depth_of(0);
         tt.add_clients(tg, [&rec](std::uint32_t c) { return rec.seed() + c; });
@@ -28,7 +29,7 @@ sweep_cell wcrt_validation_cell(const traffic_scenario& s) {
         rec.capture(tb);
 
         analysis::wcrt_memory_model mm;
-        mm.queue_depth = mc.request_queue_depth;
+        mm.queue_depth = k_request_queue_depth;
         mm.initiation_interval = mc.initiation_interval;
         const core::se_params se;
         rec.counter("missed").inc(tt.finalize(0).hard);

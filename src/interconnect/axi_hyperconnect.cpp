@@ -37,7 +37,7 @@ void axi_hyperconnect::tick(cycle_t now) {
         for (std::uint32_t step = 0; step < n; ++step) {
             const std::uint32_t c = (rr_next_ + step) % n;
             if (client_q_[c].empty() ||
-                outstanding_[c] >= cfg_.max_outstanding_per_client) {
+                outstanding_[c] >= k_hyperconnect_max_outstanding) {
                 continue;
             }
             mem_request granted = client_q_[c].pop();
@@ -46,7 +46,7 @@ void axi_hyperconnect::tick(cycle_t now) {
                 charge_blocked(q, granted.level_deadline, 1);
             }
             // Fabric pipeline occupancy is credit-bounded (at most
-            // clients x max_outstanding_per_client in flight), so deque
+            // clients x k_hyperconnect_max_outstanding in flight), so deque
             // chunk growth is capped and amortized across the run.
             // detlint:allow(hotpath-alloc): credit-bounded pipeline depth
             pipeline_.emplace_back(now + k_hyperconnect_fabric_latency,

@@ -21,12 +21,12 @@ namespace bluescale {
 
 /// Pipeline latency of the central crossbar, in cycles.
 inline constexpr std::uint32_t k_hyperconnect_fabric_latency = 2;
+/// Maximum in-flight transactions per client (the hypervisor's
+/// interference bound).
+inline constexpr std::uint32_t k_hyperconnect_max_outstanding = 4;
 
 struct axi_hyperconnect_config {
     std::size_t queue_depth = 4;
-    /// Maximum in-flight transactions per client (the hypervisor's
-    /// interference bound).
-    std::uint32_t max_outstanding_per_client = 4;
 };
 
 class axi_hyperconnect : public interconnect {

@@ -28,7 +28,7 @@ void axi_icrt::set_client_share(client_id_t c, double share) {
     reg.budget_per_period = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                std::floor(share *
-                          static_cast<double>(cfg_.regulation_period))));
+                          static_cast<double>(k_regulation_period))));
     reg.budget = reg.budget_per_period;
 }
 
@@ -56,7 +56,7 @@ void axi_icrt::tick(cycle_t now) {
     if (now >= next_refill_) {
         for (auto& reg : regulators_) reg.budget = reg.budget_per_period;
         next_refill_ =
-            (now / cfg_.regulation_period + 1) * cfg_.regulation_period;
+            (now / k_regulation_period + 1) * k_regulation_period;
     }
 
     // Central arbitration: earliest level-deadline among eligible heads.

@@ -19,15 +19,16 @@
 
 namespace bluescale {
 
+/// Bandwidth-regulation window, in cycles. Regulation is enabled per
+/// client via axi_icrt::set_client_share().
+inline constexpr cycle_t k_regulation_period = 256;
+
 struct axi_icrt_config {
     /// Per-client buffer depth in the switch box.
     std::size_t queue_depth = 4;
     /// Pipeline latency of the monolithic mux/arbiter, in cycles (grows
     /// with the mux tree depth; the factory default is log2(n)/2).
     std::uint32_t arb_latency = 2;
-    /// Bandwidth-regulation window, in cycles. Regulation is enabled per
-    /// client via set_client_share().
-    cycle_t regulation_period = 256;
 };
 
 class axi_icrt : public interconnect {
@@ -37,7 +38,7 @@ public:
 
     /// Reserves `share` (fraction of total transaction throughput) for
     /// client c; the regulator refills the client's request budget every
-    /// regulation_period. Unset clients are unregulated.
+    /// k_regulation_period. Unset clients are unregulated.
     void set_client_share(client_id_t c, double share);
 
     [[nodiscard]] bool client_can_accept(client_id_t c) const override;

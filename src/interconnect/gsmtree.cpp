@@ -39,10 +39,10 @@ void gsmtree::build_slot_table() {
     // FBSP: every client is guaranteed one slot per frame (a reservation
     // scheme must not starve light clients), and the remaining slots are
     // apportioned by smooth weighted round-robin over the declared
-    // workloads, which also spreads each client's slots evenly.
+    // workloads, which also spreads each client's slots evenly. The frame
+    // is two slots per client.
     assert(cfg_.client_weights.size() == n);
-    const std::uint32_t frame =
-        std::max(cfg_.frame_slots != 0 ? cfg_.frame_slots : 2 * n, n);
+    const std::uint32_t frame = 2 * n;
     std::vector<std::uint32_t> slots(n, 1);
     double total = 0.0;
     for (double w : cfg_.client_weights) total += std::max(w, 1e-9);

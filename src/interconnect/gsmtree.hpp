@@ -35,8 +35,6 @@ struct gsmtree_config {
     /// FBSP: relative workload weight per client (utilization share).
     /// Empty (or for TDM) means equal weights.
     std::vector<double> client_weights;
-    /// FBSP frame length in slots (>= n_clients so every client gets one).
-    std::uint32_t frame_slots = 0; ///< 0 = auto (2x clients for FBSP)
 };
 
 class gsmtree : public interconnect {

@@ -1,23 +1,18 @@
 #include "mem/dram_model.hpp"
 
-#include <cassert>
-
 namespace bluescale {
 
 dram_model::dram_model(dram_timing timing)
-    : timing_(timing), open_row_(timing.n_banks, -1),
-      refresh_penalty_(timing.n_banks, 0) {
-    assert(timing_.n_banks > 0);
-    assert(timing_.row_bytes > 0);
-}
+    : timing_(timing), open_row_(k_dram_banks, -1),
+      refresh_penalty_(k_dram_banks, 0) {}
 
 std::uint32_t dram_model::bank_of(std::uint64_t addr) const {
-    return static_cast<std::uint32_t>((addr / timing_.bank_interleave_bytes) %
-                                      timing_.n_banks);
+    return static_cast<std::uint32_t>((addr / k_bank_interleave_bytes) %
+                                      k_dram_banks);
 }
 
 std::uint64_t dram_model::row_of(std::uint64_t addr) const {
-    return addr / (timing_.row_bytes * timing_.n_banks);
+    return addr / (k_row_bytes * k_dram_banks);
 }
 
 row_outcome dram_model::classify(const mem_request& r) const {
@@ -34,18 +29,18 @@ row_outcome dram_model::classify(const mem_request& r) const {
 }
 
 std::uint32_t dram_model::latency_for(row_outcome outcome, mem_op op) const {
-    std::uint32_t lat = timing_.t_cas + timing_.t_burst;
+    std::uint32_t lat = k_t_cas + k_t_burst;
     switch (outcome) {
     case row_outcome::hit:
         break;
     case row_outcome::closed:
-        lat += timing_.t_rcd;
+        lat += k_t_rcd;
         break;
     case row_outcome::conflict:
-        lat += timing_.t_rp + timing_.t_rcd;
+        lat += k_t_rp + k_t_rcd;
         break;
     }
-    if (op == mem_op::write) lat += timing_.t_wr_extra;
+    if (op == mem_op::write) lat += k_t_wr_extra;
     return lat;
 }
 
@@ -72,7 +67,7 @@ void dram_model::close_row(std::uint32_t bank) {
 }
 
 void dram_model::close_all_rows() {
-    for (std::uint32_t b = 0; b < timing_.n_banks; ++b) close_row(b);
+    for (std::uint32_t b = 0; b < k_dram_banks; ++b) close_row(b);
 }
 
 } // namespace bluescale

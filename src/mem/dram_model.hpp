@@ -14,24 +14,27 @@
 
 namespace bluescale {
 
-/// Timing parameters, in interconnect cycles. Defaults approximate a DDR3
-/// part behind a clock-domain crossing, quantized to the interconnect clock.
+/// Device geometry and access timing, in interconnect cycles: a DDR3
+/// part behind a clock-domain crossing, quantized to the interconnect
+/// clock.
+inline constexpr std::uint32_t k_dram_banks = 8;
+inline constexpr std::uint64_t k_row_bytes = 2048; ///< row buffer per bank
+/// Bank-interleave granularity: consecutive chunks of this many bytes
+/// rotate across banks (cache-line interleaving, so sequential streams
+/// exploit bank-level parallelism while staying in the same row per
+/// bank).
+inline constexpr std::uint64_t k_bank_interleave_bytes = 64;
+inline constexpr std::uint32_t k_t_cas = 5;      ///< column access (row hit)
+inline constexpr std::uint32_t k_t_rcd = 5;      ///< activate-to-access
+inline constexpr std::uint32_t k_t_rp = 5;       ///< precharge
+inline constexpr std::uint32_t k_t_burst = 3;    ///< data transfer
+inline constexpr std::uint32_t k_t_wr_extra = 2; ///< write recovery surcharge
+
+/// Refresh timing, in interconnect cycles: every t_refi cycles the device
+/// is unavailable for t_rfc cycles and all rows close (a classic
+/// real-time disturbance; 0 disables refresh -- the default, so
+/// experiments opt in).
 struct dram_timing {
-    std::uint32_t n_banks = 8;
-    std::uint64_t row_bytes = 2048;    ///< row-buffer size per bank
-    /// Bank-interleave granularity: consecutive chunks of this many bytes
-    /// rotate across banks (cache-line interleaving by default, so
-    /// sequential streams exploit bank-level parallelism while staying in
-    /// the same row per bank).
-    std::uint64_t bank_interleave_bytes = 64;
-    std::uint32_t t_cas = 5;           ///< column access (row hit)
-    std::uint32_t t_rcd = 5;           ///< activate-to-access
-    std::uint32_t t_rp = 5;            ///< precharge
-    std::uint32_t t_burst = 3;         ///< data transfer per transaction
-    std::uint32_t t_wr_extra = 2;      ///< write recovery surcharge
-    /// Refresh: every t_refi cycles the device is unavailable for t_rfc
-    /// cycles and all rows close (a classic real-time disturbance;
-    /// 0 disables refresh -- the default, so experiments opt in).
     std::uint32_t t_refi = 0;
     std::uint32_t t_rfc = 0;
 };

@@ -9,21 +9,20 @@ namespace bluescale {
 maintenance_engine::maintenance_engine(dram_model& dram,
                                        maintenance_config cfg)
     : dram_(dram), cfg_(cfg),
-      next_refresh_(dram.timing().n_banks, k_cycle_never),
-      blocked_until_(dram.timing().n_banks, 0),
-      activations_(dram.timing().n_banks, 0),
+      next_refresh_(k_dram_banks, k_cycle_never),
+      blocked_until_(k_dram_banks, 0), activations_(k_dram_banks, 0),
       next_scrub_(cfg.scrub_interval > 0 && cfg.scrub_duration > 0
                       ? cfg.scrub_interval
                       : k_cycle_never) {
     bind_observability(own_);
     const dram_timing& t = dram_.timing();
-    for (std::uint32_t b = 0; b < t.n_banks; ++b) {
-        // DSARP stagger: bank b's first window at (b+1)*t_refi/n_banks,
+    for (std::uint32_t b = 0; b < k_dram_banks; ++b) {
+        // DSARP stagger: bank b's first window at (b+1)*t_refi/banks,
         // so windows spread evenly and bank n-1 lands on the classic
         // all-banks cadence.
         next_refresh_[b] =
             t.t_refi > 0 && t.t_rfc > 0
-                ? (static_cast<cycle_t>(t.t_refi) * (b + 1)) / t.n_banks
+                ? (static_cast<cycle_t>(t.t_refi) * (b + 1)) / k_dram_banks
                 : k_cycle_never;
     }
 }
@@ -38,7 +37,7 @@ void maintenance_engine::bind_observability(obs::metric_store& reg) {
 
 void maintenance_engine::advance(cycle_t now) {
     const dram_timing& t = dram_.timing();
-    for (std::uint32_t b = 0; b < t.n_banks; ++b) {
+    for (std::uint32_t b = 0; b < k_dram_banks; ++b) {
         while (next_refresh_[b] <= now) {
             blocked_until_[b] =
                 std::max<cycle_t>(blocked_until_[b], next_refresh_[b] + t.t_rfc);
@@ -54,7 +53,7 @@ void maintenance_engine::advance(cycle_t now) {
         dram_.close_row(scrub_bank_);
         scrubs_.inc();
         stolen_cycles_.inc(cfg_.scrub_duration);
-        scrub_bank_ = (scrub_bank_ + 1) % t.n_banks;
+        scrub_bank_ = (scrub_bank_ + 1) % k_dram_banks;
         next_scrub_ += cfg_.scrub_interval;
     }
     const bool storm = storms_.active(now);
@@ -129,7 +128,7 @@ analysis::maintenance_model to_maintenance_model(const memctrl_config& cfg) {
     }
     const maintenance_config& mc = cfg.maintenance;
     if (mc.scrub_interval > 0 && mc.scrub_duration > 0) {
-        m.ops.push_back(make_op(mc.scrub_interval * t.n_banks,
+        m.ops.push_back(make_op(mc.scrub_interval * k_dram_banks,
                                 mc.scrub_duration, unit));
     }
     if (mc.hammer_threshold > 0 && mc.hammer_mitigation_cycles > 0) {

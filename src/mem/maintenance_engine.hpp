@@ -5,7 +5,7 @@
 // seed-free and fully determined by configuration:
 //
 //  * per-bank refresh -- DSARP-style staggered t_refi/t_rfc windows: bank
-//    b refreshes at phase offset (b+1)*t_refi/n_banks and every t_refi
+//    b refreshes at phase offset (b+1)*t_refi/k_dram_banks and every t_refi
 //    after, so at most one bank is unavailable at a time instead of the
 //    whole device (replaces the old all-banks-close controller stub);
 //  * background ECC scrubbing -- a round-robin sweep that takes one bank
@@ -137,7 +137,7 @@ private:
 /// each). Single-worst-bank abstraction: a client's accesses may all
 /// target the bank under maintenance, so each mechanism is charged at its
 /// per-bank rate -- refresh every t_refi, scrub every
-/// scrub_interval * n_banks (round robin), one mitigation per
+/// scrub_interval * k_dram_banks (round robin), one mitigation per
 /// hammer_threshold activations (at most one activation per time unit).
 /// Conversions round conservatively (periods down, costs up).
 [[nodiscard]] analysis::maintenance_model

@@ -7,8 +7,8 @@ namespace bluescale {
 memory_controller::memory_controller(memctrl_config cfg)
     : component("memory_controller", /*latches=*/true), cfg_(cfg),
       dram_(cfg.timing), maint_(dram_, cfg.maintenance),
-      in_q_(cfg.request_queue_depth), out_q_(cfg.response_queue_depth),
-      bank_busy_until_(cfg.timing.n_banks, 0) {
+      in_q_(k_request_queue_depth), out_q_(k_response_queue_depth),
+      bank_busy_until_(k_dram_banks, 0) {
     bind_observability(own_, obs::tracer{});
     // The interconnect root pushes requests during its own tick; the wake
     // re-arms a sleeping controller for the same cycle (it ticks after
@@ -40,7 +40,7 @@ int memory_controller::choose(cycle_t now) const {
     }
 
     // FR-FCFS. A head bypassed too often is forced next (starvation guard).
-    if (head_bypasses_ >= cfg_.fr_fcfs_bypass_cap) {
+    if (head_bypasses_ >= k_fr_fcfs_bypass_cap) {
         return bank_free(in_q_.at(0), now) ? 0 : -1;
     }
     // Oldest ready row hit...

@@ -29,15 +29,17 @@ enum class memctrl_policy : std::uint8_t {
     fr_fcfs, ///< first-ready (open-row hit on a free bank) first
 };
 
+/// Request and response queue depths.
+inline constexpr std::size_t k_request_queue_depth = 16;
+inline constexpr std::size_t k_response_queue_depth = 16;
+/// FR-FCFS starvation guard: after the queue head has been bypassed by
+/// this many younger requests, it must be served next.
+inline constexpr std::uint32_t k_fr_fcfs_bypass_cap = 16;
+
 struct memctrl_config {
     memctrl_policy policy = memctrl_policy::fr_fcfs;
-    std::size_t request_queue_depth = 16;
-    std::size_t response_queue_depth = 16;
     /// Cycles between transaction starts (one analysis time unit).
     std::uint32_t initiation_interval = 4;
-    /// FR-FCFS starvation guard: after the queue head has been bypassed by
-    /// this many younger requests, it must be served next.
-    std::uint32_t fr_fcfs_bypass_cap = 16;
     dram_timing timing = {};
     /// Scrub / RowHammer maintenance (refresh cadence lives in `timing`).
     maintenance_config maintenance = {};

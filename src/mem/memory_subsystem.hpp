@@ -1,12 +1,9 @@
-// Memory sub-system facade: named device presets plus a one-stop bundle
-// of controller + configuration + stats snapshot, so harnesses and
-// examples can say "a DDR3-1600-class module" instead of hand-tuning
-// timing fields. (The paper's platform: a 4 GB DRAM module behind a
-// memory controller.)
+// Named memory device presets, so harnesses can say "a DDR3-1600-class
+// module" instead of hand-tuning timing fields. (The paper's platform: a
+// 4 GB DRAM module behind a memory controller.)
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "mem/memory_controller.hpp"
 
@@ -14,56 +11,18 @@ namespace bluescale {
 
 /// Device classes with timing quantized to the interconnect clock.
 enum class dram_preset : std::uint8_t {
-    ddr3_1600,   ///< the default model used throughout the evaluation
-    lpddr4,      ///< lower power: slower access, longer refresh stall
-    fast_sram,   ///< on-chip SRAM-class scratchpad (no rows, no refresh)
+    ddr3_1600, ///< the default model used throughout the evaluation
 };
 
-[[nodiscard]] const char* preset_name(dram_preset preset);
-
-/// Timing parameters for a preset (see dram_timing for field meanings).
-[[nodiscard]] dram_timing make_dram_timing(dram_preset preset);
-
-/// Controller configuration for a preset with sane queue sizes.
-[[nodiscard]] memctrl_config make_memctrl_config(dram_preset preset);
-
-/// Point-in-time counters for reporting.
-struct memory_stats {
-    std::uint64_t serviced = 0;
-    std::uint64_t row_hits = 0;
-    std::uint64_t row_misses = 0;
-
-    [[nodiscard]] double hit_rate() const {
-        const std::uint64_t total = row_hits + row_misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(row_hits) /
-                                static_cast<double>(total);
-    }
-};
-
-/// The shared memory sub-system: a controller built from a preset.
-class memory_subsystem {
-public:
-    explicit memory_subsystem(dram_preset preset = dram_preset::ddr3_1600)
-        : preset_(preset), controller_(make_memctrl_config(preset)) {}
-
-    [[nodiscard]] memory_controller& controller() { return controller_; }
-    [[nodiscard]] const memory_controller& controller() const {
-        return controller_;
-    }
-    [[nodiscard]] dram_preset preset() const { return preset_; }
-
-    [[nodiscard]] memory_stats stats() const {
-        return {controller_.serviced(), controller_.dram().hits(),
-                controller_.dram().misses()};
-    }
-
-    /// One-line summary for example/bench output.
-    [[nodiscard]] std::string describe() const;
-
-private:
-    dram_preset preset_;
-    memory_controller controller_;
-};
+/// Controller configuration for a preset. DDR3-1600 is the default
+/// controller with an honest refresh cadence: tREFI 7.8us / tRFC ~260ns
+/// at the interconnect clock's scale. The dram_timing default stays 0
+/// (refresh opt-in), but the named preset models the real part.
+[[nodiscard]] inline memctrl_config make_memctrl_config(dram_preset) {
+    memctrl_config cfg;
+    cfg.timing.t_refi = 1950;
+    cfg.timing.t_rfc = 65;
+    return cfg;
+}
 
 } // namespace bluescale

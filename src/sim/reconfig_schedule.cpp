@@ -1,7 +1,6 @@
 #include "sim/reconfig_schedule.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "sim/rng.hpp"
@@ -32,39 +31,33 @@ const char* reconfig_action_name(reconfig_action a) {
 }
 
 reconfig_schedule::reconfig_schedule(const reconfig_schedule_config& cfg) {
-    const std::array<double, k_reconfig_actions> weights = {
-        cfg.scale_up_weight, cfg.scale_down_weight, cfg.join_weight,
-        cfg.leave_weight};
     double total_weight = 0.0;
-    for (double w : weights) total_weight += w;
+    for (double w : k_action_weights) total_weight += w;
 
     const cycle_t span =
         cfg.horizon > cfg.warmup ? cfg.horizon - cfg.warmup : 0;
     const auto n_events = static_cast<std::uint64_t>(std::llround(
         cfg.events_per_kcycle * static_cast<double>(span) / 1000.0));
-    if (n_events == 0 || total_weight <= 0.0 || span == 0 ||
-        cfg.n_clients == 0) {
+    if (n_events == 0 || span == 0 || cfg.n_clients == 0) {
         return;
     }
 
     rng gen(cfg.seed);
-    const double mag_lo = std::min(cfg.magnitude_lo, cfg.magnitude_hi);
-    const double mag_hi = std::max(cfg.magnitude_lo, cfg.magnitude_hi);
 
     events_.reserve(n_events);
     for (std::uint64_t i = 0; i < n_events; ++i) {
         reconfig_event e;
         double x = gen.uniform_real(0.0, total_weight);
         std::size_t a = 0;
-        while (a + 1 < k_reconfig_actions && x >= weights[a]) {
-            x -= weights[a];
+        while (a + 1 < k_reconfig_actions && x >= k_action_weights[a]) {
+            x -= k_action_weights[a];
             ++a;
         }
         e.action = static_cast<reconfig_action>(a);
         e.client =
             static_cast<std::uint32_t>(gen.uniform_u64(0, cfg.n_clients - 1));
         e.at = cfg.warmup + gen.uniform_u64(0, span - 1);
-        const double m = gen.uniform_real(mag_lo, mag_hi);
+        const double m = gen.uniform_real(k_magnitude_lo, k_magnitude_hi);
         switch (e.action) {
         case reconfig_action::scale_up: e.magnitude = 1.0 + m; break;
         case reconfig_action::scale_down:

@@ -12,6 +12,7 @@
 // index (see harness::reconfig_experiment).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -53,6 +54,14 @@ struct reconfig_event {
                            const reconfig_event&) = default;
 };
 
+/// Relative likelihood of each action, in reconfig_action order.
+inline constexpr std::array<double, k_reconfig_actions> k_action_weights = {
+    1.0, 1.0, 0.5, 0.5};
+/// Magnitude range: scale_up draws in [1 + lo, 1 + hi]; scale_down in
+/// [1 - hi, 1 - lo]; join draws a target utilization in [lo, hi].
+inline constexpr double k_magnitude_lo = 0.25;
+inline constexpr double k_magnitude_hi = 1.0;
+
 struct reconfig_schedule_config {
     std::uint64_t seed = 1;
     /// Events are scheduled inside [warmup, horizon).
@@ -62,15 +71,6 @@ struct reconfig_schedule_config {
     double events_per_kcycle = 0.0;
     /// Clients eligible for events (picked uniformly).
     std::uint32_t n_clients = 1;
-    /// Relative likelihood of each action; a zero weight disables it.
-    double scale_up_weight = 1.0;
-    double scale_down_weight = 1.0;
-    double join_weight = 0.5;
-    double leave_weight = 0.5;
-    /// Magnitude range: scale_up draws in [1 + lo, 1 + hi]; scale_down in
-    /// [1 - hi, 1 - lo]; join draws a target utilization in [lo, hi].
-    double magnitude_lo = 0.25;
-    double magnitude_hi = 1.0;
 };
 
 /// An immutable, chronologically sorted request schedule.

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <cstdlib>
 #include <optional>
 
 #include "obs/profile.hpp"
@@ -9,32 +8,20 @@ namespace bluescale {
 
 namespace {
 
-/// Test override for the process-wide default engine. Written only from
+/// The process-wide default engine. Written only from
 /// set_default_engine()/clear_default_engine() between runs; reads during
 /// parallel trial sweeps see a stable value.
-std::optional<simulator::engine> g_engine_override;
+simulator::engine g_default_engine = simulator::engine::event;
 
 } // namespace
 
 simulator::engine simulator::default_engine() {
-    if (g_engine_override.has_value()) return *g_engine_override;
-    static const engine from_env = [] {
-        // Engine selection, not simulation input: both engines produce
-        // bit-identical simulations by contract (the determinism suite
-        // diffs their exports), so this env read cannot leak
-        // nondeterminism into results.
-        // detlint:allow(nondet-source): engine toggle, outputs invariant
-        const char* v = std::getenv("BLUESCALE_LOCKSTEP");
-        const bool lockstep = v != nullptr && v[0] != '\0' &&
-                              !(v[0] == '0' && v[1] == '\0');
-        return lockstep ? engine::lockstep : engine::event;
-    }();
-    return from_env;
+    return g_default_engine;
 }
 
-void simulator::set_default_engine(engine e) { g_engine_override = e; }
+void simulator::set_default_engine(engine e) { g_default_engine = e; }
 
-void simulator::clear_default_engine() { g_engine_override.reset(); }
+void simulator::clear_default_engine() { g_default_engine = engine::event; }
 
 void simulator::enable_profiling(obs::registry& reg) {
     profiling_ = true;

@@ -8,10 +8,11 @@
 // re-arm sleeping consumers through sim::wake_hook (queue pushes,
 // supervisor reprogramming), so no work is ever missed.
 //
-// Setting BLUESCALE_LOCKSTEP=1 in the environment (or constructing with
-// engine::lockstep) falls back to the classic cycle-stepped loop that
-// ticks and commits every component every cycle. Both engines produce
-// bit-identical simulations: the determinism suite diffs their exports.
+// Constructing with engine::lockstep (the bench drivers' --lockstep
+// flag makes it the default engine) falls back to the classic
+// cycle-stepped loop that ticks and commits every component every
+// cycle. Both engines produce bit-identical simulations: the
+// determinism suite diffs their exports.
 #pragma once
 
 #include <algorithm>
@@ -37,13 +38,13 @@ public:
         lockstep ///< tick + commit every component every cycle
     };
 
-    /// The engine new simulators start with: engine::event unless the
-    /// BLUESCALE_LOCKSTEP environment variable is set to a non-empty,
-    /// non-"0" value, or a test overrode it with set_default_engine().
+    /// The engine new simulators start with: engine::event unless
+    /// set_default_engine() overrode it.
     [[nodiscard]] static engine default_engine();
-    /// Process-wide override for tests that compare the two engines.
+    /// Process-wide override (--lockstep, and tests that compare the two
+    /// engines).
     static void set_default_engine(engine e);
-    /// Drops the override, restoring the environment-derived default.
+    /// Drops the override, restoring engine::event.
     static void clear_default_engine();
 
     simulator() : engine_(default_engine()) {}

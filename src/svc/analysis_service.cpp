@@ -31,9 +31,6 @@ const char* breaker_state_name(breaker_state s) {
 analysis_service::analysis_service(core::reconfig_manager& mgr,
                                    service_config cfg)
     : component("analysis_service"), mgr_(mgr), cfg_(cfg) {
-    resume_depth_ =
-        cfg_.resume_depth != 0 ? cfg_.resume_depth : cfg_.max_queue / 2;
-    workers_.resize(std::max<std::uint32_t>(1, cfg_.workers));
     cache_version_ = mgr_.committed_version();
     bind_observability(own_, obs::tracer{});
 }
@@ -115,14 +112,14 @@ std::uint64_t analysis_service::submit(std::uint32_t client,
     // Backpressure with hysteresis: a full queue starts shedding, and
     // shedding continues until the depth drains to the low watermark --
     // an overload burst cannot flap admission open/closed every cycle.
-    if (shedding_ && queue_.size() <= resume_depth_) shedding_ = false;
-    if (shedding_ || queue_.size() >= cfg_.max_queue) {
+    if (shedding_ && queue_.size() <= k_resume_depth) shedding_ = false;
+    if (shedding_ || queue_.size() >= k_max_queue) {
         shedding_ = true;
         trace_.emit(obs::trace_event_kind::svc_shed, id);
         finish(id, now_, request_outcome::shed,
                core::admission_outcome::rejected_queue_full,
                "service queue full (" + std::to_string(queue_.size()) + "/" +
-                   std::to_string(cfg_.max_queue) + ")");
+                   std::to_string(k_max_queue) + ")");
         return id;
     }
     accepted_.inc();
@@ -182,13 +179,9 @@ cycle_t analysis_service::backoff_delay(std::uint64_t id,
     // derived per (seed, request, attempt), so retries perturb nothing
     // else and the schedule is bit-identical for any --threads setting.
     const std::uint32_t shift = std::min<std::uint32_t>(attempt - 1, 20);
-    cycle_t delay = std::min<cycle_t>(cfg_.backoff_cap,
-                                      cfg_.backoff_base << shift);
-    if (cfg_.backoff_base > 1) {
-        rng jitter(substream(substream(cfg_.seed, id), attempt));
-        delay += jitter.uniform_u64(0, cfg_.backoff_base - 1);
-    }
-    return delay;
+    rng jitter(substream(substream(cfg_.seed, id), attempt));
+    return std::min<cycle_t>(k_backoff_cap, k_backoff_base << shift) +
+           jitter.uniform_u64(0, k_backoff_base - 1);
 }
 
 void analysis_service::service_retries(cycle_t now) {
@@ -314,7 +307,7 @@ void analysis_service::handle_manager_outcome(
         // Transient: the unhealthy path usually recovers. Retry with
         // exponential backoff until the budget runs out.
         request_record& rec = records_[id];
-        if (rec.retries < cfg_.max_retries) {
+        if (rec.retries < k_max_retries) {
             ++rec.retries;
             retries_.inc();
             states_[id].retry_at = now + backoff_delay(id, rec.retries);
@@ -327,8 +320,7 @@ void analysis_service::handle_manager_outcome(
         return;
     }
     default:
-        // rejected_infeasible / rejected_overutilized / rolled_back /
-        // rejected_queue_full (manager-side bound, if configured).
+        // rejected_infeasible / rejected_overutilized / rolled_back.
         finish(id, now, request_outcome::rejected, mrec.outcome,
                mrec.detail);
         return;
@@ -347,12 +339,12 @@ void analysis_service::note_eval_cost(std::uint64_t work, bool degraded,
         degraded_evals_.inc();
         return;
     }
-    const bool slow = work > cfg_.breaker_slow_cycles;
+    const bool slow = work > k_breaker_slow_cycles;
     if (breaker_ == breaker_state::closed) {
         consecutive_slow_ = slow ? consecutive_slow_ + 1 : 0;
-        if (slow && consecutive_slow_ >= cfg_.breaker_trip_after) {
+        if (slow && consecutive_slow_ >= k_breaker_trip_after) {
             breaker_trips_.inc();
-            breaker_reopen_at_ = now + cfg_.breaker_cooldown;
+            breaker_reopen_at_ = now + k_breaker_cooldown;
             consecutive_slow_ = 0;
             set_breaker(breaker_state::open, now);
         }
@@ -360,10 +352,10 @@ void analysis_service::note_eval_cost(std::uint64_t work, bool degraded,
         if (slow) {
             // Probe failed: re-open and restart the cooldown.
             breaker_trips_.inc();
-            breaker_reopen_at_ = now + cfg_.breaker_cooldown;
+            breaker_reopen_at_ = now + k_breaker_cooldown;
             probe_successes_ = 0;
             set_breaker(breaker_state::open, now);
-        } else if (++probe_successes_ >= cfg_.breaker_close_after) {
+        } else if (++probe_successes_ >= k_breaker_close_after) {
             probe_successes_ = 0;
             consecutive_slow_ = 0;
             set_breaker(breaker_state::closed, now);
@@ -397,7 +389,7 @@ void analysis_service::run_evaluation(std::uint64_t id, worker& w,
         st.eval_degraded = degraded;
         cache_misses_.inc();
         note_eval_cost(st.eval.report.total_cycles, degraded, now);
-        busy_cycles = std::max<std::uint64_t>(cfg_.min_eval_cycles,
+        busy_cycles = std::max<std::uint64_t>(k_min_eval_cycles,
                                               st.eval.report.total_cycles);
         cache_fifo_.push_back(
             cache_.emplace(std::move(key), cache_entry{st.eval, degraded})

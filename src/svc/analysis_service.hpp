@@ -1,7 +1,7 @@
 // Analysis-as-a-service (DESIGN.md Sec. 15): a long-running, multi-worker
 // admission/reselection server in front of core::reconfig_manager.
 //
-// Clients submit task-change requests; N logical worker slots drain a
+// Clients submit task-change requests; k_workers logical slots drain a
 // BOUNDED request queue, run the const re-entrant admission evaluation
 // (reconfig_manager::evaluate), and feed feasible results through the
 // manager's transactional apply_evaluated() path -- a commit can never
@@ -40,6 +40,7 @@
 // + rejected + committed once the service is idle).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -80,36 +81,39 @@ inline constexpr std::uint64_t k_cache_hit_cycles = 2;
 /// Result-cache capacity, FIFO eviction.
 inline constexpr std::size_t k_cache_capacity = 64;
 
+/// Logical worker slots draining the queue (virtual-time concurrency;
+/// the trial-sweep --threads knob is orthogonal and never changes
+/// service behavior).
+inline constexpr std::uint32_t k_workers = 2;
+/// Bound on the request queue; a submit against a full queue is shed.
+inline constexpr std::size_t k_max_queue = 16;
+/// Hysteresis low watermark: once shedding starts it continues until the
+/// queue drains to this depth.
+inline constexpr std::size_t k_resume_depth = k_max_queue / 2;
+/// Retry budget for transient path-hazard rejections.
+inline constexpr std::uint32_t k_max_retries = 3;
+/// Exponential backoff: delay = min(cap, base << attempt) + jitter,
+/// jitter uniform in [0, base) from substream(seed, request, attempt).
+inline constexpr cycle_t k_backoff_base = 64;
+inline constexpr cycle_t k_backoff_cap = 4096;
+/// Breaker: trip open after k_breaker_trip_after consecutive evaluations
+/// whose modeled cost exceeds k_breaker_slow_cycles; half-open after the
+/// cooldown; close again after k_breaker_close_after fast full-precision
+/// probes.
+inline constexpr std::uint32_t k_breaker_trip_after = 3;
+inline constexpr std::uint64_t k_breaker_slow_cycles = 50'000;
+inline constexpr cycle_t k_breaker_cooldown = 8192;
+inline constexpr std::uint32_t k_breaker_close_after = 2;
+/// Modeled worker busy time: max(k_min_eval_cycles, the evaluation's
+/// parameter-path cycles); a cache hit costs k_cache_hit_cycles.
+inline constexpr std::uint64_t k_min_eval_cycles = 8;
+
 struct service_config {
-    /// Logical worker slots draining the queue (virtual-time concurrency;
-    /// the trial-sweep --threads knob is orthogonal and never changes
-    /// service behavior).
-    std::uint32_t workers = 2;
-    /// Bound on the request queue; a submit against a full queue is shed.
-    std::size_t max_queue = 16;
-    /// Hysteresis low watermark: once shedding starts it continues until
-    /// the queue drains to this depth (0 = max_queue / 2).
-    std::size_t resume_depth = 0;
     /// Default per-request deadline, relative cycles from submission
     /// (0 = none). Virtual-time clock; deterministic.
     cycle_t default_deadline = 0;
-    /// Retry budget for transient path-hazard rejections.
-    std::uint32_t max_retries = 3;
-    /// Exponential backoff: delay = min(cap, base << attempt) + jitter,
-    /// jitter uniform in [0, base) from substream(seed, request, attempt).
-    cycle_t backoff_base = 64;
-    cycle_t backoff_cap = 4096;
+    /// Root of the retry-jitter streams.
     std::uint64_t seed = 1;
-    /// Breaker: trip open after this many consecutive evaluations whose
-    /// modeled cost exceeds breaker_slow_cycles; half-open after the
-    /// cooldown; close again after this many fast full-precision probes.
-    std::uint32_t breaker_trip_after = 3;
-    std::uint64_t breaker_slow_cycles = 50'000;
-    cycle_t breaker_cooldown = 8192;
-    std::uint32_t breaker_close_after = 2;
-    /// Modeled worker busy time: max(min_eval_cycles, evaluation's
-    /// parameter-path cycles); a cache hit costs k_cache_hit_cycles.
-    std::uint64_t min_eval_cycles = 8;
 };
 
 /// Full audit record of one service request.
@@ -255,14 +259,13 @@ private:
 
     core::reconfig_manager& mgr_;
     service_config cfg_;
-    std::size_t resume_depth_ = 0;
 
     cycle_t now_ = 0; ///< latched at tick()/submit() (monotonic)
     std::deque<std::uint64_t> queue_;
     bool shedding_ = false;
     std::vector<std::uint64_t> retry_ids_;
     std::vector<std::uint64_t> outstanding_; ///< awaiting manager outcome
-    std::vector<worker> workers_;
+    std::array<worker, k_workers> workers_;
 
     breaker_state breaker_ = breaker_state::closed;
     std::uint32_t consecutive_slow_ = 0;

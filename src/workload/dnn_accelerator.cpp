@@ -8,14 +8,14 @@ namespace bluescale::workload {
 dnn_accelerator::dnn_accelerator(client_id_t id, dnn_config cfg,
                                  interconnect& net, std::uint64_t seed)
     : component("dnn_ha_" + std::to_string(id)), id_(id), cfg_(cfg),
-      net_(net), rng_(seed), burst_left_(cfg.burst_requests),
+      net_(net), rng_(seed), burst_left_(k_dnn_burst_requests),
       next_request_id_((static_cast<request_id_t>(id) << 40) | 1u) {}
 
 void dnn_accelerator::tick(cycle_t now) {
     // Token bucket: `bandwidth_share` of one transaction per unit.
     tokens_ = std::min(
         tokens_ + cfg_.bandwidth_share / cfg_.unit_cycles,
-        static_cast<double>(cfg_.window));
+        static_cast<double>(k_dnn_window));
 
     if (compute_left_ > 0) {
         --compute_left_;
@@ -23,7 +23,7 @@ void dnn_accelerator::tick(cycle_t now) {
     }
 
     if (burst_left_ > 0) {
-        if (tokens_ >= 1.0 && outstanding_ < cfg_.window &&
+        if (tokens_ >= 1.0 && outstanding_ < k_dnn_window &&
             net_.client_can_accept(id_)) {
             mem_request r;
             r.id = next_request_id_++;
@@ -38,7 +38,7 @@ void dnn_accelerator::tick(cycle_t now) {
             r.hop_arrival = now;
             // Streaming engine: soft deadline one layer ahead.
             r.abs_deadline =
-                now + static_cast<cycle_t>(cfg_.burst_requests) *
+                now + static_cast<cycle_t>(k_dnn_burst_requests) *
                           cfg_.unit_cycles * 4;
             r.level_deadline = r.abs_deadline;
             tokens_ -= 1.0;
@@ -58,7 +58,7 @@ void dnn_accelerator::tick(cycle_t now) {
             layer_ = 0;
             ++inferences_;
         }
-        burst_left_ = cfg_.burst_requests;
+        burst_left_ = k_dnn_burst_requests;
     }
 }
 
@@ -66,11 +66,11 @@ cycle_t dnn_accelerator::next_event(cycle_t now) const {
     if (compute_left_ > 0) return now + 1;
     // Below the cap the bucket gains tokens every cycle; at the cap the
     // clamp makes accrual a bit-exact no-op, so sleeping there is safe.
-    if (tokens_ < static_cast<double>(cfg_.window)) return now + 1;
+    if (tokens_ < static_cast<double>(k_dnn_window)) return now + 1;
     // Port backpressure has no wake signal, so an issuable burst request
     // keeps the per-cycle cadence; a full window is drained by responses
     // (which wake us), and so is the end-of-burst wait.
-    if (burst_left_ > 0 && outstanding_ < cfg_.window) return now + 1;
+    if (burst_left_ > 0 && outstanding_ < k_dnn_window) return now + 1;
     return k_cycle_never;
 }
 

@@ -20,15 +20,17 @@
 
 namespace bluescale::workload {
 
+/// Requests per layer burst (weights + activations of one layer).
+inline constexpr std::uint32_t k_dnn_burst_requests = 64;
+/// Maximum outstanding requests within a burst (also the token bucket's
+/// cap).
+inline constexpr std::uint32_t k_dnn_window = 8;
+
 struct dnn_config {
-    /// Requests per layer burst (weights + activations of one layer).
-    std::uint32_t burst_requests = 64;
     /// Compute cycles between bursts (MAC array busy, no memory traffic).
     std::uint32_t compute_cycles = 400;
     /// Layers per inference; a new inference starts immediately.
     std::uint32_t layers = 18; ///< SqueezeNet-class depth
-    /// Maximum outstanding requests within a burst.
-    std::uint32_t window = 8;
     /// Bandwidth cap as a fraction of memory throughput (paper:
     /// 1/#clients). Tokens refill continuously at this rate.
     double bandwidth_share = 1.0 / 16.0;

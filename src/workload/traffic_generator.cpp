@@ -62,9 +62,9 @@ int traffic_generator::pick_edf_task() const {
 
 cycle_t traffic_generator::backoff_window(std::uint32_t attempts) const {
     cycle_t window = cfg_.retry_timeout_cycles;
-    const std::uint32_t mult = std::max<std::uint32_t>(
-        1, cfg_.retry_backoff_mult);
-    for (std::uint32_t a = 0; a < attempts; ++a) window *= mult;
+    for (std::uint32_t a = 0; a < attempts; ++a) {
+        window *= k_retry_backoff_mult;
+    }
     return window;
 }
 
@@ -122,7 +122,7 @@ void traffic_generator::tick(cycle_t now) {
     // outranks new work for the slot.
     if (!net_.client_can_accept(id_)) return;
     if (cfg_.retry_timeout_cycles != 0 && try_reissue(now)) return;
-    if (outstanding() >= cfg_.max_outstanding) return;
+    if (outstanding() >= k_max_outstanding) return;
     const int which = pick_edf_task();
     if (which < 0) return;
 
@@ -220,7 +220,7 @@ cycle_t traffic_generator::next_event(cycle_t now) const {
     // cycle-by-cycle interleaving across tasks. An expired retry timeout
     // holds the horizon at now + 1 until its reissue lands, covering a
     // backpressured reissue slot.
-    const bool throttled = outstanding() >= cfg_.max_outstanding;
+    const bool throttled = outstanding() >= k_max_outstanding;
     const bool blocked = port_drain_wake_ && !net_.client_can_accept(id_);
     cycle_t due = k_cycle_never;
     for (const auto& ts : state_) {

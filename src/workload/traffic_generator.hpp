@@ -20,12 +20,15 @@ namespace bluescale::workload {
 /// Private address region per task, for locality-realistic traffic.
 inline constexpr std::uint64_t k_task_region_bytes = 1u << 20;
 inline constexpr std::uint64_t k_cache_line_bytes = 64;
+/// Maximum requests in flight before the generator throttles (models
+/// finite MSHRs; the port buffer also exerts backpressure).
+inline constexpr std::uint32_t k_max_outstanding = 16;
+/// Retry timeout window multiplier per attempt (exponential backoff keeps
+/// retry storms from amplifying congestion-induced slowness).
+inline constexpr std::uint32_t k_retry_backoff_mult = 2;
 
 struct traffic_gen_config {
     std::uint32_t unit_cycles = k_unit_cycles;
-    /// Maximum requests in flight before the generator throttles (models
-    /// finite MSHRs; the port buffer also exerts backpressure).
-    std::uint32_t max_outstanding = 16;
     /// Allowance for client_stats::missed_beyond_margin (see there).
     cycle_t validation_margin_cycles = 0;
 
@@ -38,9 +41,6 @@ struct traffic_gen_config {
     /// Reissue budget per request; past it the request is given up
     /// (counted retry_exhausted + abandoned).
     std::uint32_t max_retries = 0;
-    /// Timeout window multiplier per attempt (exponential backoff keeps
-    /// retry storms from amplifying congestion-induced slowness).
-    std::uint32_t retry_backoff_mult = 2;
 };
 
 class traffic_generator : public component {

@@ -275,7 +275,6 @@ selection_draw random_draw(std::uint64_t seed) {
                 {period, 1 + r.uniform_u64(0, period / 25)});
         }
     }
-    if (r.pick(4) == 0) d.ctx.sched.max_test_points = r.uniform_u64(0, 64);
     if (r.pick(3) == 0) d.ctx.bandwidth_tolerance = r.uniform_real(0.0, 0.1);
     if (r.pick(4) == 0) d.ctx.max_period = 1 + r.uniform_u64(0, 40);
     return d;
@@ -291,8 +290,7 @@ std::string describe(std::uint64_t seed, const selection_draw& d) {
     for (const auto& op : d.ctx.sched.maintenance.ops) {
         os << " (" << op.period << "," << op.cost << ")";
     }
-    os << " }, max_test_points " << d.ctx.sched.max_test_points
-       << ", tolerance " << d.ctx.bandwidth_tolerance << ", max_period "
+    os << " }, tolerance " << d.ctx.bandwidth_tolerance << ", max_period "
        << d.ctx.max_period;
     return os.str();
 }
@@ -438,13 +436,12 @@ std::optional<double> force_tie(selection_draw& d) {
 }
 
 TEST(bounded_scan, selects_what_the_full_scan_selects) {
-    // Every draw mixes in tolerances, Pi caps, maintenance models, small
-    // work caps and (one in four) the sufficient-only mode; one in three
-    // tries to put a candidate exactly on its cap.
+    // Every draw mixes in tolerances, Pi caps, maintenance models and
+    // (one in four) the sufficient-only mode; one in three tries to put a
+    // candidate exactly on its cap.
     std::uint64_t tolerant = 0;
     std::uint64_t capped = 0;
     std::uint64_t maintained = 0;
-    std::uint64_t small_caps = 0;
     std::uint64_t sufficient = 0;
     std::uint64_t ties = 0;
     for (std::uint64_t seed = 1; seed <= k_property_seeds; ++seed) {
@@ -456,7 +453,6 @@ TEST(bounded_scan, selects_what_the_full_scan_selects) {
         tolerant += d.ctx.bandwidth_tolerance > 0.0 ? 1 : 0;
         capped += d.ctx.max_period < analysis_context{}.max_period ? 1 : 0;
         maintained += d.ctx.sched.maintenance.ops.empty() ? 0 : 1;
-        small_caps += d.ctx.sched.max_test_points <= 64 ? 1 : 0;
         sufficient += d.ctx.sched.sufficient_only ? 1 : 0;
         ties += tie && checked.selected &&
                         checked.selected->bandwidth() == *tie
@@ -466,7 +462,6 @@ TEST(bounded_scan, selects_what_the_full_scan_selects) {
     EXPECT_GT(tolerant, 0u);
     EXPECT_GT(capped, 0u);
     EXPECT_GT(maintained, 0u);
-    EXPECT_GT(small_caps, 0u);
     EXPECT_GT(sufficient, 0u);
     // Some selections must sit exactly on the limit, where `<=` and `<`
     // part ways.

@@ -133,13 +133,15 @@ TEST(is_schedulable, counters_accumulate) {
 }
 
 TEST(is_schedulable, aborts_when_bound_explodes) {
-    sched_test_config cfg;
-    cfg.max_test_points = 4;
-    // Bandwidth (0.5) barely above U (0.499999) with a tiny supply gap:
-    // beta ~= 2e6 and the short-period task generates ~250k step points,
-    // far beyond the cap -> the test must abort, not hang.
-    const task_set s{{8, 2}, {1'000'000, 249'999}};
-    EXPECT_EQ(is_schedulable(s, {4, 2}, cfg), sched_result::aborted);
+    static_assert(k_max_test_points == 1u << 20);
+    // Bandwidth (0.5) barely above U (0.4999999) with a tiny supply gap:
+    // beta ~= 2e7 and the short-period task generates ~2.5M step points,
+    // beyond the 2^20 cap -> the test must abort, not hang.
+    const task_set s{{8, 2}, {10'000'000, 2'499'999}};
+    EXPECT_EQ(is_schedulable(s, {4, 2}), sched_result::aborted);
+    // Ten times the gap: ~250k points, under the cap -> a verdict.
+    const task_set t{{8, 2}, {1'000'000, 249'999}};
+    EXPECT_NE(is_schedulable(t, {4, 2}), sched_result::aborted);
 }
 
 TEST(is_schedulable, beta_beyond_64_bits_aborts) {

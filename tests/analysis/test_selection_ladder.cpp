@@ -38,9 +38,7 @@ TEST_P(ladder_agreement, sufficient_verdicts_match_exact) {
         const auto iface = random_interface(r);
         const auto quick = is_schedulable_sufficient(tasks, iface);
         if (quick == sched_result::aborted) continue; // undecided is fine
-        sched_test_config exact_cfg;
-        exact_cfg.max_test_points = 1u << 26; // generous: avoid aborts
-        const auto exact = is_schedulable(tasks, iface, exact_cfg);
+        const auto exact = is_schedulable(tasks, iface);
         ASSERT_NE(exact, sched_result::aborted);
         EXPECT_EQ(quick, exact)
             << "portfolio flipped the verdict for Pi=" << iface.period
@@ -78,11 +76,10 @@ INSTANTIATE_TEST_SUITE_P(seeds, ladder_agreement, ::testing::Range(1, 9));
 TEST(ladder_agreement, selection_identical_with_and_without_ladder) {
     // Seeded property: the degraded mode's selection never beats the
     // exact one. Every sufficient_only interface is exact-schedulable,
-    // so the exact selector -- whose work cap here is high enough that
-    // it never aborts -- finds one of no more bandwidth, and is feasible
-    // wherever the degraded mode is.
-    analysis_context exact_ctx;
-    exact_ctx.sched.max_test_points = 1u << 26;
+    // so the exact selector -- whose work cap is high enough that it
+    // never aborts on these draws -- finds one of no more bandwidth, and
+    // is feasible wherever the degraded mode is.
+    const analysis_context exact_ctx;
     analysis_context degraded_ctx = exact_ctx;
     degraded_ctx.sched.sufficient_only = true;
     std::uint32_t compared = 0;

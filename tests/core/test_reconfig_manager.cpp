@@ -270,34 +270,6 @@ TEST(reconfig_manager, donate_and_restore_leaf_budget) {
     EXPECT_EQ(sched.server(port).budget(), committed_budget);
 }
 
-TEST(reconfig_manager, full_queue_rejects_immediately_without_perturbation) {
-    reconfig_config cfg;
-    cfg.max_queue = 1;
-    rig r(cfg);
-    const auto before = server_snapshot(r.fabric);
-
-    const auto first = r.mgr->submit(2, analysis::task_set{{100, 8}});
-    const auto second = r.mgr->submit(9, analysis::task_set{{100, 6}});
-    // The bound rejects at submission, before any tick: the admission
-    // test never ran, the fabric is untouched.
-    const auto& rec = r.mgr->record(second);
-    EXPECT_EQ(rec.outcome, admission_outcome::rejected_queue_full);
-    EXPECT_FALSE(rec.detail.empty());
-    EXPECT_EQ(r.mgr->stats().rejected_queue_full, 1u);
-    EXPECT_EQ(server_snapshot(r.fabric), before);
-    expect_selections_equal(r.mgr->committed(), r.selection);
-
-    // The rejection perturbed nothing downstream either: the run is
-    // bit-identical to one where the shed request never arrived.
-    r.run_until_resolved(first);
-    EXPECT_EQ(r.mgr->record(first).outcome, admission_outcome::committed);
-    rig twin(cfg);
-    const auto twin_first = twin.mgr->submit(2, analysis::task_set{{100, 8}});
-    twin.run_until_resolved(twin_first);
-    EXPECT_EQ(server_snapshot(r.fabric), server_snapshot(twin.fabric));
-    expect_selections_equal(r.mgr->committed(), twin.mgr->committed());
-}
-
 TEST(reconfig_manager, expired_deadline_rejects_without_perturbation) {
     rig r;
     // The first request stages for its propagation latency; the second

@@ -31,7 +31,7 @@ mem_request req(request_id_t id, client_id_t client, cycle_t deadline,
 /// Fabric + controller + watchdog, ticked manually so tests can place
 /// deadline misses and backlog exactly where they want them.
 struct rig {
-    explicit rig(watchdog_config cfg)
+    rig()
         : fabric(16),
           clients(16, analysis::task_set{{200, 4}}),
           selection(analysis::select_tree_interfaces(clients)) {
@@ -39,7 +39,7 @@ struct rig {
         fabric.attach_memory(mem);
         fabric.set_response_handler([](mem_request&&) {});
         fabric.configure(selection);
-        wd = std::make_unique<supply_watchdog>(fabric, &selection, cfg);
+        wd = std::make_unique<supply_watchdog>(fabric, &selection);
     }
 
     /// Ticks [from, to], optionally flooding client 0 so its request
@@ -67,21 +67,27 @@ struct rig {
     request_id_t next_id = 1;
 };
 
-watchdog_config tight_config() {
-    watchdog_config cfg;
-    cfg.check_period = 100;
-    cfg.shed_enter_windows = 2;
-    cfg.restore_windows = 2;
-    cfg.restore_backoff = 2;
-    return cfg;
+// At the constants: one check per 1,024-cycle window, shed after 2
+// violating windows, restore after 4 clean ones, then after 8.
+constexpr cycle_t w = k_watchdog_period;
+
+/// Ticks the watchdog alone through windows [first, last] (1-based; the
+/// check closing window k runs at k * w), with one hard miss in each
+/// window when `miss` is set.
+void windows(supply_watchdog& wd, std::uint64_t& missed, cycle_t first,
+             cycle_t last, bool miss) {
+    for (cycle_t t = (first - 1) * w + 1; t <= last * w; ++t) {
+        if (miss && t % w == w / 2) ++missed;
+        wd.tick(t);
+    }
 }
 
 TEST(supply_watchdog, quiet_system_raises_no_alarms) {
-    rig r(tight_config());
+    rig r;
     r.wd->track_client(0, client_class::hard, [] { return 0ull; });
-    r.run(0, 1000);
+    r.run(0, 10 * w);
     const auto& rep = r.wd->report();
-    EXPECT_GE(rep.windows_checked, 9u);
+    EXPECT_EQ(rep.windows_checked, 10u);
     EXPECT_EQ(rep.violating_windows, 0u);
     EXPECT_EQ(rep.supply_shortfall_alarms, 0u);
     EXPECT_EQ(rep.deadline_alarms, 0u);
@@ -90,7 +96,9 @@ TEST(supply_watchdog, quiet_system_raises_no_alarms) {
 }
 
 TEST(supply_watchdog, hard_miss_streak_sheds_best_effort_with_hysteresis) {
-    rig r(tight_config());
+    static_assert(k_shed_enter_windows == 2 && k_restore_windows == 4 &&
+                  k_restore_backoff == 2);
+    rig r;
     std::uint64_t hard_missed = 0;
     bool be_shed = false;
     std::uint64_t alarms_shed = 0;
@@ -104,68 +112,67 @@ TEST(supply_watchdog, hard_miss_streak_sheds_best_effort_with_hysteresis) {
         if (a == watchdog_alarm::overload_restore) ++alarms_restore;
     });
 
-    // One hard miss per window for 10 windows: shed after the second
-    // violating check, then NO oscillation while the violation persists.
-    for (cycle_t t = 0; t <= 1000; ++t) {
-        if (t % 100 == 50) ++hard_missed;
-        r.wd->tick(t);
-    }
+    // One hard miss per window: not shed after the first violating
+    // check, shed after the second...
+    windows(*r.wd, hard_missed, 1, 1, true);
+    EXPECT_FALSE(r.wd->shedding_now());
+    windows(*r.wd, hard_missed, 2, 2, true);
+    EXPECT_TRUE(r.wd->shedding_now());
+    // ...and NO oscillation while the violation persists.
+    windows(*r.wd, hard_missed, 3, 10, true);
     EXPECT_TRUE(r.wd->shedding_now());
     EXPECT_TRUE(be_shed);
     EXPECT_EQ(r.wd->report().shed_events, 1u);
     EXPECT_EQ(alarms_shed, 1u);
-    EXPECT_GT(r.wd->report().deadline_alarms, 0u);
-    EXPECT_GT(r.wd->report().hard_misses, 0u);
+    EXPECT_EQ(r.wd->report().deadline_alarms, 10u);
+    EXPECT_EQ(r.wd->report().hard_misses, 10u);
 
-    // Two clean windows satisfy the initial restore requirement.
-    for (cycle_t t = 1001; t <= 1200; ++t) r.wd->tick(t);
+    // Four clean windows satisfy the initial restore requirement.
+    windows(*r.wd, hard_missed, 11, 13, false);
+    EXPECT_TRUE(r.wd->shedding_now());
+    windows(*r.wd, hard_missed, 14, 14, false);
     EXPECT_FALSE(r.wd->shedding_now());
     EXPECT_FALSE(be_shed);
     EXPECT_EQ(r.wd->report().restore_events, 1u);
     EXPECT_EQ(alarms_restore, 1u);
 
     // The overload returns: shed again after two violating windows...
-    for (cycle_t t = 1201; t <= 1400; ++t) {
-        if (t % 100 == 50) ++hard_missed;
-        r.wd->tick(t);
-    }
+    windows(*r.wd, hard_missed, 15, 16, true);
     EXPECT_TRUE(r.wd->shedding_now());
     EXPECT_EQ(r.wd->report().shed_events, 2u);
 
-    // ...but restoration now needs 2 x backoff = 4 clean windows: still
-    // shed after 3, restored after the 4th (oscillation is bounded).
-    for (cycle_t t = 1401; t <= 1700; ++t) r.wd->tick(t);
+    // ...but restoration now needs 4 x backoff = 8 clean windows: still
+    // shed after 7, restored after the 8th (oscillation is bounded).
+    windows(*r.wd, hard_missed, 17, 23, false);
     EXPECT_TRUE(r.wd->shedding_now());
-    for (cycle_t t = 1701; t <= 1800; ++t) r.wd->tick(t);
+    windows(*r.wd, hard_missed, 24, 24, false);
     EXPECT_FALSE(r.wd->shedding_now());
     EXPECT_EQ(r.wd->report().restore_events, 2u);
-    EXPECT_GT(r.wd->report().shed_client_cycles, 0u);
+    // One best-effort client shed over windows 3-14 and 17-24.
+    EXPECT_EQ(r.wd->report().shed_client_cycles, 20 * w);
 }
 
 TEST(supply_watchdog, stalled_backlogged_port_raises_supply_shortfall) {
-    watchdog_config cfg;
-    cfg.check_period = 2048; // long windows so sbf(window) > 0
-    cfg.shedding = false;    // observe-only: alarms without action
-    rig r(cfg);
+    rig r;
     // Client 0's leaf SE is stalled for the whole run while its port is
-    // kept backlogged: delivered supply 0 < margin x sbf(window).
+    // kept backlogged: delivered supply 0 < margin x sbf(window). No
+    // client is tracked, so the overload episode it enters sheds nobody.
     r.fabric.se_at(1, 0).set_stall_faults(
         sim::fault_window({{sim::fault_kind::se_stall, 0, 0, 30'000}}));
     r.run(0, 20'000, /*flood=*/true);
 
     const auto& rep = r.wd->report();
     EXPECT_GT(rep.windows_checked, 0u);
-    EXPECT_GT(rep.violating_windows, 0u);
-    EXPECT_GT(rep.supply_shortfall_alarms, 0u);
-    // The master switch is off: alarms never turn into shedding.
-    EXPECT_EQ(rep.shed_events, 0u);
-    EXPECT_FALSE(r.wd->shedding_now());
+    EXPECT_EQ(rep.violating_windows, rep.windows_checked);
+    EXPECT_EQ(rep.supply_shortfall_alarms, rep.windows_checked);
+    EXPECT_EQ(rep.deadline_alarms, 0u);
+    EXPECT_EQ(rep.shed_events, 1u);
+    EXPECT_TRUE(r.wd->shedding_now());
+    EXPECT_EQ(rep.shed_client_cycles, 0u);
 }
 
 TEST(supply_watchdog, healthy_backlogged_port_conforms) {
-    watchdog_config cfg;
-    cfg.check_period = 2048;
-    rig r(cfg);
+    rig r;
     r.run(0, 20'000, /*flood=*/true);
     // A healthy fabric delivers at least sbf to a backlogged port (the
     // offline supply-conformance property, checked online): no alarms.
@@ -175,37 +182,31 @@ TEST(supply_watchdog, healthy_backlogged_port_conforms) {
 }
 
 TEST(supply_watchdog, alarm_mid_restore_rearms_the_clean_streak) {
-    rig r(tight_config()); // shed after 2 bad windows, restore after 2 clean
+    rig r;
     std::uint64_t missed = 0;
     r.wd->track_client(0, client_class::hard, [&] { return missed; });
     r.wd->track_client(15, client_class::best_effort, [] { return 0ull; });
 
-    // Windows end at t = 100, 200, ... Two violating windows shed.
-    for (cycle_t t = 0; t <= 200; ++t) {
-        if (t % 100 == 50) ++missed;
-        r.wd->tick(t);
-    }
+    // Two violating windows shed.
+    windows(*r.wd, missed, 1, 2, true);
     ASSERT_TRUE(r.wd->shedding_now());
 
-    // One clean window, then a violating one mid-restore: the clean
-    // streak re-arms, so the next single clean window must NOT restore.
-    for (cycle_t t = 201; t <= 300; ++t) r.wd->tick(t);       // clean
-    for (cycle_t t = 301; t <= 400; ++t) {                    // violating
-        if (t == 350) ++missed;
-        r.wd->tick(t);
-    }
-    for (cycle_t t = 401; t <= 500; ++t) r.wd->tick(t);       // clean #1
+    // Three clean windows, then a violating one mid-restore: the clean
+    // streak re-arms, so three more clean windows must NOT restore.
+    windows(*r.wd, missed, 3, 5, false);
+    windows(*r.wd, missed, 6, 6, true);
+    windows(*r.wd, missed, 7, 9, false);
     EXPECT_TRUE(r.wd->shedding_now()) << "restored on a re-armed streak";
     EXPECT_EQ(r.wd->report().restore_events, 0u);
 
-    // The full requirement (2 consecutive clean windows) restores.
-    for (cycle_t t = 501; t <= 600; ++t) r.wd->tick(t);       // clean #2
+    // The full requirement (4 consecutive clean windows) restores.
+    windows(*r.wd, missed, 10, 10, false);
     EXPECT_FALSE(r.wd->shedding_now());
     EXPECT_EQ(r.wd->report().restore_events, 1u);
 }
 
 TEST(supply_watchdog, shedding_with_no_best_effort_clients_is_safe) {
-    rig r(tight_config());
+    rig r;
     // Hard clients only: there is nothing to shed, but the alarm and
     // hysteresis machinery must neither divide by zero nor starve the
     // hard class.
@@ -215,10 +216,7 @@ TEST(supply_watchdog, shedding_with_no_best_effort_clients_is_safe) {
                        [&](bool) { hard_shed_called = true; });
     r.wd->track_client(1, client_class::hard, [] { return 0ull; });
 
-    for (cycle_t t = 0; t <= 500; ++t) {
-        if (t % 100 == 50) ++missed;
-        r.wd->tick(t);
-    }
+    windows(*r.wd, missed, 1, 5, true);
     // The overload episode is entered and alarmed...
     EXPECT_TRUE(r.wd->shedding_now());
     EXPECT_EQ(r.wd->report().shed_events, 1u);
@@ -227,7 +225,7 @@ TEST(supply_watchdog, shedding_with_no_best_effort_clients_is_safe) {
     EXPECT_FALSE(hard_shed_called);
 
     // Recovery restores cleanly with an empty shed set.
-    for (cycle_t t = 501; t <= 800; ++t) r.wd->tick(t);
+    windows(*r.wd, missed, 6, 9, false);
     EXPECT_FALSE(r.wd->shedding_now());
     EXPECT_EQ(r.wd->report().restore_events, 1u);
 }
@@ -254,12 +252,7 @@ TEST(supply_watchdog, shedding_protects_hard_clients_under_overload) {
     fabric.se_at(1, 3).set_stall_faults(sim::fault_window(
         {{sim::fault_kind::se_stall, 0, 0, run_cycles}}));
 
-    watchdog_config cfg;
-    cfg.check_period = 2048;
-    cfg.shed_enter_windows = 2;
-    cfg.restore_windows = 2;
-    cfg.restore_backoff = 2;
-    supply_watchdog wd(fabric, &selection, cfg);
+    supply_watchdog wd(fabric, &selection);
 
     std::vector<std::unique_ptr<workload::traffic_generator>> clients;
     for (std::uint32_t c = 0; c < n; ++c) {

@@ -34,25 +34,20 @@ memctrl_config heavy_maintenance_memctrl() {
     return mc;
 }
 
-/// The acceptance scenario: light hard control traffic plus heavy
-/// sheddable best-effort bulk, recurring maintenance storms (unmodeled
-/// excess scrubbing) long enough to build real backlog but well under
-/// the hard deadlines, and a watchdog fast enough to shed mid-storm.
+/// The acceptance scenario: a near-capacity pooled workload (the last
+/// k_best_effort_clients clients sheddable), and maintenance storms
+/// (unmodeled excess scrubbing) frequent enough to build real backlog
+/// across consecutive watchdog windows but short against the hard
+/// deadlines.
 maintenance_exp_config storm_config(bool aware) {
     maintenance_exp_config cfg;
     cfg.scenario.measure_cycles = 60'000;
     cfg.maintenance_aware = aware;
     cfg.scenario.memctrl = heavy_maintenance_memctrl();
-    cfg.scenario.util_lo = 0.18;
-    cfg.scenario.util_hi = 0.28;
-    cfg.scenario.taskset.min_period_units = 400;
-    cfg.best_effort_clients = 6;
-    cfg.best_effort_util = 0.44;
-    cfg.storm_intensity = 0.5;
-    cfg.storm_min_duration = 192;
-    cfg.storm_max_duration = 384;
-    cfg.watchdog.check_period = 512;
-    cfg.watchdog.shed_enter_windows = 1;
+    cfg.scenario.util_lo = 0.45;
+    cfg.scenario.util_hi = 0.55;
+    cfg.scenario.taskset.min_period_units = 500;
+    cfg.storm_intensity = 3.0;
     return cfg;
 }
 

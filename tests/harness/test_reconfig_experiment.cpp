@@ -17,7 +17,6 @@ reconfig_exp_config small_config(double rate) {
     reconfig_exp_config cfg;
     cfg.scenario.measure_cycles = 30'000;
     cfg.events_per_kcycle = rate;
-    cfg.reconfig_warmup = 2'000;
     return cfg;
 }
 
@@ -97,28 +96,63 @@ TEST(reconfig_experiment, zero_rate_means_no_requests) {
     EXPECT_EQ(count(r, "live_reconfigurations"), 0u);
 }
 
+/// The reconfig experiment's BlueScale trial with the schedule replaced
+/// by scripted joins, each demanding 160% of the whole fabric's
+/// bandwidth for one client (`churn`), or with no requests at all.
+sweep_result run_scripted(bool churn) {
+    const traffic_scenario sc = small_config(0.0).scenario;
+    return testing::run_cell(
+        {.trials = 3, .seed = 11, .threads = 2},
+        {"reconfig_exp/", [sc, churn](trial_record& rec) {
+             testbench_options opts;
+             opts.health = true;
+             opts.reconfig = core::reconfig_config{};
+             opts.watchdog = core::watchdog_config{};
+             traffic_trial tt(rec, ic_kind::bluescale, sc, opts);
+             tt.add_clients(k_recovering_client);
+             tt.track_clients(k_best_effort_clients);
+             testbench& tb = tt.tb();
+             core::reconfig_manager& mgr = *tb.reconfig();
+             for (cycle_t at = k_reconfig_warmup;
+                  churn && at < sc.measure_cycles; at += 2'000) {
+                 tb.run(at - tb.now());
+                 const auto client =
+                     static_cast<std::uint32_t>(at / 2'000 % tt.n_clients());
+                 mgr.submit(client,
+                            analysis::task_set{{100, 80}, {100, 80}});
+             }
+             tb.run(sc.measure_cycles - tb.now());
+
+             const class_misses misses = tt.finalize(k_best_effort_clients);
+             rec.counter("hard_misses").inc(misses.hard);
+             rec.counter("best_effort_misses").inc(misses.best_effort);
+             rec.sample("miss_ratio").add(misses.ratio());
+             rec.counter("submitted").inc(mgr.stats().submitted);
+             rec.counter("admitted").inc(mgr.stats().admitted);
+             rec.counter("committed").inc(mgr.stats().committed);
+             rec.counter("rejected").inc(mgr.stats().rejected);
+             for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
+                 rec.counter("live_reconfigurations")
+                     .inc(tt.client(c).stats().reconfigurations());
+             }
+             const auto& rep = tb.watchdog()->report();
+             rec.counter("violating_windows").inc(rep.violating_windows);
+             rec.counter("shed_events").inc(rep.shed_events);
+         }});
+}
+
 TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
-    // Every scheduled request is a join demanding 150-200% of the whole
-    // fabric's bandwidth for one client: infeasible no matter what the
-    // other clients hold, so every admission test must reject -- and a
-    // fully rejected run must leave every client metric bit-identical to
-    // a run where no request ever arrived.
-    auto churn_cfg = small_config(0.5);
-    churn_cfg.schedule.scale_up_weight = 0.0;
-    churn_cfg.schedule.scale_down_weight = 0.0;
-    churn_cfg.schedule.join_weight = 1.0;
-    churn_cfg.schedule.leave_weight = 0.0;
-    churn_cfg.schedule.magnitude_lo = 1.5;
-    churn_cfg.schedule.magnitude_hi = 2.0;
-    const auto churn = run_reconfig(ic_kind::bluescale, churn_cfg, 2);
-    const auto quiet = run_reconfig(ic_kind::bluescale, small_config(0.0), 2);
+    // Every request is infeasible no matter what the other clients hold,
+    // so every admission test must reject -- and a fully rejected run
+    // must leave every client metric bit-identical to a run where no
+    // request ever arrived.
+    const auto churn = run_scripted(true);
+    const auto quiet = run_scripted(false);
 
     EXPECT_GT(count(churn, "submitted"), 0u);
+    EXPECT_EQ(count(churn, "rejected"), count(churn, "submitted"));
     EXPECT_EQ(count(churn, "admitted"), 0u);
     EXPECT_EQ(count(churn, "committed"), 0u);
-    EXPECT_GT(count(churn, "rejected_infeasible") +
-                  count(churn, "rejected_overutilized"),
-              0u);
     EXPECT_EQ(count(churn, "live_reconfigurations"), 0u);
 
     // Zero perturbation, observed end to end through the whole stack.

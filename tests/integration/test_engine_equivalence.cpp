@@ -1,6 +1,6 @@
 // The acceptance gate for the event-driven engine and the trial sweep:
-// the hybrid skip-to-next-event scheduler and the BLUESCALE_LOCKSTEP
-// cycle-stepped fallback must produce byte-identical exports -- same
+// the hybrid skip-to-next-event scheduler and the lockstep cycle-stepped
+// fallback (--lockstep) must produce byte-identical exports -- same
 // aggregates, metrics snapshot and event trace -- for every experiment
 // scenario (fig6, fig7, resilience, maintenance, reconfig, svc_storm,
 // wcrt_validation), and so must --threads 1 and --threads 4. A horizon
@@ -169,7 +169,6 @@ const scenario k_scenarios[] = {
          mc.maintenance.hammer_threshold = 128;
          mc.maintenance.hammer_mitigation_cycles = 16;
          cfg.storm_intensity = 0.4;
-         cfg.watchdog.check_period = 512;
          const auto r = run_sweep({.trials = 3,
                                    .seed = 3,
                                    .threads = threads,
@@ -191,9 +190,8 @@ const scenario k_scenarios[] = {
          // while components sleep; the admission/watchdog supervisors
          // have the longest horizons.
          reconfig_exp_config cfg;
-         cfg.scenario.measure_cycles = 8'000;
+         cfg.scenario.measure_cycles = 12'000;
          cfg.events_per_kcycle = 2.0;
-         cfg.reconfig_warmup = 1'000;
          return render_each({reconfig_cell(ic_kind::bluescale, cfg)}, 3, 13,
                             threads);
      }},

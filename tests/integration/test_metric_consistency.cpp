@@ -82,10 +82,9 @@ TEST_P(metric_consistency, timestamps_are_causally_ordered) {
 
 TEST_P(metric_consistency, latency_includes_memory_service_floor) {
     // Every transaction pays at least the row-hit service time.
-    const dram_timing t;
     const auto obs = run_design(GetParam(), 99);
     for (const auto& r : obs.done) {
-        EXPECT_GE(r.mem_done - r.mem_start, t.t_cas + t.t_burst)
+        EXPECT_GE(r.mem_done - r.mem_start, k_t_cas + k_t_burst)
             << kind_name(GetParam());
     }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "interconnect/axi_hyperconnect.hpp"
@@ -66,35 +67,42 @@ TEST(axi_hyperconnect, round_robin_fairness_under_saturation) {
 }
 
 TEST(axi_hyperconnect, outstanding_cap_bounds_a_flooding_client) {
+    constexpr std::uint32_t cap = k_hyperconnect_max_outstanding;
     axi_hyperconnect_config cfg;
-    cfg.max_outstanding_per_client = 2;
-    cfg.queue_depth = 8;
+    cfg.queue_depth = 2 * cap;
     rig r(2, cfg);
-    for (int i = 0; i < 8; ++i) {
+    for (std::uint32_t i = 0; i < 2 * cap; ++i) {
         r.net.client_push(0, req(i, 0, 1'000'000, i * 64));
     }
-    // Run a few cycles: no more than 2 of client 0's requests may be past
-    // the arbiter at once.
+    // Run a few cycles: no more than `cap` of client 0's requests may be
+    // past the arbiter at once.
     for (int i = 0; i < 12; ++i) {
         r.sim.step();
-        EXPECT_LE(r.net.outstanding(0), 2u);
+        EXPECT_LE(r.net.outstanding(0), cap);
     }
     r.run_until_drained();
-    EXPECT_EQ(r.completed.size(), 8u);
+    EXPECT_EQ(r.completed.size(), 2 * cap);
     EXPECT_EQ(r.net.outstanding(0), 0u);
 }
 
 TEST(axi_hyperconnect, credits_released_on_response) {
+    // Twice the credit budget from one client: the second half can only
+    // pass the arbiter on credits the first half's responses hand back.
+    constexpr std::uint32_t cap = k_hyperconnect_max_outstanding;
     axi_hyperconnect_config cfg;
-    cfg.max_outstanding_per_client = 1;
+    cfg.queue_depth = 2 * cap;
     rig r(2, cfg);
-    r.net.client_push(0, req(1, 0, 100'000));
-    r.net.client_push(0, req(2, 0, 100'000, 64));
-    r.run_until_drained();
-    // With credit 1 both still complete, strictly serialized.
-    ASSERT_EQ(r.completed.size(), 2u);
-    EXPECT_LT(r.completed[0].complete_cycle,
-              r.completed[1].complete_cycle);
+    for (std::uint32_t i = 0; i < 2 * cap; ++i) {
+        r.net.client_push(0, req(i + 1, 0, 100'000, i * 64));
+    }
+    std::uint32_t peak = 0;
+    for (int i = 0; i < 2'000 && r.net.in_flight() != 0; ++i) {
+        r.sim.step();
+        peak = std::max(peak, r.net.outstanding(0));
+    }
+    EXPECT_EQ(peak, cap);
+    ASSERT_EQ(r.completed.size(), 2 * cap);
+    EXPECT_EQ(r.net.outstanding(0), 0u);
 }
 
 TEST(axi_hyperconnect, blocking_charged_on_inversion) {

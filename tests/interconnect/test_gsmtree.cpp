@@ -51,17 +51,27 @@ TEST(gsmtree, fbsp_table_proportional_to_weights) {
     gsmtree_config cfg;
     cfg.reservation = gsm_reservation::fbsp;
     cfg.client_weights = {3.0, 1.0, 1.0, 1.0};
-    cfg.frame_slots = 12;
     gsmtree net(4, cfg);
     std::vector<int> counts(4, 0);
     for (client_id_t c : net.slot_table()) ++counts[c];
     int total = 0;
     for (int c : counts) total += c;
-    EXPECT_EQ(total, 12);
+    EXPECT_EQ(total, 8); // the auto frame: two slots per client
     // Heaviest client dominates; every client keeps its guaranteed slot.
     for (int i = 1; i < 4; ++i) {
         EXPECT_GT(counts[0], counts[i]);
         EXPECT_GE(counts[i], 1);
+    }
+}
+
+TEST(gsmtree, fbsp_auto_frame_is_two_slots_per_client) {
+    for (std::uint32_t n : {1u, 3u, 8u, 16u}) {
+        gsmtree_config cfg;
+        cfg.reservation = gsm_reservation::fbsp;
+        cfg.client_weights.assign(n, 1.0);
+        cfg.client_weights[0] = 5.0;
+        gsmtree net(n, cfg);
+        EXPECT_EQ(net.slot_table().size(), 2 * n) << n;
     }
 }
 
@@ -81,7 +91,6 @@ TEST(gsmtree, fbsp_spreads_slots_evenly) {
     gsmtree_config cfg;
     cfg.reservation = gsm_reservation::fbsp;
     cfg.client_weights = {1.0, 1.0};
-    cfg.frame_slots = 8;
     gsmtree net(2, cfg);
     // Smooth WRR with equal weights must alternate, not batch.
     const auto& table = net.slot_table();

@@ -25,7 +25,7 @@ mem_request req_at(std::uint64_t addr) {
 TEST(maintenance_engine, refresh_staggers_bank_phases) {
     dram_model d(refresh_timing(800, 40));
     maintenance_engine eng(d, {});
-    // Bank b's first window starts at (b+1)*t_refi/n_banks: bank 0 at
+    // Bank b's first window starts at (b+1)*t_refi/k_dram_banks: bank 0 at
     // 100, bank 7 at 800 (the classic all-banks cadence).
     eng.advance(99);
     EXPECT_EQ(eng.refreshes(), 0u);
@@ -148,7 +148,7 @@ TEST(maintenance_engine, controller_keeps_accepting_through_storm) {
     request_id_t id = 0;
     std::uint64_t serviced_during_storm = 0;
     for (cycle_t now = 0; now < 120; ++now) {
-        EXPECT_TRUE(mc.can_accept() || mc.config().request_queue_depth == 0 ||
+        EXPECT_TRUE(mc.can_accept() || k_request_queue_depth == 0 ||
                     !mc.can_accept()); // queue-full is the only refusal
         while (mc.can_accept()) mc.push(req_at(id++ * 64));
         const auto before = mc.serviced();
@@ -179,7 +179,7 @@ TEST(maintenance_engine, to_maintenance_model_converts_conservatively) {
     ASSERT_EQ(m.ops.size(), 3u);
     EXPECT_EQ(m.ops[0].period, 200u); // refresh: 800 / 4
     EXPECT_EQ(m.ops[0].cost, 11u);    // ceil(41 / 4)
-    // Scrub returns to a given bank every interval * n_banks.
+    // Scrub returns to a given bank every interval * k_dram_banks.
     EXPECT_EQ(m.ops[1].period, 400u * 8u / 4u);
     EXPECT_EQ(m.ops[1].cost, 2u);
     // Hammer threshold is already in units (one activation per start).

@@ -74,10 +74,8 @@ TEST(memory_controller, fcfs_preserves_order) {
 TEST(memory_controller, fr_fcfs_prefers_row_hit) {
     memctrl_config cfg;
     cfg.policy = memctrl_policy::fr_fcfs;
-    cfg.timing.n_banks = 2;
     memory_controller mc(cfg);
-    const std::uint64_t row_span =
-        cfg.timing.row_bytes * cfg.timing.n_banks;
+    const std::uint64_t row_span = k_row_bytes * k_dram_banks;
 
     // Open bank 0 row 0.
     mc.push(make_req(0, 0));
@@ -95,28 +93,30 @@ TEST(memory_controller, fr_fcfs_prefers_row_hit) {
 TEST(memory_controller, fr_fcfs_bypass_cap_prevents_starvation) {
     memctrl_config cfg;
     cfg.policy = memctrl_policy::fr_fcfs;
-    cfg.fr_fcfs_bypass_cap = 2;
-    cfg.timing.n_banks = 2;
-    cfg.request_queue_depth = 32;
     memory_controller mc(cfg);
-    const std::uint64_t row_span =
-        cfg.timing.row_bytes * cfg.timing.n_banks;
+    const std::uint64_t row_span = k_row_bytes * k_dram_banks;
 
     // Open bank 0 row 0.
     mc.push(make_req(100, 0));
     drain(mc, 50);
 
-    // One conflicting head + many row hits behind it.
+    // One conflicting head, and the queue kept full of row hits behind
+    // it: without the guard the hits would starve the head for good.
     mc.push(make_req(0, row_span)); // head, conflicts
-    for (request_id_t i = 1; i <= 10; ++i) mc.push(make_req(i, 0));
-    const auto done = drain(mc, 600, 50);
-    ASSERT_EQ(done.size(), 11u);
-    // The head must be served after at most fr_fcfs_bypass_cap bypasses.
-    std::size_t head_pos = 99;
+    request_id_t next = 1;
+    std::vector<mem_request> done;
+    for (cycle_t now = 50; now < 2000; ++now) {
+        while (mc.can_accept()) mc.push(make_req(next++, 0));
+        mc.tick(now);
+        while (mc.has_response()) done.push_back(mc.pop_response());
+        mc.commit();
+    }
+    // The head is served after exactly k_fr_fcfs_bypass_cap bypasses.
+    std::size_t head_pos = done.size();
     for (std::size_t i = 0; i < done.size(); ++i) {
         if (done[i].id == 0) head_pos = i;
     }
-    EXPECT_LE(head_pos, 2u);
+    EXPECT_EQ(head_pos, k_fr_fcfs_bypass_cap);
 }
 
 TEST(memory_controller, saturated_throughput_matches_interval) {
@@ -139,29 +139,35 @@ TEST(memory_controller, saturated_throughput_matches_interval) {
 }
 
 TEST(memory_controller, backpressure_when_queue_full) {
-    memctrl_config cfg;
-    cfg.request_queue_depth = 2;
-    memory_controller mc(cfg);
-    EXPECT_TRUE(mc.can_accept());
-    mc.push(make_req(0, 0));
-    mc.push(make_req(1, 64));
+    memory_controller mc;
+    for (request_id_t i = 0; i < k_request_queue_depth; ++i) {
+        EXPECT_TRUE(mc.can_accept());
+        mc.push(make_req(i, i * 64));
+    }
     EXPECT_FALSE(mc.can_accept());
 }
 
 TEST(memory_controller, response_backpressure_stalls_retirement) {
-    memctrl_config cfg;
-    cfg.response_queue_depth = 1;
-    memory_controller mc(cfg);
-    mc.push(make_req(0, 0));
-    mc.push(make_req(1, 64));
-    mc.push(make_req(2, 128));
-    // Never pop responses: retirement must stall, not drop.
-    for (cycle_t now = 0; now < 200; ++now) {
+    memory_controller mc;
+    constexpr request_id_t n = k_response_queue_depth + 2;
+    request_id_t pushed = 0;
+    // Never pop responses: retirement must stall at the response queue's
+    // depth, not drop.
+    for (cycle_t now = 0; now < 400; ++now) {
+        while (pushed < n && mc.can_accept()) {
+            mc.push(make_req(pushed, pushed * 64));
+            ++pushed;
+        }
         mc.tick(now);
         mc.commit();
     }
     std::uint64_t drained = 0;
-    for (cycle_t now = 200; now < 400; ++now) {
+    while (mc.has_response()) {
+        mc.pop_response();
+        ++drained;
+    }
+    EXPECT_EQ(drained, k_response_queue_depth);
+    for (cycle_t now = 400; now < 800; ++now) {
         mc.tick(now);
         while (mc.has_response()) {
             mc.pop_response();
@@ -169,7 +175,7 @@ TEST(memory_controller, response_backpressure_stalls_retirement) {
         }
         mc.commit();
     }
-    EXPECT_EQ(drained, 3u);
+    EXPECT_EQ(drained, n);
 }
 
 TEST(memory_controller, charges_blocking_to_earlier_deadline_waiters) {
@@ -202,10 +208,10 @@ TEST(memory_controller, refresh_blocks_starts_during_bank_window) {
     cfg.timing.t_refi = 100;
     cfg.timing.t_rfc = 40;
     memory_controller mc(cfg);
-    // Pin every request to bank 0 (addr stride = interleave * n_banks):
+    // Pin every request to bank 0 (addr stride = interleave * banks):
     // per-bank staggered refresh gives bank 0 the window
     // [t_refi/8 + 100k, t_refi/8 + 40 + 100k).
-    const cycle_t phase = cfg.timing.t_refi / cfg.timing.n_banks;
+    const cycle_t phase = cfg.timing.t_refi / k_dram_banks;
     request_id_t id = 0;
     std::vector<cycle_t> starts;
     for (cycle_t now = 0; now < 800; ++now) {

@@ -5,94 +5,30 @@
 namespace bluescale {
 namespace {
 
-mem_request req(request_id_t id, std::uint64_t addr) {
-    mem_request r;
-    r.id = id;
-    r.addr = addr;
-    r.abs_deadline = 1'000'000;
-    r.level_deadline = 1'000'000;
-    return r;
-}
-
-std::uint64_t run_stream(memory_subsystem& mem, cycle_t cycles) {
-    std::uint64_t pushed = 0;
-    for (cycle_t now = 0; now < cycles; ++now) {
-        while (mem.controller().can_accept()) {
-            mem.controller().push(req(pushed, pushed * 64));
-            ++pushed;
-        }
-        mem.controller().tick(now);
-        while (mem.controller().has_response()) {
-            mem.controller().pop_response();
-        }
-        mem.controller().commit();
-    }
-    return mem.stats().serviced;
-}
-
-TEST(memory_subsystem, preset_names) {
-    EXPECT_STREQ(preset_name(dram_preset::ddr3_1600), "DDR3-1600");
-    EXPECT_STREQ(preset_name(dram_preset::lpddr4), "LPDDR4");
-    EXPECT_STREQ(preset_name(dram_preset::fast_sram), "SRAM");
-}
-
 TEST(memory_subsystem, ddr3_matches_default_timing) {
-    const auto t = make_dram_timing(dram_preset::ddr3_1600);
-    const dram_timing d;
-    EXPECT_EQ(t.t_cas, d.t_cas);
-    EXPECT_EQ(t.n_banks, d.n_banks);
+    // The preset is the default controller with refresh switched on.
+    const memctrl_config p = make_memctrl_config(dram_preset::ddr3_1600);
+    const memctrl_config d;
+    EXPECT_EQ(p.policy, d.policy);
+    EXPECT_EQ(p.initiation_interval, d.initiation_interval);
+    EXPECT_EQ(d.timing.t_refi, 0u);
 }
 
 TEST(memory_subsystem, every_dram_preset_has_refresh_enabled) {
     // The struct default keeps refresh opt-in, but the *named* DRAM
-    // presets must model the real part: nonzero refresh cadence. Only
-    // SRAM legitimately skips refresh.
-    for (const auto preset : {dram_preset::ddr3_1600, dram_preset::lpddr4}) {
-        const auto t = make_dram_timing(preset);
-        EXPECT_GT(t.t_refi, 0u) << preset_name(preset);
-        EXPECT_GT(t.t_rfc, 0u) << preset_name(preset);
-        // The stall must be a small fraction of the cadence, or the
-        // preset would spend more time refreshing than serving.
-        EXPECT_LT(t.t_rfc, t.t_refi / 4) << preset_name(preset);
-    }
-    EXPECT_EQ(make_dram_timing(dram_preset::fast_sram).t_refi, 0u);
-}
-
-TEST(memory_subsystem, sram_is_uniform_and_fast) {
-    const auto cfg = make_memctrl_config(dram_preset::fast_sram);
-    EXPECT_EQ(cfg.initiation_interval, 1u);
-    EXPECT_EQ(cfg.timing.n_banks, 1u);
-}
-
-TEST(memory_subsystem, throughput_ordering_across_presets) {
-    memory_subsystem sram(dram_preset::fast_sram);
-    memory_subsystem ddr(dram_preset::ddr3_1600);
-    memory_subsystem lp(dram_preset::lpddr4);
-    const auto s = run_stream(sram, 4000);
-    const auto d = run_stream(ddr, 4000);
-    const auto l = run_stream(lp, 4000);
-    EXPECT_GT(s, d);
-    EXPECT_GT(d, l);
-}
-
-TEST(memory_subsystem, stats_snapshot_and_describe) {
-    memory_subsystem mem;
-    run_stream(mem, 500);
-    const auto s = mem.stats();
-    EXPECT_GT(s.serviced, 0u);
-    EXPECT_GT(s.row_hits + s.row_misses, 0u);
-    EXPECT_GE(s.hit_rate(), 0.0);
-    EXPECT_LE(s.hit_rate(), 1.0);
-    const std::string d = mem.describe();
-    EXPECT_NE(d.find("DDR3-1600"), std::string::npos);
-    EXPECT_NE(d.find("row hits"), std::string::npos);
+    // preset must model the real part: nonzero refresh cadence.
+    const dram_timing t = make_memctrl_config(dram_preset::ddr3_1600).timing;
+    EXPECT_GT(t.t_refi, 0u);
+    EXPECT_GT(t.t_rfc, 0u);
+    // The stall must be a small fraction of the cadence, or the preset
+    // would spend more time refreshing than serving.
+    EXPECT_LT(t.t_rfc, t.t_refi / 4);
 }
 
 TEST(memory_subsystem, usable_behind_an_interconnect) {
-    memory_subsystem mem(dram_preset::ddr3_1600);
-    // The facade exposes the same controller the interconnects attach to.
-    EXPECT_TRUE(mem.controller().can_accept());
-    EXPECT_TRUE(mem.controller().idle());
+    memory_controller mc(make_memctrl_config(dram_preset::ddr3_1600));
+    EXPECT_TRUE(mc.can_accept());
+    EXPECT_TRUE(mc.idle());
 }
 
 } // namespace

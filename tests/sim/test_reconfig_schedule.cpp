@@ -65,16 +65,16 @@ TEST(reconfig_schedule, magnitudes_respect_action_ranges) {
     for (const auto& ev : s.events()) {
         switch (ev.action) {
         case reconfig_action::scale_up:
-            EXPECT_GE(ev.magnitude, 1.0 + cfg.magnitude_lo);
-            EXPECT_LE(ev.magnitude, 1.0 + cfg.magnitude_hi);
+            EXPECT_GE(ev.magnitude, 1.0 + k_magnitude_lo);
+            EXPECT_LE(ev.magnitude, 1.0 + k_magnitude_hi);
             break;
         case reconfig_action::scale_down:
-            EXPECT_GE(ev.magnitude, 1.0 - cfg.magnitude_hi);
-            EXPECT_LE(ev.magnitude, 1.0 - cfg.magnitude_lo);
+            EXPECT_GE(ev.magnitude, 1.0 - k_magnitude_hi);
+            EXPECT_LE(ev.magnitude, 1.0 - k_magnitude_lo);
             break;
         case reconfig_action::join:
-            EXPECT_GE(ev.magnitude, cfg.magnitude_lo);
-            EXPECT_LE(ev.magnitude, cfg.magnitude_hi);
+            EXPECT_GE(ev.magnitude, k_magnitude_lo);
+            EXPECT_LE(ev.magnitude, k_magnitude_hi);
             break;
         case reconfig_action::leave:
             EXPECT_EQ(ev.magnitude, 0.0);
@@ -83,18 +83,19 @@ TEST(reconfig_schedule, magnitudes_respect_action_ranges) {
     }
 }
 
-TEST(reconfig_schedule, zero_weight_disables_action) {
+TEST(reconfig_schedule, actions_follow_the_fixed_weights) {
+    // Weights 1 : 1 : 0.5 : 0.5, so joins and leaves are a third of the
+    // events between them.
     auto cfg = busy_config();
     cfg.events_per_kcycle = 2.0;
-    cfg.join_weight = 0.0;
-    cfg.leave_weight = 0.0;
     const reconfig_schedule s(cfg);
-    ASSERT_FALSE(s.empty());
-    EXPECT_EQ(s.count(reconfig_action::join), 0u);
-    EXPECT_EQ(s.count(reconfig_action::leave), 0u);
-    EXPECT_EQ(s.count(reconfig_action::scale_up) +
-                  s.count(reconfig_action::scale_down),
-              s.size());
+    ASSERT_EQ(s.size(), 90u);
+    for (std::size_t a = 0; a < k_reconfig_actions; ++a) {
+        EXPECT_GT(s.count(static_cast<reconfig_action>(a)), 0u);
+    }
+    const double churn = static_cast<double>(
+        s.count(reconfig_action::join) + s.count(reconfig_action::leave));
+    EXPECT_NEAR(churn / static_cast<double>(s.size()), 1.0 / 3.0, 0.1);
 }
 
 TEST(reconfig_schedule, scripted_events_are_sorted) {

@@ -96,22 +96,26 @@ TEST(analysis_service, feasible_request_commits_end_to_end) {
 }
 
 TEST(analysis_service, bounded_queue_sheds_with_hysteresis) {
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.max_queue = 2;
-    cfg.resume_depth = 1;
-    cfg.min_eval_cycles = 50'000; // nothing drains during the test
-    rig r(cfg);
-    const analysis::task_set tasks{{100, 8}};
+    static_assert(k_max_queue == 16 && k_resume_depth == 8);
+    rig r;
+    // Distinct keys, so every dispatch is a full exact evaluation that
+    // holds its worker for hundreds of cycles.
+    const auto tasks = [](std::uint32_t i) {
+        return analysis::task_set{{100 + i, 8}};
+    };
+    std::uint32_t next = 0;
+    const auto submit = [&] {
+        const std::uint32_t i = next++;
+        return r.service->submit(i % 16, tasks(i), r.sim.now());
+    };
 
-    const auto a = r.service->submit(1, tasks, r.sim.now());
-    const auto b = r.service->submit(2, tasks, r.sim.now());
-    const auto c = r.service->submit(3, tasks, r.sim.now());
-    const auto d = r.service->submit(4, tasks, r.sim.now());
-    EXPECT_EQ(r.service->record(a).outcome, request_outcome::pending);
-    EXPECT_EQ(r.service->record(b).outcome, request_outcome::pending);
-    // The queue bound shed c and d immediately, with a structured reason.
-    for (auto id : {c, d}) {
+    for (std::size_t i = 0; i < k_max_queue; ++i) {
+        EXPECT_EQ(r.service->record(submit()).outcome,
+                  request_outcome::pending);
+    }
+    // The queue bound sheds the next two immediately, with a structured
+    // reason.
+    for (auto id : {submit(), submit()}) {
         const auto& rec = r.service->record(id);
         EXPECT_EQ(rec.outcome, request_outcome::shed);
         EXPECT_EQ(rec.reject_reason,
@@ -121,25 +125,31 @@ TEST(analysis_service, bounded_queue_sheds_with_hysteresis) {
     }
     EXPECT_TRUE(r.service->shedding());
 
-    // One dispatch drains the queue to the low watermark; the hysteresis
-    // gate then reopens admission.
-    r.sim.run(4);
-    ASSERT_EQ(r.service->queue_depth(), 1u);
-    const auto e = r.service->submit(5, tasks, r.sim.now());
-    EXPECT_EQ(r.service->record(e).outcome, request_outcome::pending);
+    // The workers' first dispatches open room below the bound, but
+    // shedding holds until the queue drains to the low watermark.
+    r.sim.run(1);
+    ASSERT_EQ(r.service->queue_depth(), k_max_queue - k_workers);
+    EXPECT_EQ(r.service->record(submit()).outcome, request_outcome::shed);
+    EXPECT_TRUE(r.service->shedding());
+
+    // At the watermark the hysteresis gate reopens admission.
+    r.sim.run_until(
+        [&] { return r.service->queue_depth() <= k_resume_depth; },
+        500'000);
+    ASSERT_EQ(r.service->queue_depth(), k_resume_depth);
+    EXPECT_EQ(r.service->record(submit()).outcome, request_outcome::pending);
     EXPECT_FALSE(r.service->shedding());
-    EXPECT_EQ(r.service->stats().shed, 2u);
-    EXPECT_EQ(r.service->stats().accepted, 3u);
+    EXPECT_EQ(r.service->stats().shed, 3u);
+    EXPECT_EQ(r.service->stats().accepted, k_max_queue + 1);
 }
 
 TEST(analysis_service, queued_request_expires_at_its_deadline) {
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.min_eval_cycles = 10'000; // first request occupies the worker
-    rig r(cfg);
+    rig r;
+    // Two exact evaluations occupy both workers.
     const auto a =
         r.service->submit(1, analysis::task_set{{100, 8}}, r.sim.now());
-    const auto b = r.service->submit(2, analysis::task_set{{100, 8}},
+    r.service->submit(2, analysis::task_set{{100, 8}}, r.sim.now());
+    const auto b = r.service->submit(3, analysis::task_set{{100, 8}},
                                      r.sim.now(), /*deadline=*/50);
     r.sim.run(200);
     EXPECT_EQ(r.service->record(a).outcome, request_outcome::pending);
@@ -152,12 +162,13 @@ TEST(analysis_service, queued_request_expires_at_its_deadline) {
 }
 
 TEST(analysis_service, deadline_cancels_an_in_flight_evaluation) {
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.min_eval_cycles = 10'000; // far beyond the request's deadline
-    rig r(cfg);
+    rig r;
+    // The exact evaluation's modeled cost (hundreds of cycles) outruns
+    // the request's deadline; a second request holds the other worker.
     const auto a = r.service->submit(1, analysis::task_set{{100, 8}},
                                      r.sim.now(), /*deadline=*/100);
+    const auto other =
+        r.service->submit(2, analysis::task_set{{100, 8}}, r.sim.now());
     r.sim.run(5);
     // Dispatched: the evaluation's modeled cost will outrun the deadline.
     EXPECT_FALSE(r.service->idle());
@@ -168,9 +179,13 @@ TEST(analysis_service, deadline_cancels_an_in_flight_evaluation) {
     EXPECT_NE(rec.detail.find("cancelled"), std::string::npos)
         << rec.detail;
 
-    // Cancellation freed the worker slot: a live request runs to commit.
+    // Cancellation freed the worker slot: a live request is dispatched at
+    // once while the other worker is still busy, and runs to commit.
+    ASSERT_EQ(r.service->record(other).outcome, request_outcome::pending);
     const auto b =
-        r.service->submit(2, analysis::task_set{{100, 8}}, r.sim.now());
+        r.service->submit(3, analysis::task_set{{100, 8}}, r.sim.now());
+    r.sim.run(1);
+    EXPECT_EQ(r.service->queue_depth(), 0u);
     r.run_until_done(b);
     EXPECT_EQ(r.service->record(b).outcome, request_outcome::committed);
     r.run_until_idle();
@@ -178,39 +193,32 @@ TEST(analysis_service, deadline_cancels_an_in_flight_evaluation) {
 }
 
 TEST(analysis_service, transient_path_hazard_retries_then_commits) {
-    service_config cfg;
-    // A generous retry budget and long backoff rounds, so the hazard can
-    // clear mid-backoff without the budget running dry first.
-    cfg.max_retries = 10;
-    cfg.backoff_base = 2'048;
-    cfg.backoff_cap = 8'192;
-    rig r(cfg);
+    rig r;
     // Client 6 sits behind leaf SE(1, 1): the manager rejects its
     // admission with rejected_path_hazard while the SE is degraded.
     r.fabric.se_at(1, 1).set_degraded(true);
     const auto id =
         r.service->submit(6, analysis::task_set{{100, 8}}, r.sim.now());
-    // The first exact evaluation models O(10k) cycles; run past it plus
-    // at least one backoff round (the redo is a cache hit, so cheap).
-    r.sim.run(15'000);
+    // Run until the first rejection has scheduled a retry: the request
+    // now waits out its backoff round.
+    r.sim.run_until([&] { return r.service->record(id).retries >= 1; },
+                    500'000);
     EXPECT_EQ(r.service->record(id).outcome, request_outcome::pending);
-    EXPECT_GE(r.service->record(id).retries, 1u);
+    EXPECT_EQ(r.service->record(id).retries, 1u);
 
-    // The hazard clears; the next retry goes through.
+    // The hazard clears mid-backoff; the next retry goes through.
     r.fabric.se_at(1, 1).set_degraded(false);
     r.run_until_done(id);
     const auto& rec = r.service->record(id);
     EXPECT_EQ(rec.outcome, request_outcome::committed);
-    EXPECT_GE(rec.retries, 1u);
+    EXPECT_EQ(rec.retries, 1u);
     EXPECT_EQ(r.service->stats().retries, rec.retries);
     r.run_until_idle();
     r.expect_conserved();
 }
 
 TEST(analysis_service, retries_exhaust_into_a_structured_rejection) {
-    service_config cfg;
-    cfg.max_retries = 2;
-    rig r(cfg);
+    rig r;
     r.fabric.se_at(1, 1).set_degraded(true); // never recovers
     const auto id =
         r.service->submit(6, analysis::task_set{{100, 8}}, r.sim.now());
@@ -219,7 +227,7 @@ TEST(analysis_service, retries_exhaust_into_a_structured_rejection) {
     EXPECT_EQ(rec.outcome, request_outcome::rejected);
     EXPECT_EQ(rec.reject_reason,
               core::admission_outcome::rejected_path_hazard);
-    EXPECT_EQ(rec.retries, 2u);
+    EXPECT_EQ(rec.retries, k_max_retries);
     EXPECT_NE(rec.detail.find("retries exhausted"), std::string::npos)
         << rec.detail;
     r.run_until_idle();
@@ -246,9 +254,7 @@ TEST(analysis_service, retry_backoff_schedule_is_deterministic) {
 }
 
 TEST(analysis_service, result_cache_hits_and_invalidates_on_commit) {
-    service_config cfg;
-    cfg.workers = 1;
-    rig r(cfg);
+    rig r;
     // Near-unit utilization: infeasible, so resolving it commits nothing
     // and the cache entry stays valid for the repeat.
     const analysis::task_set heavy{{40, 39}};
@@ -291,83 +297,68 @@ TEST(analysis_service, result_cache_hits_and_invalidates_on_commit) {
 }
 
 TEST(analysis_service, breaker_trips_to_degraded_precision_and_recovers) {
-    // Calibrate the slow-evaluation threshold between a cheap and an
-    // expensive exact test, so the breaker FSM can be driven through
-    // closed -> open -> half_open -> closed with real evaluations. The
-    // cost ordering is measured, not assumed: exact-test work tracks the
-    // Theorem 1 bound (bandwidth-utilization gap), not the task count.
-    const std::vector<analysis::task_set> candidates = {
-        {{200, 4}},
-        {{100, 8}},
-        {{100, 30}},
-        {{100, 30}, {150, 30}},
-        {{97, 1}, {89, 1}, {83, 1}, {79, 1}},
-        {{40, 10}},
-    };
-    rig probe;
-    analysis::task_set cheap;
-    analysis::task_set dear;
-    std::uint64_t cheap_cost = 0;
-    std::uint64_t dear_cost = 0;
-    for (const auto& tasks : candidates) {
-        const auto eval = probe.mgr->evaluate(0, tasks);
-        if (!eval.feasible) continue;
-        const auto cost = eval.report.total_cycles;
-        if (cheap.empty() || cost < cheap_cost) {
-            cheap = tasks;
-            cheap_cost = cost;
+    // One exact evaluation above the slow threshold and one far below it,
+    // so the breaker FSM can be driven through closed -> open ->
+    // half_open -> closed with real evaluations. Exact-test work tracks
+    // the Theorem 1 bound (bandwidth-utilization gap), so the dear set is
+    // a many-task draw at half the port's bandwidth.
+    const analysis::task_set dear{{452, 11}, {205, 10}, {1400, 81},
+                                  {213, 13}, {641, 7},  {750, 66},
+                                  {298, 22}, {940, 132}};
+    const analysis::task_set cheap{{100, 8}};
+    {
+        rig probe;
+        for (std::uint32_t c : {1u, 2u, 3u, 4u}) {
+            ASSERT_GT(probe.mgr->evaluate(c, dear).report.total_cycles,
+                      k_breaker_slow_cycles);
         }
-        if (dear.empty() || cost > dear_cost) {
-            dear = tasks;
-            dear_cost = cost;
-        }
+        ASSERT_LE(probe.mgr->evaluate(5, cheap).report.total_cycles,
+                  k_breaker_slow_cycles);
     }
-    ASSERT_GT(dear_cost, cheap_cost + 4) << "no usable cost spread";
+    static_assert(k_workers == 2 && k_breaker_trip_after == 3 &&
+                  k_breaker_close_after == 2);
 
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.breaker_trip_after = 2;
-    cfg.breaker_slow_cycles = cheap_cost + (dear_cost - cheap_cost) / 2;
-    // The cooldown must outlast the tripping evaluation itself: the
-    // half-open transition is lazy (checked at dispatch), so a cooldown
-    // shorter than dear_cost would already have elapsed by the time the
-    // next request reaches a worker.
-    cfg.breaker_cooldown = dear_cost * 20;
-    cfg.breaker_close_after = 1;
-    rig r(cfg);
-
-    // Two consecutive over-budget exact evaluations trip the breaker.
-    const auto a = r.service->submit(1, dear, r.sim.now());
-    r.run_until_done(a);
-    const auto b = r.service->submit(2, dear, r.sim.now());
-    r.run_until_done(b);
-    EXPECT_EQ(r.service->breaker(), breaker_state::open);
+    rig r;
+    // Three consecutive over-budget exact evaluations trip the breaker:
+    // two dispatch at once, the third when a worker frees up. The cost
+    // is noted at dispatch, so the trip lands as the third one starts.
+    r.service->submit(1, dear, r.sim.now());
+    r.service->submit(2, dear, r.sim.now());
+    const auto c = r.service->submit(3, dear, r.sim.now());
+    r.sim.run_until(
+        [&] { return r.service->breaker() == breaker_state::open; },
+        500'000);
+    ASSERT_EQ(r.service->breaker(), breaker_state::open);
     EXPECT_EQ(r.service->stats().breaker_trips, 1u);
 
     // While open, requests are answered from the sufficient-test
     // portfolio -- degraded precision, reported on the record.
-    const auto c = r.service->submit(3, dear, r.sim.now());
-    r.run_until_done(c);
-    EXPECT_TRUE(r.service->record(c).degraded);
-    EXPECT_GT(r.service->stats().degraded_evals, 0u);
-
-    // After the cooldown the next dispatch half-opens; a fast
-    // full-precision probe closes the breaker again.
-    r.sim.run(cfg.breaker_cooldown + 1);
-    const auto d = r.service->submit(4, cheap, r.sim.now());
+    const auto d = r.service->submit(4, dear, r.sim.now());
     r.run_until_done(d);
+    EXPECT_TRUE(r.service->record(d).degraded);
+    EXPECT_GT(r.service->stats().degraded_evals, 0u);
+    EXPECT_EQ(r.service->breaker(), breaker_state::open);
+
+    // After the cooldown the next dispatch half-opens; two fast
+    // full-precision probes close the breaker again.
+    r.sim.run(k_breaker_cooldown + 1);
+    const auto e = r.service->submit(5, cheap, r.sim.now());
+    r.sim.run(1);
+    EXPECT_EQ(r.service->breaker(), breaker_state::half_open);
+    const auto f = r.service->submit(7, cheap, r.sim.now());
+    r.run_until_done(e);
+    r.run_until_done(f);
     EXPECT_EQ(r.service->breaker(), breaker_state::closed);
-    EXPECT_FALSE(r.service->record(d).degraded);
+    EXPECT_FALSE(r.service->record(e).degraded);
+    EXPECT_FALSE(r.service->record(f).degraded);
+    EXPECT_FALSE(r.service->record(c).degraded);
     r.run_until_idle();
     r.expect_conserved();
 }
 
 TEST(analysis_service, worker_crash_requeues_in_flight_exactly_once) {
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.min_eval_cycles = 1'000;
-    rig r(cfg);
-    // Scripted crash mid-evaluation: [100, 150).
+    rig r;
+    // Scripted crash of worker 0, mid-evaluation: [100, 150).
     r.service->install_faults(sim::fault_campaign(
         {{sim::fault_kind::worker_crash, 0, 100, 50}}));
     const auto id =
@@ -389,10 +380,7 @@ TEST(analysis_service, worker_crash_requeues_in_flight_exactly_once) {
 }
 
 TEST(analysis_service, worker_stall_defers_completion_without_loss) {
-    service_config cfg;
-    cfg.workers = 1;
-    cfg.min_eval_cycles = 1'000;
-    rig r(cfg);
+    rig r;
     r.service->install_faults(sim::fault_campaign(
         {{sim::fault_kind::worker_stall, 0, 100, 100}}));
     const auto id =
@@ -406,9 +394,7 @@ TEST(analysis_service, worker_stall_defers_completion_without_loss) {
 }
 
 TEST(analysis_service, idle_worker_crash_is_counted_but_harmless) {
-    service_config cfg;
-    cfg.workers = 1;
-    rig r(cfg);
+    rig r;
     r.service->install_faults(sim::fault_campaign(
         {{sim::fault_kind::worker_crash, 0, 10, 20}}));
     r.sim.run(100); // the crash window passes with no work in flight
@@ -422,8 +408,6 @@ TEST(analysis_service, idle_worker_crash_is_counted_but_harmless) {
 
 TEST(analysis_service, conservation_holds_under_scripted_chaos) {
     service_config cfg;
-    cfg.workers = 2;
-    cfg.max_queue = 4;
     cfg.default_deadline = 4'000;
     rig r(cfg);
     // A dense seeded worker-fault campaign over the submission window.
@@ -437,7 +421,7 @@ TEST(analysis_service, conservation_holds_under_scripted_chaos) {
     fc.backpressure_weight = 0.0;
     fc.worker_crash_weight = 1.0;
     fc.worker_stall_weight = 1.0;
-    fc.n_workers = 2;
+    fc.n_workers = k_workers;
     const sim::fault_campaign campaign(fc);
     ASSERT_FALSE(campaign.empty());
     r.service->install_faults(campaign);

@@ -24,20 +24,20 @@ struct rig {
 
 dnn_config small_cfg() {
     dnn_config cfg;
-    cfg.burst_requests = 8;
     cfg.compute_cycles = 50;
     cfg.layers = 3;
-    cfg.window = 4;
     cfg.bandwidth_share = 1.0; // unthrottled unless a test says otherwise
     return cfg;
 }
 
 TEST(dnn_accelerator, issues_layer_bursts) {
-    rig r(small_cfg());
-    r.sim.run(5'000);
-    EXPECT_GT(r.ha.requests_issued(), 8u);
+    // A long compute phase, so the run ends between bursts.
+    auto cfg = small_cfg();
+    cfg.compute_cycles = 1'000;
+    rig r(cfg);
+    r.sim.run(2'500);
     // Requests come in multiples of layers processed.
-    EXPECT_EQ(r.ha.requests_issued() % 8, 0u);
+    EXPECT_EQ(r.ha.requests_issued(), 2 * k_dnn_burst_requests);
 }
 
 TEST(dnn_accelerator, completes_inferences) {
@@ -48,12 +48,9 @@ TEST(dnn_accelerator, completes_inferences) {
 
 TEST(dnn_accelerator, window_bounds_outstanding) {
     // With a long loopback latency the HA can never exceed its window.
-    auto cfg = small_cfg();
-    cfg.burst_requests = 32;
-    cfg.window = 4;
-    rig r(cfg, /*latency=*/500);
+    rig r(small_cfg(), /*latency=*/500);
     r.sim.run(400);
-    EXPECT_LE(r.ha.requests_issued(), 4u);
+    EXPECT_EQ(r.ha.requests_issued(), k_dnn_window);
 }
 
 TEST(dnn_accelerator, bandwidth_cap_throttles_issue_rate) {
@@ -67,7 +64,7 @@ TEST(dnn_accelerator, bandwidth_cap_throttles_issue_rate) {
               r_fast.ha.requests_issued() / 2);
     // Cap: share / unit_cycles requests per cycle (+ bucket burst).
     EXPECT_LE(r_slow.ha.requests_issued(),
-              static_cast<std::uint64_t>(20'000 * 0.05 / 4) + slow.window);
+              static_cast<std::uint64_t>(20'000 * 0.05 / 4) + k_dnn_window);
 }
 
 TEST(dnn_accelerator, compute_phase_pauses_traffic) {
@@ -77,7 +74,7 @@ TEST(dnn_accelerator, compute_phase_pauses_traffic) {
     cfg.compute_cycles = 2000;
     rig r(cfg, /*latency=*/1);
     r.sim.run(1000);
-    EXPECT_EQ(r.ha.requests_issued(), 8u);
+    EXPECT_EQ(r.ha.requests_issued(), k_dnn_burst_requests);
 }
 
 TEST(dnn_accelerator, requests_are_reads_with_deadlines) {

@@ -41,12 +41,10 @@ struct rig {
     simulator sim;
 };
 
-traffic_gen_config retry_config(cycle_t timeout, std::uint32_t retries,
-                                std::uint32_t backoff = 2) {
+traffic_gen_config retry_config(cycle_t timeout, std::uint32_t retries) {
     traffic_gen_config cfg;
     cfg.retry_timeout_cycles = timeout;
     cfg.max_retries = retries;
-    cfg.retry_backoff_mult = backoff;
     return cfg;
 }
 
@@ -92,7 +90,8 @@ TEST(retry, exhausted_budget_gives_request_up) {
 TEST(retry, backoff_doubles_each_window) {
     // timeout 50, backoff x2: expiries at 50, then 50+100=150, then
     // 150+200=350 (exhaustion). All three attempts are dropped.
-    rig r({task(1, 2500, 1)}, retry_config(50, 2, /*backoff=*/2));
+    static_assert(k_retry_backoff_mult == 2);
+    rig r({task(1, 2500, 1)}, retry_config(50, 2));
     r.net.drop_next(3);
     r.sim.run(149);
     EXPECT_EQ(r.gen.stats().retries(), 1u); // second expiry not yet due

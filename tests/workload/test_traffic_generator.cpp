@@ -99,18 +99,16 @@ TEST(traffic_generator, respects_backpressure) {
 }
 
 TEST(traffic_generator, respects_outstanding_cap) {
-    traffic_gen_config cfg;
-    cfg.max_outstanding = 2;
     loopback_interconnect net(1, /*latency=*/1000); // responses far away
-    traffic_generator gen(0, {task(1, 10, 50)}, net, 7, cfg);
+    traffic_generator gen(0, {task(1, 10, 50)}, net, 7);
     net.set_response_handler(
         [&](mem_request&& r) { gen.on_response(std::move(r)); });
     simulator sim;
     sim.add(gen);
     sim.add(net);
     sim.run(200);
-    EXPECT_EQ(gen.stats().issued(), 2u);
-    EXPECT_EQ(gen.outstanding(), 2u);
+    EXPECT_EQ(gen.stats().issued(), k_max_outstanding);
+    EXPECT_EQ(gen.outstanding(), k_max_outstanding);
 }
 
 TEST(traffic_generator, finalize_counts_stranded_requests_as_missed) {
