@@ -10,6 +10,7 @@
 // --csv dumps one row per cell of both tables (keys design, policy,
 // refresh); --metrics and --trace export the last cell (BlueTree with
 // refresh on).
+#include <cstddef>
 #include <cstdio>
 
 #include "harness/bench_cli.hpp"
@@ -65,23 +66,26 @@ int main(int argc, char** argv) {
 
     // DRAM refresh: a fixed-cadence disturbance that steals ~3% of the
     // device time and closes every row. Predictable designs must absorb
-    // it; the table shows the worst-case/miss impact per design.
+    // it; the table shows the worst-case/miss impact per design. A
+    // design's refresh-off row is its FR-FCFS policy row (rows 0, 2 and
+    // 4), so that cell runs once.
     report_section refresh{"\nDRAM refresh disturbance (tREFI=1560, "
                            "tRFC=44 cycles, ~2.8% duty):\n",
                            {"design", "refresh"}, k_refresh_columns, {}};
+    std::size_t fr_fcfs_row = 0;
     for (ic_kind kind :
          {ic_kind::bluescale, ic_kind::axi_icrt, ic_kind::bluetree}) {
-        for (bool on : {false, true}) {
-            fig6_config cfg = base;
-            if (on) {
-                cfg.scenario.memctrl.timing.t_refi = 1560;
-                cfg.scenario.memctrl.timing.t_rfc = 44;
-            }
-            refresh.rows.push_back({fig6_cell(kind, cfg),
-                                    {kind_name(kind), on ? "on" : "off"},
-                                    {kind_name(kind), "FR-FCFS",
-                                     on ? "on" : "off"}});
-        }
+        refresh.rows.push_back({.cell = policies.rows[fr_fcfs_row].cell,
+                                .labels = {kind_name(kind), "off"},
+                                .keys = {kind_name(kind), "FR-FCFS", "off"},
+                                .same_as = fr_fcfs_row});
+        fig6_config cfg = base;
+        cfg.scenario.memctrl.timing.t_refi = 1560;
+        cfg.scenario.memctrl.timing.t_rfc = 44;
+        refresh.rows.push_back({fig6_cell(kind, cfg),
+                                {kind_name(kind), "on"},
+                                {kind_name(kind), "FR-FCFS", "on"}});
+        fr_fcfs_row += 2;
     }
     run_report(opts, {.csv_keys = {"design", "policy", "refresh"},
                       .sections = {std::move(policies), std::move(refresh)}});

@@ -78,11 +78,13 @@ private:
     bluescale_ic& fabric_;
     cycle_t next_check_ = k_health_period;
     std::vector<element_state> state_; ///< indexed by se_linear_index
-    /// Metrics bind_observability registers (own_'s capacity).
+    /// Metrics bind_observability registers (own_'s capacity), and how
+    /// many of them are sample metrics.
     static constexpr std::size_t k_metric_count = 3;
+    static constexpr std::size_t k_sample_count = 1;
     /// Unnamed storage while unbound (bind_observability re-homes the
     /// handles).
-    obs::value_block own_{k_metric_count};
+    obs::value_block own_{k_metric_count, k_sample_count};
     obs::counter degrade_events_;
     obs::counter recovery_events_;
     obs::sample time_to_recover_;

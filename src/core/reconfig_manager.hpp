@@ -283,11 +283,13 @@ private:
     analysis::tree_selection staged_selection_;
     std::vector<analysis::task_set> staged_tasks_;
 
-    /// Metrics bind_observability registers (own_'s capacity).
+    /// Metrics bind_observability registers (own_'s capacity), and how
+    /// many of them are sample metrics.
     static constexpr std::size_t k_metric_count = 8;
+    static constexpr std::size_t k_sample_count = 1;
     /// Unnamed storage while unbound (bind_observability re-homes the
     /// handles).
-    obs::value_block own_{k_metric_count};
+    obs::value_block own_{k_metric_count, k_sample_count};
     std::uint64_t version_ = 0;
     obs::counter submitted_;
     obs::counter admitted_;

@@ -236,11 +236,13 @@ private:
     cycle_t refused_at_ = k_cycle_never;
     std::uint8_t refused_mask_ = 0;
     std::uint32_t tree_level_ = 0;
-    /// Metrics bind_observability registers (own_'s capacity).
+    /// Metrics bind_observability registers (own_'s capacity), and how
+    /// many of them are sample metrics.
     static constexpr std::size_t k_metric_count = 5 + 3 * k_se_ports;
+    static constexpr std::size_t k_sample_count = 1;
     /// Unnamed storage while unbound (bind_observability re-homes the
     /// handles).
-    obs::value_block own_{k_metric_count};
+    obs::value_block own_{k_metric_count, k_sample_count};
     obs::counter forwarded_;
     obs::counter forwarded_budgeted_;
     std::array<obs::counter, k_se_ports> port_forwarded_;

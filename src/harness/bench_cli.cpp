@@ -289,14 +289,20 @@ std::vector<std::string> csv_row(std::span<const report_column> columns,
 std::vector<sweep_result> run_report(const bench_options& opts,
                                      const bench_report& report) {
     std::vector<sweep_cell> cells;
+    std::vector<std::size_t> cell_of; ///< by row, over the whole report
     std::optional<std::size_t> exported;
     for (const report_section& s : report.sections) {
         for (const report_row& row : s.rows) {
-            if (row.exported) exported = cells.size();
-            cells.push_back(row.cell);
+            if (row.same_as) {
+                cell_of.push_back(cell_of.at(*row.same_as));
+            } else {
+                cell_of.push_back(cells.size());
+                cells.push_back(row.cell);
+            }
+            if (row.exported) exported = cell_of.back();
         }
     }
-    if (!exported) exported = cells.size() - 1;
+    if (!exported) exported = cell_of.back();
 
     std::optional<stats::csv_writer> csv;
     if (!opts.csv_path.empty()) {
@@ -320,8 +326,18 @@ std::vector<sweep_result> run_report(const bench_options& opts,
                           .profile = opts.profile};
     if (!opts.metrics_path.empty()) grid.metrics_cell = exported;
     if (!opts.trace_path.empty()) grid.trace_cell = exported;
-    auto results = run_sweep(grid, cells);
-    write_exports(opts, results[*exported]);
+    auto ran = run_sweep(grid, cells);
+    write_exports(opts, ran[*exported]);
+    // A repeating row copies the result of the row it repeats.
+    std::vector<sweep_result> results;
+    results.reserve(cell_of.size());
+    for (const report_section& s : report.sections) {
+        for (const report_row& row : s.rows) {
+            results.push_back(row.same_as
+                                  ? results[*row.same_as]
+                                  : std::move(ran[cell_of[results.size()]]));
+        }
+    }
 
     std::span<const sweep_result> rest = results;
     for (const report_section& s : report.sections) {

@@ -10,7 +10,9 @@
 // totals, so every value is declared once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -92,6 +94,11 @@ struct report_row {
     /// --metrics and --trace export this row's cell (the report's last
     /// cell when no row is marked).
     bool exported = false;
+    /// The earlier row, counted over the whole report in order, whose
+    /// cell this row repeats: the cell runs once and both rows show its
+    /// result. `cell` must then be that row's cell (it names the row's
+    /// metrics).
+    std::optional<std::size_t> same_as = std::nullopt;
 };
 
 struct report_section {
@@ -117,7 +124,8 @@ struct bench_report {
 /// --csv row per row; prints each section's title and table, under
 /// --profile followed by each row's simulator throughput, and the grid's
 /// sweep wall time at the end. Exits with a diagnostic when an output
-/// file cannot be created. Returns the cells' results in row order.
+/// file cannot be created. Returns the rows' results in row order (a
+/// same_as row's cell runs once; both rows get its result).
 std::vector<sweep_result> run_report(const bench_options& opts,
                                      const bench_report& report);
 

@@ -16,28 +16,17 @@ enum class mem_op : std::uint8_t { read, write };
 /// One memory transaction. The same object travels up the request path,
 /// through the memory controller, and back down the response path; timing
 /// fields are filled in as it goes so the client can account latency and
-/// deadline misses when the response arrives.
+/// deadline misses when the response arrives. Fields are ordered widest
+/// first so the struct packs without padding holes (136 B; every buffer
+/// slot and response queue entry holds one).
 struct mem_request {
     request_id_t id = 0;
-    client_id_t client = 0;  ///< issuing system-wide client (mu.x)
-    task_id_t task = 0;      ///< issuing task within the client
-    std::uint32_t job = 0;   ///< job sequence number of the issuing task
     std::uint64_t addr = 0;
-    mem_op op = mem_op::read;
 
     /// Cycle the client issued the request. Retried transactions keep
     /// the first attempt's issue cycle, so total_latency() measures the
     /// true issue -> usable-response time across recovery.
     cycle_t issue_cycle = 0;
-
-    /// Reissue ordinal under retry recovery: 0 for the first attempt,
-    /// k for the k-th reissue (saturates at 255).
-    std::uint8_t attempt = 0;
-
-    /// Set by the memory controller when a DRAM transient error survived
-    /// the ECC-style retry: the payload is invalid and the client must
-    /// reissue (or abandon) the transaction.
-    bool failed = false;
 
     /// Task-level absolute deadline (release + period under implicit
     /// deadlines). Used for deadline-miss accounting and for EDF ordering
@@ -66,6 +55,20 @@ struct mem_request {
     /// grants); cleared on reissue so a retried transaction attributes
     /// its final attempt.
     obs::hop_stamps hops;
+
+    client_id_t client = 0;  ///< issuing system-wide client (mu.x)
+    std::uint32_t job = 0;   ///< job sequence number of the issuing task
+    task_id_t task = 0;      ///< issuing task within the client
+    mem_op op = mem_op::read;
+
+    /// Reissue ordinal under retry recovery: 0 for the first attempt,
+    /// k for the k-th reissue (saturates at 255).
+    std::uint8_t attempt = 0;
+
+    /// Set by the memory controller when a DRAM transient error survived
+    /// the ECC-style retry: the payload is invalid and the client must
+    /// reissue (or abandon) the transaction.
+    bool failed = false;
 
     [[nodiscard]] cycle_t total_latency() const {
         return complete_cycle - issue_cycle;

@@ -1,10 +1,12 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <new>
 #include <ostream>
+#include <type_traits>
 
 namespace bluescale::obs {
 
@@ -20,8 +22,49 @@ const char* metric_kind_name(metric_kind k) {
 
 const stats::sample_set& sample::values() const {
     static const stats::sample_set k_empty;
-    return s_ == nullptr ? k_empty : s_->samples;
+    return s_ == nullptr ? k_empty : *s_;
 }
+
+namespace {
+
+/// Makes `s` a zero-valued metric of `kind`: the value word's member that
+/// kind's handle uses becomes the active one, and a sample slot points at
+/// `samples`.
+void start_slot(detail::slot& s, metric_kind kind, std::uint32_t flags,
+                stats::sample_set* samples) {
+    s.kind = kind;
+    s.flags = flags;
+    switch (kind) {
+    case metric_kind::counter: s.count = 0; break;
+    case metric_kind::gauge: s.level = 0; break;
+    case metric_kind::real: s.value = 0.0; break;
+    case metric_kind::sample: s.samples = samples; break;
+    }
+}
+
+[[noreturn]] void past_capacity(std::uint32_t capacity, const char* what) {
+    std::fprintf(stderr,
+                 "obs::value_block: registering past its capacity of %u %s"
+                 "metrics\n",
+                 static_cast<unsigned>(capacity), what);
+    std::abort();
+}
+
+/// `s`'s value, copied by kind.
+metric_value read_slot(const detail::slot& s) {
+    metric_value v;
+    v.kind = s.kind;
+    v.flags = s.flags;
+    switch (s.kind) {
+    case metric_kind::counter: v.count = s.count; break;
+    case metric_kind::gauge: v.level = s.level; break;
+    case metric_kind::real: v.value = s.value; break;
+    case metric_kind::sample: v.samples = *s.samples; break;
+    }
+    return v;
+}
+
+} // namespace
 
 std::string metric_name::joined() const {
     std::size_t n = 0;
@@ -37,10 +80,20 @@ detail::slot& registry::slot_for(const metric_name& name, metric_kind kind,
     const auto [it, inserted] = index_.try_emplace(name.joined());
     if (inserted) {
         it->second = &slots_.emplace_back();
-        it->second->kind = kind;
+        start_slot(*it->second, kind, 0,
+                   kind == metric_kind::sample ? &samples_.emplace_back()
+                                               : nullptr);
     }
-    assert(it->second->kind == kind &&
-           "metric re-registered under a different kind");
+    // Checked in every build: a sample handle made from a scalar slot
+    // would read its value word as a pointer.
+    if (it->second->kind != kind) {
+        std::fprintf(stderr,
+                     "obs::registry: metric %s re-registered as a %s (was"
+                     " a %s)\n",
+                     it->first.c_str(), metric_kind_name(kind),
+                     metric_kind_name(it->second->kind));
+        std::abort();
+    }
     it->second->flags |= flags;
     return *it->second;
 }
@@ -53,36 +106,46 @@ snapshot registry::take_snapshot(bool include_profile) const {
         if (!include_profile && (slot->flags & k_metric_profile) != 0) {
             continue;
         }
-        metric_value v;
-        v.kind = slot->kind;
-        v.flags = slot->flags;
-        v.count = slot->count;
-        v.level = slot->level;
-        v.value = slot->value;
-        v.samples = slot->samples;
-        out.entries_.emplace_back(name, std::move(v));
+        out.entries_.emplace_back(name, read_slot(*slot));
     }
     return out;
 }
 
-value_block::value_block(std::size_t capacity)
-    : slots_(std::make_unique<detail::slot[]>(capacity)),
-      capacity_(static_cast<std::uint32_t>(capacity)) {}
+value_block::value_block(std::size_t capacity, std::size_t samples)
+    : slots_(nullptr, layout{static_cast<std::uint32_t>(capacity),
+                             static_cast<std::uint32_t>(samples)}) {
+    static_assert(alignof(stats::sample_set) <= alignof(detail::slot) &&
+                      sizeof(detail::slot) % alignof(stats::sample_set) == 0,
+                  "the sample sets after the slots must start aligned");
+    auto* block = static_cast<detail::slot*>(
+        ::operator new(capacity * sizeof(detail::slot) +
+                       samples * sizeof(stats::sample_set)));
+    std::uninitialized_default_construct_n(block, capacity);
+    std::uninitialized_default_construct_n(slots_.get_deleter().sets(block),
+                                           samples);
+    slots_.reset(block);
+}
+
+void value_block::layout::operator()(detail::slot* block) const {
+    static_assert(std::is_trivially_destructible_v<detail::slot>,
+                  "the block frees its slots without destroying them");
+    std::destroy_n(sets(block), samples);
+    ::operator delete(block);
+}
 
 detail::slot& value_block::slot_for(const metric_name& /*name*/,
                                     metric_kind kind, std::uint32_t flags) {
     // Checked in every build: registration is assembly-time, and a slot
-    // past the allocation would corrupt the heap silently.
-    if (size_ == capacity_) {
-        std::fprintf(stderr,
-                     "obs::value_block: registering past its capacity of"
-                     " %u metrics\n",
-                     static_cast<unsigned>(capacity_));
-        std::abort();
+    // or set past the allocation would corrupt the heap silently.
+    const layout& at = slots_.get_deleter();
+    const bool is_sample = kind == metric_kind::sample;
+    if (size_ == at.capacity) past_capacity(at.capacity, "");
+    if (is_sample && samples_used_ == at.samples) {
+        past_capacity(at.samples, "sample ");
     }
-    detail::slot& s = slots_[size_++];
-    s.kind = kind;
-    s.flags = flags;
+    detail::slot& s = slots_.get()[size_++];
+    start_slot(s, kind, flags,
+               is_sample ? at.sets(slots_.get()) + samples_used_++ : nullptr);
     return s;
 }
 

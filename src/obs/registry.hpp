@@ -46,16 +46,21 @@ enum class metric_kind : std::uint8_t {
 inline constexpr std::uint32_t k_metric_profile = 1u << 0;
 
 namespace detail {
-/// Storage cell behind a handle. Its address is stable for the lifetime
-/// of the store that made it (a registry's deque, a value_block's
-/// array). It carries no name: a registry's index keys it by one.
+/// Storage cell behind a handle: 16 B whatever the kind. Its address is
+/// stable for the lifetime of the store that made it (a registry's deque,
+/// a value_block's block). It carries no name: a registry's index keys it
+/// by one. Counters, gauges and reals share one value word; a sample
+/// metric's word points at its stats::sample_set, which the store keeps
+/// beside its slots, so only sample metrics pay for one.
 struct slot {
     metric_kind kind = metric_kind::counter;
     std::uint32_t flags = 0;
-    std::uint64_t count = 0;   ///< counter
-    std::int64_t level = 0;    ///< gauge
-    double value = 0.0;        ///< real
-    stats::sample_set samples; ///< sample
+    union {
+        std::uint64_t count = 0;    ///< counter
+        std::int64_t level;         ///< gauge
+        double value;               ///< real
+        stats::sample_set* samples; ///< sample (never null once made)
+    };
 };
 } // namespace detail
 
@@ -123,23 +128,25 @@ class sample {
 public:
     sample() = default;
     void add(double x) {
-        if (s_ != nullptr) s_->samples.add(x);
+        if (s_ != nullptr) s_->add(x);
     }
     /// The accumulated sample set (a shared empty set when unbound).
     [[nodiscard]] const stats::sample_set& values() const;
     [[nodiscard]] std::uint64_t count() const {
-        return s_ == nullptr ? 0 : s_->samples.count();
+        return s_ == nullptr ? 0 : s_->count();
     }
     [[nodiscard]] bool bound() const { return s_ != nullptr; }
 
 private:
     friend class metric_store;
-    explicit sample(detail::slot* s) : s_(s) {}
-    detail::slot* s_ = nullptr;
+    explicit sample(stats::sample_set* s) : s_(s) {}
+    stats::sample_set* s_ = nullptr;
 };
 
 /// One metric's value, decoupled from registry storage (snapshots own
 /// their data so they can outlive, merge across, and diff against trials).
+/// Only the field of `kind` is copied from the store; the others read
+/// zero (a gauge's count is 0) or empty.
 struct metric_value {
     metric_kind kind = metric_kind::counter;
     std::uint32_t flags = 0;
@@ -247,7 +254,7 @@ public:
     }
     [[nodiscard]] sample make_sample(const metric_name& name,
                                      std::uint32_t flags = 0) {
-        return sample(&slot_for(name, metric_kind::sample, flags));
+        return sample(slot_for(name, metric_kind::sample, flags).samples);
     }
 
 protected:
@@ -262,8 +269,9 @@ private:
 };
 
 /// Owns named metric storage. Handles stay valid for the registry's
-/// lifetime (slots live in a deque); the registry is neither copyable
-/// nor movable so handles can never dangle through a move.
+/// lifetime (slots and sample sets live in deques); the registry is
+/// neither copyable nor movable so handles can never dangle through a
+/// move.
 class registry final : public metric_store {
 public:
     registry() = default;
@@ -275,7 +283,7 @@ public:
     // make_counter / make_gauge / make_real / make_sample: registering an
     // existing name with the same kind returns a handle to the existing
     // metric (idempotent re-binding); a kind mismatch is a programming
-    // error and asserts.
+    // error and aborts in every build type.
 
     [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
@@ -301,6 +309,7 @@ private:
                            std::uint32_t flags) override;
 
     std::deque<detail::slot> slots_;
+    std::deque<stats::sample_set> samples_;
     /// Sorted name -> slot index (the one copy of each name); gives
     /// snapshots their deterministic order without sorting at snapshot
     /// time.
@@ -309,21 +318,34 @@ private:
 };
 
 /// Unnamed storage for a component that no one has bound yet: `capacity`
-/// slots in one allocation and nothing else -- no names, no index, no
-/// sync hooks. Every make_* takes the next slot without reading the name
-/// (so nothing is idempotent), and registering past the capacity aborts.
-/// Moving the block moves the allocation, so handles into it stay valid.
+/// slots and the sample sets of the `samples` sample metrics among them,
+/// in one allocation and nothing else -- no names, no index, no sync
+/// hooks. Every make_* takes the next slot (a sample also the next set)
+/// without reading the name (so nothing is idempotent), and registering
+/// past either capacity aborts. Moving the block moves the allocation,
+/// so handles into it stay valid.
 class value_block final : public metric_store {
 public:
-    explicit value_block(std::size_t capacity);
+    explicit value_block(std::size_t capacity, std::size_t samples = 0);
 
 private:
     detail::slot& slot_for(const metric_name& name, metric_kind kind,
                            std::uint32_t flags) override;
 
-    std::unique_ptr<detail::slot[]> slots_;
+    /// The block's layout: the slots, then the sample sets. Destroys the
+    /// sets before freeing the block.
+    struct layout {
+        std::uint32_t capacity = 0;
+        std::uint32_t samples = 0;
+        [[nodiscard]] stats::sample_set* sets(detail::slot* block) const {
+            return reinterpret_cast<stats::sample_set*>(block + capacity);
+        }
+        void operator()(detail::slot* block) const;
+    };
+
+    std::unique_ptr<detail::slot, layout> slots_;
     std::uint32_t size_ = 0;
-    std::uint32_t capacity_ = 0;
+    std::uint32_t samples_used_ = 0;
 };
 
 } // namespace bluescale::obs

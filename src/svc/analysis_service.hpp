@@ -281,11 +281,13 @@ private:
     std::vector<request_state> states_;
     complete_hook on_complete_;
 
-    /// Metrics bind_observability registers (own_'s capacity).
+    /// Metrics bind_observability registers (own_'s capacity), and how
+    /// many of them are sample metrics.
     static constexpr std::size_t k_metric_count = 17;
+    static constexpr std::size_t k_sample_count = 2;
     /// Unnamed storage while unbound (bind_observability re-homes the
     /// handles).
-    obs::value_block own_{k_metric_count};
+    obs::value_block own_{k_metric_count, k_sample_count};
     obs::counter submitted_;
     obs::counter accepted_;
     obs::counter shed_;

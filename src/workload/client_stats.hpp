@@ -150,11 +150,13 @@ public:
     }
 
 private:
-    /// Metrics bind() registers (own_'s capacity).
+    /// Metrics bind() registers (own_'s capacity), and how many of them
+    /// are sample metrics.
     static constexpr std::size_t k_metric_count = 15;
+    static constexpr std::size_t k_sample_count = 2;
     /// Unnamed storage for unbound instances (unit tests, standalone
     /// clients); moving it keeps slot addresses -- and handles -- valid.
-    obs::value_block own_{k_metric_count};
+    obs::value_block own_{k_metric_count, k_sample_count};
     obs::counter issued_;
     obs::counter completed_;
     obs::counter missed_;

@@ -68,9 +68,32 @@ cycle_t traffic_generator::backoff_window(std::uint32_t attempts) const {
     return window;
 }
 
+void traffic_generator::send(const in_flight& f, cycle_t now) {
+    assert(outstanding_.size() < k_max_outstanding);
+    // The table never holds more than k_max_outstanding entries (a new
+    // request waits below the cap; a reissue replaces its entry), so it
+    // stops growing once its capacity reaches that bound.
+    // detlint:allow(hotpath-alloc): bounded by k_max_outstanding
+    outstanding_.push_back(f);
+    mem_request r;
+    r.id = f.id;
+    r.client = id_;
+    r.task = f.task;
+    r.job = f.job;
+    r.addr = f.addr;
+    r.op = f.op;
+    r.issue_cycle = f.issue_cycle;
+    r.hop_arrival = now;
+    r.abs_deadline = f.deadline;
+    r.level_deadline = f.deadline; // leaf-level arbitration priority
+    r.attempt =
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(f.attempts, 255));
+    net_.client_push(id_, std::move(r));
+}
+
 bool traffic_generator::try_reissue(cycle_t now) {
     for (auto it = outstanding_.begin(); it != outstanding_.end(); ++it) {
-        outstanding_req& o = it->second;
+        in_flight& o = *it;
         if (o.exhausted || o.timeout_at > now) continue;
         stats_.record_timeout();
         if (o.attempts >= cfg_.max_retries) {
@@ -84,22 +107,13 @@ bool traffic_generator::try_reissue(cycle_t now) {
         }
         // Reissue under a fresh id; the old id is forgotten, so its
         // response (if the request was slow rather than lost) is stale.
-        outstanding_req fresh = o;
+        in_flight fresh = o;
         outstanding_.erase(it);
         ++fresh.attempts;
-        fresh.req.id = next_request_id_++;
-        fresh.req.attempt = static_cast<std::uint8_t>(
-            std::min<std::uint32_t>(fresh.attempts, 255));
-        fresh.req.hop_arrival = now;
-        fresh.req.hops = obs::hop_stamps{}; // fresh attempt, fresh attribution
+        fresh.id = next_request_id_++;
         fresh.timeout_at = now + backoff_window(fresh.attempts);
-        mem_request r = fresh.req;
-        // Reissue: the entry was just erased above, so occupancy is
-        // net-zero and bounded by the in-flight request cap.
-        // detlint:allow(hotpath-alloc): outstanding set is credit-bounded
-        outstanding_.emplace(r.id, std::move(fresh));
         stats_.record_retry();
-        net_.client_push(id_, std::move(r));
+        send(fresh, now);
         return true;
     }
     return false;
@@ -129,31 +143,21 @@ void traffic_generator::tick(cycle_t now) {
     task_state& ts = state_[static_cast<std::size_t>(which)];
     pending_job& job = ts.jobs.front();
 
-    mem_request r;
-    r.id = next_request_id_++;
-    r.client = id_;
-    r.task = tasks_[static_cast<std::size_t>(which)].id;
-    r.job = job.job_seq;
-    r.addr = job.base_addr +
+    const memory_task& task = tasks_[static_cast<std::size_t>(which)];
+    in_flight f;
+    f.id = next_request_id_++;
+    f.addr = job.base_addr +
              static_cast<std::uint64_t>(job.issued) * k_cache_line_bytes;
-    r.op = tasks_[static_cast<std::size_t>(which)].writes ? mem_op::write
-                                                          : mem_op::read;
-    r.issue_cycle = now;
-    r.hop_arrival = now;
-    r.abs_deadline = job.deadline;
-    r.level_deadline = job.deadline; // leaf-level arbitration priority
-
-    outstanding_req o;
-    o.req = r;
+    f.issue_cycle = now;
+    f.deadline = job.deadline;
     if (cfg_.retry_timeout_cycles != 0) {
-        o.timeout_at = now + cfg_.retry_timeout_cycles;
+        f.timeout_at = now + cfg_.retry_timeout_cycles;
     }
-    // Outstanding tracking grows only while the fabric accepts pushes, so
-    // occupancy is bounded by the port/credit backpressure.
-    // detlint:allow(hotpath-alloc): outstanding set is credit-bounded
-    outstanding_.emplace(r.id, std::move(o));
+    f.job = job.job_seq;
+    f.task = task.id;
+    f.op = task.writes ? mem_op::write : mem_op::read;
     stats_.record_issue();
-    net_.client_push(id_, std::move(r));
+    send(f, now);
 
     ++job.issued;
     if (--job.remaining == 0) ts.jobs.pop_front();
@@ -165,8 +169,10 @@ void traffic_generator::on_response(mem_request&& r) {
     // predict: re-arm so the next tick reacts exactly when lockstep
     // would (the issue slot, retry bookkeeping, burst progress).
     wake();
-    auto it = outstanding_.find(r.id);
-    if (it == outstanding_.end()) {
+    const auto it = std::lower_bound(
+        outstanding_.begin(), outstanding_.end(), r.id,
+        [](const in_flight& f, request_id_t id) { return f.id < id; });
+    if (it == outstanding_.end() || it->id != r.id) {
         // A reissue superseded this attempt before its response landed.
         stats_.record_stale_response();
         return;
@@ -176,13 +182,12 @@ void traffic_generator::on_response(mem_request&& r) {
         // configured and budget left, expire the timeout so the next
         // tick's reissue path retries immediately; otherwise give up.
         stats_.record_failed_response();
-        outstanding_req& o = it->second;
-        if (cfg_.retry_timeout_cycles != 0 && !o.exhausted &&
-            o.attempts < cfg_.max_retries) {
-            o.timeout_at = r.complete_cycle;
+        if (cfg_.retry_timeout_cycles != 0 && !it->exhausted &&
+            it->attempts < cfg_.max_retries) {
+            it->timeout_at = r.complete_cycle;
             return;
         }
-        if (cfg_.retry_timeout_cycles != 0 && !o.exhausted) {
+        if (cfg_.retry_timeout_cycles != 0 && !it->exhausted) {
             stats_.record_retry_exhausted();
         }
         stats_.record_abandoned(1, 1);
@@ -228,7 +233,7 @@ cycle_t traffic_generator::next_event(cycle_t now) const {
         due = std::min(due, ts.next_release);
     }
     if (cfg_.retry_timeout_cycles != 0) {
-        for (const auto& [id, o] : outstanding_) {
+        for (const in_flight& o : outstanding_) {
             if (!o.exhausted) due = std::min(due, o.timeout_at);
         }
     }
@@ -245,8 +250,8 @@ std::uint64_t traffic_generator::backlog() const {
 
 void traffic_generator::finalize(cycle_t end_cycle) {
     // In-flight requests that can no longer meet their deadline.
-    for (const auto& [id, o] : outstanding_) {
-        const cycle_t deadline = o.req.abs_deadline;
+    for (const in_flight& o : outstanding_) {
+        const cycle_t deadline = o.deadline;
         if (deadline < end_cycle) {
             const bool beyond =
                 deadline + cfg_.validation_margin_cycles < end_cycle;

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "interconnect/interconnect.hpp"
@@ -151,12 +150,19 @@ private:
         job_queue jobs;
     };
 
-    /// One in-flight transaction, with everything a reissue needs.
-    struct outstanding_req {
-        mem_request req; ///< last-issued copy (keeps the first issue_cycle)
+    /// One in-flight transaction: what a reissue rebuilds its request
+    /// from (the fabric holds the request itself).
+    struct in_flight {
+        request_id_t id = 0;
+        std::uint64_t addr = 0;
+        cycle_t issue_cycle = 0; ///< the first attempt's
+        cycle_t deadline = 0;
         cycle_t timeout_at = k_cycle_never;
+        std::uint32_t job = 0;
         std::uint32_t attempts = 0; ///< reissues so far
-        bool exhausted = false;     ///< retry budget spent; await or abandon
+        task_id_t task = 0;
+        mem_op op = mem_op::read;
+        bool exhausted = false; ///< retry budget spent; await or abandon
     };
 
     void release_jobs(cycle_t now);
@@ -167,6 +173,9 @@ private:
     /// the cycle's issue slot was consumed.
     bool try_reissue(cycle_t now);
     [[nodiscard]] cycle_t backoff_window(std::uint32_t attempts) const;
+    /// Puts `f` in flight: appends it to the table (ids only grow, so the
+    /// table stays in id order) and pushes its request at `now`.
+    void send(const in_flight& f, cycle_t now);
 
     client_id_t id_;
     memory_task_set tasks_;
@@ -174,9 +183,11 @@ private:
     rng rng_;
     traffic_gen_config cfg_;
     std::vector<task_state> state_;
-    /// Keyed by request id; ids are monotonic per client, so iteration
-    /// order == issue order (deterministic timeout scanning).
-    std::map<request_id_t, outstanding_req> outstanding_;
+    /// In-flight transactions in id order; ids are monotonic per client,
+    /// so this is issue order (deterministic timeout scanning) and
+    /// on_response finds its entry by binary search. At most
+    /// k_max_outstanding entries.
+    std::vector<in_flight> outstanding_;
     client_stats stats_;
     request_id_t next_request_id_;
     bool stopped_ = false;

@@ -111,10 +111,11 @@ TEST(footprint, counting_allocator_sees_new_and_delete) {
               2);
 }
 
-// Budgets sit just above today's figures (an unbound SE holds 8,320 B,
-// most of it its four RAB blocks; a 4-task client holds 2,447 B), so a
-// named registry per component (about 3 KB) or a std::deque per task
-// (about 650 B each while empty) fails them.
+// Budgets sit just above today's figures (an unbound SE holds 6,256 B,
+// most of it its four RAB blocks; a 4-task client holds 1,127 B), so a
+// named registry per component (about 3 KB), a std::deque per task
+// (about 650 B each while empty) or a stats::sample_set in every metric
+// slot (80 B per counter) fails them.
 
 auto make_unbound_scale_element() {
     // Default parameters (four 8-deep RABs); a deep-tree name, as the
@@ -123,13 +124,14 @@ auto make_unbound_scale_element() {
                                                  core::se_params{});
 }
 
-auto make_four_task_client(interconnect& net) {
+auto make_four_task_client(interconnect& net,
+                           std::uint32_t requests_per_job = 2) {
     workload::memory_task_set tasks;
     tasks.reserve(4);
     for (task_id_t i = 0; i < 4; ++i) {
         tasks.push_back({.id = i,
                          .period_units = 100 + 10 * std::uint64_t{i},
-                         .requests_per_job = 2});
+                         .requests_per_job = requests_per_job});
     }
     return std::make_unique<workload::traffic_generator>(
         4095, std::move(tasks), net, /*seed=*/1);
@@ -138,8 +140,8 @@ auto make_four_task_client(interconnect& net) {
 TEST(footprint, unbound_scale_element) {
     const std::int64_t bytes = held_bytes(make_unbound_scale_element);
     RecordProperty("bytes", static_cast<int>(bytes));
-    EXPECT_LE(bytes, 9 * 1024) << "unbound scale_element holds " << bytes
-                               << " B";
+    EXPECT_LE(bytes, 6400) << "unbound scale_element holds " << bytes
+                           << " B";
 }
 
 TEST(footprint, four_task_traffic_generator) {
@@ -147,8 +149,31 @@ TEST(footprint, four_task_traffic_generator) {
     const std::int64_t bytes =
         held_bytes([&] { return make_four_task_client(net); });
     RecordProperty("bytes", static_cast<int>(bytes));
-    EXPECT_LE(bytes, 3 * 1024) << "4-task traffic_generator holds " << bytes
-                               << " B";
+    EXPECT_LE(bytes, 1200) << "4-task traffic_generator holds " << bytes
+                           << " B";
+}
+
+// A client at its in-flight cap: each of its four jobs issues
+// k_max_outstanding / 4 requests, and the loopback loses every one, so
+// all of them stay in flight. Beyond an idle client it then holds its
+// in-flight table (a compact record per request, not a copy of the
+// request in a map node) and its drained job queues.
+TEST(footprint, traffic_generator_at_outstanding_cap) {
+    testing::loopback_interconnect net(4096);
+    net.drop_next(workload::k_max_outstanding);
+    const std::int64_t bytes = held_bytes([&] {
+        auto client =
+            make_four_task_client(net, workload::k_max_outstanding / 4);
+        for (cycle_t now = 0; now < 2 * workload::k_max_outstanding; ++now) {
+            client->tick(now);
+        }
+        return client;
+    });
+    EXPECT_EQ(net.pending(), 0u);
+    RecordProperty("bytes", static_cast<int>(bytes));
+    EXPECT_LE(bytes, 2300) << "a traffic_generator with "
+                           << workload::k_max_outstanding
+                           << " requests in flight holds " << bytes << " B";
 }
 
 // Allocation budgets: an unbound SE makes 6 (itself, its value block and

@@ -3,6 +3,7 @@
 // zero rule in both.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,35 @@ TEST(bench_report, csv_only_columns_render_no_table) {
     report_section s{"", {"design"}, std::span(k_columns).last(1), {}};
     s.rows.push_back({{"p/", {}}, {"X"}});
     EXPECT_EQ(render_table(s, results, 4), "");
+}
+
+TEST(bench_report, a_repeated_row_runs_its_cell_once) {
+    // Row 2 (the second section's first) repeats row 0: two cells run,
+    // and row 2 shows row 0's result.
+    int runs = 0;
+    const auto cell = [&runs](std::string prefix, std::uint64_t n) {
+        return sweep_cell{prefix, [&runs, n](trial_record& rec) {
+                              ++runs;
+                              rec.counter("n").inc(n);
+                          }};
+    };
+    constexpr report_column k_n[] = {{"n", "n", "n", shown::count}};
+    report_section first{"", {"row"}, k_n, {}};
+    first.rows.push_back({cell("a/", 1), {"a"}});
+    first.rows.push_back({cell("b/", 10), {"b"}});
+    report_section second{"", {"row"}, k_n, {}};
+    second.rows.push_back({.cell = first.rows[0].cell,
+                           .labels = {"a again"},
+                           .same_as = 0});
+    bench_options opts;
+    opts.trials = 3;
+    const auto results =
+        run_report(opts, {.sections = {std::move(first), std::move(second)}});
+    EXPECT_EQ(runs, 2 * 3);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].totals.get("a/n").count, 3u);
+    EXPECT_EQ(results[1].totals.get("b/n").count, 30u);
+    EXPECT_EQ(results[2].totals.get("a/n").count, 3u);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/scale_element.hpp"
+#include "mem/request.hpp"
 #include "obs/registry.hpp"
 #include "workload/client_stats.hpp"
 
@@ -135,7 +136,7 @@ TEST(obs_registry, profile_metrics_stay_out_of_deterministic_snapshots) {
 }
 
 TEST(obs_value_block, handles_write_unnamed_slots) {
-    value_block block(4);
+    value_block block(4, 1);
     auto c = block.make_counter("a/count");
     auto g = block.make_gauge("a/level");
     auto r = block.make_real("a/rate");
@@ -151,6 +152,96 @@ TEST(obs_value_block, handles_write_unnamed_slots) {
     EXPECT_EQ(g.value(), -2);
     EXPECT_DOUBLE_EQ(r.value(), 1.5);
     EXPECT_EQ(s.count(), 1u);
+}
+
+// Counters, gauges and reals share one value word; only a sample metric
+// carries a sample_set, beside the slots. Each fabric builds one value
+// block per SE and client and one mem_request per buffered transaction,
+// so growing either is megabytes of heap on a 4,096-client tree.
+static_assert(sizeof(detail::slot) == 16, "a scalar slot is 16 B");
+static_assert(sizeof(mem_request) <= 136, "mem_request packs to 136 B");
+
+/// One metric of each kind in `store`, written to distinct values.
+struct every_kind {
+    explicit every_kind(metric_store& store)
+        : c(store.make_counter("a/count")), g(store.make_gauge("a/level")),
+          r(store.make_real("a/rate")), s(store.make_sample("a/wait")) {
+        c.inc(3);
+        g.set(-5);
+        r.set(2.5);
+        s.add(1.0);
+        s.add(2.0);
+    }
+    void expect_values() const {
+        EXPECT_EQ(c.value(), 3u);
+        EXPECT_EQ(g.value(), -5);
+        EXPECT_DOUBLE_EQ(r.value(), 2.5);
+        EXPECT_EQ(s.values().samples(), (std::vector<double>{1.0, 2.0}));
+    }
+    counter c;
+    gauge g;
+    real_gauge r;
+    sample s;
+};
+
+TEST(obs_value_block, every_kind_reads_back_its_own_value) {
+    value_block block(4, 1);
+    const every_kind m(block);
+    m.expect_values();
+}
+
+TEST(obs_value_block, registering_past_sample_capacity_aborts) {
+    EXPECT_DEATH(
+        {
+            value_block block(2, 1);
+            (void)block.make_sample("first");
+            (void)block.make_sample("second");
+        },
+        "registering past its capacity of 1 sample metrics");
+}
+
+TEST(obs_registry, re_registering_under_another_kind_aborts) {
+    EXPECT_DEATH(
+        {
+            registry reg;
+            (void)reg.make_counter("a/wait");
+            (void)reg.make_sample("a/wait");
+        },
+        "metric a/wait re-registered as a sample \\(was a counter\\)");
+}
+
+TEST(obs_registry, every_kind_snapshots_only_its_own_value) {
+    registry reg;
+    every_kind m(reg);
+    m.expect_values();
+    // Re-binding finds the same slots; samples keep call order across
+    // the handles.
+    auto again = reg.make_sample("a/wait");
+    again.add(3.0);
+    m.s.add(4.0);
+    reg.make_gauge("a/level").add(1);
+
+    const snapshot snap = reg.take_snapshot();
+    ASSERT_EQ(snap.entries().size(), 4u);
+    const metric_value& c = snap.get("a/count");
+    EXPECT_EQ(c.kind, metric_kind::counter);
+    EXPECT_EQ(c.count, 3u);
+    EXPECT_EQ(c.level, 0);
+    const metric_value& g = snap.get("a/level");
+    EXPECT_EQ(g.kind, metric_kind::gauge);
+    EXPECT_EQ(g.level, -4);
+    EXPECT_EQ(g.count, 0u);
+    EXPECT_DOUBLE_EQ(g.value, 0.0);
+    const metric_value& r = snap.get("a/rate");
+    EXPECT_EQ(r.kind, metric_kind::real);
+    EXPECT_DOUBLE_EQ(r.value, 2.5);
+    EXPECT_EQ(r.count, 0u);
+    const metric_value& s = snap.get("a/wait");
+    EXPECT_EQ(s.kind, metric_kind::sample);
+    EXPECT_EQ(s.samples.samples(),
+              (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+    EXPECT_EQ(s.count, 0u);
+    EXPECT_EQ(s.level, 0);
 }
 
 TEST(obs_value_block, registering_past_capacity_aborts) {

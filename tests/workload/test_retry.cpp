@@ -2,7 +2,8 @@
 // loopback interconnect's drop/fail controls: lost requests are reissued
 // after the timeout (with exponential backoff), exhausted budgets give
 // the request up, a response racing its own timeout expiry loses (the
-// client tick runs before delivery), and failed responses retry.
+// client tick runs before delivery), failed responses retry, and the
+// reissue walk takes timed-out requests oldest id first.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -156,6 +157,88 @@ TEST(retry, disabled_recovery_leaves_lost_request_outstanding) {
     EXPECT_EQ(r.gen.outstanding(), 1u);
     r.gen.finalize(2000);
     EXPECT_EQ(r.gen.stats().abandoned(), 1u);
+}
+
+/// A loopback that also records every request pushed into it.
+class recording_loopback : public loopback_interconnect {
+public:
+    using loopback_interconnect::loopback_interconnect;
+    void client_push(client_id_t c, mem_request r) override {
+        pushed.push_back(r);
+        loopback_interconnect::client_push(c, std::move(r));
+    }
+    std::vector<mem_request> pushed;
+};
+
+TEST(retry, reissues_walk_the_in_flight_requests_oldest_id_first) {
+    // One job of four requests, a 20-cycle timeout and one retry each.
+    // The port opens only at chosen cycles, so several requests time out
+    // in one window and the reissue walk's order shows:
+    //   c0 r0 (lost)   c5 r1 (answered at 35, after its reissue: stale)
+    //   c20 r0 -> r0'  c22 r2  c23 r3  c25 r1 -> r1'   (all four lost)
+    // With the port shut until c70, r0' (budget spent), r2, r3 and r1'
+    // (budget spent) have all expired when it opens. Each tick walks
+    // from the oldest id, marks spent entries exhausted as it passes and
+    // reissues the first with budget left: c70 exhausts r0' and reissues
+    // r2, c71 reissues r3, c72 exhausts r1'.
+    recording_loopback net(1, /*latency=*/30);
+    traffic_generator gen(0, {task(1, 1000, 4)}, net, /*seed=*/7,
+                          retry_config(/*timeout=*/20, /*retries=*/1));
+    net.set_response_handler(
+        [&](mem_request&& resp) { gen.on_response(std::move(resp)); });
+    simulator sim;
+    sim.add(gen);
+    sim.add(net);
+    // Runs up to (not including) `cycle`, then ticks `cycle` with the
+    // port open.
+    const auto open_at = [&](cycle_t cycle) {
+        net.set_accepting(false);
+        sim.run(cycle - sim.now());
+        net.set_accepting(true);
+        sim.run(1);
+    };
+
+    net.drop_next(1);
+    open_at(0);
+    open_at(5);
+    net.drop_next(4);
+    for (const cycle_t c : {20, 22, 23, 25}) open_at(c);
+    EXPECT_EQ(gen.stats().stale_responses(), 0u);
+    EXPECT_EQ(gen.stats().retry_exhausted(), 0u);
+    open_at(70);
+    EXPECT_EQ(gen.stats().retry_exhausted(), 1u); // r0'
+    open_at(71);
+    EXPECT_EQ(gen.stats().retry_exhausted(), 1u);
+    open_at(72);
+    EXPECT_EQ(gen.stats().retry_exhausted(), 2u); // r1'
+    net.set_accepting(true);
+    sim.run(200);
+
+    // Pushes in order. A reissue keeps the first attempt's issue cycle.
+    struct push {
+        std::uint64_t request; ///< of the job (its line offset)
+        std::uint8_t attempt;
+        cycle_t issue_cycle;
+    };
+    const std::vector<push> expected = {{0, 0, 0},  {1, 0, 5},  {0, 1, 0},
+                                        {2, 0, 22}, {3, 0, 23}, {1, 1, 5},
+                                        {2, 1, 22}, {3, 1, 23}};
+    ASSERT_EQ(net.pushed.size(), expected.size());
+    const mem_request& first = net.pushed.front();
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const mem_request& p = net.pushed[i];
+        EXPECT_EQ(p.id, first.id + i) << "push " << i;
+        EXPECT_EQ((p.addr - first.addr) / k_cache_line_bytes,
+                  expected[i].request)
+            << "push " << i;
+        EXPECT_EQ(p.attempt, expected[i].attempt) << "push " << i;
+        EXPECT_EQ(p.issue_cycle, expected[i].issue_cycle) << "push " << i;
+    }
+    EXPECT_EQ(gen.stats().timeouts(), 6u);
+    EXPECT_EQ(gen.stats().retries(), 4u);
+    EXPECT_EQ(gen.stats().stale_responses(), 1u); // r1's, counted once
+    EXPECT_EQ(gen.stats().completed(), 2u);       // r2' and r3'
+    EXPECT_EQ(gen.outstanding(), 2u);             // r0' and r1', exhausted
 }
 
 // --- processor_client (blocking cache-miss path) ------------------------
