@@ -52,26 +52,6 @@ constexpr refresh_point k_refresh[] = {
 constexpr scrub_point k_scrub[] = {{"off", 0, 0}, {"on", 2048, 32}};
 constexpr hammer_point k_hammer[] = {{"off", 0, 0}, {"on", 256, 32}};
 
-constexpr report_column k_columns[] = {
-    {"hard miss", "hard_miss_ratio", "hard_miss_ratio", shown::pct, 2},
-    {"", "hard_miss_sd", "hard_miss_ratio:sd"},
-    {"BE miss", "be_miss_ratio", "best_effort_miss_ratio", shown::pct, 2},
-    {"p99 (cyc)", "p99_cycles", "p99_latency_cycles", shown::num, 1},
-    {"", "hard_misses"}, {"", "best_effort_misses"}, {"", "refreshes"},
-    {"", "scrubs"}, {"", "hammer_mitigations"},
-    {"stolen (cyc)", "stolen_cycles", "maintenance_stolen_cycles",
-     shown::count},
-    {"", "storm_cycles", "maintenance_storm_cycles"},
-    {"", "injected_storms"}, {"", "windows_checked"},
-    {"shortfalls", "supply_shortfall_alarms", "supply_shortfall_alarms",
-     shown::count},
-    {"dl alarms", "deadline_alarms", "deadline_alarms", shown::count},
-    {"", "shed_events"}, {"", "restore_events"},
-    {"shed/rest", "", "shed_events/restore_events", shown::count},
-    {"", "shed_client_cycles"},
-    {"feas", "feasible_trials", "feasible_trials", shown::count},
-};
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -96,7 +76,7 @@ int main(int argc, char** argv) {
                       aware ? "maintenance-aware" : "maintenance-unaware",
                       opts.trials,
                       static_cast<unsigned long long>(opts.measure_cycles)),
-            {"refresh", "scrub", "hammer"}, k_columns, {}});
+            {"refresh", "scrub", "hammer"}, k_maintenance_columns, {}});
         for (const auto& rf : k_refresh) {
             for (const auto& sc : k_scrub) {
                 for (const auto& hm : k_hammer) {

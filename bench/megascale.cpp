@@ -25,11 +25,13 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/selection_cache.hpp"
 #include "analysis/tree_analysis.hpp"
+#include "harness/bench_cli.hpp"
 #include "obs/profile.hpp"
 #include "stats/table.hpp"
 
@@ -74,20 +76,19 @@ constexpr std::uint32_t k_max_depth = 15;
     std::exit(code);
 }
 
-/// Strict decimal parse of a flag value in [0, max]: no sign, no
-/// trailing characters, no overflow.
-std::uint32_t parse_uint(const std::string& flag, const char* text,
+/// A flag value in [0, max] (harness::parse_uint); usage + exit 2
+/// otherwise.
+std::uint32_t parse_flag(const std::string& flag, const char* text,
                          std::uint32_t max) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (text[0] < '0' || text[0] > '9' || *end != '\0' || v > max) {
+    const std::optional<std::uint64_t> v = harness::parse_uint(text, max);
+    if (!v) {
         std::fprintf(stderr,
                      "megascale: %s expects an integer in [0, %u], got "
                      "'%s'\n",
                      flag.c_str(), max, text);
         usage_and_exit(2);
     }
-    return static_cast<std::uint32_t>(v);
+    return static_cast<std::uint32_t>(*v);
 }
 
 mega_options parse_cli(int argc, char** argv) {
@@ -103,13 +104,13 @@ mega_options parse_cli(int argc, char** argv) {
             return argv[++i];
         };
         if (a == "--depth") {
-            o.depth = parse_uint(a, next(), k_max_depth);
+            o.depth = parse_flag(a, next(), k_max_depth);
         } else if (a == "--feas-depth") {
-            o.feas_depth = parse_uint(a, next(), k_max_depth);
+            o.feas_depth = parse_flag(a, next(), k_max_depth);
         } else if (a == "--parity-depth") {
-            o.parity_depth = parse_uint(a, next(), k_max_depth);
+            o.parity_depth = parse_flag(a, next(), k_max_depth);
         } else if (a == "--threads") {
-            o.threads = parse_uint(a, next(), UINT_MAX);
+            o.threads = parse_flag(a, next(), UINT_MAX);
         } else if (a == "--json") {
             o.json_path = next();
         } else if (a == "--check") {

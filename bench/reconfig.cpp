@@ -30,38 +30,6 @@
 using namespace bluescale;
 using namespace bluescale::harness;
 
-namespace {
-
-// The table shows the admission ratio before the outcome counters, the
-// CSV after.
-constexpr report_column k_columns[] = {
-    {"submitted", "", "requests", shown::num, 0},
-    {"admit%", "", "admission_ratio", shown::pct, 1},
-    {"", "submitted"}, {"", "applied_unchecked"}, {"", "admitted"},
-    {"commit", "committed", "committed", shown::count},
-    {"rollbk", "rolled_back", "rolled_back", shown::count},
-    {"rej inf/over/haz", "",
-     "rejected_infeasible/rejected_overutilized/rejected_path_hazard",
-     shown::count},
-    {"", "rejected_infeasible"}, {"", "rejected_overutilized"},
-    {"", "rejected_path_hazard"}, {"", "admission_ratio"},
-    {"lat (cyc)", "mean_latency_cycles", "latency_cycles", shown::num, 0},
-    {"", "max_latency_cycles", "latency_cycles:max"},
-    {"trans miss", "transition_misses", "transition_misses", shown::count},
-    {"miss ratio", "miss_ratio", "miss_ratio", shown::pct, 2},
-    {"", "miss_sd", "miss_ratio:sd"},
-    {"hard miss", "hard_misses", "hard_misses", shown::count},
-    {"BE miss", "best_effort_misses", "best_effort_misses", shown::count},
-    {"", "live_reconfigurations"}, {"", "windows_checked"},
-    {"", "violating_windows"}, {"", "supply_shortfall_alarms"},
-    {"", "shed_events"}, {"", "restore_events"},
-    {"shed/rest", "", "shed_events/restore_events", shown::count},
-    {"", "shed_client_cycles"}, {"", "shed_deferrals"},
-    {"", "feasible_trials"},
-};
-
-} // namespace
-
 int main(int argc, char** argv) {
     bench_options defaults;
     defaults.trials = 10;
@@ -84,7 +52,7 @@ int main(int argc, char** argv) {
                       "cycles/trial ===\n",
                       kind_name(kind), opts.trials,
                       static_cast<unsigned long long>(opts.measure_cycles)),
-            {"rate"}, k_columns, {}});
+            {"rate"}, k_reconfig_columns, {}});
         // Reconfiguration requests per 1000 cycles.
         for (double rate : {0.05, 0.2, 0.5}) {
             const reconfig_exp_config cfg = {

@@ -30,29 +30,6 @@ namespace {
 
 constexpr double k_intensities[] = {0.0, 0.2, 0.5, 1.0};
 
-// The table shows ecc and drops after the retry counters, the CSV before.
-constexpr report_column k_columns[] = {
-    {"miss ratio", "miss_ratio", "miss_ratio", shown::pct, 2},
-    {"", "miss_sd", "miss_ratio:sd"},
-    {"p99 (cyc)", "p99_cycles", "p99_latency_cycles", shown::num, 1},
-    {"p99 infl", "p99_inflation", "p99_inflation", shown::num, 2},
-    {"worst (cyc)", "worst_cycles", "worst_latency_cycles", shown::num, 1},
-    {"", "worst_inflation"}, {"", "injected_events"}, {"", "stall_windows"},
-    {"", "se_stall_cycles"}, {"", "link_drops"}, {"", "ecc_retries"},
-    {"", "uncorrected_errors"}, {"", "storm_cycles"},
-    {"retries", "retries", "retries", shown::count},
-    {"timeouts", "timeouts", "timeouts", shown::count},
-    {"ecc", "", "ecc_retries", shown::count},
-    {"drops", "", "link_drops", shown::count},
-    {"", "retry_exhausted"}, {"", "stale_responses"}, {"", "failed_responses"},
-    {"degr/recov", "", "degrade_events/recovery_events", shown::count},
-    {"", "degrade_events"}, {"", "recovery_events"},
-    {"", "degraded_se_cycles"},
-    {"mean TTR", "mean_time_to_recover", "time_to_recover_cycles",
-     shown::num, 0},
-    {"", "feasible_trials"},
-};
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -76,7 +53,7 @@ int main(int argc, char** argv) {
                       "cycles/trial ===\n",
                       kind_name(kind), opts.trials,
                       static_cast<unsigned long long>(opts.measure_cycles)),
-            {"intensity"}, k_columns, {}});
+            {"intensity"}, k_resilience_columns, {}});
         auto cells = resilience_cells(
             kind, {.scenario = {.measure_cycles = opts.measure_cycles}},
             k_intensities);

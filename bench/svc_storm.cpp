@@ -29,36 +29,6 @@
 using namespace bluescale;
 using namespace bluescale::harness;
 
-namespace {
-
-constexpr report_column k_columns[] = {
-    {"submitted", "submitted", "submitted", shown::count},
-    {"shed", "shed", "shed", shown::count},
-    {"expired", "expired", "expired", shown::count},
-    {"commit", "committed", "committed", shown::count},
-    {"reject", "rejected", "rejected", shown::count},
-    {"", "rejected_infeasible"}, {"", "rejected_overutilized"},
-    {"", "rejected_path_hazard"}, {"", "rolled_back"}, {"", "retries"},
-    {"", "requeues"},
-    {"retry/requeue", "", "retries/requeues", shown::count},
-    {"", "worker_crashes"}, {"", "worker_stall_cycles"}, {"", "cache_hits"},
-    {"", "cache_misses"},
-    {"cache hit%", "cache_hit_ratio", "cache_hit_ratio", shown::pct, 1},
-    {"", "cache_invalidations"}, {"", "degraded_evals"},
-    {"degraded", "degraded_requests", "degraded_requests", shown::count},
-    {"breaker", "breaker_trips", "breaker_trips", shown::count},
-    {"", "stale_reevals"},
-    {"lat (cyc)", "mean_latency_cycles", "latency_cycles", shown::num, 0},
-    {"", "max_latency_cycles", "latency_cycles:max"},
-    {"", "mean_eval_cycles", "eval_cycles"}, {"", "miss_ratio"},
-    {"hard miss", "hard_misses", "hard_misses", shown::count},
-    {"", "best_effort_misses"}, {"", "live_reconfigurations"},
-    {"", "feasible_trials"}, {"", "drained_trials"},
-    {"conserved", "conserved_trials", "conserved_trials", shown::per_trial},
-};
-
-} // namespace
-
 int main(int argc, char** argv) {
     bench_options defaults;
     defaults.trials = 8;
@@ -76,7 +46,7 @@ int main(int argc, char** argv) {
                   "===\n",
                   opts.trials,
                   static_cast<unsigned long long>(opts.measure_cycles)),
-        {"rate"}, k_columns, {}};
+        {"rate"}, k_svc_storm_columns, {}};
     // Service requests per 1000 cycles (the storm intensity).
     for (double rate : {0.5, 2.0, 8.0}) {
         svc_storm_config cfg;

@@ -30,23 +30,6 @@
 using namespace bluescale;
 using namespace bluescale::harness;
 
-namespace {
-
-constexpr report_column k_columns[] = {
-    {"feasible trials", "feasible_trials", "feasible_trials",
-     shown::per_trial},
-    {"missed/completed", "", "missed/completed", shown::count},
-    {"", "missed"}, {"", "completed"},
-    {"beyond margin", "missed_beyond_margin", "missed_beyond_margin",
-     shown::count},
-    {"worst latency (cyc)", "worst_latency_cycles", "worst_latency_cycles:max",
-     shown::num, 0},
-    {"drain bound (cyc)", "drain_bound_cycles", "drain_bound_cycles:max",
-     shown::num, 0},
-};
-
-} // namespace
-
 int main(int argc, char** argv) {
     bench_options defaults;
     defaults.trials = 10;
@@ -68,7 +51,7 @@ int main(int argc, char** argv) {
     const scale scales[] = {{16, 0.70, 0.90}, {64, 0.50, 0.70}};
 
     // Four tasks per client with periods of 100-2000 units.
-    report_section s{"", {"clients", "utilization"}, k_columns, {}};
+    report_section s{"", {"clients", "utilization"}, k_wcrt_columns, {}};
     for (const auto& sc : scales) {
         s.rows.push_back(
             {wcrt_validation_cell({

@@ -63,20 +63,4 @@ void health_monitor::check(cycle_t now) {
     }
 }
 
-health_report health_monitor::report() const {
-    health_report out;
-    out.degrade_events = degrade_events_.value();
-    out.recovery_events = recovery_events_.value();
-    out.time_to_recover = time_to_recover_.values();
-    const auto& shape = fabric_.shape();
-    for (std::uint32_t level = 0; level <= shape.leaf_level; ++level) {
-        for (std::uint32_t order = 0; order < shape.ses_at_level(level);
-             ++order) {
-            out.degraded_se_cycles +=
-                fabric_.se_at(level, order).degraded_cycles();
-        }
-    }
-    return out;
-}
-
 } // namespace bluescale::core

@@ -30,17 +30,6 @@ inline constexpr double k_stall_exit = 0.01;
 /// restored to budgeted compositional mode.
 inline constexpr std::uint32_t k_recovery_windows = 3;
 
-/// Aggregate outcome of a trial's health supervision (values read out of
-/// obs handles; a result type, not mutable storage).
-struct health_report {
-    std::uint64_t degrade_events = 0;  ///< healthy -> degraded transitions
-    std::uint64_t recovery_events = 0; ///< degraded -> healthy transitions
-    /// Total SE-cycles spent degraded (summed over elements).
-    std::uint64_t degraded_se_cycles = 0;
-    /// Degrade -> recovery spans, in cycles (recovered episodes only).
-    stats::sample_set time_to_recover;
-};
-
 class health_monitor : public component {
 public:
     explicit health_monitor(bluescale_ic& fabric);
@@ -57,13 +46,18 @@ public:
     /// and attaches the trace stream; call before the trial starts.
     void bind_observability(obs::metric_store& reg, obs::tracer tracer);
 
-    /// Report with degraded_se_cycles refreshed from the fabric.
-    [[nodiscard]] health_report report() const;
+    /// Healthy -> degraded transitions.
     [[nodiscard]] std::uint64_t degrade_events() const {
         return degrade_events_.value();
     }
+    /// Degraded -> healthy transitions.
     [[nodiscard]] std::uint64_t recovery_events() const {
         return recovery_events_.value();
+    }
+    /// Degrade -> recovery spans, in cycles (recovered episodes only).
+    /// The SE-cycles spent degraded are each element's degraded_cycles().
+    [[nodiscard]] const stats::sample_set& time_to_recover() const {
+        return time_to_recover_.values();
     }
 
 private:

@@ -13,8 +13,7 @@ meshed_bluescale_ic::meshed_bluescale_ic(std::uint32_t n_clients,
         trees_.push_back(std::make_unique<bluescale_ic>(
             n_clients, bluescale_config{},
             "bluescale_ch" + std::to_string(k)));
-        controllers_.push_back(
-            std::make_unique<memory_controller>(cfg_.memctrl));
+        controllers_.push_back(std::make_unique<memory_controller>());
         trees_[k]->attach_memory(*controllers_[k]);
         // Channel trees hand completed responses straight up; this
         // wrapper owns the client-facing bookkeeping.

@@ -19,7 +19,6 @@ struct meshed_config {
     std::uint32_t channels = 2;
     /// Consecutive chunks of this many bytes alternate across channels.
     std::uint64_t interleave_bytes = 4096;
-    memctrl_config memctrl = {};
 };
 
 /// Owns `channels` BlueScale trees and their memory controllers; presents

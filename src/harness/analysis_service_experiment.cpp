@@ -100,33 +100,11 @@ sweep_cell svc_storm_cell(const svc_storm_config& cfg) {
         rec.counter("hard_misses").inc(misses.hard);
         rec.counter("best_effort_misses").inc(misses.best_effort);
         rec.sample("miss_ratio").add(misses.ratio());
-        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
-            rec.counter("live_reconfigurations")
-                .inc(tt.client(c).stats().reconfigurations());
-        }
-
-        const svc::service_stats st = service.stats();
-        rec.counter("submitted").inc(st.submitted);
-        rec.counter("accepted").inc(st.accepted);
-        rec.counter("shed").inc(st.shed);
-        rec.counter("expired").inc(st.expired);
-        rec.counter("committed").inc(st.committed);
-        rec.counter("rejected").inc(st.rejected);
-        rec.counter("retries").inc(st.retries);
-        rec.counter("requeues").inc(st.requeues);
-        rec.counter("worker_crashes").inc(st.worker_crashes);
-        rec.counter("worker_stall_cycles").inc(st.worker_stall_cycles);
-        rec.counter("cache_hits").inc(st.cache_hits);
-        rec.counter("cache_misses").inc(st.cache_misses);
-        rec.counter("cache_invalidations").inc(st.cache_invalidations);
-        rec.counter("degraded_evals").inc(st.degraded_evals);
-        rec.counter("breaker_trips").inc(st.breaker_trips);
-        rec.counter("stale_reevals")
-            .inc(tb.reconfig()->stats().stale_reevals);
 
         // Conservation: submitted == shed + expired + rejected +
         // committed, and every record carries exactly one terminal
         // outcome.
+        const svc::service_stats st = service.stats();
         bool conserved = st.submitted == st.shed + st.expired +
                                               st.rejected + st.committed &&
                          st.submitted == service.records().size();
@@ -167,18 +145,16 @@ sweep_cell svc_storm_cell(const svc_storm_config& cfg) {
             }
         }
         rec.counter("conserved_trials").inc(conserved);
-        auto eval = rec.sample("eval_cycles");
-        for (double x : tb.metrics()
-                            .make_sample("svc/eval_cycles")
-                            .values()
-                            .samples()) {
-            eval.add(x);
+        for (const char* component : {"client.", "reconfig/", "svc/"}) {
+            rec.adopt(tb, component);
         }
         rec.capture(tb);
     };
     return {"svc_exp/", trial, [](sweep_result& r) {
-                const auto hits = r.totals.get("svc_exp/cache_hits").count;
-                const auto misses = r.totals.get("svc_exp/cache_misses").count;
+                const auto hits =
+                    r.totals.get("svc_exp/svc/cache_hits").count;
+                const auto misses =
+                    r.totals.get("svc_exp/svc/cache_misses").count;
                 set_real(r.totals, "svc_exp/cache_hit_ratio",
                          ratio(hits, hits + misses));
             }};

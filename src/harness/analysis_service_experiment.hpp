@@ -16,6 +16,7 @@
 // --threads setting and for the event vs lockstep engines.
 #pragma once
 
+#include "harness/bench_cli.hpp"
 #include "harness/traffic_trial.hpp"
 #include "svc/analysis_service.hpp"
 
@@ -48,20 +49,47 @@ struct svc_storm_config {
 /// acceptance criterion); after the storm the service and manager get
 /// 50,000 cycles to drain.
 ///
-/// totals ("svc_exp/"), service outcomes: counters submitted, accepted,
-/// shed, expired, committed, rejected, rejected_infeasible,
-/// rejected_overutilized, rejected_path_hazard, rolled_back. Robustness
-/// machinery: retries, requeues, worker_crashes, worker_stall_cycles,
-/// cache_hits, cache_misses, cache_invalidations, the real
-/// cache_hit_ratio, degraded_evals, degraded_requests (requests answered
-/// degraded), breaker_trips, stale_reevals (manager-side transparent
-/// re-runs), and the samples latency_cycles (submit -> terminal outcome)
-/// and eval_cycles (modeled worker busy time). Clients: the per-trial
-/// sample miss_ratio, hard_misses, best_effort_misses,
-/// live_reconfigurations. Trials: feasible_trials, drained_trials
-/// (service and manager fully drained inside the budget) and
-/// conserved_trials (submitted == shed + expired + rejected + committed
-/// and every record carries a terminal outcome).
+/// totals ("svc_exp/"), off the service's records: the counters
+/// rejected_infeasible, rejected_overutilized, rejected_path_hazard,
+/// rolled_back and degraded_requests (requests answered degraded) and the
+/// sample latency_cycles (submit -> terminal outcome, shed requests
+/// excluded). Clients: the per-trial sample miss_ratio, hard_misses and
+/// best_effort_misses. Trials: feasible_trials, drained_trials (service
+/// and manager fully drained inside the budget) and conserved_trials
+/// (submitted == shed + expired + rejected + committed and every record
+/// carries a terminal outcome). The adopted svc/, reconfig/ and client/
+/// metrics (trial_record::adopt), and the real cache_hit_ratio.
 [[nodiscard]] sweep_cell svc_storm_cell(const svc_storm_config& cfg);
+
+/// The svc_storm table's and CSV's columns.
+inline constexpr report_column k_svc_storm_columns[] = {
+    {"submitted", "submitted", "svc/submitted", shown::count},
+    {"shed", "shed", "svc/shed", shown::count},
+    {"expired", "expired", "svc/expired", shown::count},
+    {"commit", "committed", "svc/committed", shown::count},
+    {"reject", "rejected", "svc/rejected", shown::count},
+    {"", "rejected_infeasible"}, {"", "rejected_overutilized"},
+    {"", "rejected_path_hazard"}, {"", "rolled_back"},
+    {"", "retries", "svc/retries"}, {"", "requeues", "svc/requeues"},
+    {"retry/requeue", "", "svc/retries,svc/requeues", shown::count},
+    {"", "worker_crashes", "svc/worker_crashes"},
+    {"", "worker_stall_cycles", "svc/worker_stall_cycles"},
+    {"", "cache_hits", "svc/cache_hits"},
+    {"", "cache_misses", "svc/cache_misses"},
+    {"cache hit%", "cache_hit_ratio", "cache_hit_ratio", shown::pct, 1},
+    {"", "cache_invalidations", "svc/cache_invalidations"},
+    {"", "degraded_evals", "svc/degraded_evals"},
+    {"degraded", "degraded_requests", "degraded_requests", shown::count},
+    {"breaker", "breaker_trips", "svc/breaker_trips", shown::count},
+    {"", "stale_reevals", "reconfig/stale_reevals"},
+    {"lat (cyc)", "mean_latency_cycles", "latency_cycles", shown::num, 0},
+    {"", "max_latency_cycles", "latency_cycles:max"},
+    {"", "mean_eval_cycles", "svc/eval_cycles"}, {"", "miss_ratio"},
+    {"hard miss", "hard_misses", "hard_misses", shown::count},
+    {"", "best_effort_misses"},
+    {"", "live_reconfigurations", "client/reconfigurations"},
+    {"", "feasible_trials"}, {"", "drained_trials"},
+    {"conserved", "conserved_trials", "conserved_trials", shown::per_trial},
+};
 
 } // namespace bluescale::harness

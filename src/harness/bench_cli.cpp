@@ -79,26 +79,31 @@ struct cli {
         usage_and_exit(2);
     }
 
-    /// Strict decimal parse of a flag value into `field`: digits only (no
-    /// sign, no blanks, no trailing characters), no overflow and within
-    /// the field's range, so `-1` is rejected instead of wrapping and no
-    /// value is truncated.
+    /// parse_uint of a flag value into `field`, within the field's range.
     template <class T>
     void parse_into(T& field, const char* flag, const char* text) const {
         const std::uint64_t max = std::numeric_limits<T>::max();
-        errno = 0;
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(text, &end, 10);
-        if (text[0] < '0' || text[0] > '9' || *end != '\0' ||
-            errno == ERANGE || v > max) {
+        const std::optional<std::uint64_t> v = parse_uint(text, max);
+        if (!v) {
             fail(formatted("%s expects an integer in [0, %llu], got '%s'",
                            flag, static_cast<unsigned long long>(max), text));
         }
-        field = static_cast<T>(v);
+        field = static_cast<T>(*v);
     }
 };
 
 } // namespace
+
+std::optional<std::uint64_t> parse_uint(const char* text, std::uint64_t max) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+        v > max) {
+        return std::nullopt;
+    }
+    return v;
+}
 
 bench_options parse_bench_cli(int argc, char** argv,
                               const bench_options& defaults,
@@ -182,12 +187,12 @@ std::string table_cell(const report_column& c, const obs::snapshot& totals,
     }
     std::string out;
     for (std::string_view rest = metric_of(c);;) {
-        const auto slash = rest.find('/');
+        const auto comma = rest.find(',');
         out += std::to_string(
-            totals.get(full_name(prefix, rest.substr(0, slash))).count);
-        if (slash == std::string_view::npos) break;
+            totals.get(full_name(prefix, rest.substr(0, comma))).count);
+        if (comma == std::string_view::npos) break;
         out += '/';
-        rest.remove_prefix(slash + 1);
+        rest.remove_prefix(comma + 1);
     }
     if (c.as == shown::per_trial) {
         out += '/';

@@ -62,6 +62,13 @@ enum bench_flag : unsigned {
                                             const char* what,
                                             unsigned honoured = k_all_flags);
 
+/// Strict decimal parse of a flag value: digits only (no sign, no
+/// blanks, no trailing characters), no overflow, and at most `max`, so
+/// `-1` is rejected instead of wrapping and no value is truncated.
+/// nullopt when `text` is anything else.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(const char* text,
+                                                      std::uint64_t max);
+
 /// How a report column shows its value in the table.
 enum class shown {
     /// The metric's value -- a sample's mean, a real, or the sample
@@ -69,8 +76,8 @@ enum class shown {
     /// decimals.
     num,
     pct, ///< the same value as a percentage
-    /// The counter, or the '/'-separated counters ("retries/requeues")
-    /// joined by '/'.
+    /// The counter, or the ','-separated counters ("svc/retries,
+    /// svc/requeues") joined by '/' ("3/4").
     count,
     per_trial, ///< the counter over the trial count ("3/10")
 };

@@ -1,14 +1,10 @@
-// Design-agnostic construction of the evaluated interconnects.
+// The evaluated interconnect designs, by kind (harness::testbench builds
+// them).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "analysis/tree_analysis.hpp"
 #include "hwcost/cost_model.hpp"
-#include "interconnect/interconnect.hpp"
 
 namespace bluescale::harness {
 
@@ -40,25 +36,5 @@ inline constexpr ic_kind k_extended_kinds[] = {
 
 [[nodiscard]] const char* kind_name(ic_kind kind);
 [[nodiscard]] hwcost::design to_design(ic_kind kind);
-
-struct ic_build_options {
-    std::uint32_t n_clients = 16;
-    /// Cycles per transaction time unit (matched to the memory
-    /// controller's initiation interval).
-    std::uint32_t unit_cycles = 4;
-    /// Per-client utilization (fraction of memory throughput), used for
-    /// GSMTree-FBSP slot weights and AXI-IC^RT bandwidth regulation.
-    std::vector<double> client_utilizations;
-    /// Resolved interface selection for BlueScale; when null the fabric
-    /// runs unconfigured (pure nested EDF, work-conserving).
-    const analysis::tree_selection* selection = nullptr;
-    /// BlueTree/BlueTree-Smooth blocking factor (paper default: 2).
-    std::uint32_t bluetree_alpha = 2;
-};
-
-/// Builds an interconnect of the given kind, configured per the paper's
-/// evaluation setup.
-[[nodiscard]] std::unique_ptr<interconnect>
-make_interconnect(ic_kind kind, const ic_build_options& opts);
 
 } // namespace bluescale::harness

@@ -28,7 +28,7 @@ sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
         testbench_options opts;
         opts.faults = campaign.empty() ? nullptr : &campaign;
         opts.watchdog = core::watchdog_config{};
-        opts.selection.bandwidth_tolerance = cfg.bandwidth_tolerance;
+        opts.selection.bandwidth_tolerance = k_maintenance_bandwidth_tolerance;
         if (cfg.maintenance_aware) {
             // The one toggle under study: provision (Pi, Theta) against
             // the maintenance-corrected sbf AND police supply with the
@@ -76,22 +76,8 @@ sweep_cell maintenance_cell(const maintenance_exp_config& cfg) {
         be_ratio.add(
             ratio(misses.best_effort, misses.best_effort_accounted));
         p99.add(latency.percentile(99.0));
-
-        const auto& maint = tb.memctrl().maintenance();
-        rec.counter("refreshes").inc(maint.refreshes());
-        rec.counter("scrubs").inc(maint.scrubs());
-        rec.counter("hammer_mitigations").inc(maint.hammer_mitigations());
-        rec.counter("maintenance_stolen_cycles").inc(maint.stolen_cycles());
-        rec.counter("maintenance_storm_cycles").inc(maint.storm_cycles());
-
-        const auto rep = tb.watchdog()->report();
-        rec.counter("windows_checked").inc(rep.windows_checked);
-        rec.counter("supply_shortfall_alarms")
-            .inc(rep.supply_shortfall_alarms);
-        rec.counter("deadline_alarms").inc(rep.deadline_alarms);
-        rec.counter("shed_events").inc(rep.shed_events);
-        rec.counter("restore_events").inc(rep.restore_events);
-        rec.counter("shed_client_cycles").inc(rep.shed_client_cycles);
+        rec.adopt(tb, "mem/");
+        rec.adopt(tb, "watchdog/");
         rec.capture(tb);
     }};
 }

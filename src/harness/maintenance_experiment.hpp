@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "harness/bench_cli.hpp"
 #include "harness/traffic_trial.hpp"
 
 namespace bluescale::harness {
@@ -21,6 +22,15 @@ namespace bluescale::harness {
 /// Maintenance-storm window length, uniform in [min, max] cycles.
 inline constexpr cycle_t k_storm_min_duration = 64;
 inline constexpr cycle_t k_storm_max_duration = 256;
+
+/// Selection bandwidth tolerance (applied in BOTH modes so the
+/// aware/unaware comparison is apples-to-apples). Nonzero matters under
+/// maintenance: the strict-minimum selection picks tiny server periods,
+/// and a server task whose period is comparable to the maintenance burst
+/// makes the corrected test infeasible at the level above -- trading a
+/// little bandwidth for larger periods lets every level amortize the
+/// stolen-time shift.
+inline constexpr double k_maintenance_bandwidth_tolerance = 0.10;
 
 struct maintenance_exp_config {
     /// Task periods sit well above the maintenance burst (a refresh
@@ -42,14 +52,6 @@ struct maintenance_exp_config {
             .write_fraction = 0.3,
         },
     };
-    /// Selection bandwidth tolerance (applied in BOTH modes so the
-    /// aware/unaware comparison is apples-to-apples). Nonzero matters
-    /// under maintenance: the strict-minimum selection picks tiny server
-    /// periods, and a server task whose period is comparable to the
-    /// maintenance burst makes the corrected test infeasible at the level
-    /// above -- trading a little bandwidth for larger periods lets every
-    /// level amortize the stolen-time shift.
-    double bandwidth_tolerance = 0.10;
     /// Provision (Pi, Theta) and police supply with the
     /// maintenance-corrected SBF (true) or the raw one (false).
     bool maintenance_aware = true;
@@ -70,10 +72,35 @@ struct maintenance_exp_config {
 ///
 /// totals ("maintenance/"): per-trial samples hard_miss_ratio,
 /// best_effort_miss_ratio and p99_latency_cycles; counters hard_misses,
-/// best_effort_misses, refreshes, scrubs, hammer_mitigations,
-/// maintenance_stolen_cycles, maintenance_storm_cycles, injected_storms,
-/// windows_checked, supply_shortfall_alarms, deadline_alarms,
-/// shed_events, restore_events, shed_client_cycles and feasible_trials.
+/// best_effort_misses, injected_storms and feasible_trials; and the
+/// adopted mem/ and watchdog/ metrics (trial_record::adopt) of the
+/// admitted trials.
 [[nodiscard]] sweep_cell maintenance_cell(const maintenance_exp_config& cfg);
+
+/// The maintenance tables' and CSV's columns.
+inline constexpr report_column k_maintenance_columns[] = {
+    {"hard miss", "hard_miss_ratio", "hard_miss_ratio", shown::pct, 2},
+    {"", "hard_miss_sd", "hard_miss_ratio:sd"},
+    {"BE miss", "be_miss_ratio", "best_effort_miss_ratio", shown::pct, 2},
+    {"p99 (cyc)", "p99_cycles", "p99_latency_cycles", shown::num, 1},
+    {"", "hard_misses"}, {"", "best_effort_misses"},
+    {"", "refreshes", "mem/refreshes"}, {"", "scrubs", "mem/scrubs"},
+    {"", "hammer_mitigations", "mem/hammer_mitigations"},
+    {"stolen (cyc)", "stolen_cycles", "mem/maintenance_stolen_cycles",
+     shown::count},
+    {"", "storm_cycles", "mem/maintenance_storm_cycles"},
+    {"", "injected_storms"},
+    {"", "windows_checked", "watchdog/windows_checked"},
+    {"shortfalls", "supply_shortfall_alarms",
+     "watchdog/supply_shortfall_alarms", shown::count},
+    {"dl alarms", "deadline_alarms", "watchdog/deadline_alarms",
+     shown::count},
+    {"", "shed_events", "watchdog/shed_events"},
+    {"", "restore_events", "watchdog/restore_events"},
+    {"shed/rest", "", "watchdog/shed_events,watchdog/restore_events",
+     shown::count},
+    {"", "shed_client_cycles", "watchdog/shed_client_cycles"},
+    {"feas", "feasible_trials", "feasible_trials", shown::count},
+};
 
 } // namespace bluescale::harness

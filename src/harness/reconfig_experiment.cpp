@@ -77,26 +77,13 @@ sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
         rec.counter("hard_misses").inc(misses.hard);
         rec.counter("best_effort_misses").inc(misses.best_effort);
         rec.sample("miss_ratio").add(misses.ratio());
-        for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
-            const auto& s = tt.client(c).stats();
-            rec.counter("shed_deferrals").inc(s.shed_deferrals());
-            rec.counter("live_reconfigurations").inc(s.reconfigurations());
-        }
 
+        // Per-outcome counts and latencies off the resolved records.
         auto latency = rec.sample("latency_cycles");
-        auto submitted = rec.counter("submitted");
-        auto admitted = rec.counter("admitted");
-        auto committed = rec.counter("committed");
-        auto rolled_back = rec.counter("rolled_back");
         auto infeasible = rec.counter("rejected_infeasible");
         auto overutilized = rec.counter("rejected_overutilized");
         auto hazard = rec.counter("rejected_path_hazard");
         if (const auto* mgr = tb.reconfig()) {
-            const auto& st = mgr->stats();
-            submitted.inc(st.submitted);
-            admitted.inc(st.admitted);
-            committed.inc(st.committed);
-            rolled_back.inc(st.rolled_back);
             for (const auto& r : mgr->records()) {
                 switch (r.outcome) {
                 case core::admission_outcome::rejected_infeasible:
@@ -116,20 +103,8 @@ sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
                 }
             }
         }
-        auto windows = rec.counter("windows_checked");
-        auto violating = rec.counter("violating_windows");
-        auto shortfalls = rec.counter("supply_shortfall_alarms");
-        auto shed = rec.counter("shed_events");
-        auto restore = rec.counter("restore_events");
-        auto shed_cycles = rec.counter("shed_client_cycles");
-        if (const auto* wd = tb.watchdog()) {
-            const auto& rep = wd->report();
-            windows.inc(rep.windows_checked);
-            violating.inc(rep.violating_windows);
-            shortfalls.inc(rep.supply_shortfall_alarms);
-            shed.inc(rep.shed_events);
-            restore.inc(rep.restore_events);
-            shed_cycles.inc(rep.shed_client_cycles);
+        for (const char* component : {"client.", "reconfig/", "watchdog/"}) {
+            rec.adopt(tb, component);
         }
         rec.capture(tb);
     };
@@ -138,10 +113,11 @@ sweep_cell reconfig_cell(ic_kind kind, const reconfig_exp_config& cfg) {
                     return r.totals.get(std::string("reconfig_exp/") + name)
                         .count;
                 };
+                const auto submitted = count("reconfig/submitted");
                 set_real(r.totals, "reconfig_exp/admission_ratio",
-                         ratio(count("admitted"), count("submitted")));
+                         ratio(count("reconfig/admitted"), submitted));
                 set_real(r.totals, "reconfig_exp/requests",
-                         static_cast<double>(count("submitted") +
+                         static_cast<double>(submitted +
                                              count("applied_unchecked")));
             }};
 }

@@ -16,6 +16,7 @@
 // miss totals, per design.
 #pragma once
 
+#include "harness/bench_cli.hpp"
 #include "harness/factory.hpp"
 #include "harness/traffic_trial.hpp"
 
@@ -43,21 +44,52 @@ struct reconfig_exp_config {
 /// reconfiguration schedules (both pure functions of the trial seed, so
 /// designs are compared on identical request sequences).
 ///
-/// totals ("reconfig_exp/"), admission control (BlueScale; zero for
-/// baselines): counters submitted, admitted (passed the admission test),
-/// committed, rolled_back, rejected_infeasible, rejected_overutilized,
-/// rejected_path_hazard, transition_misses (deadline misses between a
-/// request's submission and its resolution), the real admission_ratio
-/// (admitted / submitted), and the sample latency_cycles (modeled
-/// parameter-path latency of admitted requests); applied_unchecked
-/// (unconditional zero-latency applications, baselines only), and the
-/// real requests (submitted + applied_unchecked). Watchdog:
-/// windows_checked, violating_windows, supply_shortfall_alarms,
-/// shed_events, restore_events, shed_client_cycles. Per class: the
-/// per-trial sample miss_ratio (all clients), hard_misses,
-/// best_effort_misses, shed_deferrals, live_reconfigurations (task-set
-/// swaps applied) and feasible_trials.
+/// totals ("reconfig_exp/"): the counters rejected_infeasible,
+/// rejected_overutilized and rejected_path_hazard and the sample
+/// latency_cycles (modeled parameter-path latency of resolved admitted
+/// requests), off the manager's records (BlueScale; zero for baselines);
+/// transition_misses (deadline misses between a request's submission and
+/// its resolution); applied_unchecked (unconditional zero-latency
+/// applications, baselines only); per class, the per-trial sample
+/// miss_ratio (all clients), hard_misses and best_effort_misses;
+/// feasible_trials; the adopted client/, reconfig/ and watchdog/ metrics
+/// (trial_record::adopt); and the reals admission_ratio
+/// (reconfig/admitted over reconfig/submitted) and requests
+/// (reconfig/submitted + applied_unchecked).
 [[nodiscard]] sweep_cell reconfig_cell(ic_kind kind,
                                       const reconfig_exp_config& cfg);
+
+/// The reconfig tables' and CSV's columns.
+inline constexpr report_column k_reconfig_columns[] = {
+    {"submitted", "", "requests", shown::num, 0},
+    {"admit%", "", "admission_ratio", shown::pct, 1},
+    {"", "submitted", "reconfig/submitted"}, {"", "applied_unchecked"},
+    {"", "admitted", "reconfig/admitted"},
+    {"commit", "committed", "reconfig/committed", shown::count},
+    {"rollbk", "rolled_back", "reconfig/rolled_back", shown::count},
+    {"rej inf/over/haz", "",
+     "rejected_infeasible,rejected_overutilized,rejected_path_hazard",
+     shown::count},
+    {"", "rejected_infeasible"}, {"", "rejected_overutilized"},
+    {"", "rejected_path_hazard"}, {"", "admission_ratio"},
+    {"lat (cyc)", "mean_latency_cycles", "latency_cycles", shown::num, 0},
+    {"", "max_latency_cycles", "latency_cycles:max"},
+    {"trans miss", "transition_misses", "transition_misses", shown::count},
+    {"miss ratio", "miss_ratio", "miss_ratio", shown::pct, 2},
+    {"", "miss_sd", "miss_ratio:sd"},
+    {"hard miss", "hard_misses", "hard_misses", shown::count},
+    {"BE miss", "best_effort_misses", "best_effort_misses", shown::count},
+    {"", "live_reconfigurations", "client/reconfigurations"},
+    {"", "windows_checked", "watchdog/windows_checked"},
+    {"", "violating_windows", "watchdog/violating_windows"},
+    {"", "supply_shortfall_alarms", "watchdog/supply_shortfall_alarms"},
+    {"", "shed_events", "watchdog/shed_events"},
+    {"", "restore_events", "watchdog/restore_events"},
+    {"shed/rest", "", "watchdog/shed_events,watchdog/restore_events",
+     shown::count},
+    {"", "shed_client_cycles", "watchdog/shed_client_cycles"},
+    {"", "shed_deferrals", "client/shed_deferrals"},
+    {"", "feasible_trials"},
+};
 
 } // namespace bluescale::harness

@@ -29,47 +29,31 @@ sweep_cell resilience_cell(ic_kind kind, const resilience_config& cfg) {
         rec.sample("miss_ratio").add(tt.finalize(0).ratio());
         stats::sample_set latency;
         for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
-            const auto& s = tt.client(c).stats();
-            for (double l : s.latency_cycles().samples()) latency.add(l);
-            rec.counter("retries").inc(s.retries());
-            rec.counter("timeouts").inc(s.timeouts());
-            rec.counter("retry_exhausted").inc(s.retry_exhausted());
-            rec.counter("stale_responses").inc(s.stale_responses());
-            rec.counter("failed_responses").inc(s.failed_responses());
+            for (double l : tt.client(c).stats().latency_cycles().samples()) {
+                latency.add(l);
+            }
         }
         rec.sample("p99_latency_cycles").add(latency.percentile(99.0));
         rec.sample("worst_latency_cycles").add(latency.max());
-
         rec.counter("link_drops").inc(tb.ic().link_dropped());
-        rec.counter("ecc_retries").inc(tb.memctrl().ecc_retries());
-        rec.counter("uncorrected_errors")
-            .inc(tb.memctrl().uncorrected_errors());
-        rec.counter("storm_cycles").inc(tb.memctrl().storm_cycles());
 
-        auto stall_cycles = rec.counter("se_stall_cycles");
         auto stall_windows = rec.counter("stall_windows");
         if (auto* bs = dynamic_cast<core::bluescale_ic*>(&tb.ic())) {
             const auto& shape = bs->shape();
             for (std::uint32_t l = 0; l <= shape.leaf_level; ++l) {
                 for (std::uint32_t y = 0; y < shape.ses_at_level(l); ++y) {
-                    stall_cycles.inc(bs->se_at(l, y).fault_stall_cycles());
                     stall_windows.inc(
                         bs->se_at(l, y).stall_windows_entered());
                 }
             }
         }
-        auto degrade = rec.counter("degrade_events");
-        auto recover = rec.counter("recovery_events");
-        auto degraded_cycles = rec.counter("degraded_se_cycles");
         auto ttr = rec.sample("time_to_recover_cycles");
-        if (const auto* mon = tb.health()) {
-            const auto report = mon->report();
-            degrade.inc(report.degrade_events);
-            recover.inc(report.recovery_events);
-            degraded_cycles.inc(report.degraded_se_cycles);
-            if (report.time_to_recover.count() > 0) {
-                ttr.add(report.time_to_recover.mean());
-            }
+        if (const auto* mon = tb.health();
+            mon != nullptr && mon->time_to_recover().count() > 0) {
+            ttr.add(mon->time_to_recover().mean());
+        }
+        for (const char* component : {"client.", "se.", "mem/", "health/"}) {
+            rec.adopt(tb, component);
         }
         rec.capture(tb);
     }};

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "harness/bench_cli.hpp"
 #include "harness/factory.hpp"
 #include "harness/traffic_trial.hpp"
 
@@ -33,10 +34,8 @@ struct resilience_config {
 /// totals ("resilience/"): per-trial samples miss_ratio (in [0, 1]),
 /// p99_latency_cycles, worst_latency_cycles and time_to_recover_cycles
 /// (mean span, trials with a recovery only); counters injected_events,
-/// stall_windows, se_stall_cycles, link_drops, ecc_retries,
-/// uncorrected_errors, storm_cycles, retries, timeouts, retry_exhausted,
-/// stale_responses, failed_responses, degrade_events, recovery_events,
-/// degraded_se_cycles and feasible_trials.
+/// stall_windows, link_drops and feasible_trials; and the adopted
+/// client/, se/, mem/ and health/ metrics (trial_record::adopt).
 [[nodiscard]] sweep_cell resilience_cell(ic_kind kind,
                                         const resilience_config& cfg);
 
@@ -49,5 +48,35 @@ struct resilience_config {
 [[nodiscard]] std::vector<sweep_cell>
 resilience_cells(ic_kind kind, resilience_config cfg,
                  std::span<const double> intensities);
+
+/// The resilience tables' and CSV's columns. The table shows ecc and
+/// drops after the retry counters, the CSV before.
+inline constexpr report_column k_resilience_columns[] = {
+    {"miss ratio", "miss_ratio", "miss_ratio", shown::pct, 2},
+    {"", "miss_sd", "miss_ratio:sd"},
+    {"p99 (cyc)", "p99_cycles", "p99_latency_cycles", shown::num, 1},
+    {"p99 infl", "p99_inflation", "p99_inflation", shown::num, 2},
+    {"worst (cyc)", "worst_cycles", "worst_latency_cycles", shown::num, 1},
+    {"", "worst_inflation"}, {"", "injected_events"}, {"", "stall_windows"},
+    {"", "se_stall_cycles", "se/fault_stall_cycles"}, {"", "link_drops"},
+    {"", "ecc_retries", "mem/ecc_retries"},
+    {"", "uncorrected_errors", "mem/uncorrected_errors"},
+    {"", "storm_cycles", "mem/storm_cycles"},
+    {"retries", "retries", "client/retries", shown::count},
+    {"timeouts", "timeouts", "client/timeouts", shown::count},
+    {"ecc", "", "mem/ecc_retries", shown::count},
+    {"drops", "", "link_drops", shown::count},
+    {"", "retry_exhausted", "client/retry_exhausted"},
+    {"", "stale_responses", "client/stale_responses"},
+    {"", "failed_responses", "client/failed_responses"},
+    {"degr/recov", "", "health/degrade_events,health/recovery_events",
+     shown::count},
+    {"", "degrade_events", "health/degrade_events"},
+    {"", "recovery_events", "health/recovery_events"},
+    {"", "degraded_se_cycles", "se/degraded_cycles"},
+    {"mean TTR", "mean_time_to_recover", "time_to_recover_cycles",
+     shown::num, 0},
+    {"", "feasible_trials"},
+};
 
 } // namespace bluescale::harness

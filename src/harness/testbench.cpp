@@ -1,36 +1,89 @@
 #include "harness/testbench.hpp"
 
+#include <algorithm>
+
 #include "core/bluescale_ic.hpp"
+#include "interconnect/axi_hyperconnect.hpp"
+#include "interconnect/axi_icrt.hpp"
+#include "interconnect/bluetree.hpp"
+#include "interconnect/gsmtree.hpp"
 
 namespace bluescale::harness {
+
+namespace {
+
+/// The interconnect of `kind`, configured per the paper's evaluation
+/// setup; a BlueScale fabric runs `selection` when it is feasible (else
+/// unconfigured: pure nested EDF, work-conserving).
+std::unique_ptr<interconnect>
+build_interconnect(ic_kind kind, const testbench_options& opts,
+                   std::uint32_t unit_cycles,
+                   const analysis::tree_selection& selection) {
+    const std::uint32_t n = opts.n_clients;
+    const std::vector<double>& utils = opts.client_utilizations;
+    switch (kind) {
+    case ic_kind::axi_icrt: {
+        axi_icrt_config cfg;
+        cfg.arb_latency = axi_icrt::default_arb_latency(n);
+        auto ic = std::make_unique<axi_icrt>(n, cfg);
+        // "Allocating memory bandwidth to a client based on its workload"
+        // [11]: reserve each client's utilization plus headroom.
+        for (std::uint32_t c = 0; c < utils.size(); ++c) {
+            ic->set_client_share(c, std::min(1.0, utils[c] * 1.25));
+        }
+        return ic;
+    }
+    case ic_kind::bluetree:
+    case ic_kind::bluetree_smooth: {
+        bluetree_config cfg;
+        cfg.alpha = opts.bluetree_alpha;
+        if (kind == ic_kind::bluetree) {
+            return std::make_unique<bluetree>(n, cfg);
+        }
+        cfg.queue_depth = 8;
+        cfg.smooth_depth = 4;
+        return std::make_unique<bluetree>(n, cfg, "bluetree_smooth");
+    }
+    case ic_kind::gsmtree_tdm:
+    case ic_kind::gsmtree_fbsp: {
+        gsmtree_config cfg;
+        cfg.slot_cycles = unit_cycles;
+        if (kind == ic_kind::gsmtree_tdm) {
+            cfg.reservation = gsm_reservation::tdm;
+            return std::make_unique<gsmtree>(n, cfg, "gsmtree_tdm");
+        }
+        cfg.reservation = gsm_reservation::fbsp;
+        cfg.client_weights = utils;
+        if (cfg.client_weights.empty()) cfg.client_weights.assign(n, 1.0);
+        return std::make_unique<gsmtree>(n, cfg, "gsmtree_fbsp");
+    }
+    case ic_kind::axi_hyperconnect:
+        return std::make_unique<axi_hyperconnect>(n,
+                                                  axi_hyperconnect_config{});
+    case ic_kind::bluescale: {
+        core::bluescale_config cfg;
+        if (opts.bluescale_se) cfg.se = *opts.bluescale_se;
+        cfg.se.unit_cycles = unit_cycles;
+        auto ic = std::make_unique<core::bluescale_ic>(n, cfg);
+        if (selection.feasible) ic->configure(selection);
+        return ic;
+    }
+    }
+    return nullptr;
+}
+
+} // namespace
 
 testbench::testbench(ic_kind kind, const testbench_options& opts)
     : kind_(kind),
       unit_cycles_(opts.memctrl.initiation_interval),
       mem_(opts.memctrl),
       sinks_(opts.n_clients) {
-    ic_build_options build;
-    build.n_clients = opts.n_clients;
-    build.unit_cycles = unit_cycles_;
-    build.client_utilizations = opts.client_utilizations;
-    build.bluetree_alpha = opts.bluetree_alpha;
     if (kind == ic_kind::bluescale && opts.rt_sets != nullptr) {
         selection_ =
             analysis::select_tree_interfaces(*opts.rt_sets, opts.selection);
-        build.selection = &selection_;
     }
-
-    ic_ = make_interconnect(kind, build);
-    if (kind == ic_kind::bluescale && opts.bluescale_se.has_value()) {
-        // SE ablations rebuild the fabric with the override.
-        core::bluescale_config bs_cfg;
-        bs_cfg.se = *opts.bluescale_se;
-        bs_cfg.se.unit_cycles = unit_cycles_;
-        auto bs = std::make_unique<core::bluescale_ic>(opts.n_clients, bs_cfg);
-        if (selection_.feasible) bs->configure(selection_);
-        ic_ = std::move(bs);
-    }
-
+    ic_ = build_interconnect(kind, opts, unit_cycles_, selection_);
     ic_->attach_memory(mem_);
     ic_->set_response_handler([this](mem_request&& r) {
         sinks_[r.client](std::move(r));

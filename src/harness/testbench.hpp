@@ -22,6 +22,7 @@
 #include "core/scale_element.hpp"
 #include "core/supply_watchdog.hpp"
 #include "harness/factory.hpp"
+#include "interconnect/interconnect.hpp"
 #include "sim/fault.hpp"
 #include "mem/memory_controller.hpp"
 #include "obs/registry.hpp"
@@ -38,14 +39,17 @@ struct testbench_options {
     std::uint32_t bluetree_alpha = 2;
     /// Optional SE parameter override for BlueScale (ablations). The SE
     /// unit_cycles is forced to the memory controller's initiation
-    /// interval.
-    std::optional<core::se_params> bluescale_se;
-    /// Per-client utilizations for reservation-based designs
-    /// (GSMTree-FBSP weights, AXI-IC^RT regulation).
-    std::vector<double> client_utilizations;
+    /// interval, which is also the cycles per transaction time unit of
+    /// every design (GSMTree slots included).
+    std::optional<core::se_params> bluescale_se = std::nullopt;
+    /// Per-client utilizations (fractions of memory throughput) for
+    /// reservation-based designs: GSMTree-FBSP slot weights (equal when
+    /// empty) and AXI-IC^RT bandwidth regulation (none when empty).
+    std::vector<double> client_utilizations = {};
     /// Memory-demand view per client. When non-null and the kind is
-    /// BlueScale, drives the whole-tree interface selection; other kinds
-    /// ignore it.
+    /// BlueScale, drives the whole-tree interface selection, which the
+    /// fabric runs when feasible (else it stays unconfigured: pure nested
+    /// EDF, work-conserving); other kinds ignore it.
     const std::vector<analysis::task_set>* rt_sets = nullptr;
     /// Selection/admission knobs for the whole-tree interface selection.
     /// Set `selection.sched.maintenance` (mem::to_maintenance_model) to
@@ -66,12 +70,12 @@ struct testbench_options {
     /// When set and the kind is BlueScale, a core::reconfig_manager
     /// accepts runtime admission requests against the resolved selection
     /// (requires rt_sets). Ignored for the baseline interconnects.
-    std::optional<core::reconfig_config> reconfig;
+    std::optional<core::reconfig_config> reconfig = std::nullopt;
     /// When set and the kind is BlueScale, a core::supply_watchdog
     /// polices per-SE supply conformance online and (when configured)
     /// sheds best-effort clients under sustained overload. Ignored for
     /// the baseline interconnects.
-    std::optional<core::watchdog_config> watchdog;
+    std::optional<core::watchdog_config> watchdog = std::nullopt;
 };
 
 class testbench {

@@ -118,7 +118,7 @@ public:
 
     /// Finalizes every client at tb().now() and splits their misses,
     /// the last `best_effort` client ids counting as best-effort.
-    [[nodiscard]] class_misses finalize(std::uint32_t best_effort);
+    class_misses finalize(std::uint32_t best_effort);
 
     /// Sum of every client's misses so far.
     [[nodiscard]] std::uint64_t missed() const;

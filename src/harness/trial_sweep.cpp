@@ -47,6 +47,26 @@ obs::sample trial_record::sample(std::string_view name) {
     return values_.make_sample({prefix_, name});
 }
 
+void trial_record::adopt(testbench& tb, std::string_view component) {
+    const bool instanced = component.ends_with('.');
+    const std::string_view home = component.substr(0, component.size() - 1);
+    const obs::snapshot taken = tb.metrics().take_prefix(component, !instanced);
+    for (const auto& [name, v] : taken.entries()) {
+        const std::string_view n = name;
+        if (v.kind == obs::metric_kind::sample) {
+            obs::sample s = values_.make_sample({prefix_, n});
+            for (double x : v.samples.samples()) s.add(x);
+        } else if (v.kind == obs::metric_kind::counter) {
+            values_
+                .make_counter(instanced
+                                  ? obs::metric_name(prefix_, home,
+                                                     n.substr(n.find('/')))
+                                  : obs::metric_name(prefix_, n))
+                .inc(v.count);
+        }
+    }
+}
+
 void trial_record::watch(testbench& tb) {
     if (grid_.profile) tb.sim().enable_profiling(tb.metrics());
 }

@@ -91,6 +91,17 @@ public:
     [[nodiscard]] obs::counter counter(std::string_view name);
     [[nodiscard]] obs::sample sample(std::string_view name);
 
+    /// Folds the metrics tb's registry holds under `component` into the
+    /// trial's values as "<prefix><component>/<leaf>", so each value a
+    /// component counts has one name and one home. A component ending in
+    /// '.' names instances ("client.", "se."): their coordinates drop and
+    /// their counters sum ("client.3/retries" adds to "client/retries");
+    /// their samples and gauges stay behind. A singleton component's
+    /// ("svc/", "mem/", ...) counters and samples come over (samples
+    /// appended; no singleton registers a gauge or real). Call it once
+    /// per component, when the trial's values are final.
+    void adopt(testbench& tb, std::string_view component);
+
     /// Before the run: turns on tb's simulator profiling when the grid
     /// profiles.
     void watch(testbench& tb);

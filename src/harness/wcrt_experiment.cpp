@@ -32,14 +32,13 @@ sweep_cell wcrt_validation_cell(const traffic_scenario& s) {
         mm.queue_depth = k_request_queue_depth;
         mm.initiation_interval = mc.initiation_interval;
         const core::se_params se;
-        rec.counter("missed").inc(tt.finalize(0).hard);
+        tt.finalize(0);
+        rec.adopt(tb, "client.");
         double worst = 0.0;
         std::uint64_t largest_bound = 0;
         for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
-            const auto& st = tt.client(c).stats();
-            rec.counter("missed_beyond_margin").inc(st.missed_beyond_margin());
-            rec.counter("completed").inc(st.completed());
-            worst = std::max(worst, st.latency_cycles().max());
+            worst = std::max(worst,
+                             tt.client(c).stats().latency_cycles().max());
             const auto bound = analysis::wcrt_bound(tb.selection(), c,
                                                     se.buffer_depth, mm);
             if (bound.bounded) {

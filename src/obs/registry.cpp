@@ -111,6 +111,21 @@ snapshot registry::take_snapshot(bool include_profile) const {
     return out;
 }
 
+snapshot registry::take_prefix(std::string_view prefix, bool samples) const {
+    for (const sync_hook& h : sync_) h.fn(h.ctx);
+    snapshot out;
+    for (auto it = index_.lower_bound(prefix);
+         it != index_.end() && it->first.starts_with(prefix); ++it) {
+        const detail::slot& s = *it->second;
+        if ((s.flags & k_metric_profile) != 0 ||
+            (!samples && s.kind == metric_kind::sample)) {
+            continue;
+        }
+        out.entries_.emplace_back(it->first, read_slot(s));
+    }
+    return out;
+}
+
 value_block::value_block(std::size_t capacity, std::size_t samples)
     : slots_(nullptr, layout{static_cast<std::uint32_t>(capacity),
                              static_cast<std::uint32_t>(samples)}) {

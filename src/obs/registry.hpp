@@ -303,6 +303,11 @@ public:
     /// Profile-flagged metrics are skipped unless `include_profile` (they
     /// carry wall-clock noise and would break byte-identical exports).
     [[nodiscard]] snapshot take_snapshot(bool include_profile = false) const;
+    /// take_snapshot() of only the metrics named `prefix`...: a walk of
+    /// the sorted index from `prefix` on, after the sync hooks. Sample
+    /// metrics are left out unless `samples`.
+    [[nodiscard]] snapshot take_prefix(std::string_view prefix,
+                                       bool samples) const;
 
 private:
     detail::slot& slot_for(const metric_name& name, metric_kind kind,

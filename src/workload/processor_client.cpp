@@ -6,10 +6,9 @@
 namespace bluescale::workload {
 
 processor_client::processor_client(client_id_t id, compute_task_set tasks,
-                                   interconnect& net, std::uint64_t seed,
-                                   processor_retry_config retry)
+                                   interconnect& net, std::uint64_t seed)
     : component("processor_" + std::to_string(id)), id_(id),
-      tasks_(std::move(tasks)), net_(net), rng_(seed), retry_(retry),
+      tasks_(std::move(tasks)), net_(net), rng_(seed),
       next_release_(tasks_.size(), 0),
       next_request_id_((static_cast<request_id_t>(id) << 40) | 1u) {
     bind_observability(own_);
@@ -17,10 +16,6 @@ processor_client::processor_client(client_id_t id, compute_task_set tasks,
 
 void processor_client::bind_observability(obs::metric_store& reg) {
     const std::string prefix = "client." + std::to_string(id_);
-    retries_ = reg.make_counter({prefix, "/retries"});
-    timeouts_ = reg.make_counter({prefix, "/timeouts"});
-    aborted_ = reg.make_counter({prefix, "/aborted"});
-    stale_responses_ = reg.make_counter({prefix, "/stale_responses"});
     failed_responses_ = reg.make_counter({prefix, "/failed_responses"});
     static constexpr const char* k_categories[] = {"safety", "function",
                                                    "interference"};
@@ -92,8 +87,6 @@ void processor_client::issue_request(cycle_t now) {
     r.abs_deadline = running_->deadline;
     r.level_deadline = running_->deadline;
     pending_req_ = std::move(r);
-    attempts_ = 0;
-    awaited_id_ = 0;
     stalled_ = true;
     push_pending(now);
 }
@@ -104,41 +97,13 @@ void processor_client::push_pending(cycle_t now) {
         return;
     }
     request_pending_issue_ = false;
-    // A first attempt that waited on a full port starts its latency clock
-    // at the actual push; retries keep the original issue_cycle so their
-    // latency spans the recovery.
-    if (attempts_ == 0 && awaited_id_ == 0) pending_req_.issue_cycle = now;
+    // An access that waited on a full port starts its latency clock at
+    // the actual push.
+    pending_req_.issue_cycle = now;
     pending_req_.hop_arrival = now;
-    awaited_id_ = pending_req_.id;
-    stall_timeout_at_ = retry_.timeout_cycles != 0
-                            ? now + retry_.timeout_cycles
-                            : k_cycle_never;
     requests_issued_.inc();
     mem_request out = pending_req_;
     net_.client_push(id_, std::move(out));
-}
-
-void processor_client::handle_stall_timeout(cycle_t now) {
-    timeouts_.inc();
-    if (attempts_ >= retry_.max_retries) {
-        // Retry budget spent: abort the access so the core makes progress
-        // (a real system would fault to a software handler; here the job
-        // resumes compute with degraded data). A late response for the
-        // abandoned id is dropped as stale.
-        aborted_.inc();
-        stalled_ = false;
-        request_pending_issue_ = false;
-        awaited_id_ = 0;
-        stall_timeout_at_ = k_cycle_never;
-        return;
-    }
-    ++attempts_;
-    retries_.inc();
-    pending_req_.id = next_request_id_++;
-    pending_req_.attempt =
-        static_cast<std::uint8_t>(std::min<std::uint32_t>(attempts_, 255));
-    awaited_id_ = 0; // old attempt superseded even if the port is full
-    push_pending(now);
 }
 
 void processor_client::tick(cycle_t now) {
@@ -162,14 +127,9 @@ void processor_client::tick(cycle_t now) {
 
     if (stalled_) {
         // Either the port was full (retry the push) or we await the
-        // response (on_response clears the stall). With recovery enabled,
-        // an overdue response triggers a reissue or, past the retry
-        // budget, an abort that unblocks the core.
-        if (request_pending_issue_) {
-            push_pending(now);
-        } else if (retry_.timeout_cycles != 0 && now >= stall_timeout_at_) {
-            handle_stall_timeout(now);
-        }
+        // response (on_response clears the stall; a lost one blocks the
+        // core for good).
+        if (request_pending_issue_) push_pending(now);
         return;
     }
 
@@ -194,8 +154,8 @@ void processor_client::tick(cycle_t now) {
 
 cycle_t processor_client::next_event(cycle_t now) const {
     if (stalled_) {
-        if (request_pending_issue_) return now + 1; // retry the push
-        return std::max(now + 1, stall_timeout_at_);
+        // Retry the push, or sleep until the response wakes the core.
+        return request_pending_issue_ ? now + 1 : k_cycle_never;
     }
     if (running_ || !ready_.empty()) return now + 1; // computing
     cycle_t due = k_cycle_never;
@@ -207,27 +167,12 @@ cycle_t processor_client::next_event(cycle_t now) const {
 }
 
 void processor_client::on_response(mem_request&& r) {
-    assert(r.client == id_);
+    assert(r.client == id_ && stalled_ && r.id == pending_req_.id);
     wake(); // a stalled core resumes the cycle after delivery, as in lockstep
-    if (!stalled_ || r.id != awaited_id_) {
-        // A reissue or abort already superseded this attempt.
-        stale_responses_.inc();
-        return;
-    }
-    if (r.failed) {
-        // Uncorrected DRAM error. With recovery configured, expire the
-        // timeout window so the next tick reissues (or aborts) without
-        // waiting out the rest of it; otherwise unblock as before (the
-        // legacy model never inspected the payload).
-        failed_responses_.inc();
-        if (retry_.timeout_cycles != 0) {
-            stall_timeout_at_ = r.complete_cycle;
-            return;
-        }
-    }
+    // An uncorrected DRAM error unblocks the core like any response (the
+    // model never inspects the payload).
+    if (r.failed) failed_responses_.inc();
     stalled_ = false;
-    awaited_id_ = 0;
-    stall_timeout_at_ = k_cycle_never;
 }
 
 void processor_client::finalize(cycle_t end_cycle) {

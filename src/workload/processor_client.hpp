@@ -32,38 +32,18 @@ struct job_stats {
     }
 };
 
-/// Recovery policy for the blocking cache-miss path: a stalled core whose
-/// response does not arrive within timeout_cycles reissues the access
-/// under a fresh id (the stale response is dropped), up to max_retries
-/// attempts; past the budget the access is aborted so the core can make
-/// progress with degraded data instead of hanging forever.
-struct processor_retry_config {
-    cycle_t timeout_cycles = 0; ///< 0 = wait forever (legacy blocking)
-    std::uint32_t max_retries = 3;
-};
-
-/// Recovery counter snapshot for one processor client (result type).
-struct processor_retry_stats {
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t aborted = 0;         ///< accesses given up after max retries
-    std::uint64_t stale_responses = 0; ///< superseded attempts that landed late
-    std::uint64_t failed_responses = 0; ///< uncorrected-error responses
-};
-
 class processor_client : public component {
 public:
     processor_client(client_id_t id, compute_task_set tasks,
-                     interconnect& net, std::uint64_t seed,
-                     processor_retry_config retry = {});
+                     interconnect& net, std::uint64_t seed);
 
     void tick(cycle_t now) override;
 
     /// Event-engine horizon: per-cycle while computing or while a push
     /// is blocked on a full port (no wake signal exists for port space);
-    /// a stalled core sleeps until its retry timeout, an idle one until
-    /// the next task release. Response delivery wakes the client (see
-    /// on_response).
+    /// a stalled core sleeps until its response arrives, an idle one
+    /// until the next task release. Response delivery wakes the client
+    /// (see on_response).
     [[nodiscard]] cycle_t next_event(cycle_t now) const override;
 
     void on_response(mem_request&& r);
@@ -90,10 +70,6 @@ public:
     [[nodiscard]] std::uint64_t mem_requests_issued() const {
         return requests_issued_.value();
     }
-    [[nodiscard]] processor_retry_stats retry_stats() const {
-        return {retries_.value(), timeouts_.value(), aborted_.value(),
-                stale_responses_.value(), failed_responses_.value()};
-    }
 
 private:
     struct job {
@@ -110,35 +86,24 @@ private:
     void start_next_job(cycle_t now);
     void finish_job(cycle_t now);
     void issue_request(cycle_t now);
-    /// Pushes pending_req_ once the port accepts; arms the stall timeout.
+    /// Pushes pending_req_ once the port accepts.
     void push_pending(cycle_t now);
-    /// Timeout recovery while stalled: reissue or abort. Called from
-    /// tick() once the stall has outlived its timeout window.
-    void handle_stall_timeout(cycle_t now);
 
     client_id_t id_;
     compute_task_set tasks_;
     interconnect& net_;
     rng rng_;
-    processor_retry_config retry_;
     std::vector<cycle_t> next_release_;
     std::deque<job> ready_;           ///< released, not started (EDF order)
     std::optional<job> running_;
     bool stalled_ = false;            ///< waiting for a memory response
     bool request_pending_issue_ = false;
-    mem_request pending_req_;         ///< reissue template while stalled
-    request_id_t awaited_id_ = 0;     ///< current attempt's id (0 = none)
-    cycle_t stall_timeout_at_ = k_cycle_never;
-    std::uint32_t attempts_ = 0;
+    mem_request pending_req_;         ///< the access the core waits on
     /// Metrics bind_observability registers (own_'s capacity).
-    static constexpr std::size_t k_metric_count = 12;
+    static constexpr std::size_t k_metric_count = 8;
     /// Unnamed storage while unbound (bind_observability re-homes the
     /// handles).
     obs::value_block own_{k_metric_count};
-    obs::counter retries_;
-    obs::counter timeouts_;
-    obs::counter aborted_;
-    obs::counter stale_responses_;
     obs::counter failed_responses_;
     std::array<obs::counter, 3> jobs_completed_;
     std::array<obs::counter, 3> jobs_missed_;

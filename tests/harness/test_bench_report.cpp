@@ -18,7 +18,7 @@ constexpr report_column k_columns[] = {
     {"+/- sd", "lat_sd", "lat:sd", shown::num, 3},
     {"worst", "", "lat:max", shown::num, 0},
     {"share", "share", "share", shown::pct, 1},
-    {"hits/misses", "", "hits/misses", shown::count},
+    {"hits/misses", "", "hits,misses", shown::count},
     {"feasible", "feasible", "hits", shown::per_trial},
     {"gone", "gone", "absent", shown::num, 1},
     {"", "misses", "misses"},

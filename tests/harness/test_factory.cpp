@@ -1,20 +1,19 @@
 #include <gtest/gtest.h>
 
 #include "core/bluescale_ic.hpp"
-#include "harness/factory.hpp"
+#include "harness/testbench.hpp"
 
 namespace bluescale::harness {
 namespace {
 
 TEST(factory, builds_every_kind) {
-    ic_build_options opts;
+    testbench_options opts;
     opts.n_clients = 16;
     opts.client_utilizations.assign(16, 0.05);
     for (ic_kind kind : k_all_kinds) {
-        auto ic = make_interconnect(kind, opts);
-        ASSERT_NE(ic, nullptr) << kind_name(kind);
-        EXPECT_EQ(ic->num_clients(), 16u);
-        EXPECT_TRUE(ic->client_can_accept(0));
+        testbench tb(kind, opts);
+        EXPECT_EQ(tb.ic().num_clients(), 16u) << kind_name(kind);
+        EXPECT_TRUE(tb.ic().client_can_accept(0));
     }
 }
 
@@ -35,36 +34,32 @@ TEST(factory, kinds_map_to_cost_model_designs) {
 TEST(factory, bluescale_applies_selection) {
     std::vector<analysis::task_set> clients(16);
     for (auto& s : clients) s.push_back({200, 4});
-    const auto sel = analysis::select_tree_interfaces(clients);
-    ASSERT_TRUE(sel.feasible);
 
-    ic_build_options opts;
+    testbench_options opts;
     opts.n_clients = 16;
-    opts.selection = &sel;
-    auto ic = make_interconnect(ic_kind::bluescale, opts);
-    auto* bs = dynamic_cast<core::bluescale_ic*>(ic.get());
+    opts.rt_sets = &clients;
+    testbench tb(ic_kind::bluescale, opts);
+    ASSERT_TRUE(tb.selection_feasible());
+    auto* bs = dynamic_cast<core::bluescale_ic*>(&tb.ic());
     ASSERT_NE(bs, nullptr);
     EXPECT_TRUE(bs->se_at(0, 0).scheduler().configured());
 }
 
 TEST(factory, bluescale_without_selection_unconfigured) {
-    ic_build_options opts;
-    opts.n_clients = 16;
-    auto ic = make_interconnect(ic_kind::bluescale, opts);
-    auto* bs = dynamic_cast<core::bluescale_ic*>(ic.get());
+    testbench tb(ic_kind::bluescale, {.n_clients = 16});
+    auto* bs = dynamic_cast<core::bluescale_ic*>(&tb.ic());
     ASSERT_NE(bs, nullptr);
     EXPECT_FALSE(bs->se_at(0, 0).scheduler().configured());
 }
 
 TEST(factory, sixty_four_clients_all_kinds) {
-    ic_build_options opts;
+    testbench_options opts;
     opts.n_clients = 64;
     opts.client_utilizations.assign(64, 0.0125);
     for (ic_kind kind : k_all_kinds) {
-        auto ic = make_interconnect(kind, opts);
-        ASSERT_NE(ic, nullptr);
-        EXPECT_EQ(ic->num_clients(), 64u);
-        EXPECT_GE(ic->depth_of(0), 1u);
+        testbench tb(kind, opts);
+        EXPECT_EQ(tb.ic().num_clients(), 64u) << kind_name(kind);
+        EXPECT_GE(tb.ic().depth_of(0), 1u);
     }
 }
 
@@ -79,11 +74,8 @@ TEST(factory, extended_kinds_superset_of_paper_six) {
 }
 
 TEST(factory, builds_hyperconnect) {
-    ic_build_options opts;
-    opts.n_clients = 16;
-    auto ic = make_interconnect(ic_kind::axi_hyperconnect, opts);
-    ASSERT_NE(ic, nullptr);
-    EXPECT_EQ(ic->num_clients(), 16u);
+    testbench tb(ic_kind::axi_hyperconnect, {.n_clients = 16});
+    EXPECT_EQ(tb.ic().num_clients(), 16u);
     EXPECT_STREQ(kind_name(ic_kind::axi_hyperconnect),
                  "AXI-HyperConnect");
     EXPECT_EQ(to_design(ic_kind::axi_hyperconnect),

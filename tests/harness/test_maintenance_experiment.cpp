@@ -86,11 +86,11 @@ TEST(maintenance_experiment, modeled_maintenance_never_alarms_when_aware) {
     cfg.storm_intensity = 0.0;
     const auto r = run_storm(cfg);
     ASSERT_GE(count(r, "feasible_trials"), 2u);
-    EXPECT_GT(count(r, "refreshes"), 0u);
-    EXPECT_GT(count(r, "scrubs"), 0u);
-    EXPECT_GT(count(r, "windows_checked"), 0u);
-    EXPECT_EQ(count(r, "supply_shortfall_alarms"), 0u);
-    EXPECT_EQ(count(r, "shed_events"), 0u);
+    EXPECT_GT(count(r, "mem/refreshes"), 0u);
+    EXPECT_GT(count(r, "mem/scrubs"), 0u);
+    EXPECT_GT(count(r, "watchdog/windows_checked"), 0u);
+    EXPECT_EQ(count(r, "watchdog/supply_shortfall_alarms"), 0u);
+    EXPECT_EQ(count(r, "watchdog/shed_events"), 0u);
     EXPECT_EQ(count(r, "hard_misses"), 0u);
 }
 
@@ -112,9 +112,9 @@ TEST(maintenance_experiment, corrected_sbf_survives_maintenance_storms) {
     // the watchdog sees the unmodeled theft (supply alarms) and sheds
     // best-effort traffic to protect them.
     EXPECT_EQ(count(aware, "hard_misses"), 0u);
-    EXPECT_GT(count(aware, "supply_shortfall_alarms"), 0u);
-    EXPECT_GT(count(aware, "shed_events"), 0u);
-    EXPECT_GT(count(aware, "shed_client_cycles"), 0u);
+    EXPECT_GT(count(aware, "watchdog/supply_shortfall_alarms"), 0u);
+    EXPECT_GT(count(aware, "watchdog/shed_events"), 0u);
+    EXPECT_GT(count(aware, "watchdog/shed_client_cycles"), 0u);
 
     // Raw-sbf admission under-provisions: the same storm campaign
     // pushes hard clients over their deadlines.

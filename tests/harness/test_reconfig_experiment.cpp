@@ -66,34 +66,35 @@ TEST(reconfig_experiment, repeated_run_is_reproducible) {
 
 TEST(reconfig_experiment, bluescale_admits_and_commits) {
     const auto r = run_reconfig(ic_kind::bluescale, small_config(0.5), 2);
-    EXPECT_GT(count(r, "submitted"), 0u);
-    EXPECT_GT(count(r, "admitted"), 0u);
-    EXPECT_GT(count(r, "committed"), 0u);
+    EXPECT_GT(count(r, "reconfig/submitted"), 0u);
+    EXPECT_GT(count(r, "reconfig/admitted"), 0u);
+    EXPECT_GT(count(r, "reconfig/committed"), 0u);
     EXPECT_EQ(count(r, "applied_unchecked"), 0u);
     // Every commit -- and nothing else -- swaps a live task set.
-    EXPECT_EQ(count(r, "live_reconfigurations"), count(r, "committed"));
+    EXPECT_EQ(count(r, "client/reconfigurations"),
+              count(r, "reconfig/committed"));
     EXPECT_GT(get(r, "latency_cycles").samples.count(), 0u);
     EXPECT_GT(get(r, "latency_cycles").samples.mean(), 0.0);
-    EXPECT_GT(count(r, "windows_checked"), 0u);
+    EXPECT_GT(count(r, "watchdog/windows_checked"), 0u);
 }
 
 TEST(reconfig_experiment, baseline_applies_unconditionally) {
     const auto r = run_reconfig(ic_kind::bluetree, small_config(0.5), 2);
-    EXPECT_EQ(count(r, "submitted"), 0u);
-    EXPECT_EQ(count(r, "admitted"), 0u);
+    EXPECT_EQ(count(r, "reconfig/submitted"), 0u);
+    EXPECT_EQ(count(r, "reconfig/admitted"), 0u);
     EXPECT_GT(count(r, "applied_unchecked"), 0u);
-    EXPECT_EQ(count(r, "live_reconfigurations"),
+    EXPECT_EQ(count(r, "client/reconfigurations"),
               count(r, "applied_unchecked"));
     // No admission control, no watchdog: the counters stay silent.
-    EXPECT_EQ(count(r, "windows_checked"), 0u);
-    EXPECT_EQ(count(r, "shed_events"), 0u);
+    EXPECT_EQ(count(r, "watchdog/windows_checked"), 0u);
+    EXPECT_EQ(count(r, "watchdog/shed_events"), 0u);
 }
 
 TEST(reconfig_experiment, zero_rate_means_no_requests) {
     const auto r = run_reconfig(ic_kind::bluescale, small_config(0.0), 2);
-    EXPECT_EQ(count(r, "submitted"), 0u);
-    EXPECT_EQ(count(r, "committed"), 0u);
-    EXPECT_EQ(count(r, "live_reconfigurations"), 0u);
+    EXPECT_EQ(count(r, "reconfig/submitted"), 0u);
+    EXPECT_EQ(count(r, "reconfig/committed"), 0u);
+    EXPECT_EQ(count(r, "client/reconfigurations"), 0u);
 }
 
 /// The reconfig experiment's BlueScale trial with the schedule replaced
@@ -127,17 +128,10 @@ sweep_result run_scripted(bool churn) {
              rec.counter("hard_misses").inc(misses.hard);
              rec.counter("best_effort_misses").inc(misses.best_effort);
              rec.sample("miss_ratio").add(misses.ratio());
-             rec.counter("submitted").inc(mgr.stats().submitted);
-             rec.counter("admitted").inc(mgr.stats().admitted);
-             rec.counter("committed").inc(mgr.stats().committed);
-             rec.counter("rejected").inc(mgr.stats().rejected);
-             for (std::uint32_t c = 0; c < tt.n_clients(); ++c) {
-                 rec.counter("live_reconfigurations")
-                     .inc(tt.client(c).stats().reconfigurations());
+             for (const char* component :
+                  {"client.", "reconfig/", "watchdog/"}) {
+                 rec.adopt(tb, component);
              }
-             const auto& rep = tb.watchdog()->report();
-             rec.counter("violating_windows").inc(rep.violating_windows);
-             rec.counter("shed_events").inc(rep.shed_events);
          }});
 }
 
@@ -149,17 +143,19 @@ TEST(reconfig_experiment, rejected_churn_is_bit_identical_to_no_requests) {
     const auto churn = run_scripted(true);
     const auto quiet = run_scripted(false);
 
-    EXPECT_GT(count(churn, "submitted"), 0u);
-    EXPECT_EQ(count(churn, "rejected"), count(churn, "submitted"));
-    EXPECT_EQ(count(churn, "admitted"), 0u);
-    EXPECT_EQ(count(churn, "committed"), 0u);
-    EXPECT_EQ(count(churn, "live_reconfigurations"), 0u);
+    EXPECT_GT(count(churn, "reconfig/submitted"), 0u);
+    EXPECT_EQ(count(churn, "reconfig/rejected"),
+              count(churn, "reconfig/submitted"));
+    EXPECT_EQ(count(churn, "reconfig/admitted"), 0u);
+    EXPECT_EQ(count(churn, "reconfig/committed"), 0u);
+    EXPECT_EQ(count(churn, "client/reconfigurations"), 0u);
 
     // Zero perturbation, observed end to end through the whole stack.
     EXPECT_EQ(get(churn, "miss_ratio").samples.samples(),
               get(quiet, "miss_ratio").samples.samples());
-    for (const char* name : {"hard_misses", "best_effort_misses",
-                             "violating_windows", "shed_events"}) {
+    for (const char* name :
+         {"hard_misses", "best_effort_misses", "watchdog/violating_windows",
+          "watchdog/shed_events"}) {
         EXPECT_EQ(count(churn, name), count(quiet, name)) << name;
     }
 }

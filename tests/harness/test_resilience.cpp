@@ -55,20 +55,20 @@ TEST(resilience, nonzero_intensity_injects_and_recovers) {
     const auto r =
         run_resilience(ic_kind::bluescale, 2, 1.0);
     EXPECT_GT(count(r, "injected_events"), 0u);
-    EXPECT_GT(count(r, "se_stall_cycles"), 0u);
-    EXPECT_GT(count(r, "ecc_retries") + count(r, "uncorrected_errors") +
-                  count(r, "link_drops") + count(r, "storm_cycles"),
+    EXPECT_GT(count(r, "se/fault_stall_cycles"), 0u);
+    EXPECT_GT(count(r, "mem/ecc_retries") + count(r, "mem/uncorrected_errors") +
+                  count(r, "link_drops") + count(r, "mem/storm_cycles"),
               0u);
-    EXPECT_GT(count(r, "retries"), 0u);
-    EXPECT_GT(count(r, "timeouts"), 0u);
+    EXPECT_GT(count(r, "client/retries"), 0u);
+    EXPECT_GT(count(r, "client/timeouts"), 0u);
 }
 
 TEST(resilience, zero_intensity_is_fault_free) {
     const auto r =
         run_resilience(ic_kind::bluescale, 2, 0.0);
-    for (const char* name : {"injected_events", "se_stall_cycles",
-                             "link_drops", "ecc_retries", "retries",
-                             "degrade_events"}) {
+    for (const char* name : {"injected_events", "se/fault_stall_cycles",
+                             "link_drops", "mem/ecc_retries", "client/retries",
+                             "health/degrade_events"}) {
         EXPECT_EQ(count(r, name), 0u) << name;
     }
 }
@@ -78,10 +78,11 @@ TEST(resilience, baselines_see_no_se_faults_but_share_the_rest) {
         run_resilience(ic_kind::bluetree, 2, 1.0);
     // No SE fabric: stall and degraded-mode counters stay zero, while
     // the memory-side faults (and the recovery they trigger) still bite.
-    EXPECT_EQ(count(r, "se_stall_cycles"), 0u);
-    EXPECT_EQ(count(r, "degrade_events"), 0u);
-    EXPECT_EQ(count(r, "degraded_se_cycles"), 0u);
-    EXPECT_GT(count(r, "ecc_retries") + count(r, "uncorrected_errors"), 0u);
+    EXPECT_EQ(count(r, "se/fault_stall_cycles"), 0u);
+    EXPECT_EQ(count(r, "health/degrade_events"), 0u);
+    EXPECT_EQ(count(r, "se/degraded_cycles"), 0u);
+    EXPECT_GT(count(r, "mem/ecc_retries") + count(r, "mem/uncorrected_errors"),
+              0u);
     EXPECT_GT(count(r, "injected_events"), 0u);
 }
 

@@ -33,15 +33,16 @@ TEST(svc_storm, conserves_requests_and_protects_hard_clients) {
     EXPECT_EQ(count("feasible_trials"), trials);
     EXPECT_EQ(count("drained_trials"), trials);
     EXPECT_EQ(count("conserved_trials"), trials);
-    EXPECT_GT(count("submitted"), 0u);
+    EXPECT_GT(count("svc/submitted"), 0u);
     // Exactly one terminal outcome per request, summed over all trials.
-    EXPECT_EQ(count("submitted"), count("shed") + count("expired") +
-                                      count("committed") +
-                                      count("rejected"));
+    EXPECT_EQ(count("svc/submitted"),
+              count("svc/shed") + count("svc/expired") +
+                  count("svc/committed") + count("svc/rejected"));
     // The storm actually overloads: the bounded queue shed work, and the
     // robustness machinery saw real faults.
-    EXPECT_GT(count("shed"), 0u);
-    EXPECT_GT(count("worker_crashes") + count("worker_stall_cycles"), 0u);
+    EXPECT_GT(count("svc/shed"), 0u);
+    EXPECT_GT(count("svc/worker_crashes") + count("svc/worker_stall_cycles"),
+              0u);
     // Hard real-time clients ride through the whole storm untouched.
     EXPECT_EQ(count("hard_misses"), 0u);
 }

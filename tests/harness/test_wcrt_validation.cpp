@@ -33,13 +33,13 @@ TEST(wcrt_validation, feasible_trials_meet_deadlines_within_allowance) {
             return r.totals.get(std::string("wcrt/") + name).count;
         };
         EXPECT_GE(count("feasible_trials"), 1u) << s.clients << " clients";
-        EXPECT_GT(count("completed"), 0u) << s.clients << " clients";
-        EXPECT_EQ(count("missed_beyond_margin"), 0u)
+        EXPECT_GT(count("client/completed"), 0u) << s.clients << " clients";
+        EXPECT_EQ(count("client/missed_beyond_margin"), 0u)
             << s.clients << " clients";
         std::printf("%u clients: %llu raw misses of %llu completed\n",
                     s.clients,
-                    static_cast<unsigned long long>(count("missed")),
-                    static_cast<unsigned long long>(count("completed")));
+                    static_cast<unsigned long long>(count("client/missed")),
+                    static_cast<unsigned long long>(count("client/completed")));
     }
 }
 

@@ -5,20 +5,16 @@
 #include <memory>
 #include <vector>
 
-#include "harness/factory.hpp"
-#include "mem/memory_controller.hpp"
-#include "sim/simulator.hpp"
+#include "harness/testbench.hpp"
 #include "workload/taskset_gen.hpp"
 #include "workload/traffic_generator.hpp"
 
 namespace bluescale {
 namespace {
 
-using harness::ic_build_options;
 using harness::ic_kind;
 using harness::k_all_kinds;
 using harness::kind_name;
-using harness::make_interconnect;
 
 struct system_rig {
     system_rig(ic_kind kind, std::uint32_t n_clients, double total_util,
@@ -26,31 +22,22 @@ struct system_rig {
         rng r(seed);
         tasksets = workload::make_client_tasksets(r, n_clients, total_util,
                                                   total_util);
-        ic_build_options opts;
+        harness::testbench_options opts;
         opts.n_clients = n_clients;
         for (const auto& ts : tasksets) {
             opts.client_utilizations.push_back(workload::utilization(ts));
+            rt_sets.push_back(workload::to_rt_tasks(ts));
         }
-        if (kind == ic_kind::bluescale) {
-            std::vector<analysis::task_set> rt;
-            for (const auto& ts : tasksets) {
-                rt.push_back(workload::to_rt_tasks(ts));
-            }
-            selection = analysis::select_tree_interfaces(rt);
-            opts.selection = &selection;
-        }
-        net = make_interconnect(kind, opts);
-        net->attach_memory(mem);
+        opts.rt_sets = &rt_sets;
+        tb = std::make_unique<harness::testbench>(kind, opts);
         for (std::uint32_t c = 0; c < n_clients; ++c) {
             clients.push_back(std::make_unique<workload::traffic_generator>(
-                c, tasksets[c], *net, seed * 1000 + c));
+                c, tasksets[c], tb->ic(), seed * 1000 + c));
+            auto* client = clients.back().get();
+            tb->add_client(c, *client, [client](mem_request&& resp) {
+                client->on_response(std::move(resp));
+            });
         }
-        net->set_response_handler([this](mem_request&& resp) {
-            clients[resp.client]->on_response(std::move(resp));
-        });
-        for (auto& c : clients) sim.add(*c);
-        sim.add(*net);
-        sim.add(mem);
     }
 
     std::uint64_t total_issued() const {
@@ -70,40 +57,38 @@ struct system_rig {
     }
 
     std::vector<workload::memory_task_set> tasksets;
-    analysis::tree_selection selection;
-    std::unique_ptr<interconnect> net;
-    memory_controller mem;
+    std::vector<analysis::task_set> rt_sets;
+    std::unique_ptr<harness::testbench> tb;
     std::vector<std::unique_ptr<workload::traffic_generator>> clients;
-    simulator sim;
 };
 
 class end_to_end : public ::testing::TestWithParam<ic_kind> {};
 
 TEST_P(end_to_end, conservation_no_request_lost_or_duplicated) {
     system_rig rig(GetParam(), 16, 0.6);
-    rig.sim.run(30'000);
+    rig.tb->run(30'000);
     // Drain: stop new traffic; responses for everything issued must
     // eventually arrive.
     for (auto& c : rig.clients) c->stop();
-    rig.sim.run_until([&] { return rig.net->in_flight() == 0; }, 200'000);
-    EXPECT_EQ(rig.net->in_flight(), 0u) << kind_name(GetParam());
+    rig.tb->run_until([&] { return rig.tb->ic().in_flight() == 0; }, 200'000);
+    EXPECT_EQ(rig.tb->ic().in_flight(), 0u) << kind_name(GetParam());
     EXPECT_EQ(rig.total_completed(), rig.total_issued())
         << kind_name(GetParam());
 }
 
 TEST_P(end_to_end, light_load_meets_all_deadlines) {
     system_rig rig(GetParam(), 16, 0.15);
-    rig.sim.run(40'000);
-    for (auto& c : rig.clients) c->finalize(rig.sim.now());
+    rig.tb->run(40'000);
+    for (auto& c : rig.clients) c->finalize(rig.tb->now());
     EXPECT_EQ(rig.total_missed(), 0u) << kind_name(GetParam());
     EXPECT_GT(rig.total_completed(), 300u) << kind_name(GetParam());
 }
 
 TEST_P(end_to_end, sixty_four_clients_functional) {
     system_rig rig(GetParam(), 64, 0.5);
-    rig.sim.run(20'000);
+    rig.tb->run(20'000);
     for (auto& c : rig.clients) c->stop();
-    rig.sim.run_until([&] { return rig.net->in_flight() == 0; }, 200'000);
+    rig.tb->run_until([&] { return rig.tb->ic().in_flight() == 0; }, 200'000);
     EXPECT_EQ(rig.total_completed(), rig.total_issued())
         << kind_name(GetParam());
     EXPECT_GT(rig.total_completed(), 1000u) << kind_name(GetParam());
@@ -131,25 +116,26 @@ TEST(end_to_end_bluescale, configured_fabric_meets_deadlines_at_80pct) {
     // The headline property: with the interface selection programmed,
     // BlueScale sustains 80% utilization without deadline misses.
     system_rig rig(ic_kind::bluescale, 16, 0.8, /*seed=*/42);
-    ASSERT_TRUE(rig.selection.feasible) << rig.selection.failure.to_string();
-    rig.sim.run(100'000);
-    for (auto& c : rig.clients) c->finalize(rig.sim.now());
+    ASSERT_TRUE(rig.tb->selection_feasible())
+        << rig.tb->selection().failure.to_string();
+    rig.tb->run(100'000);
+    for (auto& c : rig.clients) c->finalize(rig.tb->now());
     EXPECT_EQ(rig.total_missed(), 0u);
     EXPECT_GT(rig.total_completed(), 15'000u);
 }
 
 TEST(end_to_end_bluescale, throughput_matches_demand_at_80pct) {
     system_rig rig(ic_kind::bluescale, 16, 0.8, /*seed=*/42);
-    rig.sim.run(100'000);
+    rig.tb->run(100'000);
     // Demand is 0.8 units/unit = 0.2 requests/cycle.
     const double rate =
-        static_cast<double>(rig.mem.serviced()) / 100'000.0;
+        static_cast<double>(rig.tb->memctrl().serviced()) / 100'000.0;
     EXPECT_NEAR(rate, 0.2, 0.02);
 }
 
 TEST(end_to_end_bluescale, blocking_bounded_under_contention) {
     system_rig rig(ic_kind::bluescale, 16, 0.85, /*seed=*/11);
-    rig.sim.run(50'000);
+    rig.tb->run(50'000);
     double worst = 0;
     for (auto& c : rig.clients) {
         worst = std::max(worst, c->stats().blocking_cycles().max());

@@ -177,9 +177,9 @@ const scenario k_scenarios[] = {
                                   {maintenance_cell(cfg)})
                             .front();
          for (const char* name :
-              {"maintenance/refreshes", "maintenance/scrubs",
-               "maintenance/hammer_mitigations",
-               "maintenance/maintenance_storm_cycles"}) {
+              {"maintenance/mem/refreshes", "maintenance/mem/scrubs",
+               "maintenance/mem/hammer_mitigations",
+               "maintenance/mem/maintenance_storm_cycles"}) {
              EXPECT_GT(r.totals.get(name).count, 0u) << name;
          }
          return render(r);

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/bluescale_ic.hpp"
-#include "harness/factory.hpp"
+#include "harness/testbench.hpp"
 #include "mem/memory_controller.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -19,11 +19,9 @@
 namespace bluescale {
 namespace {
 
-using harness::ic_build_options;
 using harness::ic_kind;
 using harness::k_extended_kinds;
 using harness::kind_name;
-using harness::make_interconnect;
 
 struct observed {
     std::vector<mem_request> done;
@@ -33,30 +31,24 @@ observed run_design(ic_kind kind, std::uint64_t seed) {
     const std::uint32_t n = 16;
     rng r(seed);
     auto tasksets = workload::make_client_tasksets(r, n, 0.75, 0.75);
-    ic_build_options opts;
+    harness::testbench_options opts;
     opts.n_clients = n;
     for (const auto& ts : tasksets) {
         opts.client_utilizations.push_back(workload::utilization(ts));
     }
-    auto ic = make_interconnect(kind, opts);
-    memory_controller mem;
-    ic->attach_memory(mem);
-
+    harness::testbench tb(kind, opts);
     std::vector<std::unique_ptr<workload::traffic_generator>> clients;
+    observed out;
     for (std::uint32_t c = 0; c < n; ++c) {
         clients.push_back(std::make_unique<workload::traffic_generator>(
-            c, tasksets[c], *ic, seed + c));
+            c, tasksets[c], tb.ic(), seed + c));
+        auto* client = clients.back().get();
+        tb.add_client(c, *client, [&out, client](mem_request&& req) {
+            out.done.push_back(req);
+            client->on_response(std::move(req));
+        });
     }
-    observed out;
-    ic->set_response_handler([&](mem_request&& req) {
-        out.done.push_back(req);
-        clients[req.client]->on_response(std::move(req));
-    });
-    simulator sim;
-    for (auto& c : clients) sim.add(*c);
-    sim.add(*ic);
-    sim.add(mem);
-    sim.run(20'000);
+    tb.run(20'000);
     return out;
 }
 

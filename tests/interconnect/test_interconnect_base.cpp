@@ -4,22 +4,20 @@
 // checks (determinism, conservation under random backpressure).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
-#include "harness/factory.hpp"
-#include "mem/memory_controller.hpp"
+#include "harness/testbench.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulator.hpp"
 
 namespace bluescale {
 namespace {
 
-using harness::ic_build_options;
 using harness::ic_kind;
 using harness::k_all_kinds;
 using harness::kind_name;
-using harness::make_interconnect;
+using harness::testbench;
 
 mem_request req(request_id_t id, client_id_t client, cycle_t deadline,
                 std::uint64_t addr) {
@@ -47,22 +45,29 @@ struct fuzz_outcome {
     }
 };
 
+/// `kind`'s fabric and memory controller for `n` clients, each with
+/// `utilization` when non-zero, with the responses handed to
+/// `on_response` instead of clients, armed so sim().step() ticks them.
+std::unique_ptr<testbench>
+bare_fabric(ic_kind kind, std::uint32_t n,
+            std::function<void(mem_request&&)> on_response,
+            double utilization = 0.0) {
+    harness::testbench_options opts;
+    opts.n_clients = n;
+    if (utilization > 0.0) opts.client_utilizations.assign(n, utilization);
+    auto tb = std::make_unique<testbench>(kind, opts);
+    tb->ic().set_response_handler(std::move(on_response));
+    tb->run(0);
+    return tb;
+}
+
 fuzz_outcome fuzz_run(ic_kind kind, std::uint64_t seed,
                       cycle_t cycles = 6000) {
     const std::uint32_t n = 8;
-    ic_build_options opts;
-    opts.n_clients = n;
-    opts.client_utilizations.assign(n, 0.02);
-    auto ic = make_interconnect(kind, opts);
-    memory_controller mem;
-    ic->attach_memory(mem);
     fuzz_outcome out;
-    ic->set_response_handler(
-        [&](mem_request&& r) { out.absorb(r); });
-
-    simulator sim;
-    sim.add(*ic);
-    sim.add(mem);
+    auto tb = bare_fabric(
+        kind, n, [&](mem_request&& r) { out.absorb(r); }, 0.02);
+    interconnect& ic = tb->ic();
     rng rnd(seed);
     request_id_t id = 0;
     for (cycle_t now = 0; now < cycles; ++now) {
@@ -70,18 +75,18 @@ fuzz_outcome fuzz_run(ic_kind kind, std::uint64_t seed,
         const std::uint32_t tries = static_cast<std::uint32_t>(rnd.pick(4));
         for (std::uint32_t i = 0; i < tries; ++i) {
             const auto c = static_cast<client_id_t>(rnd.pick(n));
-            if (ic->client_can_accept(c)) {
-                ic->client_push(
+            if (ic.client_can_accept(c)) {
+                ic.client_push(
                     c, req(id, c, now + rnd.uniform_u64(50, 5000),
                            rnd.uniform_u64(0, 1u << 20) * 64));
                 ++id;
             }
         }
-        sim.step();
+        tb->sim().step();
     }
     // Drain.
-    sim.run_until([&] { return ic->in_flight() == 0; }, 100'000);
-    out.in_flight_end = ic->in_flight();
+    tb->run_until([&] { return ic.in_flight() == 0; }, 100'000);
+    out.in_flight_end = ic.in_flight();
     return out;
 }
 
@@ -131,63 +136,42 @@ TEST(interconnect_base, response_path_depth_delays_delivery) {
     // arrives later for identical timing otherwise. Use BlueScale 16 vs
     // 64 (depth 2 vs 3).
     auto time_first_response = [](std::uint32_t n) {
-        ic_build_options opts;
-        opts.n_clients = n;
-        auto ic = make_interconnect(ic_kind::bluescale, opts);
-        memory_controller mem;
-        ic->attach_memory(mem);
         cycle_t first = 0;
-        ic->set_response_handler([&](mem_request&& r) {
+        auto tb = bare_fabric(ic_kind::bluescale, n, [&](mem_request&& r) {
             if (first == 0) first = r.complete_cycle;
         });
-        simulator sim;
-        sim.add(*ic);
-        sim.add(mem);
-        ic->client_push(0, req(1, 0, 100'000, 0));
-        sim.run(2000);
+        tb->ic().client_push(0, req(1, 0, 100'000, 0));
+        tb->run(2000);
         return first;
     };
     EXPECT_LT(time_first_response(16), time_first_response(64));
 }
 
 TEST(interconnect_base, in_flight_tracks_every_stage) {
-    ic_build_options opts;
-    opts.n_clients = 4;
-    auto ic = make_interconnect(ic_kind::bluetree, opts);
-    memory_controller mem;
-    ic->attach_memory(mem);
     std::uint64_t delivered = 0;
-    ic->set_response_handler([&](mem_request&&) { ++delivered; });
-    simulator sim;
-    sim.add(*ic);
-    sim.add(mem);
-    EXPECT_EQ(ic->in_flight(), 0u);
-    ic->client_push(0, req(1, 0, 100'000, 0));
-    EXPECT_EQ(ic->in_flight(), 1u);
-    sim.run_until([&] { return delivered == 1; }, 10'000);
-    EXPECT_EQ(ic->in_flight(), 0u);
+    auto tb = bare_fabric(ic_kind::bluetree, 4,
+                          [&](mem_request&&) { ++delivered; });
+    interconnect& ic = tb->ic();
+    EXPECT_EQ(ic.in_flight(), 0u);
+    ic.client_push(0, req(1, 0, 100'000, 0));
+    EXPECT_EQ(ic.in_flight(), 1u);
+    tb->run_until([&] { return delivered == 1; }, 10'000);
+    EXPECT_EQ(ic.in_flight(), 0u);
 }
 
 TEST(interconnect_base, forwarded_counter_monotone) {
-    ic_build_options opts;
-    opts.n_clients = 4;
-    auto ic = make_interconnect(ic_kind::axi_icrt, opts);
-    memory_controller mem;
-    ic->attach_memory(mem);
-    ic->set_response_handler([](mem_request&&) {});
-    simulator sim;
-    sim.add(*ic);
-    sim.add(mem);
+    auto tb = bare_fabric(ic_kind::axi_icrt, 4, [](mem_request&&) {});
+    interconnect& ic = tb->ic();
     for (int i = 0; i < 4; ++i) {
-        ic->client_push(static_cast<client_id_t>(i),
-                        req(i, static_cast<client_id_t>(i), 100'000,
-                            i * 4096));
+        ic.client_push(static_cast<client_id_t>(i),
+                       req(i, static_cast<client_id_t>(i), 100'000,
+                           i * 4096));
     }
     std::uint64_t prev = 0;
     for (int i = 0; i < 200; ++i) {
-        sim.step();
-        EXPECT_GE(ic->forwarded_to_memory(), prev);
-        prev = ic->forwarded_to_memory();
+        tb->sim().step();
+        EXPECT_GE(ic.forwarded_to_memory(), prev);
+        prev = ic.forwarded_to_memory();
     }
     EXPECT_EQ(prev, 4u);
 }
